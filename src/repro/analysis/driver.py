@@ -78,11 +78,16 @@ def analyze_contexts(contexts: Sequence[ModuleContext],
     """
     from repro.analysis.dataflow import Program
 
-    program = Program({ctx.relpath: ctx for ctx in contexts},
-                      cache_dir=cache_dir, focus=focus)
+    return analyze_program(Program.from_contexts(
+        contexts, cache_dir=cache_dir, focus=focus))
+
+
+def analyze_program(program) -> List[Finding]:
+    """Run every rule over a built :class:`Program` (the test suite
+    builds one whole-tree program per session and shares it)."""
     scope = program.focus_scope()
     findings: List[Finding] = []
-    for ctx in contexts:
+    for ctx in program.contexts.values():
         if scope is not None and ctx.relpath not in scope:
             continue
         findings.extend(ctx.unjustified_pragmas())

@@ -6,8 +6,9 @@ differential harness proves serial/parallel equivalence only for the
 workloads it samples, so a merge that additionally mutates engine,
 pager or session state can diverge on unsampled workloads without any
 test noticing.  Scope: ``CrossSnapshotAggregate.merge`` (and subclass
-overrides), the ``merge_*`` helpers in ``core/aggregates.py``, and the
-executor's stored-row merge.
+overrides), the ``merge_*`` helpers in ``core/aggregates.py``, and every
+``Fold.merge`` in ``core/folds.py`` (the one caller is the partition
+executor: it may fold into ``self``, never mutate ``later``).
 
 The purity summaries track, interprocedurally, which parameters a
 function mutates and any effects on program-class state reached through
@@ -27,16 +28,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.dataflow.callgraph import FunctionInfo
     from repro.analysis.dataflow.program import Program
 
-_ROOT_CLASS = "CrossSnapshotAggregate"
-
-
-def _is_cross_snapshot_aggregate(program: "Program",
-                                 cls_qual: str) -> bool:
+def _descends_from(program: "Program", cls_qual: str, root: str) -> bool:
     graph = program.graph
     names = [cls_qual] + graph._all_bases(cls_qual)
     for qualname in names:
         cls = graph.classes.get(qualname)
-        if cls is not None and cls.name == _ROOT_CLASS:
+        if cls is not None and cls.name == root:
             return True
     return False
 
@@ -46,15 +43,16 @@ def _merge_targets(program: "Program") -> List[Tuple["FunctionInfo", str]]:
     for qualname in sorted(program.graph.functions):
         func = program.graph.functions[qualname]
         if func.cls is not None and func.name == "merge" \
-                and _is_cross_snapshot_aggregate(program,
-                                                 func.cls.qualname):
+                and _descends_from(program, func.cls.qualname,
+                                   "CrossSnapshotAggregate"):
             targets.append((func, "aggregate merge"))
         elif func.cls is None and func.name.startswith("merge_") \
                 and func.module.endswith("core/aggregates.py"):
             targets.append((func, "stored-value merge"))
-        elif func.name == "_merge_stored_rows" \
-                and func.module.endswith("core/parallel.py"):
-            targets.append((func, "executor stored-row merge"))
+        elif func.cls is not None and func.name == "merge" \
+                and func.module.endswith("core/folds.py") \
+                and _descends_from(program, func.cls.qualname, "Fold"):
+            targets.append((func, "fold merge"))
     return targets
 
 
@@ -64,7 +62,7 @@ class MergePurityChecker(ProgramChecker):
     name = "merge-purity"
     description = (
         "registered merge functions (CrossSnapshotAggregate.merge, "
-        "merge_* helpers, stored-row merge) must be pure: fold into "
+        "merge_* helpers, Fold.merge) must be pure: fold into "
         "the accumulator only, never mutate engine/pager/session state"
     )
     example = (

@@ -33,6 +33,8 @@ class CrossSnapshotAggregate:
     """Incremental fold of one value per snapshot (or per record)."""
 
     name: str = ""
+    #: JSON key -> attribute holding that piece of the fold state
+    _state_fields: Dict[str, str] = {}
 
     def absorb(self, value: SqlValue) -> None:
         """Fold one observed value into the state (NULLs are skipped)."""
@@ -45,9 +47,18 @@ class CrossSnapshotAggregate:
     def result(self) -> SqlValue:
         raise NotImplementedError
 
+    def dump(self) -> Dict[str, SqlValue]:
+        """The fold state as a plain dict (materialized views persist it
+        as JSON); :func:`restore_cross_snapshot_aggregate` inverts it."""
+        payload: Dict[str, SqlValue] = {"func": self.name}
+        for key, attr in self._state_fields.items():
+            payload[key] = getattr(self, attr)
+        return payload
+
 
 class _MinAgg(CrossSnapshotAggregate):
     name = "min"
+    _state_fields = {"value": "best"}
 
     def __init__(self) -> None:
         self.best: SqlValue = None
@@ -67,6 +78,7 @@ class _MinAgg(CrossSnapshotAggregate):
 
 class _MaxAgg(CrossSnapshotAggregate):
     name = "max"
+    _state_fields = {"value": "best"}
 
     def __init__(self) -> None:
         self.best: SqlValue = None
@@ -86,6 +98,7 @@ class _MaxAgg(CrossSnapshotAggregate):
 
 class _SumAgg(CrossSnapshotAggregate):
     name = "sum"
+    _state_fields = {"value": "total"}
 
     def __init__(self) -> None:
         self.total: Optional[float] = None
@@ -105,6 +118,7 @@ class _SumAgg(CrossSnapshotAggregate):
 
 class _CountAgg(CrossSnapshotAggregate):
     name = "count"
+    _state_fields = {"value": "count"}
 
     def __init__(self) -> None:
         self.count = 0
@@ -127,6 +141,7 @@ class _AvgAgg(CrossSnapshotAggregate):
     """The paper's AVG special case: a (sum, count) monoid, divided last."""
 
     name = "avg"
+    _state_fields = {"sum": "total", "count": "count"}
 
     def __init__(self) -> None:
         self.total = 0.0
@@ -171,6 +186,15 @@ def make_cross_snapshot_aggregate(name: str) -> CrossSnapshotAggregate:
             f"{', '.join(SUPPORTED_AGGREGATES)}"
         )
     return factory()
+
+
+def restore_cross_snapshot_aggregate(
+        payload: Dict[str, SqlValue]) -> CrossSnapshotAggregate:
+    """Rebuild an aggregate state from :meth:`CrossSnapshotAggregate.dump`."""
+    state = make_cross_snapshot_aggregate(str(payload["func"]))
+    for key, attr in state._state_fields.items():
+        setattr(state, attr, payload[key])
+    return state
 
 
 def binary_op(name: str) -> Callable[[SqlValue, SqlValue], SqlValue]:

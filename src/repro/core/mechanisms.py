@@ -22,7 +22,7 @@ the snapshotable main database instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import MechanismError, QueryCancelled
 from repro.core.aggregates import (
@@ -33,7 +33,7 @@ from repro.core.aggregates import (
 from repro.core.rewrite import rewrite_qq, validate_qs
 from repro.retro.metrics import MetricsSink
 from repro.sql.database import Database
-from repro.sql.executor import TableAccess, TableWriter
+from repro.sql.executor import TableWriter
 from repro.sql.types import SqlValue, compare
 
 
@@ -47,7 +47,8 @@ class RQLResult:
     result_rows: int = 0
     result_table_bytes: int = 0
     result_index_bytes: int = 0
-    #: visible result columns (hidden AVG helper columns excluded)
+    #: visible result columns (AggregateDataInTable's own hidden AVG
+    #: helper columns excluded)
     columns: List[str] = field(default_factory=list)
     #: :class:`repro.core.parallel.ParallelRunInfo` when the run used the
     #: parallel executor; None for serial runs
@@ -62,8 +63,35 @@ def _quote(name: str) -> str:
     return '"' + name.replace('"', '""') + '"'
 
 
+def result_index_name(table: str) -> str:
+    return f"__rqlidx_{table.lower()}"
+
+
+def create_result_table(db: Database, table: str, columns: Sequence[str],
+                        persistent: bool) -> None:
+    temp = "" if persistent else "TEMP "
+    cols = ", ".join(_quote(c) for c in columns)
+    db.execute(f"CREATE {temp}TABLE {_quote(table)} ({cols})")
+
+
+def create_result_index(db: Database, table: str,
+                        columns: Sequence[str]) -> None:
+    cols = ", ".join(_quote(c) for c in columns)
+    db.execute(
+        f"CREATE INDEX {_quote(result_index_name(table))} ON "
+        f"{_quote(table)} ({cols})"
+    )
+
+
 class _LoopBody:
-    """Common driver: Qs evaluation, iteration metering, result stats."""
+    """Common driver: Qs evaluation, iteration metering, result stats.
+
+    Subclasses supply ``first_pass`` / ``next_pass``: what to do with
+    the Qq cursor on the first and on every later iteration.  Each
+    returns the seconds it spent on RQL UDF work (result-table inserts,
+    index probes, aggregate updates); :meth:`_metered_pass` charges the
+    rest of the iteration to query evaluation.
+    """
 
     #: set by subclasses that create an index on the result table
     index_name: Optional[str] = None
@@ -105,7 +133,8 @@ class _LoopBody:
             self.finalize()
         finally:
             self.db.attach_metrics(previous)
-        return self._build_result(snapshot_ids)
+        return build_result(self.db, self.table, snapshot_ids, self.sink,
+                            self.index_name, self.helper_positions())
 
     def iteration(self, snapshot_id: int) -> None:
         """One loop-body invocation (also the UDF entry point)."""
@@ -122,61 +151,76 @@ class _LoopBody:
     # -- subclass protocol ------------------------------------------------------
 
     def _iteration(self, snapshot_id: int, first: bool) -> None:
+        """Table-backed default: one transaction per iteration."""
+        with self.db.transaction():
+            self._metered_pass(snapshot_id, first)
+
+    def first_pass(self, columns: List[str], rows, snapshot_id: int) -> float:
         raise NotImplementedError
 
-    def visible_columns(self, all_columns: List[str]) -> List[str]:
-        return [c for c in all_columns if not c.startswith("__")]
+    def next_pass(self, columns: List[str], rows, snapshot_id: int) -> float:
+        raise NotImplementedError
+
+    def helper_positions(self) -> FrozenSet[int]:
+        """Result-table positions hidden from ``RQLResult.columns``."""
+        return frozenset()
 
     # -- helpers -----------------------------------------------------------------
 
-    def _create_result_table(self, columns: Sequence[str]) -> None:
-        temp = "" if self.persistent else "TEMP "
-        cols = ", ".join(_quote(c) for c in columns)
-        self.db.execute(
-            f"CREATE {temp}TABLE {_quote(self.table)} ({cols})"
-        )
-
-    def _run_qq(self, snapshot_id: int, on_row,
-                need_columns: bool = False) -> Optional[List[str]]:
-        """Run rewritten Qq, timing Qq evaluation vs callback (UDF) work.
-
-        Returns the Qq output column names when ``need_columns``.
-        """
-        rewritten = rewrite_qq(self.qq, snapshot_id)
+    def _metered_pass(self, snapshot_id: int, first: bool) -> None:
+        """Run rewritten Qq through the subclass pass, splitting the
+        iteration into Qq evaluation vs RQL UDF work."""
         clock = self.sink.clock
         current = self.sink.current
         index_before = current.index_creation_seconds
         started = clock()
-        udf_seconds = 0.0
-        columns, rows = self.db.execute_cursor(rewritten)
-        for row in rows:
-            current.qq_rows += 1
-            cb_start = clock()
-            on_row(row)
-            udf_seconds += clock() - cb_start
+        columns, rows = self.db.execute_cursor(
+            rewrite_qq(self.qq, snapshot_id))
+        if first:
+            udf = self.first_pass(columns, rows, snapshot_id)
+        else:
+            udf = self.next_pass(columns, rows, snapshot_id)
         total = clock() - started
         # Auto covering-index builds inside Qq are metered separately
         # (index_creation); keep them out of query evaluation.
         index_delta = current.index_creation_seconds - index_before
-        current.udf_seconds += udf_seconds
-        current.query_eval_seconds += max(
-            total - udf_seconds - index_delta, 0.0,
-        )
-        return columns if need_columns else None
+        current.udf_seconds += udf
+        current.query_eval_seconds += max(total - udf - index_delta, 0.0)
 
-    def _timed_udf(self, seconds: float) -> None:
-        self.sink.current.udf_seconds += seconds
+    def _timed_index(self, columns: Sequence[str]) -> float:
+        """Build the result-table index at the end of the first
+        iteration (paper Section 3).  Its cost belongs to the UDF
+        (Figure 12), not to Qq index creation, so the CREATE INDEX
+        statement's own metering is neutralized."""
+        current = self.sink.current
+        before = current.index_creation_seconds
+        started = self.sink.clock()
+        create_result_index(self.db, self.table, columns)
+        seconds = self.sink.clock() - started
+        current.index_creation_seconds = before
+        return seconds
 
-    def _build_result(self, snapshot_ids: List[int]) -> RQLResult:
-        result = RQLResult(
-            table=self.table, snapshots=snapshot_ids, metrics=self.sink,
-        )
-        stats = _result_table_stats(self.db, self.table, self.index_name)
-        if stats is not None:
-            (result.result_rows, result.result_table_bytes,
-             result.result_index_bytes, all_columns) = stats
-            result.columns = self.visible_columns(all_columns)
-        return result
+    def _result_index(self, writer: TableWriter):
+        name = result_index_name(self.table)
+        for index in writer.indexes:
+            if index.info.name.lower() == name:
+                return index
+        raise MechanismError("result-table index vanished")
+
+
+def build_result(db: Database, table: str, snapshot_ids: List[int],
+                 sink: MetricsSink, index_name: Optional[str],
+                 helpers: FrozenSet[int] = frozenset(),
+                 parallel: Optional[object] = None) -> RQLResult:
+    result = RQLResult(table=table, snapshots=snapshot_ids, metrics=sink,
+                       parallel=parallel)
+    stats = _result_table_stats(db, table, index_name)
+    if stats is not None:
+        (result.result_rows, result.result_table_bytes,
+         result.result_index_bytes, all_columns) = stats
+        result.columns = [c for i, c in enumerate(all_columns)
+                          if i not in helpers]
+    return result
 
 
 def _result_table_stats(db: Database, table: str,
@@ -221,29 +265,21 @@ class CollateDataRun(_LoopBody):
     key and no index — Figure 12's cheap-insert explanation.
     """
 
-    def _iteration(self, snapshot_id: int, first: bool) -> None:
-        with self.db.transaction():
-            rewritten = rewrite_qq(self.qq, snapshot_id)
-            clock = self.sink.clock
-            current = self.sink.current
-            index_before = current.index_creation_seconds
-            started = clock()
-            columns, rows = self.db.execute_cursor(rewritten)
-            if first:
-                self._create_result_table(columns)
-            _, writer = self.db.table_writer(self.table)
-            udf_seconds = 0.0
-            for row in rows:
-                current.qq_rows += 1
-                cb = clock()
-                writer.insert(row)
-                udf_seconds += clock() - cb
-            total = clock() - started
-            index_delta = current.index_creation_seconds - index_before
-            current.udf_seconds += udf_seconds
-            current.query_eval_seconds += max(
-                total - udf_seconds - index_delta, 0.0,
-            )
+    def first_pass(self, columns: List[str], rows, snapshot_id: int) -> float:
+        create_result_table(self.db, self.table, columns, self.persistent)
+        return self.next_pass(columns, rows, snapshot_id)
+
+    def next_pass(self, columns: List[str], rows, snapshot_id: int) -> float:
+        _, writer = self.db.table_writer(self.table)
+        clock = self.sink.clock
+        current = self.sink.current
+        udf = 0.0
+        for row in rows:
+            current.qq_rows += 1
+            cb = clock()
+            writer.insert(row)
+            udf += clock() - cb
+        return udf
 
 
 # ---------------------------------------------------------------------------
@@ -267,31 +303,43 @@ class AggregateDataInVariableRun(_LoopBody):
         self._column: Optional[str] = None
 
     def _iteration(self, snapshot_id: int, first: bool) -> None:
+        # Nothing is written until finalize(): no transaction.
+        self._metered_pass(snapshot_id, first)
+
+    def next_pass(self, columns: List[str], rows, snapshot_id: int) -> float:
         collected: List[Sequence[SqlValue]] = []
-        columns = self._run_qq(snapshot_id, collected.append,
-                               need_columns=True)
-        assert columns is not None
+        clock = self.sink.clock
+        current = self.sink.current
+        udf = 0.0
+        for row in rows:
+            current.qq_rows += 1
+            cb = clock()
+            collected.append(row)
+            udf += clock() - cb
         if len(columns) != 1:
             raise MechanismError(
                 "AggregateDataInVariable requires a single-column Qq"
             )
-        if first:
+        if self._column is None:
             self._column = columns[0]
         if len(collected) > 1:
             raise MechanismError(
                 "AggregateDataInVariable requires Qq to return a single "
                 f"row; snapshot {snapshot_id} returned {len(collected)}"
             )
-        started = self.sink.clock()
+        started = clock()
         if collected:
             self.state.absorb(collected[0][0])
-        self._timed_udf(self.sink.clock() - started)
+        return udf + clock() - started
+
+    first_pass = next_pass
 
     def finalize(self) -> None:
         if self._column is None:
             return
         with self.db.transaction():
-            self._create_result_table([self._column])
+            create_result_table(self.db, self.table, [self._column],
+                                self.persistent)
             _, writer = self.db.table_writer(self.table)
             writer.insert((self.state.result(),))
 
@@ -304,10 +352,10 @@ class TableAggregateSchema:
     """Schema binding + per-record fold logic for AggregateDataInTable.
 
     Shared by the serial index-probe run, the sort-merge ablation
-    variant, and the parallel merge phase
-    (:mod:`repro.core.parallel`), so all three agree byte-for-byte on
-    widened rows and aggregate updates — including the hidden
-    ``__avg_sum_i`` / ``__avg_cnt_i`` helper columns.
+    variant, and the in-memory stored-row fold
+    (:class:`repro.core.folds.StoredRowFold`), so all three agree
+    byte-for-byte on widened rows and aggregate updates — including the
+    hidden ``__avg_sum_i`` / ``__avg_cnt_i`` helper columns.
     """
 
     def __init__(self, pairs: List[Tuple[str, str]]) -> None:
@@ -315,6 +363,10 @@ class TableAggregateSchema:
         self.group_positions: List[int] = []
         self.agg_specs: List[Tuple[int, str, Optional[int], Optional[int]]] = []
         self.columns: List[str] = []
+        #: stored positions of this schema's own AVG helper columns —
+        #: what "hidden" means; a Qq column merely *named* like a
+        #: helper is ordinary output
+        self.helper_positions: FrozenSet[int] = frozenset()
 
     @property
     def bound(self) -> bool:
@@ -350,6 +402,18 @@ class TableAggregateSchema:
             else:
                 self.agg_specs.append((position, func, None, None))
         self.columns = stored
+        self.helper_positions = frozenset(range(len(columns), len(stored)))
+
+    def bind_stored(self, stored: Sequence[str]) -> None:
+        """Bind from a result table's column list: the Qq output is the
+        stored columns minus this schema's own trailing helper pairs
+        (one per distinct AVG position)."""
+        lowered = [c.lower() for c in stored]
+        funcs = {lowered.index(column.lower()): func
+                 for column, func in self.pairs
+                 if column.lower() in lowered}
+        helpers = 2 * sum(1 for func in funcs.values() if func == "avg")
+        self.bind(list(stored[:len(stored) - helpers]))
 
     def widen(self, row: Sequence[SqlValue]) -> Tuple[SqlValue, ...]:
         """Prepare a fresh group row: initialize aggregate columns and
@@ -428,113 +492,59 @@ class AggregateDataInTableRun(_LoopBody):
                  sink: Optional[MetricsSink] = None) -> None:
         super().__init__(db, qq, table, persistent, sink=sink)
         self.pairs = parse_col_func_pairs(col_func_pairs)
-        self.index_name = f"__rqlidx_{table.lower()}"
+        self.index_name = result_index_name(table)
         self.schema = TableAggregateSchema(self.pairs)
-        self._table_access: Optional[TableAccess] = None
         #: operation counters (Figure 13 contrasts SUM's ~1M updates
         #: with MAX's ~22K)
         self.probes = 0
         self.updates_applied = 0
         self.rows_inserted = 0
 
-    # -- schema binding (delegates kept for the sort-merge subclass) --------
+    def helper_positions(self) -> FrozenSet[int]:
+        return self.schema.helper_positions
 
-    @property
-    def _group_positions(self) -> List[int]:
-        return self.schema.group_positions
+    def first_pass(self, columns: List[str], rows, snapshot_id: int) -> float:
+        schema = self.schema
+        schema.bind(columns)
+        create_result_table(self.db, self.table, schema.columns,
+                            self.persistent)
+        return self._insert_pass(rows) + self._timed_index(
+            [schema.columns[p] for p in schema.group_positions])
 
-    @property
-    def _agg_specs(self):
-        return self.schema.agg_specs
-
-    @property
-    def _columns(self) -> List[str]:
-        return self.schema.columns
-
-    def _bind_columns(self, columns: List[str]) -> None:
-        self.schema.bind(columns)
-
-    def _widen(self, row: Sequence[SqlValue]) -> Tuple[SqlValue, ...]:
-        return self.schema.widen(row)
-
-    def _apply_aggregates(self, existing, row):
-        return self.schema.apply(existing, row)
-
-    # -- iteration -----------------------------------------------------------
-
-    def _iteration(self, snapshot_id: int, first: bool) -> None:
-        with self.db.transaction():
-            rewritten = rewrite_qq(self.qq, snapshot_id)
-            clock = self.sink.clock
-            current = self.sink.current
-            index_before = current.index_creation_seconds
-            started = clock()
-            columns, rows = self.db.execute_cursor(rewritten)
-            if first:
-                self._bind_columns(columns)
-                self._create_result_table(self._columns)
-            table, writer = self.db.table_writer(self.table)
-            if first:
-                udf = self._first_pass(rows, writer)
-                # Build the grouping-column index at the end of the
-                # first iteration (paper Section 3).  Its cost belongs
-                # to the UDF (Figure 12), not to Qq index creation, so
-                # neutralize the CREATE INDEX statement's own metering.
-                index_cols = ", ".join(
-                    _quote(self._columns[p]) for p in self._group_positions
-                )
-                idx_start = clock()
-                self.db.execute(
-                    f"CREATE INDEX {_quote(self.index_name)} ON "
-                    f"{_quote(self.table)} ({index_cols})"
-                )
-                udf += clock() - idx_start
-                current.index_creation_seconds = index_before
-            else:
-                udf = self._probe_pass(rows, table, writer)
-            total = clock() - started
-            index_delta = current.index_creation_seconds - index_before
-            current.udf_seconds += udf
-            current.query_eval_seconds += max(
-                total - udf - index_delta, 0.0,
-            )
-
-    def _first_pass(self, rows, writer: TableWriter) -> float:
+    def _insert_pass(self, rows) -> float:
+        _, writer = self.db.table_writer(self.table)
+        widen = self.schema.widen
         clock = self.sink.clock
         current = self.sink.current
         udf = 0.0
         for row in rows:
             current.qq_rows += 1
             cb = clock()
-            writer.insert(self._widen(row))
+            writer.insert(widen(row))
             self.rows_inserted += 1
             udf += clock() - cb
         return udf
 
-    def _probe_pass(self, rows, table: TableAccess,
-                    writer: TableWriter) -> float:
-        index = next(
-            (ix for ix in writer.indexes
-             if ix.info.name.lower() == self.index_name.lower()),
-            None,
-        )
-        if index is None:
-            raise MechanismError("result-table index vanished")
+    def next_pass(self, columns: List[str], rows, snapshot_id: int) -> float:
+        table, writer = self.db.table_writer(self.table)
+        index = self._result_index(writer)
+        schema = self.schema
+        group_positions = schema.group_positions
         clock = self.sink.clock
         current = self.sink.current
         udf = 0.0
         for row in rows:
             current.qq_rows += 1
             cb = clock()
-            group_values = [row[p] for p in self._group_positions]
+            group_values = [row[p] for p in group_positions]
             rowid = next(iter(index.lookup_equal(group_values)), None)
             self.probes += 1
             if rowid is None:
-                writer.insert(self._widen(row))
+                writer.insert(schema.widen(row))
                 self.rows_inserted += 1
             else:
                 existing = table.get(rowid)
-                updated = self._apply_aggregates(existing, row)
+                updated = schema.apply(existing, row)
                 if updated is not None:
                     writer.update(rowid, updated)
                     self.updates_applied += 1
@@ -562,61 +572,35 @@ class CollateDataIntoIntervalsRun(_LoopBody):
                  persistent: bool = False,
                  sink: Optional[MetricsSink] = None) -> None:
         super().__init__(db, qq, table, persistent, sink=sink)
-        self.index_name = f"__rqlidx_{table.lower()}"
+        self.index_name = result_index_name(table)
         self._qq_width = 0
         self._previous_snapshot: Optional[int] = None
 
-    def visible_columns(self, all_columns: List[str]) -> List[str]:
-        return all_columns
-
     def _iteration(self, snapshot_id: int, first: bool) -> None:
-        with self.db.transaction():
-            rewritten = rewrite_qq(self.qq, snapshot_id)
-            clock = self.sink.clock
-            current = self.sink.current
-            index_before = current.index_creation_seconds
-            started = clock()
-            columns, rows = self.db.execute_cursor(rewritten)
-            if first:
-                self._qq_width = len(columns)
-                self._create_result_table(
-                    list(columns) + [self.START_COLUMN, self.END_COLUMN]
-                )
-            table, writer = self.db.table_writer(self.table)
-            udf = 0.0
-            if first:
-                for row in rows:
-                    current.qq_rows += 1
-                    cb = clock()
-                    writer.insert(tuple(row) + (snapshot_id, snapshot_id))
-                    udf += clock() - cb
-                index_cols = ", ".join(_quote(c) for c in columns)
-                idx_start = clock()
-                self.db.execute(
-                    f"CREATE INDEX {_quote(self.index_name)} ON "
-                    f"{_quote(self.table)} ({index_cols})"
-                )
-                udf += clock() - idx_start
-                current.index_creation_seconds = index_before
-            else:
-                udf = self._extend_pass(rows, table, writer, snapshot_id)
-            total = clock() - started
-            index_delta = current.index_creation_seconds - index_before
-            current.udf_seconds += udf
-            current.query_eval_seconds += max(
-                total - udf - index_delta, 0.0,
-            )
+        super()._iteration(snapshot_id, first)
         self._previous_snapshot = snapshot_id
 
-    def _extend_pass(self, rows, table: TableAccess, writer: TableWriter,
-                     snapshot_id: int) -> float:
-        index = next(
-            (ix for ix in writer.indexes
-             if ix.info.name.lower() == self.index_name.lower()),
-            None,
+    def first_pass(self, columns: List[str], rows, snapshot_id: int) -> float:
+        self._qq_width = len(columns)
+        create_result_table(
+            self.db, self.table,
+            list(columns) + [self.START_COLUMN, self.END_COLUMN],
+            self.persistent,
         )
-        if index is None:
-            raise MechanismError("result-table index vanished")
+        _, writer = self.db.table_writer(self.table)
+        clock = self.sink.clock
+        current = self.sink.current
+        udf = 0.0
+        for row in rows:
+            current.qq_rows += 1
+            cb = clock()
+            writer.insert(tuple(row) + (snapshot_id, snapshot_id))
+            udf += clock() - cb
+        return udf + self._timed_index(columns)
+
+    def next_pass(self, columns: List[str], rows, snapshot_id: int) -> float:
+        table, writer = self.db.table_writer(self.table)
+        index = self._result_index(writer)
         end_position = self._qq_width + 1
         previous = self._previous_snapshot
         clock = self.sink.clock
@@ -639,37 +623,3 @@ class CollateDataIntoIntervalsRun(_LoopBody):
                 writer.insert(tuple(values) + (snapshot_id, snapshot_id))
             udf += clock() - cb
         return udf
-
-
-# ---------------------------------------------------------------------------
-# Convenience entry points (the paper's Section 2 call forms)
-# ---------------------------------------------------------------------------
-
-def collate_data(db: Database, qs: str, qq: str, table: str,
-                 persistent: bool = False) -> RQLResult:
-    """CollateData(Qs, Qq, T)."""
-    return CollateDataRun(db, qq, table, persistent).run(qs)
-
-
-def aggregate_data_in_variable(db: Database, qs: str, qq: str, table: str,
-                               agg_func: str,
-                               persistent: bool = False) -> RQLResult:
-    """AggregateDataInVariable(Qs, Qq, T, AggFunc)."""
-    return AggregateDataInVariableRun(
-        db, qq, table, agg_func, persistent,
-    ).run(qs)
-
-
-def aggregate_data_in_table(db: Database, qs: str, qq: str, table: str,
-                            col_func_pairs,
-                            persistent: bool = False) -> RQLResult:
-    """AggregateDataInTable(Qs, Qq, T, ListOfColFuncPairs)."""
-    return AggregateDataInTableRun(
-        db, qq, table, col_func_pairs, persistent,
-    ).run(qs)
-
-
-def collate_data_into_intervals(db: Database, qs: str, qq: str, table: str,
-                                persistent: bool = False) -> RQLResult:
-    """CollateDataIntoIntervals(Qs, Qq, T)."""
-    return CollateDataIntoIntervalsRun(db, qq, table, persistent).run(qs)

@@ -2,47 +2,31 @@
 computation over the snapshot set").
 
 The serial mechanisms iterate the Qs snapshot ids one by one.  This
-module partitions those ids into **contiguous runs**, evaluates each
-partition on its own worker thread — each worker owns a private
-:class:`~repro.retro.metrics.MetricsSink` and opens private read-only
-contexts per iteration, so workers share nothing but the (latched)
-buffer pool, snapshot page cache, and SPT cache — and then merges the
-per-partition partial results on the calling thread:
+module partitions those ids into **contiguous runs**, steps a private
+:class:`~repro.core.folds.Fold` over each partition on its own worker
+thread (:func:`~repro.core.folds.fold_range`) — each worker owns a
+private :class:`~repro.retro.metrics.MetricsSink` and opens private
+read-only contexts per iteration, so workers share nothing but the
+(latched) buffer pool, snapshot page cache, and SPT cache — and then, on
+the calling thread, merges the per-partition folds left to right
+(``Fold.merge``) and writes the result table once
+(:func:`~repro.core.folds.write_result`).
 
-* **CollateData** — row-stream concatenation: partial row lists are
-  inserted into T in global snapshot order, mirroring the serial
-  per-iteration ``INSERT``s.
-* **AggregateDataInVariable** — each worker folds a private
-  :class:`~repro.core.aggregates.CrossSnapshotAggregate`; partials are
-  combined with the abelian-monoid ``merge()`` in partition order.
-* **AggregateDataInTable** — each worker simulates the serial
-  first/probe passes on an in-memory group table keyed by
-  ``encode_key`` of the grouping values (the exact identity the serial
-  index probe uses); stored group rows are merged column-wise with
-  :func:`~repro.core.aggregates.merge_stored_value` /
-  :func:`~repro.core.aggregates.merge_avg_stored`.
-* **CollateDataIntoIntervals** — workers build local interval lists;
-  the merge stitches a later partition's interval that starts at the
-  partition's first snapshot onto the earliest same-key accumulated
-  interval ending at the previous partition's last snapshot — exactly
-  the extension the serial index probe would have performed across the
-  partition boundary.
+Contiguous partitioning is what keeps the merges simple: each worker
+sees an unbroken slice of the iteration order, so only the two boundary
+snapshots of adjacent partitions interact — and it preserves the
+hot-iteration page sharing the paper measures, since consecutive
+snapshots share most Pagelog slots.
 
-Contiguous partitioning is what makes the merges this simple: each
-worker sees an unbroken prefix-free slice of the iteration order, so
-only the two boundary snapshots of adjacent partitions interact — and
-it preserves the hot-iteration page sharing the paper measures, since
-consecutive snapshots share most Pagelog slots.
-
-Each entry point first obtains an rqlint **merge certificate**
+Every run first obtains an rqlint **merge certificate**
 (:func:`repro.analysis.query.mergeclass.certify_mechanism`, or a
-pre-built one via the ``certificate`` kwarg) and selects its merge
-implementation *by the certified merge class*: ``concat``, ``monoid``,
-``stored-row`` or ``interval-stitch``.  A ``serial-only`` verdict — a
-non-monoid aggregate, a non-mergeable column function, a stateful
-builtin in the Qq — has no merge implementation to dispatch to and is
-refused with :class:`~repro.errors.MechanismError` carrying the RQL1NN
-diagnostics, instead of being silently merged wrong.
+pre-built one via the ``certificate`` kwarg) and is admitted only when
+the *certified* merge class is the class of the mechanism's fold:
+``concat``, ``monoid``, ``stored-row`` or ``interval-stitch``.  A
+``serial-only`` verdict — a non-monoid aggregate, a non-mergeable
+column function, a stateful builtin in the Qq — has no fold to merge
+and is refused with :class:`~repro.errors.MechanismError` carrying the
+RQL1NN diagnostics, instead of being silently merged wrong.
 
 Equivalence with the serial mechanisms is proven by the differential
 harness in ``tests/core/test_parallel_equivalence.py``; certificate
@@ -56,28 +40,36 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.core.aggregates import (
-    CrossSnapshotAggregate,
-    make_cross_snapshot_aggregate,
-    merge_avg_stored,
-    merge_stored_value,
-    parse_col_func_pairs,
+from repro.core.folds import (
+    Fold,
+    Mechanism,
+    find_mechanism,
+    fold_range,
+    write_result,
 )
 from repro.core.mechanisms import (
-    CollateDataIntoIntervalsRun,
     RQLResult,
-    TableAggregateSchema,
-    _quote,
-    _result_table_stats,
+    build_result,
+    result_index_name,
 )
-from repro.core.rewrite import rewrite_qq, validate_qs
+from repro.core.rewrite import validate_qs
 from repro.errors import MechanismError, QueryCancelled
 from repro.retro.metrics import MetricsSink
 from repro.sql.database import Database
-from repro.sql.types import SqlValue
-from repro.storage.record import encode_key
+
+
+def certify(db: Database, mechanism: str, qs: str, qq: str, arg=None):
+    """rqlint certificate for one invocation, against the live catalog.
+
+    Imported lazily: certification is an analysis-layer concern and
+    ``import repro.core`` must not drag the lint machinery in.
+    """
+    from repro.analysis.query.mergeclass import certify_mechanism
+    from repro.sql.semantic import CatalogSchema
+    return certify_mechanism(mechanism, qs, qq, arg=arg,
+                             schema=CatalogSchema(db))
 
 
 def partition_snapshots(snapshot_ids: Sequence[int],
@@ -125,14 +117,14 @@ class ParallelRunInfo:
 
 
 class _Partial:
-    """One worker's partition outcome (payload shape is per mechanism)."""
+    """One worker's partition outcome (``payload``: its private fold)."""
 
     def __init__(self, index: int, snapshot_ids: List[int],
                  sink: MetricsSink) -> None:
         self.index = index
         self.snapshot_ids = snapshot_ids
         self.sink = sink
-        self.payload: object = None
+        self.payload: Optional[Fold] = None
 
 
 class PoolTicket:
@@ -295,367 +287,97 @@ class ParallelExecutor:
     # -- certification ------------------------------------------------------
 
     def certify(self, mechanism: str, qs: str, qq: str, arg=None):
-        """rqlint certificate for one invocation, against the live catalog.
+        """rqlint certificate for one invocation (see :func:`certify`)."""
+        return certify(self.db, mechanism, qs, qq, arg)
 
-        Imported lazily: certification is an analysis-layer concern and
-        ``import repro.core`` must not drag the lint machinery in.
+    def _admit(self, spec: Mechanism, qs: str, qq: str, arg,
+               certificate) -> None:
+        """Admit the run only when the certified merge class is the
+        class of the fold that would merge it.
+
+        The check is keyed off ``certificate.merge_class`` — so a
+        ``serial-only`` verdict (or a forged/mismatched certificate)
+        has no fold to reach and is refused with the certificate's
+        diagnostics instead of silently merged wrong.
         """
-        from repro.analysis.query.mergeclass import certify_mechanism
-        from repro.sql.semantic import CatalogSchema
-        return certify_mechanism(mechanism, qs, qq, arg=arg,
-                                 schema=CatalogSchema(self.db))
-
-    def _admit(self, mechanism: str, qs: str, qq: str, arg, certificate):
-        """Select the merge implementation from the certificate.
-
-        The dispatch is keyed off ``certificate.merge_class`` — not the
-        mechanism — so a ``serial-only`` verdict (or a forged/mismatched
-        certificate) has no merge to reach and is refused with the
-        certificate's diagnostics instead of silently merged wrong.
-        """
-        from repro.analysis.query.mergeclass import (
-            CONCAT,
-            INTERVAL_STITCH,
-            MECHANISM_CLASSES,
-            MONOID,
-            STORED_ROW,
-        )
         cert = certificate if certificate is not None \
-            else self.certify(mechanism, qs, qq, arg)
-        expected = MECHANISM_CLASSES[mechanism.replace("_", "").lower()]
-        impls = {
-            CONCAT: self._merge_concat,
-            MONOID: self._merge_monoid,
-            STORED_ROW: self._merge_stored_row,
-            INTERVAL_STITCH: self._merge_interval_stitch,
-        }
-        merge = impls.get(cert.merge_class)
-        if cert.merge_class != expected or merge is None:
+            else self.certify(spec.name, qs, qq, arg)
+        if cert.merge_class != spec.merge_class:
             reasons = "; ".join(
                 f"{f.rule}: {f.message}" for f in cert.errors
             ) or (f"certified merge class {cert.merge_class!r}, "
-                  f"{mechanism} merges by {expected!r}")
+                  f"{spec.name} merges by {spec.merge_class!r}")
             raise MechanismError(
-                f"rqlint refuses parallel execution of {mechanism}: "
+                f"rqlint refuses parallel execution of {spec.name}: "
                 f"{reasons}"
             )
-        return merge
 
     # -- mechanism entry points ---------------------------------------------
+
+    def run(self, mechanism: str, qs: str, qq: str, table: str,
+            arg=None, persistent: bool = False,
+            certificate=None) -> RQLResult:
+        """Partition Qs, fold each partition on a worker, merge the
+        folds left to right, write T once."""
+        spec = find_mechanism(mechanism)
+        spec.fold(arg)  # reject a bad aggregate argument before threading
+        self._check_idle()
+        self._admit(spec, qs, qq, arg, certificate)
+        snapshot_ids = self._snapshot_ids(qs)
+        partitions = partition_snapshots(snapshot_ids, self.workers)
+        partials, info = self._run_partitions(partitions, spec, arg, qq)
+        clock = self._clock
+        merge_started = clock()
+        result = None
+        if partials:
+            merged = partials[0].payload
+            for partial in partials[1:]:
+                merged.merge(partial.payload)
+            result = merged.result()
+        if result is not None:
+            with self.db.transaction():
+                write_result(self.db, table, result, persistent)
+        info.merge_seconds = clock() - merge_started
+        sink = self._new_sink(0)
+        for worker_sink in info.worker_sinks:
+            sink.adopt(worker_sink.iterations)
+        indexed = result is not None and result.index_columns
+        return build_result(
+            self.db, table, snapshot_ids, sink,
+            result_index_name(table) if indexed else None,
+            result.helpers if result is not None else frozenset(),
+            parallel=info,
+        )
 
     def collate_data(self, qs: str, qq: str, table: str,
                      persistent: bool = False,
                      certificate=None) -> RQLResult:
         """Parallel CollateData(Qs, Qq, T)."""
-        self._check_idle()
-        merge = self._admit("CollateData", qs, qq, None, certificate)
-        snapshot_ids = self._snapshot_ids(qs)
-        partitions = partition_snapshots(snapshot_ids, self.workers)
-
-        def eval_partition(index: int, sids: List[int], sink: MetricsSink,
-                           cancel: threading.Event) -> list:
-            payload = []
-            for sid in sids:
-                if cancel.is_set():
-                    break
-                current = sink.begin_iteration(sid)
-                try:
-                    columns, rows = self._eval_qq(sid, sink, qq, current)
-                finally:
-                    sink.end_iteration()
-                payload.append((sid, columns, rows, current))
-            return payload
-
-        partials, info = self._run_partitions(partitions, eval_partition)
-        return merge(snapshot_ids, partials, info, table, persistent)
-
-    def _merge_concat(self, snapshot_ids: List[int],
-                      partials: List["_Partial"], info: ParallelRunInfo,
-                      table: str, persistent: bool) -> RQLResult:
-        # Merge: per-snapshot transactions in global order, mirroring the
-        # serial per-iteration CREATE/INSERT pattern (and its udf split).
-        clock = self._clock
-        merge_started = clock()
-        first_done = False
-        for partial in partials:
-            for sid, columns, rows, iteration in partial.payload:
-                with self.db.transaction():
-                    if not first_done:
-                        self._create_result_table(table, columns,
-                                                  persistent)
-                        first_done = True
-                    _, writer = self.db.table_writer(table)
-                    insert_started = clock()
-                    for row in rows:
-                        writer.insert(row)
-                    iteration.udf_seconds += clock() - insert_started
-        info.merge_seconds = clock() - merge_started
-        return self._build_result(snapshot_ids, table, None, info)
+        return self.run("CollateData", qs, qq, table, None, persistent,
+                        certificate)
 
     def aggregate_data_in_variable(self, qs: str, qq: str, table: str,
                                    agg_func: str,
                                    persistent: bool = False,
                                    certificate=None) -> RQLResult:
         """Parallel AggregateDataInVariable(Qs, Qq, T, AggFunc)."""
-        make_cross_snapshot_aggregate(agg_func)  # validate before threading
-        self._check_idle()
-        merge = self._admit("AggregateDataInVariable", qs, qq, agg_func,
-                            certificate)
-        snapshot_ids = self._snapshot_ids(qs)
-        partitions = partition_snapshots(snapshot_ids, self.workers)
-
-        def eval_partition(index: int, sids: List[int], sink: MetricsSink,
-                           cancel: threading.Event):
-            state = make_cross_snapshot_aggregate(agg_func)
-            column: Optional[str] = None
-            for sid in sids:
-                if cancel.is_set():
-                    break
-                current = sink.begin_iteration(sid)
-                try:
-                    columns, rows = self._eval_qq(sid, sink, qq, current)
-                    if len(columns) != 1:
-                        raise MechanismError(
-                            "AggregateDataInVariable requires a "
-                            "single-column Qq"
-                        )
-                    if column is None:
-                        column = columns[0]
-                    if len(rows) > 1:
-                        raise MechanismError(
-                            "AggregateDataInVariable requires Qq to return "
-                            f"a single row; snapshot {sid} returned "
-                            f"{len(rows)}"
-                        )
-                    started = sink.clock()
-                    if rows:
-                        state.absorb(rows[0][0])
-                    current.udf_seconds += sink.clock() - started
-                finally:
-                    sink.end_iteration()
-            return column, state
-
-        partials, info = self._run_partitions(partitions, eval_partition)
-        return merge(snapshot_ids, partials, info, table, persistent)
-
-    def _merge_monoid(self, snapshot_ids: List[int],
-                      partials: List["_Partial"], info: ParallelRunInfo,
-                      table: str, persistent: bool) -> RQLResult:
-        clock = self._clock
-        merge_started = clock()
-        column: Optional[str] = None
-        state: Optional[CrossSnapshotAggregate] = None
-        for partial in partials:
-            part_column, part_state = partial.payload
-            if column is None:
-                column = part_column
-            if state is None:
-                state = part_state
-            else:
-                state.merge(part_state)
-        if column is not None and state is not None:
-            with self.db.transaction():
-                self._create_result_table(table, [column], persistent)
-                _, writer = self.db.table_writer(table)
-                writer.insert((state.result(),))
-        info.merge_seconds = clock() - merge_started
-        return self._build_result(snapshot_ids, table, None, info)
+        return self.run("AggregateDataInVariable", qs, qq, table, agg_func,
+                        persistent, certificate)
 
     def aggregate_data_in_table(self, qs: str, qq: str, table: str,
                                 col_func_pairs,
                                 persistent: bool = False,
                                 certificate=None) -> RQLResult:
         """Parallel AggregateDataInTable(Qs, Qq, T, ListOfColFuncPairs)."""
-        pairs = parse_col_func_pairs(col_func_pairs)
-        self._check_idle()
-        merge = self._admit("AggregateDataInTable", qs, qq, col_func_pairs,
-                            certificate)
-        snapshot_ids = self._snapshot_ids(qs)
-        partitions = partition_snapshots(snapshot_ids, self.workers)
-
-        def eval_partition(index: int, sids: List[int], sink: MetricsSink,
-                           cancel: threading.Event):
-            schema = TableAggregateSchema(list(pairs))
-            stored: List[Tuple[SqlValue, ...]] = []
-            by_key: Dict[bytes, int] = {}
-            for n, sid in enumerate(sids):
-                if cancel.is_set():
-                    break
-                current = sink.begin_iteration(sid)
-                try:
-                    columns, rows = self._eval_qq(sid, sink, qq, current)
-                    if not schema.bound:
-                        schema.bind(columns)
-                    started = sink.clock()
-                    if index == 0 and n == 0:
-                        # Serial first pass inserts every Qq record
-                        # without probing (duplicate group rows possible).
-                        for row in rows:
-                            key = self._group_key(schema, row)
-                            by_key.setdefault(key, len(stored))
-                            stored.append(schema.widen(row))
-                    else:
-                        for row in rows:
-                            key = self._group_key(schema, row)
-                            at = by_key.get(key)
-                            if at is None:
-                                by_key[key] = len(stored)
-                                stored.append(schema.widen(row))
-                            else:
-                                updated = schema.apply(stored[at], row)
-                                if updated is not None:
-                                    stored[at] = updated
-                    current.udf_seconds += sink.clock() - started
-                finally:
-                    sink.end_iteration()
-            return schema, stored, by_key
-
-        partials, info = self._run_partitions(partitions, eval_partition)
-        return merge(snapshot_ids, partials, info, table, persistent)
-
-    def _merge_stored_row(self, snapshot_ids: List[int],
-                          partials: List["_Partial"],
-                          info: ParallelRunInfo,
-                          table: str, persistent: bool) -> RQLResult:
-        index_name = f"__rqlidx_{table.lower()}"
-        clock = self._clock
-        merge_started = clock()
-        schema: Optional[TableAggregateSchema] = None
-        acc_rows: List[Tuple[SqlValue, ...]] = []
-        acc_by_key: Dict[bytes, int] = {}
-        seeded = False
-        for partial in partials:
-            part_schema, part_rows, part_keys = partial.payload
-            if schema is None and part_schema.bound:
-                schema = part_schema
-            if not seeded:
-                # The first partition ran serial first-pass semantics and
-                # may legitimately hold duplicate group rows (the serial
-                # first iteration inserts without probing) — copy it
-                # verbatim rather than merging it against itself.
-                acc_rows = list(part_rows)
-                acc_by_key = dict(part_keys)
-                seeded = True
-                continue
-            if not part_rows:
-                continue
-            assert schema is not None
-            # Later partitions ran pure probe semantics, so their local
-            # tables hold one row per group; merge them row-by-row, each
-            # targeting the earliest accumulated row of its group (the
-            # row the serial index probe would have updated).
-            fold_stored_rows(schema, acc_rows, acc_by_key, part_rows)
-        if schema is not None:
-            with self.db.transaction():
-                self._create_result_table(table, schema.columns, persistent)
-                _, writer = self.db.table_writer(table)
-                for row in acc_rows:
-                    writer.insert(row)
-                index_cols = ", ".join(
-                    _quote(schema.columns[p])
-                    for p in schema.group_positions
-                )
-                self.db.execute(
-                    f"CREATE INDEX {_quote(index_name)} ON "
-                    f"{_quote(table)} ({index_cols})"
-                )
-        info.merge_seconds = clock() - merge_started
-        return self._build_result(snapshot_ids, table, index_name, info)
+        return self.run("AggregateDataInTable", qs, qq, table,
+                        col_func_pairs, persistent, certificate)
 
     def collate_data_into_intervals(self, qs: str, qq: str, table: str,
                                     persistent: bool = False,
                                     certificate=None) -> RQLResult:
         """Parallel CollateDataIntoIntervals(Qs, Qq, T)."""
-        self._check_idle()
-        merge = self._admit("CollateDataIntoIntervals", qs, qq, None,
-                            certificate)
-        snapshot_ids = self._snapshot_ids(qs)
-        partitions = partition_snapshots(snapshot_ids, self.workers)
-
-        def eval_partition(index: int, sids: List[int], sink: MetricsSink,
-                           cancel: threading.Event):
-            columns: Optional[List[str]] = None
-            # interval: [key, values, start, end]; kept in open order,
-            # mirroring the serial result table's rowid order.
-            intervals: List[list] = []
-            by_key: Dict[bytes, List[int]] = {}
-            previous: Optional[int] = None
-            for sid in sids:
-                if cancel.is_set():
-                    break
-                current = sink.begin_iteration(sid)
-                try:
-                    qq_columns, rows = self._eval_qq(sid, sink, qq, current)
-                    if columns is None:
-                        columns = qq_columns
-                    started = sink.clock()
-                    for row in rows:
-                        values = tuple(row)
-                        key = encode_key(values)
-                        extended = False
-                        if previous is not None:
-                            for at in by_key.get(key, ()):
-                                interval = intervals[at]
-                                if interval[3] == previous:
-                                    interval[3] = sid
-                                    extended = True
-                                    break
-                        if not extended:
-                            by_key.setdefault(key, []).append(
-                                len(intervals))
-                            intervals.append([key, values, sid, sid])
-                    current.udf_seconds += sink.clock() - started
-                finally:
-                    sink.end_iteration()
-                previous = sid
-            return columns, intervals
-
-        partials, info = self._run_partitions(partitions, eval_partition)
-        return merge(snapshot_ids, partials, info, table, persistent)
-
-    def _merge_interval_stitch(self, snapshot_ids: List[int],
-                               partials: List["_Partial"],
-                               info: ParallelRunInfo,
-                               table: str, persistent: bool) -> RQLResult:
-        index_name = f"__rqlidx_{table.lower()}"
-        clock = self._clock
-        merge_started = clock()
-        columns: Optional[List[str]] = None
-        acc: List[list] = []
-        acc_by_key: Dict[bytes, List[int]] = {}
-        global_prev: Optional[int] = None
-        for partial in partials:
-            part_columns, part_intervals = partial.payload
-            if columns is None:
-                columns = part_columns
-            if not partial.snapshot_ids:
-                continue
-            fold_intervals(acc, acc_by_key, part_intervals,
-                           partial.snapshot_ids[0], global_prev)
-            global_prev = partial.snapshot_ids[-1]
-        if columns is not None:
-            with self.db.transaction():
-                self._create_result_table(
-                    table,
-                    list(columns) + [
-                        CollateDataIntoIntervalsRun.START_COLUMN,
-                        CollateDataIntoIntervalsRun.END_COLUMN,
-                    ],
-                    persistent,
-                )
-                _, writer = self.db.table_writer(table)
-                for _key, values, start, end in acc:
-                    writer.insert(values + (start, end))
-                index_cols = ", ".join(_quote(c) for c in columns)
-                self.db.execute(
-                    f"CREATE INDEX {_quote(index_name)} ON "
-                    f"{_quote(table)} ({index_cols})"
-                )
-        info.merge_seconds = clock() - merge_started
-        # Like the serial run, intervals expose every column (including
-        # any ``__``-prefixed Qq output columns).
-        return self._build_result(snapshot_ids, table, index_name, info,
-                                  hide_helpers=False)
+        return self.run("CollateDataIntoIntervals", qs, qq, table, None,
+                        persistent, certificate)
 
     # -- worker machinery ---------------------------------------------------
 
@@ -675,12 +397,12 @@ class ParallelExecutor:
         sink.worker = worker
         return sink
 
-    def _run_partitions(self, partitions: List[List[int]],
-                        eval_partition) -> Tuple[List[_Partial],
-                                                 ParallelRunInfo]:
-        """Run ``eval_partition(index, sids, sink, cancel)`` per partition
-        on worker threads; raises the first partition's error (in
-        partition order) after every worker has stopped.
+    def _run_partitions(self, partitions: List[List[int]], spec: Mechanism,
+                        arg, qq: str) -> Tuple[List[_Partial],
+                                               ParallelRunInfo]:
+        """Step a private fold over each partition on worker threads;
+        raises the first partition's error (in partition order) after
+        every worker has stopped.
 
         With a shared :class:`WorkerPool` the partitions are submitted as
         pool tasks (server mode); otherwise each partition gets its own
@@ -697,15 +419,19 @@ class ParallelExecutor:
         ]
         board = _ErrorBoard(len(partials))
         cancel = _CancelScope(self._cancel)
-        retro = self.db.engine.retro
+        db = self.db
+        retro = db.engine.retro
 
         def body(partial: _Partial) -> None:
             with retro.route_metrics(partial.sink):
                 try:
-                    partial.payload = eval_partition(
-                        partial.index, partial.snapshot_ids, partial.sink,
-                        cancel,
-                    )
+                    # Workers stop quietly on cancel, so the board keeps
+                    # the first *real* error; QueryCancelled is raised
+                    # below, once every worker has retired.
+                    fold = spec.fold(arg, first=partial.index == 0)
+                    fold_range(db, qq, partial.snapshot_ids, fold,
+                               partial.sink, cancel.is_set)
+                    partial.payload = fold
                 except BaseException as exc:
                     board.record(partial.index, exc)  # re-raised after join
                     cancel.set()
@@ -753,157 +479,3 @@ class ParallelExecutor:
         )
         self.last_run = info
         return partials, info
-
-    def _eval_qq(self, snapshot_id: int, sink: MetricsSink, qq: str,
-                 current) -> Tuple[List[str], List[tuple]]:
-        """Evaluate rewritten Qq as of ``snapshot_id`` through a private
-        read-only cursor, metering like the serial ``_run_qq``.
-        """
-        return eval_qq_at(self.db, qq, snapshot_id, sink, current)
-
-    # -- merge helpers ------------------------------------------------------
-
-    @staticmethod
-    def _group_key(schema: TableAggregateSchema,
-                   row: Sequence[SqlValue]) -> bytes:
-        """The serial probe's group identity: ``encode_key`` of the
-        grouping values (so e.g. 1 and 1.0 coalesce, as in the index).
-        """
-        return encode_key(tuple(row[p] for p in schema.group_positions))
-
-    @staticmethod
-    def _merge_stored_rows(schema: TableAggregateSchema,
-                           earlier: Sequence[SqlValue],
-                           later: Sequence[SqlValue],
-                           ) -> Tuple[SqlValue, ...]:
-        out = list(earlier)
-        for position, func, sum_pos, cnt_pos in schema.agg_specs:
-            if func == "avg":
-                assert sum_pos is not None and cnt_pos is not None
-                (out[position], out[sum_pos],
-                 out[cnt_pos]) = merge_avg_stored(
-                    earlier[position], earlier[sum_pos], earlier[cnt_pos],
-                    later[position], later[sum_pos], later[cnt_pos],
-                )
-            else:
-                out[position] = merge_stored_value(
-                    func, earlier[position], later[position],
-                )
-        return tuple(out)
-
-    def _create_result_table(self, table: str, columns: Sequence[str],
-                             persistent: bool) -> None:
-        temp = "" if persistent else "TEMP "
-        cols = ", ".join(_quote(c) for c in columns)
-        self.db.execute(
-            f"CREATE {temp}TABLE {_quote(table)} ({cols})"
-        )
-
-    def _build_result(self, snapshot_ids: List[int], table: str,
-                      index_name: Optional[str], info: ParallelRunInfo,
-                      hide_helpers: bool = True) -> RQLResult:
-        merged = self._new_sink(0)
-        for sink in info.worker_sinks:
-            merged.adopt(sink.iterations)
-        result = RQLResult(
-            table=table, snapshots=snapshot_ids, metrics=merged,
-            parallel=info,
-        )
-        stats = _result_table_stats(self.db, table, index_name)
-        if stats is not None:
-            (result.result_rows, result.result_table_bytes,
-             result.result_index_bytes, all_columns) = stats
-            if hide_helpers:
-                result.columns = [c for c in all_columns
-                                  if not c.startswith("__")]
-            else:
-                result.columns = list(all_columns)
-        return result
-
-
-# ---------------------------------------------------------------------------
-# Delta-fold entry points
-#
-# The partition merges above are exactly the algebra an incremental
-# materialized view needs to fold a refresh delta into its stored
-# result: the view's stored state is the "first partition" and the
-# newly-declared snapshot range is a single "later partition".  These
-# module-level functions expose the later-partition side of the merge
-# so :mod:`repro.retro.views` folds through the same code path the
-# parallel differential harness proves equivalent to serial execution.
-# ---------------------------------------------------------------------------
-
-
-def eval_qq_at(db: Database, qq: str, snapshot_id: int, sink: MetricsSink,
-               current) -> Tuple[List[str], List[tuple]]:
-    """Evaluate rewritten Qq as of ``snapshot_id``, metering into
-    ``current`` (an open :class:`IterationMetrics`) like the serial
-    ``_run_qq`` — shared by the executor workers and view refresh.
-    """
-    clock = sink.clock
-    index_before = current.index_creation_seconds
-    started = clock()
-    columns, rows = db.execute_readonly_cursor(
-        rewrite_qq(qq, snapshot_id), metrics=sink,
-    )
-    out: List[tuple] = []
-    try:
-        for row in rows:
-            current.qq_rows += 1
-            out.append(tuple(row))
-    finally:
-        rows.close()
-    total = clock() - started
-    index_delta = current.index_creation_seconds - index_before
-    current.query_eval_seconds += max(total - index_delta, 0.0)
-    return columns, out
-
-
-def fold_stored_rows(schema: TableAggregateSchema,
-                     acc_rows: List[Tuple[SqlValue, ...]],
-                     acc_by_key: Dict[bytes, int],
-                     delta_rows: Sequence[Sequence[SqlValue]]) -> None:
-    """Fold probe-semantics group rows into a stored-row accumulator.
-
-    Mutates ``acc_rows``/``acc_by_key`` in place; each delta row targets
-    the earliest accumulated row of its group — the row the serial
-    index probe would have updated.
-    """
-    for row in delta_rows:
-        key = ParallelExecutor._group_key(schema, row)
-        at = acc_by_key.get(key)
-        if at is None:
-            acc_by_key[key] = len(acc_rows)
-            acc_rows.append(tuple(row))
-        else:
-            acc_rows[at] = ParallelExecutor._merge_stored_rows(
-                schema, acc_rows[at], row,
-            )
-
-
-def fold_intervals(acc: List[list], acc_by_key: Dict[bytes, List[int]],
-                   delta_intervals: Sequence[list],
-                   delta_first_sid: int,
-                   base_last_sid: Optional[int]) -> None:
-    """Stitch a later snapshot range's intervals onto an accumulator.
-
-    A delta interval that starts at the range's first snapshot extends
-    the earliest same-key accumulated interval ending at
-    ``base_last_sid`` (the snapshot just before the range) — the exact
-    extension the serial probe performs across the boundary.  Mutates
-    ``acc``/``acc_by_key`` in place.
-    """
-    for interval in delta_intervals:
-        key, values, start, end = interval
-        if start == delta_first_sid and base_last_sid is not None:
-            stitched = False
-            for at in acc_by_key.get(key, ()):
-                acc_interval = acc[at]
-                if acc_interval[3] == base_last_sid:
-                    acc_interval[3] = end
-                    stitched = True
-                    break
-            if stitched:
-                continue
-        acc_by_key.setdefault(key, []).append(len(acc))
-        acc.append([key, values, start, end])

@@ -23,14 +23,9 @@ import os
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
-from repro.core.mechanisms import (
-    AggregateDataInTableRun,
-    AggregateDataInVariableRun,
-    CollateDataIntoIntervalsRun,
-    CollateDataRun,
-    RQLResult,
-)
-from repro.core.parallel import ParallelExecutor, WorkerPool
+from repro.core.folds import MECHANISMS, MONOID, Mechanism, find_mechanism
+from repro.core.mechanisms import RQLResult
+from repro.core.parallel import ParallelExecutor, WorkerPool, certify
 from repro.core.snapids import SnapIds
 from repro.errors import MechanismError
 from repro.retro.metrics import MetricsSink
@@ -199,17 +194,41 @@ class RQLSession:
     # The four mechanisms (Section 2 call forms)
     # ------------------------------------------------------------------
 
+    def run_mechanism(self, name: str, qs: str, qq: str, table: str,
+                      arg=None, persistent: bool = False,
+                      workers: Optional[int] = None, cancel=None,
+                      certificate=None) -> RQLResult:
+        """Run one mechanism into a fresh result table T: the serial
+        loop at ``workers == 1``, the partition/merge executor above.
+
+        ``certificate`` (a pre-built rqlint verdict) spares the executor
+        its own certification; ``cancel`` is polled at snapshot
+        boundaries on either path.
+        """
+        spec = find_mechanism(name)
+        count = self._effective_workers(workers)
+        self._drop_result_table(table)
+        if count > 1:
+            return ParallelExecutor(
+                self.db, workers=count, pool=self.pool, cancel=cancel,
+            ).run(spec.name, qs, qq, table, arg, persistent, certificate)
+        run = self._serial_run(spec, qq, table, arg, persistent)
+        # A thread-local sink, so concurrent queries on shared engines
+        # never cross their metrics.
+        with self.db.engine.retro.route_metrics(run.sink):
+            return run.run(qs, cancel=cancel)
+
+    def _serial_run(self, spec: Mechanism, qq: str, table: str, arg,
+                    persistent: bool = False):
+        args = (arg,) if spec.takes_arg else ()
+        return spec.serial(self.db, qq, table, *args, persistent)
+
     def collate_data(self, qs: str, qq: str, table: str,
                      persistent: bool = False,
                      workers: Optional[int] = None) -> RQLResult:
         """CollateData(Qs, Qq, T)."""
-        self._drop_result_table(table)
-        count = self._effective_workers(workers)
-        if count > 1:
-            return self._executor(count).collate_data(
-                qs, qq, table, persistent,
-            )
-        return CollateDataRun(self.db, qq, table, persistent).run(qs)
+        return self.run_mechanism("CollateData", qs, qq, table, None,
+                                  persistent, workers)
 
     def aggregate_data_in_variable(self, qs: str, qq: str, table: str,
                                    agg_func: str,
@@ -217,48 +236,24 @@ class RQLSession:
                                    workers: Optional[int] = None,
                                    ) -> RQLResult:
         """AggregateDataInVariable(Qs, Qq, T, AggFunc)."""
-        self._drop_result_table(table)
-        count = self._effective_workers(workers)
-        if count > 1:
-            return self._executor(count).aggregate_data_in_variable(
-                qs, qq, table, agg_func, persistent,
-            )
-        return AggregateDataInVariableRun(
-            self.db, qq, table, agg_func, persistent,
-        ).run(qs)
+        return self.run_mechanism("AggregateDataInVariable", qs, qq, table,
+                                  agg_func, persistent, workers)
 
     def aggregate_data_in_table(self, qs: str, qq: str, table: str,
                                 col_func_pairs,
                                 persistent: bool = False,
                                 workers: Optional[int] = None) -> RQLResult:
         """AggregateDataInTable(Qs, Qq, T, ListOfColFuncPairs)."""
-        self._drop_result_table(table)
-        count = self._effective_workers(workers)
-        if count > 1:
-            return self._executor(count).aggregate_data_in_table(
-                qs, qq, table, col_func_pairs, persistent,
-            )
-        return AggregateDataInTableRun(
-            self.db, qq, table, col_func_pairs, persistent,
-        ).run(qs)
+        return self.run_mechanism("AggregateDataInTable", qs, qq, table,
+                                  col_func_pairs, persistent, workers)
 
     def collate_data_into_intervals(self, qs: str, qq: str, table: str,
                                     persistent: bool = False,
                                     workers: Optional[int] = None,
                                     ) -> RQLResult:
         """CollateDataIntoIntervals(Qs, Qq, T)."""
-        self._drop_result_table(table)
-        count = self._effective_workers(workers)
-        if count > 1:
-            return self._executor(count).collate_data_into_intervals(
-                qs, qq, table, persistent,
-            )
-        return CollateDataIntoIntervalsRun(
-            self.db, qq, table, persistent,
-        ).run(qs)
-
-    def _executor(self, workers: int) -> ParallelExecutor:
-        return ParallelExecutor(self.db, workers=workers, pool=self.pool)
+        return self.run_mechanism("CollateDataIntoIntervals", qs, qq,
+                                  table, None, persistent, workers)
 
     def certify(self, mechanism: str, qs: str, qq: str, arg=None):
         """rqlint merge certificate for one mechanism invocation.
@@ -268,8 +263,7 @@ class RQLSession:
         parallel executor consumes.  See
         :mod:`repro.analysis.query.mergeclass`.
         """
-        return self._executor(max(self.workers, 1)).certify(
-            mechanism, qs, qq, arg)
+        return certify(self.db, mechanism, qs, qq, arg)
 
     def _drop_result_table(self, table: str) -> None:
         self.db.execute(f'DROP TABLE IF EXISTS "{table}"')
@@ -306,23 +300,26 @@ class RQLSession:
         reset whenever the result table is absent, so consecutive
         queries reusing the same table name start fresh.
         """
-        self.db.register_function("CollateData", self._udf_collate)
-        self.db.register_function("AggregateDataInVariable",
-                                  self._udf_agg_variable)
-        self.db.register_function("AggregateDataInTable",
-                                  self._udf_agg_table)
-        self.db.register_function("CollateDataIntoIntervals",
-                                  self._udf_intervals)
+        for spec in MECHANISMS.values():
+            self.db.register_function(spec.name, self._udf_form(spec))
 
-    def _udf_run(self, key: Tuple[str, str, str], factory):
-        run = self._udf_runs.get(key)
-        if run is None:
-            run = factory()
-            prior = self.db.metrics
-            if prior is None:
-                self.db.attach_metrics(run.sink)
-            self._udf_runs[key] = run
-        return run
+    def _udf_form(self, spec: Mechanism):
+        def udf(snap_id, qq, table, arg=None):
+            key = (spec.name, str(qq), str(table))
+            run = self._udf_runs.get(key)
+            if run is None:
+                run = self._serial_run(spec, str(qq), str(table), arg)
+                if self.db.metrics is None:
+                    self.db.attach_metrics(run.sink)
+                self._udf_runs[key] = run
+            run.iteration(int(snap_id))
+            if spec.merge_class == MONOID:
+                # The UDF form cannot observe end-of-query, so refresh
+                # the result table after every iteration (idempotent).
+                self._drop_result_table(str(table))
+                run.finalize()
+            return snap_id
+        return udf
 
     def reset_udf_state(self) -> None:
         """Forget per-(mechanism, Qq, T) UDF loop state."""
@@ -332,45 +329,3 @@ class RQLSession:
                     table: str) -> Optional[MetricsSink]:
         run = self._udf_runs.get((mechanism, qq, table))
         return run.sink if run is not None else None  # type: ignore[union-attr]
-
-    def _udf_collate(self, snap_id, qq, table):
-        run = self._udf_run(
-            ("CollateData", str(qq), str(table)),
-            lambda: CollateDataRun(self.db, str(qq), str(table)),
-        )
-        run.iteration(int(snap_id))
-        return snap_id
-
-    def _udf_agg_variable(self, snap_id, qq, table, agg_func):
-        run = self._udf_run(
-            ("AggregateDataInVariable", str(qq), str(table)),
-            lambda: AggregateDataInVariableRun(
-                self.db, str(qq), str(table), str(agg_func),
-            ),
-        )
-        run.iteration(int(snap_id))
-        # The UDF form cannot observe end-of-query, so refresh the
-        # result table after every iteration (idempotent).
-        self.db.execute(f'DROP TABLE IF EXISTS "{table}"')
-        run.finalize()
-        return snap_id
-
-    def _udf_agg_table(self, snap_id, qq, table, col_func_pairs):
-        run = self._udf_run(
-            ("AggregateDataInTable", str(qq), str(table)),
-            lambda: AggregateDataInTableRun(
-                self.db, str(qq), str(table), col_func_pairs,
-            ),
-        )
-        run.iteration(int(snap_id))
-        return snap_id
-
-    def _udf_intervals(self, snap_id, qq, table):
-        run = self._udf_run(
-            ("CollateDataIntoIntervals", str(qq), str(table)),
-            lambda: CollateDataIntoIntervalsRun(
-                self.db, str(qq), str(table),
-            ),
-        )
-        run.iteration(int(snap_id))
-        return snap_id

@@ -32,99 +32,63 @@ class SortMergeAggregateDataInTableRun(AggregateDataInTableRun):
         #: the rescan work that the index-probe variant avoids
         self.rows_rescanned = 0
 
-    # The first iteration inserts the Qq output but skips the index.
-    def _iteration(self, snapshot_id: int, first: bool) -> None:
-        if first:
-            self._first_iteration_no_index(snapshot_id)
-        else:
-            self._merge_iteration(snapshot_id)
+    def _timed_index(self, columns: Sequence[str]) -> float:
+        return 0.0  # the first iteration inserts but builds no index
 
-    def _first_iteration_no_index(self, snapshot_id: int) -> None:
-        from repro.core.rewrite import rewrite_qq
+    def next_pass(self, columns: List[str], rows, snapshot_id: int) -> float:
+        clock = self.sink.clock
+        qq_rows = list(rows)
+        self.sink.current.qq_rows += len(qq_rows)
 
-        with self.db.transaction():
-            rewritten = rewrite_qq(self.qq, snapshot_id)
-            clock = self.sink.clock
-            current = self.sink.current
-            started = clock()
-            columns, rows = self.db.execute_cursor(rewritten)
-            self._bind_columns(columns)
-            self._create_result_table(self._columns)
-            _, writer = self.db.table_writer(self.table)
-            udf = 0.0
-            for row in rows:
-                current.qq_rows += 1
-                cb = clock()
-                writer.insert(self._widen(row))
+        merge_started = clock()
+        table, writer = self.db.table_writer(self.table)
+        schema = self.schema
+
+        def group_of(row: Sequence) -> tuple:
+            return tuple(row[p] for p in schema.group_positions)
+
+        # Materialize + sort the current result table (the rescan
+        # that makes this variant costlier).
+        stored: List[Tuple[tuple, int, tuple]] = sorted(
+            ((group_of(row), rowid, row)
+             for rowid, row in table.scan()),
+            key=lambda item: row_sort_key(item[0]),
+        )
+        self.rows_rescanned += len(stored)
+        incoming: List[Tuple[tuple, tuple]] = sorted(
+            ((group_of(row), tuple(row)) for row in qq_rows),
+            key=lambda item: row_sort_key(item[0]),
+        )
+        stored_index: Dict[tuple, Tuple[int, tuple]] = {}
+        position = 0
+        for group, qq_row in incoming:
+            # Advance the stored cursor to the group (merge step).
+            while position < len(stored) and \
+                    row_sort_key(stored[position][0]) < \
+                    row_sort_key(group):
+                entry = stored[position]
+                stored_index[entry[0]] = (entry[1], entry[2])
+                position += 1
+            while position < len(stored) and \
+                    stored[position][0] == group:
+                entry = stored[position]
+                stored_index[entry[0]] = (entry[1], entry[2])
+                position += 1
+            match = stored_index.get(group)
+            self.probes += 1
+            if match is None:
+                widened = schema.widen(qq_row)
+                rowid = writer.insert(widened)
+                stored_index[group] = (rowid, widened)
                 self.rows_inserted += 1
-                udf += clock() - cb
-            total = clock() - started
-            current.udf_seconds += udf
-            current.query_eval_seconds += max(total - udf, 0.0)
-
-    def _merge_iteration(self, snapshot_id: int) -> None:
-        from repro.core.rewrite import rewrite_qq
-
-        with self.db.transaction():
-            rewritten = rewrite_qq(self.qq, snapshot_id)
-            clock = self.sink.clock
-            current = self.sink.current
-            started = clock()
-            _, rows = self.db.execute_cursor(rewritten)
-            qq_rows = list(rows)
-            current.qq_rows += len(qq_rows)
-            query_seconds = clock() - started
-
-            merge_started = clock()
-            table, writer = self.db.table_writer(self.table)
-
-            def group_of(row: Sequence) -> tuple:
-                return tuple(row[p] for p in self._group_positions)
-
-            # Materialize + sort the current result table (the rescan
-            # that makes this variant costlier).
-            stored: List[Tuple[tuple, int, tuple]] = sorted(
-                ((group_of(row), rowid, row)
-                 for rowid, row in table.scan()),
-                key=lambda item: row_sort_key(item[0]),
-            )
-            self.rows_rescanned += len(stored)
-            incoming: List[Tuple[tuple, tuple]] = sorted(
-                ((group_of(row), tuple(row)) for row in qq_rows),
-                key=lambda item: row_sort_key(item[0]),
-            )
-            stored_index: Dict[tuple, Tuple[int, tuple]] = {}
-            position = 0
-            for group, qq_row in incoming:
-                # Advance the stored cursor to the group (merge step).
-                while position < len(stored) and \
-                        row_sort_key(stored[position][0]) < \
-                        row_sort_key(group):
-                    entry = stored[position]
-                    stored_index[entry[0]] = (entry[1], entry[2])
-                    position += 1
-                while position < len(stored) and \
-                        stored[position][0] == group:
-                    entry = stored[position]
-                    stored_index[entry[0]] = (entry[1], entry[2])
-                    position += 1
-                match = stored_index.get(group)
-                self.probes += 1
-                if match is None:
-                    widened = self._widen(qq_row)
-                    rowid = writer.insert(widened)
-                    stored_index[group] = (rowid, widened)
-                    self.rows_inserted += 1
-                else:
-                    rowid, existing = match
-                    updated = self._apply_aggregates(existing, qq_row)
-                    if updated is not None:
-                        writer.update(rowid, updated)
-                        stored_index[group] = (rowid, updated)
-                        self.updates_applied += 1
-            udf = clock() - merge_started
-            current.udf_seconds += udf
-            current.query_eval_seconds += query_seconds
+            else:
+                rowid, existing = match
+                updated = schema.apply(existing, qq_row)
+                if updated is not None:
+                    writer.update(rowid, updated)
+                    stored_index[group] = (rowid, updated)
+                    self.updates_applied += 1
+        return clock() - merge_started
 
 
 def sort_merge_aggregate_data_in_table(db, qs: str, qq: str, table: str,

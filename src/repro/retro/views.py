@@ -14,18 +14,16 @@ maintains it incrementally as new snapshots are declared:
   a B-tree after a snapshot always writes a page that belonged to the
   tree at that snapshot, an empty intersection proves every read table
   is unchanged at every snapshot in ``(built_from, target]``.
-* The delta — the newly declared snapshots — is evaluated per snapshot
-  through the same rewritten-Qq path as the executors and folded into
-  the stored result with the PR 3 merge algebra
-  (:func:`repro.core.parallel.fold_stored_rows` /
-  :func:`~repro.core.parallel.fold_intervals`, monoid ``merge`` for
-  AggregateDataInVariable, row concat for CollateData): the stored
-  state is the "first partition" and the delta a single "later
-  partition" of the parallel run the differential harness proves
-  equivalent to serial execution.  When the affected set is empty and
-  the Qq never calls ``current_snapshot()``, the delta is evaluated
-  **once** at the target and replayed per snapshot (identical table
-  contents imply identical Qq output).
+* The delta — the newly declared snapshots — is folded by the one fold
+  algebra (:mod:`repro.core.folds`): ``Fold.restore`` rebuilds the
+  mechanism's fold from the stored result and
+  :func:`~repro.core.folds.fold_range` steps it over
+  ``(built_from, target]`` — the serial loop's operations in the serial
+  order, so incremental and ``REFRESH ... FULL`` (an empty fold stepped
+  over ``[1, target]``) agree bit-for-bit.  When the affected set is
+  empty and the Qq never calls ``current_snapshot()``, the delta is
+  evaluated **once** at the target and that row list is stepped per
+  snapshot (identical table contents imply identical Qq output).
 * Serial-only certificates, views whose Qq reads non-snapshotable
   (aux) sources — including other views — and monoid views without
   serializable fold state fall back to **full recompute** with the
@@ -50,16 +48,16 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.aggregates import (
-    make_cross_snapshot_aggregate,
-    parse_col_func_pairs,
+from repro.core.folds import (
+    SERIAL_ONLY,
+    ConcatFold,
+    Fold,
+    Mechanism,
+    find_mechanism,
+    fold_range,
+    write_result,
 )
-from repro.core.mechanisms import (
-    CollateDataIntoIntervalsRun,
-    TableAggregateSchema,
-    _quote,
-)
-from repro.core.parallel import eval_qq_at, fold_intervals, fold_stored_rows
+from repro.core.mechanisms import _quote
 from repro.core.rewrite import references_current_snapshot, rewrite_qq
 from repro.errors import (
     MechanismError,
@@ -69,7 +67,6 @@ from repro.errors import (
 )
 from repro.retro.metrics import MetricsSink
 from repro.sql.executor import ResultSet
-from repro.storage.record import encode_key
 
 VIEWS_TABLE = "__rql_views"
 
@@ -77,38 +74,16 @@ VIEWS_TABLE = "__rql_views"
 #: input; the actual refresh iterates 1..target directly).
 VIEW_QS = "SELECT snap_id FROM SnapIds ORDER BY snap_id"
 
-# Merge-class literals, mirroring repro.analysis.query.mergeclass (the
-# analysis package is imported lazily through session.certify so that
-# importing the retro layer never drags the lint machinery in).
-CONCAT = "concat"
-MONOID = "monoid"
-STORED_ROW = "stored-row"
-INTERVAL_STITCH = "interval-stitch"
-SERIAL_ONLY = "serial-only"
-
-_CANONICAL_MECHANISMS = {
-    "collatedata": "CollateData",
-    "aggregatedatainvariable": "AggregateDataInVariable",
-    "aggregatedataintable": "AggregateDataInTable",
-    "collatedataintointervals": "CollateDataIntoIntervals",
-}
-
-_ARG_MECHANISMS = ("AggregateDataInVariable", "AggregateDataInTable")
-
 
 def _escape(text: str) -> str:
     return text.replace("'", "''")
 
 
-def _canonical_mechanism(name: str) -> str:
-    canonical = _CANONICAL_MECHANISMS.get(
-        name.replace("_", "").strip().lower())
-    if canonical is None:
-        raise ViewError(
-            f"unknown mechanism {name!r}; materialized views support "
-            f"{', '.join(sorted(_CANONICAL_MECHANISMS.values()))}"
-        )
-    return canonical
+def _view_mechanism(name: str) -> Mechanism:
+    try:
+        return find_mechanism(name)
+    except MechanismError as exc:
+        raise ViewError(str(exc)) from exc
 
 
 @dataclass
@@ -122,10 +97,6 @@ class ViewMeta:
     merge_class: str
     built_from: int
     state: Optional[dict]
-
-    @property
-    def index_name(self) -> str:
-        return f"__rqlidx_{self.name.lower()}"
 
 
 @dataclass
@@ -166,22 +137,6 @@ class RefreshReport:
         if self.cascaded:
             lines.append("cascaded: " + ", ".join(self.cascaded))
         return lines
-
-
-@dataclass
-class _WritePlan:
-    """What the final (single, aux-only) transaction must do."""
-
-    rewrite: bool = False                 # drop + recreate the table
-    columns: Optional[List[str]] = None   # create with these columns
-    rows: List[tuple] = field(default_factory=list)
-    index_columns: Optional[List[str]] = None
-    append_rows: List[tuple] = field(default_factory=list)
-    state: Optional[dict] = None
-
-    @property
-    def touches_table(self) -> bool:
-        return self.rewrite or bool(self.append_rows)
 
 
 class ViewManager:
@@ -270,15 +225,13 @@ class ViewManager:
                cancel=None) -> Optional[RefreshReport]:
         """Create the view and run its initial (full) build atomically."""
         self._ensure_usable()
-        mech = _canonical_mechanism(mechanism)
-        if mech in _ARG_MECHANISMS and arg is None:
+        spec = _view_mechanism(mechanism)
+        mech = spec.name
+        if spec.takes_arg and arg is None:
             raise ViewError(f"{mech} requires an aggregate argument")
-        if mech not in _ARG_MECHANISMS and arg is not None:
+        if not spec.takes_arg and arg is not None:
             raise ViewError(f"{mech} takes no aggregate argument")
-        if mech == "AggregateDataInVariable":
-            make_cross_snapshot_aggregate(arg)
-        elif mech == "AggregateDataInTable":
-            parse_col_func_pairs(arg)
+        spec.fold(arg)  # fail fast on a malformed aggregate argument
         rewrite_qq(qq, 1)  # fail fast on a malformed Qq
         with self.db.write_lock():
             views = self._load_all()
@@ -287,7 +240,7 @@ class ViewManager:
                     return None
                 raise ViewError(
                     f"materialized view {name!r} already exists")
-            if self._table_exists(name):
+            if self._table_in(name, self.db.aux_engine, self.db.engine):
                 raise ViewError(
                     f"a table named {name!r} already exists")
             certificate = self._certify(mech, qq, arg)
@@ -303,7 +256,7 @@ class ViewManager:
                 return self._refresh_one(
                     meta, views, self._retro.latest_snapshot_id,
                     full=True, reason="initial build", cancel=cancel,
-                    certificate=certificate, persist="insert",
+                    certificate=certificate,
                 )
             except SqlError as exc:
                 # A Qq that cannot run (unknown table — including the
@@ -376,15 +329,14 @@ class ViewManager:
                 views = self._load_all()  # dep metadata advanced
         report = self._refresh_one(
             meta, views, target, full=full, reason=None, cancel=cancel,
-            certificate=certificate, persist="update",
+            certificate=certificate,
         )
         report.cascaded = cascaded + report.cascaded
         return report
 
     def _refresh_one(self, meta: ViewMeta, views: Dict[str, ViewMeta],
                      target: int, full: bool, reason: Optional[str],
-                     cancel, certificate,
-                     persist: str) -> RefreshReport:
+                     cancel, certificate) -> RefreshReport:
         sink = MetricsSink()
         mode, why, diff_count, affected = self._plan(
             meta, views, target, full, certificate, sink)
@@ -403,30 +355,44 @@ class ViewManager:
             self.last_reports[meta.name.lower()] = report
             return report
 
-        if mode == "full":
-            sids = list(range(1, target + 1))
-            base_empty = True
+        # Incremental refresh = restore + step; a full rebuild steps an
+        # empty fold over every snapshot.  A SERIAL-ONLY view still
+        # folds by its mechanism's class — the ladder has already forced
+        # the full rebuild, where stepping replicates the serial loop.
+        spec = _view_mechanism(meta.mechanism)
+        fold: Optional[Fold] = None
+        if mode != "full":
+            fold = spec.fold.restore(
+                meta.arg, lambda: self._scan_table(meta.name),
+                meta.state, meta.built_from)
+            if fold is None:
+                mode = report.mode = "full"
+                report.reason = "no stored aggregate fold state"
+        if fold is None:
+            fold = spec.fold(meta.arg)
+            sids = range(1, target + 1)
         else:
-            sids = list(range(meta.built_from + 1, target + 1))
-            base_empty = False
-        skip_eval = mode == "delta-skip"
+            sids = range(meta.built_from + 1, target + 1)
 
-        if meta.merge_class == MONOID and mode != "full" \
-                and self._monoid_state(meta) is None:
-            # Cannot fold without the persisted (sum, count) state.
-            mode = report.mode = "full"
-            report.reason = "no stored aggregate fold state"
-            sids = list(range(1, target + 1))
-            base_empty = True
-            skip_eval = False
+        def poll() -> None:
+            self._check_cancel(cancel)  # raises; never stops quietly
 
-        evaluated = self._eval_range(meta.qq, sids, sink, cancel,
-                                     skip_eval)
-        report.evaluated_snapshots = evaluated.evaluations
-        plan = self._fold(meta, evaluated, base_empty)
+        with self._retro.route_metrics(sink):
+            if mode == "delta-skip":
+                # Identical table contents at every sid + snapshot-
+                # invariant Qq: one evaluation at the target stands in
+                # for the whole range.
+                once = ConcatFold()
+                fold_range(self.db, meta.qq, sids[-1:], once, sink, poll)
+                for sid in sids:
+                    fold.step(sid, once.columns, once.rows)
+                report.evaluated_snapshots = 1
+            else:
+                fold_range(self.db, meta.qq, sids, fold, sink, poll)
+                report.evaluated_snapshots = len(sids)
         self._check_cancel(cancel)
-        self._persist(meta, target, plan, persist)
-        report.table_written = plan.touches_table
+        report.table_written = self._persist(
+            meta, target, fold, insert=meta.name.lower() not in views)
         self._account(report, sink)
         self.last_reports[meta.name.lower()] = report
         return report
@@ -456,7 +422,7 @@ class ViewManager:
                     set())
         aux_reads = sorted(
             t.lower() for t in set(certificate.read_tables)
-            if self._aux_table_exists(t)
+            if self._table_in(t, self.db.aux_engine)
         )
         if aux_reads:
             return ("full",
@@ -511,253 +477,30 @@ class ViewManager:
         finally:
             ctx.close()
 
-    # -- evaluation ---------------------------------------------------------
-
-    @dataclass
-    class _Evaluated:
-        columns: Optional[List[str]]
-        per_sid: List[Tuple[int, List[tuple]]]
-        evaluations: int
-
-    def _eval_range(self, qq: str, sids: List[int], sink: MetricsSink,
-                    cancel, skip_eval) -> "ViewManager._Evaluated":
-        if not sids:
-            return self._Evaluated(None, [], 0)
-        with self._retro.route_metrics(sink):
-            if skip_eval:
-                # Identical table contents at every sid + snapshot-
-                # invariant Qq: one evaluation at the target stands in
-                # for the whole range.
-                self._check_cancel(cancel)
-                current = sink.begin_iteration(sids[-1])
-                try:
-                    columns, rows = eval_qq_at(
-                        self.db, qq, sids[-1], sink, current)
-                finally:
-                    sink.end_iteration()
-                return self._Evaluated(
-                    columns, [(sid, rows) for sid in sids], 1)
-            columns: Optional[List[str]] = None
-            per_sid: List[Tuple[int, List[tuple]]] = []
-            for sid in sids:
-                self._check_cancel(cancel)
-                current = sink.begin_iteration(sid)
-                try:
-                    sid_columns, rows = eval_qq_at(
-                        self.db, qq, sid, sink, current)
-                finally:
-                    sink.end_iteration()
-                if columns is None:
-                    columns = sid_columns
-                per_sid.append((sid, rows))
-            return self._Evaluated(columns, per_sid, len(sids))
-
-    # -- delta folding -------------------------------------------------------
-
-    #: fold shape per mechanism.  For certified views this matches the
-    #: certificate's merge class; a SERIAL-ONLY view still folds by its
-    #: mechanism's shape — the decision ladder has already forced a
-    #: full recompute (base_empty), where the fold functions replicate
-    #: the serial loop exactly.
-    _FOLD_CLASSES = {
-        "collatedata": CONCAT,
-        "aggregatedatainvariable": MONOID,
-        "aggregatedataintable": STORED_ROW,
-        "collatedataintointervals": INTERVAL_STITCH,
-    }
-
-    def _fold(self, meta: ViewMeta, evaluated: "ViewManager._Evaluated",
-              base_empty: bool) -> _WritePlan:
-        fold_class = self._FOLD_CLASSES[meta.mechanism.lower()]
-        if fold_class == CONCAT:
-            return self._fold_concat(meta, evaluated, base_empty)
-        if fold_class == MONOID:
-            return self._fold_monoid(meta, evaluated, base_empty)
-        if fold_class == STORED_ROW:
-            return self._fold_stored_row(meta, evaluated, base_empty)
-        return self._fold_intervals(meta, evaluated, base_empty)
-
-    def _fold_concat(self, meta, evaluated, base_empty) -> _WritePlan:
-        rows: List[tuple] = []
-        for _sid, sid_rows in evaluated.per_sid:
-            rows.extend(sid_rows)
-        if base_empty:
-            if evaluated.columns is None:
-                return _WritePlan()
-            return _WritePlan(rewrite=True, columns=list(evaluated.columns),
-                              rows=rows)
-        # Delta: the stored rows are exactly the serial prefix — append.
-        return _WritePlan(append_rows=rows)
-
-    def _fold_monoid(self, meta, evaluated, base_empty) -> _WritePlan:
-        if base_empty:
-            column: Optional[str] = None
-            state = make_cross_snapshot_aggregate(meta.arg)
-        else:
-            stored = self._monoid_state(meta)
-            column = stored["column"]
-            state = self._restore_agg(stored)
-        for sid, sid_rows in evaluated.per_sid:
-            if evaluated.columns is not None and \
-                    len(evaluated.columns) != 1:
-                raise MechanismError(
-                    "AggregateDataInVariable requires a single-column Qq"
-                )
-            if len(sid_rows) > 1:
-                raise MechanismError(
-                    "AggregateDataInVariable requires Qq to return a "
-                    f"single row; snapshot {sid} returned {len(sid_rows)}"
-                )
-            if column is None and evaluated.columns is not None:
-                column = evaluated.columns[0]
-            if sid_rows:
-                state.absorb(sid_rows[0][0])
-        if column is None:
-            return _WritePlan(state=None)
-        return _WritePlan(
-            rewrite=True, columns=[column], rows=[(state.result(),)],
-            state=self._dump_agg(column, state),
-        )
-
-    def _fold_stored_row(self, meta, evaluated, base_empty) -> _WritePlan:
-        schema = TableAggregateSchema(list(parse_col_func_pairs(meta.arg)))
-        acc_rows: List[tuple] = []
-        acc_by_key: Dict[bytes, int] = {}
-        if not base_empty:
-            stored_columns, base_rows = self._scan_table(meta.name)
-            schema.bind(self._visible_columns(stored_columns))
-            for row in base_rows:
-                acc_rows.append(tuple(row))
-                acc_by_key.setdefault(
-                    _group_key(schema, row), len(acc_rows) - 1)
-        delta_rows: List[tuple] = []
-        delta_by_key: Dict[bytes, int] = {}
-        first = True
-        for _sid, sid_rows in evaluated.per_sid:
-            if not schema.bound and evaluated.columns is not None:
-                schema.bind(list(evaluated.columns))
-            if base_empty and first:
-                # Serial first pass: insert every record unprobed
-                # (duplicate group rows possible), exactly like the
-                # executors' partition 0.
-                for row in sid_rows:
-                    key = _group_key(schema, row)
-                    delta_by_key.setdefault(key, len(delta_rows))
-                    delta_rows.append(schema.widen(row))
-            else:
-                for row in sid_rows:
-                    key = _group_key(schema, row)
-                    at = delta_by_key.get(key)
-                    if at is None:
-                        delta_by_key[key] = len(delta_rows)
-                        delta_rows.append(schema.widen(row))
-                    else:
-                        updated = schema.apply(delta_rows[at], row)
-                        if updated is not None:
-                            delta_rows[at] = updated
-            first = False
-        if not schema.bound:
-            return _WritePlan()  # nothing ever evaluated; no table yet
-        if base_empty:
-            acc_rows, acc_by_key = delta_rows, delta_by_key
-        elif delta_rows:
-            fold_stored_rows(schema, acc_rows, acc_by_key, delta_rows)
-        elif not base_empty:
-            # Empty delta: the stored table is already exact.
-            return _WritePlan()
-        return _WritePlan(
-            rewrite=True, columns=list(schema.columns), rows=acc_rows,
-            index_columns=[schema.columns[p]
-                           for p in schema.group_positions],
-        )
-
-    def _fold_intervals(self, meta, evaluated, base_empty) -> _WritePlan:
-        acc: List[list] = []
-        acc_by_key: Dict[bytes, List[int]] = {}
-        columns: Optional[List[str]] = None
-        if not base_empty:
-            stored_columns, base_rows = self._scan_table(meta.name)
-            columns = list(stored_columns[:-2])
-            for row in base_rows:
-                values = tuple(row[:-2])
-                key = encode_key(values)
-                acc_by_key.setdefault(key, []).append(len(acc))
-                acc.append([key, values, row[-2], row[-1]])
-        if columns is None and evaluated.columns is not None:
-            columns = list(evaluated.columns)
-        delta: List[list] = []
-        delta_by_key: Dict[bytes, List[int]] = {}
-        previous: Optional[int] = None
-        for sid, sid_rows in evaluated.per_sid:
-            for row in sid_rows:
-                values = tuple(row)
-                key = encode_key(values)
-                extended = False
-                if previous is not None:
-                    for at in delta_by_key.get(key, ()):
-                        interval = delta[at]
-                        if interval[3] == previous:
-                            interval[3] = sid
-                            extended = True
-                            break
-                if not extended:
-                    delta_by_key.setdefault(key, []).append(len(delta))
-                    delta.append([key, values, sid, sid])
-            previous = sid
-        if columns is None:
-            return _WritePlan()
-        if base_empty:
-            acc, acc_by_key = delta, delta_by_key
-        elif delta:
-            fold_intervals(acc, acc_by_key, delta,
-                           evaluated.per_sid[0][0], meta.built_from)
-        elif not base_empty:
-            return _WritePlan()
-        return _WritePlan(
-            rewrite=True,
-            columns=columns + [CollateDataIntoIntervalsRun.START_COLUMN,
-                               CollateDataIntoIntervalsRun.END_COLUMN],
-            rows=[values + (start, end)
-                  for _key, values, start, end in acc],
-            index_columns=columns,
-        )
-
     # -- the single write transaction ---------------------------------------
 
-    def _persist(self, meta: ViewMeta, target: int, plan: _WritePlan,
-                 persist: str) -> None:
-        """Apply the write plan and advance the metadata row in ONE
-        explicit transaction.  Every statement here touches only the
-        aux engine (the result table is TEMP, the metadata table is
-        TEMP), so the commit is a single-WAL atomic step: a crash
-        recovers to fully-old or fully-new, never a torn view.
+    def _persist(self, meta: ViewMeta, target: int, fold: Fold,
+                 insert: bool) -> bool:
+        """Write the fold's result and advance (or, for a new view,
+        insert) the metadata row in ONE explicit transaction; returns
+        whether the table was touched.  Every statement here touches
+        only the aux engine (the result table is TEMP, the metadata
+        table is TEMP), so the commit is a single-WAL atomic step: a
+        crash recovers to fully-old or fully-new, never a torn view.
         """
+        result = fold.result()
+        state = None if result is None else result.state
         state_sql = "NULL"
-        if plan.state is not None:
-            state_sql = f"'{_escape(json.dumps(plan.state, sort_keys=True))}'"
+        if state is not None:
+            state_sql = f"'{_escape(json.dumps(state, sort_keys=True))}'"
+        written = result is not None and fold.dirty
         with self.db.transaction():
-            if plan.rewrite:
-                self.db.execute(
-                    f"DROP TABLE IF EXISTS {_quote(meta.name)}")
-                assert plan.columns is not None
-                cols = ", ".join(_quote(c) for c in plan.columns)
-                self.db.execute(
-                    f"CREATE TEMP TABLE {_quote(meta.name)} ({cols})")
-                _, writer = self.db.table_writer(meta.name)
-                for row in plan.rows:
-                    writer.insert(tuple(row))
-                if plan.index_columns:
-                    index_cols = ", ".join(
-                        _quote(c) for c in plan.index_columns)
+            if written:
+                if not result.append:
                     self.db.execute(
-                        f"CREATE INDEX {_quote(meta.index_name)} ON "
-                        f"{_quote(meta.name)} ({index_cols})"
-                    )
-            elif plan.append_rows:
-                _, writer = self.db.table_writer(meta.name)
-                for row in plan.append_rows:
-                    writer.insert(tuple(row))
-            if persist == "insert":
+                        f"DROP TABLE IF EXISTS {_quote(meta.name)}")
+                write_result(self.db, meta.name, result, persistent=False)
+            if insert:
                 arg_sql = ("NULL" if meta.arg is None
                            else f"'{_escape(meta.arg)}'")
                 self.db.execute(
@@ -773,7 +516,8 @@ class ViewManager:
                     f"WHERE name = '{_escape(meta.name)}'"
                 )
         meta.built_from = target
-        meta.state = plan.state
+        meta.state = state
+        return written
 
     # -- EXPLAIN / listing ---------------------------------------------------
 
@@ -859,14 +603,10 @@ class ViewManager:
         result = self.db.execute(f"SELECT * FROM {_quote(name)}")
         return list(result.columns), [tuple(r) for r in result.rows]
 
-    @staticmethod
-    def _visible_columns(stored_columns: Sequence[str]) -> List[str]:
-        return [c for c in stored_columns if not c.startswith("__avg_")]
-
-    def _table_exists(self, name: str) -> bool:
+    def _table_in(self, name: str, *engines) -> bool:
         from repro.sql.catalog import Catalog
 
-        for engine in (self.db.aux_engine, self.db.engine):
+        for engine in engines:
             ctx = engine.begin_read(owner=self.db._owner)
             try:
                 source = engine.read_source(ctx)
@@ -877,67 +617,3 @@ class ViewManager:
             finally:
                 ctx.close()
         return False
-
-    def _aux_table_exists(self, name: str) -> bool:
-        from repro.sql.catalog import Catalog
-
-        engine = self.db.aux_engine
-        ctx = engine.begin_read(owner=self.db._owner)
-        try:
-            source = engine.read_source(ctx)
-            catalog = Catalog(source, engine.pager.get_root("catalog"))
-            return catalog.get_table(name) is not None
-        finally:
-            ctx.close()
-
-    # -- monoid fold-state (de)serialization ---------------------------------
-
-    def _monoid_state(self, meta: ViewMeta) -> Optional[dict]:
-        state = meta.state
-        if not state or "column" not in state or "func" not in state:
-            return None
-        return state
-
-    @staticmethod
-    def _dump_agg(column: str, state) -> Optional[dict]:
-        """JSON-serializable fold state; None when the aggregate value
-        cannot round-trip through JSON (the next delta refresh then
-        falls back to full recompute)."""
-        func = state.name
-        if func == "avg":
-            payload = {"column": column, "func": func,
-                       "sum": state.total, "count": state.count}
-        elif func == "count":
-            payload = {"column": column, "func": func,
-                       "value": state.count}
-        elif func == "sum":
-            payload = {"column": column, "func": func,
-                       "value": state.total}
-        else:  # min / max
-            payload = {"column": column, "func": func,
-                       "value": state.best}
-        try:
-            json.dumps(payload)
-        except (TypeError, ValueError):
-            return None
-        return payload
-
-    @staticmethod
-    def _restore_agg(payload: dict):
-        state = make_cross_snapshot_aggregate(payload["func"])
-        func = payload["func"]
-        if func == "avg":
-            state.total = payload["sum"]
-            state.count = payload["count"]
-        elif func == "count":
-            state.count = payload["value"]
-        elif func == "sum":
-            state.total = payload["value"]
-        else:
-            state.best = payload["value"]
-        return state
-
-
-def _group_key(schema: TableAggregateSchema, row: Sequence) -> bytes:
-    """The executors' group identity (see ParallelExecutor._group_key)."""
-    return encode_key(tuple(row[p] for p in schema.group_positions))

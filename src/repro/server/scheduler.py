@@ -36,28 +36,16 @@ import threading
 from typing import Dict, List, Optional
 
 from repro.core import RQLSession
-from repro.core.mechanisms import (
-    AggregateDataInTableRun,
-    AggregateDataInVariableRun,
-    CollateDataIntoIntervalsRun,
-    CollateDataRun,
-    RQLResult,
+from repro.core.folds import find_mechanism
+from repro.core.mechanisms import RQLResult
+from repro.errors import (
+    MechanismError,
+    QueryCancelled,
+    ReproError,
+    ServerError,
 )
-from repro.core.parallel import ParallelExecutor
-from repro.errors import QueryCancelled, ReproError, ServerError
 
 from repro.server.store import SharedStore
-
-#: mechanism name -> (certificate name, serial run class, takes an arg)
-_MECHANISMS = {
-    "collate_data": ("CollateData", CollateDataRun, False),
-    "aggregate_data_in_variable": (
-        "AggregateDataInVariable", AggregateDataInVariableRun, True),
-    "aggregate_data_in_table": (
-        "AggregateDataInTable", AggregateDataInTableRun, True),
-    "collate_data_into_intervals": (
-        "CollateDataIntoIntervals", CollateDataIntoIntervalsRun, False),
-}
 
 
 class QueryTicket:
@@ -110,33 +98,17 @@ class QueryScheduler:
                table: str, arg: object = None, persistent: bool = False,
                workers: Optional[int] = None) -> QueryTicket:
         """Run ``mechanism`` asynchronously; returns its ticket."""
-        if mechanism not in _MECHANISMS:
-            raise ServerError(
-                f"unknown mechanism {mechanism!r}; one of "
-                f"{sorted(_MECHANISMS)}"
-            )
-        if session.name is None:
-            raise ServerError(
-                "scheduler sessions need a name (open them through the "
-                "registry)"
-            )
-        with self._latch:
-            if self._closed:
-                raise ServerError("scheduler is shut down")
-            ticket = QueryTicket(self._next_id, session.name, mechanism,
-                                 table)
-            self._next_id += 1
-            self._active[ticket.id] = ticket
-            lock = self._session_locks.setdefault(session.name,
-                                                  threading.Lock())
-        thread = threading.Thread(
-            target=self._run,
-            args=(lock, session, ticket, qs, qq, table, arg, persistent,
-                  workers),
-            name=f"rql-query-{ticket.id}",
-        )
-        thread.start()
-        return ticket
+        try:
+            find_mechanism(mechanism)
+        except MechanismError as exc:
+            raise ServerError(str(exc)) from exc
+
+        def work(ticket: QueryTicket) -> RQLResult:
+            return self._execute(session, ticket, qs, qq, table, arg,
+                                 persistent, workers)
+
+        return self._dispatch(session, mechanism, table, work,
+                              drop_partial=True)
 
     def run(self, session: RQLSession, mechanism: str, qs: str, qq: str,
             table: str, arg: object = None, persistent: bool = False,
@@ -154,31 +126,22 @@ class QueryScheduler:
         store's write gate (via the view manager) while concurrently
         pinned readers keep seeing the stale-but-consistent pre-refresh
         contents through MVCC.  Unlike mechanism tickets, a cancelled
-        refresh must NOT drop its table — the view's single commit
-        already guarantees the stored result is fully old or fully new,
-        and dropping it would destroy the committed base.
+        refresh must NOT drop its table — the view table is only ever
+        replaced by the refresh's single atomic commit, so on any
+        failure (including cancellation) the committed base result is
+        still exact for its recorded built_from snapshot, and dropping
+        it would destroy that base.
         """
-        if session.name is None:
-            raise ServerError(
-                "scheduler sessions need a name (open them through the "
-                "registry)"
-            )
-        with self._latch:
-            if self._closed:
-                raise ServerError("scheduler is shut down")
-            ticket = QueryTicket(self._next_id, session.name,
-                                 "refresh_view", name)
-            self._next_id += 1
-            self._active[ticket.id] = ticket
-            lock = self._session_locks.setdefault(session.name,
-                                                  threading.Lock())
-        thread = threading.Thread(
-            target=self._run_refresh,
-            args=(lock, session, ticket, name, full),
-            name=f"rql-refresh-{ticket.id}",
-        )
-        thread.start()
-        return ticket
+        def work(ticket: QueryTicket):
+            if ticket.cancel.is_set():
+                raise QueryCancelled(
+                    f"refresh of {name!r} cancelled before admission"
+                )
+            return session.views.refresh(name, full=full,
+                                         cancel=ticket.cancel)
+
+        return self._dispatch(session, "refresh_view", name, work,
+                              drop_partial=False)
 
     def refresh(self, session: RQLSession, name: str,
                 full: bool = False):
@@ -188,41 +151,42 @@ class QueryScheduler:
 
     # -- execution ----------------------------------------------------------
 
-    def _run(self, lock: threading.Lock, session: RQLSession,
-             ticket: QueryTicket, qs: str, qq: str, table: str,
-             arg: object, persistent: bool,
-             workers: Optional[int]) -> None:
-        try:
-            with lock:
-                ticket.result = self._execute(session, ticket, qs, qq,
-                                              table, arg, persistent,
-                                              workers)
-        except QueryCancelled as exc:
-            ticket.error = exc
-            self._drop_partial(session, table)
-        except BaseException as exc:  # replint: taxonomy-exempt -- stored on the ticket; outcome() re-raises it
-            ticket.error = exc
-        finally:
-            with self._latch:
-                self._active.pop(ticket.id, None)
-            ticket.done.set()
+    def _dispatch(self, session: RQLSession, mechanism: str, table: str,
+                  work, drop_partial: bool) -> QueryTicket:
+        """Register a ticket and run ``work(ticket)`` on its own
+        dispatcher thread, under the session's one-query-at-a-time
+        lock."""
+        if session.name is None:
+            raise ServerError(
+                "scheduler sessions need a name (open them through the "
+                "registry)"
+            )
+        with self._latch:
+            if self._closed:
+                raise ServerError("scheduler is shut down")
+            ticket = QueryTicket(self._next_id, session.name, mechanism,
+                                 table)
+            self._next_id += 1
+            self._active[ticket.id] = ticket
+            lock = self._session_locks.setdefault(session.name,
+                                                  threading.Lock())
+        thread = threading.Thread(
+            target=self._run,
+            args=(lock, session, ticket, work, drop_partial),
+            name=f"rql-{mechanism}-{ticket.id}",
+        )
+        thread.start()
+        return ticket
 
-    def _run_refresh(self, lock: threading.Lock, session: RQLSession,
-                     ticket: QueryTicket, name: str, full: bool) -> None:
+    def _run(self, lock: threading.Lock, session: RQLSession,
+             ticket: QueryTicket, work, drop_partial: bool) -> None:
         try:
             with lock:
-                if ticket.cancel.is_set():
-                    raise QueryCancelled(
-                        f"refresh of {name!r} cancelled before admission"
-                    )
-                ticket.result = session.views.refresh(
-                    name, full=full, cancel=ticket.cancel)
+                ticket.result = work(ticket)
         except BaseException as exc:  # replint: taxonomy-exempt -- stored on the ticket; outcome() re-raises it
-            # Deliberately no _drop_partial: the view table is only ever
-            # replaced by the refresh's single atomic commit, so on any
-            # failure (including cancellation) the committed base result
-            # is still exact for its recorded built_from snapshot.
             ticket.error = exc
+            if drop_partial and isinstance(exc, QueryCancelled):
+                self._drop_partial(session, ticket.table)
         finally:
             with self._latch:
                 self._active.pop(ticket.id, None)
@@ -231,34 +195,23 @@ class QueryScheduler:
     def _execute(self, session: RQLSession, ticket: QueryTicket, qs: str,
                  qq: str, table: str, arg: object, persistent: bool,
                  workers: Optional[int]) -> RQLResult:
-        from repro.analysis.query.mergeclass import MECHANISM_CLASSES
-
-        cert_name, run_class, takes_arg = _MECHANISMS[ticket.mechanism]
-        db = session.db
+        spec = find_mechanism(ticket.mechanism)
         count = session._effective_workers(workers)
-        executor = ParallelExecutor(db, workers=max(count, 1),
-                                    pool=self._store.pool,
-                                    cancel=ticket.cancel)
-        certificate = executor.certify(cert_name, qs, qq, arg)
-        expected = MECHANISM_CLASSES[cert_name.replace("_", "").lower()]
-        session._drop_result_table(table)
+        certificate = session.certify(spec.name, qs, qq, arg)
         if ticket.cancel.is_set():
             raise QueryCancelled(
                 f"query over {table!r} cancelled before admission"
             )
-        if count > 1 and certificate.merge_class == expected:
-            ticket.partitioned = True
-            method = getattr(executor, ticket.mechanism)
-            call_args = (qs, qq, table) + ((arg,) if takes_arg else ())
-            return method(*call_args, persistent,
-                          certificate=certificate)
-        # serial-only certificate (or workers == 1): the classic loop,
-        # metered through a thread-local sink so concurrent queries on
-        # the shared engines never cross their metrics.
-        ctor_args = (db, qq, table) + ((arg,) if takes_arg else ())
-        run = run_class(*ctor_args, persistent)
-        with db.engine.retro.route_metrics(run.sink):
-            return run.run(qs, cancel=ticket.cancel)
+        # Where the embedded session refuses a serial-only certificate
+        # at workers > 1, the server falls back to the serial loop —
+        # still concurrent with other sessions, just not partitioned.
+        ticket.partitioned = count > 1 \
+            and certificate.merge_class == spec.merge_class
+        return session.run_mechanism(
+            ticket.mechanism, qs, qq, table, arg, persistent,
+            workers=count if ticket.partitioned else 1,
+            cancel=ticket.cancel, certificate=certificate,
+        )
 
     def _drop_partial(self, session: RQLSession, table: str) -> None:
         """A cancelled run must not leave a half-built result table."""

@@ -260,18 +260,5 @@ def certify_entry(entry: CorpusEntry, schema=None):
 def run_entry(session, entry: CorpusEntry, table: str,
               workers: Optional[int] = None):
     """Execute one corpus entry through the session mechanism API."""
-    canonical = entry.mechanism.replace("_", "").lower()
-    if canonical == "collatedata":
-        return session.collate_data(entry.qs, entry.qq, table,
-                                    workers=workers)
-    if canonical == "aggregatedatainvariable":
-        return session.aggregate_data_in_variable(
-            entry.qs, entry.qq, table, str(entry.arg), workers=workers)
-    if canonical == "aggregatedataintable":
-        return session.aggregate_data_in_table(
-            entry.qs, entry.qq, table, entry.arg, workers=workers)
-    if canonical == "collatedataintointervals":
-        return session.collate_data_into_intervals(
-            entry.qs, entry.qq, table, workers=workers)
-    from repro.errors import MechanismError
-    raise MechanismError(f"unknown mechanism {entry.mechanism!r}")
+    return session.run_mechanism(entry.mechanism, entry.qs, entry.qq,
+                                 table, entry.arg, workers=workers)

@@ -5,28 +5,25 @@ import io
 import json
 import pathlib
 
-from repro.analysis import analyze_paths, main, package_root
+from repro.analysis import main
 from repro.cli import main as cli_main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
-def test_shipped_tree_is_clean_with_empty_baseline():
+def test_shipped_tree_is_clean_with_empty_baseline(tree_analysis):
     """The acceptance bar: zero non-baselined findings over src/repro."""
-    report = analyze_paths([package_root()])
+    report = tree_analysis.report(src_only=True)
     assert report.files_scanned > 50
     rendered = "\n".join(f.render() for f in report.findings)
     assert report.findings == [], f"replint found:\n{rendered}"
     assert report.ok
 
 
-def test_benchmarks_and_examples_are_clean_too():
+def test_benchmarks_and_examples_are_clean_too(tree_analysis):
     """CI lints benchmarks/ and examples/ alongside src — keep them at
     the same bar (multi-root, exercising the relpath disambiguation)."""
-    repo = pathlib.Path(__file__).resolve().parents[2]
-    roots = [package_root(), repo / "benchmarks", repo / "examples"]
-    assert all(root.is_dir() for root in roots)
-    report = analyze_paths(roots)
+    report = tree_analysis.report()
     assert report.files_scanned > 100
     rendered = "\n".join(f.render() for f in report.findings)
     assert report.findings == [], f"replint found:\n{rendered}"

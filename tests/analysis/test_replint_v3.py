@@ -24,7 +24,6 @@ import pytest
 
 from repro.analysis.dataflow.program import ANALYSIS_VERSION, Program
 from repro.analysis.driver import (
-    _collect_contexts,
     analyze_paths,
     analyze_source,
     package_root,
@@ -37,10 +36,8 @@ SRC = package_root()
 
 
 @pytest.fixture(scope="module")
-def tree_program():
-    contexts, findings, _ = _collect_contexts([SRC])
-    assert findings == []
-    return Program.from_contexts(contexts)
+def tree_program(tree_analysis):
+    return tree_analysis.program
 
 
 # -- latch-graph inventory ----------------------------------------------------
@@ -82,10 +79,14 @@ def test_worker_region_reaches_the_executor_internals(tree_program):
     assert "core/parallel.py::ParallelExecutor._run_partitions.body" \
         in roots
     region = effects.worker_region
-    # Closure-parameter callees and closure-typed receivers are in.
-    assert any(q.endswith(".eval_partition") for q in region)
+    # Closure-typed receivers are in ...
     assert "core/parallel.py::_ErrorBoard.record" in region
-    assert "core/parallel.py::ParallelExecutor._eval_qq" in region
+    # ... and through the worker body, the one snapshot loop and every
+    # fold class's step.
+    assert "core/folds.py::fold_range" in region
+    for fold in ("Fold", "ConcatFold", "MonoidFold", "StoredRowFold",
+                 "IntervalFold"):
+        assert f"core/folds.py::{fold}.step" in region
     # The error board counts as shared; the per-worker payload handed
     # to each thread (annotated ``partial: _Partial``) does not.
     assert "core/parallel.py::_ErrorBoard" in effects.shared_classes
@@ -123,6 +124,21 @@ def test_dropped_error_board_latch_is_caught():
     assert findings, "dropping the error-board latch went unnoticed"
     assert {f.rule for f in findings} == {"RPL020"}
     assert all("_ErrorBoard" in f.message for f in findings)
+
+
+def test_fold_merge_that_mutates_later_is_caught():
+    source = _real_source("core/folds.py")
+    assert analyze_source(source, "core/folds.py") == []
+    mutated = source.replace(
+        "        self.rows.extend(later.rows)\n",
+        "        self.rows.extend(later.rows)\n"
+        "        later.rows.append(())\n",
+    )
+    assert mutated != source, "mutation target moved; update the test"
+    findings = analyze_source(mutated, "core/folds.py")
+    assert {f.rule for f in findings} == {"RPL023"}
+    assert all("ConcatFold.merge" == f.symbol and "'later'" in f.message
+               for f in findings)
 
 
 def test_logfile_module_is_clean_solo():

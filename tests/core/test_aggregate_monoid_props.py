@@ -14,9 +14,12 @@ bit-for-bit, matching the differential harness's reasoning.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.query.mergeclass import MECHANISM_CLASSES
 from repro.core.aggregates import (
     _FACTORIES,
     MONOID_AGGREGATES,
@@ -26,6 +29,7 @@ from repro.core.aggregates import (
     merge_avg_stored,
     merge_stored_value,
 )
+from repro.core.folds import MECHANISMS, find_mechanism
 from repro.core.mechanisms import TableAggregateSchema
 
 values = st.one_of(
@@ -131,3 +135,132 @@ def test_merge_avg_stored_matches_serial_probe_fold(left, right):
 def test_merge_stored_value_rejects_avg():
     with pytest.raises(Exception, match="stored-value merge"):
         merge_stored_value("avg", 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# The fold algebra itself (repro.core.folds), without a database: plain
+# per-snapshot row lists in, FoldResult out.
+# ---------------------------------------------------------------------------
+
+AGG_FUNCS = sorted(_FACTORIES)
+FOLD_SETTINGS = settings(max_examples=60, deadline=None)
+floats = st.one_of(
+    st.none(),
+    st.integers(min_value=-100, max_value=100),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+)
+
+
+def _snapshots(cell, scalar=False):
+    """Snapshot histories: one row list per snapshot."""
+    if scalar:  # AggregateDataInVariable: one column, at most one row
+        rows = st.lists(st.tuples(cell), max_size=1)
+    else:
+        rows = st.lists(
+            st.tuples(st.integers(min_value=0, max_value=2), cell),
+            max_size=4)
+    return st.lists(rows, min_size=1, max_size=4)
+
+
+#: (mechanism, argument, Qq columns)
+FOLD_CASES = [("CollateData", None, ["g", "v"]),
+              ("CollateDataIntoIntervals", None, ["g", "v"])] \
+    + [("AggregateDataInVariable", f, ["v"]) for f in AGG_FUNCS] \
+    + [("AggregateDataInTable", [("v", f)], ["g", "v"]) for f in AGG_FUNCS]
+FOLD_IDS = [f"{m}-{a[0][1] if isinstance(a, list) else a}"
+            for m, a, _ in FOLD_CASES]
+
+
+def _stepped(fold, columns, snapshots, after=0):
+    for n, rows in enumerate(snapshots, start=after + 1):
+        fold.step(n, columns, rows)
+    return fold
+
+
+def _table(result, base_rows=()):
+    """The stored table a result leaves behind, bit-for-bit (repr keeps
+    1 / 1.0 / -0.0 apart)."""
+    rows = (list(base_rows) if result.append else []) + list(result.rows)
+    return repr((result.columns, rows, result.index_columns, result.state,
+                 sorted(result.helpers)))
+
+
+@pytest.mark.parametrize("mechanism,arg,columns", FOLD_CASES, ids=FOLD_IDS)
+@FOLD_SETTINGS
+@given(data=st.data())
+def test_merge_of_range_folds_equals_one_fold(mechanism, arg, columns, data):
+    spec = find_mechanism(mechanism)
+    history = _snapshots(values, scalar=len(columns) == 1)
+    left, right = data.draw(history), data.draw(history)
+    merged = _stepped(spec.fold(arg), columns, left)
+    later = _stepped(spec.fold(arg, first=False), columns, right,
+                     after=len(left))
+    before = _table(later.result())
+    merged.merge(later)
+    whole = _stepped(spec.fold(arg), columns, left + right)
+    assert _table(merged.result()) == _table(whole.result())
+    assert _table(later.result()) == before, "merge mutated `later`"
+
+
+@pytest.mark.parametrize("mechanism,arg,columns", FOLD_CASES, ids=FOLD_IDS)
+@FOLD_SETTINGS
+@given(data=st.data())
+def test_restore_then_step_equals_one_fold_on_floats(mechanism, arg,
+                                                     columns, data):
+    """Why view refresh is restore + step: the same additions in the
+    same order, so even float SUM/AVG agree bit-for-bit — which
+    re-associating ``merge`` cannot promise."""
+    spec = find_mechanism(mechanism)
+    history = _snapshots(floats, scalar=len(columns) == 1)
+    left, right = data.draw(history), data.draw(history)
+    base = _stepped(spec.fold(arg), columns, left).result()
+    state = None if base.state is None \
+        else json.loads(json.dumps(base.state))
+    restored = spec.fold.restore(
+        arg, lambda: (list(base.columns), list(base.rows)), state,
+        len(left))
+    assert not restored.dirty
+    _stepped(restored, columns, right, after=len(left))
+    whole = _stepped(spec.fold(arg), columns, left + right).result()
+    assert _table(restored.result(), base.rows) == _table(whole)
+    assert restored.dirty == any(right)
+
+
+def test_stored_row_first_snapshot_duplicates_survive():
+    """The serial first pass inserts unprobed; later records (stepped or
+    merged) fold onto the earliest row of the group."""
+    spec = find_mechanism("AggregateDataInTable")
+    arg, columns = [("v", "sum")], ["g", "v"]
+    fold = spec.fold(arg)
+    fold.step(1, columns, [(1, 5), (1, 7), (2, 1)])
+    assert fold.result().rows == [(1, 5), (1, 7), (2, 1)]
+    fold.step(2, columns, [(1, 1), (1, 1)])
+    assert fold.result().rows == [(1, 7), (1, 7), (2, 1)]
+    later = _stepped(spec.fold(arg, first=False), columns,
+                     [[(1, 10), (1, 10), (3, 3)]], after=2)
+    assert later.result().rows == [(1, 20), (3, 3)]
+    fold.merge(later)
+    assert fold.result().rows == [(1, 27), (1, 7), (2, 1), (3, 3)]
+
+
+def test_interval_gap_reopens():
+    spec = find_mechanism("CollateDataIntoIntervals")
+    history = [[("a",), ("b",)], [("b",)], [("a",), ("b",)]]
+    expected = [("a", 1, 1), ("b", 1, 3), ("a", 3, 3)]
+    stepped = _stepped(spec.fold(), ["k"], history)
+    assert stepped.result().rows == expected
+    merged = _stepped(spec.fold(), ["k"], history[:1])
+    merged.merge(_stepped(spec.fold(None, first=False), ["k"],
+                          history[1:], after=1))
+    assert merged.result().rows == expected
+    base = _stepped(spec.fold(), ["k"], history[:2]).result()
+    restored = spec.fold.restore(
+        None, lambda: (base.columns, base.rows), None, 2)
+    restored.step(3, ["k"], history[2])
+    assert restored.result().rows == expected
+
+
+def test_core_registry_agrees_with_the_certificate_side():
+    """``_admit`` refuses unless the certified class is the fold's."""
+    assert {name: m.merge_class for name, m in MECHANISMS.items()} \
+        == MECHANISM_CLASSES

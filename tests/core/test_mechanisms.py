@@ -161,6 +161,27 @@ class TestAggregateDataInTable:
         assert rows["USA"] == pytest.approx(4 / 3)
         assert rows["UK"] == pytest.approx(4 / 3)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_only_the_schemas_own_helpers_are_hidden(self, paper_session,
+                                                     workers):
+        """Hidden means "this run's own AVG helper", found by position —
+        never "any column whose name starts with ``__``"."""
+        s = paper_session
+        qs = "SELECT snap_id FROM SnapIds"
+        collated = s.collate_data(
+            qs, "SELECT l_country AS __g, l_userid FROM LoggedIn", "R",
+            workers=workers)
+        assert collated.columns == ["__g", "l_userid"]
+        assert collated.columns == \
+            list(s.execute('SELECT * FROM "R"').columns)
+        folded = s.aggregate_data_in_table(
+            qs, "SELECT l_country AS __g, COUNT(*) AS c FROM LoggedIn "
+                "GROUP BY l_country",
+            "R", [("c", "avg")], workers=workers)
+        assert folded.columns == ["__g", "c"]
+        assert list(s.execute('SELECT * FROM "R"').columns) == \
+            ["__g", "c", "__avg_sum_1", "__avg_cnt_1"]
+
     def test_missing_aggregation_column(self, paper_session):
         with pytest.raises(MechanismError):
             paper_session.aggregate_data_in_table(

@@ -280,3 +280,25 @@ def test_views_survive_in_shared_store_sessions():
         "sessions": 0, "read_contexts": 0, "gate_held": False,
     }
     store.close()
+
+
+@pytest.mark.parametrize("func,helpers", [
+    ("sum", []), ("avg", ["__avg_sum_1", "__avg_cnt_1"])])
+def test_delta_refresh_with_a_helper_lookalike_group_column(rql, func,
+                                                            helpers):
+    """A grouping column *named* like an AVG helper is ordinary Qq
+    output: restoring the stored-row fold must not strip it (it used to,
+    leaving "needs at least one grouping column" on the next delta)."""
+    _snap(rql, [(1, 10), (2, 5)])
+    rql.execute(
+        "CREATE MATERIALIZED VIEW v AS AggregateDataInTable("
+        f"'SELECT grp AS __avg_g, val FROM events', '(val,{func})')"
+    )
+    _snap(rql, [(1, 7)])
+    report = rql.refresh_view("v")
+    assert report.mode == "delta"
+    delta = rql.execute("SELECT * FROM v")
+    rql.refresh_view("v", full=True)
+    full = rql.execute("SELECT * FROM v")
+    assert delta.columns == full.columns == ["__avg_g", "val"] + helpers
+    assert delta.rows == full.rows
