@@ -48,9 +48,13 @@ from repro.sql.expressions import ExpressionCompiler, Scope
 from repro.sql.functions import FunctionRegistry
 from repro.sql.parser import parse_one, parse_sql
 from repro.sql.planner import (
+    BoundTable,
     ExecutionContext,
+    constant_int,
+    explain_select,
+    open_select,
     run_select,
-    run_select_streaming,
+    scan_for_modify,
 )
 from repro.sql.types import SqlValue
 from repro.storage.btree import BTree
@@ -274,98 +278,54 @@ class Database:
         This is the ``sqlite3_exec`` callback protocol the RQL loop body
         uses to process Qq results without materializing them.
         """
-        statement = parse_one(sql)
-        if not isinstance(statement, ast.Select):
-            raise SqlError("execute_streaming requires a SELECT")
-        ctx, cleanup = self._context_for_select(statement)
-        try:
-            return run_select_streaming(statement, ctx, on_row)
-        finally:
-            cleanup()
+        statement = _parse_select(sql, "execute_streaming")
+        with self._select_context(statement) as ctx:
+            columns, rows = open_select(statement, ctx)
+            for row in rows:
+                on_row(row)
+            return columns
 
     def execute_cursor(self, sql: str):
         """Run a SELECT lazily: returns (columns, row_iterator).
 
         The column list is available before any row is consumed — the
         shape RQL's loop body needs to create its result table from the
-        first iteration's Qq output.  The iterator owns the read
-        context; it is released when the iterator is exhausted or
-        closed.
+        first iteration's Qq output.  The iterator owns the statement's
+        read contexts: they are released when it is exhausted, closed or
+        garbage-collected, and at once if planning fails.
         """
-        statement = parse_one(sql)
-        if not isinstance(statement, ast.Select):
-            raise SqlError("execute_cursor requires a SELECT")
-        ctx, cleanup = self._context_for_select(statement)
-        from repro.sql.planner import _SelectPlanner
-
-        try:
-            planner = _SelectPlanner(statement, ctx)
-            columns, rows = planner.columns_and_rows()
-        except BaseException:
-            cleanup()
-            raise
-
-        def guarded():
-            try:
-                yield from rows
-            finally:
-                cleanup()
-        return columns, guarded()
+        return self._open_cursor(_parse_select(sql, "execute_cursor"))
 
     def execute_readonly_cursor(self, sql: str,
                                 metrics: Optional[MetricsSink] = None):
         """Run a SELECT lazily on a private pair of read contexts.
 
         The thread-safe read path for parallel snapshot workers: unlike
-        :meth:`execute_cursor` it never touches the session's statement
+        :meth:`execute_cursor` it never looks at the session's statement
         transactions, so any number of threads may evaluate SELECTs
         concurrently while no writer is active.  ``metrics`` (when
         given) receives the planner's query-eval and index-creation
-        accounting instead of the database-wide sink.
+        accounting instead of the database-wide sink.  The iterator owns
+        its read contexts exactly as :meth:`execute_cursor`'s does.
         """
-        statement = parse_one(sql)
-        if not isinstance(statement, ast.Select):
-            raise SqlError("execute_readonly_cursor requires a SELECT")
-        as_of = None
-        if statement.as_of is not None:
-            as_of = self._constant_int(statement.as_of, "AS OF")
-        read_ctx = self.engine.begin_read(owner=self._owner)
-        try:
-            aux_read_ctx = self.aux_engine.begin_read(owner=self._owner)
-            try:
-                if as_of is not None:
-                    main_source = self.engine.snapshot_source(as_of, read_ctx)
-                else:
-                    main_source = self.engine.read_source(read_ctx)
-                aux_source = self.aux_engine.read_source(aux_read_ctx)
-                ctx = _Context(self, main_source, aux_source,
-                               metrics=metrics, as_of=as_of)
-            except BaseException:
-                aux_read_ctx.close()
-                raise
-        except BaseException:
-            read_ctx.close()
-            raise
+        return self._open_cursor(
+            _parse_select(sql, "execute_readonly_cursor"),
+            private=True, metrics=metrics)
 
-        def cleanup() -> None:
-            read_ctx.close()
-            aux_read_ctx.close()
-
-        from repro.sql.planner import _SelectPlanner
-
-        try:
-            planner = _SelectPlanner(statement, ctx)
-            columns, rows = planner.columns_and_rows()
-        except BaseException:
-            cleanup()
-            raise
-
-        def guarded():
-            try:
+    def _open_cursor(self, statement: ast.Select, private: bool = False,
+                     metrics: Optional[MetricsSink] = None):
+        """The one guarded cursor: (columns, rows) whose row iterator
+        holds the SELECT's sources open until it finishes."""
+        def cursor():
+            with self._select_context(statement, private, metrics) as ctx:
+                columns, rows = open_select(statement, ctx)
+                yield columns
                 yield from rows
-            finally:
-                cleanup()
-        return columns, guarded()
+
+        rows = cursor()
+        # Runs up to the first yield: sources are open and the SELECT is
+        # planned, or the error has already closed them.
+        return next(rows), rows
 
     def table_writer(self, name: str) -> Tuple[TableAccess, TableWriter]:
         """Engine-level write access to a table in the current txn.
@@ -540,8 +500,6 @@ class Database:
 
     def _execute_explain(self, statement: ast.Explain) -> ResultSet:
         """EXPLAIN SELECT ...: access-path plan without executing."""
-        from repro.sql.planner import explain_select
-
         inner = statement.statement
         if isinstance(inner, ast.RefreshMaterializedView):
             if self.view_handler is None:
@@ -557,27 +515,38 @@ class Database:
                 "EXPLAIN supports SELECT and REFRESH MATERIALIZED VIEW "
                 "statements"
             )
-        ctx, cleanup = self._context_for_select(inner)
-        try:
+        with self._select_context(inner) as ctx:
             notes = explain_select(inner, ctx)
-        finally:
-            cleanup()
         return ResultSet(["detail"], [(note,) for note in notes])
 
     # -- SELECT ------------------------------------------------------------------
 
     def _execute_select(self, statement: ast.Select) -> ResultSet:
-        ctx, cleanup = self._context_for_select(statement)
-        try:
+        with self._select_context(statement) as ctx:
             return run_select(statement, ctx)
-        finally:
-            cleanup()
 
-    def _context_for_select(self, statement: ast.Select):
-        """Build an execution context + cleanup for a SELECT."""
+    @contextmanager
+    def _select_context(self, statement: ast.Select, private: bool = False,
+                        metrics: Optional[MetricsSink] = None,
+                        ) -> Iterator["_Context"]:
+        """The one SELECT opener: an execution context over the right
+        page sources, closed when the ``with`` block exits.
+
+        Main reads the ``AS OF`` snapshot, else the session's open
+        transaction (a SELECT inside DML or ``BEGIN`` sees its own
+        writes), else a fresh read context; aux reads the open
+        transaction or a fresh read context.  ``private`` never looks at
+        the session's transactions, which is what makes it safe from
+        worker threads.
+        """
         as_of = None
         if statement.as_of is not None:
-            as_of = self._constant_int(statement.as_of, "AS OF")
+            as_of = constant_int(statement.as_of, "AS OF",
+                                 self.functions.snapshot())
+            if as_of is None:
+                raise PlanError("AS OF must be a non-NULL constant")
+        main_txn = None if private else self._main.txn
+        aux_txn = None if private else self._aux.txn
         read_ctx = self.engine.begin_read(owner=self._owner)
         try:
             aux_read_ctx = self.aux_engine.begin_read(owner=self._owner)
@@ -585,33 +554,20 @@ class Database:
                 if as_of is not None:
                     # May raise UnknownSnapshotError for a bad AS OF id.
                     main_source = self.engine.snapshot_source(as_of, read_ctx)
-                elif self._main.txn is not None:
-                    main_source = self.engine.page_source(self._main.txn)
+                elif main_txn is not None:
+                    main_source = self.engine.page_source(main_txn)
                 else:
                     main_source = self.engine.read_source(read_ctx)
-                if self._aux.txn is not None:
-                    aux_source = self.aux_engine.page_source(self._aux.txn)
+                if aux_txn is not None:
+                    aux_source = self.aux_engine.page_source(aux_txn)
                 else:
                     aux_source = self.aux_engine.read_source(aux_read_ctx)
-                ctx = _Context(self, main_source, aux_source, as_of=as_of)
-            except BaseException:
+                yield _Context(self, main_source, aux_source,
+                               metrics=metrics, as_of=as_of)
+            finally:
                 aux_read_ctx.close()
-                raise
-        except BaseException:
+        finally:
             read_ctx.close()
-            raise
-
-        def cleanup() -> None:
-            read_ctx.close()
-            aux_read_ctx.close()
-        return ctx, cleanup
-
-    def _constant_int(self, expr: ast.Expr, label: str) -> int:
-        compiler = ExpressionCompiler(Scope([]), self.functions.snapshot())
-        value = compiler.compile(expr)(())
-        if value is None:
-            raise PlanError(f"{label} must be a non-NULL constant")
-        return int(value)
 
     # -- write context ----------------------------------------------------------------
 
@@ -621,12 +577,7 @@ class Database:
         Reads inside DML see the transaction's own writes; the engines'
         statement-local transactions are created lazily.
         """
-        return _Context(
-            self,
-            self._main.source(),
-            self._aux.source(),
-            writable=True,
-        )
+        return _Context(self, self._main.source(), self._aux.source())
 
     # -- INSERT / DELETE / UPDATE ------------------------------------------------------
 
@@ -642,9 +593,11 @@ class Database:
                 positions = list(range(len(info.columns)))
             inserted = 0
             if statement.select is not None:
-                sub_columns, rows = self._subselect_rows(statement.select,
-                                                         ctx)
-                for row in rows:
+                # Both write transactions are open, so the SELECT reads
+                # them (or, AS OF, the snapshot plus the writable aux
+                # engine): the exact shape of RQL's per-iteration
+                # ``INSERT INTO T SELECT AS OF sid ...``.
+                for row in self._execute_select(statement.select).rows:
                     writer.insert(self._place(row, positions, info))
                     inserted += 1
             else:
@@ -656,28 +609,6 @@ class Database:
                     writer.insert(self._place(values, positions, info))
                     inserted += 1
             return _status(inserted)
-
-    def _subselect_rows(self, select: ast.Select, write_ctx: "_Context"):
-        """Rows of an embedded SELECT (INSERT..SELECT / CREATE..AS).
-
-        ``AS OF`` is honoured: the main database is read through the
-        snapshot while the target (usually a temp table in the aux
-        engine) stays writable — the exact shape of RQL's per-iteration
-        ``INSERT INTO T SELECT AS OF sid ...``.
-        """
-        if select.as_of is None:
-            result = run_select(select, write_ctx)
-            return result.columns, result.rows
-        sid = self._constant_int(select.as_of, "AS OF")
-        read_ctx = self.engine.begin_read(owner=self._owner)
-        try:
-            main_source = self.engine.snapshot_source(sid, read_ctx)
-            ctx = _Context(self, main_source, self._aux.source(),
-                           as_of=sid)
-            result = run_select(select, ctx)
-            return result.columns, result.rows
-        finally:
-            read_ctx.close()
 
     @staticmethod
     def _place(values, positions, info: TableInfo):
@@ -696,8 +627,6 @@ class Database:
             table = ctx.open_table(statement.table)
             indexes = ctx.open_indexes(table)
             writer = TableWriter(table, indexes)
-            from repro.sql.planner import scan_for_modify
-
             # Materialize first: never mutate a tree mid-scan.
             doomed = [
                 rowid for rowid, _ in scan_for_modify(
@@ -716,14 +645,12 @@ class Database:
             indexes = ctx.open_indexes(table)
             writer = TableWriter(table, indexes)
             info = table.info
-            scope = _table_scope(table)
+            scope = BoundTable.bind(info.name, table, indexes).desc.scope()
             compiler = ExpressionCompiler(scope, self.functions.snapshot())
             assignments = [
                 (info.column_index(column), compiler.compile(expr))
                 for column, expr in statement.assignments
             ]
-            from repro.sql.planner import scan_for_modify
-
             updates: List[Tuple[int, Tuple[SqlValue, ...]]] = []
             for rowid, row in scan_for_modify(
                     table, indexes, statement.where,
@@ -791,11 +718,12 @@ class Database:
     def _create_table_as(self, statement: ast.CreateTable,
                          session: _EngineSession,
                          catalog: Catalog) -> ResultSet:
-        # Evaluate the SELECT with read access everywhere, write access
-        # on the target engine.  AS OF is honoured via _subselect_rows.
-        ctx = self._write_context()
-        columns_out, rows = self._subselect_rows(statement.as_select, ctx)
-        columns = [Column(name, "") for name in columns_out]
+        # Evaluate the SELECT inside both write transactions (read
+        # access everywhere, AS OF honoured), then write the target.
+        self._main.ensure_txn()
+        self._aux.ensure_txn()
+        selected = self._execute_select(statement.as_select)
+        columns = [Column(name, "") for name in selected.columns]
         info = self._create_table_object(
             session, catalog, statement.name, columns, [],
             statement.temporary,
@@ -803,7 +731,7 @@ class Database:
         table = TableAccess(info, session.source())
         writer = TableWriter(table, [])
         count = 0
-        for row in rows:
+        for row in selected.rows:
             writer.insert(row)
             count += 1
         # The enclosing _execute_create_table _statement() scope commits.
@@ -966,13 +894,11 @@ class _Context(ExecutionContext):
     """Binds the planner to this database's catalogs and sources."""
 
     def __init__(self, db: Database, main_source, aux_source,
-                 writable: bool = False,
                  metrics: Optional[MetricsSink] = None,
                  as_of: Optional[int] = None) -> None:
         self._db = db
         self._main_source = main_source
         self._aux_source = aux_source
-        self._writable = writable
         # Per-context sink override: parallel workers meter into their
         # own sink instead of the database-wide one.
         self._metrics = metrics
@@ -1056,8 +982,11 @@ class _Context(ExecutionContext):
             sink.current.query_eval_seconds += seconds
 
 
-def _table_scope(table: TableAccess) -> Scope:
-    return Scope([(table.info.name, c) for c in table.info.column_names()])
+def _parse_select(sql: str, api: str) -> ast.Select:
+    statement = parse_one(sql)
+    if not isinstance(statement, ast.Select):
+        raise SqlError(f"{api} requires a SELECT")
+    return statement
 
 
 def _status(rowcount: int = 0) -> ResultSet:

@@ -411,3 +411,71 @@ def conjuncts(expr: Optional[ast.Expr]) -> List[ast.Expr]:
     if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
         return conjuncts(expr.left) + conjuncts(expr.right)
     return [expr]
+
+
+def flatten_from(source) -> Tuple[List[ast.TableRef], List[ast.Expr]]:
+    """FROM tree -> (table refs in FROM order, ON conjuncts in join order)."""
+    refs: List[ast.TableRef] = []
+    on_conjuncts: List[ast.Expr] = []
+
+    def visit(node) -> None:
+        if node is None:
+            return
+        if isinstance(node, ast.TableRef):
+            refs.append(node)
+        elif isinstance(node, ast.Join):
+            visit(node.left)
+            visit(node.right)
+            on_conjuncts.extend(conjuncts(node.condition))
+        else:
+            raise PlanError(f"unsupported FROM node {type(node).__name__}")
+
+    visit(source)
+    return refs, on_conjuncts
+
+
+def is_constant(expr: ast.Expr) -> bool:
+    return not any(isinstance(node, (ast.ColumnRef, PostAggRef))
+                   for node in walk(expr))
+
+
+@dataclass
+class IndexableConjunct:
+    """A conjunct of a shape a B-tree index can serve.
+
+    ``shape`` is the comparison with the column on the left (a flipped
+    ``5 < a`` reads ``>``), ``'between'`` or ``'in'``; ``constants`` are
+    the column-free operand expressions: one, (low, high), or the IN
+    items.
+    """
+
+    column: ast.ColumnRef
+    shape: str
+    constants: List[ast.Expr]
+
+
+_COLUMN_ON_LEFT = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def classify_conjunct(pred: ast.Expr) -> Optional[IndexableConjunct]:
+    """Recognize ``col = k``, ``col <op> k`` (either side), ``col BETWEEN
+    k AND k`` and ``col IN (k, ...)``; anything else (LIKE, arithmetic on
+    the column, two columns) is not index-shaped."""
+    if isinstance(pred, ast.BinaryOp) and pred.op in _COLUMN_ON_LEFT:
+        if isinstance(pred.left, ast.ColumnRef) and is_constant(pred.right):
+            return IndexableConjunct(pred.left, pred.op, [pred.right])
+        if isinstance(pred.right, ast.ColumnRef) and is_constant(pred.left):
+            return IndexableConjunct(pred.right, _COLUMN_ON_LEFT[pred.op],
+                                     [pred.left])
+        return None
+    if isinstance(pred, ast.Between) and not pred.negated:
+        if isinstance(pred.operand, ast.ColumnRef) \
+                and is_constant(pred.low) and is_constant(pred.high):
+            return IndexableConjunct(pred.operand, "between",
+                                     [pred.low, pred.high])
+        return None
+    if isinstance(pred, ast.InList) and not pred.negated \
+            and isinstance(pred.operand, ast.ColumnRef) \
+            and all(is_constant(item) for item in pred.items):
+        return IndexableConjunct(pred.operand, "in", list(pred.items))
+    return None

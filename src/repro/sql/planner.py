@@ -23,11 +23,15 @@ Planning is split into a **pure planner** and an **executor**:
 * GROUP BY is a hash aggregate; DISTINCT a hash dedupe; ORDER BY a sort
   on mixed-type-safe keys.
 
-The same pure planner serves three consumers: execution, ``EXPLAIN``
-(:func:`explain_select` renders access, COST and SEMANTIC lines without
-executing anything), and the static certification path
+The same pure planner serves four consumers: SELECT execution, DML row
+location (:func:`scan_for_modify`, which plans without statistics so
+the order rows are deleted or updated in never depends on ``ANALYZE``),
+``EXPLAIN`` (:func:`explain_select` renders access, COST and SEMANTIC
+lines without executing anything), and the static certification path
 (:func:`plan_select_static` / :func:`render_plan`) that planlint and the
-golden-plan corpus drive from catalog metadata alone.
+golden-plan corpus drive from catalog metadata alone.  Plan-time
+constant folding uses the built-in scalars only: the planner never calls
+a registered UDF.
 
 The executor is source-agnostic: the execution context supplies page
 sources, so the same plan runs on the current state, inside a write
@@ -47,11 +51,14 @@ from repro.sql.expressions import (
     ExpressionCompiler,
     PostAggRef,
     Scope,
+    classify_conjunct,
     conjuncts,
     contains_aggregate,
+    flatten_from,
+    is_constant,
     walk,
 )
-from repro.sql.functions import is_aggregate, make_aggregate
+from repro.sql.functions import BUILTIN_SCALARS, is_aggregate, make_aggregate
 from repro.sql.stats import StatsProvider, TableStats
 from repro.sql.types import SqlValue, is_true
 
@@ -79,17 +86,6 @@ def _fmt_num(value: Optional[float]) -> str:
     return f"{value:g}"
 
 
-@dataclass
-class BoundTable:
-    binding: str
-    access: TableAccess
-    indexes: List[IndexAccess]
-
-    @property
-    def column_names(self) -> List[str]:
-        return self.access.info.column_names()
-
-
 # ---------------------------------------------------------------------------
 # Plan tree
 # ---------------------------------------------------------------------------
@@ -104,9 +100,14 @@ class TableDesc:
     columns: List[str]
     indexes: List[Tuple[str, Tuple[str, ...]]]  #: (index name, columns)
     ordinal: int = 0                           #: position in the FROM list
+    _scope: Optional[Scope] = field(default=None, repr=False, compare=False)
 
     def scope(self) -> Scope:
-        return Scope([(self.binding, c) for c in self.columns])
+        """This table's own row layout (built once: planning asks for
+        it at every decision)."""
+        if self._scope is None:
+            self._scope = Scope([(self.binding, c) for c in self.columns])
+        return self._scope
 
 
 @dataclass
@@ -199,8 +200,10 @@ def plan_from(descs: List[TableDesc], predicates: List[ast.Expr],
     Deterministic and side-effect free: the same descs, predicates and
     statistics always yield the same plan, which is what makes plans
     certifiable artifacts (the golden-plan corpus pins this function's
-    output).  Without statistics the choices replicate the historical
-    heuristics exactly, so un-ANALYZEd databases plan as before.
+    output).  Every decision is one candidate enumeration plus a
+    chooser; statistics change only the chooser ("first in historical
+    order" without them, "cheapest, earlier wins ties" with them), so
+    un-ANALYZEd databases plan as they always have.
     """
     if not descs:
         return SelectPlan(steps=[], residual=list(predicates))
@@ -216,7 +219,7 @@ def plan_from(descs: List[TableDesc], predicates: List[ast.Expr],
     # plan visits first (pushdown resolves against prefix scopes), so a
     # cost-driven reorder could change what the query *means*.  Reject
     # against the full scope before any ordering decision.
-    full_scope = _desc_scope(descs)
+    full_scope = scope_of(descs)
     for pred in predicates:
         for node in walk(pred):
             if isinstance(node, ast.ColumnRef) \
@@ -236,17 +239,11 @@ def plan_from(descs: List[TableDesc], predicates: List[ast.Expr],
 
     # Outer table: with full statistics, the table with the smallest
     # estimated filtered cardinality (filter the selective side first);
-    # otherwise the historical heuristic — the first table constrained
-    # by a single-table predicate, else the first listed.
+    # otherwise the first table constrained by a single-table
+    # predicate, else the first listed.
     if fully_costed and len(descs) > 1:
-        outer = None
-        outer_rows = 0.0
-        for desc in pending:
-            est = _filtered_row_estimate(
-                stats_by[desc.ordinal], single_preds(desc), desc,
-            )
-            if outer is None or est < outer_rows:
-                outer, outer_rows = desc, est
+        outer = min(pending, key=lambda d: _filtered_row_estimate(
+            stats_by[d.ordinal], single_preds(d)))
     else:
         outer = next((d for d in pending if single_preds(d)), pending[0])
     pending.remove(outer)
@@ -258,40 +255,26 @@ def plan_from(descs: List[TableDesc], predicates: List[ast.Expr],
     remaining = _settle_pushdown(steps, remaining, stats_by)
 
     while pending:
-        chosen = None
-        chosen_join = None
-        chosen_native: Optional[str] = None
-        if fully_costed:
-            best_cost = 0.0
-            for desc in pending:
-                join = _find_equi_join_desc(
-                    [s.desc for s in steps], desc, remaining,
-                )
-                if join is None:
-                    continue
-                native = _desc_leading_index(desc, join[1].name)
-                probe = _join_probe_cost(
-                    stats_by[desc.ordinal], join[1].name, native is not None,
-                )
-                if chosen is None or probe < best_cost:
-                    chosen, chosen_join = desc, join
-                    chosen_native, best_cost = native, probe
+        prefix_scope = scope_of([s.desc for s in steps])
+        candidates = []
+        for desc in pending:
+            join = _find_equi_join_desc(prefix_scope, desc, remaining)
+            if join is not None:
+                candidates.append(
+                    (desc, join, _desc_leading_index(desc, join[1].name)))
+        if not candidates:
+            chosen, chosen_join, native = pending[0], None, None
+        elif fully_costed:
+            chosen, chosen_join, native = min(
+                candidates, key=lambda c: _join_probe_cost(
+                    stats_by[c[0].ordinal], c[1][1].name, c[2] is not None))
         else:
-            for desc in pending:
-                join = _find_equi_join_desc(
-                    [s.desc for s in steps], desc, remaining,
-                )
-                if join is not None:
-                    native = _desc_leading_index(desc, join[1].name)
-                    if chosen is None or (native is not None
-                                          and chosen_native is None):
-                        chosen, chosen_join = desc, join
-                        chosen_native = native
-        if chosen is None:
-            chosen, chosen_join, chosen_native = pending[0], None, None
+            # First equi-joinable table, native index preferred.
+            chosen, chosen_join, native = next(
+                (c for c in candidates if c[2] is not None), candidates[0])
         pending.remove(chosen)
         node = _plan_join_node(
-            chosen, chosen_join, chosen_native,
+            chosen, chosen_join, native,
             stats_by[chosen.ordinal], fully_costed,
         )
         if chosen_join is not None:
@@ -309,7 +292,7 @@ def _settle_pushdown(steps: List[PlanNode], remaining: List[ast.Expr],
     """Assign every conjunct resolvable over the current prefix to the
     newest step (classic pushdown: filter before joining further), and
     refine that step's row estimate with the pushed selectivities."""
-    scope = _desc_scope([step.desc for step in steps])
+    scope = scope_of([step.desc for step in steps])
     applicable = [p for p in remaining if _predicate_uses_only(p, scope)]
     if not applicable:
         return remaining
@@ -321,73 +304,38 @@ def _settle_pushdown(steps: List[PlanNode], remaining: List[ast.Expr],
         own_scope = node.desc.scope()
         for pred in applicable:
             if _predicate_uses_only(pred, own_scope):
-                node.est_rows *= _clamp01(
-                    _pred_selectivity(stats, pred, node.desc)
-                )
+                node.est_rows *= _clamp01(_pred_selectivity(stats, pred))
     return [p for p in remaining if id(p) not in applicable_ids]
 
 
 def _plan_single_access(desc: TableDesc, predicates: List[ast.Expr],
                         stats: Optional[TableStats],
                         ) -> Tuple[PlanNode, List[ast.Expr]]:
-    """Access path for the outer table: heuristic first-match without
-    statistics, cheapest costed candidate with them."""
-    scope = desc.scope()
-    if stats is None:
-        for pred in predicates:
-            match = _desc_match_eq(pred, desc, scope)
-            if match is not None:
-                spec = AccessSpec(kind="eq", index=match[0],
-                                  column=match[1], pred=pred,
-                                  value=match[2])
-                node = _access_node(desc, spec, None)
-                return node, [p for p in predicates if p is not pred]
-        for pred in predicates:
-            match = _desc_match_range(pred, desc, scope)
-            if match is not None:
-                index, column, lo, hi, lo_inc, hi_inc = match
-                spec = AccessSpec(kind="range", index=index, column=column,
-                                  pred=pred, lo=lo, hi=hi,
-                                  lo_inc=lo_inc, hi_inc=hi_inc)
-                node = _access_node(desc, spec, None)
-                return node, [p for p in predicates if p is not pred]
-        node = _access_node(desc, AccessSpec(kind="scan"), None)
-        return node, list(predicates)
+    """Access path for the outer table.
 
-    # Costed: enumerate every index candidate plus the sequential scan.
-    best_spec = AccessSpec(kind="scan")
-    best_cost, best_sel = _access_cost(best_spec, stats)
-    for pred in predicates:
-        match = _desc_match_eq(pred, desc, scope)
-        if match is None:
-            continue
-        spec = AccessSpec(kind="eq", index=match[0], column=match[1],
-                          pred=pred, value=match[2])
-        cost, sel = _access_cost(spec, stats)
-        if cost < best_cost:
-            best_spec, best_cost, best_sel = spec, cost, sel
-    for pred in predicates:
-        match = _desc_match_range(pred, desc, scope)
-        if match is None:
-            continue
-        index, column, lo, hi, lo_inc, hi_inc = match
-        spec = AccessSpec(kind="range", index=index, column=column,
-                          pred=pred, lo=lo, hi=hi,
-                          lo_inc=lo_inc, hi_inc=hi_inc)
-        cost, sel = _access_cost(spec, stats)
-        if cost < best_cost:
-            best_spec, best_cost, best_sel = spec, cost, sel
-    node = _access_node(desc, best_spec, stats,
-                        cost=best_cost, selectivity=best_sel)
-    if best_spec.pred is not None:
-        return node, [p for p in predicates if p is not best_spec.pred]
-    return node, list(predicates)
+    The index candidates are enumerated once, in historical order:
+    equality conjuncts, then range conjuncts, each in conjunct order.
+    Without statistics the first candidate wins (else a scan); with
+    them the cheapest, where the sequential scan wins a tie and an
+    earlier candidate beats a later one.
+    """
+    scope = desc.scope()
+    indexed = [spec for spec in (_index_access(pred, desc, scope)
+                                 for pred in predicates) if spec is not None]
+    candidates = ([s for s in indexed if s.kind == "eq"]
+                  + [s for s in indexed if s.kind == "range"])
+    scan = AccessSpec(kind="scan")
+    if stats is None:
+        spec = candidates[0] if candidates else scan
+    else:
+        spec = min([scan] + candidates,
+                   key=lambda s: _access_cost(s, stats)[0])
+    node = _access_node(desc, spec, stats)
+    return node, [p for p in predicates if p is not spec.pred]
 
 
 def _access_node(desc: TableDesc, spec: AccessSpec,
-                 stats: Optional[TableStats],
-                 cost: Optional[float] = None,
-                 selectivity: Optional[float] = None) -> PlanNode:
+                 stats: Optional[TableStats]) -> PlanNode:
     if spec.kind == "eq":
         note = (f"SEARCH {desc.binding} USING INDEX "
                 f"{spec.index} (=)")
@@ -404,11 +352,10 @@ def _access_node(desc: TableDesc, spec: AccessSpec,
         return node
     node.costed = True
     node.chosen_by = "cost"
-    node.selectivity = selectivity if selectivity is not None else 1.0
+    node.cost, node.selectivity = _access_cost(spec, stats)
     node.est_rows = node.selectivity * stats.row_count
     pages = max(1, stats.page_count)
     node.seq_cost = pages * SEQ_PAGE_COST + stats.row_count * CPU_ROW_COST
-    node.cost = cost if cost is not None else node.seq_cost
     if spec.kind == "scan":
         node.est_pages = pages
     else:
@@ -494,59 +441,39 @@ def _join_probe_cost(stats: Optional[TableStats], inner_col: str,
 
 
 def _filtered_row_estimate(stats: Optional[TableStats],
-                           preds: List[ast.Expr],
-                           desc: TableDesc) -> float:
+                           preds: List[ast.Expr]) -> float:
     if stats is None:
         return 0.0
     estimate = float(stats.row_count)
     for pred in preds:
-        estimate *= _clamp01(_pred_selectivity(stats, pred, desc))
+        estimate *= _clamp01(_pred_selectivity(stats, pred))
     return estimate
 
 
-def _pred_selectivity(stats: TableStats, pred: ast.Expr,
-                      desc: TableDesc) -> float:
+def _pred_selectivity(stats: TableStats, pred: ast.Expr) -> float:
     """Raw selectivity estimate of one single-table conjunct."""
-    if isinstance(pred, ast.BinaryOp) and pred.op == "=":
-        for col_side, val_side in ((pred.left, pred.right),
-                                   (pred.right, pred.left)):
-            if isinstance(col_side, ast.ColumnRef) \
-                    and _is_constant(val_side):
-                return stats.eq_selectivity(col_side.name)
-    if isinstance(pred, ast.BinaryOp) \
-            and pred.op in ("<", "<=", ">", ">="):
-        for col_side, val_side, op in (
-                (pred.left, pred.right, pred.op),
-                (pred.right, pred.left, _flip(pred.op))):
-            if isinstance(col_side, ast.ColumnRef) \
-                    and _is_constant(val_side):
-                value = _constant_value(val_side)
-                if op in ("<", "<="):
-                    return stats.range_selectivity(col_side.name,
-                                                   None, value)
-                return stats.range_selectivity(col_side.name, value, None)
-    if isinstance(pred, ast.Between) and not pred.negated \
-            and isinstance(pred.operand, ast.ColumnRef) \
-            and _is_constant(pred.low) and _is_constant(pred.high):
-        return stats.range_selectivity(
-            pred.operand.name,
-            _constant_value(pred.low), _constant_value(pred.high),
-        )
-    if isinstance(pred, ast.InList) and not pred.negated \
-            and isinstance(pred.operand, ast.ColumnRef) \
-            and all(_is_constant(item) for item in pred.items):
-        values = {_constant_value(item) for item in pred.items}
-        return min(1.0, len(values)
-                   * stats.eq_selectivity(pred.operand.name))
-    return 0.5
+    shape = classify_conjunct(pred)
+    values = _fold(shape.constants) if shape is not None else None
+    if values is None:
+        return 0.5
+    column = shape.column.name
+    if shape.shape == "=":
+        return stats.eq_selectivity(column)
+    if shape.shape == "between":
+        return stats.range_selectivity(column, values[0], values[1])
+    if shape.shape == "in":
+        return min(1.0, len(set(values)) * stats.eq_selectivity(column))
+    if shape.shape in ("<", "<="):
+        return stats.range_selectivity(column, None, values[0])
+    return stats.range_selectivity(column, values[0], None)
 
 
-def _desc_scope(descs: List[TableDesc]) -> Scope:
-    bindings: List[Tuple[str, str]] = []
-    for desc in descs:
-        for column in desc.columns:
-            bindings.append((desc.binding, column))
-    return Scope(bindings)
+def scope_of(descs: Sequence[TableDesc]) -> Scope:
+    """Row layout of the given tables joined in order."""
+    if len(descs) == 1:
+        return descs[0].scope()
+    return Scope([(desc.binding, column)
+                  for desc in descs for column in desc.columns])
 
 
 def _desc_leading_index(desc: TableDesc, column: str) -> Optional[str]:
@@ -557,72 +484,46 @@ def _desc_leading_index(desc: TableDesc, column: str) -> Optional[str]:
     return None
 
 
-def _desc_match_eq(pred: ast.Expr, desc: TableDesc, scope: Scope):
-    """(index name, column, constant) for ``col = <constant>`` preds."""
-    if not (isinstance(pred, ast.BinaryOp) and pred.op == "="):
-        return None
-    for col_side, val_side in ((pred.left, pred.right),
-                               (pred.right, pred.left)):
-        if isinstance(col_side, ast.ColumnRef) \
-                and scope.try_resolve(col_side) is not None \
-                and _is_comparable_constant(val_side):
-            name = col_side.name.lower()
-            for index_name, cols in desc.indexes:
-                if cols and cols[0].lower() == name:
-                    return index_name, name, _constant_value(val_side)
-    return None
+def _index_access(pred: ast.Expr, desc: TableDesc,
+                  scope: Scope) -> Optional[AccessSpec]:
+    """The index access that serves conjunct ``pred`` on ``desc``, if any.
 
-
-def _desc_match_range(pred: ast.Expr, desc: TableDesc, scope: Scope):
-    """(index, column, lo, hi, lo_inc, hi_inc) for range predicates.
-
-    Mirrors the historical matcher exactly, including the subtlety that
-    a comparison whose column resolves but has no leading index rejects
-    the *predicate* outright rather than trying the flipped side.
+    A key the planner cannot fold, or that folds to NULL, is not an
+    index candidate: a comparison against NULL is never true, so it must
+    fall through to the row filter (which evaluates it to empty) rather
+    than probe the index — NULL keys are physically present in the tree
+    but match no predicate.
     """
-    ops = ("<", "<=", ">", ">=")
-    if isinstance(pred, ast.Between) and not pred.negated:
-        col = pred.operand
-        if isinstance(col, ast.ColumnRef) \
-                and scope.try_resolve(col) is not None \
-                and _is_comparable_constant(pred.low) \
-                and _is_comparable_constant(pred.high):
-            index = _desc_leading_index(desc, col.name)
-            if index is not None:
-                return (index, col.name.lower(),
-                        [_constant_value(pred.low)],
-                        [_constant_value(pred.high)], True, True)
+    shape = classify_conjunct(pred)
+    if shape is None or shape.shape == "in" \
+            or scope.try_resolve(shape.column) is None:
         return None
-    if not (isinstance(pred, ast.BinaryOp) and pred.op in ops):
+    index = _desc_leading_index(desc, shape.column.name)
+    if index is None:
         return None
-    for col_side, val_side, op in (
-            (pred.left, pred.right, pred.op),
-            (pred.right, pred.left, _flip(pred.op))):
-        if isinstance(col_side, ast.ColumnRef) \
-                and scope.try_resolve(col_side) is not None \
-                and _is_comparable_constant(val_side):
-            index = _desc_leading_index(desc, col_side.name)
-            if index is None:
-                return None
-            column = col_side.name.lower()
-            value = [_constant_value(val_side)]
-            if op == "<":
-                return index, column, None, value, True, False
-            if op == "<=":
-                return index, column, None, value, True, True
-            if op == ">":
-                return index, column, value, None, False, True
-            return index, column, value, None, True, True
-    return None
+    keys = _fold(shape.constants)
+    if keys is None or None in keys:
+        return None
+    column = shape.column.name.lower()
+    if shape.shape == "=":
+        return AccessSpec(kind="eq", index=index, column=column, pred=pred,
+                          value=keys[0])
+    spec = AccessSpec(kind="range", index=index, column=column, pred=pred)
+    if shape.shape == "between":
+        spec.lo, spec.hi = [keys[0]], [keys[1]]
+    elif shape.shape in ("<", "<="):
+        spec.hi, spec.hi_inc = keys, shape.shape == "<="
+    else:
+        spec.lo, spec.lo_inc = keys, shape.shape == ">="
+    return spec
 
 
-def _find_equi_join_desc(prefix: List[TableDesc], desc: TableDesc,
+def _find_equi_join_desc(prefix_scope: Scope, desc: TableDesc,
                          predicates: List[ast.Expr]):
     """An equi-conjunct linking ``desc`` to the joined prefix.
 
     Returns (predicate, inner_column_ref, outer_expr) or None.
     """
-    prefix_scope = _desc_scope(prefix)
     table_scope = desc.scope()
     for pred in predicates:
         if not (isinstance(pred, ast.BinaryOp) and pred.op == "="):
@@ -673,36 +574,21 @@ def render_plan(select: ast.Select, schema,
 
 def _descs_from_schema(select: ast.Select, schema,
                        ) -> Tuple[List[TableDesc], List[ast.Expr]]:
+    refs, on_conjuncts = flatten_from(select.source)
     descs: List[TableDesc] = []
-    filters: List[ast.Expr] = []
-
-    def flatten(node) -> None:
-        if node is None:
-            return
-        if isinstance(node, ast.Join):
-            flatten(node.left)
-            flatten(node.right)
-            if node.condition is not None:
-                filters.extend(conjuncts(node.condition))
-            return
-        if isinstance(node, ast.TableRef):
-            columns = schema.table_columns(node.name)
-            if columns is None:
-                raise PlanError(f"no such table: {node.name}")
-            descs.append(TableDesc(
-                binding=node.binding,
-                table=node.name,
-                columns=[name for name, _type in columns],
-                indexes=[(name, tuple(cols))
-                         for name, cols in schema.table_indexes(node.name)],
-                ordinal=len(descs),
-            ))
-            return
-        raise PlanError(f"unsupported FROM node {type(node).__name__}")
-
-    flatten(select.source)
-    predicates = conjuncts(select.where) + filters
-    return descs, predicates
+    for ref in refs:
+        columns = schema.table_columns(ref.name)
+        if columns is None:
+            raise PlanError(f"no such table: {ref.name}")
+        descs.append(TableDesc(
+            binding=ref.binding,
+            table=ref.name,
+            columns=[name for name, _type in columns],
+            indexes=[(name, tuple(cols))
+                     for name, cols in schema.table_indexes(ref.name)],
+            ordinal=len(descs),
+        ))
+    return descs, conjuncts(select.where) + on_conjuncts
 
 
 # ---------------------------------------------------------------------------
@@ -756,10 +642,21 @@ def run_select(select: ast.Select, ctx: ExecutionContext) -> ResultSet:
     clock = ctx.clock
     started = clock()
     planner = _SelectPlanner(select, ctx)
-    result = planner.run()
+    columns, rows = planner.columns_and_rows()
+    result = ResultSet(columns, list(rows))
     ctx.note_query_eval(clock() - started
                         - planner.index_build_seconds)
     return result
+
+
+def open_select(select: ast.Select,
+                ctx: ExecutionContext) -> Tuple[List[str], Iterator[Row]]:
+    """Plan a SELECT and return (columns, lazy row iterator).
+
+    The column list is known before any row is produced; the caller
+    keeps ``ctx``'s sources open for as long as it consumes rows.
+    """
+    return _SelectPlanner(select, ctx).columns_and_rows()
 
 
 def explain_select(select: ast.Select, ctx: ExecutionContext) -> List[str]:
@@ -772,10 +669,10 @@ def explain_select(select: ast.Select, ctx: ExecutionContext) -> List[str]:
     line per plan step and the rqlint semantic summary.
     """
     planner = _SelectPlanner(select, ctx)
-    # Building the pipeline records the notes; the generators are never
+    # Building the pipeline plans and compiles; the generators are never
     # consumed, so nothing executes (auto-index builds happen lazily).
     planner.columns_and_rows()
-    notes = list(planner.plan_notes)
+    notes = planner.plan.access_notes() if planner.plan is not None else []
     if select.as_of is not None:
         notes.insert(0, "AS OF snapshot (Retro SPT + snapshot cache)")
     notes.extend(_stage_notes(select))
@@ -836,52 +733,66 @@ def _semantic_notes(select: ast.Select, ctx: ExecutionContext) -> List[str]:
     return notes
 
 
-def run_select_streaming(select: ast.Select, ctx: ExecutionContext,
-                         on_row: Callable[[Sequence[SqlValue]], None]) -> List[str]:
-    """Execute a SELECT, invoking ``on_row`` per row (UDF callback path).
-
-    Returns the output column names.  This mirrors ``sqlite3_exec``'s
-    row-callback protocol the RQL implementation builds on.
-    """
-    planner = _SelectPlanner(select, ctx)
-    columns, rows = planner.columns_and_rows()
-    for row in rows:
-        on_row(row)
-    return columns
-
-
 # ---------------------------------------------------------------------------
 # The executor
 # ---------------------------------------------------------------------------
+
+@dataclass
+class BoundTable:
+    """A table opened for execution: catalog facts plus page handles."""
+
+    desc: TableDesc
+    access: TableAccess
+    indexes: List[IndexAccess]
+
+    @classmethod
+    def bind(cls, binding: str, access: TableAccess,
+             indexes: List[IndexAccess], ordinal: int = 0) -> "BoundTable":
+        desc = TableDesc(
+            binding=binding,
+            table=access.info.name,
+            columns=access.info.column_names(),
+            indexes=[(ix.info.name, tuple(ix.info.columns))
+                     for ix in indexes],
+            ordinal=ordinal,
+        )
+        return cls(desc, access, indexes)
+
+    def index_named(self, name: str) -> IndexAccess:
+        for index in self.indexes:
+            if index.info.name == name:
+                return index
+        raise PlanError(f"planned index vanished: {name}")
+
 
 class _SelectPlanner:
     def __init__(self, select: ast.Select, ctx: ExecutionContext) -> None:
         self.select = select
         self.ctx = ctx
         self.index_build_seconds = 0.0
-        #: human-readable access-path decisions (EXPLAIN output)
-        self.plan_notes: List[str] = []
         #: the plan tree (None until FROM is planned; SELECT 1 has none)
         self.plan: Optional[SelectPlan] = None
 
     # -- public -----------------------------------------------------------
 
-    def run(self) -> ResultSet:
-        columns, rows = self.columns_and_rows()
-        return ResultSet(columns, list(rows))
-
     def columns_and_rows(self) -> Tuple[List[str], Iterator[Row]]:
         select = self.select
-        tables, join_filters = self._resolve_from(select.source)
-        predicates = conjuncts(select.where) + join_filters
+        refs, on_conjuncts = flatten_from(select.source)
+        tables = []
+        for ref in refs:
+            access = self.ctx.open_table(ref.name)
+            tables.append(BoundTable.bind(
+                ref.binding, access, self.ctx.open_indexes(access),
+                ordinal=len(tables),
+            ))
+        predicates = conjuncts(select.where) + on_conjuncts
 
         if tables:
             ordered, source_rows, remaining = self._plan_access(
                 tables, predicates,
             )
-            scope = _scope_for(ordered)
+            scope = scope_of(ordered)
         else:
-            ordered = []
             source_rows = iter([()])
             remaining = predicates
             scope = Scope([])
@@ -908,124 +819,62 @@ class _SelectPlanner:
         rows = self._apply_limit(rows)
         return columns, rows
 
-    # -- FROM resolution -----------------------------------------------------------
-
-    def _resolve_from(self, source) -> Tuple[List[BoundTable], List[ast.Expr]]:
-        tables: List[BoundTable] = []
-        filters: List[ast.Expr] = []
-        self._flatten_from(source, tables, filters)
-        seen: Dict[str, bool] = {}
-        for table in tables:
-            key = table.binding.lower()
-            if key in seen:
-                raise PlanError(f"duplicate table binding: {table.binding}")
-            seen[key] = True
-        return tables, filters
-
-    def _flatten_from(self, node, tables: List[BoundTable],
-                      filters: List[ast.Expr]) -> None:
-        if node is None:
-            return
-        if isinstance(node, ast.Join):
-            self._flatten_from(node.left, tables, filters)
-            self._flatten_from(node.right, tables, filters)
-            if node.condition is not None:
-                filters.extend(conjuncts(node.condition))
-            return
-        if isinstance(node, ast.TableRef):
-            access = self.ctx.open_table(node.name)
-            indexes = self.ctx.open_indexes(access)
-            tables.append(BoundTable(
-                binding=node.binding, access=access, indexes=indexes,
-            ))
-            return
-        raise PlanError(f"unsupported FROM node {type(node).__name__}")
-
     # -- plan execution -----------------------------------------------------------
 
     def _plan_access(self, tables: List[BoundTable],
                      predicates: List[ast.Expr]):
         """Plan the FROM clause, then execute the plan steps.
 
-        Returns (ordered_tables, row_iterator, residual_predicates);
+        Returns (ordered_descs, row_iterator, residual_predicates);
         rows are concatenations of the ordered tables' columns.
         """
-        descs = [
-            TableDesc(
-                binding=table.binding,
-                table=table.access.info.name,
-                columns=list(table.column_names),
-                indexes=[(ix.info.name, tuple(ix.info.columns))
-                         for ix in table.indexes],
-                ordinal=position,
-            )
-            for position, table in enumerate(tables)
-        ]
-        plan = plan_from(descs, predicates, self.ctx.table_stats)
+        plan = plan_from([table.desc for table in tables], predicates,
+                         self.ctx.table_stats)
         self.plan = plan
 
-        ordered: List[BoundTable] = []
-        first_step = plan.steps[0]
-        bound = tables[first_step.desc.ordinal]
-        self.plan_notes.append(first_step.note)
-        rows = self._exec_access(bound, first_step.access)
-        ordered.append(bound)
-        rows = self._apply_pushed(ordered, rows, first_step.pushed)
-
-        for step in plan.steps[1:]:
+        ordered: List[TableDesc] = []
+        rows: Iterator[Row] = iter(())
+        for step in plan.steps:
             bound = tables[step.desc.ordinal]
-            self.plan_notes.append(step.note)
-            rows = self._exec_join(ordered, bound, step.join, rows)
-            ordered.append(bound)
+            if step.access is not None:
+                rows = (row for _, row
+                        in self._exec_access(bound, step.access))
+            else:
+                rows = self._exec_join(ordered, bound, step.join, rows)
+            ordered.append(step.desc)
             rows = self._apply_pushed(ordered, rows, step.pushed)
         return ordered, rows, list(plan.residual)
 
-    def _apply_pushed(self, ordered: List[BoundTable], rows,
+    def _apply_pushed(self, ordered: List[TableDesc], rows,
                       pushed: List[ast.Expr]):
         """Filter with the predicates the plan pushed down to this
         prefix (filter before joining further)."""
         if not pushed:
             return rows
-        scope = _scope_for(ordered)
-        compiler = ExpressionCompiler(scope, self.ctx.functions)
+        compiler = ExpressionCompiler(scope_of(ordered), self.ctx.functions)
         filters = [compiler.compile(p) for p in pushed]
         return _filtered(rows, filters)
 
-    def _index_named(self, table: BoundTable, name: str) -> IndexAccess:
-        for index in table.indexes:
-            if index.info.name == name:
-                return index
-        raise PlanError(f"planned index vanished: {name}")
-
-    def _exec_access(self, table: BoundTable, spec: Optional[AccessSpec]):
-        """Row generator for the planned outer-table access path."""
-        if spec is None or spec.kind == "scan":
-            return (row for _, row in table.access.scan())
+    @staticmethod
+    def _exec_access(table: BoundTable,
+                     spec: AccessSpec) -> Iterator[Tuple[int, Row]]:
+        """(rowid, row) pairs of a planned access path: the one row
+        locator.  SELECT drops the rowid, DML keeps it."""
+        if spec.kind == "scan":
+            return table.access.scan()
+        index = table.index_named(spec.index)
         if spec.kind == "eq":
-            index = self._index_named(table, spec.index)
+            rowids = index.lookup_equal([spec.value])
+        else:
+            rowids = index.lookup_range(spec.lo, spec.hi,
+                                        lo_inclusive=spec.lo_inc,
+                                        hi_inclusive=spec.hi_inc)
+        return _fetch_rows(table.access, rowids)
 
-            def rows_eq(index=index, value=spec.value):
-                for rowid in index.lookup_equal([value]):
-                    row = table.access.get(rowid)
-                    if row is not None:
-                        yield row
-            return rows_eq()
-        index = self._index_named(table, spec.index)
-
-        def rows_range(index=index, lo=spec.lo, hi=spec.hi,
-                       lo_inc=spec.lo_inc, hi_inc=spec.hi_inc):
-            for rowid in index.lookup_range(
-                    lo, hi, lo_inclusive=lo_inc,
-                    hi_inclusive=hi_inc):
-                row = table.access.get(rowid)
-                if row is not None:
-                    yield row
-        return rows_range()
-
-    def _exec_join(self, prefix: List[BoundTable], table: BoundTable,
-                   spec: Optional[JoinSpec], prefix_rows):
+    def _exec_join(self, prefix: List[TableDesc], table: BoundTable,
+                   spec: JoinSpec, prefix_rows):
         """Join one more table onto the prefix rows per the plan."""
-        if spec is None or spec.kind == "cross":
+        if spec.kind == "cross":
             # Cross join; predicates filter afterwards.
             def cross():
                 inner_rows = [row for _, row in table.access.scan()]
@@ -1034,13 +883,12 @@ class _SelectPlanner:
                         yield left + right
             return cross()
 
-        prefix_scope = _scope_for(prefix)
         outer_eval = ExpressionCompiler(
-            prefix_scope, self.ctx.functions,
+            scope_of(prefix), self.ctx.functions,
         ).compile(spec.outer_expr)
 
         if spec.kind == "native":
-            native = self._index_named(table, spec.index)
+            native = table.index_named(spec.index)
 
             def indexed():
                 for left in prefix_rows:
@@ -1224,8 +1072,14 @@ class _SelectPlanner:
                 else f"{call.name.upper()}()"
             mapping.append((call, PostAggRef(len(group_exprs) + j, display)))
 
+        def to_post_agg(node: ast.Expr) -> ast.Expr:
+            for original, replacement in mapping:
+                if node == original:
+                    return replacement
+            return node
+
         post_items = [
-            ast.SelectItem(expr=_substitute(item.expr, mapping),
+            ast.SelectItem(expr=_rewrite(item.expr, to_post_agg),
                            alias=item.alias)
             for item in items
         ]
@@ -1241,14 +1095,14 @@ class _SelectPlanner:
         having_eval = None
         if having is not None:
             having_eval = post_compiler.compile(
-                _substitute(having, mapping)
+                _rewrite(having, to_post_agg)
             )
         order_evals = None
         if select.order_by:
             order_evals = []
             for order in select.order_by:
                 expr = self._resolve_order_expr(order.expr, post_items)
-                expr = _substitute(expr, mapping)
+                expr = _rewrite(expr, to_post_agg)
                 order_evals.append(
                     (post_compiler.compile(expr), order.descending)
                 )
@@ -1307,8 +1161,14 @@ class _SelectPlanner:
         select = self.select
         if select.limit is None and select.offset is None:
             return rows
-        limit = _constant_int(select.limit, "LIMIT")
-        offset = _constant_int(select.offset, "OFFSET") or 0
+        try:
+            limit = constant_int(select.limit, "LIMIT", BUILTIN_SCALARS)
+            offset = constant_int(select.offset, "OFFSET",
+                                  BUILTIN_SCALARS) or 0
+        except PlanError as exc:
+            raise PlanError(
+                f"{exc} (LIMIT and OFFSET fold at plan time, where only "
+                f"built-in functions are available)") from exc
 
         def limited() -> Iterator[Row]:
             skipped = 0
@@ -1333,59 +1193,26 @@ def scan_for_modify(table: TableAccess, indexes: List[IndexAccess],
                     functions: Dict[str, Callable[..., SqlValue]]):
     """Yield (rowid, row) pairs matching ``where``, via an index when one
     fits.  Used by DELETE and UPDATE, which must not mutate mid-scan —
-    callers materialize before writing."""
-    bound = BoundTable(binding=table.info.name, access=table,
-                       indexes=indexes)
-    scope = _scope_for([bound])
-    compiler = ExpressionCompiler(scope, functions)
-    predicates = conjuncts(where)
-    for pred in predicates:
-        match = _match_index_equality(pred, bound, scope)
-        if match is not None:
-            index, value = match
-            rest = [compiler.compile(p) for p in predicates if p is not pred]
+    callers materialize before writing.
 
-            def rows_eq():
-                for rowid in index.lookup_equal([value]):
-                    row = table.get(rowid)
-                    if row is not None and \
-                            all(is_true(f(row)) for f in rest):
-                        yield rowid, row
-            return rows_eq()
-    for pred in predicates:
-        match = _match_index_range(pred, bound, scope)
-        if match is not None:
-            index, lo, hi, lo_inc, hi_inc = match
-            rest = [compiler.compile(p) for p in predicates if p is not pred]
-
-            def rows_range():
-                for rowid in index.lookup_range(lo, hi, lo_inclusive=lo_inc,
-                                                hi_inclusive=hi_inc):
-                    row = table.get(rowid)
-                    if row is not None and \
-                            all(is_true(f(row)) for f in rest):
-                        yield rowid, row
-            return rows_range()
-    filters = [compiler.compile(p) for p in predicates]
-
-    def rows_scan():
-        for rowid, row in table.scan():
-            if all(is_true(f(row)) for f in filters):
-                yield rowid, row
-    return rows_scan()
+    Planned by :func:`plan_from` like any single-table SELECT, but
+    deliberately without statistics: the order rows are visited decides
+    B-tree page layout (and so Pagelog/Maplog bytes), which must not
+    depend on whether someone ran ``ANALYZE``.
+    """
+    bound = BoundTable.bind(table.info.name, table, indexes)
+    plan = plan_from([bound.desc], conjuncts(where), lambda _table: None)
+    step = plan.steps[0]
+    compiler = ExpressionCompiler(bound.desc.scope(), functions)
+    filters = [compiler.compile(p) for p in step.pushed + plan.residual]
+    return ((rowid, row)
+            for rowid, row in _SelectPlanner._exec_access(bound, step.access)
+            if all(is_true(f(row)) for f in filters))
 
 
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
-
-def _scope_for(tables: List[BoundTable]) -> Scope:
-    bindings: List[Tuple[str, str]] = []
-    for table in tables:
-        for column in table.column_names:
-            bindings.append((table.binding, column))
-    return Scope(bindings)
-
 
 def _predicate_uses_only(expr: ast.Expr, scope: Scope) -> bool:
     for node in walk(expr):
@@ -1395,100 +1222,46 @@ def _predicate_uses_only(expr: ast.Expr, scope: Scope) -> bool:
     return True
 
 
-def _is_constant(expr: ast.Expr) -> bool:
-    return not any(isinstance(node, (ast.ColumnRef, PostAggRef))
-                   for node in walk(expr))
-
-
-def _is_comparable_constant(expr: ast.Expr) -> bool:
-    """Constant, and usable as an index key: a comparison against NULL
-    is never true, so it must fall through to the scan filter (which
-    evaluates it to empty) rather than probe the index — NULL keys are
-    physically present in the tree but match no predicate."""
-    return _is_constant(expr) and _constant_value(expr) is not None
-
-
 def _constant_value(expr: ast.Expr,
-                    functions: Optional[Dict] = None) -> SqlValue:
-    compiler = ExpressionCompiler(Scope([]), functions or {})
-    return compiler.compile(expr)(())
+                    functions: Dict[str, Callable[..., SqlValue]],
+                    ) -> SqlValue:
+    return ExpressionCompiler(Scope([]), functions).compile(expr)(())
 
 
-def _constant_int(expr: Optional[ast.Expr], label: str) -> Optional[int]:
+def _fold(constants: List[ast.Expr]) -> Optional[List[SqlValue]]:
+    """Plan-time values of column-free expressions, or None when one of
+    them cannot be folded.
+
+    Folding sees the built-in scalars only: registered UDFs may have
+    side effects (RQL's mechanisms are UDFs) and ``EXPLAIN`` must not
+    execute anything.  An unfoldable conjunct is left to the compiled
+    row filter, which has the statement's full function table.
+    """
+    try:
+        return [_constant_value(expr, BUILTIN_SCALARS) for expr in constants]
+    except ReproError:
+        return None
+
+
+def constant_int(expr: Optional[ast.Expr], label: str,
+                 functions: Dict[str, Callable[..., SqlValue]],
+                 ) -> Optional[int]:
+    """Value of a constant integer clause (LIMIT, OFFSET, AS OF); None
+    for an absent or NULL one."""
     if expr is None:
         return None
-    if not _is_constant(expr):
+    if not is_constant(expr):
         raise PlanError(f"{label} must be a constant")
-    value = _constant_value(expr)
-    if value is None:
-        return None
-    return int(value)
+    value = _constant_value(expr, functions)
+    return None if value is None else int(value)
 
 
-def _match_index_equality(pred: ast.Expr, table: BoundTable, scope: Scope):
-    """index, constant for predicates like col = <constant>."""
-    if not (isinstance(pred, ast.BinaryOp) and pred.op == "="):
-        return None
-    for col_side, val_side in ((pred.left, pred.right),
-                               (pred.right, pred.left)):
-        if isinstance(col_side, ast.ColumnRef) \
-                and scope.try_resolve(col_side) is not None \
-                and _is_comparable_constant(val_side):
-            name = col_side.name.lower()
-            for index in table.indexes:
-                if index.info.columns and \
-                        index.info.columns[0].lower() == name:
-                    return index, _constant_value(val_side)
-    return None
-
-
-def _match_index_range(pred: ast.Expr, table: BoundTable, scope: Scope):
-    """index, lo, hi, lo_inc, hi_inc for range predicates on an index."""
-    ops = {"<": (None, True), "<=": (None, True),
-           ">": (True, None), ">=": (True, None)}
-    if isinstance(pred, ast.Between) and not pred.negated:
-        col = pred.operand
-        if isinstance(col, ast.ColumnRef) \
-                and scope.try_resolve(col) is not None \
-                and _is_comparable_constant(pred.low) \
-                and _is_comparable_constant(pred.high):
-            index = _leading_index(table, col.name)
-            if index is not None:
-                return (index, [_constant_value(pred.low)],
-                        [_constant_value(pred.high)], True, True)
-        return None
-    if not (isinstance(pred, ast.BinaryOp) and pred.op in ops):
-        return None
-    for col_side, val_side, op in (
-            (pred.left, pred.right, pred.op),
-            (pred.right, pred.left, _flip(pred.op))):
-        if isinstance(col_side, ast.ColumnRef) \
-                and scope.try_resolve(col_side) is not None \
-                and _is_comparable_constant(val_side):
-            index = _leading_index(table, col_side.name)
-            if index is None:
-                return None
-            value = [_constant_value(val_side)]
-            if op == "<":
-                return index, None, value, True, False
-            if op == "<=":
-                return index, None, value, True, True
-            if op == ">":
-                return index, value, None, False, True
-            return index, value, None, True, True
-    return None
-
-
-def _flip(op: str) -> str:
-    return {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
-
-
-def _leading_index(table: BoundTable, column: str) -> Optional[IndexAccess]:
-    lowered = column.lower()
-    for index in table.indexes:
-        if index.info.columns and index.info.columns[0].lower() == lowered:
-            return index
-    return None
+def _fetch_rows(access: TableAccess,
+                rowids: Iterator[int]) -> Iterator[Tuple[int, Row]]:
+    for rowid in rowids:
+        row = access.get(rowid)
+        if row is not None:
+            yield rowid, row
 
 
 def _filtered(rows: Iterator[Row], filters) -> Iterator[Row]:
@@ -1598,44 +1371,6 @@ def _rewrite(expr: ast.Expr, mapper) -> ast.Expr:
             [(_rewrite(c, mapper), _rewrite(r, mapper))
              for c, r in expr.branches],
             _rewrite(expr.else_result, mapper)
-            if expr.else_result else None,
-        )
-    return expr
-
-
-def _substitute(expr: ast.Expr, mapping) -> ast.Expr:
-    """Replace any node equal to a mapping key with its PostAggRef."""
-    for original, replacement in mapping:
-        if expr == original:
-            return replacement
-    if isinstance(expr, ast.UnaryOp):
-        return ast.UnaryOp(expr.op, _substitute(expr.operand, mapping))
-    if isinstance(expr, ast.BinaryOp):
-        return ast.BinaryOp(expr.op, _substitute(expr.left, mapping),
-                            _substitute(expr.right, mapping))
-    if isinstance(expr, ast.IsNull):
-        return ast.IsNull(_substitute(expr.operand, mapping), expr.negated)
-    if isinstance(expr, ast.InList):
-        return ast.InList(_substitute(expr.operand, mapping),
-                          [_substitute(i, mapping) for i in expr.items],
-                          expr.negated)
-    if isinstance(expr, ast.Between):
-        return ast.Between(_substitute(expr.operand, mapping),
-                           _substitute(expr.low, mapping),
-                           _substitute(expr.high, mapping), expr.negated)
-    if isinstance(expr, ast.Like):
-        return ast.Like(_substitute(expr.operand, mapping),
-                        _substitute(expr.pattern, mapping), expr.negated)
-    if isinstance(expr, ast.FunctionCall):
-        return ast.FunctionCall(expr.name,
-                                [_substitute(a, mapping) for a in expr.args],
-                                expr.distinct, expr.star)
-    if isinstance(expr, ast.CaseExpr):
-        return ast.CaseExpr(
-            _substitute(expr.operand, mapping) if expr.operand else None,
-            [(_substitute(c, mapping), _substitute(r, mapping))
-             for c, r in expr.branches],
-            _substitute(expr.else_result, mapping)
             if expr.else_result else None,
         )
     return expr

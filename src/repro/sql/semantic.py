@@ -20,7 +20,12 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReproError
 from repro.sql import ast
-from repro.sql.expressions import conjuncts, walk
+from repro.sql.expressions import (
+    classify_conjunct,
+    conjuncts,
+    flatten_from,
+    walk,
+)
 from repro.sql.functions import AGGREGATES, BUILTIN_SCALARS
 from repro.sql.parser import parse_sql
 
@@ -314,30 +319,6 @@ def render_expr(expr: Optional[ast.Expr]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _flatten_from(source) -> Tuple[List[ast.TableRef], List[ast.Expr]]:
-    """FROM tree -> (table refs in order, join ON conditions)."""
-    refs: List[ast.TableRef] = []
-    conditions: List[ast.Expr] = []
-
-    def visit(node) -> None:
-        if node is None:
-            return
-        if isinstance(node, ast.TableRef):
-            refs.append(node)
-            return
-        if isinstance(node, ast.Join):
-            visit(node.left)
-            visit(node.right)
-            if node.condition is not None:
-                conditions.append(node.condition)
-            return
-        raise NotImplementedError(
-            f"unexpected FROM node {type(node).__name__}")
-
-    visit(source)
-    return refs, conditions
-
-
 class _Resolver:
     """Single-use name resolution state for one SELECT."""
 
@@ -358,7 +339,7 @@ class _Resolver:
     # -- FROM -------------------------------------------------------------
 
     def bind_from(self) -> List[ast.Expr]:
-        refs, join_conditions = _flatten_from(self.select.source)
+        refs, join_conjuncts = flatten_from(self.select.source)
         for ref in refs:
             binding = ref.binding.lower()
             if binding in self.bindings:
@@ -372,7 +353,7 @@ class _Resolver:
                     self.summary.tables.append(ref.name)
             self.bindings[binding] = (ref.name, columns)
             self.binding_order.append(binding)
-        return join_conditions
+        return join_conjuncts
 
     # -- column references -------------------------------------------------
 
@@ -567,12 +548,8 @@ class _Resolver:
 
     # -- predicates --------------------------------------------------------
 
-    def classify_predicates(self, join_conditions: List[ast.Expr]) -> None:
-        parts: List[ast.Expr] = []
-        for condition in join_conditions:
-            parts.extend(conjuncts(condition))
-        parts.extend(conjuncts(self.select.where))
-        for part in parts:
+    def classify_predicates(self, join_conjuncts: List[ast.Expr]) -> None:
+        for part in join_conjuncts + conjuncts(self.select.where):
             touched: List[str] = []
             for node in walk(part):
                 if isinstance(node, ast.ColumnRef):
@@ -608,9 +585,10 @@ class _Resolver:
 
     def _check_index_support(self, predicate: Predicate, part: ast.Expr,
                              binding: str) -> None:
-        column = _sargable_column(part)
-        if column is None:
+        shape = classify_conjunct(part)
+        if shape is None:
             return  # not an index-shaped predicate; scan is inherent
+        column = shape.column.name
         base, _ = self.bindings[binding]
         for index_name, columns in self.schema.table_indexes(base):
             if columns and columns[0].lower() == column.lower():
@@ -621,7 +599,7 @@ class _Resolver:
     # -- entry -------------------------------------------------------------
 
     def run(self) -> QuerySummary:
-        join_conditions = self.bind_from()
+        join_conjuncts = self.bind_from()
         self.classify_outputs()
         if self.select.where is not None:
             self.scan_expr(self.select.where)
@@ -634,44 +612,14 @@ class _Resolver:
             self.scan_expr(self.select.having, allow_aliases=True)
         for order in self.select.order_by:
             self.scan_expr(order.expr, allow_aliases=True)
-        for condition in join_conditions:
-            self.scan_expr(condition)
-        self.classify_predicates(join_conditions)
+        for part in join_conjuncts:
+            self.scan_expr(part)
+        self.classify_predicates(join_conjuncts)
         self.summary.has_group_by = bool(self.select.group_by)
         self.summary.has_order_by = bool(self.select.order_by)
         self.summary.has_limit = self.select.limit is not None
         self.summary.distinct = self.select.distinct
         return self.summary
-
-
-def _sargable_column(part: ast.Expr) -> Optional[str]:
-    """Column name if the conjunct has an index-servable shape.
-
-    Recognizes ``col OP literal`` (either side), ``col BETWEEN lit AND
-    lit``, and ``col IN (lit, ...)``.  Anything else (LIKE, arithmetic
-    on the column, multi-column) cannot use a B-tree range anyway.
-    """
-    def is_const(expr: ast.Expr) -> bool:
-        return all(not isinstance(node, ast.ColumnRef)
-                   for node in walk(expr))
-
-    if isinstance(part, ast.BinaryOp) and part.op in (
-            "=", "<", "<=", ">", ">="):
-        if isinstance(part.left, ast.ColumnRef) and is_const(part.right):
-            return part.left.name
-        if isinstance(part.right, ast.ColumnRef) and is_const(part.left):
-            return part.right.name
-        return None
-    if isinstance(part, ast.Between) and not part.negated:
-        if isinstance(part.operand, ast.ColumnRef) \
-                and is_const(part.low) and is_const(part.high):
-            return part.operand.name
-        return None
-    if isinstance(part, ast.InList) and not part.negated:
-        if isinstance(part.operand, ast.ColumnRef) \
-                and all(is_const(item) for item in part.items):
-            return part.operand.name
-    return None
 
 
 def resolve_select(select: ast.Select,

@@ -1,6 +1,6 @@
 """Page allocation and access for the current-state database.
 
-The pager owns page 0 (the meta page), the free list, and the buffer pool.
+The pager owns the meta page, the free list, and the buffer pool.
 It is also the *fetch interposition point* the Retro snapshot system relies
 on: every page read from the SQL layer goes through a
 :class:`PageSource`, and snapshot queries simply substitute a snapshot
@@ -12,13 +12,12 @@ Meta page layout (after the shared page header)::
     | free ids u64... | root_count u32 | (name, page_id) record pairs
 
 ``crc`` is the CRC32 of the whole page computed with the crc field
-zeroed; ``seq`` increments on every meta write.  When the pager is given
-a dedicated ``meta_file`` (the engine path) it ping-pongs writes between
-the file's slots 0 and 1 and loads the valid copy with the highest seq,
-so a torn meta write (crash mid-checkpoint) falls back to the previous
-checkpoint's meta instead of bricking the store.  Without a meta file
-(unit tests, legacy layout) the meta lives at database page 0 as a
-single checksummed copy.
+zeroed; ``seq`` increments on every meta write.  The meta lives in a
+dedicated ``meta_file``: the pager ping-pongs writes between the file's
+slots 0 and 1 and loads the valid copy with the highest seq, so a torn
+meta write (crash mid-checkpoint) falls back to the previous
+checkpoint's meta instead of bricking the store.  Database page 0 is
+reserved (never allocated) so page ids start at 1.
 
 The free list and named roots are small at our simulation scale; if they
 ever outgrow the meta page the pager raises rather than corrupting it.
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import struct
 import threading
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import CorruptPageError, ReproError, StorageError
 from repro.storage import checksums
@@ -47,6 +46,7 @@ _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 
 META_PAGE_ID = 0
+_CRC_OFFSET = HEADER_SIZE + _U32.size + _U64.size  # after magic + seq
 
 
 class PageSource:
@@ -62,8 +62,8 @@ class PageSource:
 class Pager(PageSource):
     """Allocates, frees and fetches current-state database pages."""
 
-    def __init__(self, db_file: DiskFile, pool_capacity: int = 4096,
-                 meta_file: Optional[DiskFile] = None) -> None:
+    def __init__(self, db_file: DiskFile, pool_capacity: int = 4096, *,
+                 meta_file: DiskFile) -> None:
         self._file = db_file
         self._meta_file = meta_file
         self.pool = BufferPool(db_file, pool_capacity)
@@ -72,22 +72,18 @@ class Pager(PageSource):
         self._free: List[int] = []
         self._roots: Dict[str, int] = {}
         self._meta_seq = 0
-        existing = (len(meta_file) > 0 if meta_file is not None
-                    else len(db_file) > 0)
-        if existing:
+        if len(meta_file) > 0:
             self._load_meta()
         else:
-            if meta_file is not None and len(db_file) == 0:
+            if len(db_file) == 0:
                 # Reserve db slot 0 so page id 0 keeps existing (and
-                # stays un-allocatable) even though the meta now lives
-                # in its own file.
+                # stays un-allocatable) even though the meta lives in
+                # its own file.
                 db_file.write(META_PAGE_ID, bytes(db_file.page_size))
             # Fresh database: materialize the meta page.
             self.write_meta()
 
     # -- meta page -----------------------------------------------------------
-
-    _CRC_OFFSET = HEADER_SIZE + _U32.size + _U64.size  # after magic + seq
 
     def _encode_meta(self) -> bytes:
         buf = bytearray(self._file.page_size)
@@ -119,83 +115,33 @@ class Pager(PageSource):
         _U32.pack_into(buf, crc_pos, checksums.page_crc(bytes(buf)))
         return bytes(buf)
 
-    def _parse_meta(self, raw: bytes) -> int:
-        """Load allocation state + roots from one meta image.
-
-        Returns the image's seq.  Raises CorruptPageError when the magic
-        or checksum does not match (a torn or rotted meta write).
-        """
-        pos = HEADER_SIZE
-        (magic,) = _U32.unpack_from(raw, pos)
-        if magic != _MAGIC:
-            raise CorruptPageError("database meta page has bad magic")
-        pos += _U32.size
-        (seq,) = _U64.unpack_from(raw, pos)
-        pos += _U64.size
-        (crc,) = _U32.unpack_from(raw, pos)
-        pos += _U32.size
-        if checksums.verification_enabled():
-            zeroed = bytearray(raw)
-            _U32.pack_into(zeroed, self._CRC_OFFSET, 0)
-            if crc != checksums.page_crc(bytes(zeroed)):
-                raise CorruptPageError(
-                    "database meta page failed its checksum")
-        (self._next_page_id,) = _U64.unpack_from(raw, pos)
-        pos += _U64.size
-        (nfree,) = _U32.unpack_from(raw, pos)
-        pos += _U32.size
-        self._free = []
-        for _ in range(nfree):
-            (pid,) = _U64.unpack_from(raw, pos)
-            pos += _U64.size
-            self._free.append(pid)
-        (rlen,) = _U32.unpack_from(raw, pos)
-        pos += _U32.size
-        flat = decode_record(raw[pos:pos + rlen])
-        self._roots = {
-            str(flat[i]): int(flat[i + 1]) for i in range(0, len(flat), 2)
-        }
-        self._meta_seq = seq
-        return seq
-
     def _load_meta(self) -> None:
-        if self._meta_file is None:
-            self._parse_meta(self._file.read(META_PAGE_ID))
-            return
         # Dual-slot meta: pick the valid copy with the highest seq.  A
         # torn write can damage at most the slot being written, so the
         # other slot always holds the previous checkpoint's meta.
-        best_raw: Optional[bytes] = None
-        best_seq = -1
+        best: Optional[Tuple[int, int, List[int], Dict[str, int]]] = None
         for slot in range(min(2, len(self._meta_file))):
-            raw = self._meta_file.read(slot)
             try:
-                probe = Pager.__new__(Pager)
-                probe._meta_file = self._meta_file
-                seq = probe._parse_meta(raw)
+                parsed = _parse_meta(self._meta_file.read(slot))
             except (ReproError, struct.error):
                 continue
-            if seq > best_seq:
-                best_seq, best_raw = seq, raw
-        if best_raw is None:
+            if best is None or parsed[0] > best[0]:
+                best = parsed
+        if best is None:
             raise CorruptPageError(
                 "no valid meta copy: both slots failed validation")
-        self._parse_meta(best_raw)
+        self._meta_seq, self._next_page_id, self._free, self._roots = best
 
     def write_meta(self) -> None:
         """Persist allocation state + roots (called at checkpoint).
 
-        With a dedicated meta file the write ping-pongs between slots so
-        the previous copy survives a torn write; the seq field tells the
+        The write ping-pongs between the meta file's two slots so the
+        previous copy survives a torn write; the seq field tells the
         loader which copy is newest.
         """
         with self._latch:
             self._meta_seq += 1
-            image = self._encode_meta()
-            if self._meta_file is not None:
-                self._meta_file.write(self._meta_seq % 2, image)
-            else:
-                self._file.write(META_PAGE_ID, image)
+            self._meta_file.write(self._meta_seq % 2, self._encode_meta())
 
     # -- named roots -----------------------------------------------------------
 
@@ -276,3 +222,40 @@ class Pager(PageSource):
         with the in-memory Retro buffer.
         """
         return self._file.read(page_id)
+
+
+def _parse_meta(raw: bytes) -> Tuple[int, int, List[int], Dict[str, int]]:
+    """Decode one meta image into (seq, next_page_id, free list, roots).
+
+    Raises CorruptPageError when the magic or checksum does not match (a
+    torn or rotted meta write).
+    """
+    pos = HEADER_SIZE
+    (magic,) = _U32.unpack_from(raw, pos)
+    if magic != _MAGIC:
+        raise CorruptPageError("database meta page has bad magic")
+    pos += _U32.size
+    (seq,) = _U64.unpack_from(raw, pos)
+    pos += _U64.size
+    (crc,) = _U32.unpack_from(raw, pos)
+    pos += _U32.size
+    if checksums.verification_enabled():
+        zeroed = bytearray(raw)
+        _U32.pack_into(zeroed, _CRC_OFFSET, 0)
+        if crc != checksums.page_crc(bytes(zeroed)):
+            raise CorruptPageError(
+                "database meta page failed its checksum")
+    (next_page_id,) = _U64.unpack_from(raw, pos)
+    pos += _U64.size
+    (nfree,) = _U32.unpack_from(raw, pos)
+    pos += _U32.size
+    free: List[int] = []
+    for _ in range(nfree):
+        (pid,) = _U64.unpack_from(raw, pos)
+        pos += _U64.size
+        free.append(pid)
+    (rlen,) = _U32.unpack_from(raw, pos)
+    pos += _U32.size
+    flat = decode_record(raw[pos:pos + rlen])
+    roots = {str(flat[i]): int(flat[i + 1]) for i in range(0, len(flat), 2)}
+    return seq, next_page_id, free, roots

@@ -116,6 +116,36 @@ class TestDeleteUpdate:
         assert filled.execute(
             "SELECT COUNT(*) FROM t WHERE grp = 'g2'").scalar() == 10
 
+    @pytest.mark.parametrize("indexed", [False, True],
+                             ids=["unindexed", "indexed"])
+    @pytest.mark.parametrize("pred,wrapped", [
+        ("n = abs(-50)", "n + 0 = abs(-50)"),
+        ("n < length('abc') * 10", "n + 0 < length('abc') * 10"),
+        ("n BETWEEN abs(-20) AND 40", "n + 0 BETWEEN abs(-20) AND 40"),
+        ("n = fifty()", "n + 0 = fifty()"),
+    ])
+    def test_function_call_on_the_constant_side(self, filled, pred, wrapped,
+                                                indexed):
+        # The planner folds built-ins only and never fails the statement
+        # over a constant it cannot fold: each form touches exactly the
+        # rows the same predicate selects with the column wrapped.
+        filled.register_function("fifty", lambda: 50)
+        if indexed:
+            filled.execute("CREATE INDEX t_n ON t (n)")
+        want = filled.execute(
+            f"SELECT k FROM t WHERE {wrapped} ORDER BY k").rows
+        assert want
+        updated = filled.execute(f"UPDATE t SET grp = 'hit' WHERE {pred}")
+        assert updated.rowcount == len(want)
+        assert filled.execute(
+            "SELECT k FROM t WHERE grp = 'hit' ORDER BY k").rows == want
+        deleted = filled.execute(f"DELETE FROM t WHERE {pred}")
+        assert deleted.rowcount == len(want)
+        assert filled.execute(
+            "SELECT COUNT(*) FROM t WHERE grp = 'hit'").scalar() == 0
+        assert filled.execute(
+            "SELECT COUNT(*) FROM t").scalar() == 30 - len(want)
+
 
 class TestDdl:
     def test_create_drop_table(self, db):

@@ -9,7 +9,9 @@ enforce that:
   set;
 * a Hypothesis harness generates 100+ random workloads (rows +
   predicates over indexed and unindexed columns) and compares an
-  ANALYZEd database against an un-ANALYZEd twin.
+  ANALYZEd database against an un-ANALYZEd twin — for SELECT, and for
+  DELETE/UPDATE against an index-free third twin as well: the access
+  path never changes which rows a statement touches.
 
 Comparisons are order-canonical (columns + sorted rows): an index
 range scan legitimately yields rows in key order where a heuristic
@@ -95,7 +97,8 @@ comparison = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
 def predicates(draw):
     """Random WHERE text over k (PK index), a (secondary), b (none)."""
     kind = draw(st.sampled_from(
-        ["cmp_k", "cmp_a", "cmp_b", "between_k", "in_a", "and", "or"]))
+        ["cmp_k", "cmp_a", "cmp_b", "between_k", "in_a", "flipped_a",
+         "null_a", "builtin_k", "and", "or"]))
     if kind == "cmp_k":
         op = draw(comparison)
         return f"k {op} {draw(st.integers(0, 25))}"
@@ -108,6 +111,15 @@ def predicates(draw):
     if kind == "between_k":
         lo = draw(st.integers(0, 25))
         return f"k BETWEEN {lo} AND {lo + draw(st.integers(0, 10))}"
+    if kind == "flipped_a":
+        op = draw(comparison)
+        return f"{draw(st.integers(-20, 20))} {op} a"
+    if kind == "null_a":
+        op = draw(comparison)
+        return f"a {op} NULL"
+    if kind == "builtin_k":
+        op = draw(comparison)
+        return f"k {op} abs({draw(st.integers(-25, 0))})"
     if kind == "in_a":
         members = draw(st.lists(st.integers(-20, 20), min_size=1,
                                 max_size=4))
@@ -148,13 +160,16 @@ def outcome(db, sql):
 
 
 def build_twins(rows):
-    """An un-ANALYZEd database and its ANALYZEd twin, same content."""
+    """An un-ANALYZEd database, its ANALYZEd twin and an index-free
+    twin (no primary key, no secondary index), same content."""
     twins = []
-    for _ in range(2):
+    for indexed in (True, True, False):
         db = Database()
-        db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, a INTEGER, "
+        key_type = "INTEGER PRIMARY KEY" if indexed else "INTEGER"
+        db.execute(f"CREATE TABLE t (k {key_type}, a INTEGER, "
                    "b INTEGER, s TEXT)")
-        db.execute("CREATE INDEX t_a ON t (a)")
+        if indexed:
+            db.execute("CREATE INDEX t_a ON t (a)")
         db.execute("CREATE TABLE u (k INTEGER PRIMARY KEY, v TEXT)")
         for key in range(6):
             db.execute(f"INSERT INTO u VALUES ({key}, 'v{key}')")
@@ -170,7 +185,7 @@ def build_twins(rows):
        query=st.sampled_from(QUERIES))
 @settings(max_examples=120, deadline=None)
 def test_random_workloads_plan_equivalently(rows, predicate, query):
-    heuristic, analyzed = build_twins(rows)
+    heuristic, analyzed, _index_free = build_twins(rows)
     sql = query.format(pred=predicate)
     assert outcome(analyzed, sql) == outcome(heuristic, sql)
 
@@ -179,10 +194,55 @@ def test_random_workloads_plan_equivalently(rows, predicate, query):
 @settings(max_examples=30, deadline=None)
 def test_random_workloads_agree_as_of(rows, predicate):
     # Statistics gathered after the pin must not perturb AS OF reads.
-    heuristic, analyzed = build_twins(rows)
+    heuristic, analyzed, _index_free = build_twins(rows)
     for db in (heuristic, analyzed):
         db.executescript("BEGIN; COMMIT WITH SNAPSHOT;")
         db.execute("DELETE FROM t WHERE b >= 3")
     analyzed.execute("ANALYZE")
     sql = f"SELECT AS OF 1 k, a, b, s FROM t WHERE {predicate}"
     assert outcome(analyzed, sql) == outcome(heuristic, sql)
+
+
+DML = (
+    "DELETE FROM t WHERE {pred}",
+    # The updated column is the indexed one: rows move inside the very
+    # index the statement may be walking.
+    "UPDATE t SET a = a + 1 WHERE {pred}",
+)
+
+
+def dml_outcome(db, sql):
+    try:
+        rowcount = db.execute(sql).rowcount
+    except ReproError as exc:
+        return ("error", str(exc))
+    return rowcount, outcome(db, "SELECT k, a, b, s FROM t")
+
+
+@given(rows=rows_strategy, predicate=predicates(),
+       statement=st.sampled_from(DML))
+@settings(max_examples=100, deadline=None)
+def test_access_path_never_changes_which_rows_dml_touches(
+        rows, predicate, statement):
+    heuristic, analyzed, index_free = build_twins(rows)
+    sql = statement.format(pred=predicate)
+    expected = dml_outcome(index_free, sql)
+    assert dml_outcome(heuristic, sql) == expected
+    assert dml_outcome(analyzed, sql) == expected
+
+
+def test_dml_never_consults_statistics(monkeypatch):
+    # The order rows are deleted/updated in decides B-tree page layout
+    # and therefore Pagelog/Maplog bytes; it must not depend on ANALYZE.
+    from repro.sql.database import _Context
+
+    _heuristic, analyzed, _index_free = build_twins(
+        [(i - 5, i % 3, "x") for i in range(12)])
+
+    def refuse(self, name):
+        raise AssertionError(f"DML looked up statistics for {name}")
+
+    monkeypatch.setattr(_Context, "table_stats", refuse)
+    assert analyzed.execute("DELETE FROM t WHERE a = 2").rowcount == 1
+    assert analyzed.execute(
+        "UPDATE t SET a = a + 1 WHERE k BETWEEN 2 AND 4").rowcount == 3

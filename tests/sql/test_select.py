@@ -258,3 +258,78 @@ class TestIndexSelection:
         db.execute("CREATE INDEX t_grp ON t (grp)")
         result = db.execute("SELECT COUNT(*) FROM t WHERE grp = 'g3'")
         assert result.scalar() == 20
+
+
+# ---------------------------------------------------------------------------
+# A function call on the constant side of a comparison
+# ---------------------------------------------------------------------------
+
+#: (predicate, the same predicate with the column wrapped so that no
+#: index can serve it and nothing folds at plan time)
+FUNCTION_CONSTANT_PREDICATES = [
+    ("a = abs(-5)", "a + 0 = abs(-5)"),
+    ("c = upper('v5')", "c || '' = upper('v5')"),
+    ("a < length('abc')", "a + 0 < length('abc')"),
+    ("a BETWEEN abs(-2) AND 3", "a + 0 BETWEEN abs(-2) AND 3"),
+    ("abs(-7) <= a", "abs(-7) <= a + 0"),
+    ("a = five()", "a + 0 = five()"),
+    ("a > five()", "a + 0 > five()"),
+]
+
+
+def function_constant_twin(indexed):
+    db = Database()
+    db.execute("CREATE TABLE t (a INTEGER, c TEXT)")
+    db.execute("INSERT INTO t VALUES " + ", ".join(
+        f"({i}, 'V{i}')" for i in range(10)) + ", (NULL, 'V5')")
+    if indexed:
+        db.execute("CREATE INDEX t_a ON t (a)")
+        db.execute("CREATE INDEX t_c ON t (c)")
+    db.register_function("five", lambda: 5)
+    return db
+
+
+class TestFunctionCallOnTheConstantSide:
+    @pytest.mark.parametrize("indexed", [False, True],
+                             ids=["unindexed", "indexed"])
+    @pytest.mark.parametrize("pred,wrapped", FUNCTION_CONSTANT_PREDICATES)
+    def test_matches_the_unindexable_form(self, pred, wrapped, indexed):
+        db = function_constant_twin(indexed)
+        got = db.execute(f"SELECT a, c FROM t WHERE {pred}")
+        want = db.execute(f"SELECT a, c FROM t WHERE {wrapped}")
+        assert sorted(got.rows, key=repr) == sorted(want.rows, key=repr)
+        assert want.rows, "the predicate should select something"
+
+    @pytest.mark.parametrize("indexed", [False, True],
+                             ids=["unindexed", "indexed"])
+    def test_limit_and_offset_fold_builtins(self, indexed):
+        db = function_constant_twin(indexed)
+        rows = db.execute(
+            "SELECT a FROM t WHERE a >= 0 LIMIT abs(-2) OFFSET length('x')"
+        ).rows
+        assert len(rows) == 2
+        assert rows == db.execute(
+            "SELECT a FROM t WHERE a >= 0 LIMIT 2 OFFSET 1").rows
+
+    def test_limit_calling_a_udf_says_why(self):
+        db = function_constant_twin(False)
+        with pytest.raises(PlanError, match="built-in"):
+            db.execute("SELECT a FROM t LIMIT five()")
+
+    def test_builtin_constant_still_uses_the_index(self):
+        db = function_constant_twin(True)
+        plan = [row[0] for row in db.execute(
+            "EXPLAIN SELECT c FROM t WHERE a = abs(-5)").rows]
+        assert plan[0] == "SEARCH t USING INDEX t_a (=)"
+
+    def test_explain_never_calls_a_udf(self):
+        db = function_constant_twin(True)
+        calls = []
+        db.register_function("noisy", lambda: calls.append(1) or 5)
+        plan = [row[0] for row in db.execute(
+            "EXPLAIN SELECT c FROM t WHERE a = noisy()").rows]
+        assert plan[0] == "SCAN t"
+        assert calls == []
+        assert db.execute(
+            "SELECT c FROM t WHERE a = noisy()").rows == [("V5",)]
+        assert calls, "execution evaluates the UDF in the row filter"

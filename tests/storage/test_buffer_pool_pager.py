@@ -16,6 +16,10 @@ from repro.storage.pager import META_PAGE_ID, Pager
 PAGE = 512
 
 
+def open_pager(disk):
+    return Pager(disk.open_file("db"), meta_file=disk.open_file("meta"))
+
+
 class TestPage:
     def test_header_round_trip(self):
         page = Page(3, page_size=PAGE)
@@ -139,14 +143,14 @@ class TestBufferPool:
 class TestPager:
     def test_fresh_database_has_meta(self):
         disk = SimulatedDisk(PAGE)
-        pager = Pager(disk.open_file("db"))
+        pager = open_pager(disk)
         assert pager.next_page_id == 1
-        meta = disk.open_file("db").read(META_PAGE_ID)
+        meta = disk.open_file("meta").read(1)  # first write: seq 1, slot 1
         assert Page(0, bytearray(meta), PAGE).page_type == PAGE_TYPE_META
 
     def test_allocate_free_reuse(self):
         disk = SimulatedDisk(PAGE)
-        pager = Pager(disk.open_file("db"))
+        pager = open_pager(disk)
         first = pager.allocate()
         second = pager.allocate()
         assert (first, second) == (1, 2)
@@ -155,51 +159,52 @@ class TestPager:
 
     def test_meta_page_cannot_be_freed(self):
         disk = SimulatedDisk(PAGE)
-        pager = Pager(disk.open_file("db"))
+        pager = open_pager(disk)
         with pytest.raises(StorageError):
             pager.free(META_PAGE_ID)
 
     def test_roots_persist_across_reopen(self):
         disk = SimulatedDisk(PAGE)
-        pager = Pager(disk.open_file("db"))
+        pager = open_pager(disk)
         pager.allocate()
         pager.set_root("catalog", 1)
         pager.set_root("other", 7)
         pager.write_meta()
-        reopened = Pager(disk.open_file("db"))
+        reopened = open_pager(disk)
         assert reopened.get_root("catalog") == 1
         assert reopened.get_root("other") == 7
         assert reopened.next_page_id == pager.next_page_id
 
     def test_root_deletion(self):
         disk = SimulatedDisk(PAGE)
-        pager = Pager(disk.open_file("db"))
+        pager = open_pager(disk)
         pager.set_root("x", 3)
         pager.set_root("x", None)
         assert pager.get_root("x") is None
 
     def test_bad_magic_detected(self):
         disk = SimulatedDisk(PAGE)
-        db_file = disk.open_file("db")
-        db_file.write(0, b"\xff" * PAGE)
+        meta_file = disk.open_file("meta")
+        meta_file.write(0, b"\xff" * PAGE)
+        meta_file.write(1, b"\xff" * PAGE)
         with pytest.raises(StorageError):
-            Pager(db_file)
+            open_pager(disk)
 
     def test_allocation_state_round_trip(self):
         disk = SimulatedDisk(PAGE)
-        pager = Pager(disk.open_file("db"))
+        pager = open_pager(disk)
         pager.allocate()
         pager.allocate()
         pager.free(1)
         state = pager.allocation_state()
-        fresh = Pager(SimulatedDisk(PAGE).open_file("db"))
+        fresh = open_pager(SimulatedDisk(PAGE))
         fresh.restore_allocation_state(state)
         assert fresh.next_page_id == 3
         assert fresh.allocate() == 1  # from restored free list
 
     def test_page_count(self):
         disk = SimulatedDisk(PAGE)
-        pager = Pager(disk.open_file("db"))
+        pager = open_pager(disk)
         pager.allocate()
         pager.allocate()
         pager.free(2)
