@@ -395,8 +395,12 @@ class SnapshotPageSource(PageSource):
                 f"checksum"
             )
         # Cache the Page object itself: snapshot pages are immutable, and
-        # keeping the object preserves its decoded-node cache across
-        # iterations (the cross-snapshot sharing the paper measures).
+        # the object carries its decoded node — parsed keys and values
+        # and, once a scan has filled them, the leaf's decoded rows.
+        # Every snapshot whose SPT maps a page to this Pagelog slot gets
+        # this object, so the page sharing the paper measures as saved
+        # I/O also saves the CPU of decoding a shared page again; the
+        # decoded rows are evicted, and cleared, with the page.
         page = Page(page_id, bytearray(image), self._page_size)
         self._manager.cache.put(key, page)
         if metrics is not None:

@@ -9,6 +9,13 @@ access code, only the page fetches resolve differently).
 Row storage: table B+tree keyed by ``encode_key((rowid,))`` with the row
 record as payload; index B+trees keyed by
 ``encode_key((*column_values, rowid))`` with the rowid record as payload.
+
+Each access class opens its tree with one module-level decoder
+(:func:`_table_entry`, :func:`_index_entry`), so the tree hands out
+decoded entries and full scans leave them on the cached leaf nodes: a
+leaf that some earlier scan, statement, session or snapshot iteration
+decoded costs no per-row work here (DESIGN.md, "The node cache
+contract").
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from repro.storage.btree import BTree
 from repro.storage.record import (
     KEY_AFTER_NULLS,
     decode_record,
+    decode_rowid_key,
     encode_key,
     encode_record,
 )
@@ -29,27 +37,39 @@ from repro.storage.record import (
 Row = Tuple[SqlValue, ...]
 
 
+def _table_entry(key: bytes, value: bytes) -> Tuple[int, Row]:
+    """Table-tree decoder: cell -> (rowid, row)."""
+    return decode_rowid_key(key), decode_record(value)
+
+
+def _index_entry(key: bytes, value: bytes) -> int:
+    """Index-tree decoder: cell -> rowid."""
+    (rowid,) = decode_record(value)
+    return int(rowid)
+
+
 class TableAccess:
     """Read/write access to one table through a page source."""
 
     def __init__(self, info: TableInfo, source) -> None:
         self.info = info
-        self.tree = BTree(source, info.root_id)
+        self.tree = BTree(source, info.root_id, _table_entry)
 
     # -- reads -----------------------------------------------------------
 
     def scan(self) -> Iterator[Tuple[int, Row]]:
         """Yield (rowid, row) in rowid order."""
-        for key, value in self.tree.scan_all():
-            yield decode_record_key_rowid(key), decode_record(value)
+        for entries in self.tree.scan_leaves():
+            yield from entries
 
     def scan_rows(self) -> Iterator[Row]:
-        for _, value in self.tree.scan_all():
-            yield decode_record(value)
+        for entries in self.tree.scan_leaves():
+            for _, row in entries:
+                yield row
 
     def get(self, rowid: int) -> Optional[Row]:
-        raw = self.tree.get(encode_key((rowid,)))
-        return decode_record(raw) if raw is not None else None
+        entry = self.tree.get(encode_key((rowid,)))
+        return entry[1] if entry is not None else None
 
     def count(self) -> int:
         return self.tree.count()
@@ -60,7 +80,7 @@ class TableAccess:
         last = self.tree.last_key()
         if last is None:
             return 1
-        return int(decode_record_key_rowid(last)) + 1
+        return decode_rowid_key(last) + 1
 
     def insert_raw(self, rowid: int, row: Row) -> None:
         self.tree.insert(encode_key((rowid,)), encode_record(row))
@@ -69,20 +89,12 @@ class TableAccess:
         return self.tree.delete(encode_key((rowid,)))
 
 
-def decode_record_key_rowid(key: bytes) -> int:
-    """Extract the rowid from a table key (single-int encoded key)."""
-    from repro.storage.record import decode_key
-
-    (rowid,) = decode_key(key)
-    return int(rowid)
-
-
 class IndexAccess:
     """Read/write access to one secondary index."""
 
     def __init__(self, info: IndexInfo, source) -> None:
         self.info = info
-        self.tree = BTree(source, info.root_id)
+        self.tree = BTree(source, info.root_id, _index_entry)
 
     @staticmethod
     def key_for(values: Sequence[SqlValue], rowid: int) -> bytes:
@@ -93,9 +105,8 @@ class IndexAccess:
     def lookup_equal(self, values: Sequence[SqlValue]) -> Iterator[int]:
         """Rowids whose indexed columns equal ``values`` (a full prefix)."""
         prefix = encode_key(tuple(values))
-        for _, payload in self.tree.scan_prefix(prefix):
-            (rowid,) = decode_record(payload)
-            yield int(rowid)
+        for _, rowid in self.tree.scan_prefix(prefix):
+            yield rowid
 
     def lookup_range(self, lo: Optional[Sequence[SqlValue]],
                      hi: Optional[Sequence[SqlValue]],
@@ -110,18 +121,14 @@ class IndexAccess:
         lo_key = encode_key(tuple(lo)) if lo is not None \
             else KEY_AFTER_NULLS
         hi_key = encode_key(tuple(hi)) if hi is not None else None
-        for key, payload in self.tree.scan_range(lo_key, hi_key,
-                                                 hi_inclusive=hi_inclusive):
-            if not lo_inclusive and lo_key is not None and \
-                    key.startswith(lo_key):
-                continue
-            (rowid,) = decode_record(payload)
-            yield int(rowid)
+        for _, rowid in self.tree.scan_range(lo_key, hi_key,
+                                             hi_inclusive=hi_inclusive,
+                                             lo_inclusive=lo_inclusive):
+            yield rowid
 
     def scan_all(self) -> Iterator[int]:
-        for _, payload in self.tree.scan_all():
-            (rowid,) = decode_record(payload)
-            yield int(rowid)
+        for entries in self.tree.scan_leaves():
+            yield from entries
 
     # -- writes ------------------------------------------------------------
 

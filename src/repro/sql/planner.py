@@ -60,7 +60,8 @@ from repro.sql.expressions import (
 )
 from repro.sql.functions import BUILTIN_SCALARS, is_aggregate, make_aggregate
 from repro.sql.stats import StatsProvider, TableStats
-from repro.sql.types import SqlValue, is_true
+from repro.sql.types import SqlValue, compare, is_true
+from repro.storage.record import KEY_EXACT_INT
 
 # ---------------------------------------------------------------------------
 # Cost model
@@ -863,13 +864,26 @@ class _SelectPlanner:
         if spec.kind == "scan":
             return table.access.scan()
         index = table.index_named(spec.index)
+        # Index keys are doubles.  A bound beyond +-KEY_EXACT_INT shares
+        # its key with neighbouring values, so the probe (a range one
+        # widened to inclusive bounds) yields a superset and the conjunct
+        # the index consumed is re-applied to the fetched rows.
+        inexact = any(_inexact_key(bound) for bound in
+                      (spec.value, *(spec.lo or ()), *(spec.hi or ())))
         if spec.kind == "eq":
             rowids = index.lookup_equal([spec.value])
         else:
-            rowids = index.lookup_range(spec.lo, spec.hi,
-                                        lo_inclusive=spec.lo_inc,
-                                        hi_inclusive=spec.hi_inc)
-        return _fetch_rows(table.access, rowids)
+            rowids = index.lookup_range(
+                spec.lo, spec.hi,
+                lo_inclusive=spec.lo_inc or inexact,
+                hi_inclusive=spec.hi_inc or inexact)
+        rows = _fetch_rows(table.access, rowids)
+        if not inexact:
+            return rows
+        # Foldable with the built-ins, or the index would not have it.
+        keep = ExpressionCompiler(table.desc.scope(),
+                                  BUILTIN_SCALARS).compile(spec.pred)
+        return (pair for pair in rows if is_true(keep(pair[1])))
 
     def _exec_join(self, prefix: List[TableDesc], table: BoundTable,
                    spec: JoinSpec, prefix_rows):
@@ -889,15 +903,19 @@ class _SelectPlanner:
 
         if spec.kind == "native":
             native = table.index_named(spec.index)
+            inner_pos = table.access.info.column_index(spec.inner_col.name)
 
             def indexed():
                 for left in prefix_rows:
                     key = outer_eval(left)
                     if key is None:
                         continue
+                    # As in _exec_access: an inexact key probes a superset.
+                    recheck = _inexact_key(key)
                     for rowid in native.lookup_equal([key]):
                         row = table.access.get(rowid)
-                        if row is not None:
+                        if row is not None and not (
+                                recheck and compare(row[inner_pos], key)):
                             yield left + row
             return indexed()
 
@@ -1254,6 +1272,13 @@ def constant_int(expr: Optional[ast.Expr], label: str,
         raise PlanError(f"{label} must be a constant")
     value = _constant_value(expr, functions)
     return None if value is None else int(value)
+
+
+def _inexact_key(bound: SqlValue) -> bool:
+    """True for a number the memcomparable key codec cannot tell from
+    its neighbours (NaN included; text, blobs and NULL are exact)."""
+    return (isinstance(bound, (int, float))
+            and not -KEY_EXACT_INT <= bound <= KEY_EXACT_INT)
 
 
 def _fetch_rows(access: TableAccess,

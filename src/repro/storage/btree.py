@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import bisect
 import struct
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from repro.errors import BTreeError
 from repro.storage.page import (
@@ -51,6 +51,11 @@ _LEAF_CELL_OVERHEAD = _U16.size + _U32.size
 _INT_FIXED = HEADER_SIZE + _U16.size
 _INT_KEY_OVERHEAD = _U16.size
 _INT_CHILD_SIZE = _U64.size
+
+#: What a tree's owner makes of one cell: ``decode(key, value) -> entry``.
+#: Leaves memoize entries per decoder *identity*, so pass one module-level
+#: function, never a lambda or bound method made per call.
+Decoder = Callable[[bytes, bytes], object]
 
 
 class MutablePageSource:
@@ -91,19 +96,29 @@ class MutablePageSource:
 # ---------------------------------------------------------------------------
 
 class _LeafNode:
-    __slots__ = ("keys", "values")
+    """A decoded leaf: parallel ``keys`` / ``values`` lists plus the
+    entry memo (see "The node cache contract" in DESIGN.md).
+
+    ``entries`` is None until a full scan of a tree that has a decoder
+    fills it with ``(decode, [decode(key, value) for each cell])`` — the
+    whole leaf at once, published by one assignment.
+    """
+
+    __slots__ = ("keys", "values", "entries")
 
     def __init__(self, keys: List[bytes], values: List[bytes]) -> None:
         self.keys = keys
         self.values = values
+        self.entries: Optional[Tuple[Decoder, list]] = None
 
     @classmethod
-    def decode(cls, page: Page) -> "_LeafNode":
-        cached = page.decoded_node
-        if type(cached) is cls:
-            # Shallow-copy the cached node: callers mutate the returned
-            # lists, the cache copy must stay in sync with the bytes.
-            return cls(list(cached.keys), list(cached.values))
+    def of(cls, page: Page) -> "_LeafNode":
+        """The page's cached node, decoded on a miss.  **Borrowed**:
+        every reader of the page shares it, so callers never mutate it
+        (writers go through :meth:`copy`)."""
+        node = page.decoded_node
+        if type(node) is cls:
+            return node
         raw = page.data
         (ncells,) = _U16.unpack_from(raw, HEADER_SIZE)
         pos = HEADER_SIZE + _U16.size
@@ -118,11 +133,62 @@ class _LeafNode:
             pos += klen
             values.append(bytes(raw[pos:pos + vlen]))
             pos += vlen
-        page.decoded_node = cls(list(keys), list(values))
-        return cls(keys, values)
+        node = page.decoded_node = cls(keys, values)
+        return node
+
+    def copy(self) -> "_LeafNode":
+        """A private node a writer may mutate and then ``encode_into``
+        a page; the entry memo does not follow it."""
+        return _LeafNode(list(self.keys), list(self.values))
+
+    def _memo(self, decode: Optional[Decoder]) -> Optional[list]:
+        """The entries ``decode`` filled this leaf with, if it did."""
+        memo = self.entries
+        if memo is not None and memo[0] is decode:
+            return memo[1]
+        return None
+
+    def cell(self, idx: int, decode: Optional[Decoder]):
+        """Cell ``idx`` as the tree's readers see it: the raw value, or
+        its entry — borrowed from the memo when a full scan filled it,
+        else decoded for this call and not stored."""
+        if decode is None:
+            return self.values[idx]
+        entries = self._memo(decode)
+        if entries is not None:
+            return entries[idx]
+        return decode(self.keys[idx], self.values[idx])
+
+    def cells(self, decode: Optional[Decoder], lo: int = 0,
+              hi: Optional[int] = None):
+        """Iterator of ``(key, cell)`` over positions ``[lo, hi)`` (cells
+        as in :meth:`cell`; without a filled memo an entry is decoded
+        only when the iterator reaches it)."""
+        keys, cells = self.keys, self._memo(decode)
+        if cells is None:
+            cells = self.values
+        else:
+            decode = None
+        if lo or (hi is not None and hi < len(keys)):
+            keys, cells = keys[lo:hi], cells[lo:hi]
+        if decode is not None:
+            cells = map(decode, keys, cells)
+        return zip(keys, cells)
+
+    def filled(self, decode: Decoder) -> list:
+        """Every cell's entry, decoding the whole leaf on first use by
+        ``decode`` and keeping the list for every later reader of this
+        node.  Idempotent, so racing fillers only repeat work."""
+        entries = self._memo(decode)
+        if entries is None:
+            entries = list(map(decode, self.keys, self.values))
+            self.entries = (decode, entries)
+        return entries
 
     def encode_into(self, page: Page) -> None:
-        page.decoded_node = _LeafNode(list(self.keys), list(self.values))
+        # The writer's node becomes the page's cached node: it must not
+        # be mutated after this call.
+        page.decoded_node = self
         raw = page.data
         raw[HEADER_SIZE:] = bytes(len(raw) - HEADER_SIZE)
         page.page_type = PAGE_TYPE_BTREE_LEAF
@@ -153,10 +219,12 @@ class _InternalNode:
         self.children = children
 
     @classmethod
-    def decode(cls, page: Page) -> "_InternalNode":
-        cached = page.decoded_node
-        if type(cached) is cls:
-            return cls(list(cached.keys), list(cached.children))
+    def of(cls, page: Page) -> "_InternalNode":
+        """The page's cached node, decoded on a miss; **borrowed**, as
+        :meth:`_LeafNode.of`."""
+        node = page.decoded_node
+        if type(node) is cls:
+            return node
         raw = page.data
         (nkeys,) = _U16.unpack_from(raw, HEADER_SIZE)
         pos = HEADER_SIZE + _U16.size
@@ -171,12 +239,14 @@ class _InternalNode:
             pos += _U16.size
             keys.append(bytes(raw[pos:pos + klen]))
             pos += klen
-        page.decoded_node = cls(list(keys), list(children))
-        return cls(keys, children)
+        node = page.decoded_node = cls(keys, children)
+        return node
+
+    def copy(self) -> "_InternalNode":
+        return _InternalNode(list(self.keys), list(self.children))
 
     def encode_into(self, page: Page) -> None:
-        page.decoded_node = _InternalNode(list(self.keys),
-                                          list(self.children))
+        page.decoded_node = self
         raw = page.data
         raw[HEADER_SIZE:] = bytes(len(raw) - HEADER_SIZE)
         page.page_type = PAGE_TYPE_BTREE_INTERNAL
@@ -210,12 +280,19 @@ class BTree:
     Read-only operations (:meth:`get`, :meth:`scan_from`, :meth:`scan_all`)
     work against any :class:`~repro.storage.pager.PageSource`; mutating
     operations require a :class:`MutablePageSource`.
+
+    With a ``decode`` function the tree is a typed view: reads hand out
+    ``decode(key, value)`` entries instead of raw values, and a full scan
+    (:meth:`scan_leaves`) leaves each leaf's entries on its cached node
+    for every later reader of that page.  Writes take raw bytes either
+    way.
     """
 
-    def __init__(self, source: MutablePageSource, root_id: int) -> None:
+    def __init__(self, source: MutablePageSource, root_id: int,
+                 decode: Optional[Decoder] = None) -> None:
         self.source = source
         self.root_id = root_id
-        self._page_size = None  # discovered lazily from the first fetch
+        self.decode = decode
 
     # -- creation --------------------------------------------------------------
 
@@ -241,22 +318,23 @@ class BTree:
 
     # -- point operations ----------------------------------------------------------
 
-    def get(self, key: bytes) -> Optional[bytes]:
-        """Return the value stored under ``key``, or None."""
+    def get(self, key: bytes):
+        """Return the cell stored under ``key`` (the raw value, or its
+        entry when the tree has a decoder), or None."""
         page = self._fetch(self.root_id)
         try:
             while page.page_type == PAGE_TYPE_BTREE_INTERNAL:
-                node = _InternalNode.decode(page)
+                node = _InternalNode.of(page)
                 idx = bisect.bisect_right(node.keys, key)
                 # Latch coupling: pin the child before dropping the
                 # parent, so an unwind never releases a page twice.
                 child = self._fetch(node.children[idx])
                 self.source.release(page)
                 page = child
-            leaf = _LeafNode.decode(page)
+            leaf = _LeafNode.of(page)
             idx = bisect.bisect_left(leaf.keys, key)
             if idx < len(leaf.keys) and leaf.keys[idx] == key:
-                return leaf.values[idx]
+                return leaf.cell(idx, self.decode)
             return None
         finally:
             self.source.release(page)
@@ -302,7 +380,7 @@ class BTree:
         ``(separator, right_page_id)`` must be added to the parent.
         """
         if page.page_type == PAGE_TYPE_BTREE_LEAF:
-            leaf = _LeafNode.decode(page)
+            leaf = _LeafNode.of(page).copy()
             idx = bisect.bisect_left(leaf.keys, key)
             if idx < len(leaf.keys) and leaf.keys[idx] == key:
                 leaf.values[idx] = value
@@ -318,7 +396,7 @@ class BTree:
                 return was_new, None
             return was_new, self._split_leaf(page, leaf)
 
-        node = _InternalNode.decode(page)
+        node = _InternalNode.of(page)
         idx = bisect.bisect_right(node.keys, key)
         child = self._fetch(node.children[idx])
         try:
@@ -328,6 +406,7 @@ class BTree:
         if split is None:
             return was_new, None
         sep_key, right_id = split
+        node = node.copy()
         node.keys.insert(idx, sep_key)
         node.children.insert(idx + 1, right_id)
         if node.byte_size() <= self._capacity(page):
@@ -387,7 +466,7 @@ class BTree:
             removed = self._delete(root, key)
             # Collapse a single-child internal root to keep height honest.
             while root.page_type == PAGE_TYPE_BTREE_INTERNAL:
-                node = _InternalNode.decode(root)
+                node = _InternalNode.of(root)
                 if node.keys:
                     break
                 child_id = node.children[0]
@@ -407,10 +486,11 @@ class BTree:
 
     def _delete(self, page: Page, key: bytes) -> bool:
         if page.page_type == PAGE_TYPE_BTREE_LEAF:
-            leaf = _LeafNode.decode(page)
+            leaf = _LeafNode.of(page)
             idx = bisect.bisect_left(leaf.keys, key)
             if idx >= len(leaf.keys) or leaf.keys[idx] != key:
                 return False
+            leaf = leaf.copy()
             del leaf.keys[idx]
             del leaf.values[idx]
             writable = self.source.make_writable(page)
@@ -418,7 +498,7 @@ class BTree:
             self.source.mark_dirty(writable)
             return True
 
-        node = _InternalNode.decode(page)
+        node = _InternalNode.of(page)
         idx = bisect.bisect_right(node.keys, key)
         child = self._fetch(node.children[idx])
         try:
@@ -429,6 +509,7 @@ class BTree:
             self.source.release(child)
         if removed and child_empty and len(node.children) > 1:
             # Unlink and free the empty child (lazy rebalancing).
+            node = node.copy()
             del node.children[idx]
             if node.keys:
                 # Child i is bounded by separators k[i-1] and k[i]; drop the
@@ -443,79 +524,120 @@ class BTree:
     @staticmethod
     def _is_empty(page: Page) -> bool:
         if page.page_type == PAGE_TYPE_BTREE_LEAF:
-            return len(_LeafNode.decode(page).keys) == 0
+            return len(_LeafNode.of(page).keys) == 0
         return False
 
     # -- iteration ---------------------------------------------------------------
 
-    def scan_all(self) -> Iterator[Tuple[bytes, bytes]]:
-        """Yield every (key, value) in key order."""
+    def scan_all(self) -> Iterator[Tuple[bytes, object]]:
+        """Yield every (key, cell) in key order."""
         return self.scan_from(b"")
 
-    def scan_from(self, start_key: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        """Yield (key, value) pairs with key >= start_key, in order."""
+    def scan_from(self, start_key: bytes) -> Iterator[Tuple[bytes, object]]:
+        """Yield (key, cell) pairs with key >= start_key, in order (a
+        cell is the raw value, or its entry when the tree has a decoder).
+
+        Entries come from a leaf's memo when a full scan has filled it
+        and are otherwise decoded one by one as the caller consumes
+        them, storing nothing: a probe pays for the cells it returns.
+        """
+        for leaf, lo in self._leaves_from(start_key):
+            yield from leaf.cells(self.decode, lo)
+
+    def scan_leaves(self) -> Iterator[list]:
+        """Full scan, a leaf at a time: yield each leaf's cells (raw
+        values, or entries) as one list, in key order.  The lists are
+        borrowed from the node cache — do not mutate them.
+
+        This is the one reader that *fills* the entry memo: a leaf
+        decoded here costs no per-row work in any later scan, probe or
+        snapshot that finds the same page object in a cache.
+        """
+        decode = self.decode
+        for leaf, _ in self._leaves_from(b""):
+            yield leaf.values if decode is None else leaf.filled(decode)
+
+    def _leaves_from(self, start_key: bytes,
+                     ) -> Iterator[Tuple[_LeafNode, int]]:
+        """Yield (borrowed leaf, first position) for every leaf from the
+        one that would hold ``start_key`` rightwards; the position is 0
+        on all but the first."""
         # Explicit descent stack: (internal node, next child index).
         stack: List[Tuple[_InternalNode, int]] = []
         page = self._fetch(self.root_id)
         try:
             while page.page_type == PAGE_TYPE_BTREE_INTERNAL:
-                node = _InternalNode.decode(page)
+                node = _InternalNode.of(page)
                 idx = bisect.bisect_right(node.keys, start_key)
                 stack.append((node, idx + 1))
                 child = self._fetch(node.children[idx])
                 self.source.release(page)
                 page = child
-            leaf = _LeafNode.decode(page)
+            leaf = _LeafNode.of(page)
         finally:
             self.source.release(page)
-        idx = bisect.bisect_left(leaf.keys, start_key)
-        while True:
-            for i in range(idx, len(leaf.keys)):
-                yield leaf.keys[i], leaf.values[i]
-            idx = 0
-            # Advance to the next leaf via the stack.
-            leaf = None  # type: ignore[assignment]
-            while stack:
-                node, next_idx = stack.pop()
-                if next_idx < len(node.children):
-                    stack.append((node, next_idx + 1))
-                    page = self._fetch(node.children[next_idx])
-                    try:
-                        while page.page_type == PAGE_TYPE_BTREE_INTERNAL:
-                            inner = _InternalNode.decode(page)
-                            stack.append((inner, 1))
-                            child = self._fetch(inner.children[0])
-                            self.source.release(page)
-                            page = child
-                        leaf = _LeafNode.decode(page)
-                    finally:
-                        self.source.release(page)
-                    break
-            if leaf is None:
-                return
+        yield leaf, bisect.bisect_left(leaf.keys, start_key)
+        # Advance to the next leaf via the stack.
+        while stack:
+            node, next_idx = stack.pop()
+            if next_idx >= len(node.children):
+                continue
+            stack.append((node, next_idx + 1))
+            page = self._fetch(node.children[next_idx])
+            try:
+                while page.page_type == PAGE_TYPE_BTREE_INTERNAL:
+                    inner = _InternalNode.of(page)
+                    stack.append((inner, 1))
+                    child = self._fetch(inner.children[0])
+                    self.source.release(page)
+                    page = child
+                leaf = _LeafNode.of(page)
+            finally:
+                self.source.release(page)
+            yield leaf, 0
 
-    def scan_prefix(self, prefix: bytes) -> Iterator[Tuple[bytes, bytes]]:
+    def scan_prefix(self, prefix: bytes) -> Iterator[Tuple[bytes, object]]:
         """Yield entries whose key starts with ``prefix``."""
-        for key, value in self.scan_from(prefix):
-            if not key.startswith(prefix):
+        for leaf, lo in self._leaves_from(prefix):
+            keys = leaf.keys
+            hi = lo
+            while hi < len(keys) and keys[hi].startswith(prefix):
+                hi += 1
+            yield from leaf.cells(self.decode, lo, hi)
+            if hi < len(keys):
                 return
-            yield key, value
 
     def scan_range(self, lo: Optional[bytes],
                    hi: Optional[bytes],
-                   hi_inclusive: bool = False) -> Iterator[Tuple[bytes, bytes]]:
-        """Yield entries with lo <= key < hi (or <= hi if inclusive)."""
-        start = lo if lo is not None else b""
-        for key, value in self.scan_from(start):
-            if hi is not None:
-                if hi_inclusive:
-                    # Composite index keys extend the bound with a rowid
-                    # suffix; a key that *starts with* hi still matches.
-                    if key > hi and not key.startswith(hi):
-                        return
-                elif key >= hi:
-                    return
-            yield key, value
+                   hi_inclusive: bool = False,
+                   lo_inclusive: bool = True,
+                   ) -> Iterator[Tuple[bytes, object]]:
+        """Yield entries with lo <= key < hi (``<= hi`` / ``lo <`` per
+        the flags).
+
+        Composite index keys extend a bound with a rowid suffix, so a
+        key that *starts with* an inclusive ``hi`` still matches and one
+        that starts with an exclusive ``lo`` does not.  The bounds are
+        found by position, so only the cells yielded are ever decoded.
+        """
+        skipping = lo is not None and not lo_inclusive
+        for leaf, first in self._leaves_from(lo if lo is not None else b""):
+            keys = leaf.keys
+            if skipping:
+                while first < len(keys) and keys[first].startswith(lo):
+                    first += 1
+                skipping = first == len(keys)
+            if hi is None:
+                end = len(keys)
+            elif hi_inclusive:
+                end = bisect.bisect_right(keys, hi, first)
+                while end < len(keys) and keys[end].startswith(hi):
+                    end += 1
+            else:
+                end = bisect.bisect_left(keys, hi, first)
+            yield from leaf.cells(self.decode, first, end)
+            if end < len(keys):
+                return
 
     def last_key(self) -> Optional[bytes]:
         """The largest key in the tree, or None when empty.
@@ -526,11 +648,11 @@ class BTree:
         page = self._fetch(self.root_id)
         try:
             while page.page_type == PAGE_TYPE_BTREE_INTERNAL:
-                node = _InternalNode.decode(page)
+                node = _InternalNode.of(page)
                 child = self._fetch(node.children[-1])
                 self.source.release(page)
                 page = child
-            leaf = _LeafNode.decode(page)
+            leaf = _LeafNode.of(page)
         finally:
             self.source.release(page)
         if not leaf.keys:
@@ -540,7 +662,7 @@ class BTree:
     # -- bulk / maintenance ----------------------------------------------------------
 
     def count(self) -> int:
-        return sum(1 for _ in self.scan_all())
+        return sum(len(leaf.keys) for leaf, _ in self._leaves_from(b""))
 
     def clear(self) -> None:
         """Remove every entry, freeing all pages except the root."""
@@ -561,7 +683,7 @@ class BTree:
         page = self._fetch(page_id)
         try:
             if page.page_type == PAGE_TYPE_BTREE_INTERNAL:
-                children = _InternalNode.decode(page).children
+                children = _InternalNode.of(page).children
             else:
                 children = []
         finally:
@@ -578,7 +700,7 @@ class BTree:
         page = self._fetch(self.root_id)
         try:
             while page.page_type == PAGE_TYPE_BTREE_INTERNAL:
-                node = _InternalNode.decode(page)
+                node = _InternalNode.of(page)
                 child = self._fetch(node.children[0])
                 self.source.release(page)
                 page = child
@@ -598,7 +720,7 @@ class BTree:
         page = self._fetch(page_id)
         try:
             if page.page_type == PAGE_TYPE_BTREE_INTERNAL:
-                children = _InternalNode.decode(page).children
+                children = _InternalNode.of(page).children
             else:
                 children = []
         finally:
@@ -621,9 +743,9 @@ class BTree:
             if is_leaf:
                 if depth != 1:
                     raise BTreeError("leaves at unequal depth")
-                leaf = _LeafNode.decode(page)
+                leaf = _LeafNode.of(page)
             else:
-                node = _InternalNode.decode(page)
+                node = _InternalNode.of(page)
         finally:
             self.source.release(page)
         if is_leaf:

@@ -68,9 +68,13 @@ class Page:
         self.data = data
         self.dirty = False
         self.pin_count = 0
-        #: cache of the decoded B+tree node for these bytes (see
-        #: repro.storage.btree); invalidated whenever the raw buffer is
-        #: replaced wholesale.
+        #: the decoded B+tree node for these bytes, which is what tree
+        #: readers work on: key/value/child lists parsed once and, on a
+        #: leaf, the entries a full scan decoded from them (see
+        #: repro.storage.btree and DESIGN.md, "The node cache contract").
+        #: Readers borrow it and never mutate it; a writer encodes a
+        #: private copy, which replaces it; :meth:`load` drops it.  It
+        #: lives exactly as long as this object stays in a cache.
         self.decoded_node = None
 
     # -- header -----------------------------------------------------------

@@ -219,8 +219,13 @@ class Pager(PageSource):
         """Bypass the pool and read the on-disk (checkpointed) image.
 
         Used during recovery to recapture COW pre-states that were lost
-        with the in-memory Retro buffer.
+        with the in-memory Retro buffer.  An id that was allocated and
+        freed inside one transaction reaches the free list without ever
+        having been written; past the end the file reads as the zero
+        pages a later write would pad it with.
         """
+        if page_id >= len(self._file):
+            return bytes(self._file.page_size)
         return self._file.read(page_id)
 
 

@@ -19,6 +19,7 @@ Two codecs live here:
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import List, Sequence, Tuple
 
@@ -36,6 +37,7 @@ _I64 = struct.Struct("<q")
 _F64 = struct.Struct("<d")
 _U32 = struct.Struct("<I")
 _F64_BE = struct.Struct(">d")
+_U64_BE = struct.Struct(">Q")
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +126,20 @@ def decode_record(raw: bytes) -> Tuple[SqlValue, ...]:
 # Type-class bytes establish NULL < numeric < text < blob.  Within numerics,
 # int and float collate together: both are encoded as big-endian IEEE-754
 # doubles with the sign bit flipped (and the whole word inverted for
-# negatives), which yields total order by value.  64-bit ints above 2**53
-# lose precision under this scheme; TPC-H keys stay far below that, and the
-# payload codec (used for stored rows) is always exact.
+# negatives), which yields total order by value.  Ints beyond
+# +-KEY_EXACT_INT share a double with their neighbours and ints beyond the
+# double range saturate to +-inf: the encoding stays order-preserving
+# (a <= b implies key(a) <= key(b)) but is no longer injective, so an index
+# probe with such a bound yields a superset that its caller re-checks
+# against the stored row (the payload codec is always exact).
 
 _KCLASS_NULL = 0x10
 _KCLASS_NUM = 0x20
 _KCLASS_TEXT = 0x30
 _KCLASS_BLOB = 0x40
+
+#: Largest magnitude up to which every int has a double of its own.
+KEY_EXACT_INT = 2 ** 53 - 1
 
 #: Lower bound that sorts after every key whose first value is NULL and
 #: before every non-NULL key.  Range predicates never match NULL (SQL
@@ -142,8 +150,11 @@ _SEP = b"\x00\x00"
 _ESCAPED = b"\x00\xff"
 
 
-def _encode_num(value: float) -> bytes:
-    value = float(value) + 0.0  # normalize -0.0 so it collates as 0.0
+def _encode_num(value) -> bytes:
+    try:
+        value = float(value) + 0.0  # normalize -0.0 so it collates as 0.0
+    except OverflowError:  # an int beyond the double range
+        value = math.inf if value > 0 else -math.inf
     raw = bytearray(_F64_BE.pack(value))
     if raw[0] & 0x80:  # negative: invert all bits
         for i in range(8):
@@ -153,14 +164,12 @@ def _encode_num(value: float) -> bytes:
     return bytes(raw)
 
 
-def _decode_num(raw: bytes) -> float:
-    buf = bytearray(raw)
-    if buf[0] & 0x80:  # was positive
-        buf[0] ^= 0x80
-    else:  # was negative
-        for i in range(8):
-            buf[i] ^= 0xFF
-    return _F64_BE.unpack(bytes(buf))[0]
+def _decode_num(raw: bytes, pos: int = 0) -> float:
+    (word,) = _U64_BE.unpack_from(raw, pos)
+    # Undo _encode_num: the sign bit if it was positive, else every bit.
+    word ^= 0x8000000000000000 if word & 0x8000000000000000 \
+        else 0xFFFFFFFFFFFFFFFF
+    return _F64_BE.unpack(_U64_BE.pack(word))[0]
 
 
 def _escape(raw: bytes) -> bytes:
@@ -180,10 +189,10 @@ def encode_key(values: Sequence[SqlValue]) -> bytes:
             out.append(_KCLASS_NULL)
         elif isinstance(value, bool):
             out.append(_KCLASS_NUM)
-            out += _encode_num(float(int(value)))
+            out += _encode_num(int(value))
         elif isinstance(value, (int, float)):
             out.append(_KCLASS_NUM)
-            out += _encode_num(float(value))
+            out += _encode_num(value)
         elif isinstance(value, str):
             out.append(_KCLASS_TEXT)
             out += _escape(value.encode("utf-8"))
@@ -215,7 +224,7 @@ def decode_key(raw: bytes) -> Tuple[SqlValue, ...]:
         if kclass == _KCLASS_NULL:
             values.append(None)
         elif kclass == _KCLASS_NUM:
-            num = _decode_num(raw[pos:pos + 8])
+            num = _decode_num(raw, pos)
             pos += 8
             values.append(int(num) if num.is_integer() else num)
         elif kclass in (_KCLASS_TEXT, _KCLASS_BLOB):
@@ -235,3 +244,12 @@ def decode_key(raw: bytes) -> Tuple[SqlValue, ...]:
         else:
             raise RecordCodecError(f"unknown key class byte {kclass:#x}")
     return tuple(values)
+
+
+def decode_rowid_key(raw: bytes) -> int:
+    """The rowid of a table key, ``encode_key((rowid,))``: one numeric
+    component, decoded without the generic tuple machinery (a cold scan
+    calls this once per row)."""
+    if len(raw) != 9 or raw[0] != _KCLASS_NUM:
+        raise RecordCodecError(f"not a rowid key: {raw!r}")
+    return int(_decode_num(raw, 1))

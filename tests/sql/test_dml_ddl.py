@@ -147,6 +147,50 @@ class TestDeleteUpdate:
             "SELECT COUNT(*) FROM t").scalar() == 30 - len(want)
 
 
+class TestIndexKeyPrecisionDml:
+    """DELETE / UPDATE through an index touch exactly the rows their
+    ``k + 0`` twin (a scan) touches, also where index keys collide as
+    doubles (beyond +-2**53) or saturate (beyond the double range)."""
+
+    BIG = 2 ** 53
+    HUGE = "1" + "0" * 400
+
+    def make(self):
+        db = Database()
+        db.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
+        db.execute("CREATE INDEX t_k ON t(k)")
+        for v, k in enumerate([self.BIG, self.BIG + 1, self.BIG + 2, 5]):
+            db.execute(f"INSERT INTO t VALUES ({k}, {v})")
+        return db
+
+    @pytest.mark.parametrize("statement", [
+        "UPDATE t SET v = 100 WHERE k = {big1}",
+        "UPDATE t SET v = 100 WHERE k > {big}",
+        "DELETE FROM t WHERE k = {big1}",
+        "DELETE FROM t WHERE k >= {big1}",
+        "DELETE FROM t WHERE k = {huge}",
+        "UPDATE t SET v = 100 WHERE k < {huge}",
+    ])
+    def test_indexed_dml_equals_its_unindexed_twin(self, statement):
+        statement = statement.format(big=self.BIG, big1=self.BIG + 1,
+                                     huge=self.HUGE)
+        indexed, twin = self.make(), self.make()
+        a = indexed.execute(statement)
+        b = twin.execute(statement.replace("WHERE k", "WHERE k + 0"))
+        assert a.rowcount == b.rowcount
+        assert (indexed.execute("SELECT k, v FROM t ORDER BY k").rows
+                == twin.execute("SELECT k, v FROM t ORDER BY k").rows)
+
+    def test_update_and_delete_touch_one_of_two_colliding_keys(self):
+        db = self.make()
+        assert db.execute(
+            f"UPDATE t SET v = 100 WHERE k = {self.BIG + 1}").rowcount == 1
+        assert db.execute(
+            f"DELETE FROM t WHERE k = {self.BIG + 1}").rowcount == 1
+        assert db.execute("SELECT k, v FROM t ORDER BY k").rows == [
+            (5, 3), (self.BIG, 0), (self.BIG + 2, 2)]
+
+
 class TestDdl:
     def test_create_drop_table(self, db):
         db.execute("CREATE TABLE t (a INTEGER)")
@@ -265,3 +309,28 @@ class TestTransactions:
             db.execute("UPDATE t SET a = 99")  # both rows -> conflict
         assert sorted(r[0] for r in db.execute("SELECT a FROM t").rows) \
             == [1, 2]
+
+    def test_page_allocated_and_freed_in_one_txn_can_be_reused(self):
+        """Its id reaches the free list with no committed content; the
+        COW capture of its 'pre-state' at reuse must not read past the
+        end of the database file."""
+        db = Database(page_size=1024)
+        create = ("CREATE TABLE t (k INTEGER, pad TEXT)",
+                  "CREATE INDEX t_k ON t(k)")
+        for statement in create:
+            db.execute(statement)
+        db.execute("BEGIN")
+        db.execute("COMMIT WITH SNAPSHOT")
+        db.execute("BEGIN")
+        db.execute("INSERT INTO t VALUES " + ", ".join(
+            f"({i}, 'padpadpadpad')" for i in range(40)))
+        db.execute("DELETE FROM t")
+        db.execute("COMMIT")
+        db.execute("BEGIN")
+        db.execute("DROP TABLE t")
+        for statement in create:
+            db.execute(statement)
+        db.execute("INSERT INTO t VALUES (1, 'x')")
+        db.execute("COMMIT")
+        assert db.execute("SELECT * FROM t").rows == [(1, "x")]
+        assert db.execute("SELECT AS OF 1 COUNT(*) FROM t").scalar() == 0

@@ -333,3 +333,73 @@ class TestFunctionCallOnTheConstantSide:
         assert db.execute(
             "SELECT c FROM t WHERE a = noisy()").rows == [("V5",)]
         assert calls, "execution evaluates the UDF in the row filter"
+
+
+# Index keys are doubles: ints beyond +-(2**53 - 1) share a key with their
+# neighbours and ints beyond the double range saturate to +-inf.  The row
+# locator re-applies the consumed conjunct, so every indexed statement must
+# equal its ``k + 0`` twin (which no index serves).
+BIG = 2 ** 53
+WIDE_KEYS = [BIG, BIG + 1, BIG + 2, 5, -BIG, -BIG - 1]
+HUGE = "1" + "0" * 400
+
+
+@pytest.fixture
+def wide_keys(db):
+    db.execute("CREATE TABLE t (k INTEGER, v INTEGER)")
+    db.execute("CREATE INDEX t_k ON t(k)")
+    for v, k in enumerate(WIDE_KEYS):
+        db.execute(f"INSERT INTO t VALUES ({k}, {v})")
+    return db
+
+
+class TestIndexKeyPrecision:
+    @pytest.mark.parametrize("where", [
+        f"k = {BIG + 1}",
+        f"k = {BIG}",
+        f"k = {-BIG - 1}",
+        f"k = {BIG}.0",
+        f"k > {BIG}",
+        f"k >= {BIG + 1}",
+        f"k < {-BIG}",
+        f"k <= {BIG + 1}",
+        f"k BETWEEN {BIG + 1} AND {BIG + 1}",
+        f"k BETWEEN {-BIG - 1} AND {BIG}",
+        f"k = {HUGE}",
+        f"k < {HUGE}",
+        f"k > -{HUGE}",
+        f"k >= {HUGE}",
+    ], ids=lambda where: where.replace(HUGE, "1e400"))
+    def test_indexed_probe_equals_its_unindexed_twin(self, wide_keys, where):
+        indexed = wide_keys.execute(
+            f"SELECT k FROM t WHERE {where} ORDER BY k").rows
+        twin = wide_keys.execute(
+            f"SELECT k FROM t WHERE {where.replace('k', 'k + 0', 1)} "
+            "ORDER BY k").rows
+        assert indexed == twin
+        plan = wide_keys.execute(
+            f"EXPLAIN SELECT k FROM t WHERE {where}").rows[0][0]
+        assert plan.startswith("SEARCH t USING INDEX t_k")
+
+    def test_equality_beyond_2_53_returns_one_row(self, wide_keys):
+        assert wide_keys.execute(
+            f"SELECT k FROM t WHERE k = {BIG + 1}").rows == [(BIG + 1,)]
+        assert wide_keys.execute(
+            f"EXPLAIN SELECT k FROM t WHERE k = {BIG + 1}"
+        ).rows[0][0] == "SEARCH t USING INDEX t_k (=)"
+
+    def test_literal_beyond_the_double_range_matches_nothing(self, wide_keys):
+        assert wide_keys.execute(
+            f"SELECT k FROM t WHERE k = {HUGE}").rows == []
+        assert len(wide_keys.execute(
+            f"SELECT k FROM t WHERE k < {HUGE}").rows) == len(WIDE_KEYS)
+
+    def test_native_index_join_does_not_pair_colliding_keys(self, wide_keys):
+        wide_keys.execute("CREATE TABLE o (k INTEGER)")
+        wide_keys.execute(f"INSERT INTO o VALUES ({BIG + 1}), (5), ({HUGE[:19]})")
+        plan = wide_keys.execute(
+            "EXPLAIN SELECT o.k, t.k FROM o, t WHERE t.k = o.k").rows
+        assert any("USING INDEX t_k (k=?)" in line for (line,) in plan)
+        assert wide_keys.execute(
+            "SELECT o.k, t.k FROM o, t WHERE t.k = o.k ORDER BY o.k"
+        ).rows == [(5, 5), (BIG + 1, BIG + 1)]
