@@ -299,17 +299,20 @@ def _fig9_env(with_native_index: bool) -> BenchEnv:
 
 def run_fig9() -> FigureResult:
     series: Dict[str, List[Tuple[object, Dict[str, float]]]] = {}
-    for with_index in (False, True):
+    # The last run is the yardstick the paper reads Qq_cpu against: Qq_io
+    # over the same snapshots of the same (index-free) environment.
+    for qq, with_index, suffix in ((QQ_CPU, False, "w/o index"),
+                                   (QQ_CPU, True, "w/ index"),
+                                   (QQ_IO, False, "Qq_io")):
         env = _fig9_env(with_index)
         qs = env.qs_interval(OLD_START, FIG9_INTERVAL)
         env.clear_snapshot_cache()
         result = env.session.aggregate_data_in_variable(
-            qs, QQ_CPU, "fig9_result", "avg",
+            qs, qq, "fig9_result", "avg",
         )
         iterations = result.metrics.iterations
         cold = _augment(iterations[0])
         hot = _mean_breakdown(iterations[1:])
-        suffix = "w/ index" if with_index else "w/o index"
         series[f"cold iteration {suffix}"] = [("breakdown", cold)]
         series[f"hot iteration {suffix}"] = [("breakdown", hot)]
     return FigureResult(
@@ -318,7 +321,10 @@ def run_fig9() -> FigureResult:
               "ad-hoc (auto covering index) vs native index",
         series=series,
         notes=["the auto covering index on lineitem(l_partkey) is "
-               "rebuilt per iteration when no native index exists"],
+               "rebuilt per iteration when no native index exists",
+               "'Qq_io' is AggV(Qs, Qq_io, AVG) over the same snapshots "
+               "without the index: its cold/hot gap is what Qq_cpu's is "
+               "compared with"],
     )
 
 
@@ -347,9 +353,16 @@ def fig9_checks(result: FigureResult) -> None:
     assert hot_w["index_creation"] == 0.0
     # Native-index iterations are cheaper overall.
     assert hot_w["total"] < hot_wo["total"]
-    # Unlike Qq_io, the cold-vs-hot gap is modest: I/O is only part of
-    # the total (paper: "the cost difference ... is less").
-    assert cold_wo["total"] < 4 * hot_wo["total"], (cold_wo, hot_wo)
+    # The cold-vs-hot gap is smaller than Qq_io's over the same
+    # snapshots: I/O is only part of the total (paper: "the cost
+    # difference ... is less").  Both sides are measured here — a
+    # constant would set real CPU against simulated I/O and go stale
+    # whenever either got cheaper.
+    cold_io = result.series["cold iteration Qq_io"][0][1]
+    hot_io = result.series["hot iteration Qq_io"][0][1]
+    assert cold_wo["total"] / hot_wo["total"] \
+        < cold_io["total"] / hot_io["total"], \
+        (cold_wo, hot_wo, cold_io, hot_io)
 
 
 # ---------------------------------------------------------------------------

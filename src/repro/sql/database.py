@@ -188,15 +188,18 @@ class Database:
 
         The blessed idiom for multi-statement transactional scopes (RQL
         loop-body iterations, bulk loads): replaces hand-written
-        ``BEGIN``/``COMMIT``/``except: ROLLBACK`` blocks.
+        ``BEGIN``/``COMMIT``/``except: ROLLBACK`` blocks.  Calls the
+        statement handlers directly: every table-backed mechanism
+        iteration opens one of these, and three constant strings are not
+        worth a lexer and a parser each time.
         """
-        self.execute("BEGIN")
+        self._execute_begin()
         try:
             yield self
         except BaseException:
-            self.execute("ROLLBACK")
+            self._execute_rollback()
             raise
-        self.execute("COMMIT")
+        self._execute_commit(ast.Commit())
 
     @contextmanager
     def write_lock(self) -> Iterator[None]:

@@ -102,14 +102,24 @@ class _LeafNode:
     ``entries`` is None until a full scan of a tree that has a decoder
     fills it with ``(decode, [decode(key, value) for each cell])`` — the
     whole leaf at once, published by one assignment.
+
+    ``used`` is how many bytes of the page the node fills, header and
+    cell count included; every byte of a leaf page past it is zero.  The
+    parse that built the node knows it and a write adjusts it, so neither
+    the fit check nor finding a cell's offset walks the cells in Python.
     """
 
-    __slots__ = ("keys", "values", "entries")
+    __slots__ = ("keys", "values", "entries", "used")
 
-    def __init__(self, keys: List[bytes], values: List[bytes]) -> None:
+    def __init__(self, keys: List[bytes], values: List[bytes],
+                 used: Optional[int] = None) -> None:
         self.keys = keys
         self.values = values
         self.entries: Optional[Tuple[Decoder, list]] = None
+        if used is None:
+            used = (_LEAF_FIXED + _LEAF_CELL_OVERHEAD * len(keys)
+                    + sum(map(len, keys)) + sum(map(len, values)))
+        self.used = used
 
     @classmethod
     def of(cls, page: Page) -> "_LeafNode":
@@ -133,13 +143,14 @@ class _LeafNode:
             pos += klen
             values.append(bytes(raw[pos:pos + vlen]))
             pos += vlen
-        node = page.decoded_node = cls(keys, values)
+        node = page.decoded_node = cls(keys, values, pos)
         return node
 
     def copy(self) -> "_LeafNode":
-        """A private node a writer may mutate and then ``encode_into``
-        a page; the entry memo does not follow it."""
-        return _LeafNode(list(self.keys), list(self.values))
+        """A private node a writer may mutate (keeping ``used`` in step)
+        and then publish with :meth:`splice_into` or :meth:`encode_into`;
+        the entry memo does not follow it."""
+        return _LeafNode(list(self.keys), list(self.values), self.used)
 
     def _memo(self, decode: Optional[Decoder]) -> Optional[list]:
         """The entries ``decode`` filled this leaf with, if it did."""
@@ -186,6 +197,10 @@ class _LeafNode:
         return entries
 
     def encode_into(self, page: Page) -> None:
+        """Write the whole node onto ``page``, whatever it held: for a
+        node that is new as a whole (an empty tree, the halves of a
+        split).  It is also the reference :meth:`splice_into` must match
+        byte for byte."""
         # The writer's node becomes the page's cached node: it must not
         # be mutated after this call.
         page.decoded_node = self
@@ -204,11 +219,36 @@ class _LeafNode:
             raw[pos:pos + len(value)] = value
             pos += len(value)
 
-    def byte_size(self) -> int:
-        return _LEAF_FIXED + sum(
-            _LEAF_CELL_OVERHEAD + len(k) + len(v)
-            for k, v in zip(self.keys, self.values)
-        )
+    def cell_offset(self, idx: int) -> int:
+        """Where cell ``idx`` starts in the page (``used`` for one past
+        the last), counted back from ``used`` over the cells behind it:
+        an append, the commonest write, sums nothing."""
+        keys = self.keys[idx:]
+        return (self.used - _LEAF_CELL_OVERHEAD * len(keys)
+                - sum(map(len, keys)) - sum(map(len, self.values[idx:])))
+
+    def splice_into(self, page: Page, start: int, old_len: int,
+                    cell: bytes) -> None:
+        """Make ``page`` hold this node by rewriting one cell.
+
+        ``page`` holds the node this one was copied from; the two differ
+        in the ``old_len`` bytes at ``start`` (0 for an insert), which
+        become ``cell`` (empty for a delete).  The cells behind move by
+        the difference in one slice assignment, what a shrinking leaf
+        vacates is zeroed, and the result equals :meth:`encode_into` on a
+        blank page with the same header.
+        """
+        page.decoded_node = self  # not to be mutated from here on
+        raw = page.data
+        end = start + len(cell)
+        grown = len(cell) - old_len
+        if grown:
+            used = self.used
+            raw[end:used] = raw[start + old_len:used - grown]
+            if grown < 0:
+                raw[used:used - grown] = bytes(-grown)
+        raw[start:end] = cell
+        _U16.pack_into(raw, HEADER_SIZE, len(self.keys))
 
 
 class _InternalNode:
@@ -380,21 +420,26 @@ class BTree:
         ``(separator, right_page_id)`` must be added to the parent.
         """
         if page.page_type == PAGE_TYPE_BTREE_LEAF:
-            leaf = _LeafNode.of(page).copy()
-            idx = bisect.bisect_left(leaf.keys, key)
-            if idx < len(leaf.keys) and leaf.keys[idx] == key:
-                leaf.values[idx] = value
-                was_new = False
-            else:
+            old = _LeafNode.of(page)
+            idx = bisect.bisect_left(old.keys, key)
+            was_new = idx == len(old.keys) or old.keys[idx] != key
+            leaf = old.copy()
+            if was_new:
+                old_len = 0
                 leaf.keys.insert(idx, key)
                 leaf.values.insert(idx, value)
-                was_new = True
-            if leaf.byte_size() <= self._capacity(page):
-                writable = self.source.make_writable(page)
-                leaf.encode_into(writable)
-                self.source.mark_dirty(writable)
-                return was_new, None
-            return was_new, self._split_leaf(page, leaf)
+            else:
+                old_len = (_LEAF_CELL_OVERHEAD + len(key)
+                           + len(old.values[idx]))
+                leaf.values[idx] = value
+            cell = _CELL_HDR.pack(len(key), len(value)) + key + value
+            leaf.used += len(cell) - old_len
+            if leaf.used > self._capacity(page):
+                return was_new, self._split_leaf(page, leaf)
+            writable = self.source.make_writable(page)
+            leaf.splice_into(writable, old.cell_offset(idx), old_len, cell)
+            self.source.mark_dirty(writable)
+            return was_new, None
 
         node = _InternalNode.of(page)
         idx = bisect.bisect_right(node.keys, key)
@@ -486,15 +531,17 @@ class BTree:
 
     def _delete(self, page: Page, key: bytes) -> bool:
         if page.page_type == PAGE_TYPE_BTREE_LEAF:
-            leaf = _LeafNode.of(page)
-            idx = bisect.bisect_left(leaf.keys, key)
-            if idx >= len(leaf.keys) or leaf.keys[idx] != key:
+            old = _LeafNode.of(page)
+            idx = bisect.bisect_left(old.keys, key)
+            if idx >= len(old.keys) or old.keys[idx] != key:
                 return False
-            leaf = leaf.copy()
+            old_len = _LEAF_CELL_OVERHEAD + len(key) + len(old.values[idx])
+            leaf = old.copy()
             del leaf.keys[idx]
             del leaf.values[idx]
+            leaf.used -= old_len
             writable = self.source.make_writable(page)
-            leaf.encode_into(writable)
+            leaf.splice_into(writable, old.cell_offset(idx), old_len, b"")
             self.source.mark_dirty(writable)
             return True
 

@@ -72,7 +72,7 @@ class Page:
         #: readers work on: key/value/child lists parsed once and, on a
         #: leaf, the entries a full scan decoded from them (see
         #: repro.storage.btree and DESIGN.md, "The node cache contract").
-        #: Readers borrow it and never mutate it; a writer encodes a
+        #: Readers borrow it and never mutate it; a writer publishes a
         #: private copy, which replaces it; :meth:`load` drops it.  It
         #: lives exactly as long as this object stays in a cache.
         self.decoded_node = None

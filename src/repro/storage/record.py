@@ -155,13 +155,11 @@ def _encode_num(value) -> bytes:
         value = float(value) + 0.0  # normalize -0.0 so it collates as 0.0
     except OverflowError:  # an int beyond the double range
         value = math.inf if value > 0 else -math.inf
-    raw = bytearray(_F64_BE.pack(value))
-    if raw[0] & 0x80:  # negative: invert all bits
-        for i in range(8):
-            raw[i] ^= 0xFF
-    else:  # positive: flip sign bit
-        raw[0] ^= 0x80
-    return bytes(raw)
+    (word,) = _U64_BE.unpack(_F64_BE.pack(value))
+    # Negative: invert every bit; non-negative: flip the sign bit.
+    word ^= 0xFFFFFFFFFFFFFFFF if word & 0x8000000000000000 \
+        else 0x8000000000000000
+    return _U64_BE.pack(word)
 
 
 def _decode_num(raw: bytes, pos: int = 0) -> float:

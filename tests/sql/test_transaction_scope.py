@@ -5,7 +5,8 @@ surface snapshot ids through the handle."""
 import pytest
 
 from repro.core import RQLSession
-from repro.errors import ReproError, SqlError
+from repro.errors import ReproError, SqlError, TransactionError
+from repro.sql.database import Database
 
 
 def _count(db, table="t"):
@@ -30,6 +31,71 @@ def test_database_transaction_rolls_back_and_reraises(db):
     # The failed scope left no transaction open.
     db.execute("INSERT INTO t VALUES (3)")
     assert _count(db) == 1
+
+
+class _CountingGate:
+    """The write-gate protocol (``acquire()`` / ``release()``), counted."""
+
+    def __init__(self):
+        self.depth = 0
+        self.acquired = 0
+
+    def acquire(self):
+        self.depth += 1
+        self.acquired += 1
+
+    def release(self):
+        self.depth -= 1
+
+
+def test_database_transaction_holds_and_releases_the_write_gate():
+    gate = _CountingGate()
+    db = Database(write_gate=gate)
+    db.execute("CREATE TABLE t (a INTEGER)")
+    before = gate.acquired
+    with db.transaction():
+        assert gate.depth == 1  # held for the whole scope
+        db.execute("INSERT INTO t VALUES (1)")
+    assert (gate.depth, gate.acquired) == (0, before + 1)
+    assert _count(db) == 1
+
+
+def test_database_transaction_error_rolls_back_and_releases_the_gate():
+    gate = _CountingGate()
+    db = Database(write_gate=gate)
+    db.execute("CREATE TABLE t (a INTEGER)")
+    with pytest.raises(KeyboardInterrupt):  # any BaseException rolls back
+        with db.transaction():
+            db.execute("INSERT INTO t VALUES (1)")
+            raise KeyboardInterrupt
+    assert gate.depth == 0
+    assert _count(db) == 0
+    with pytest.raises(TransactionError, match="no transaction is active"):
+        db.execute("COMMIT")
+
+
+def test_nested_database_transaction_raises_transaction_error():
+    gate = _CountingGate()
+    db = Database(write_gate=gate)
+    db.execute("CREATE TABLE t (a INTEGER)")
+    with pytest.raises(TransactionError, match="already inside"):
+        with db.transaction():
+            db.execute("INSERT INTO t VALUES (1)")
+            with db.transaction():
+                pytest.fail("the inner scope must not open")
+    # The inner BEGIN's error unwound the outer scope: rolled back, gate
+    # free, and a fresh scope works.
+    assert gate.depth == 0
+    assert _count(db) == 0
+    with db.transaction():
+        db.execute("INSERT INTO t VALUES (2)")
+    assert _count(db) == 1
+    with pytest.raises(TransactionError, match="already inside"):
+        db.execute("BEGIN")
+        with db.transaction():
+            pytest.fail("BEGIN is already open")
+    db.execute("ROLLBACK")
+    assert gate.depth == 0
 
 
 def test_session_transaction_plain_commit():

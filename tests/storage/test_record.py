@@ -1,5 +1,8 @@
 """Record and key codec tests, including order-preservation properties."""
 
+import math
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,8 @@ from hypothesis import strategies as st
 from repro.errors import RecordCodecError
 from repro.sql.types import compare
 from repro.storage.record import (
+    _decode_num,
+    _encode_num,
     decode_key,
     decode_record,
     encode_key,
@@ -127,3 +132,73 @@ def test_key_round_trip_property(values):
     """Keys over ints/text/blobs/None decode exactly."""
     row = tuple(values)
     assert decode_key(encode_key(row)) == row
+
+
+# -- the numeric key word: one XOR, same bytes as the byte-at-a-time form ----
+
+def _encode_num_bytewise(value) -> bytes:
+    """``_encode_num`` as it was written before it became one 64-bit XOR
+    (the reference: bytes on disk must not move)."""
+    try:
+        value = float(value) + 0.0
+    except OverflowError:
+        value = math.inf if value > 0 else -math.inf
+    raw = bytearray(struct.pack(">d", value))
+    if raw[0] & 0x80:
+        for i in range(8):
+            raw[i] ^= 0xFF
+    else:
+        raw[0] ^= 0x80
+    return bytes(raw)
+
+
+_NUM_EDGES = [
+    0, 0.0, -0.0, 1, -1, 5e-324, -5e-324, 2.2250738585072014e-308,
+    math.inf, -math.inf, 1.7976931348623157e308, -1.7976931348623157e308,
+    2**53 - 1, 2**53, 2**53 + 1, -(2**53) - 1, 2**63, -(2**63), 2**64,
+    10**308, -(10**308), 10**309, -(10**309), 2**2000, -(2**2000),
+    True, False,
+]
+
+key_numbers = st.one_of(
+    st.sampled_from(_NUM_EDGES),
+    st.floats(allow_nan=False),  # infinities and subnormals included
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.integers(min_value=-(10**320), max_value=10**320),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(key_numbers)
+def test_encode_num_bytes_are_those_of_the_bytewise_form(value):
+    assert _encode_num(value) == _encode_num_bytewise(value)
+
+
+@pytest.mark.parametrize("value", _NUM_EDGES)
+def test_encode_num_edges(value):
+    raw = _encode_num(value)
+    assert raw == _encode_num_bytewise(value)
+    assert len(raw) == 8
+    assert _decode_num(raw) == _as_double(value)
+
+
+def test_encode_num_negative_zero_and_saturation():
+    assert _encode_num(-0.0) == _encode_num(0.0) == _encode_num(0)
+    assert _encode_num(10**400) == _encode_num(math.inf)
+    assert _encode_num(-(10**400)) == _encode_num(-math.inf)
+
+
+@settings(max_examples=500, deadline=None)
+@given(key_numbers, key_numbers)
+def test_encode_num_preserves_order(left, right):
+    lf, rf = _as_double(left), _as_double(right)
+    lk, rk = _encode_num(left), _encode_num(right)
+    assert (lk < rk) == (lf < rf)
+    assert (lk == rk) == (lf == rf)
+
+
+def _as_double(value) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
