@@ -20,6 +20,7 @@ contract").
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
@@ -58,9 +59,9 @@ class TableAccess:
     # -- reads -----------------------------------------------------------
 
     def scan(self) -> Iterator[Tuple[int, Row]]:
-        """Yield (rowid, row) in rowid order."""
-        for entries in self.tree.scan_leaves():
-            yield from entries
+        """(rowid, row) in rowid order, handed out of each leaf's entry
+        list without a Python frame per row."""
+        return chain.from_iterable(self.tree.scan_leaves())
 
     def scan_rows(self) -> Iterator[Row]:
         for entries in self.tree.scan_leaves():
@@ -127,8 +128,7 @@ class IndexAccess:
             yield rowid
 
     def scan_all(self) -> Iterator[int]:
-        for entries in self.tree.scan_leaves():
-            yield from entries
+        return chain.from_iterable(self.tree.scan_leaves())
 
     # -- writes ------------------------------------------------------------
 

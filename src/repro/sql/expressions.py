@@ -9,6 +9,12 @@ planner substitutes in.
 All operators implement SQL three-valued logic: comparisons with NULL
 yield NULL, ``AND``/``OR`` follow Kleene logic, arithmetic with NULL
 yields NULL.
+
+Everything that does not depend on the row is decided here, once per
+statement: which operator a comparison applies, whether one side is a
+constant of a known class, whether a conjunct already yields a truth
+value.  :meth:`ExpressionCompiler.compile_predicate` is the engine's one
+"does this row pass" (DESIGN.md, "The row pipeline").
 """
 
 from __future__ import annotations
@@ -22,6 +28,19 @@ from repro.sql import ast
 from repro.sql.types import SqlValue, compare, is_true, to_number
 
 Evaluator = Callable[[Sequence[SqlValue]], SqlValue]
+#: what ``compile_predicate`` returns: truthy exactly when the row passes
+Predicate = Callable[[Sequence[SqlValue]], bool]
+
+#: comparison operator -> its SQL result indexed by what ``compare``
+#: returned: ``[0]`` equal, ``[1]`` greater, ``[-1]`` less
+_OUTCOMES = {
+    "=": (1, 0, 0), "!=": (0, 1, 1),
+    "<": (0, 0, 1), "<=": (1, 0, 1),
+    ">": (0, 1, 0), ">=": (1, 1, 0),
+}
+
+#: the same comparison with its operands swapped (``5 < a`` is ``a > 5``)
+_SWAPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
 @dataclass
@@ -110,6 +129,32 @@ class ExpressionCompiler:
             )
         return method(expr)
 
+    def compile_predicate(self, conjuncts: Sequence[ast.Expr]) -> Predicate:
+        """The one "does this row pass": truthy exactly when every
+        conjunct is true for the row (so never for a NULL one).
+
+        Conjuncts are tried left to right and the first that is not
+        true decides: a later conjunct (its UDF, its type error) is
+        never reached for a row an earlier one rejects.  A node whose
+        evaluator yields only NULL / 0 / 1 is used as it is (Python
+        truthiness *is* ``is_true`` on those); any other node may yield
+        an arbitrary value and goes through ``is_true``.
+        """
+        tests = []
+        for expr in conjuncts:
+            test = self.compile(expr)
+            tests.append(test if _yields_truth_value(expr)
+                         else _truth_of(test))
+        if len(tests) == 1:
+            return tests[0]
+
+        def every_test(row: Sequence[SqlValue]) -> bool:
+            for test in tests:
+                if not test(row):
+                    return False
+            return True
+        return every_test
+
     # -- leaves -----------------------------------------------------------
 
     def _compile_literal(self, expr: ast.Literal) -> Evaluator:
@@ -178,8 +223,8 @@ class ExpressionCompiler:
                     return None
                 return 0
             return or_eval
-        if op in ("=", "!=", "<", "<=", ">", ">="):
-            return self._compile_comparison(expr)
+        if op in _OUTCOMES:
+            return self._comparison(expr.left, op, expr.right)
         if op == "||":
             left, right = self.compile(expr.left), self.compile(expr.right)
 
@@ -193,26 +238,32 @@ class ExpressionCompiler:
             return self._compile_arithmetic(expr)
         raise PlanError(f"unknown binary operator {op}")
 
-    def _compile_comparison(self, expr: ast.BinaryOp) -> Evaluator:
-        left, right = self.compile(expr.left), self.compile(expr.right)
-        op = expr.op
+    def _comparison(self, left: ast.Expr, op: str,
+                    right: ast.Expr) -> Evaluator:
+        """``left <op> right`` -> NULL / 0 / 1, the operator chosen here
+        and not per row.  A column against a text or numeric literal
+        (either side) reads the row itself and compares values of the
+        literal's own class directly."""
+        position = self._column_position(left)
+        if position is not None and _is_typed_literal(right):
+            return _column_vs_constant(position, op, right.value)
+        position = self._column_position(right)
+        if position is not None and _is_typed_literal(left):
+            return _column_vs_constant(position, _SWAPPED[op], left.value)
+        left_eval, right_eval = self.compile(left), self.compile(right)
+        outcomes = _OUTCOMES[op]
 
         def cmp_eval(row: Sequence[SqlValue]) -> SqlValue:
-            result = compare(left(row), right(row))
-            if result is None:
-                return None
-            if op == "=":
-                return 1 if result == 0 else 0
-            if op == "!=":
-                return 1 if result != 0 else 0
-            if op == "<":
-                return 1 if result < 0 else 0
-            if op == "<=":
-                return 1 if result <= 0 else 0
-            if op == ">":
-                return 1 if result > 0 else 0
-            return 1 if result >= 0 else 0
+            result = compare(left_eval(row), right_eval(row))
+            return None if result is None else outcomes[result]
         return cmp_eval
+
+    def _column_position(self, expr: ast.Expr) -> Optional[int]:
+        if isinstance(expr, ast.ColumnRef):
+            return self.scope.resolve(expr)
+        if isinstance(expr, PostAggRef):
+            return expr.position
+        return None
 
     def _compile_arithmetic(self, expr: ast.BinaryOp) -> Evaluator:
         left, right = self.compile(expr.left), self.compile(expr.right)
@@ -238,7 +289,10 @@ class ExpressionCompiler:
                 return lv / rv
             if rv == 0:
                 return None
-            return lv % rv
+            # The remainder takes the dividend's sign, so that
+            # (a / b) * b + a % b = a beside the truncating division.
+            remainder = abs(lv) % abs(rv)
+            return -remainder if lv < 0 else remainder
         return arith_eval
 
     # -- predicates ------------------------------------------------------------
@@ -275,19 +329,38 @@ class ExpressionCompiler:
         return in_eval
 
     def _compile_between(self, expr: ast.Between) -> Evaluator:
+        """``x BETWEEN lo AND hi`` is ``x >= lo AND x <= hi`` under
+        Kleene AND (one FALSE bound decides, whatever the other is) with
+        ``x`` evaluated once."""
+        inside, outside = (0, 1) if expr.negated else (1, 0)
+        if self._column_position(expr.operand) is not None:
+            # Reading a column twice evaluates nothing twice: the bounds
+            # compile like any other comparison (typed against literals).
+            at_least = self._comparison(expr.operand, ">=", expr.low)
+            at_most = self._comparison(expr.operand, "<=", expr.high)
+
+            def column_between_eval(row: Sequence[SqlValue]) -> SqlValue:
+                lower = at_least(row)
+                if lower == 0:
+                    return outside
+                upper = at_most(row)
+                if upper == 0:
+                    return outside
+                return None if lower is None or upper is None else inside
+            return column_between_eval
+
         operand = self.compile(expr.operand)
         low, high = self.compile(expr.low), self.compile(expr.high)
-        negated = expr.negated
 
         def between_eval(row: Sequence[SqlValue]) -> SqlValue:
             value = operand(row)
-            lo, hi = low(row), high(row)
-            c1 = compare(value, lo)
-            c2 = compare(value, hi)
-            if c1 is None or c2 is None:
-                return None
-            result = c1 >= 0 and c2 <= 0
-            return 1 if (result != negated) else 0
+            lower = compare(value, low(row))
+            if lower == -1:
+                return outside
+            upper = compare(value, high(row))
+            if upper == 1:
+                return outside
+            return None if lower is None or upper is None else inside
         return between_eval
 
     def _compile_like(self, expr: ast.Like) -> Evaluator:
@@ -357,6 +430,52 @@ def _to_text(value: SqlValue) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
+
+
+def _yields_truth_value(expr: ast.Expr) -> bool:
+    """True for the nodes whose evaluators return only NULL / 0 / 1."""
+    if isinstance(expr, ast.BinaryOp):
+        return expr.op in _OUTCOMES or expr.op in ("AND", "OR")
+    if isinstance(expr, ast.UnaryOp):
+        return expr.op == "NOT"
+    return isinstance(expr, (ast.IsNull, ast.InList, ast.Between, ast.Like))
+
+
+def _truth_of(evaluator: Evaluator) -> Predicate:
+    return lambda row: is_true(evaluator(row))
+
+
+def _is_typed_literal(expr: ast.Expr) -> bool:
+    """A literal the typed comparison takes: text or a number (NULL, a
+    blob or a ``bool`` leave the comparison generic)."""
+    return isinstance(expr, ast.Literal) \
+        and type(expr.value) in (str, int, float)
+
+
+def _column_vs_constant(position: int, op: str,
+                        constant: SqlValue) -> Evaluator:
+    """``row[position] <op> constant`` for a text or numeric constant.
+
+    A value of exactly the constant's class is compared in place, in
+    ``compare``'s own formulation (``<``, then ``>``, else equal, which
+    is what makes NaN "equal" and keeps Python's exact int-vs-float
+    order).  Every other value (NULL, another class, ``bool``, a blob,
+    a subclass, a non-SQL object) takes ``compare``: the fast path is
+    chosen by ``type(v) is``, never ``isinstance``, so it cannot accept
+    what ``type_class`` would rank differently or reject.
+    """
+    equal, greater, less = outcomes = _OUTCOMES[op]
+    same, also = (str, str) if type(constant) is str else (int, float)
+
+    def typed_eval(row: Sequence[SqlValue]) -> SqlValue:
+        value = row[position]
+        kind = type(value)
+        if kind is same or kind is also:
+            return less if value < constant \
+                else greater if value > constant else equal
+        result = compare(value, constant)
+        return None if result is None else outcomes[result]
+    return typed_eval
 
 
 # ---------------------------------------------------------------------------
@@ -454,18 +573,16 @@ class IndexableConjunct:
     constants: List[ast.Expr]
 
 
-_COLUMN_ON_LEFT = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
-
-
 def classify_conjunct(pred: ast.Expr) -> Optional[IndexableConjunct]:
     """Recognize ``col = k``, ``col <op> k`` (either side), ``col BETWEEN
     k AND k`` and ``col IN (k, ...)``; anything else (LIKE, arithmetic on
     the column, two columns) is not index-shaped."""
-    if isinstance(pred, ast.BinaryOp) and pred.op in _COLUMN_ON_LEFT:
+    if isinstance(pred, ast.BinaryOp) and pred.op in _SWAPPED \
+            and pred.op != "!=":  # which no B-tree range serves
         if isinstance(pred.left, ast.ColumnRef) and is_constant(pred.right):
             return IndexableConjunct(pred.left, pred.op, [pred.right])
         if isinstance(pred.right, ast.ColumnRef) and is_constant(pred.left):
-            return IndexableConjunct(pred.right, _COLUMN_ON_LEFT[pred.op],
+            return IndexableConjunct(pred.right, _SWAPPED[pred.op],
                                      [pred.left])
         return None
     if isinstance(pred, ast.Between) and not pred.negated:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanError, ReproError
@@ -60,7 +61,7 @@ from repro.sql.expressions import (
 )
 from repro.sql.functions import BUILTIN_SCALARS, is_aggregate, make_aggregate
 from repro.sql.stats import StatsProvider, TableStats
-from repro.sql.types import SqlValue, compare, is_true
+from repro.sql.types import SqlValue, compare
 from repro.storage.record import KEY_EXACT_INT
 
 # ---------------------------------------------------------------------------
@@ -801,8 +802,8 @@ class _SelectPlanner:
         compiler = ExpressionCompiler(scope, self.ctx.functions)
 
         if remaining:
-            filters = [compiler.compile(p) for p in remaining]
-            source_rows = _filtered(source_rows, filters)
+            source_rows = filter(compiler.compile_predicate(remaining),
+                                 source_rows)
 
         items = self._expand_stars(select.items, scope)
         aggregated = bool(select.group_by) or any(
@@ -838,8 +839,8 @@ class _SelectPlanner:
         for step in plan.steps:
             bound = tables[step.desc.ordinal]
             if step.access is not None:
-                rows = (row for _, row
-                        in self._exec_access(bound, step.access))
+                rows = map(itemgetter(1),
+                           self._exec_access(bound, step.access))
             else:
                 rows = self._exec_join(ordered, bound, step.join, rows)
             ordered.append(step.desc)
@@ -853,8 +854,7 @@ class _SelectPlanner:
         if not pushed:
             return rows
         compiler = ExpressionCompiler(scope_of(ordered), self.ctx.functions)
-        filters = [compiler.compile(p) for p in pushed]
-        return _filtered(rows, filters)
+        return filter(compiler.compile_predicate(pushed), rows)
 
     @staticmethod
     def _exec_access(table: BoundTable,
@@ -881,9 +881,9 @@ class _SelectPlanner:
         if not inexact:
             return rows
         # Foldable with the built-ins, or the index would not have it.
-        keep = ExpressionCompiler(table.desc.scope(),
-                                  BUILTIN_SCALARS).compile(spec.pred)
-        return (pair for pair in rows if is_true(keep(pair[1])))
+        keep = ExpressionCompiler(
+            table.desc.scope(), BUILTIN_SCALARS).compile_predicate([spec.pred])
+        return (pair for pair in rows if keep(pair[1]))
 
     def _exec_join(self, prefix: List[TableDesc], table: BoundTable,
                    spec: JoinSpec, prefix_rows):
@@ -1110,10 +1110,10 @@ class _SelectPlanner:
         columns = [_column_name(item, i)
                    for i, item in enumerate(post_items)]
 
-        having_eval = None
+        having_passes = None
         if having is not None:
-            having_eval = post_compiler.compile(
-                _rewrite(having, to_post_agg)
+            having_passes = post_compiler.compile_predicate(
+                [_rewrite(having, to_post_agg)]
             )
         order_evals = None
         if select.order_by:
@@ -1125,26 +1125,46 @@ class _SelectPlanner:
                     (post_compiler.compile(expr), order.descending)
                 )
 
+        def new_group():
+            """A group's accumulators, and their (step, argument) pairs
+            bound once so the row loop looks nothing up."""
+            aggs = [make_aggregate(c.name, c.distinct) for c in agg_calls]
+            return aggs, [(agg.step, arg)
+                          for agg, arg in zip(aggs, agg_arg_evals)]
+
+        if len(group_evals) == 1:
+            # The usual single GROUP BY key builds its 1-tuple directly.
+            (only_key,) = group_evals
+
+            def key_of(src: Row) -> tuple:
+                return (only_key(src),)
+        else:
+            def key_of(src: Row) -> tuple:
+                return tuple([g(src) for g in group_evals])
+
         def produce() -> Iterator[Row]:
-            groups: Dict[tuple, list] = {}
-            for src in source_rows:
-                key = tuple(g(src) for g in group_evals)
-                aggs = groups.get(key)
-                if aggs is None:
-                    aggs = [make_aggregate(c.name, c.distinct)
-                            for c in agg_calls]
-                    groups[key] = aggs
-                for agg, arg in zip(aggs, agg_arg_evals):
-                    agg.step(arg(src))
-            if not groups and not group_exprs:
-                groups[()] = [make_aggregate(c.name, c.distinct)
-                              for c in agg_calls]
+            groups: Dict[tuple, tuple] = {}  #: key -> new_group()
+            if not group_evals:
+                # One group, with or without rows (COUNT = 0, SUM = NULL
+                # over none): no key, no probe.
+                groups[()] = new_group()
+                steps = groups[()][1]
+                for src in source_rows:
+                    for step, arg in steps:
+                        step(arg(src))
+            else:
+                for src in source_rows:
+                    key = key_of(src)
+                    group = groups.get(key)
+                    if group is None:
+                        groups[key] = group = new_group()
+                    for step, arg in group[1]:
+                        step(arg(src))
             out: List[Tuple[tuple, Row]] = []
             seen = set()
-            for key, aggs in groups.items():
-                agg_row = tuple(key) + tuple(a.result() for a in aggs)
-                if having_eval is not None and \
-                        not is_true(having_eval(agg_row)):
+            for key, (aggs, _) in groups.items():
+                agg_row = key + tuple(a.result() for a in aggs)
+                if having_passes is not None and not having_passes(agg_row):
                     continue
                 row = tuple(e(agg_row) for e in evaluators)
                 if select.distinct:
@@ -1221,11 +1241,11 @@ def scan_for_modify(table: TableAccess, indexes: List[IndexAccess],
     bound = BoundTable.bind(table.info.name, table, indexes)
     plan = plan_from([bound.desc], conjuncts(where), lambda _table: None)
     step = plan.steps[0]
-    compiler = ExpressionCompiler(bound.desc.scope(), functions)
-    filters = [compiler.compile(p) for p in step.pushed + plan.residual]
-    return ((rowid, row)
-            for rowid, row in _SelectPlanner._exec_access(bound, step.access)
-            if all(is_true(f(row)) for f in filters))
+    passes = ExpressionCompiler(bound.desc.scope(), functions) \
+        .compile_predicate(step.pushed + plan.residual)
+    return (pair
+            for pair in _SelectPlanner._exec_access(bound, step.access)
+            if passes(pair[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -1287,12 +1307,6 @@ def _fetch_rows(access: TableAccess,
         row = access.get(rowid)
         if row is not None:
             yield rowid, row
-
-
-def _filtered(rows: Iterator[Row], filters) -> Iterator[Row]:
-    for row in rows:
-        if all(is_true(f(row)) for f in filters):
-            yield row
 
 
 def _sorted_rows(keyed: List[Tuple[tuple, Row]], order_evals) -> Iterator[Row]:

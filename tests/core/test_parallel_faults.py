@@ -19,10 +19,15 @@ from tests.storage.test_resource_lifecycle import CountingSource
 
 QS = "SELECT snap_id FROM SnapIds ORDER BY snap_id"
 
+#: SnapIds.snap_ts is in every database dump: two sessions built one
+#: after the other must not read the wall clock, or their dumps differ
+#: whenever the builds straddle a second boundary.
+FIXED_CLOCK = lambda: "2026-01-01 00:00:00"  # noqa: E731
+
 
 def _history_session(session: RQLSession = None) -> RQLSession:
     if session is None:
-        session = RQLSession()
+        session = RQLSession(clock=FIXED_CLOCK)
     session.execute("CREATE TABLE events (grp, val)")
     for i in range(8):
         session.execute(f"INSERT INTO events VALUES ({i % 3}, {i})")
@@ -152,7 +157,7 @@ def test_crash_during_parallel_run_recovers_and_matches_serial():
     disk = ChaosDisk(4096, seed=11)
     aux = ChaosDisk(4096, controller=disk.chaos)
     session = _history_session(
-        RQLSession(db=Database(disk=disk, aux_disk=aux)))
+        RQLSession(db=Database(disk=disk, aux_disk=aux), clock=FIXED_CLOCK))
     disk.schedule_crash(at_write=3, tear=True)
     with pytest.raises(ReproError):
         session.collate_data(QS, "SELECT grp, val FROM events", "R",

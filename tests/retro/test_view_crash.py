@@ -83,7 +83,8 @@ def test_crash_mid_refresh_is_never_torn(mechanism, qq, arg):
         disk = ChaosDisk(4096, seed=at_write)
         aux = ChaosDisk(4096, controller=disk.chaos)
         session = _build_history(
-            RQLSession(db=Database(disk=disk, aux_disk=aux)),
+            RQLSession(db=Database(disk=disk, aux_disk=aux),
+                       clock=FIXED_CLOCK),
             mechanism, qq, arg)
         # Tear the interrupted page image on every other ordinal so WAL
         # recovery has to discard a half-written frame too.

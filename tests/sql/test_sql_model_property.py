@@ -52,10 +52,7 @@ def predicates(draw):
         return sql, (lambda r: r["a"] is not None) if negated \
             else (lambda r: r["a"] is None)
     if kind == "between":
-        lo = draw(st.integers(min_value=-20, max_value=20))
-        hi = lo + draw(st.integers(min_value=0, max_value=10))
-        return (f"a BETWEEN {lo} AND {hi}",
-                lambda r: r["a"] is not None and lo <= r["a"] <= hi)
+        return draw(between_predicates())
     if kind == "in_b":
         members = sorted(draw(st.sets(
             st.integers(min_value=0, max_value=5), min_size=1,
@@ -69,6 +66,40 @@ def predicates(draw):
                 lambda r: left_py(r) and right_py(r))
     return (f"({left_sql}) OR ({right_sql})",
             lambda r: left_py(r) or right_py(r))
+
+
+@st.composite
+def bounds(draw):
+    """A BETWEEN bound as (sql_text, row -> value): an integer literal,
+    NULL, or column ``b`` (itself NULL in some rows)."""
+    kind = draw(st.sampled_from(["literal", "literal", "null", "column"]))
+    if kind == "null":
+        return "NULL", lambda r: None
+    if kind == "column":
+        return "b", lambda r: r["b"]
+    value = draw(st.integers(min_value=-20, max_value=20))
+    return str(value), lambda r: value
+
+
+@st.composite
+def between_predicates(draw):
+    negated = draw(st.booleans())
+    (lo_sql, lo), (hi_sql, hi) = draw(bounds()), draw(bounds())
+    return (f"a {'NOT ' if negated else ''}BETWEEN {lo_sql} AND {hi_sql}",
+            lambda r: _between_holds(r["a"], lo(r), hi(r), negated))
+
+
+def _between_holds(value, lo, hi, negated):
+    """``value [NOT] BETWEEN lo AND hi`` is TRUE, read as the Kleene
+    conjunction ``value >= lo AND value <= hi``: one FALSE comparison
+    decides even when the other is NULL."""
+    lower = None if value is None or lo is None else value >= lo
+    upper = None if value is None or hi is None else value <= hi
+    if lower is False or upper is False:
+        return negated
+    if lower is None or upper is None:
+        return False
+    return not negated
 
 
 def _cmp(column, op, value):
@@ -125,6 +156,24 @@ def test_filtered_rows_match_model(rows, predicate):
     assert got == expected, sql_pred
 
 
+@settings(max_examples=150, deadline=None)
+@given(rows_strategy, between_predicates())
+def test_between_rows_match_model(rows, predicate):
+    """[NOT] BETWEEN with literal, NULL and column-valued bounds, through
+    SELECT and through DELETE (which locates rows with the same
+    predicate)."""
+    sql_pred, py_pred = predicate
+    db = load(rows)
+    got = sorted(db.execute(
+        f"SELECT a, b, s FROM t WHERE {sql_pred}").rows, key=repr)
+    expected = sorted(
+        (row for row in rows if py_pred(dict(zip(COLUMNS, row)))), key=repr)
+    assert got == expected, sql_pred
+    db.execute(f"DELETE FROM t WHERE {sql_pred}")
+    assert db.execute("SELECT COUNT(*) FROM t").scalar() \
+        == len(rows) - len(expected), sql_pred
+
+
 @settings(max_examples=40, deadline=None)
 @given(rows_strategy)
 def test_aggregates_match_model(rows):
@@ -153,6 +202,25 @@ def test_group_by_matches_model(rows):
     expected = {}
     for row in rows:
         expected[row[1]] = expected.get(row[1], 0) + 1
+    assert got == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows_strategy, st.integers(min_value=0, max_value=2))
+def test_group_by_three_keys_and_having_match_model(rows, threshold):
+    """Groups (NULL keys included) come out in first-appearance order,
+    HAVING compares an aggregate of the group with a constant."""
+    db = load(rows)
+    got = db.execute(
+        "SELECT a, b, s, COUNT(*), SUM(b), COUNT(DISTINCT a) FROM t "
+        f"GROUP BY a, b, s HAVING COUNT(*) > {threshold}").rows
+    counts = {}
+    for row in rows:
+        counts[row] = counts.get(row, 0) + 1
+    expected = [
+        (a, b, s, n, None if b is None else b * n, 0 if a is None else 1)
+        for (a, b, s), n in counts.items() if n > threshold
+    ]
     assert got == expected
 
 
