@@ -165,7 +165,8 @@ class Shell:
             ctx = engine.begin_read()
             try:
                 source = engine.read_source(ctx)
-                yield Catalog(source, engine.pager.get_root("catalog")), kind
+                yield Catalog(source, engine.pager.get_root("catalog"),
+                              temporary=kind == "temp"), kind
             finally:
                 ctx.close()
 

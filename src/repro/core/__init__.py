@@ -15,7 +15,13 @@ from repro.core.parallel import (
     ParallelRunInfo,
     partition_snapshots,
 )
-from repro.core.rewrite import rewrite_qq, validate_qs, wrap_qs
+from repro.core.rewrite import (
+    PreparedQq,
+    prepare_qq,
+    rewrite_qq,
+    validate_qs,
+    wrap_qs,
+)
 from repro.core.sortmerge import (
     SortMergeAggregateDataInTableRun,
     sort_merge_aggregate_data_in_table,
@@ -27,6 +33,7 @@ __all__ = [
     "CrossSnapshotAggregate",
     "ParallelExecutor",
     "ParallelRunInfo",
+    "PreparedQq",
     "RQLResult",
     "RQLSession",
     "SNAPIDS_TABLE",
@@ -40,6 +47,7 @@ __all__ = [
     "merge_stored_value",
     "parse_col_func_pairs",
     "partition_snapshots",
+    "prepare_qq",
     "rewrite_qq",
     "validate_qs",
     "wrap_qs",

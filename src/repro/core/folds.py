@@ -57,7 +57,7 @@ from repro.core.mechanisms import (
     create_result_index,
     create_result_table,
 )
-from repro.core.rewrite import rewrite_qq
+from repro.core.rewrite import prepare_qq
 from repro.errors import MechanismError
 from repro.retro.metrics import MetricsSink
 from repro.sql.database import Database
@@ -460,14 +460,17 @@ def find_mechanism(name: str) -> Mechanism:
 
 def fold_range(db: Database, qq: str, sids: Sequence[int], fold: Fold,
                sink: MetricsSink, poll: Callable[[], object]) -> None:
-    """Step ``fold`` over ``sids``: per snapshot, evaluate the rewritten
-    Qq through a private read-only cursor (metered like the serial
-    loop, Qq evaluation apart from UDF work) and fold its rows.
+    """Step ``fold`` over ``sids``: per snapshot, evaluate Qq bound to
+    it through a private read-only cursor (metered like the serial
+    loop, Qq evaluation apart from UDF work) and fold its rows.  Qq is
+    parsed and validated by the first snapshot reached, like the serial
+    loop's.
 
     ``poll`` runs before every snapshot: a truthy return stops the loop
     quietly, an exception propagates — the caller picks the policy.
     """
     clock = sink.clock
+    prepared = None
     for sid in sids:
         if poll():
             return
@@ -475,8 +478,10 @@ def fold_range(db: Database, qq: str, sids: Sequence[int], fold: Fold,
         try:
             index_before = current.index_creation_seconds
             started = clock()
-            columns, cursor = db.execute_readonly_cursor(
-                rewrite_qq(qq, sid), metrics=sink,
+            if prepared is None:
+                prepared = prepare_qq(qq)
+            columns, cursor = db.open_cursor(
+                prepared.bind(sid), private=True, metrics=sink,
             )
             try:
                 rows = [tuple(row) for row in cursor]

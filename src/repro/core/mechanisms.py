@@ -4,9 +4,10 @@ over the snapshot set (paper Section 3).
 Every mechanism iterates the snapshot ids returned by Qs, and per
 iteration:
 
-1. rewrites Qq — ``AS OF sid`` injection + ``current_snapshot()``
-   inlining (:mod:`repro.core.rewrite`);
-2. runs the rewritten Qq through the engine's row-callback interface
+1. binds Qq — ``AS OF sid`` injection + ``current_snapshot()``
+   inlining, on the statement prepared once per run
+   (:mod:`repro.core.rewrite`);
+2. runs the bound Qq through the engine's row-callback interface
    (the ``sqlite3_exec`` analogue), processing each returned record in a
    mechanism-specific way;
 3. meters its costs into a :class:`~repro.retro.metrics.MetricsSink`,
@@ -30,7 +31,7 @@ from repro.core.aggregates import (
     make_cross_snapshot_aggregate,
     parse_col_func_pairs,
 )
-from repro.core.rewrite import rewrite_qq, validate_qs
+from repro.core.rewrite import PreparedQq, prepare_qq, validate_qs
 from repro.retro.metrics import MetricsSink
 from repro.sql.database import Database
 from repro.sql.executor import TableWriter
@@ -107,6 +108,8 @@ class _LoopBody:
         # timing in this run deterministic under test.
         self.sink = sink if sink is not None else MetricsSink()
         self._first_done = False
+        #: Qq parsed and validated by the first iteration, bound by all
+        self._prepared: Optional[PreparedQq] = None
 
     # -- public ------------------------------------------------------------
 
@@ -168,14 +171,16 @@ class _LoopBody:
     # -- helpers -----------------------------------------------------------------
 
     def _metered_pass(self, snapshot_id: int, first: bool) -> None:
-        """Run rewritten Qq through the subclass pass, splitting the
-        iteration into Qq evaluation vs RQL UDF work."""
+        """Run Qq bound to the snapshot through the subclass pass,
+        splitting the iteration into Qq evaluation vs RQL UDF work."""
         clock = self.sink.clock
         current = self.sink.current
         index_before = current.index_creation_seconds
         started = clock()
-        columns, rows = self.db.execute_cursor(
-            rewrite_qq(self.qq, snapshot_id))
+        prepared = self._prepared
+        if prepared is None:
+            prepared = self._prepared = prepare_qq(self.qq)
+        columns, rows = self.db.open_cursor(prepared.bind(snapshot_id))
         if first:
             udf = self.first_pass(columns, rows, snapshot_id)
         else:
@@ -233,7 +238,8 @@ def _result_table_stats(db: Database, table: str,
         read_ctx = engine.begin_read()
         try:
             source = engine.read_source(read_ctx)
-            catalog = Catalog(source, engine.pager.get_root("catalog"))
+            catalog = Catalog(source, engine.pager.get_root("catalog"),
+                              temporary=engine is db.aux_engine)
             info = catalog.get_table(table)
             if info is None:
                 continue

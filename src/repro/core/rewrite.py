@@ -1,19 +1,27 @@
-"""Qq rewriting — the RQL loop body's first step (paper Section 3).
+"""Qq binding — the RQL loop body's first step (paper Section 3).
 
 For the iteration on snapshot ``Si``, the programmer's Qq::
 
     SELECT DISTINCT current_snapshot() FROM LoggedIn
     WHERE l_userid = 'UserB';
 
-is rewritten to::
+is bound to::
 
     SELECT AS OF Si DISTINCT Si FROM LoggedIn
     WHERE l_userid = 'UserB';
 
 i.e. (1) ``AS OF Si`` is injected after the first top-level SELECT, and
-(2) every ``current_snapshot()`` call becomes the literal ``Si``.  The
-rewrite is token-based (not regex) so string literals containing
-``select`` or ``current_snapshot`` are never touched.
+(2) every ``current_snapshot()`` call becomes the literal ``Si``.
+
+Two implementations, one contract.  :func:`prepare_qq` is what the
+snapshot loops run: Qq is lexed, parsed and validated **once** per RQL
+query, and :meth:`PreparedQq.bind` makes the per-snapshot statement on
+the AST.  :func:`rewrite_qq` is the paper's textual form (token-based,
+not regex, so string literals containing ``select`` or
+``current_snapshot`` are never touched) and the reference the binder is
+tested against::
+
+    prepare_qq(qq).bind(sid) == parse_one(rewrite_qq(qq, sid))
 
 ``wrap_qs`` builds the Section 3 implementation form: the Qs query with
 its select list wrapped in the mechanism UDF, e.g.
@@ -22,16 +30,122 @@ its select list wrapped in the mechanism UDF, e.g.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+import copy
+from dataclasses import fields, is_dataclass
+from typing import Callable, List, Optional, Tuple
 
 from repro.errors import MechanismError
+from repro.sql import ast
 from repro.sql.lexer import EOF, IDENT, KEYWORD, OPERATOR, Token, tokenize
+from repro.sql.parser import parse_sql
 
 CURRENT_SNAPSHOT = "current_snapshot"
 
+_NOT_A_SELECT = "Qq must be a SELECT statement"
+_HAS_AS_OF = "Qq must not contain AS OF; RQL binds snapshots"
+_CALL_HAS_ARGUMENTS = "current_snapshot must be called with no arguments"
+
+#: rebuilds one node (or list of nodes) around the snapshot literal
+_Rebuild = Callable[[ast.Literal], object]
+
+
+class PreparedQq:
+    """Qq, parsed and validated once; :meth:`bind` pins it to a snapshot.
+
+    Immutable once :func:`prepare_qq` returns: partition workers may
+    share one, and every bound statement shares the subtrees that hold
+    no ``current_snapshot()`` call with it (nothing downstream mutates
+    an AST).
+    """
+
+    __slots__ = ("statement", "_calls")
+
+    def __init__(self, statement: ast.Select,
+                 calls: List[Tuple[str, _Rebuild]]) -> None:
+        #: Qq as written: no ``AS OF``, the calls still in place
+        self.statement = statement
+        self._calls = calls
+
+    @property
+    def references_current_snapshot(self) -> bool:
+        """True if Qq calls ``current_snapshot()`` — i.e. its bound form
+        differs per snapshot even over unchanged tables.  Incremental
+        view refresh uses this to tell when identical table contents
+        imply identical Qq output across a snapshot range.
+        """
+        return bool(self._calls)
+
+    def bind(self, snapshot_id: int) -> ast.Select:
+        """The statement of the iteration on ``snapshot_id``: a new
+        Select with ``AS OF`` set and each call replaced by the id."""
+        literal = ast.Literal(int(snapshot_id))
+        bound = _clone(self.statement, self._calls, literal)
+        bound.as_of = literal
+        return bound
+
+
+def prepare_qq(qq: str) -> PreparedQq:
+    """Lex, parse and validate Qq — everything about binding it that
+    does not depend on the snapshot.  Lexer and parser errors are their
+    own, with positions in the text as the user wrote it."""
+    statements = parse_sql(qq)
+    if len(statements) != 1 or not isinstance(statements[0], ast.Select):
+        raise MechanismError(_NOT_A_SELECT)
+    statement = statements[0]
+    if statement.as_of is not None:
+        raise MechanismError(_HAS_AS_OF)
+    return PreparedQq(statement, _calls_below(statement))
+
+
+def _calls_below(node) -> List[Tuple[object, _Rebuild]]:
+    """``(field name or list position, rebuild)`` for every child of
+    ``node`` that holds a ``current_snapshot()`` call."""
+    if isinstance(node, (list, tuple)):
+        children = enumerate(node)
+    elif is_dataclass(node):
+        children = ((f.name, getattr(node, f.name)) for f in fields(node))
+    else:
+        return []
+    found = []
+    for at, child in children:
+        rebuild = _rebuild_for(child)
+        if rebuild is not None:
+            found.append((at, rebuild))
+    return found
+
+
+def _rebuild_for(node) -> Optional[_Rebuild]:
+    """How to make ``node``'s bound counterpart, or None when there is
+    no call in it and every bound statement shares it as it is."""
+    if isinstance(node, ast.FunctionCall) \
+            and node.name.lower() == CURRENT_SNAPSHOT:
+        if node.args or node.distinct or node.star:
+            raise MechanismError(_CALL_HAS_ARGUMENTS)
+        return lambda literal: literal
+    calls = _calls_below(node)
+    if not calls:
+        return None
+    return lambda literal: _clone(node, calls, literal)
+
+
+def _clone(node, calls, literal: ast.Literal):
+    """A shallow copy of ``node`` whose ``calls`` children are rebuilt;
+    ``node`` itself is left as the parser made it."""
+    if isinstance(node, (list, tuple)):
+        out = list(node)
+        for at, rebuild in calls:
+            out[at] = rebuild(literal)
+        return type(node)(out)
+    out = copy.copy(node)  # keeps the source position
+    for name, rebuild in calls:
+        setattr(out, name, rebuild(literal))
+    return out
+
 
 def rewrite_qq(qq: str, snapshot_id: int) -> str:
-    """Bind Qq to one snapshot: inject AS OF, inline current_snapshot()."""
+    """Bind Qq to one snapshot as text: inject AS OF, inline
+    current_snapshot().  The reference form of :meth:`PreparedQq.bind`
+    (no snapshot loop calls it)."""
     sql = qq.strip().rstrip(";")
     tokens = tokenize(sql)
     edits: List[Tuple[int, int, str]] = []  # (start, end, replacement)
@@ -44,36 +158,25 @@ def rewrite_qq(qq: str, snapshot_id: int) -> str:
             if not select_seen:
                 select_seen = True
                 if _already_as_of(tokens, position):
-                    raise MechanismError(
-                        "Qq must not contain AS OF; RQL binds snapshots"
-                    )
+                    raise MechanismError(_HAS_AS_OF)
                 end = token.position + len("SELECT")
                 edits.append((end, end, f" AS OF {snapshot_id}"))
             continue
-        if token.kind == IDENT and \
-                str(token.value).lower() == CURRENT_SNAPSHOT:
-            call_end = _call_end(tokens, position, sql)
-            edits.append((token.position, call_end, str(snapshot_id)))
+        # Only a call is special: a column or alias that happens to be
+        # named current_snapshot is an ordinary identifier.
+        if token.kind == IDENT \
+                and str(token.value).lower() == CURRENT_SNAPSHOT \
+                and tokens[position + 1].matches(OPERATOR, "("):
+            close_tok = tokens[position + 2]
+            if not close_tok.matches(OPERATOR, ")"):
+                raise MechanismError(_CALL_HAS_ARGUMENTS)
+            edits.append((token.position, close_tok.position + 1,
+                          str(snapshot_id)))
 
     if not select_seen:
-        raise MechanismError("Qq must be a SELECT statement")
+        raise MechanismError(_NOT_A_SELECT)
 
     return _apply_edits(sql, edits)
-
-
-def references_current_snapshot(qq: str) -> bool:
-    """True if Qq calls ``current_snapshot()`` — i.e. its rewritten
-    form differs per snapshot even over unchanged tables.  Incremental
-    view refresh uses this to tell when identical table contents imply
-    identical Qq output across a snapshot range.
-    """
-    for token in tokenize(qq.strip().rstrip(";")):
-        if token.kind == EOF:
-            break
-        if token.kind == IDENT and \
-                str(token.value).lower() == CURRENT_SNAPSHOT:
-            return True
-    return False
 
 
 def _already_as_of(tokens: List[Token], select_pos: int) -> bool:
@@ -81,18 +184,6 @@ def _already_as_of(tokens: List[Token], select_pos: int) -> bool:
     nxt2 = tokens[select_pos + 2] if select_pos + 2 < len(tokens) else None
     return (nxt is not None and nxt.matches(KEYWORD, "AS")
             and nxt2 is not None and nxt2.matches(KEYWORD, "OF"))
-
-
-def _call_end(tokens: List[Token], ident_pos: int, sql: str) -> int:
-    """End offset of ``current_snapshot()`` (the closing paren)."""
-    open_tok = tokens[ident_pos + 1] if ident_pos + 1 < len(tokens) else None
-    close_tok = tokens[ident_pos + 2] if ident_pos + 2 < len(tokens) else None
-    if open_tok is None or not open_tok.matches(OPERATOR, "(") or \
-            close_tok is None or not close_tok.matches(OPERATOR, ")"):
-        raise MechanismError(
-            "current_snapshot must be called with no arguments"
-        )
-    return close_tok.position + 1
 
 
 def _apply_edits(sql: str, edits: List[Tuple[int, int, str]]) -> str:

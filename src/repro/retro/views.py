@@ -58,7 +58,7 @@ from repro.core.folds import (
     write_result,
 )
 from repro.core.mechanisms import _quote
-from repro.core.rewrite import references_current_snapshot, rewrite_qq
+from repro.core.rewrite import prepare_qq
 from repro.errors import (
     MechanismError,
     QueryCancelled,
@@ -232,7 +232,7 @@ class ViewManager:
         if not spec.takes_arg and arg is not None:
             raise ViewError(f"{mech} takes no aggregate argument")
         spec.fold(arg)  # fail fast on a malformed aggregate argument
-        rewrite_qq(qq, 1)  # fail fast on a malformed Qq
+        prepare_qq(qq)  # fail fast on a malformed Qq
         with self.db.write_lock():
             views = self._load_all()
             if name.lower() in views:
@@ -435,7 +435,8 @@ class ViewManager:
             read_pages = self._read_page_set(
                 meta.built_from, certificate.read_tables, sink)
             affected = diff & read_pages
-        if not affected and not references_current_snapshot(meta.qq):
+        if not affected \
+                and not prepare_qq(meta.qq).references_current_snapshot:
             return ("delta-skip",
                     "no affected pages and snapshot-invariant Qq: "
                     "evaluate once at the target and replay",
@@ -611,7 +612,8 @@ class ViewManager:
             try:
                 source = engine.read_source(ctx)
                 catalog = Catalog(source,
-                                  engine.pager.get_root("catalog"))
+                                  engine.pager.get_root("catalog"),
+                                  temporary=engine is self.db.aux_engine)
                 if catalog.get_table(name) is not None:
                     return True
             finally:

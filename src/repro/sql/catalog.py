@@ -19,13 +19,15 @@ Catalog rows (record-codec encoded):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from repro.errors import CatalogError
 from repro.storage.btree import BTree
 from repro.storage.record import decode_record, encode_key, encode_record
 
 _SEP = "\x1f"
+
+_TABLE_KEYS = encode_key(("T",))
 
 
 @dataclass(frozen=True)
@@ -34,8 +36,12 @@ class Column:
     type_name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class TableInfo:
+    """One table's catalog entry.  Frozen: a lookup borrows the entry
+    its catalog page carries, so every reader of that page — any
+    snapshot, session or thread — sees the same object."""
+
     name: str
     root_id: int
     columns: List[Column]
@@ -58,8 +64,10 @@ class TableInfo:
         return any(c.name.lower() == lowered for c in self.columns)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IndexInfo:
+    """One index's catalog entry; frozen and shared as :class:`TableInfo`."""
+
     name: str
     table: str
     root_id: int
@@ -68,11 +76,64 @@ class IndexInfo:
     temporary: bool = False
 
 
-class Catalog:
-    """Catalog accessor bound to one page source (current or snapshot)."""
+def _decode_entry(key: bytes, raw: bytes,
+                  temporary: bool) -> Union[TableInfo, IndexInfo]:
+    if key.startswith(_TABLE_KEYS):
+        name, root_id, cols, types, pk = decode_record(raw)
+        col_names = str(cols).split(_SEP) if cols else []
+        # Types may all be empty strings (no affinity); split by column
+        # count, never by truthiness of the joined string.
+        col_types = str(types).split(_SEP) if col_names else []
+        while len(col_types) < len(col_names):
+            col_types.append("")
+        return TableInfo(
+            name=str(name), root_id=int(root_id),
+            columns=[Column(n, t) for n, t in zip(col_names, col_types)],
+            primary_key=str(pk).split(_SEP) if pk else [],
+            temporary=temporary,
+        )
+    name, table, root_id, unique, cols = decode_record(raw)
+    return IndexInfo(
+        name=str(name), table=str(table), root_id=int(root_id),
+        columns=str(cols).split(_SEP) if cols else [],
+        unique=bool(unique), temporary=temporary,
+    )
 
-    def __init__(self, source, root_id: int) -> None:
-        self._tree = BTree(source, root_id)
+
+# One decoder per catalog kind: which catalog an entry came from is part
+# of the entry, the leaf memo is keyed by decoder identity, and the main
+# and aux catalogs never share a page.
+
+def _main_entry(key: bytes, raw: bytes) -> Union[TableInfo, IndexInfo]:
+    return _decode_entry(key, raw, False)
+
+
+def _temp_entry(key: bytes, raw: bytes) -> Union[TableInfo, IndexInfo]:
+    return _decode_entry(key, raw, True)
+
+
+class Catalog:
+    """Catalog accessor bound to one page source (current or snapshot).
+
+    A typed view of the catalog tree (DESIGN.md, "The node cache
+    contract"): lookups hand out the entries the page's decoded node
+    carries, so a catalog page shared by many snapshots — or read by
+    every statement between two DDLs — is decoded once.  The accessor
+    keeps no lookup state of its own; a write publishes a node without
+    entries, as a table leaf's does.  ``temporary`` says this is the aux
+    engine's catalog.
+    """
+
+    def __init__(self, source, root_id: int,
+                 temporary: bool = False) -> None:
+        self._tree = BTree(source, root_id,
+                           _temp_entry if temporary else _main_entry)
+
+    def _entries(self, kind: type) -> list:
+        """Every entry of one kind, in name order.  The full scan is
+        what fills the leaf memo the point lookups borrow."""
+        return [entry for leaf in self._tree.scan_leaves()
+                for entry in leaf if type(entry) is kind]
 
     # -- keys -----------------------------------------------------------
 
@@ -88,7 +149,7 @@ class Catalog:
 
     def create_table(self, info: TableInfo) -> None:
         key = self._table_key(info.name)
-        if self._tree.get(key) is not None:
+        if self._tree.contains(key):
             raise CatalogError(f"table {info.name} already exists")
         value = encode_record((
             info.name,
@@ -107,37 +168,16 @@ class Catalog:
         return info
 
     def get_table(self, name: str) -> Optional[TableInfo]:
-        raw = self._tree.get(self._table_key(name))
-        if raw is None:
-            return None
-        return self._decode_table(raw)
+        return self._tree.get(self._table_key(name))
 
     def list_tables(self) -> List[TableInfo]:
-        prefix = encode_key(("T",))
-        return [self._decode_table(v)
-                for _, v in self._tree.scan_prefix(prefix)]
-
-    @staticmethod
-    def _decode_table(raw: bytes) -> TableInfo:
-        name, root_id, cols, types, pk = decode_record(raw)
-        col_names = str(cols).split(_SEP) if cols else []
-        # Types may all be empty strings (no affinity); split by column
-        # count, never by truthiness of the joined string.
-        col_types = str(types).split(_SEP) if col_names else []
-        while len(col_types) < len(col_names):
-            col_types.append("")
-        columns = [Column(n, t) for n, t in zip(col_names, col_types)]
-        primary_key = str(pk).split(_SEP) if pk else []
-        return TableInfo(
-            name=str(name), root_id=int(root_id), columns=columns,
-            primary_key=primary_key,
-        )
+        return self._entries(TableInfo)
 
     # -- indexes -----------------------------------------------------------
 
     def create_index(self, info: IndexInfo) -> None:
         key = self._index_key(info.name)
-        if self._tree.get(key) is not None:
+        if self._tree.contains(key):
             raise CatalogError(f"index {info.name} already exists")
         value = encode_record((
             info.name,
@@ -156,26 +196,12 @@ class Catalog:
         return info
 
     def get_index(self, name: str) -> Optional[IndexInfo]:
-        raw = self._tree.get(self._index_key(name))
-        if raw is None:
-            return None
-        return self._decode_index(raw)
+        return self._tree.get(self._index_key(name))
 
     def list_indexes(self) -> List[IndexInfo]:
-        prefix = encode_key(("I",))
-        return [self._decode_index(v)
-                for _, v in self._tree.scan_prefix(prefix)]
+        return self._entries(IndexInfo)
 
     def indexes_for(self, table: str) -> List[IndexInfo]:
         lowered = table.lower()
         return [ix for ix in self.list_indexes()
                 if ix.table.lower() == lowered]
-
-    @staticmethod
-    def _decode_index(raw: bytes) -> IndexInfo:
-        name, table, root_id, unique, cols = decode_record(raw)
-        return IndexInfo(
-            name=str(name), table=str(table), root_id=int(root_id),
-            columns=str(cols).split(_SEP) if cols else [],
-            unique=bool(unique),
-        )

@@ -88,6 +88,12 @@ class _EngineSession:
                 self.txn = self.engine.begin()
             else:
                 return None
+        if self.txn.wrote_nothing() and not declare_snapshot:
+            # A transaction that only read (``table_writer`` opens one
+            # on both engines, a mechanism writes one of them) has
+            # nothing to make durable: no commit record, no commit_ts.
+            self.rollback()
+            return None
         snapshot_id = self.engine.commit(self.txn,
                                          declare_snapshot=declare_snapshot)
         self.txn = None
@@ -293,32 +299,36 @@ class Database:
 
         The column list is available before any row is consumed — the
         shape RQL's loop body needs to create its result table from the
-        first iteration's Qq output.  The iterator owns the statement's
-        read contexts: they are released when it is exhausted, closed or
-        garbage-collected, and at once if planning fails.
+        first iteration's Qq output.  The text front door of
+        :meth:`open_cursor`.
         """
-        return self._open_cursor(_parse_select(sql, "execute_cursor"))
+        return self.open_cursor(_parse_select(sql, "execute_cursor"))
 
     def execute_readonly_cursor(self, sql: str,
                                 metrics: Optional[MetricsSink] = None):
-        """Run a SELECT lazily on a private pair of read contexts.
-
-        The thread-safe read path for parallel snapshot workers: unlike
-        :meth:`execute_cursor` it never looks at the session's statement
-        transactions, so any number of threads may evaluate SELECTs
-        concurrently while no writer is active.  ``metrics`` (when
-        given) receives the planner's query-eval and index-creation
-        accounting instead of the database-wide sink.  The iterator owns
-        its read contexts exactly as :meth:`execute_cursor`'s does.
-        """
-        return self._open_cursor(
+        """Run a SELECT lazily on a private pair of read contexts: the
+        text front door of :meth:`open_cursor` with ``private=True``."""
+        return self.open_cursor(
             _parse_select(sql, "execute_readonly_cursor"),
             private=True, metrics=metrics)
 
-    def _open_cursor(self, statement: ast.Select, private: bool = False,
-                     metrics: Optional[MetricsSink] = None):
-        """The one guarded cursor: (columns, rows) whose row iterator
-        holds the SELECT's sources open until it finishes."""
+    def open_cursor(self, statement: ast.Select, private: bool = False,
+                    metrics: Optional[MetricsSink] = None):
+        """The one guarded cursor, for a SELECT that is already parsed
+        (the snapshot loops bind one prepared Qq per snapshot): returns
+        (columns, row_iterator).
+
+        The iterator owns the statement's read contexts: they are
+        released when it is exhausted, closed or garbage-collected, and
+        at once if planning fails.
+
+        ``private`` is the thread-safe read path for parallel snapshot
+        workers: it never looks at the session's statement transactions,
+        so any number of threads may evaluate SELECTs concurrently while
+        no writer is active.  ``metrics`` (when given) receives the
+        planner's query-eval and index-creation accounting instead of
+        the database-wide sink.
+        """
         def cursor():
             with self._select_context(statement, private, metrics) as ctx:
                 columns, rows = open_select(statement, ctx)
@@ -673,7 +683,8 @@ class Database:
 
     def _catalog_for_write(self, session: _EngineSession) -> Catalog:
         return Catalog(session.source(),
-                       self._catalog_root(session.engine))
+                       self._catalog_root(session.engine),
+                       temporary=session is self._aux)
 
     def _execute_create_table(self, statement: ast.CreateTable) -> ResultSet:
         session = self._session_for(statement.temporary)
@@ -765,7 +776,6 @@ class Database:
             catalog = self._catalog_for_write(session)
             info = catalog.get_table(name)
             if info is not None:
-                info.temporary = session is self._aux
                 return session, catalog, info
         return self._main, self._catalog_for_write(self._main), None
 
@@ -854,7 +864,6 @@ class Database:
                      for name, type_name in STATS_COLUMNS],
                     [], True,
                 )
-            stats_info.temporary = True
             stats_table = TableAccess(stats_info, self._aux.source())
             writer = TableWriter(stats_table, [])
             if statement.table is not None:
@@ -914,13 +923,12 @@ class _Context(ExecutionContext):
             main_source, db._catalog_root(db.engine),
         )
         self._aux_catalog = Catalog(
-            aux_source, db._catalog_root(db.aux_engine),
+            aux_source, db._catalog_root(db.aux_engine), temporary=True,
         )
 
     def open_table(self, name: str) -> TableAccess:
         info = self._aux_catalog.get_table(name)
         if info is not None:
-            info.temporary = True
             return TableAccess(info, self._aux_source)
         info = self._main_catalog.get_table(name)
         if info is not None:

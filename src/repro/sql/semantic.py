@@ -142,7 +142,8 @@ class CatalogSchema(StaticSchema):
             ctx = engine.begin_read()
             try:
                 source = engine.read_source(ctx)
-                catalog = Catalog(source, engine.pager.get_root("catalog"))
+                catalog = Catalog(source, engine.pager.get_root("catalog"),
+                                  temporary=engine is db.aux_engine)
                 for info in catalog.list_tables():
                     if info.name.lower() in self._tables:
                         continue  # main shadows temp on name collisions

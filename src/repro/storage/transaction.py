@@ -52,6 +52,10 @@ class Transaction:
                 f"transaction {self.txn_id} is {self.state.value}"
             )
 
+    def wrote_nothing(self) -> bool:
+        """True while committing would change no page and free none."""
+        return not self.dirty and not self.freed
+
     def modified_pages(self) -> Dict[int, bytes]:
         """After-images of every dirty page (commit payload)."""
         return {
