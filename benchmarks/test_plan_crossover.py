@@ -9,12 +9,12 @@ plans with real statistics, so a narrow `o_orderkey <=` bound probes
 whole table (every orders page through the Pagelog).
 """
 
-from repro.bench import BENCH_CHARGES, print_figure
+from repro.bench import print_figure
 from repro.bench.figures import FigureResult
+from repro.bench.harness import metered_statement
 from repro.bench.report import save_figure
 from repro.core import RQLSession
 from repro.core.rewrite import rewrite_qq
-from repro.retro.metrics import MetricsSink
 from repro.workloads import UW30, SnapshotHistoryBuilder
 
 #: Snapshots before ANALYZE (the stats stamp = the pinned snapshot) and
@@ -40,17 +40,9 @@ def _build_env():
 
 
 def _measured_count(session, qq, pin):
-    sink = MetricsSink(BENCH_CHARGES)
-    previous = session.db.metrics
-    session.db.attach_metrics(sink)
-    try:
-        session.db.engine.retro.cache.clear()
-        sink.begin_iteration(pin)
-        count = session.execute(rewrite_qq(qq, pin)).scalar()
-        sink.end_iteration()
-    finally:
-        session.db.attach_metrics(previous)
-    return count, sink.iterations[0]
+    session.db.engine.retro.cache.clear()
+    result, metrics = metered_statement(session, rewrite_qq(qq, pin), pin)
+    return result.scalar(), metrics
 
 
 def run_plan_crossover() -> FigureResult:

@@ -332,8 +332,9 @@ def certify_mechanism(mechanism: str, qs: str, qq: str, arg=None,
 
     ``schema=None`` skips resolution (shape and argument checks still
     run) — the executor passes a :class:`~repro.sql.semantic.
-    CatalogSchema`, the lint driver a :class:`~repro.sql.semantic.
-    StaticSchema` built from corpus DDL.
+    ContextSchema` over the session's statement context, the lint
+    driver a :class:`~repro.sql.semantic.StaticSchema` built from
+    corpus DDL.
     """
     certifier = _Certifier(mechanism, qs, qq, schema, file, line,
                            symbol or mechanism)

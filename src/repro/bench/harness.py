@@ -223,38 +223,37 @@ def parallel_makespan_seconds(info, charges: IoCharges = BENCH_CHARGES,
     return max(per_worker, default=0.0) + info.merge_seconds
 
 
+def metered_statement(session: RQLSession, sql: str,
+                      snapshot_id: int = 0):
+    """Run one statement as one metered iteration of its own sink:
+    returns (result, the iteration's metrics).  Plain ``execute`` names
+    no sink, so the statement meters into the facade's default — set
+    for exactly this statement."""
+    sink = MetricsSink(BENCH_CHARGES)
+    previous = session.db.metrics
+    session.db.attach_metrics(sink)
+    try:
+        sink.begin_iteration(snapshot_id)
+        result = session.execute(sql)
+        sink.end_iteration()
+    finally:
+        session.db.attach_metrics(previous)
+    return result, sink.iterations[0]
+
+
 def standalone_snapshot_query(env: BenchEnv, qq: str,
                               snapshot_id: int,
                               clear_cache: bool = True) -> IterationMetrics:
     """One stand-alone snapshot query with its own metrics."""
-    session = env.session
-    sink = MetricsSink(BENCH_CHARGES)
-    previous = session.db.metrics
-    session.db.attach_metrics(sink)
-    try:
-        if clear_cache:
-            env.clear_snapshot_cache()
-        sink.begin_iteration(snapshot_id)
-        session.execute(rewrite_qq(qq, snapshot_id))
-        sink.end_iteration()
-    finally:
-        session.db.attach_metrics(previous)
-    return sink.iterations[0]
+    if clear_cache:
+        env.clear_snapshot_cache()
+    return metered_statement(env.session, rewrite_qq(qq, snapshot_id),
+                             snapshot_id)[1]
 
 
 def current_state_query(env: BenchEnv, qq: str) -> IterationMetrics:
     """The same Qq on the current database (Figure 8's last bar)."""
-    session = env.session
-    sink = MetricsSink(BENCH_CHARGES)
-    previous = session.db.metrics
-    session.db.attach_metrics(sink)
-    try:
-        sink.begin_iteration(0)
-        session.execute(qq.rstrip(";"))
-        sink.end_iteration()
-    finally:
-        session.db.attach_metrics(previous)
-    return sink.iterations[0]
+    return metered_statement(env.session, qq.rstrip(";"))[1]
 
 
 def all_cold_cost(env: BenchEnv, qq: str,

@@ -157,50 +157,42 @@ class Shell:
     def cmd_exit(self, args: List[str]) -> None:
         self.running = False
 
-    def _catalogs(self):
-        from repro.sql.catalog import Catalog
-
-        for engine, kind in ((self.session.db.engine, "main"),
-                             (self.session.db.aux_engine, "temp")):
-            ctx = engine.begin_read()
-            try:
-                source = engine.read_source(ctx)
-                yield Catalog(source, engine.pager.get_root("catalog"),
-                              temporary=kind == "temp"), kind
-            finally:
-                ctx.close()
+    def _catalog_entries(self, listing: str):
+        """(entry, "main" | "temp") for every table or index the session
+        sees, its own uncommitted DDL included; main first."""
+        with self.session.db.reading() as ctx:
+            for catalog in reversed(ctx.catalogs()):
+                for entry in getattr(catalog, listing)():
+                    yield entry, "temp" if entry.temporary else "main"
 
     def cmd_tables(self, args: List[str]) -> None:
-        for catalog, kind in self._catalogs():
-            for table in catalog.list_tables():
-                self.write(f"{table.name}  [{kind}]")
+        for table, kind in self._catalog_entries("list_tables"):
+            self.write(f"{table.name}  [{kind}]")
 
     def cmd_schema(self, args: List[str]) -> None:
         wanted = args[0].lower() if args else None
-        for catalog, kind in self._catalogs():
-            for table in catalog.list_tables():
-                if wanted and table.name.lower() != wanted:
-                    continue
-                columns = ", ".join(
-                    f"{c.name} {c.type_name}".strip()
-                    for c in table.columns
-                )
-                pk = (f", PRIMARY KEY ({', '.join(table.primary_key)})"
-                      if table.primary_key else "")
-                self.write(f"CREATE TABLE {table.name} ({columns}{pk});"
-                           f"  -- [{kind}]")
+        for table, kind in self._catalog_entries("list_tables"):
+            if wanted and table.name.lower() != wanted:
+                continue
+            columns = ", ".join(
+                f"{c.name} {c.type_name}".strip()
+                for c in table.columns
+            )
+            pk = (f", PRIMARY KEY ({', '.join(table.primary_key)})"
+                  if table.primary_key else "")
+            self.write(f"CREATE TABLE {table.name} ({columns}{pk});"
+                       f"  -- [{kind}]")
 
     def cmd_indexes(self, args: List[str]) -> None:
         wanted = args[0].lower() if args else None
-        for catalog, kind in self._catalogs():
-            for index in catalog.list_indexes():
-                if wanted and index.table.lower() != wanted:
-                    continue
-                unique = "UNIQUE " if index.unique else ""
-                self.write(
-                    f"{unique}INDEX {index.name} ON {index.table} "
-                    f"({', '.join(index.columns)})  [{kind}]"
-                )
+        for index, kind in self._catalog_entries("list_indexes"):
+            if wanted and index.table.lower() != wanted:
+                continue
+            unique = "UNIQUE " if index.unique else ""
+            self.write(
+                f"{unique}INDEX {index.name} ON {index.table} "
+                f"({', '.join(index.columns)})  [{kind}]"
+            )
 
     def cmd_snapshots(self, args: List[str]) -> None:
         result = self.session.execute(

@@ -123,19 +123,14 @@ class _LoopBody:
         """
         validate_qs(qs)
         snapshot_ids = [int(row[0]) for row in self.db.execute(qs).rows]
-        previous = self.db.metrics
-        self.db.attach_metrics(self.sink)
-        try:
-            for snapshot_id in snapshot_ids:
-                if cancel is not None and cancel.is_set():
-                    raise QueryCancelled(
-                        f"query over {self.table!r} cancelled before "
-                        f"snapshot {snapshot_id}"
-                    )
-                self.iteration(snapshot_id)
-            self.finalize()
-        finally:
-            self.db.attach_metrics(previous)
+        for snapshot_id in snapshot_ids:
+            if cancel is not None and cancel.is_set():
+                raise QueryCancelled(
+                    f"query over {self.table!r} cancelled before "
+                    f"snapshot {snapshot_id}"
+                )
+            self.iteration(snapshot_id)
+        self.finalize()
         return build_result(self.db, self.table, snapshot_ids, self.sink,
                             self.index_name, self.helper_positions())
 
@@ -180,7 +175,8 @@ class _LoopBody:
         prepared = self._prepared
         if prepared is None:
             prepared = self._prepared = prepare_qq(self.qq)
-        columns, rows = self.db.open_cursor(prepared.bind(snapshot_id))
+        columns, rows = self.db.open_cursor(prepared.bind(snapshot_id),
+                                            metrics=self.sink)
         if first:
             udf = self.first_pass(columns, rows, snapshot_id)
         else:
@@ -195,15 +191,10 @@ class _LoopBody:
     def _timed_index(self, columns: Sequence[str]) -> float:
         """Build the result-table index at the end of the first
         iteration (paper Section 3).  Its cost belongs to the UDF
-        (Figure 12), not to Qq index creation, so the CREATE INDEX
-        statement's own metering is neutralized."""
-        current = self.sink.current
-        before = current.index_creation_seconds
+        (Figure 12), not to Qq index creation."""
         started = self.sink.clock()
         create_result_index(self.db, self.table, columns)
-        seconds = self.sink.clock() - started
-        current.index_creation_seconds = before
-        return seconds
+        return self.sink.clock() - started
 
     def _result_index(self, writer: TableWriter):
         name = result_index_name(self.table)
@@ -231,32 +222,18 @@ def build_result(db: Database, table: str, snapshot_ids: List[int],
 def _result_table_stats(db: Database, table: str,
                         index_name: Optional[str]):
     """(rows, table_bytes, index_bytes, columns) for a result table."""
-    from repro.sql.catalog import Catalog
-    from repro.storage.btree import BTree
-
-    for engine in (db.aux_engine, db.engine):
-        read_ctx = engine.begin_read()
-        try:
-            source = engine.read_source(read_ctx)
-            catalog = Catalog(source, engine.pager.get_root("catalog"),
-                              temporary=engine is db.aux_engine)
-            info = catalog.get_table(table)
-            if info is None:
-                continue
-            tree = BTree(source, info.root_id)
-            rows = tree.count()
-            table_bytes = len(tree.page_ids()) * engine.page_size
-            index_bytes = 0
-            if index_name is not None:
-                index_info = catalog.get_index(index_name)
-                if index_info is not None:
-                    index_tree = BTree(source, index_info.root_id)
-                    index_bytes = (len(index_tree.page_ids())
-                                   * engine.page_size)
-            return rows, table_bytes, index_bytes, info.column_names()
-        finally:
-            read_ctx.close()
-    return None
+    with db.reading() as ctx:
+        found = ctx.find_table(table)
+        if found is None:
+            return None
+        index_bytes = 0
+        if index_name is not None:
+            index_bytes = sum(
+                ctx.storage_bytes(index)
+                for index in ctx.open_indexes(found)
+                if index.info.name.lower() == index_name.lower())
+        return (found.count(), ctx.storage_bytes(found), index_bytes,
+                found.info.column_names())
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,10 @@ def certify(db: Database, mechanism: str, qs: str, qq: str, arg=None):
     ``import repro.core`` must not drag the lint machinery in.
     """
     from repro.analysis.query.mergeclass import certify_mechanism
-    from repro.sql.semantic import CatalogSchema
-    return certify_mechanism(mechanism, qs, qq, arg=arg,
-                             schema=CatalogSchema(db))
+    from repro.sql.semantic import ContextSchema
+    with db.reading() as ctx:
+        return certify_mechanism(mechanism, qs, qq, arg=arg,
+                                 schema=ContextSchema(ctx))
 
 
 def partition_snapshots(snapshot_ids: Sequence[int],
@@ -420,24 +421,22 @@ class ParallelExecutor:
         board = _ErrorBoard(len(partials))
         cancel = _CancelScope(self._cancel)
         db = self.db
-        retro = db.engine.retro
 
         def body(partial: _Partial) -> None:
-            with retro.route_metrics(partial.sink):
-                try:
-                    # Workers stop quietly on cancel, so the board keeps
-                    # the first *real* error; QueryCancelled is raised
-                    # below, once every worker has retired.
-                    fold = spec.fold(arg, first=partial.index == 0)
-                    fold_range(db, qq, partial.snapshot_ids, fold,
-                               partial.sink, cancel.is_set)
-                    partial.payload = fold
-                except BaseException as exc:
-                    board.record(partial.index, exc)  # re-raised after join
-                    cancel.set()
-                    if not isinstance(exc, Exception):
-                        raise  # KeyboardInterrupt etc.: also let
-                        # threading.excepthook report it immediately
+            try:
+                # Workers stop quietly on cancel, so the board keeps
+                # the first *real* error; QueryCancelled is raised
+                # below, once every worker has retired.
+                fold = spec.fold(arg, first=partial.index == 0)
+                fold_range(db, qq, partial.snapshot_ids, fold,
+                           partial.sink, cancel.is_set)
+                partial.payload = fold
+            except BaseException as exc:
+                board.record(partial.index, exc)  # re-raised after join
+                cancel.set()
+                if not isinstance(exc, Exception):
+                    raise  # KeyboardInterrupt etc.: also let
+                    # threading.excepthook report it immediately
 
         if self._pool is not None:
             tickets = [

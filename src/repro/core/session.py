@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.core.folds import MECHANISMS, MONOID, Mechanism, find_mechanism
-from repro.core.mechanisms import RQLResult
+from repro.core.mechanisms import RQLResult, _quote
 from repro.core.parallel import ParallelExecutor, WorkerPool, certify
 from repro.core.snapids import SnapIds
 from repro.errors import MechanismError
@@ -213,10 +213,7 @@ class RQLSession:
                 self.db, workers=count, pool=self.pool, cancel=cancel,
             ).run(spec.name, qs, qq, table, arg, persistent, certificate)
         run = self._serial_run(spec, qq, table, arg, persistent)
-        # A thread-local sink, so concurrent queries on shared engines
-        # never cross their metrics.
-        with self.db.engine.retro.route_metrics(run.sink):
-            return run.run(qs, cancel=cancel)
+        return run.run(qs, cancel=cancel)
 
     def _serial_run(self, spec: Mechanism, qq: str, table: str, arg,
                     persistent: bool = False):
@@ -258,15 +255,15 @@ class RQLSession:
     def certify(self, mechanism: str, qs: str, qq: str, arg=None):
         """rqlint merge certificate for one mechanism invocation.
 
-        Resolves Qs/Qq against the live catalog (main + temp + UDF
-        registry) without executing either; the same verdict the
-        parallel executor consumes.  See
-        :mod:`repro.analysis.query.mergeclass`.
+        Resolves Qs/Qq in the session's statement context — temp
+        before main, the open transaction's DDL, the UDF registry —
+        without executing either; the same verdict the parallel
+        executor consumes.  See :mod:`repro.analysis.query.mergeclass`.
         """
         return certify(self.db, mechanism, qs, qq, arg)
 
     def _drop_result_table(self, table: str) -> None:
-        self.db.execute(f'DROP TABLE IF EXISTS "{table}"')
+        self.db.execute(f"DROP TABLE IF EXISTS {_quote(table)}")
 
     # ------------------------------------------------------------------
     # Materialized retrospective views (convenience over the SQL forms)
@@ -309,8 +306,6 @@ class RQLSession:
             run = self._udf_runs.get(key)
             if run is None:
                 run = self._serial_run(spec, str(qq), str(table), arg)
-                if self.db.metrics is None:
-                    self.db.attach_metrics(run.sink)
                 self._udf_runs[key] = run
             run.iteration(int(snap_id))
             if spec.merge_class == MONOID:

@@ -21,8 +21,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import (
     CorruptPageError,
@@ -31,7 +30,7 @@ from repro.errors import (
     UnknownSnapshotError,
 )
 from repro.retro.maplog import MapEntry, Maplog, SptBuildResult
-from repro.retro.metrics import IterationMetrics, MetricsSink
+from repro.retro.metrics import MetricsSink
 from repro.retro.pagelog import Pagelog
 from repro.retro.snapshot_cache import SnapshotPageCache
 from repro.storage import checksums
@@ -53,8 +52,6 @@ DEFAULT_CACHE_PAGES = 65536
 #: diff-proportional path.
 SPT_CACHE_SLOTS = 16
 
-_UNSET = object()
-
 
 class RetroManager:
     """COW capture + snapshot query machinery for one database."""
@@ -70,12 +67,6 @@ class RetroManager:
         #: ablation switch: False keys the cache by (snapshot, page),
         #: destroying cross-snapshot sharing (see DESIGN.md §7).
         self.share_cache_by_slot = share_cache_by_slot
-        # Where snapshot reads account their costs.  The default sink is
-        # set per RQL query via the ``metrics`` property; parallel workers
-        # overlay a thread-local sink with :meth:`route_metrics` so each
-        # partition meters into its own per-worker breakdown.
-        self._metrics_default: Optional[MetricsSink] = None
-        self._metrics_local = threading.local()
         #: opt-in future-work optimization (paper Section 7): derive the
         #: SPT of snapshot S+1 incrementally from S's instead of a fresh
         #: Skippy scan.  Cost becomes proportional to diff(S, S+1).
@@ -93,32 +84,6 @@ class RetroManager:
         self._unavailable: Set[int] = set()
         #: all snapshot ids <= this are unavailable (degraded recovery)
         self.unavailable_through = 0
-
-    # -- metrics routing ------------------------------------------------------
-
-    @property
-    def metrics(self) -> Optional[MetricsSink]:
-        override = getattr(self._metrics_local, "sink", _UNSET)
-        if override is not _UNSET:
-            return override  # type: ignore[return-value]
-        return self._metrics_default
-
-    @metrics.setter
-    def metrics(self, sink: Optional[MetricsSink]) -> None:
-        self._metrics_default = sink
-
-    @contextmanager
-    def route_metrics(self, sink: Optional[MetricsSink]) -> Iterator[None]:
-        """Route snapshot-read accounting on *this thread* to ``sink``."""
-        previous = getattr(self._metrics_local, "sink", _UNSET)
-        self._metrics_local.sink = sink
-        try:
-            yield
-        finally:
-            if previous is _UNSET:
-                del self._metrics_local.sink
-            else:
-                self._metrics_local.sink = previous
 
     # -- snapshot declaration ------------------------------------------------
 
@@ -186,14 +151,15 @@ class RetroManager:
 
     # -- snapshot reads ---------------------------------------------------------
 
-    def build_spt(self, snapshot_id: int,
-                  use_skippy: bool = True) -> SptBuildResult:
-        sink = self.metrics
-        clock = sink.clock if sink is not None else time.perf_counter
+    def build_spt(self, snapshot_id: int, use_skippy: bool = True,
+                  metrics: Optional[MetricsSink] = None) -> SptBuildResult:
+        """The snapshot's page table; the build is charged to ``metrics``,
+        the sink of the statement it is built for."""
+        clock = metrics.clock if metrics is not None else time.perf_counter
         start = clock()
         result = self._build_spt_cached(snapshot_id, use_skippy)
-        if sink is not None:
-            current = sink.current
+        if metrics is not None:
+            current = metrics.current
             current.spt_entries_scanned += result.entries_scanned
             current.spt_build_seconds += clock() - start
         return result
@@ -235,12 +201,16 @@ class RetroManager:
 
     def snapshot_source(self, snapshot_id: int,
                         read_current: Callable[[int], Page],
-                        page_size: int,
-                        use_skippy: bool = True) -> "SnapshotPageSource":
+                        page_size: int, use_skippy: bool = True,
+                        metrics: Optional[MetricsSink] = None,
+                        ) -> "SnapshotPageSource":
         """Page source serving reads as of ``snapshot_id``.
 
         ``read_current`` returns the committed current-state page; it is
-        used for pages the snapshot shares with the database.
+        used for pages the snapshot shares with the database.  The SPT
+        build and every fetch through the source are charged to
+        ``metrics``, which lives exactly as long as the source does: the
+        manager is shared by every session and keeps no sink of its own.
         """
         if snapshot_id < 1 or snapshot_id > self.latest_snapshot_id:
             raise UnknownSnapshotError(
@@ -251,10 +221,11 @@ class RetroManager:
                 f"snapshot {snapshot_id}'s pre-states were lost to "
                 f"storage corruption"
             )
-        result = self.build_spt(snapshot_id, use_skippy=use_skippy)
+        result = self.build_spt(snapshot_id, use_skippy=use_skippy,
+                                metrics=metrics)
         return SnapshotPageSource(self, snapshot_id, result.spt,
                                   read_current, page_size,
-                                  entries=result.entries)
+                                  entries=result.entries, metrics=metrics)
 
     def diff_size(self, older: int, newer: int) -> int:
         """Pages not shared between two snapshots (paper's diff(S1,S2))."""
@@ -351,21 +322,22 @@ class SnapshotPageSource(PageSource):
                  spt: Dict[int, int],
                  read_current: Callable[[int], bytes],
                  page_size: int,
-                 entries: Optional[Dict[int, MapEntry]] = None) -> None:
+                 entries: Optional[Dict[int, MapEntry]] = None,
+                 metrics: Optional[MetricsSink] = None) -> None:
         self._manager = manager
         self.snapshot_id = snapshot_id
         self.spt = spt
         self._read_current = read_current
         self._page_size = page_size
         self._entries = entries or {}
-
-    def _metrics(self) -> Optional[IterationMetrics]:
-        sink = self._manager.metrics
-        return sink.current if sink is not None else None
+        self._sink = metrics
 
     def fetch(self, page_id: int) -> Page:
         slot = self.spt.get(page_id)
-        metrics = self._metrics()
+        # Read per fetch: a cursor is consumed lazily, inside whatever
+        # iteration its consumer has begun on the sink by then.
+        sink = self._sink
+        metrics = sink.current if sink is not None else None
         if slot is None:
             # Shared with the current database: a memory-resident read.
             if metrics is not None:

@@ -240,9 +240,10 @@ class ViewManager:
                     return None
                 raise ViewError(
                     f"materialized view {name!r} already exists")
-            if self._table_in(name, self.db.aux_engine, self.db.engine):
-                raise ViewError(
-                    f"a table named {name!r} already exists")
+            with self.db.reading() as ctx:
+                if ctx.find_table(name) is not None:
+                    raise ViewError(
+                        f"a table named {name!r} already exists")
             certificate = self._certify(mech, qq, arg)
             if name.lower() in {t.lower() for t in certificate.read_tables}:
                 raise ViewError(
@@ -377,19 +378,18 @@ class ViewManager:
         def poll() -> None:
             self._check_cancel(cancel)  # raises; never stops quietly
 
-        with self._retro.route_metrics(sink):
-            if mode == "delta-skip":
-                # Identical table contents at every sid + snapshot-
-                # invariant Qq: one evaluation at the target stands in
-                # for the whole range.
-                once = ConcatFold()
-                fold_range(self.db, meta.qq, sids[-1:], once, sink, poll)
-                for sid in sids:
-                    fold.step(sid, once.columns, once.rows)
-                report.evaluated_snapshots = 1
-            else:
-                fold_range(self.db, meta.qq, sids, fold, sink, poll)
-                report.evaluated_snapshots = len(sids)
+        if mode == "delta-skip":
+            # Identical table contents at every sid + snapshot-
+            # invariant Qq: one evaluation at the target stands in
+            # for the whole range.
+            once = ConcatFold()
+            fold_range(self.db, meta.qq, sids[-1:], once, sink, poll)
+            for sid in sids:
+                fold.step(sid, once.columns, once.rows)
+            report.evaluated_snapshots = 1
+        else:
+            fold_range(self.db, meta.qq, sids, fold, sink, poll)
+            report.evaluated_snapshots = len(sids)
         self._check_cancel(cancel)
         report.table_written = self._persist(
             meta, target, fold, insert=meta.name.lower() not in views)
@@ -420,10 +420,12 @@ class ViewManager:
                 f.message for f in certificate.errors) or "not mergeable"
             return ("full", f"serial-only certificate: {detail}", 0,
                     set())
-        aux_reads = sorted(
-            t.lower() for t in set(certificate.read_tables)
-            if self._table_in(t, self.db.aux_engine)
-        )
+        # The names execution would resolve to a temporary table.
+        with self.db.reading() as ctx:
+            found = [ctx.find_table(t)
+                     for t in set(certificate.read_tables)]
+        aux_reads = sorted(table.info.name.lower() for table in found
+                           if table is not None and table.info.temporary)
         if aux_reads:
             return ("full",
                     "reads non-snapshotable source(s): "
@@ -454,29 +456,17 @@ class ViewManager:
                        sink: MetricsSink) -> Set[int]:
         """Pages of the read tables (plus the main catalog, so DDL is
         always detected) as of ``built_from``."""
-        from repro.sql.catalog import Catalog
-        from repro.storage.btree import BTree
-
-        engine = self.db.engine
-        ctx = engine.begin_read(owner=self.db._owner)
+        sink.begin_iteration(built_from)
         try:
-            with self._retro.route_metrics(sink):
-                sink.begin_iteration(built_from)
-                try:
-                    source = engine.snapshot_source(built_from, ctx)
-                    root = engine.pager.get_root("catalog")
-                    pages: Set[int] = set(BTree(source, root).page_ids())
-                    catalog = Catalog(source, root)
-                    for table in read_tables:
-                        info = catalog.get_table(table)
-                        if info is not None:
-                            pages.update(
-                                BTree(source, info.root_id).page_ids())
-                finally:
-                    sink.end_iteration()
-            return pages
+            with self.db.reading(as_of=built_from, metrics=sink) as ctx:
+                pages: Set[int] = set(ctx.main_catalog_pages())
+                for name in read_tables:
+                    table = ctx.find_table(name)
+                    if table is not None:
+                        pages.update(table.tree.page_ids())
+                return pages
         finally:
-            ctx.close()
+            sink.end_iteration()
 
     # -- the single write transaction ---------------------------------------
 
@@ -603,19 +593,3 @@ class ViewManager:
     def _scan_table(self, name: str):
         result = self.db.execute(f"SELECT * FROM {_quote(name)}")
         return list(result.columns), [tuple(r) for r in result.rows]
-
-    def _table_in(self, name: str, *engines) -> bool:
-        from repro.sql.catalog import Catalog
-
-        for engine in engines:
-            ctx = engine.begin_read(owner=self.db._owner)
-            try:
-                source = engine.read_source(ctx)
-                catalog = Catalog(source,
-                                  engine.pager.get_root("catalog"),
-                                  temporary=engine is self.db.aux_engine)
-                if catalog.get_table(name) is not None:
-                    return True
-            finally:
-                ctx.close()
-        return False

@@ -135,6 +135,10 @@ class Catalog:
         return [entry for leaf in self._tree.scan_leaves()
                 for entry in leaf if type(entry) is kind]
 
+    def page_ids(self) -> List[int]:
+        """Page ids of the catalog tree itself."""
+        return self._tree.page_ids()
+
     # -- keys -----------------------------------------------------------
 
     @staticmethod

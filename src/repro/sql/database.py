@@ -244,9 +244,9 @@ class Database:
         self.aux_engine.checkpoint()
 
     def attach_metrics(self, sink: Optional[MetricsSink]) -> None:
-        """Route snapshot-read and planner costs into ``sink``."""
+        """Default sink of this facade: what a statement meters into
+        when the call that opens it names none (plain ``execute``)."""
         self.metrics = sink
-        self.engine.retro.metrics = sink
 
     def close(self) -> None:
         """Release everything this facade holds; safe to call twice.
@@ -278,39 +278,18 @@ class Database:
     def closed(self) -> bool:
         return self._closed
 
-    # -- streaming (sqlite3_exec-style) --------------------------------------------
-
-    def execute_streaming(self, sql: str,
-                          on_row: Callable[..., None]) -> List[str]:
-        """Run a SELECT, invoking ``on_row`` for every result row.
-
-        This is the ``sqlite3_exec`` callback protocol the RQL loop body
-        uses to process Qq results without materializing them.
-        """
-        statement = _parse_select(sql, "execute_streaming")
-        with self._select_context(statement) as ctx:
-            columns, rows = open_select(statement, ctx)
-            for row in rows:
-                on_row(row)
-            return columns
+    # -- cursors -----------------------------------------------------------------
 
     def execute_cursor(self, sql: str):
         """Run a SELECT lazily: returns (columns, row_iterator).
 
-        The column list is available before any row is consumed — the
-        shape RQL's loop body needs to create its result table from the
-        first iteration's Qq output.  The text front door of
-        :meth:`open_cursor`.
+        The column list is available before any row is consumed.  The
+        text front door of :meth:`open_cursor`.
         """
-        return self.open_cursor(_parse_select(sql, "execute_cursor"))
-
-    def execute_readonly_cursor(self, sql: str,
-                                metrics: Optional[MetricsSink] = None):
-        """Run a SELECT lazily on a private pair of read contexts: the
-        text front door of :meth:`open_cursor` with ``private=True``."""
-        return self.open_cursor(
-            _parse_select(sql, "execute_readonly_cursor"),
-            private=True, metrics=metrics)
+        statement = parse_one(sql)
+        if not isinstance(statement, ast.Select):
+            raise SqlError("execute_cursor requires a SELECT")
+        return self.open_cursor(statement)
 
     def open_cursor(self, statement: ast.Select, private: bool = False,
                     metrics: Optional[MetricsSink] = None):
@@ -322,12 +301,9 @@ class Database:
         released when it is exhausted, closed or garbage-collected, and
         at once if planning fails.
 
-        ``private`` is the thread-safe read path for parallel snapshot
-        workers: it never looks at the session's statement transactions,
-        so any number of threads may evaluate SELECTs concurrently while
-        no writer is active.  ``metrics`` (when given) receives the
-        planner's query-eval and index-creation accounting instead of
-        the database-wide sink.
+        ``private`` and ``metrics`` are :meth:`reading`'s: which
+        transactions the statement may see, and the sink it is charged
+        to.
         """
         def cursor():
             with self._select_context(statement, private, metrics) as ctx:
@@ -538,49 +514,52 @@ class Database:
         with self._select_context(statement) as ctx:
             return run_select(statement, ctx)
 
-    @contextmanager
     def _select_context(self, statement: ast.Select, private: bool = False,
-                        metrics: Optional[MetricsSink] = None,
-                        ) -> Iterator["_Context"]:
-        """The one SELECT opener: an execution context over the right
-        page sources, closed when the ``with`` block exits.
-
-        Main reads the ``AS OF`` snapshot, else the session's open
-        transaction (a SELECT inside DML or ``BEGIN`` sees its own
-        writes), else a fresh read context; aux reads the open
-        transaction or a fresh read context.  ``private`` never looks at
-        the session's transactions, which is what makes it safe from
-        worker threads.
-        """
+                        metrics: Optional[MetricsSink] = None):
+        """:meth:`reading` as of the statement's ``AS OF`` clause."""
         as_of = None
         if statement.as_of is not None:
             as_of = constant_int(statement.as_of, "AS OF",
                                  self.functions.snapshot())
             if as_of is None:
                 raise PlanError("AS OF must be a non-NULL constant")
+        return self.reading(as_of, private, metrics)
+
+    @contextmanager
+    def reading(self, as_of: Optional[int] = None, private: bool = False,
+                metrics: Optional[MetricsSink] = None,
+                ) -> Iterator["_Context"]:
+        """The one read opener: what a statement sees and where it is
+        charged, decided here and closed when the ``with`` block exits.
+
+        Main reads snapshot ``as_of``, else the session's open
+        transaction (a SELECT inside DML or ``BEGIN`` sees its own
+        writes), else a fresh read context; aux reads the open
+        transaction or a fresh read context.  ``private`` never looks at
+        the session's transactions, which is what makes it safe from
+        worker threads.  Both read contexts carry this facade's owner.
+        Snapshot reads and planner costs go to ``metrics``, else to the
+        facade's default sink (:meth:`attach_metrics`).
+        """
         main_txn = None if private else self._main.txn
         aux_txn = None if private else self._aux.txn
-        read_ctx = self.engine.begin_read(owner=self._owner)
-        try:
-            aux_read_ctx = self.aux_engine.begin_read(owner=self._owner)
-            try:
-                if as_of is not None:
-                    # May raise UnknownSnapshotError for a bad AS OF id.
-                    main_source = self.engine.snapshot_source(as_of, read_ctx)
-                elif main_txn is not None:
-                    main_source = self.engine.page_source(main_txn)
-                else:
-                    main_source = self.engine.read_source(read_ctx)
-                if aux_txn is not None:
-                    aux_source = self.aux_engine.page_source(aux_txn)
-                else:
-                    aux_source = self.aux_engine.read_source(aux_read_ctx)
-                yield _Context(self, main_source, aux_source,
-                               metrics=metrics, as_of=as_of)
-            finally:
-                aux_read_ctx.close()
-        finally:
-            read_ctx.close()
+        sink = metrics if metrics is not None else self.metrics
+        with self.engine.begin_read(owner=self._owner) as read_ctx, \
+                self.aux_engine.begin_read(owner=self._owner) as aux_ctx:
+            if as_of is not None:
+                # May raise UnknownSnapshotError for a bad AS OF id.
+                main_source = self.engine.snapshot_source(
+                    as_of, read_ctx, metrics=sink)
+            elif main_txn is not None:
+                main_source = self.engine.page_source(main_txn)
+            else:
+                main_source = self.engine.read_source(read_ctx)
+            if aux_txn is not None:
+                aux_source = self.aux_engine.page_source(aux_txn)
+            else:
+                aux_source = self.aux_engine.read_source(aux_ctx)
+            yield _Context(self, main_source, aux_source,
+                           metrics=sink, as_of=as_of)
 
     # -- write context ----------------------------------------------------------------
 
@@ -903,7 +882,9 @@ class Database:
 # ---------------------------------------------------------------------------
 
 class _Context(ExecutionContext):
-    """Binds the planner to this database's catalogs and sources."""
+    """What one statement sees — this database's catalogs over the page
+    sources :meth:`Database.reading` (or the write path) chose — and the
+    sink it is charged to."""
 
     def __init__(self, db: Database, main_source, aux_source,
                  metrics: Optional[MetricsSink] = None,
@@ -911,8 +892,6 @@ class _Context(ExecutionContext):
         self._db = db
         self._main_source = main_source
         self._aux_source = aux_source
-        # Per-context sink override: parallel workers meter into their
-        # own sink instead of the database-wide one.
         self._metrics = metrics
         # Snapshot pin of the statement (None = current state); bounds
         # which ANALYZE gatherings the planner may see.
@@ -926,14 +905,26 @@ class _Context(ExecutionContext):
             aux_source, db._catalog_root(db.aux_engine), temporary=True,
         )
 
-    def open_table(self, name: str) -> TableAccess:
+    def catalogs(self) -> Tuple[Catalog, Catalog]:
+        """Both catalogs in lookup order: temporary, then main."""
+        return self._aux_catalog, self._main_catalog
+
+    def find_table(self, name: str) -> Optional[TableAccess]:
+        """The table ``name`` resolves to, or None.  The one read-side
+        lookup order: a temporary table shadows a main one."""
         info = self._aux_catalog.get_table(name)
         if info is not None:
             return TableAccess(info, self._aux_source)
         info = self._main_catalog.get_table(name)
         if info is not None:
             return TableAccess(info, self._main_source)
-        raise PlanError(f"no such table: {name}")
+        return None
+
+    def open_table(self, name: str) -> TableAccess:
+        table = self.find_table(name)
+        if table is None:
+            raise PlanError(f"no such table: {name}")
+        return table
 
     def open_indexes(self, table: TableAccess) -> List[IndexAccess]:
         if table.info.temporary:
@@ -942,6 +933,17 @@ class _Context(ExecutionContext):
             catalog, source = self._main_catalog, self._main_source
         return [IndexAccess(ix, source)
                 for ix in catalog.indexes_for(table.info.name)]
+
+    def main_catalog_pages(self) -> List[int]:
+        """Page ids of the main catalog tree — the pages DDL on a
+        snapshotable table rewrites."""
+        return self._main_catalog.page_ids()
+
+    def storage_bytes(self, access) -> int:
+        """Bytes the tree of a table or index access occupies."""
+        engine = self._db.aux_engine if access.info.temporary \
+            else self._db.engine
+        return len(access.tree.page_ids()) * engine.page_size
 
     @property
     def functions(self) -> Dict[str, Callable[..., SqlValue]]:
@@ -974,30 +976,18 @@ class _Context(ExecutionContext):
         self._stats_cache[key] = stats
         return stats
 
-    def _sink(self) -> Optional[MetricsSink]:
-        return self._metrics if self._metrics is not None else self._db.metrics
-
     @property
     def clock(self) -> Callable[[], float]:
-        sink = self._sink()
+        sink = self._metrics
         return sink.clock if sink is not None else time.perf_counter
 
     def note_index_creation(self, seconds: float) -> None:
-        sink = self._sink()
-        if sink is not None:
-            sink.current.index_creation_seconds += seconds
+        if self._metrics is not None:
+            self._metrics.current.index_creation_seconds += seconds
 
     def note_query_eval(self, seconds: float) -> None:
-        sink = self._sink()
-        if sink is not None:
-            sink.current.query_eval_seconds += seconds
-
-
-def _parse_select(sql: str, api: str) -> ast.Select:
-    statement = parse_one(sql)
-    if not isinstance(statement, ast.Select):
-        raise SqlError(f"{api} requires a SELECT")
-    return statement
+        if self._metrics is not None:
+            self._metrics.current.query_eval_seconds += seconds
 
 
 def _status(rowcount: int = 0) -> ResultSet:

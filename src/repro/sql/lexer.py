@@ -154,10 +154,17 @@ def _read_string(sql: str, pos: int) -> tuple:
 
 
 def _read_quoted_ident(sql: str, pos: int) -> tuple:
-    end = sql.find('"', pos + 1)
-    if end < 0:
-        raise LexerError("unterminated quoted identifier", pos)
-    return sql[pos + 1:end], end + 1
+    """Double-quoted identifier with "" escaping."""
+    start = pos
+    parts: List[str] = []
+    while True:
+        end = sql.find('"', pos + 1)
+        if end < 0:
+            raise LexerError("unterminated quoted identifier", start)
+        parts.append(sql[pos + 1:end])
+        if not sql.startswith('"', end + 1):
+            return '"'.join(parts), end + 1
+        pos = end + 1
 
 
 def _read_blob(sql: str, pos: int) -> tuple:

@@ -55,11 +55,11 @@ DETERMINISTIC_BUILTINS = frozenset(BUILTIN_SCALARS) | {"snapshot_id"}
 class SchemaProvider:
     """What resolution needs to know about the database.
 
-    Three implementations: :class:`StaticSchema` (built from DDL text,
-    used by the lint driver), :class:`CatalogSchema` (snapshot of a live
-    :class:`~repro.sql.database.Database` catalog, used by the parallel
-    executor) and :class:`ContextSchema` (adapter over the planner's
-    ``ExecutionContext``, used by EXPLAIN).
+    Two implementations: :class:`StaticSchema` (built from DDL text,
+    used by the lint driver) and :class:`ContextSchema` (the live
+    database: an adapter over the statement context EXPLAIN plans in
+    and :meth:`~repro.sql.database.Database.reading` opens for a
+    certificate).
     """
 
     def table_columns(self, name: str) -> Optional[List[Tuple[str, str]]]:
@@ -127,42 +127,10 @@ class StaticSchema(SchemaProvider):
         return set(self._functions)
 
 
-class CatalogSchema(StaticSchema):
-    """Schema snapshot of a live database (main + aux catalogs + UDFs).
-
-    Materialized eagerly at construction so no read context outlives the
-    provider; a mechanism run certifies against the catalog as of the
-    call, which matches what ``validate_qs``/``rewrite_qq`` see.
-    """
-
-    def __init__(self, db) -> None:
-        super().__init__()
-        from repro.sql.catalog import Catalog
-        for engine in (db.engine, db.aux_engine):
-            ctx = engine.begin_read()
-            try:
-                source = engine.read_source(ctx)
-                catalog = Catalog(source, engine.pager.get_root("catalog"),
-                                  temporary=engine is db.aux_engine)
-                for info in catalog.list_tables():
-                    if info.name.lower() in self._tables:
-                        continue  # main shadows temp on name collisions
-                    self.add_table(
-                        info.name,
-                        [(c.name, c.type_name) for c in info.columns],
-                        primary_key=list(info.primary_key),
-                    )
-                for index in catalog.list_indexes():
-                    self.add_index(index.name, index.table,
-                                   list(index.columns))
-            finally:
-                ctx.close()
-        for name in db.functions.snapshot():
-            self.add_function(name)
-
-
 class ContextSchema(SchemaProvider):
-    """Adapter over a planner ``ExecutionContext`` (EXPLAIN surface)."""
+    """Adapter over a planner ``ExecutionContext``: names resolve the
+    way a statement opened in that context would resolve them, one
+    lookup per table the query names."""
 
     def __init__(self, ctx) -> None:
         self._ctx = ctx

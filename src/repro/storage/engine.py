@@ -348,17 +348,20 @@ class StorageEngine:
         return ReadOnlyPageSource(read_page, lambda page: None)
 
     def snapshot_source(self, snapshot_id: int, context: ReadContext,
-                        use_skippy: bool = True):
+                        use_skippy: bool = True, metrics=None):
         """Page source serving reads as of a declared snapshot.
 
         Pages shared with the current database resolve through MVCC at
         the reader's ``begin_ts`` so concurrent updates never interfere.
+        ``metrics`` (a :class:`~repro.retro.metrics.MetricsSink`) is
+        charged for the SPT build and for every fetch through the source.
         """
         def read_current(page_id: int):
             return self._mvcc_read(page_id, context.begin_ts)
 
         return self.retro.snapshot_source(
             snapshot_id, read_current, self.page_size, use_skippy=use_skippy,
+            metrics=metrics,
         )
 
     def _mvcc_read(self, page_id: int, begin_ts: int) -> Page:

@@ -231,8 +231,8 @@ def corpus_schema():
     """A :class:`~repro.sql.semantic.StaticSchema` covering the corpus.
 
     TPC-H + LoggedIn + SnapIds DDL, plus the session-registered
-    functions a live :class:`~repro.sql.semantic.CatalogSchema` would
-    know about.
+    functions a live session's :class:`~repro.sql.semantic.
+    ContextSchema` would know about.
     """
     from repro.sql.semantic import StaticSchema
 

@@ -105,25 +105,16 @@ class SnapshotHistoryBuilder:
         return self._table_pages(("orders", "lineitem"))
 
     def _table_pages(self, tables) -> int:
-        from repro.sql.catalog import Catalog
-        from repro.storage.btree import BTree
-
-        engine = self.session.db.engine
-        ctx = engine.begin_read()
-        try:
-            source = engine.read_source(ctx)
-            catalog = Catalog(source, engine.pager.get_root("catalog"))
+        with self.session.db.reading() as ctx:
             total = 0
             for name in tables:
-                info = catalog.get_table(name)
-                if info is None:
+                table = ctx.find_table(name)
+                if table is None:
                     raise WorkloadError(f"{name} table missing")
-                total += len(BTree(source, info.root_id).page_ids())
-                for index in catalog.indexes_for(name):
-                    total += len(BTree(source, index.root_id).page_ids())
+                total += len(table.tree.page_ids())
+                for index in ctx.open_indexes(table):
+                    total += len(index.tree.page_ids())
             return total
-        finally:
-            ctx.close()
 
     def measured_overwrite_cycle(self, workload: UpdateWorkload,
                                  probe_snapshots: int = 10) -> float:

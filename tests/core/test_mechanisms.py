@@ -4,7 +4,7 @@ mechanism-equivalence properties from DESIGN.md."""
 import pytest
 
 from repro.core import RQLSession
-from repro.errors import AggregateError, MechanismError
+from repro.errors import AggregateError, MechanismError, PlanError
 from repro.workloads import LoggedInSimulator
 
 
@@ -277,3 +277,55 @@ class TestPersistentResults:
         assert s.execute(
             f'SELECT AS OF {sid} COUNT(*) FROM "Persisted"'
         ).scalar() == before
+
+
+# Result-table names arrive from callers (over the wire, in server
+# mode): every place that puts one into SQL text goes through the one
+# identifier quoter, so no name can address another table.
+HOSTILE_NAMES = [
+    'victim" --',
+    'semi;colon',
+    "two  words\tand a tab",
+    'a""b',
+    'x"; DROP TABLE victim; --',
+]
+
+MECHANISM_CALLS = [
+    ("collate_data", "SELECT l_userid FROM LoggedIn", ()),
+    ("aggregate_data_in_variable",
+     "SELECT COUNT(*) AS n FROM LoggedIn", ("sum",)),
+    ("aggregate_data_in_table",
+     "SELECT l_country, COUNT(*) AS c FROM LoggedIn GROUP BY l_country",
+     ([("c", "max")],)),
+    ("collate_data_into_intervals", "SELECT l_userid FROM LoggedIn", ()),
+]
+
+
+def quoted(name):
+    return '"' + name.replace('"', '""') + '"'
+
+
+class TestResultTableNames:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("method, qq, extra", MECHANISM_CALLS,
+                             ids=[c[0] for c in MECHANISM_CALLS])
+    @pytest.mark.parametrize("name", HOSTILE_NAMES)
+    def test_any_name_round_trips_and_touches_no_other_table(
+            self, paper_session, name, method, qq, extra, workers):
+        s = paper_session
+        s.execute("CREATE TABLE victim (x INTEGER)")
+        s.execute("INSERT INTO victim VALUES (1)")
+        qs = "SELECT snap_id FROM SnapIds ORDER BY snap_id"
+        select = f"SELECT * FROM {quoted(name)}"
+        first = getattr(s, method)(qs, qq, name, *extra, workers=workers)
+        assert first.table == name
+        rows = s.execute(select).rows
+        assert first.result_rows == len(rows) > 0
+        # The second run drops the first run's table under that name.
+        second = getattr(s, method)(qs, qq, name, *extra, workers=workers)
+        assert s.execute(select).rows == rows
+        assert second.result_rows == len(rows)
+        s._drop_result_table(name)
+        with pytest.raises(PlanError, match="no such table"):
+            s.execute(select)
+        assert s.execute("SELECT x FROM victim").rows == [(1,)]

@@ -160,3 +160,67 @@ class TestCertificatePlumbing:
         result = executor.collate_data(PAPER_QS, PAPER_QQ, "Honest",
                                        certificate=honest)
         assert result.snapshots == [1, 2, 3]
+
+
+class TestCertificationResolvesLikeExecution:
+    """A certificate is resolved in the statement context execution
+    opens (``Database.reading``): same lookup order, same transaction,
+    same index list."""
+
+    @staticmethod
+    def resolution_errors(session, qq):
+        certificate = session.certify("CollateData", PAPER_QS, qq)
+        return [f.message for f in certificate.findings
+                if f.rule == "RQL100"]
+
+    def test_temp_table_shadows_main_table(self):
+        session = RQLSession()
+        session.execute("CREATE TABLE t (a INTEGER)")
+        session.execute("CREATE TEMP TABLE t (z INTEGER)")
+        session.execute("INSERT INTO t VALUES (7)")
+        # Execution reads the TEMP table; so must the certificate.
+        assert session.execute("SELECT z FROM t").rows == [(7,)]
+        assert self.resolution_errors(session, "SELECT z FROM t") == []
+        assert self.resolution_errors(session, "SELECT a FROM t") \
+            == ["no such column: a"]
+
+    def test_open_transaction_ddl_is_visible(self):
+        session = RQLSession()
+        qq = "SELECT x FROM fresh"
+        with session.transaction():
+            session.execute("CREATE TABLE fresh (x INTEGER)")
+            assert session.execute(qq).rows == []
+            assert self.resolution_errors(session, qq) == []
+            certificate = session.certify("CollateData", PAPER_QS, qq)
+            assert certificate.read_tables == ("fresh",)
+        session.execute("BEGIN")
+        session.execute("DROP TABLE fresh")
+        assert self.resolution_errors(session, qq) \
+            == ["no such table: fresh"]
+        session.execute("ROLLBACK")
+        assert self.resolution_errors(session, qq) == []
+
+    def test_primary_key_index_is_listed_once(self, monkeypatch):
+        """The provider the certifier is handed lists a table's indexes
+        exactly as EXPLAIN binds them: catalog order, ``__pk_`` once."""
+        from repro.analysis.query import mergeclass
+
+        session = RQLSession()
+        session.execute("CREATE TABLE p (k INTEGER PRIMARY KEY, v INTEGER)")
+        session.execute("CREATE INDEX a_idx ON p (v)")
+        session.execute("CREATE INDEX zz_idx ON p (k)")
+        seen = {}
+        real = mergeclass.certify_mechanism
+
+        def spy(*args, schema=None, **kwargs):
+            seen["indexes"] = schema.table_indexes("p")
+            return real(*args, schema=schema, **kwargs)
+
+        monkeypatch.setattr(mergeclass, "certify_mechanism", spy)
+        session.certify("CollateData", PAPER_QS, "SELECT v FROM p")
+        assert seen["indexes"] == [
+            ("__pk_p", ["k"]), ("a_idx", ["v"]), ("zz_idx", ["k"])]
+        (search,) = [row[0] for row in session.execute(
+            "EXPLAIN SELECT v FROM p WHERE k = 1").rows
+            if row[0].startswith("SEARCH")]
+        assert search == f"SEARCH p USING INDEX {seen['indexes'][0][0]} (=)"

@@ -116,9 +116,9 @@ def test_page_source_fault_releases_every_snapshot_page(monkeypatch):
     wrappers = []
 
     def patched(self, snapshot_id, read_current, page_size,
-                use_skippy=True):
+                use_skippy=True, metrics=None):
         source = original(self, snapshot_id, read_current, page_size,
-                          use_skippy=use_skippy)
+                          use_skippy=use_skippy, metrics=metrics)
         wrapper = CountingSource(source)
         if snapshot_id == 5:
             wrapper.fail_fetch_at = 2  # mid-iteration, pins already held

@@ -87,11 +87,11 @@ class TestSnapshotReads:
         engine, root, sids = self._engine_with_history()
         engine.checkpoint()
         sink = MetricsSink()
-        engine.retro.metrics = sink
         engine.retro.cache.clear()
         sink.begin_iteration(sids[0])
         ctx = engine.begin_read()
-        BTree(engine.snapshot_source(sids[0], ctx), root).count()
+        BTree(engine.snapshot_source(sids[0], ctx, metrics=sink),
+              root).count()
         ctx.close()
         it = sink.iterations[0]
         assert it.pagelog_reads > 0
@@ -102,14 +102,15 @@ class TestSnapshotReads:
         engine, root, sids = self._engine_with_history()
         engine.checkpoint()
         sink = MetricsSink()
-        engine.retro.metrics = sink
         engine.retro.cache.clear()
         ctx = engine.begin_read()
         sink.begin_iteration(sids[0])
-        BTree(engine.snapshot_source(sids[0], ctx), root).count()
+        BTree(engine.snapshot_source(sids[0], ctx, metrics=sink),
+              root).count()
         first = sink.iterations[0]
         sink.begin_iteration(sids[0])
-        BTree(engine.snapshot_source(sids[0], ctx), root).count()
+        BTree(engine.snapshot_source(sids[0], ctx, metrics=sink),
+              root).count()
         second = sink.iterations[1]
         ctx.close()
         assert second.pagelog_reads == 0
@@ -121,14 +122,15 @@ class TestSnapshotReads:
         engine, root, sids = self._engine_with_history()
         engine.checkpoint()
         sink = MetricsSink()
-        engine.retro.metrics = sink
         engine.retro.cache.clear()
         ctx = engine.begin_read()
         sink.begin_iteration(sids[0])
-        BTree(engine.snapshot_source(sids[0], ctx), root).count()
+        BTree(engine.snapshot_source(sids[0], ctx, metrics=sink),
+              root).count()
         cold = sink.iterations[0]
         sink.begin_iteration(sids[1])
-        BTree(engine.snapshot_source(sids[1], ctx), root).count()
+        BTree(engine.snapshot_source(sids[1], ctx, metrics=sink),
+              root).count()
         hot = sink.iterations[1]
         ctx.close()
         assert hot.pagelog_reads < cold.pagelog_reads
@@ -141,14 +143,15 @@ class TestSnapshotReads:
         engine.checkpoint()
         engine.retro.share_cache_by_slot = False
         sink = MetricsSink()
-        engine.retro.metrics = sink
         engine.retro.cache.clear()
         ctx = engine.begin_read()
         sink.begin_iteration(sids[0])
-        BTree(engine.snapshot_source(sids[0], ctx), root).count()
+        BTree(engine.snapshot_source(sids[0], ctx, metrics=sink),
+              root).count()
         cold = sink.iterations[0]
         sink.begin_iteration(sids[1])
-        BTree(engine.snapshot_source(sids[1], ctx), root).count()
+        BTree(engine.snapshot_source(sids[1], ctx, metrics=sink),
+              root).count()
         hot = sink.iterations[1]
         ctx.close()
         assert hot.cache_hits == 0

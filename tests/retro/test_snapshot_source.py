@@ -29,10 +29,9 @@ class TestFetchResolution:
     def test_shared_pages_come_from_current_db(self, history):
         engine, root, sid = history
         sink = MetricsSink()
-        engine.retro.metrics = sink
         ctx = engine.begin_read()
         sink.begin_iteration(sid)
-        source = engine.snapshot_source(sid, ctx)
+        source = engine.snapshot_source(sid, ctx, metrics=sink)
         # Nothing modified since the declaration: the SPT is empty and
         # every fetch falls through to the database.
         assert source.spt == {}

@@ -96,6 +96,36 @@ def test_kill_mid_query_cancels_and_leaks_nothing(server, workers):
     }
 
 
+@pytest.mark.parametrize("workers", [1, 2],
+                         ids=["serial-loop", "partitioned"])
+def test_cancelled_run_drops_its_own_table_whatever_its_name(server,
+                                                             workers):
+    """The result-table name arrives over the wire; the cancel path
+    (``_drop_partial``) quotes it like every other user, so a name that
+    ends its own quoting drops the half-built table and nothing else."""
+    victim = server.connect("victim")
+    observer = server.connect("observer")
+    _populate(victim)
+    observer.execute("CREATE TABLE bystander (x INTEGER)")
+    observer.execute("INSERT INTO bystander VALUES (1)")
+    brake = _Brake()
+    victim.session.db.register_function("braking", brake)
+    name = 'bystander" --'
+    ticket = victim.collate_data(
+        QS, "SELECT braking(val), current_snapshot() FROM events",
+        name, workers=workers, block=False)
+    _kill_while_parked(victim, ticket, brake)
+    assert isinstance(ticket.error, QueryCancelled)
+    with pytest.raises(PlanError, match="no such table"):
+        observer.execute('SELECT * FROM "bystander"" --"')
+    assert observer.execute("SELECT x FROM bystander").rows == [(1,)]
+    observer.close()
+    assert server.leak_report() == {
+        "sessions": 0, "read_contexts": 0, "gate_held": False,
+        "active_queries": 0,
+    }
+
+
 def test_other_sessions_unaffected_by_a_kill(server):
     victim = server.connect("victim")
     bystander = server.connect("bystander")

@@ -92,6 +92,41 @@ def test_close_releases_abandoned_read_contexts(store, registry):
     assert context.closed
 
 
+def test_reading_tags_its_readers_and_closes_them_when_the_body_raises(
+        store, registry):
+    """``Database.reading`` is the one read opener: both of its read
+    contexts carry the session's owner, and both are closed on the way
+    out of a body that raises."""
+    session = registry.open("alice")
+    session.execute("CREATE TABLE t (a INTEGER)")
+    owner = session.db._owner
+    with pytest.raises(ZeroDivisionError):
+        with session.db.reading() as ctx:
+            assert ctx.find_table("t") is not None
+            assert ctx.find_table("nope") is None
+            assert len(store.engine.open_read_contexts(owner)) == 1
+            assert len(store.aux_engine.open_read_contexts(owner)) == 1
+            assert store.open_reader_count() == 2
+            1 / 0
+    assert store.engine.open_read_contexts(owner) == []
+    assert store.aux_engine.open_read_contexts(owner) == []
+    registry.close("alice")
+
+
+def test_reap_finds_the_readers_of_an_abandoned_reading(store, registry):
+    """Everything that used to open a catalog by hand (the shell,
+    certification, view planning, result statistics) now reads through
+    ``reading()``; abandoned mid-body, its readers are the session's
+    and a close reaps them."""
+    session = registry.open("alice")
+    session.execute("CREATE TABLE t (a INTEGER)")
+    abandoned = session.db.reading()
+    abandoned.__enter__()
+    assert store.open_reader_count() == 2
+    registry.close("alice")
+    assert store.open_reader_count() == 0
+
+
 def test_close_rolls_back_open_transaction_and_frees_gate(store, registry):
     alice = registry.open("alice")
     bob = registry.open("bob")

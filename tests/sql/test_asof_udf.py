@@ -167,18 +167,3 @@ class TestCursorStreaming:
         columns, rows = db.execute_cursor("SELECT a, b AS bee FROM t")
         assert columns == ["a", "bee"]
         assert list(rows) == [(1, "x")]
-
-    def test_execute_streaming_callback(self, db):
-        db.execute("CREATE TABLE t (a INTEGER)")
-        db.execute("INSERT INTO t VALUES (1), (2), (3)")
-        seen = []
-        columns = db.execute_streaming(
-            "SELECT a FROM t ORDER BY a", seen.append,
-        )
-        assert columns == ["a"]
-        assert seen == [(1,), (2,), (3,)]
-
-    def test_streaming_rejects_non_select(self, db):
-        db.execute("CREATE TABLE t (a INTEGER)")
-        with pytest.raises(Exception):
-            db.execute_streaming("DELETE FROM t", lambda row: None)

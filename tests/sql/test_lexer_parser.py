@@ -34,6 +34,16 @@ class TestLexer:
         tokens = tokenize('"weird name"')
         assert tokens[0].value == "weird name"
 
+    def test_quoted_identifier_escaping(self):
+        # "" inside a quoted identifier is one quote, as '' is in a
+        # string: what the result-table quoter writes, the lexer reads.
+        tokens = tokenize('"a""b" """" "x"" --; y" "p" "q"')
+        assert [t.value for t in tokens[:5]] \
+            == ['a"b', '"', 'x" --; y', "p", "q"]
+        for text in ('"open', '"open""'):
+            with pytest.raises(LexerError, match="unterminated quoted"):
+                tokenize(text)
+
     def test_operators(self):
         tokens = tokenize("<> <= >= != || = < >")
         assert [t.value for t in tokens[:8]] == [

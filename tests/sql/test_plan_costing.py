@@ -168,7 +168,7 @@ class TestStaticPlanningPurity:
         # The same pure planner serves EXPLAIN and the static path.
         from repro.sql.parser import parse_sql
         from repro.sql.planner import render_plan
-        from repro.sql.semantic import CatalogSchema
+        from repro.sql.semantic import ContextSchema
         from repro.sql.stats import DeclaredStats
 
         db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, n INTEGER)")
@@ -176,5 +176,7 @@ class TestStaticPlanningPurity:
         live = [n for n in explain(db, "SELECT n FROM t WHERE k = 1")
                 if not n.startswith("SEMANTIC:")]
         select = parse_sql("SELECT n FROM t WHERE k = 1")[0]
-        static = render_plan(select, CatalogSchema(db), DeclaredStats())
+        with db.reading() as ctx:
+            static = render_plan(select, ContextSchema(ctx),
+                                 DeclaredStats())
         assert static == live
