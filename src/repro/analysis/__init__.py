@@ -1,7 +1,8 @@
 """replint — AST-based invariant checks for the repro tree.
 
 The storage/SQL/RQL layers rest on protocol discipline the type system
-cannot express: pins must be released, WAL appends must precede flushes,
+cannot express: transactions and read contexts must be finished on every
+path, WAL appends must precede flushes,
 aggregates must be complete monoids, exceptions must fit the taxonomy,
 snapshot ids must not be hard-coded.  This package parses the whole
 source tree with :mod:`ast` and enforces those invariants statically —

@@ -6,13 +6,13 @@ replint pragmas live in ``#`` comments and **must** carry a justification
 after ``--`` (an escape hatch without a reason is itself a violation,
 reported as RPL000)::
 
-    page = pool.fetch(pid)  # replint: ignore[RPL010] -- handed to caller
-    def _evict_one(self):   # replint: wal-exempt -- images already logged
+    txn = engine.begin()   # replint: ignore[RPL030] -- committed by caller
+    def _evict_one(self):  # replint: wal-exempt -- images already logged
 
 Forms:
 
-* ``ignore[RPL010]`` / ``ignore[RPL010,RPL003]`` — suppress those rules;
-* named aliases (``wal-exempt``, ``lifecycle-exempt``, ``pin-exempt``,
+* ``ignore[RPL030]`` / ``ignore[RPL030,RPL003]`` — suppress those rules;
+* named aliases (``wal-exempt``, ``typestate-exempt``,
   ``lockorder-exempt``, ``taint-exempt``, ``snapid-exempt``,
   ``taxonomy-exempt``) — readable synonyms for single rules.
 
@@ -36,11 +36,9 @@ from repro.analysis.findings import ERROR, Finding
 
 PRAGMA_ALIASES = {
     "wal-exempt": "RPL003",
-    "pin-exempt": "RPL010",   # RPL001 was folded into RPL010 (replint v2)
     "taxonomy-exempt": "RPL002",
     "monoid-exempt": "RPL004",
     "snapid-exempt": "RPL005",
-    "lifecycle-exempt": "RPL010",
     "lockorder-exempt": "RPL011",
     "taint-exempt": "RPL012",
     "race-exempt": "RPL020",
@@ -243,7 +241,7 @@ class ModuleContext:
                     severity=ERROR,
                     message="unrecognized replint pragma",
                     hint="use 'replint: ignore[RPLnnn] -- reason' or a "
-                         "named alias (wal-exempt, pin-exempt, ...)",
+                         "named alias (wal-exempt, race-exempt, ...)",
                 )
             elif not pragma.justified:
                 yield Finding(

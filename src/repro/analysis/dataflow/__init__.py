@@ -12,7 +12,7 @@ Layers (bottom up):
 * :mod:`repro.analysis.dataflow.summaries` — per-function escape/alias
   summaries so facts propagate across call boundaries;
 * :mod:`repro.analysis.dataflow.program` — the :class:`Program` facade
-  the interprocedural rules (RPL010–RPL012) are written against.
+  the interprocedural rules (RPL011–RPL033) are written against.
 """
 
 from repro.analysis.dataflow.cfg import CFG, CFGNode, build_cfg

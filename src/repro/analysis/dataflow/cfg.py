@@ -97,7 +97,7 @@ class CFGNode:
     """One CFG node: a statement occurrence or a synthetic boundary."""
 
     __slots__ = ("index", "kind", "stmt", "succs", "esuccs", "with_stack",
-                 "in_unwind", "is_proxy", "branch")
+                 "in_unwind", "is_proxy", "branch", "calls")
 
     def __init__(self, index: int, kind: str,
                  stmt: Optional[ast.stmt] = None,
@@ -114,6 +114,9 @@ class CFGNode:
         self.in_unwind = False
         #: (test expression, polarity) for an ``if`` branch proxy
         self.branch: Optional[Tuple[ast.expr, bool]] = None
+        #: the calls this node executes, in evaluation order; filled on
+        #: first use by ``summaries._stmt_calls``
+        self.calls: Optional[Tuple[ast.Call, ...]] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         what = type(self.stmt).__name__ if self.stmt is not None else ""

@@ -64,8 +64,8 @@ def solve(cfg: CFG, analysis: ForwardAnalysis[S]) -> Dict[int, S]:
 
     IN-states are *recomputed* from the predecessors' current OUT-states
     on every visit rather than accumulated in place.  Accumulation is
-    only equivalent for monotone transfers, and the resource analysis is
-    deliberately not monotone: a release is a strong update that can
+    only equivalent for monotone transfers, and the typestate analysis is
+    deliberately not monotone: an event is a strong update that can
     shrink a site's status set once the alias sets have grown, and an
     accumulated join would keep the stale pessimistic contribution from
     an earlier visit alive forever (a phantom leak at EXIT).

@@ -34,7 +34,7 @@ _MAX_PASSES = 50
 #: changes meaning.  Folded into the cache digest *and* checked against
 #: the payload, so summaries written by an older replint are never
 #: deserialized into the new schema with silently-empty fields.
-ANALYSIS_VERSION = 3
+ANALYSIS_VERSION = 4
 
 
 class Program:

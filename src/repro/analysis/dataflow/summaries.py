@@ -1,17 +1,18 @@
 """Per-function escape/alias summaries and the analyses that build them.
 
 A :class:`FunctionSummary` is the interprocedural interface of one
-function: which parameters it releases or lets escape, whether its
-return value is a still-open resource or snapshot-tainted data, which
-latches it may acquire.  Summaries are computed by running the three
-intraprocedural analyses below with the *callees'* summaries plugged
-in, and iterating to a fixpoint over the whole program (see
+function: which parameters it lets escape or applies protocol events
+to, whether its return value is a protocol value or snapshot-tainted
+data, which latches it may acquire.  Summaries are computed by running
+the intraprocedural analyses below (and the typestate engine,
+:mod:`repro.analysis.dataflow.typestate`) with the *callees'* summaries
+plugged in, and iterating to a fixpoint over the whole program (see
 :mod:`repro.analysis.dataflow.program`).  All summary domains are
 finite sets that only ever grow, so the fixpoint terminates.
 
 The same analyses, re-run once summaries have converged, also yield the
-per-function *evidence* (leaks, lock-order edges, taint flows) the
-RPL010–RPL012 rules report.
+per-function *evidence* (lock-order edges, taint flows, protocol leaks
+and violations) the program rules report.
 """
 
 from __future__ import annotations
@@ -26,36 +27,7 @@ from repro.analysis.dataflow.callgraph import (
 from repro.analysis.dataflow.cfg import CFG, CFGNode, exec_parts
 from repro.analysis.dataflow.lattice import ForwardAnalysis, solve
 
-# -- domain knowledge: the resource & lock vocabulary of this codebase ------
-
-#: attribute-call names that acquire a resource, with a human kind
-ACQUIRE_ATTRS = {
-    "fetch": "pinned page",
-    "create": "pinned page",
-    "begin": "transaction",
-    "begin_read": "read context",
-}
-
-#: receivers we trust to hand out resources even when the call site
-#: cannot be resolved to a program function
-_ACQUIRE_RECEIVER_HINTS = {
-    "pool", "_pool", "buffer_pool", "pager", "_pager", "source", "_source",
-    "src", "page_source", "engine", "_engine", "aux_engine",
-}
-
-#: attribute-call names that release: first data argument if present,
-#: otherwise the receiver
-RELEASE_ATTRS = {"release", "unpin", "close", "commit", "abort", "rollback"}
-
-#: the root acquisition primitives: these functions *create* the pin /
-#: transaction / read context, so calls to them always open a site even
-#: though their own bodies don't look like acquisitions
-PRIMITIVE_ACQUIRERS = {
-    ("storage/buffer_pool.py", "fetch"),
-    ("storage/buffer_pool.py", "create"),
-    ("storage/engine.py", "begin"),
-    ("storage/engine.py", "begin_read"),
-}
+# -- domain knowledge: the lock & durability vocabulary of this codebase ----
 
 #: external container methods that take ownership of their argument
 CONTAINER_STORE_ATTRS = {"append", "add", "appendleft", "push", "put",
@@ -125,21 +97,14 @@ TAINT_SOURCE_CLASSES = {"SnapshotPageSource"}
 TAINT_SINK_ATTRS = {"install", "put_raw", "make_writable", "mark_dirty",
                     "log_commit"}
 
-#: resource statuses
-OPEN = "open"
-CLOSED = "closed"
-ESCAPED = "escaped"
-PARAM = "param"
-
 
 @dataclass
 class FunctionSummary:
     """The caller-visible dataflow facts of one function."""
 
     qualname: str
-    returns_resource: bool = False
-    resource_kind: str = "resource"
-    releases_params: FrozenSet[int] = frozenset()
+    #: params (by index) stored, returned, yielded, captured or handed to
+    #: code the analysis cannot see — produced by the typestate engine
     escape_params: FrozenSet[int] = frozenset()
     returns_taint: bool = False
     sink_params: FrozenSet[int] = frozenset()
@@ -171,9 +136,6 @@ class FunctionSummary:
     def to_dict(self) -> Dict[str, object]:
         return {
             "qualname": self.qualname,
-            "returns_resource": self.returns_resource,
-            "resource_kind": self.resource_kind,
-            "releases_params": sorted(self.releases_params),
             "escape_params": sorted(self.escape_params),
             "returns_taint": self.returns_taint,
             "sink_params": sorted(self.sink_params),
@@ -199,9 +161,6 @@ class FunctionSummary:
     def from_dict(cls, data: Dict[str, object]) -> "FunctionSummary":
         return cls(
             qualname=str(data["qualname"]),
-            returns_resource=bool(data["returns_resource"]),
-            resource_kind=str(data["resource_kind"]),
-            releases_params=frozenset(data["releases_params"]),  # type: ignore[arg-type]
             escape_params=frozenset(data["escape_params"]),  # type: ignore[arg-type]
             returns_taint=bool(data["returns_taint"]),
             sink_params=frozenset(data["sink_params"]),  # type: ignore[arg-type]
@@ -231,14 +190,6 @@ class FunctionSummary:
 
 
 # -- evidence records -------------------------------------------------------
-
-@dataclass(frozen=True)
-class Leak:
-    line: int
-    kind: str
-    what: str           #: e.g. "pool.fetch(...)"
-    exceptional: bool   #: leaked on an exception path (vs. normal return)
-
 
 @dataclass(frozen=True)
 class LockEdge:
@@ -306,7 +257,6 @@ class FunctionResult:
     """Summary + evidence for one function at the current fixpoint."""
 
     summary: FunctionSummary
-    leaks: List[Leak] = field(default_factory=list)
     lock_edges: List[LockEdge] = field(default_factory=list)
     taint_hits: List[TaintHit] = field(default_factory=list)
     raw_durable_writes: List[RawDurableWrite] = field(default_factory=list)
@@ -351,33 +301,6 @@ def _arg_offset(site: CallSite, target: FunctionInfo) -> int:
     return 0
 
 
-def _base_name(expr: ast.expr) -> Optional[str]:
-    """The root Name of a Name / single-level Attribute expression."""
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-        return expr.value.id
-    return None
-
-
-def _is_stub(node: ast.AST) -> bool:
-    """Protocol-style body: docstring / pass / ... / raise only."""
-    body = list(getattr(node, "body", []))
-    if body and isinstance(body[0], ast.Expr) \
-            and isinstance(body[0].value, ast.Constant) \
-            and isinstance(body[0].value.value, str):
-        body = body[1:]
-    if not body:
-        return True
-    return all(
-        isinstance(stmt, (ast.Pass, ast.Raise))
-        or (isinstance(stmt, ast.Expr)
-            and isinstance(stmt.value, ast.Constant)
-            and stmt.value.value is Ellipsis)
-        for stmt in body
-    )
-
-
 def _known_none(test: ast.expr, polarity: bool) -> Optional[str]:
     """The name proven None/falsy on the ``polarity`` branch of ``test``.
 
@@ -398,23 +321,26 @@ def _known_none(test: ast.expr, polarity: bool) -> Optional[str]:
     return None
 
 
-def _stmt_calls(node: CFGNode) -> List[ast.Call]:
+def _stmt_calls(node: CFGNode) -> Tuple[ast.Call, ...]:
+    """The calls ``node`` executes, walked once per node and kept on it
+    (every solve of every fixpoint pass asks again)."""
     # Post-order = Python evaluation order: arguments run before the
-    # enclosing call, so ``out.append(pool.fetch(pid))`` registers the
-    # fetch site before append decides the pin escaped into ``out``.
-    calls: List[ast.Call] = []
-    if node.stmt is None:
-        return calls
+    # enclosing call, so ``out.append(engine.begin())`` registers the
+    # begin site before append decides the value escaped into ``out``.
+    if node.calls is None:
+        calls: List[ast.Call] = []
 
-    def visit(sub: ast.AST) -> None:
-        for child in ast.iter_child_nodes(sub):
-            visit(child)
-        if isinstance(sub, ast.Call):
-            calls.append(sub)
+        def visit(sub: ast.AST) -> None:
+            for child in ast.iter_child_nodes(sub):
+                visit(child)
+            if isinstance(sub, ast.Call):
+                calls.append(sub)
 
-    for part in exec_parts(node.stmt):
-        visit(part)
-    return calls
+        if node.stmt is not None:
+            for part in exec_parts(node.stmt):
+                visit(part)
+        node.calls = tuple(calls)
+    return node.calls
 
 
 class _Oracle:
@@ -443,360 +369,6 @@ class _Oracle:
     def is_unresolved(self, call: ast.Call) -> bool:
         site = self.site(call)
         return site is not None and site.status == UNRESOLVED
-
-    def acquire_kind(self, call: ast.Call) -> Optional[str]:
-        """Does this call hand back a resource the caller must release?"""
-        name = _call_name(call)
-        if name in ACQUIRE_ATTRS and isinstance(call.func, ast.Attribute):
-            for kw in call.keywords:
-                if kw.arg == "pin" and isinstance(kw.value, ast.Constant) \
-                        and kw.value.value is False:
-                    return None
-            site = self.site(call)
-            if site is not None and site.status == RESOLVED:
-                # Trust the resolution: acquire only through the root
-                # primitives, opaque protocol stubs, or callees whose
-                # summary says they return a live resource.  A resolved
-                # concrete function named e.g. "create" that builds a
-                # value (BTree.create) is not an acquisition.
-                for target in site.targets:
-                    if (target.module, target.name) in PRIMITIVE_ACQUIRERS:
-                        return ACQUIRE_ATTRS[name]
-                    if _is_stub(target.node):
-                        return ACQUIRE_ATTRS[name]
-                    summary = self.summaries.get(target.qualname)
-                    if summary is not None and summary.returns_resource:
-                        return summary.resource_kind
-                return None
-            hint = _receiver_hint(call)
-            if hint in _ACQUIRE_RECEIVER_HINTS:
-                return ACQUIRE_ATTRS[name]
-            return None
-        for _site, summary in self.target_summaries(call):
-            if summary.returns_resource:
-                return summary.resource_kind
-        return None
-
-
-# -- resource lifecycle (RPL010 core) ---------------------------------------
-
-class _ResState:
-    """sites: site-id -> statuses; vars: name -> site-ids (may-alias)."""
-
-    __slots__ = ("sites", "vars")
-
-    def __init__(self, sites: Dict[str, FrozenSet[str]],
-                 vars: Dict[str, FrozenSet[str]]) -> None:
-        self.sites = sites
-        self.vars = vars
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _ResState) \
-            and self.sites == other.sites and self.vars == other.vars
-
-    def copy(self) -> "_ResState":
-        return _ResState(dict(self.sites), dict(self.vars))
-
-
-class ResourceAnalysis(ForwardAnalysis[_ResState]):
-    """Tracks acquisition sites through aliases, releases and escapes."""
-
-    def __init__(self, func: FunctionInfo, oracle: _Oracle) -> None:
-        self.func = func
-        self.oracle = oracle
-        #: site-id -> (line, kind, display)
-        self.site_info: Dict[str, Tuple[int, str, str]] = {}
-        self.released_params: Set[int] = set()
-        self.escaped_params: Set[int] = set()
-        self.returns_resource = False
-        self.resource_kind = "resource"
-
-    # - framework hooks -
-
-    def initial(self, cfg: CFG) -> _ResState:
-        sites: Dict[str, FrozenSet[str]] = {}
-        vars: Dict[str, FrozenSet[str]] = {}
-        for index, name in enumerate(self.func.params):
-            site = f"<param:{index}>"
-            sites[site] = frozenset({PARAM})
-            vars[name] = frozenset({site})
-        return _ResState(sites, vars)
-
-    def bottom(self) -> _ResState:
-        return _ResState({}, {})
-
-    def join(self, a: _ResState, b: _ResState) -> _ResState:
-        sites = dict(a.sites)
-        for site, statuses in b.sites.items():
-            sites[site] = sites.get(site, frozenset()) | statuses
-        vars = dict(a.vars)
-        for name, ids in b.vars.items():
-            vars[name] = vars.get(name, frozenset()) | ids
-        return _ResState(sites, vars)
-
-    def exc_state(self, node: CFGNode, pre: _ResState,
-                  post: _ResState) -> _ResState:
-        # A release statement that raises is assumed to have released:
-        # propagating PRE would flag every correct try/finally cleanup.
-        # Helpers whose summary releases a parameter count the same way.
-        for call in _stmt_calls(node):
-            if _call_name(call) in RELEASE_ATTRS:
-                return post
-            for _, summary in self.oracle.target_summaries(call):
-                if summary.releases_params:
-                    return post
-        return pre
-
-    def refine(self, node: CFGNode, state: _ResState) -> _ResState:
-        # On the branch where the guard proves ``x`` is None/falsy, the
-        # acquisition bound to ``x`` cannot have happened on any path
-        # reaching here: drop OPEN so `if x is not None: release(x)`
-        # cleanup idioms verify.
-        assert node.branch is not None
-        test, polarity = node.branch
-        name = _known_none(test, polarity)
-        if name is None:
-            return state
-        new = state.copy()
-        for site in new.vars.get(name, frozenset()):
-            old = new.sites.get(site)
-            if old and OPEN in old and PARAM not in old:
-                new.sites[site] = old - {OPEN}
-        return new
-
-    # - state helpers -
-
-    def _sites_of(self, state: _ResState,
-                  expr: Optional[ast.expr]) -> FrozenSet[str]:
-        if isinstance(expr, ast.Call):
-            # An acquisition used directly as an argument: its site was
-            # registered when the inner call ran (evaluation order).
-            site = f"{expr.lineno}:{expr.col_offset}"
-            if site in state.sites:
-                return frozenset({site})
-        if expr is None:
-            return frozenset()
-        name = _base_name(expr)
-        if name is None:
-            return frozenset()
-        return state.vars.get(name, frozenset())
-
-    def _set_status(self, state: _ResState, ids: FrozenSet[str],
-                    status: str) -> None:
-        for site in ids:
-            old = state.sites.get(site, frozenset())
-            if PARAM in old:
-                index = int(site[len("<param:"):-1])
-                if status == CLOSED:
-                    self.released_params.add(index)
-                elif status == ESCAPED:
-                    self.escaped_params.add(index)
-                continue
-            if status == CLOSED:
-                # Strong update: a release through a name closes every
-                # site the name may alias.  On any concrete path the
-                # name holds exactly one of them, and the others were
-                # already closed before the rebinding that created the
-                # alias set (the loop-descent fetch/release pattern).
-                # Conditional leaks still surface because the branch
-                # states join *after* this transfer.
-                state.sites[site] = frozenset({CLOSED})
-            else:
-                state.sites[site] = old | {status}
-
-    def _new_site(self, state: _ResState, call: ast.Call,
-                  kind: str) -> str:
-        site = f"{call.lineno}:{call.col_offset}"
-        self.site_info[site] = (call.lineno, kind, _display(call))
-        state.sites[site] = frozenset({OPEN})
-        return site
-
-    # - transfer -
-
-    def transfer(self, node: CFGNode, state: _ResState) -> _ResState:
-        stmt = node.stmt
-        new = state.copy()
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            return new  # with-managed acquisitions release via __exit__
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            # A nested def/class capturing a tracked value (the cleanup-
-            # closure pattern) takes over the release obligation.
-            self._escape_captured(new, stmt)
-            return new
-
-        bound_call: Optional[ast.Call] = None
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
-                and isinstance(stmt.targets[0], ast.Name) \
-                and isinstance(stmt.value, ast.Call):
-            bound_call = stmt.value
-
-        for call in _stmt_calls(node):
-            self._apply_call(new, call,
-                             bound=(call is bound_call),
-                             in_return=isinstance(stmt, ast.Return))
-
-        if isinstance(stmt, ast.Assign):
-            self._apply_assign(new, stmt)
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            self._apply_target(new, stmt.target, stmt.value)
-        elif isinstance(stmt, ast.Return):
-            self._apply_return(new, stmt.value)
-        elif isinstance(stmt, ast.Expr) and isinstance(
-                stmt.value, (ast.Yield, ast.YieldFrom)):
-            value = stmt.value.value
-            ids = self._sites_of(new, value)
-            if ids:
-                self._set_status(new, ids, ESCAPED)
-        return new
-
-    def _escape_captured(self, state: _ResState, stmt: ast.stmt) -> None:
-        for sub in ast.walk(stmt):
-            if isinstance(sub, ast.Name) and sub.id in state.vars:
-                ids = state.vars[sub.id]
-                if ids:
-                    self._set_status(state, ids, ESCAPED)
-
-    def _apply_call(self, state: _ResState, call: ast.Call,
-                    bound: bool, in_return: bool) -> None:
-        name = _call_name(call)
-        oracle = self.oracle
-        handled_args: Set[int] = set()
-
-        # 1. releases by well-known name: first data arg, else receiver
-        if name in RELEASE_ATTRS and isinstance(call.func, ast.Attribute):
-            arg_ids = self._sites_of(state, call.args[0]) \
-                if call.args else frozenset()
-            if arg_ids:
-                self._set_status(state, arg_ids, CLOSED)
-                handled_args.add(0)
-            elif not call.args:
-                recv_ids = self._sites_of(state, call.func.value)
-                if recv_ids:
-                    self._set_status(state, recv_ids, CLOSED)
-
-        # 2. effects derived from callee summaries
-        for site, summary in oracle.target_summaries(call):
-            for target in site.targets:
-                offset = _arg_offset(site, target)
-                for position, arg in enumerate(call.args):
-                    if position in handled_args:
-                        continue
-                    ids = self._sites_of(state, arg)
-                    if not ids:
-                        continue
-                    param = position + offset
-                    if param in summary.releases_params:
-                        self._set_status(state, ids, CLOSED)
-                        handled_args.add(position)
-                    elif param in summary.escape_params:
-                        self._set_status(state, ids, ESCAPED)
-                        handled_args.add(position)
-                break  # summaries are joined per target below anyway
-
-        # 3. a tracked value passed into an unresolved call escapes; so
-        #    does one stored into an external container (stack.append)
-        site = oracle.site(call)
-        conservative_escape = oracle.is_unresolved(call) or (
-            name in CONTAINER_STORE_ATTRS
-            and isinstance(call.func, ast.Attribute)
-            and (site is None or not site.targets))
-        if conservative_escape:
-            for position, arg in enumerate(call.args):
-                if position in handled_args:
-                    continue
-                ids = self._sites_of(state, arg)
-                if ids:
-                    self._set_status(state, ids, ESCAPED)
-
-        # 4. acquisitions
-        kind = oracle.acquire_kind(call)
-        if kind is not None:
-            site_id = self._new_site(state, call, kind)
-            if in_return:
-                state.sites[site_id] = frozenset({OPEN, ESCAPED})
-                self.returns_resource = True
-                self.resource_kind = kind
-            elif not bound:
-                # result discarded or buried in a larger expression:
-                # stays OPEN with no binding -> reported if never closed
-                pass
-
-    def _apply_assign(self, state: _ResState, stmt: ast.Assign) -> None:
-        for target in stmt.targets:
-            self._apply_target(state, target, stmt.value)
-
-    def _apply_target(self, state: _ResState, target: ast.expr,
-                      value: ast.expr) -> None:
-        if isinstance(target, ast.Name):
-            if isinstance(value, ast.Call):
-                kind = self.oracle.acquire_kind(value)
-                if kind is not None:
-                    site = f"{value.lineno}:{value.col_offset}"
-                    state.vars[target.id] = frozenset({site})
-                    return
-            if isinstance(value, ast.Name):
-                state.vars[target.id] = state.vars.get(
-                    value.id, frozenset())
-                return
-            state.vars[target.id] = frozenset()
-        elif isinstance(target, (ast.Attribute, ast.Subscript)):
-            # stored on the heap: the value escapes local reasoning
-            ids = self._sites_of(state, value)
-            if ids:
-                self._set_status(state, ids, ESCAPED)
-            if isinstance(value, ast.Call):
-                kind = self.oracle.acquire_kind(value)
-                if kind is not None:
-                    site = f"{value.lineno}:{value.col_offset}"
-                    if site in state.sites:
-                        state.sites[site] = \
-                            state.sites[site] | {ESCAPED}
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                if isinstance(element, ast.Name):
-                    state.vars[element.id] = frozenset()
-
-    def _apply_return(self, state: _ResState,
-                      value: Optional[ast.expr]) -> None:
-        elements: Sequence[ast.expr]
-        if value is None:
-            return
-        elements = value.elts if isinstance(
-            value, (ast.Tuple, ast.List)) else [value]
-        for element in elements:
-            ids = self._sites_of(state, element)
-            open_returned = any(
-                OPEN in state.sites.get(site, frozenset())
-                for site in ids)
-            if open_returned:
-                self.returns_resource = True
-                kinds = {self.site_info[s][1] for s in ids
-                         if s in self.site_info}
-                if kinds:
-                    self.resource_kind = sorted(kinds)[0]
-            if ids:
-                self._set_status(state, ids, ESCAPED)
-
-    # - reporting -
-
-    def leaks(self, cfg: CFG,
-              in_states: Dict[int, _ResState]) -> List[Leak]:
-        found: Dict[str, Leak] = {}
-        for exit_node, exceptional in ((cfg.exit, False),
-                                       (cfg.exc_exit, True)):
-            state = in_states.get(exit_node.index)
-            if state is None:
-                continue
-            for site, statuses in state.sites.items():
-                if OPEN in statuses and ESCAPED not in statuses \
-                        and site in self.site_info:
-                    line, kind, what = self.site_info[site]
-                    previous = found.get(site)
-                    if previous is None or (previous.exceptional
-                                            and not exceptional):
-                        found[site] = Leak(line, kind, what, exceptional)
-        return sorted(found.values(), key=lambda leak: leak.line)
 
 
 # -- lock order (RPL011 core) -----------------------------------------------
@@ -1438,10 +1010,6 @@ def summarize(func: FunctionInfo, cfg: CFG, graph: CallGraph,
     oracle = _Oracle(graph, summaries)
     locks_idx = lock_index or _LockIndex(graph)
 
-    resource = ResourceAnalysis(func, oracle)
-    res_states = solve(cfg, resource)
-    leaks = resource.leaks(cfg, res_states)
-
     locks = LockAnalysis(func, oracle, locks_idx)
     solve(cfg, locks)
 
@@ -1474,10 +1042,7 @@ def summarize(func: FunctionInfo, cfg: CFG, graph: CallGraph,
 
     summary = FunctionSummary(
         qualname=func.qualname,
-        returns_resource=resource.returns_resource,
-        resource_kind=resource.resource_kind,
-        releases_params=frozenset(resource.released_params),
-        escape_params=frozenset(resource.escaped_params),
+        escape_params=frozenset(typestate.escape_params),
         returns_taint=taint.returns_taint,
         sink_params=probe_sinks,
         acquires_locks=frozenset(locks.acquired),
@@ -1494,7 +1059,6 @@ def summarize(func: FunctionInfo, cfg: CFG, graph: CallGraph,
     )
     return FunctionResult(
         summary=summary,
-        leaks=leaks,
         lock_edges=sorted(locks.edges,
                           key=lambda e: (e.func, e.line, e.acquired)),
         taint_hits=sorted(taint.hits, key=lambda h: h.line),

@@ -1,15 +1,17 @@
 """Typestate interpretation of the protocol registry (RPL030–033 core).
 
 :class:`TypestateAnalysis` runs each :class:`~repro.analysis.protocols.
-ProtocolSpec` state machine over a function CFG in the same site/alias
-shape as the RPL010 resource analysis: acquisition *sites* hold a set of
-protocol states a subject may be in, *vars* map local names to the sites
-they may alias.  Callee summaries plug in through two new
-:class:`~repro.analysis.dataflow.summaries.FunctionSummary` fields —
-``protocol_ops`` (events a callee applies to its parameters) and
-``protocol_returns`` (the protocol value a callee hands back) — which is
-what makes a ``commit`` buried two helpers deep still transition the
-caller's transaction.
+ProtocolSpec` state machine over a function CFG: acquisition *sites*
+hold a set of protocol states a subject may be in, *vars* map local
+names to the sites they may alias.  It is the one lifecycle analysis:
+every open/close obligation (transactions, reader handles, read
+contexts) is a ``must_complete`` spec.  Callee summaries plug in through
+three :class:`~repro.analysis.dataflow.summaries.FunctionSummary` fields
+— ``protocol_ops`` (events a callee applies to its parameters),
+``protocol_returns`` (the protocol value a callee hands back) and
+``escape_params`` (parameters a callee stores, returns or hands on) —
+which is what makes a ``commit`` buried two helpers deep still
+transition the caller's transaction.
 
 Reporting discipline:
 
@@ -19,10 +21,10 @@ Reporting discipline:
 * Violations and thread escapes are recorded on a post-fixpoint *replay*
   over the converged IN-states (``recording`` flag), never from the
   transient states of mid-fixpoint visits.
-* Completion obligations (``must_complete`` protocols, i.e. MVCC reader
-  handles) are may-leaks at the normal and exceptional exits, mirroring
-  the RPL010 criterion — a ``finally:`` deregister reaches both exits,
-  a happy-path-only one leaves the exceptional exit registered.
+* Completion obligations (``must_complete`` protocols) are may-leaks at
+  the normal and exceptional exits — a ``finally:`` deregister reaches
+  both exits, a happy-path-only one leaves the exceptional exit
+  registered.
 
 :class:`AtomicityAnalysis` (RPL031 core) is the check-then-act checker:
 it binds names assigned from a latched read of a guarded attribute,
@@ -95,6 +97,10 @@ class _TsState:
         return _TsState(dict(self.sites), dict(self.vars))
 
 
+def _param_index(site: str) -> int:
+    return int(site[len("<param:"):-1])
+
+
 def _ctor_arg_offset(site: CallSite, target: FunctionInfo,
                      call: ast.Call) -> int:
     """Like ``_arg_offset`` but aware that ``ClassName(...)`` resolves
@@ -117,6 +123,8 @@ class TypestateAnalysis(ForwardAnalysis[_TsState]):
         #: summary facts: (param index, protocol, event)
         self.protocol_ops: Set[Tuple[int, str, str]] = set()
         self.protocol_returns: Optional[Tuple[str, str]] = None
+        #: summary fact: parameters that leave this function's reasoning
+        self.escape_params: Set[int] = set()
         #: evidence, recorded only while ``recording`` (post-solve replay)
         self.violations: Set[ProtocolViolation] = set()
         self.thread_escapes: Set[ThreadEscape] = set()
@@ -282,7 +290,12 @@ class TypestateAnalysis(ForwardAnalysis[_TsState]):
     def _mark_escaped(self, state: _TsState, ids: FrozenSet[str]) -> None:
         for site in ids:
             statuses = state.sites.get(site)
-            if statuses is None or UNKNOWN in statuses:
+            if statuses is None:
+                continue
+            if UNKNOWN in statuses:
+                # A parameter: the caller owns the state, so export the
+                # escape instead of marking it here.
+                self.escape_params.add(_param_index(site))
                 continue
             state.sites[site] = statuses | frozenset({ESCAPED})
 
@@ -460,8 +473,8 @@ class TypestateAnalysis(ForwardAnalysis[_TsState]):
                 # Parameter subject: the caller owns the state; export
                 # the event instead of interpreting it here.
                 if event.propagate and site.startswith("<param:"):
-                    index = int(site[len("<param:"):-1])
-                    self.protocol_ops.add((index, spec.name, event.name))
+                    self.protocol_ops.add(
+                        (_param_index(site), spec.name, event.name))
                 fired = True
                 continue
             live = statuses - _MARKERS

@@ -8,7 +8,7 @@ Entry points::
 
 Two analysis phases run over every tree: the intraprocedural checkers
 (one module at a time) and the interprocedural program checkers
-(RPL010–RPL012), which see all modules at once through the dataflow
+(RPL011–RPL033), which see all modules at once through the dataflow
 engine in :mod:`repro.analysis.dataflow`.
 
 Exit status is 0 when no error-severity findings remain after pragma and
@@ -238,11 +238,11 @@ def _list_rules(out) -> None:
 _RPL000_EXPLAIN = (
     "pragma-hygiene",
     "replint pragmas must parse and carry a justification",
-    "page = pool.fetch(pid)  # replint: ignore[RPL010]\n"
+    "txn = engine.begin()  # replint: ignore[RPL030]\n"
     "# RPL000: an escape hatch without a reason is itself a violation",
     "append ' -- <reason>' to every pragma:\n"
-    "page = pool.fetch(pid)"
-    "  # replint: ignore[RPL010] -- handed to caller",
+    "txn = engine.begin()"
+    "  # replint: ignore[RPL030] -- committed by the caller",
 )
 
 

@@ -37,7 +37,7 @@ class Finding:
 
     file: str        #: package-relative posix path (baseline-stable)
     line: int
-    rule: str        #: rule id, e.g. "RPL010"
+    rule: str        #: rule id, e.g. "RPL030"
     severity: str
     message: str
     hint: str = ""   #: how to fix (or legitimately suppress) it

@@ -16,7 +16,7 @@ Two tracking disciplines:
 
 * ``value`` — the protocol subject is a *value* born at an origin call
   (``engine.begin()``, ``versions.register_reader(...)``) and tracked
-  through local aliases, exactly like the RPL010 resource sites;
+  through local aliases;
 * ``receiver`` — the protocol subject is a long-lived *object*
   (``self.retro``, a chaos controller) and sites are keyed by the
   receiver expression; the machine starts in ``initial`` on the first
@@ -88,9 +88,9 @@ class ProtocolSpec:
     origins: FrozenSet[Tuple[str, str]] = frozenset()
     #: call names that create a value of this protocol
     origin_names: FrozenSet[str] = frozenset()
-    #: a value must reach a ``complete`` state on every path (the
-    #: reader-handle obligation); protocols whose leaks RPL010 already
-    #: reports (transactions, read contexts) keep this off
+    #: a value must reach a ``complete`` state on every path, the
+    #: exceptional exit included (transactions, reader handles, read
+    #: contexts); receiver-tracked objects outlive the function
     must_complete: bool = False
     complete: FrozenSet[str] = frozenset()
     #: boolean guard methods: (method name, state proven on the true
@@ -129,6 +129,8 @@ TXN = ProtocolSpec(
         Event("modified_pages", RECV, (),
               violations=("committed", "rolled_back")),
     ),
+    must_complete=True,
+    complete=frozenset({"committed", "rolled_back"}),
     guards=(("is_active", "active"),),
     fix_hint="a transaction must reach exactly one of commit/rollback; "
              "guard late cleanup with txn.is_active()",
@@ -174,8 +176,12 @@ READ_CONTEXT = ProtocolSpec(
         Event("read_source", ARG0, (), violations=("closed",)),
         Event("snapshot_source", ARG1, (), violations=("closed",)),
     ),
-    fix_hint="a closed read context has deregistered its MVCC reader; "
-             "reads through it see pruned version chains",
+    must_complete=True,
+    complete=frozenset({"closed"}),
+    fix_hint="close the context in a finally block (or open it in a "
+             "with-statement); a closed read context has deregistered "
+             "its MVCC reader, so reads through it see pruned version "
+             "chains",
 )
 
 #: recovery ordering: recover/scrub before reads; reads after

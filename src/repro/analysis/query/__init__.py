@@ -1,7 +1,7 @@
 """rqlint: query-level semantic analysis for the RQL dialect.
 
 Where replint (:mod:`repro.analysis.rules`) checks the *implementation*
-— pin discipline, lock order, protocol typestate — rqlint checks the
+— lock order, durability, protocol typestate — rqlint checks the
 *queries*: it resolves each RQL mechanism invocation against a schema,
 certifies its merge class (monoid / stored-row / concat /
 interval-stitch / serial-only) and emits RQL100-106 diagnostics through

@@ -101,7 +101,7 @@ class Checker:
 class ProgramChecker:
     """Base class: one interprocedural rule, run once per program."""
 
-    rule_id: str = "RPL010"
+    rule_id: str = "RPL000"
     name: str = ""
     description: str = ""
     #: Minimal failing example / fix pattern for ``lint --explain``.
@@ -140,7 +140,6 @@ from repro.analysis.rules import (  # noqa: E402,F401
     durability,
     escape,
     exceptions,
-    lifecycle,
     lockorder,
     mergepurity,
     monoids,

@@ -1,14 +1,16 @@
-"""RPL030 — protocol typestate violations.
+"""RPL030 — protocol typestate violations and leaked lifecycles.
 
 The typestate engine (:mod:`repro.analysis.dataflow.typestate`) runs
 the declarative protocol registry (:mod:`repro.analysis.protocols`)
 over every function: transactions must reach exactly one of
-commit/rollback and accept no operations afterwards, MVCC reader
-handles registered via ``VersionStore.register_reader`` must be
-deregistered exactly once on *every* path (the exceptional exit of the
-try/finally dual CFG included), read contexts must not serve reads
-after ``close()``, and a chaos controller must not be re-armed while a
-scheduled crash is still pending.
+commit/rollback on *every* path (the exceptional exit of the
+try/finally dual CFG included) and accept no operations afterwards,
+MVCC reader handles registered via ``VersionStore.register_reader``
+must be deregistered exactly once on every path, read contexts must be
+closed on every path and serve no reads after ``close()``, and a chaos
+controller must not be re-armed while a scheduled crash is still
+pending.  Returning, yielding or storing a value hands the obligation
+to whoever receives it.
 
 The analysis is interprocedural — callee summaries export the events a
 helper applies to its parameters — and only *definite* violations are
@@ -33,10 +35,11 @@ class ProtocolTypestateChecker(ProgramChecker):
     rule_id = "RPL030"
     name = "protocol-typestate"
     description = (
-        "lifecycle protocols must be followed: no transaction ops after "
-        "commit/rollback, MVCC readers deregistered exactly once on "
-        "every path, no reads through a closed read context, no "
-        "re-arming a pending chaos crash"
+        "lifecycle protocols must be followed: transactions, MVCC "
+        "readers and read contexts completed exactly once on every "
+        "path (exception unwinds and call boundaries included), no "
+        "operations on a finished one, no re-arming a pending chaos "
+        "crash"
     )
     example = (
         "txn = engine.begin()\n"
@@ -73,12 +76,12 @@ class ProtocolTypestateChecker(ProgramChecker):
             for leak in result.protocol_leaks:
                 path = "an exception unwind" if leak.exceptional \
                     else "a normal return"
-                spec = SPECS_BY_NAME.get(leak.protocol)
+                spec = SPECS_BY_NAME[leak.protocol]
                 finding = self.finding_at(
                     program, func, leak.line,
-                    f"{leak.kind} from {leak.what} is never "
-                    f"deregistered on {path} path",
-                    hint=spec.fix_hint if spec is not None else "",
+                    f"{leak.kind} from {leak.what} never reaches "
+                    f"{'/'.join(sorted(spec.complete))} on {path} path",
+                    hint=spec.fix_hint,
                 )
                 if finding is not None:
                     yield finding

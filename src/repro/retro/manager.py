@@ -379,9 +379,6 @@ class SnapshotPageSource(PageSource):
             metrics.pagelog_reads += 1
         return page
 
-    def release(self, page: Page) -> None:
-        """Snapshot pages are private copies; nothing to unpin."""
-
     # Mutations are structurally impossible on a snapshot.
 
     def allocate_page(self) -> Page:

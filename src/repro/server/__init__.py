@@ -17,8 +17,8 @@ Layering (each module only reaches down):
   (``python -m repro.cli serve``).
 
 The load-bearing property — concurrent schedules are byte-equivalent
-to their serial replay in commit order, with zero leaked pins, readers
-or sessions — is proven by the differential harness in
+to their serial replay in commit order, with zero leaked readers, read
+contexts or sessions — is proven by the differential harness in
 ``tests/server/test_concurrent_equivalence.py``.
 """
 

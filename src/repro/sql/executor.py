@@ -243,9 +243,6 @@ class EphemeralPageSource:
     def fetch(self, page_id: int):
         return self._pages[page_id]
 
-    def release(self, page) -> None:
-        pass
-
     def allocate_page(self):
         from repro.storage.page import Page
 

@@ -63,14 +63,13 @@ class MutablePageSource:
 
     The current-state implementation is the transaction page workspace
     (:mod:`repro.storage.transaction`); snapshot readers implement only
-    ``fetch``/``release`` and the tree's read paths never call the rest.
+    ``fetch`` and the tree's read paths never call the rest.  A fetched
+    page needs no release: holding the reference is what keeps it valid
+    (DESIGN.md, "What keeps a fetched page alive").
     """
 
     def fetch(self, page_id: int) -> Page:
         raise NotImplementedError
-
-    def release(self, page: Page) -> None:
-        """Drop a fetch reference (no-op for workspace sources)."""
 
     def allocate_page(self) -> Page:
         raise NotImplementedError("read-only page source")
@@ -362,22 +361,15 @@ class BTree:
         """Return the cell stored under ``key`` (the raw value, or its
         entry when the tree has a decoder), or None."""
         page = self._fetch(self.root_id)
-        try:
-            while page.page_type == PAGE_TYPE_BTREE_INTERNAL:
-                node = _InternalNode.of(page)
-                idx = bisect.bisect_right(node.keys, key)
-                # Latch coupling: pin the child before dropping the
-                # parent, so an unwind never releases a page twice.
-                child = self._fetch(node.children[idx])
-                self.source.release(page)
-                page = child
-            leaf = _LeafNode.of(page)
-            idx = bisect.bisect_left(leaf.keys, key)
-            if idx < len(leaf.keys) and leaf.keys[idx] == key:
-                return leaf.cell(idx, self.decode)
-            return None
-        finally:
-            self.source.release(page)
+        while page.page_type == PAGE_TYPE_BTREE_INTERNAL:
+            node = _InternalNode.of(page)
+            idx = bisect.bisect_right(node.keys, key)
+            page = self._fetch(node.children[idx])
+        leaf = _LeafNode.of(page)
+        idx = bisect.bisect_left(leaf.keys, key)
+        if idx < len(leaf.keys) and leaf.keys[idx] == key:
+            return leaf.cell(idx, self.decode)
+        return None
 
     def contains(self, key: bytes) -> bool:
         return self.get(key) is not None
@@ -387,29 +379,26 @@ class BTree:
     def insert(self, key: bytes, value: bytes) -> bool:
         """Insert or replace; returns True if the key was new."""
         root = self._fetch(self.root_id)
-        try:
-            max_cell = self._max_cell(root)
-            if len(key) + len(value) > max_cell:
-                raise BTreeError(
-                    f"cell of {len(key) + len(value)} bytes exceeds max "
-                    f"{max_cell} for this page size"
-                )
-            inserted, split = self._insert(root, key, value)
-            if split is not None:
-                sep_key, right_id = split
-                # Fixed-root split: move the root's current (left-half)
-                # content into a fresh page and turn the root into a 1-key
-                # internal.
-                root_w = self.source.make_writable(root)
-                left = self.source.allocate_page()
-                left.data[:] = root_w.data
-                left.decoded_node = root_w.decoded_node
-                self.source.mark_dirty(left)
-                _InternalNode([sep_key],
-                              [left.page_id, right_id]).encode_into(root_w)
-                self.source.mark_dirty(root_w)
-        finally:
-            self.source.release(root)
+        max_cell = self._max_cell(root)
+        if len(key) + len(value) > max_cell:
+            raise BTreeError(
+                f"cell of {len(key) + len(value)} bytes exceeds max "
+                f"{max_cell} for this page size"
+            )
+        inserted, split = self._insert(root, key, value)
+        if split is not None:
+            sep_key, right_id = split
+            # Fixed-root split: move the root's current (left-half)
+            # content into a fresh page and turn the root into a 1-key
+            # internal.
+            root_w = self.source.make_writable(root)
+            left = self.source.allocate_page()
+            left.data[:] = root_w.data
+            left.decoded_node = root_w.decoded_node
+            self.source.mark_dirty(left)
+            _InternalNode([sep_key],
+                          [left.page_id, right_id]).encode_into(root_w)
+            self.source.mark_dirty(root_w)
         return inserted
 
     def _insert(self, page: Page, key: bytes,
@@ -444,10 +433,7 @@ class BTree:
         node = _InternalNode.of(page)
         idx = bisect.bisect_right(node.keys, key)
         child = self._fetch(node.children[idx])
-        try:
-            was_new, split = self._insert(child, key, value)
-        finally:
-            self.source.release(child)
+        was_new, split = self._insert(child, key, value)
         if split is None:
             return was_new, None
         sep_key, right_id = split
@@ -507,26 +493,20 @@ class BTree:
     def delete(self, key: bytes) -> bool:
         """Remove ``key``; returns True if it was present."""
         root = self._fetch(self.root_id)
-        try:
-            removed = self._delete(root, key)
-            # Collapse a single-child internal root to keep height honest.
-            while root.page_type == PAGE_TYPE_BTREE_INTERNAL:
-                node = _InternalNode.of(root)
-                if node.keys:
-                    break
-                child_id = node.children[0]
-                child = self._fetch(child_id)
-                try:
-                    root_w = self.source.make_writable(root)
-                    root_w.data[:] = child.data
-                    root_w.decoded_node = child.decoded_node
-                    self.source.mark_dirty(root_w)
-                finally:
-                    self.source.release(child)
-                self.source.free_page(child_id)
-                root = root_w
-        finally:
-            self.source.release(root)
+        removed = self._delete(root, key)
+        # Collapse a single-child internal root to keep height honest.
+        while root.page_type == PAGE_TYPE_BTREE_INTERNAL:
+            node = _InternalNode.of(root)
+            if node.keys:
+                break
+            child_id = node.children[0]
+            child = self._fetch(child_id)
+            root_w = self.source.make_writable(root)
+            root_w.data[:] = child.data
+            root_w.decoded_node = child.decoded_node
+            self.source.mark_dirty(root_w)
+            self.source.free_page(child_id)
+            root = root_w
         return removed
 
     def _delete(self, page: Page, key: bytes) -> bool:
@@ -548,12 +528,9 @@ class BTree:
         node = _InternalNode.of(page)
         idx = bisect.bisect_right(node.keys, key)
         child = self._fetch(node.children[idx])
-        try:
-            removed = self._delete(child, key)
-            child_empty = self._is_empty(child)
-            child_id = child.page_id
-        finally:
-            self.source.release(child)
+        removed = self._delete(child, key)
+        child_empty = self._is_empty(child)
+        child_id = child.page_id
         if removed and child_empty and len(node.children) > 1:
             # Unlink and free the empty child (lazy rebalancing).
             node = node.copy()
@@ -612,17 +589,12 @@ class BTree:
         # Explicit descent stack: (internal node, next child index).
         stack: List[Tuple[_InternalNode, int]] = []
         page = self._fetch(self.root_id)
-        try:
-            while page.page_type == PAGE_TYPE_BTREE_INTERNAL:
-                node = _InternalNode.of(page)
-                idx = bisect.bisect_right(node.keys, start_key)
-                stack.append((node, idx + 1))
-                child = self._fetch(node.children[idx])
-                self.source.release(page)
-                page = child
-            leaf = _LeafNode.of(page)
-        finally:
-            self.source.release(page)
+        while page.page_type == PAGE_TYPE_BTREE_INTERNAL:
+            node = _InternalNode.of(page)
+            idx = bisect.bisect_right(node.keys, start_key)
+            stack.append((node, idx + 1))
+            page = self._fetch(node.children[idx])
+        leaf = _LeafNode.of(page)
         yield leaf, bisect.bisect_left(leaf.keys, start_key)
         # Advance to the next leaf via the stack.
         while stack:
@@ -631,17 +603,11 @@ class BTree:
                 continue
             stack.append((node, next_idx + 1))
             page = self._fetch(node.children[next_idx])
-            try:
-                while page.page_type == PAGE_TYPE_BTREE_INTERNAL:
-                    inner = _InternalNode.of(page)
-                    stack.append((inner, 1))
-                    child = self._fetch(inner.children[0])
-                    self.source.release(page)
-                    page = child
-                leaf = _LeafNode.of(page)
-            finally:
-                self.source.release(page)
-            yield leaf, 0
+            while page.page_type == PAGE_TYPE_BTREE_INTERNAL:
+                inner = _InternalNode.of(page)
+                stack.append((inner, 1))
+                page = self._fetch(inner.children[0])
+            yield _LeafNode.of(page), 0
 
     def scan_prefix(self, prefix: bytes) -> Iterator[Tuple[bytes, object]]:
         """Yield entries whose key starts with ``prefix``."""
@@ -693,15 +659,9 @@ class BTree:
         rowid = max + 1, as in SQLite).
         """
         page = self._fetch(self.root_id)
-        try:
-            while page.page_type == PAGE_TYPE_BTREE_INTERNAL:
-                node = _InternalNode.of(page)
-                child = self._fetch(node.children[-1])
-                self.source.release(page)
-                page = child
-            leaf = _LeafNode.of(page)
-        finally:
-            self.source.release(page)
+        while page.page_type == PAGE_TYPE_BTREE_INTERNAL:
+            page = self._fetch(_InternalNode.of(page).children[-1])
+        leaf = _LeafNode.of(page)
         if not leaf.keys:
             return None
         return leaf.keys[-1]
@@ -714,28 +674,23 @@ class BTree:
     def clear(self) -> None:
         """Remove every entry, freeing all pages except the root."""
         self._free_subtree(self.root_id, keep=True)
-        root = self._fetch(self.root_id)
-        try:
-            writable = self.source.make_writable(root)
-            _LeafNode([], []).encode_into(writable)
-            self.source.mark_dirty(writable)
-        finally:
-            self.source.release(root)
+        writable = self.source.make_writable(self._fetch(self.root_id))
+        _LeafNode([], []).encode_into(writable)
+        self.source.mark_dirty(writable)
 
     def drop(self) -> None:
         """Free the whole tree including the root."""
         self._free_subtree(self.root_id, keep=False)
 
-    def _free_subtree(self, page_id: int, keep: bool) -> None:
+    def _children(self, page_id: int) -> List[int]:
+        """Child page ids of an internal page (borrowed); none for a leaf."""
         page = self._fetch(page_id)
-        try:
-            if page.page_type == PAGE_TYPE_BTREE_INTERNAL:
-                children = _InternalNode.of(page).children
-            else:
-                children = []
-        finally:
-            self.source.release(page)
-        for child in children:
+        if page.page_type == PAGE_TYPE_BTREE_INTERNAL:
+            return _InternalNode.of(page).children
+        return []
+
+    def _free_subtree(self, page_id: int, keep: bool) -> None:
+        for child in self._children(page_id):
             self._free_subtree(child, keep=False)
         if not keep:
             self.source.free_page(page_id)
@@ -745,15 +700,9 @@ class BTree:
     def height(self) -> int:
         height = 1
         page = self._fetch(self.root_id)
-        try:
-            while page.page_type == PAGE_TYPE_BTREE_INTERNAL:
-                node = _InternalNode.of(page)
-                child = self._fetch(node.children[0])
-                self.source.release(page)
-                page = child
-                height += 1
-        finally:
-            self.source.release(page)
+        while page.page_type == PAGE_TYPE_BTREE_INTERNAL:
+            page = self._fetch(_InternalNode.of(page).children[0])
+            height += 1
         return height
 
     def page_ids(self) -> List[int]:
@@ -764,15 +713,7 @@ class BTree:
 
     def _collect_pages(self, page_id: int, out: List[int]) -> None:
         out.append(page_id)
-        page = self._fetch(page_id)
-        try:
-            if page.page_type == PAGE_TYPE_BTREE_INTERNAL:
-                children = _InternalNode.of(page).children
-            else:
-                children = []
-        finally:
-            self.source.release(page)
-        for child in children:
+        for child in self._children(page_id):
             self._collect_pages(child, out)
 
     def check_invariants(self) -> None:
@@ -785,17 +726,10 @@ class BTree:
     def _check(self, page_id: int, lo: Optional[bytes],
                hi: Optional[bytes], depth: int) -> None:
         page = self._fetch(page_id)
-        try:
-            is_leaf = page.page_type == PAGE_TYPE_BTREE_LEAF
-            if is_leaf:
-                if depth != 1:
-                    raise BTreeError("leaves at unequal depth")
-                leaf = _LeafNode.of(page)
-            else:
-                node = _InternalNode.of(page)
-        finally:
-            self.source.release(page)
-        if is_leaf:
+        if page.page_type == PAGE_TYPE_BTREE_LEAF:
+            if depth != 1:
+                raise BTreeError("leaves at unequal depth")
+            leaf = _LeafNode.of(page)
             for i, key in enumerate(leaf.keys):
                 if i and leaf.keys[i - 1] >= key:
                     raise BTreeError("leaf keys out of order")
@@ -804,6 +738,7 @@ class BTree:
                 if hi is not None and key >= hi:
                     raise BTreeError("leaf key above subtree bound")
             return
+        node = _InternalNode.of(page)
         for i, key in enumerate(node.keys):
             if i and node.keys[i - 1] >= key:
                 raise BTreeError("internal keys out of order")

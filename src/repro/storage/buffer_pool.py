@@ -47,9 +47,10 @@ class BufferPoolStats:
 class BufferPool:
     """Fixed-capacity LRU cache of database pages.
 
-    Pages are pinned while in use; only unpinned pages are evictable.
-    Dirty pages are written back to ``db_file`` on eviction and on
-    :meth:`flush_all` (checkpoint).
+    Nobody pins a page: a reader keeps what it fetched valid by holding
+    the reference, and eviction only drops the pool's own (DESIGN.md,
+    "What keeps a fetched page alive").  Dirty pages are written back to
+    ``db_file`` on eviction and on :meth:`flush_all` (checkpoint).
     """
 
     def __init__(self, db_file: DiskFile, capacity: int = 1024,
@@ -74,7 +75,7 @@ class BufferPool:
 
     # -- page access --------------------------------------------------------
 
-    def fetch(self, page_id: int, pin: bool = True) -> Page:
+    def fetch(self, page_id: int) -> Page:
         """Return the page, reading from disk on a miss."""
         with self._latch:
             page = self._pages.get(page_id)
@@ -86,27 +87,7 @@ class BufferPool:
                 raw = self._file.read(page_id)
                 page = Page(page_id, bytearray(raw), self._file.page_size)
                 self._admit(page)
-            if pin:
-                page.pin_count += 1
             return page
-
-    def create(self, page_id: int, pin: bool = True) -> Page:
-        """Materialize a brand-new zeroed page (not read from disk)."""
-        with self._latch:
-            if page_id in self._pages:
-                raise BufferPoolError(f"page {page_id} already resident")
-            page = Page(page_id, page_size=self._file.page_size)
-            page.dirty = True
-            self._admit(page)
-            if pin:
-                page.pin_count += 1
-            return page
-
-    def unpin(self, page: Page) -> None:
-        with self._latch:
-            if page.pin_count <= 0:
-                raise BufferPoolError(f"page {page.page_id} is not pinned")
-            page.pin_count -= 1
 
     def put_raw(self, page_id: int, raw: bytes) -> None:
         """Install committed bytes for ``page_id`` (commit-time install)."""
@@ -138,20 +119,17 @@ class BufferPool:
 
     # replint: wal-exempt -- evicted pages only became dirty via install()/put_raw, after commit already WAL-logged their images
     def _evict_one(self) -> None:
-        for page_id, page in self._pages.items():
-            if page.pin_count == 0:
-                if page.dirty:
-                    if self._on_flush is not None:
-                        # Same ordering rule as flush_all: Retro's pending
-                        # pre-states must reach the Pagelog before the
-                        # current-state page overwrites the db file, or a
-                        # post-crash re-capture would read the new bytes.
-                        self._on_flush()
-                    self._writeback(page)
-                del self._pages[page_id]
-                self.stats.evictions += 1
-                return
-        raise BufferPoolError("all buffer pool pages are pinned")
+        page_id, page = next(iter(self._pages.items()))
+        if page.dirty:
+            if self._on_flush is not None:
+                # Same ordering rule as flush_all: Retro's pending
+                # pre-states must reach the Pagelog before the
+                # current-state page overwrites the db file, or a
+                # post-crash re-capture would read the new bytes.
+                self._on_flush()
+            self._writeback(page)
+        del self._pages[page_id]
+        self.stats.evictions += 1
 
     def _writeback(self, page: Page) -> None:
         self._file.write(page.page_id, bytes(page.data))

@@ -207,7 +207,6 @@ class StorageEngine:
         return TransactionPageSource(
             txn,
             read_committed=self._fetch_committed,
-            release_committed=lambda page: None,
             allocate_id=self.pager.allocate,
             page_size=self.page_size,
         )
@@ -345,7 +344,7 @@ class StorageEngine:
         def read_page(page_id: int) -> Page:
             return self._mvcc_read(page_id, context.begin_ts)
 
-        return ReadOnlyPageSource(read_page, lambda page: None)
+        return ReadOnlyPageSource(read_page)
 
     def snapshot_source(self, snapshot_id: int, context: ReadContext,
                         use_skippy: bool = True, metrics=None):
@@ -371,12 +370,12 @@ class StorageEngine:
         return self._fetch_committed(page_id)
 
     def _fetch_committed(self, page_id: int) -> Page:
-        return self.pager.pool.fetch(page_id, pin=False)
+        return self.pager.pool.fetch(page_id)
 
     def _committed_bytes(self, page_id: int) -> bytes:
         """Latest committed image of a page (pool first, then disk)."""
         if self.pager.pool.resident(page_id):
-            return bytes(self.pager.pool.fetch(page_id, pin=False).data)
+            return bytes(self.pager.pool.fetch(page_id).data)
         return self.pager.read_committed_from_disk(page_id)
 
     # ------------------------------------------------------------------

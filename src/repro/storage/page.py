@@ -51,7 +51,7 @@ class Page:
     the WAL, and the Retro COW hook all observe the modification.
     """
 
-    __slots__ = ("page_id", "data", "dirty", "pin_count", "decoded_node")
+    __slots__ = ("page_id", "data", "dirty", "decoded_node")
 
     def __init__(self, page_id: int, data: Optional[bytearray] = None,
                  page_size: int = DEFAULT_PAGE_SIZE) -> None:
@@ -67,7 +67,6 @@ class Page:
         self.page_id = page_id
         self.data = data
         self.dirty = False
-        self.pin_count = 0
         #: the decoded B+tree node for these bytes, which is what tree
         #: readers work on: key/value/child lists parsed once and, on a
         #: leaf, the entries a full scan decoded from them (see
@@ -121,5 +120,5 @@ class Page:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Page(id={self.page_id}, type={self.page_type}, "
-            f"lsn={self.lsn}, dirty={self.dirty}, pins={self.pin_count})"
+            f"lsn={self.lsn}, dirty={self.dirty})"
         )

@@ -50,17 +50,15 @@ _CRC_OFFSET = HEADER_SIZE + _U32.size + _U64.size  # after magic + seq
 
 
 class PageSource:
-    """Read-only page access protocol shared by pager and snapshot reader."""
+    """Read-only page access protocol: the one verb Retro interposes on."""
 
     def fetch(self, page_id: int) -> Page:
         raise NotImplementedError
 
-    def release(self, page: Page) -> None:
-        """Drop a reference obtained from :meth:`fetch` (default no-op)."""
 
-
-class Pager(PageSource):
-    """Allocates, frees and fetches current-state database pages."""
+class Pager:
+    """Allocates and frees current-state database pages and owns the
+    buffer pool the engine fetches them from."""
 
     def __init__(self, db_file: DiskFile, pool_capacity: int = 4096, *,
                  meta_file: DiskFile) -> None:
@@ -192,16 +190,7 @@ class Pager(PageSource):
             self._next_page_id = int(state["next"])  # type: ignore[arg-type]
             self._free = [int(x) for x in state["free"]]  # type: ignore[union-attr]
 
-    # -- page access --------------------------------------------------------------
-
-    def fetch(self, page_id: int) -> Page:
-        return self.pool.fetch(page_id)
-
-    def release(self, page: Page) -> None:
-        self.pool.unpin(page)
-
-    def create_page(self, page_id: int) -> Page:
-        return self.pool.create(page_id)
+    # -- commit / checkpoint ------------------------------------------------------
 
     def install(self, page_id: int, raw: bytes) -> None:
         """Install committed page bytes (commit-time write path)."""

@@ -73,12 +73,10 @@ class TransactionPageSource(MutablePageSource):
 
     def __init__(self, txn: Transaction,
                  read_committed: Callable[[int], Page],
-                 release_committed: Callable[[Page], None],
                  allocate_id: Callable[[], int],
                  page_size: int) -> None:
         self._txn = txn
         self._read_committed = read_committed
-        self._release_committed = release_committed
         self._allocate_id = allocate_id
         self._page_size = page_size
 
@@ -89,10 +87,6 @@ class TransactionPageSource(MutablePageSource):
         if page is not None:
             return page
         return self._read_committed(page_id)
-
-    def release(self, page: Page) -> None:
-        if page.page_id not in self._txn.overlay:
-            self._release_committed(page)
 
     # -- writes ----------------------------------------------------------
 
@@ -148,13 +142,8 @@ class ReadOnlyPageSource(MutablePageSource):
     long-running query sees a stable logical state.
     """
 
-    def __init__(self, read_page: Callable[[int], Page],
-                 release_page: Callable[[Page], None]) -> None:
+    def __init__(self, read_page: Callable[[int], Page]) -> None:
         self._read_page = read_page
-        self._release_page = release_page
 
     def fetch(self, page_id: int) -> Page:
         return self._read_page(page_id)
-
-    def release(self, page: Page) -> None:
-        self._release_page(page)

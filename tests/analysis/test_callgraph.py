@@ -1,8 +1,8 @@
 """Call-graph builder: dynamic dispatch must resolve where the types
 are knowable and degrade to *conservatively unresolved* where not.
 
-Resolution status is load-bearing for the program rules: RPL010 only
-trusts acquisitions through RESOLVED edges, and an UNRESOLVED site is
+Resolution status is load-bearing for the program rules: RPL030 only
+trusts protocol origins through RESOLVED edges, and an UNRESOLVED site is
 the documented reason a cross-function fixture stops firing when its
 callee is removed.  These tests pin the three dispatch shapes named in
 the design: method override, aliased self attribute, and a function
@@ -52,7 +52,7 @@ def test_method_override_resolves_to_all_implementations():
     assert site.status == RESOLVED
     targets = {t.qualname.split("::")[1] for t in site.targets}
     # Dispatch through a Base-typed receiver may land on the override:
-    # both implementations are edges, or RPL010 would miss a leak that
+    # both implementations are edges, or RPL030 would miss a leak that
     # only the subclass introduces.
     assert targets == {"Base.run", "Sub.run"}
 

@@ -12,23 +12,23 @@ from repro.analysis.findings import (
 from repro.errors import AnalysisError, ReproError
 
 LEAKY = (
-    "def peek(pool, pid):\n"
-    "    page = pool.fetch(pid){pragma}\n"
-    "    return page.data[0]\n"
+    "def peek(versions, ts):\n"
+    "    reader = versions.register_reader(ts){pragma}\n"
+    "    return reader.begin_ts\n"
 )
 
 
 def test_justified_inline_pragma_suppresses():
     source = LEAKY.format(
-        pragma="  # replint: ignore[RPL010] -- pin owned by C extension")
+        pragma="  # replint: ignore[RPL030] -- reaped by the session close")
     assert analyze_source(source, "sql/x.py") == []
 
 
 def test_unjustified_pragma_is_itself_a_finding():
-    source = LEAKY.format(pragma="  # replint: ignore[RPL010]")
+    source = LEAKY.format(pragma="  # replint: ignore[RPL030]")
     rules = sorted(f.rule for f in analyze_source(source, "sql/x.py"))
     # The suppression does not take effect AND the pragma is flagged.
-    assert rules == ["RPL000", "RPL010"]
+    assert rules == ["RPL000", "RPL030"]
 
 
 def test_unknown_pragma_directive_is_flagged():
@@ -48,7 +48,7 @@ def test_named_alias_on_def_line_exempts_the_function():
 
 def test_lifecycle_alias_exempts_the_function():
     source = LEAKY.format(
-        pragma="  # replint: lifecycle-exempt -- released by the caller map")
+        pragma="  # replint: typestate-exempt -- reaped by the caller map")
     assert analyze_source(source, "sql/x.py") == []
 
 
@@ -63,7 +63,7 @@ def test_pragma_text_inside_a_docstring_is_inert():
 def test_pragma_only_covers_the_named_rule():
     source = LEAKY.format(
         pragma="  # replint: ignore[RPL003] -- wrong rule entirely")
-    assert [f.rule for f in analyze_source(source, "sql/x.py")] == ["RPL010"]
+    assert [f.rule for f in analyze_source(source, "sql/x.py")] == ["RPL030"]
 
 
 def test_syntax_error_reports_as_rpl000():
@@ -76,7 +76,7 @@ def test_syntax_error_reports_as_rpl000():
 
 
 def _finding(symbol="peek", content_hash=""):
-    return Finding(file="sql/x.py", line=2, rule="RPL010",
+    return Finding(file="sql/x.py", line=2, rule="RPL030",
                    severity="error", message="m", symbol=symbol,
                    content_hash=content_hash)
 
@@ -84,30 +84,30 @@ def _finding(symbol="peek", content_hash=""):
 def test_baseline_round_trip(tmp_path):
     path = tmp_path / "replint.baseline"
     save_baseline(path, [_finding(), _finding()])
-    assert load_baseline(path) == {"RPL010:sql/x.py:peek"}
+    assert load_baseline(path) == {"RPL030:sql/x.py:peek"}
 
 
 def test_baseline_key_ignores_line_numbers():
     early = _finding()
-    late = Finding(file="sql/x.py", line=99, rule="RPL010",
+    late = Finding(file="sql/x.py", line=99, rule="RPL030",
                    severity="error", message="m", symbol="peek")
     assert early.baseline_key == late.baseline_key
 
 
 def test_hashed_key_appends_the_content_hash():
     hashed = _finding(content_hash="abc123")
-    assert hashed.hashed_key == "RPL010:sql/x.py:peek#abc123"
-    assert hashed.baseline_key == "RPL010:sql/x.py:peek"
+    assert hashed.hashed_key == "RPL030:sql/x.py:peek#abc123"
+    assert hashed.baseline_key == "RPL030:sql/x.py:peek"
     # A finding without a hash degrades to the v1 key.
     assert _finding().hashed_key == _finding().baseline_key
 
 
 def test_matches_accepts_v2_and_v1_entries():
     finding = _finding(content_hash="abc123")
-    assert finding.matches({"RPL010:sql/x.py:peek#abc123"})   # v2
-    assert finding.matches({"RPL010:sql/x.py:peek"})          # v1 compat
+    assert finding.matches({"RPL030:sql/x.py:peek#abc123"})   # v2
+    assert finding.matches({"RPL030:sql/x.py:peek"})          # v1 compat
     # A v2 entry with a different hash is an *expired* baseline entry.
-    assert not finding.matches({"RPL010:sql/x.py:peek#000000"})
+    assert not finding.matches({"RPL030:sql/x.py:peek#000000"})
 
 
 def test_real_findings_carry_a_function_hash():
@@ -126,7 +126,7 @@ def test_content_hash_is_line_stable_but_edit_sensitive():
     assert shifted.content_hash == before.content_hash
     # Editing the flagged function itself expires the hash.
     (edited,) = analyze_source(
-        base.replace("page.data[0]", "page.data[1]"), "sql/x.py")
+        base.replace("reader.begin_ts", "reader.begin_ts + 1"), "sql/x.py")
     assert edited.content_hash != before.content_hash
 
 
@@ -158,7 +158,7 @@ def test_baselined_findings_do_not_fail_the_run(tmp_path):
     accepted = analyze_paths([bad], baseline)
     assert accepted.ok
     assert not accepted.findings
-    assert [f.rule for f in accepted.baselined] == ["RPL010"]
+    assert [f.rule for f in accepted.baselined] == ["RPL030"]
 
 
 def test_typestate_alias_suppresses_rpl030():

@@ -3,8 +3,8 @@ and stays silent on the known-good one.
 
 The fixtures under ``fixtures/`` are analyzed as source text with an
 explicit package-relative path, so scoped rules (RPL003 in ``storage/``,
-RPL005 in ``core/``/``retro/``) see the layer they police.  The RPL010–
-RPL012 fixtures contain cross-function cases whose evidence spans a
+RPL005 in ``core/``/``retro/``) see the layer they police.  The RPL011,
+RPL012 and RPL030 fixtures contain cross-function cases whose evidence spans a
 caller and a callee; the ``*_caller_only`` tests prove that the flagged
 function is innocent-looking on its own — the finding exists only
 because the dataflow engine sees the callee too.
@@ -24,7 +24,6 @@ SCOPES = {
     "RPL003": "storage/engine_fixture.py",
     "RPL004": "core/aggregates_fixture.py",
     "RPL005": "core/retroquery_fixture.py",
-    "RPL010": "sql/pins_fixture.py",
     "RPL011": "storage/latch_fixture.py",
     "RPL012": "retro/taint_fixture.py",
     "RPL020": "core/parallel_fixture.py",
@@ -93,38 +92,42 @@ def test_scoped_rules_stay_quiet_outside_their_layer():
         assert analyze_source(source, "workloads/fixture.py") == []
 
 
-# -- RPL010: resource lifecycle ---------------------------------------------
+# -- RPL030: lifecycle leaks (the fixture pair itself is gated in
+# test_replint_v4; the test names predate the retirement of pins) ------------
+
+LIFECYCLE_SCOPE = "core/txn_fixture.py"
+
+
+def lifecycle_bad():
+    source = (FIXTURES / "rpl030_bad.py").read_text(encoding="utf-8")
+    return analyze_source(source, LIFECYCLE_SCOPE)
 
 
 def test_pin_leak_messages_name_the_resource_and_paths():
-    findings = run_fixture("RPL010", "bad")
-    by_symbol = {f.symbol: f.message for f in findings}
-    assert "pinned page" in by_symbol["peek_header"]
-    assert "normal return" in by_symbol["peek_header"]
-    assert "pin_count" in by_symbol["steal_pin"]
+    by_symbol = {f.symbol: f.message for f in lifecycle_bad()}
+    assert "transaction" in by_symbol["bump"]
+    assert "exception unwind" in by_symbol["bump"]
+    assert "committed/rolled_back" in by_symbol["bump"]
+    assert "read context" in by_symbol["peek"]
+    assert "normal return" in by_symbol["peek"]
+    assert "reader handle" in by_symbol["scan"]
 
 
-def test_interprocedural_leak_is_flagged_in_the_caller():
-    findings = run_fixture("RPL010", "bad")
-    symbols = {f.symbol for f in findings}
-    assert "sum_header" in symbols      # caller leaks the callee's pin
-    assert "open_page" not in symbols   # transferring ownership is fine
-
-
-RPL010_CALLER_ONLY = (
-    "def sum_header(pool, page_id):\n"
-    "    page = open_page(pool, page_id)\n"
-    "    return page.data[0]\n"
+LIFECYCLE_CALLER_ONLY = (
+    "def count_dirty(engine):\n"
+    "    txn = open_txn(engine)\n"
+    "    return len(txn.dirty)\n"
 )
 
 
-def test_rpl010_cross_function_case_needs_the_callee():
-    # The flagged caller alone produces nothing: the acquisition is
-    # only visible through open_page's summary.  This is the case an
+def test_interprocedural_leak_is_flagged_in_the_caller():
+    symbols = {f.symbol for f in lifecycle_bad()}
+    assert "count_dirty" in symbols     # caller leaks the callee's txn
+    assert "open_txn" not in symbols    # transferring ownership is fine
+    # The flagged caller alone produces nothing: the begin is only
+    # visible through open_txn's summary.  This is the case an
     # intraprocedural checker provably cannot catch.
-    assert analyze_source(RPL010_CALLER_ONLY, SCOPES["RPL010"]) == []
-    full = run_fixture("RPL010", "bad")
-    assert any(f.symbol == "sum_header" for f in full)
+    assert analyze_source(LIFECYCLE_CALLER_ONLY, LIFECYCLE_SCOPE) == []
 
 
 # -- RPL011: latch ordering --------------------------------------------------

@@ -31,16 +31,16 @@ def test_benchmarks_and_examples_are_clean_too(tree_analysis):
 
 def test_cli_exit_one_on_findings(tmp_path):
     out = io.StringIO()
-    bad = FIXTURES / "rpl010_bad.py"
+    bad = FIXTURES / "rpl030_bad.py"
     code = main([str(bad), "--baseline", str(tmp_path / "none")], out=out)
     assert code == 1
-    assert "RPL010" in out.getvalue()
+    assert "RPL030" in out.getvalue()
     assert "hint:" in out.getvalue()
 
 
 def test_cli_exit_zero_on_clean_input(tmp_path):
     out = io.StringIO()
-    good = FIXTURES / "rpl010_good.py"
+    good = FIXTURES / "rpl030_good.py"
     code = main([str(good), "--baseline", str(tmp_path / "none")], out=out)
     assert code == 0
     assert "0 errors" in out.getvalue()
@@ -48,16 +48,16 @@ def test_cli_exit_zero_on_clean_input(tmp_path):
 
 def test_cli_json_output(tmp_path):
     out = io.StringIO()
-    main([str(FIXTURES / "rpl010_bad.py"), "--json",
+    main([str(FIXTURES / "rpl030_bad.py"), "--json",
           "--baseline", str(tmp_path / "none")], out=out)
     payload = json.loads(out.getvalue())
     assert payload["files_scanned"] == 1
-    assert {f["rule"] for f in payload["findings"]} == {"RPL010"}
+    assert {f["rule"] for f in payload["findings"]} == {"RPL030"}
 
 
 def test_cli_sarif_output(tmp_path):
     out = io.StringIO()
-    code = main([str(FIXTURES / "rpl010_bad.py"), "--format", "sarif",
+    code = main([str(FIXTURES / "rpl030_bad.py"), "--format", "sarif",
                  "--baseline", str(tmp_path / "none")], out=out)
     assert code == 1  # findings still fail the run in SARIF mode
     log = json.loads(out.getvalue())
@@ -65,12 +65,13 @@ def test_cli_sarif_output(tmp_path):
     (run,) = log["runs"]
     assert run["tool"]["driver"]["name"] == "replint"
     rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert {"RPL010", "RPL011", "RPL012"} <= rule_ids
+    assert {"RPL011", "RPL012", "RPL030"} <= rule_ids
+    assert "RPL010" not in rule_ids
     results = run["results"]
-    assert results and all(r["ruleId"] == "RPL010" for r in results)
+    assert results and all(r["ruleId"] == "RPL030" for r in results)
     for result in results:
         location = result["locations"][0]["physicalLocation"]
-        assert location["artifactLocation"]["uri"].endswith("rpl010_bad.py")
+        assert location["artifactLocation"]["uri"].endswith("rpl030_bad.py")
         assert location["region"]["startLine"] >= 1
         assert "replintKey/v2" in result["partialFingerprints"]
 
@@ -84,17 +85,17 @@ def test_cli_graph_dumps(tmp_path):
     assert '"Pool._latch" -> "Pager._latch"' in dot
 
     out = io.StringIO()
-    assert main([str(FIXTURES / "rpl010_bad.py"), "--graph",
+    assert main([str(FIXTURES / "rpl030_bad.py"), "--graph",
                  "calls"], out=out) == 0
     dot = out.getvalue()
     assert dot.startswith("digraph callgraph")
-    assert "open_page" in dot
+    assert "open_txn" in dot
 
 
 def test_cli_cache_dir_roundtrip(tmp_path):
     cache = tmp_path / "cache"
     cache.mkdir()
-    bad = str(FIXTURES / "rpl010_bad.py")
+    bad = str(FIXTURES / "rpl030_bad.py")
     first = io.StringIO()
     assert main([bad, "--baseline", str(tmp_path / "none"),
                  "--cache-dir", str(cache)], out=first) == 1
@@ -113,18 +114,19 @@ def test_cli_list_rules():
     assert main(["--list-rules"], out=out) == 0
     listed = out.getvalue()
     for rule in ("RPL000", "RPL002", "RPL003", "RPL004", "RPL005",
-                 "RPL010", "RPL011", "RPL012", "RPL020", "RPL021",
+                 "RPL011", "RPL012", "RPL020", "RPL021",
                  "RPL022", "RPL023", "RPL030", "RPL031", "RPL032",
                  "RPL033"):
         assert rule in listed
-    # RPL001 is retired into RPL010: no rule line may claim it.
-    assert not any(line.startswith("RPL001 ")
+    # RPL001 and RPL010 are retired into RPL030 (buffer-pool pins are
+    # gone, lifecycles are typestate): no rule line may claim either id.
+    assert not any(line.startswith(("RPL001 ", "RPL010 "))
                    for line in listed.splitlines())
 
 
 def test_cli_write_baseline_then_accept(tmp_path):
     baseline = tmp_path / "replint.baseline"
-    bad = str(FIXTURES / "rpl010_bad.py")
+    bad = str(FIXTURES / "rpl030_bad.py")
     out = io.StringIO()
     assert main([bad, "--baseline", str(baseline),
                  "--write-baseline"], out=out) == 0
@@ -152,7 +154,7 @@ def test_cli_malformed_baseline_is_a_clean_error(tmp_path):
     baseline = tmp_path / "replint.baseline"
     baseline.write_text('{"not": "a list"}', encoding="utf-8")
     out = io.StringIO()
-    code = main([str(FIXTURES / "rpl010_good.py"),
+    code = main([str(FIXTURES / "rpl030_good.py"),
                  "--baseline", str(baseline)], out=out)
     assert code == 2
     assert "JSON list of strings" in out.getvalue()

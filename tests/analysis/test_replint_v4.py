@@ -7,9 +7,10 @@ Five contracts beyond the fixture corpus:
   on exception edges — a happy-path-only ``deregister_reader`` is
   flagged while the ``try/finally`` twin stays clean;
 * seeded mutants over the real tree (reverting the ``begin_read``
-  registration guard, reading through the Retro manager before
-  ``recover``, double-arming the chaos sweep) are each caught by the
-  matching rule;
+  registration guard, dropping the bootstrap transaction's unwind-path
+  rollback, opening ``Database.reading``'s read context outside its
+  with-statement, reading through the Retro manager before ``recover``,
+  double-arming the chaos sweep) are each caught by the matching rule;
 * the summary disk cache invalidates on payloads missing the v4
   protocol fields, not only on digest/version changes;
 * ``lint --changed`` widens a protocol-spec edit to every module
@@ -40,7 +41,7 @@ SRC = package_root()
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 FIXTURE_SCOPES = {
-    "rpl030": ("core/txn_fixture.py", "RPL030", 2),
+    "rpl030": ("core/txn_fixture.py", "RPL030", 5),
     "rpl031": ("core/counter_fixture.py", "RPL031", 1),
     "rpl032": ("retro/reread_fixture.py", "RPL032", 1),
     "rpl033": ("core/fanout_fixture.py", "RPL033", 1),
@@ -153,9 +154,9 @@ def test_guarded_late_cleanup_stays_silent():
         """
     )
     findings = analyze_source(source, "core/guarded_fixture.py")
-    # RPL010 may still weigh in on the unwind path; the typestate rule
-    # itself must accept the guarded double-cleanup.
-    assert [f for f in findings if f.rule == "RPL030"] == []
+    # The unwind path still leaks the transaction (nothing here is in
+    # a finally); the guarded double-cleanup itself must be accepted.
+    assert ["exception unwind" in f.message for f in findings] == [True]
 
 
 # -- seeded mutants over the real tree ---------------------------------------
@@ -195,6 +196,61 @@ def test_unguarded_reader_registration_is_caught():
     assert findings, "the unguarded reader registration went unnoticed"
     assert {f.rule for f in findings} == {"RPL030"}
     assert all("register_reader" in f.message for f in findings)
+
+
+def test_database_module_is_clean_solo():
+    assert analyze_source(_real_source("sql/database.py"),
+                          "sql/database.py") == []
+
+
+def _line_of(source: str, needle: str) -> int:
+    return source[:source.index(needle)].count("\n") + 1
+
+
+def test_dropped_bootstrap_rollback_is_caught():
+    # The transaction obligation (must_complete on the txn spec): with
+    # the unwind-path rollback gone, a failed catalog bootstrap leaves
+    # the engine's single writer slot taken for good.
+    source = _real_source("sql/database.py")
+    mutated = source.replace(
+        "            engine.pager.set_root(_CATALOG_ROOT, tree.root_id)\n"
+        "        except BaseException:\n"
+        "            engine.rollback(txn)\n"
+        "            raise\n",
+        "            engine.pager.set_root(_CATALOG_ROOT, tree.root_id)\n"
+        "        except BaseException:\n"
+        "            raise\n",
+    )
+    assert mutated != source, "mutation target moved; update the test"
+    (finding,) = analyze_source(mutated, "sql/database.py")
+    assert finding.rule == "RPL030"
+    assert finding.symbol == "Database._bootstrap_catalog"
+    assert finding.line == _line_of(mutated, "        txn = engine.begin()")
+    assert "transaction from engine.begin(...)" in finding.message
+    assert "exception unwind" in finding.message
+
+
+def test_bare_read_context_in_reading_is_caught():
+    # The read-context obligation (must_complete on the read-context
+    # spec): taken out of its with-statement, the main engine's context
+    # is never closed, so its MVCC reader pins version chains forever.
+    source = _real_source("sql/database.py")
+    opener = "self.engine.begin_read(owner=self._owner)"
+    mutated = source.replace(
+        f"        with {opener} as read_ctx, \\\n"
+        "                self.aux_engine.begin_read(owner=self._owner) "
+        "as aux_ctx:\n",
+        f"        read_ctx = {opener}\n"
+        "        with self.aux_engine.begin_read(owner=self._owner) "
+        "as aux_ctx:\n",
+    )
+    assert mutated != source, "mutation target moved; update the test"
+    (finding,) = analyze_source(mutated, "sql/database.py")
+    assert finding.rule == "RPL030"
+    assert finding.symbol == "Database.reading"
+    assert finding.line == _line_of(mutated, f"        read_ctx = {opener}")
+    assert "read context from engine.begin_read(...)" in finding.message
+    assert "normal return" in finding.message
 
 
 def test_retro_read_before_recover_is_caught():

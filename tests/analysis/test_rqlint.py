@@ -336,7 +336,7 @@ class TestCli:
     def test_replint_sarif_unchanged(self, tmp_path):
         """The tool parameter must not disturb the replint rendering."""
         fixture = (pathlib.Path(__file__).parent / "fixtures"
-                   / "rpl010_bad.py")
+                   / "rpl030_bad.py")
         out = io.StringIO()
         lint_main([str(fixture), "--format", "sarif",
                    "--baseline", str(tmp_path / "none")], out=out)
@@ -385,4 +385,4 @@ class TestCli:
         text = out.getvalue()
         for rule_id in QUERY_REGISTRY:
             assert rule_id in text
-        assert "RPL010" in text  # replint rules still listed
+        assert "RPL030" in text  # replint rules still listed

@@ -88,11 +88,3 @@ class TestFetchResolution:
         cold = read_all()   # from the Pagelog
         warm = read_all()   # from the snapshot cache
         assert cold == warm == list(range(200))
-
-    def test_release_is_noop(self, history):
-        engine, root, sid = history
-        ctx = engine.begin_read()
-        source = engine.snapshot_source(sid, ctx)
-        page = source.fetch(root)
-        source.release(page)  # must not raise or unpin anything
-        ctx.close()

@@ -68,48 +68,27 @@ def make_pool(capacity=4):
 class TestBufferPool:
     def test_hit_and_miss(self):
         pool, _ = make_pool()
-        pool.fetch(1, pin=False)
-        pool.fetch(1, pin=False)
+        pool.fetch(1)
+        pool.fetch(1)
         assert pool.stats.misses == 1
         assert pool.stats.hits == 1
         assert pool.stats.hit_rate() == 0.5
 
     def test_lru_eviction_writes_back_dirty(self):
         pool, db_file = make_pool(capacity=2)
-        page = pool.fetch(1, pin=False)
+        page = pool.fetch(1)
         page.data[HEADER_SIZE] = 0xAB
         page.dirty = True
-        pool.fetch(2, pin=False)
-        pool.fetch(3, pin=False)  # evicts page 1 (LRU)
+        pool.fetch(2)
+        pool.fetch(3)  # evicts page 1 (LRU)
         assert not pool.resident(1)
         assert db_file.read(1)[HEADER_SIZE] == 0xAB
-
-    def test_pinned_pages_not_evicted(self):
-        pool, _ = make_pool(capacity=2)
-        pinned = pool.fetch(1)  # pinned
-        pool.fetch(2, pin=False)
-        pool.fetch(3, pin=False)
-        assert pool.resident(1)
-        pool.unpin(pinned)
-
-    def test_all_pinned_raises(self):
-        pool, _ = make_pool(capacity=2)
-        pool.fetch(1)
-        pool.fetch(2)
-        with pytest.raises(BufferPoolError):
-            pool.fetch(3)
-
-    def test_unpin_unpinned_raises(self):
-        pool, _ = make_pool()
-        page = pool.fetch(1, pin=False)
-        with pytest.raises(BufferPoolError):
-            pool.unpin(page)
 
     def test_flush_hook_runs_before_writeback(self):
         order = []
         pool, db_file = make_pool()
         pool.set_flush_hook(lambda: order.append("hook"))
-        page = pool.fetch(1, pin=False)
+        page = pool.fetch(1)
         page.dirty = True
         original_write = db_file.write
 
@@ -124,11 +103,11 @@ class TestBufferPool:
     def test_put_raw_installs(self):
         pool, _ = make_pool()
         pool.put_raw(5, b"\x07" * PAGE)
-        assert pool.fetch(5, pin=False).data[0] == 7
+        assert pool.fetch(5).data[0] == 7
 
     def test_drop_all_discards_dirty(self):
         pool, db_file = make_pool()
-        page = pool.fetch(1, pin=False)
+        page = pool.fetch(1)
         page.data[HEADER_SIZE] = 0xCD
         page.dirty = True
         pool.drop_all()

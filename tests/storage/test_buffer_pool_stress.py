@@ -1,11 +1,11 @@
 """Concurrency stress for the latched BufferPool.
 
-N threads hammer one small pool with mixed fetch/unpin/put_raw traffic
-under constant capacity pressure (evictions on nearly every admit).
-Invariants checked after the storm:
+N threads hammer one small pool with mixed fetch/put_raw traffic under
+constant capacity pressure (evictions on nearly every admit; nobody
+pins, so a fetched page may be evicted while its reader still holds it —
+the test's name predates that).  Invariants checked after the storm:
 
-* pin counts balance — no page is left pinned, and no unpin ever
-  underflows;
+* a fetched page is the page asked for, whoever evicts meanwhile;
 * no lost write-backs — each thread owns a disjoint page range, and
   after a final flush the disk holds the owner's last write for every
   page it touched;
@@ -53,15 +53,10 @@ def test_mixed_fetch_unpin_evict_storm_keeps_invariants():
         try:
             start.wait()
             for round_ in range(ROUNDS):
-                # Read someone else's page (pin while in use, unpin).
+                # Read someone else's page.
                 victim = ((thread + 1) * PAGES_PER_THREAD
                           + round_) % total_pages
-                page = pool.fetch(victim)
-                try:
-                    assert page.page_id == victim
-                    assert page.pin_count >= 1
-                finally:
-                    pool.unpin(page)
+                assert pool.fetch(victim).page_id == victim
                 # Overwrite one of our own pages (dirties it; eviction
                 # pressure forces write-backs of other threads' pages).
                 mine = own[round_ % PAGES_PER_THREAD]
@@ -81,8 +76,6 @@ def test_mixed_fetch_unpin_evict_storm_keeps_invariants():
     assert errors == []
     with pool._latch:
         assert len(pool._pages) <= CAPACITY
-        assert all(p.pin_count == 0 for p in pool._pages.values()), \
-            "storm left pages pinned"
     assert pool.stats.evictions > 0, "no capacity pressure exercised"
 
     # No lost write-backs: flush, then every owned page must hold its
@@ -92,31 +85,3 @@ def test_mixed_fetch_unpin_evict_storm_keeps_invariants():
         for page_id, payload in last_write[thread].items():
             assert bytes(db_file.read(page_id)) == payload, \
                 f"lost write-back on page {page_id}"
-
-
-def test_concurrent_pinning_of_one_page_balances():
-    disk = SimulatedDisk(PAGE_SIZE)
-    db_file = disk.open_file("db")
-    db_file.write(0, b"\x00" * PAGE_SIZE)
-    pool = BufferPool(db_file, capacity=2)
-    start = threading.Barrier(THREADS)
-    errors = []
-
-    def body() -> None:
-        try:
-            start.wait()
-            for _ in range(500):
-                page = pool.fetch(0)
-                pool.unpin(page)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=body) for _ in range(THREADS)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-
-    assert errors == []
-    page = pool.fetch(0, pin=False)
-    assert page.pin_count == 0, "pin-count race lost increments"

@@ -31,7 +31,7 @@ class TestWorkspace:
 
     def test_make_writable_copies_shared_page(self, workspace):
         engine, txn, source = workspace
-        shared = engine.pager.pool.fetch(0, pin=False)  # meta page
+        shared = engine.pager.pool.fetch(0)  # meta page
         private = source.make_writable(shared)
         assert private is not shared
         assert private.data == shared.data
@@ -40,14 +40,14 @@ class TestWorkspace:
 
     def test_make_writable_idempotent(self, workspace):
         engine, txn, source = workspace
-        shared = engine.pager.pool.fetch(0, pin=False)
+        shared = engine.pager.pool.fetch(0)
         first = source.make_writable(shared)
         second = source.make_writable(shared)
         assert first is second
 
     def test_mark_dirty_requires_overlay(self, workspace):
         engine, txn, source = workspace
-        shared = engine.pager.pool.fetch(0, pin=False)
+        shared = engine.pager.pool.fetch(0)
         with pytest.raises(TransactionError):
             source.mark_dirty(shared)
 
