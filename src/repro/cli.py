@@ -14,7 +14,8 @@ MATERIALIZED VIEW v``), and dot-commands:
 .indexes [table]            list indexes
 .snapshots                  list declared snapshots (SnapIds)
 .snapshot [name]            declare a snapshot now
-.views [name]               list materialized views, or one view's
+.views [name]               list materialized views with what their
+                            last refresh wrote, or one view's
                             refresh plan (EXPLAIN REFRESH)
 .checkpoint                 flush everything durably
 .stats                      storage / Retro statistics
@@ -217,11 +218,24 @@ class Shell:
             self.write("(no materialized views)")
             return
         result = ResultSet(
-            ["name", "mechanism", "merge_class", "built_from"],
+            ["name", "mechanism", "merge_class", "built_from",
+             "last_refresh", "changed", "appended", "rows"],
             [(v.name, v.mechanism, v.merge_class, v.built_from)
-             for v in views],
+             + self._last_refresh(v.name) for v in views],
         )
         self.write(format_table(result))
+
+    def _last_refresh(self, view: str) -> tuple:
+        """(mode, rows changed, rows appended, rows held) of this
+        session's latest refresh of ``view`` — reports are per session
+        and in memory, so a view refreshed elsewhere shows dashes."""
+        report = self.session.views.last_reports.get(view.lower())
+        if report is None:
+            return ("-",) * 4
+        if not report.table_written:
+            return (report.mode, 0, 0, "-")
+        return (report.mode, report.rows_changed, report.rows_appended,
+                report.rows_total)
 
     def cmd_checkpoint(self, args: List[str]) -> None:
         self.session.checkpoint()

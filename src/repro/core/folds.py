@@ -10,7 +10,9 @@ written once here and run three ways:
   contiguous range, exactly as if its snapshots had been stepped here;
 * **view refresh** — ``Fold.restore`` rebuilds the fold from a stored
   result, and stepping it over the newly declared snapshots performs
-  the serial loop's operations in the serial order.
+  the serial loop's operations in the serial order; its result is then
+  a write plan naming only the stored rows those steps changed and the
+  rows they added (:class:`FoldResult`, :func:`write_result`).
 
 Laws (``tests/core/test_aggregate_monoid_props.py``)::
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import (
     Callable,
     Dict,
@@ -71,21 +74,56 @@ INTERVAL_STITCH = "interval-stitch"
 SERIAL_ONLY = "serial-only"
 
 Row = Tuple[SqlValue, ...]
-#: reads a stored result table: () -> (columns, rows)
-StoredTable = Callable[[], Tuple[List[str], List[Row]]]
+#: reads a stored result table: () -> (columns, [(rowid, row), ...])
+StoredTable = Callable[[], Tuple[List[str], List[Tuple[int, Row]]]]
 
 
 class FoldResult(NamedTuple):
-    """What a fold writes: the result table's contents."""
+    """What a fold writes, as a plan: is the table new, which stored
+    rows change, which rows follow them.  A fold that was not restored
+    writes a new table holding ``rows``; a restored one names what its
+    steps did to the stored table, and an empty plan writes nothing."""
 
     columns: List[str]                   #: stored columns, helpers included
+    #: rows to add after the stored ones (a new table: all of them)
     rows: List[Row]
     index_columns: Optional[List[str]] = None
     state: Optional[dict] = None         #: JSON fold state (monoid only)
-    #: ``rows`` extend the stored table instead of replacing it
-    append: bool = False
+    #: False when restored: the table, and its index, are already there
+    new: bool = True
+    #: stored rows to overwrite, ``(rowid, row)`` ascending by the rowid
+    #: they were read under; none of them moves in the index
+    changed: Sequence[Tuple[int, Row]] = ()
     #: stored positions hidden from ``RQLResult.columns``
     helpers: FrozenSet[int] = frozenset()
+
+    @property
+    def empty(self) -> bool:
+        """Nothing to write: the stored table already is the result."""
+        return not (self.new or self.changed or self.rows)
+
+
+def _differs(row: Row, stored: Row) -> bool:
+    """Would ``row`` be stored as other bytes than ``stored`` was?
+    (``==`` alone takes 1 for 1.0 and 0.0 for -0.0.)"""
+    return row is not stored and (row != stored
+                                  or repr(row) != repr(stored))
+
+
+def _plan(stored: Optional[List[Tuple[int, Row]]],
+          rows: List[Row]) -> dict:
+    """The write plan of a fold whose table is now ``rows``.  Restored
+    from the ``(rowid, row)`` pairs ``stored``, the first ``len(stored)``
+    rows stand where those pairs were read and the rest are new; not
+    restored (``stored`` is None), the table is new."""
+    if stored is None:
+        return dict(rows=rows)
+    return dict(
+        new=False,
+        changed=[(rowid, row) for (rowid, old), row in zip(stored, rows)
+                 if _differs(row, old)],
+        rows=rows[len(stored):],
+    )
 
 
 class Fold:
@@ -100,8 +138,6 @@ class Fold:
     def __init__(self, arg: object = None, first: bool = True) -> None:
         #: Qq output columns, bound by the first step
         self.columns: Optional[List[str]] = None
-        #: False while a restored fold still equals its stored table
-        self.dirty = True
 
     def step(self, sid: int, columns: List[str],
              rows: Sequence[Row]) -> None:
@@ -117,7 +153,8 @@ class Fold:
     def restore(cls, arg: object, stored: StoredTable,
                 state: Optional[dict], last_sid: int) -> Optional["Fold"]:
         """The fold whose result is a stored table built through
-        ``last_sid`` (None when the stored state cannot seed one)."""
+        ``last_sid`` (None when the stored state cannot seed one).  Its
+        :meth:`result` is the plan that brings that table up to date."""
         raise NotImplementedError
 
     def result(self) -> Optional[FoldResult]:
@@ -133,14 +170,12 @@ class ConcatFold(Fold):
     def __init__(self, arg: object = None, first: bool = True) -> None:
         super().__init__()
         self.rows: List[Row] = []
-        self._append = False
+        self._restored = False
 
     def step(self, sid, columns, rows) -> None:
         if self.columns is None:
             self.columns = list(columns)
-        if rows:
-            self.rows.extend(rows)
-            self.dirty = True
+        self.rows.extend(rows)
 
     def merge(self, later: "ConcatFold") -> None:
         if self.columns is None:
@@ -152,14 +187,13 @@ class ConcatFold(Fold):
         # The stored rows are exactly the serial prefix: carry only the
         # rows to append, never read the table back.
         fold = cls()
-        fold._append = True
-        fold.dirty = False
+        fold._restored = True
         return fold
 
     def result(self) -> Optional[FoldResult]:
         if self.columns is None:
             return None
-        return FoldResult(self.columns, self.rows, append=self._append)
+        return FoldResult(self.columns, self.rows, new=not self._restored)
 
 
 class MonoidFold(Fold):
@@ -171,6 +205,8 @@ class MonoidFold(Fold):
     def __init__(self, arg: object = None, first: bool = True) -> None:
         super().__init__()
         self.state = make_cross_snapshot_aggregate(str(arg))
+        #: the stored ``(rowid, row)`` pairs a restore read (one row)
+        self._stored: Optional[List[Tuple[int, Row]]] = None
 
     def step(self, sid, columns, rows) -> None:
         if len(columns) != 1:
@@ -186,7 +222,6 @@ class MonoidFold(Fold):
             )
         if rows:
             self.state.absorb(rows[0][0])
-            self.dirty = True
 
     def merge(self, later: "MonoidFold") -> None:
         if self.columns is None:
@@ -200,7 +235,7 @@ class MonoidFold(Fold):
         fold = cls(state["func"])
         fold.columns = [state["column"]]
         fold.state = restore_cross_snapshot_aggregate(state)
-        fold.dirty = False
+        fold._stored = stored()[1][:1]
         return fold
 
     def result(self) -> Optional[FoldResult]:
@@ -214,8 +249,9 @@ class MonoidFold(Fold):
             # A value JSON cannot round-trip: the next delta refresh
             # finds no state and falls back to a full recompute.
             state = None
-        return FoldResult(self.columns, [(self.state.result(),)],
-                          state=state)
+        return FoldResult(
+            self.columns, state=state,
+            **_plan(self._stored, [(self.state.result(),)]))
 
 
 class StoredRowFold(Fold):
@@ -233,6 +269,10 @@ class StoredRowFold(Fold):
         #: the serial probe would find
         self._by_key: Dict[bytes, int] = {}
         self._first = first
+        #: the stored ``(rowid, row)`` pairs a restore read; ``rows``
+        #: starts as the same row objects, so an untouched row is
+        #: recognised by identity
+        self._stored: Optional[List[Tuple[int, Row]]] = None
 
     def _key(self, row: Sequence[SqlValue]) -> bytes:
         return encode_key(
@@ -262,8 +302,6 @@ class StoredRowFold(Fold):
                     updated = schema.apply(stored[at], row)
                     if updated is not None:
                         stored[at] = updated
-        if rows:
-            self.dirty = True
 
     def merge(self, later: "StoredRowFold") -> None:
         # ``later`` ran pure probe semantics: one row per group, each
@@ -299,25 +337,27 @@ class StoredRowFold(Fold):
     @classmethod
     def restore(cls, arg, stored, state, last_sid) -> "StoredRowFold":
         fold = cls(arg, first=False)
-        columns, rows = stored()
+        columns, fold._stored = stored()
         fold.schema.bind_stored(columns)
         fold.columns = columns[:len(columns)
                                - len(fold.schema.helper_positions)]
-        for row in rows:
+        for _rowid, row in fold._stored:
             fold._by_key.setdefault(fold._key(row), len(fold.rows))
             fold.rows.append(row)
-        fold.dirty = False
         return fold
 
     def result(self) -> Optional[FoldResult]:
         schema = self.schema
         if not schema.bound:
             return None
+        # A changed row keeps the group columns it was found by, which
+        # are the index's columns: it never moves in the index.
         return FoldResult(
-            list(schema.columns), self.rows,
+            list(schema.columns),
             index_columns=[schema.columns[p]
                            for p in schema.group_positions],
             helpers=schema.helper_positions,
+            **_plan(self._stored, self.rows),
         )
 
 
@@ -335,6 +375,9 @@ class IntervalFold(Fold):
         self._by_key: Dict[bytes, List[int]] = {}
         self._first_sid: Optional[int] = None
         self._last_sid: Optional[int] = None
+        #: ``(rowid, end)`` of the stored intervals a restore read, in
+        #: ``intervals`` order (which they open)
+        self._stored: Optional[List[Tuple[int, int]]] = None
 
     def _extend(self, key: bytes, ended_at: Optional[int],
                 end: int) -> bool:
@@ -364,8 +407,6 @@ class IntervalFold(Fold):
             if not self._extend(key, previous, sid):
                 self._open(key, values, sid, sid)
         self._last_sid = sid
-        if rows:
-            self.dirty = True
 
     def merge(self, later: "IntervalFold") -> None:
         # Only the boundary interacts: a later interval that starts at
@@ -386,24 +427,31 @@ class IntervalFold(Fold):
     @classmethod
     def restore(cls, arg, stored, state, last_sid) -> "IntervalFold":
         fold = cls()
-        columns, rows = stored()
+        columns, pairs = stored()
         fold.columns = columns[:-2]
-        for row in rows:
+        for _rowid, row in pairs:
             values = row[:-2]
             fold._open(encode_key(values), values, row[-2], row[-1])
         fold._first_sid = fold._last_sid = last_sid
-        fold.dirty = False
+        fold._stored = [(rowid, row[-1]) for rowid, row in pairs]
         return fold
 
     def result(self) -> Optional[FoldResult]:
         if self.columns is None:
             return None
+        columns = self.columns + [CollateDataIntoIntervalsRun.START_COLUMN,
+                                  CollateDataIntoIntervalsRun.END_COLUMN]
+        # A stored interval changes only by its end moving; its values
+        # are the index's columns, so it never moves in the index.
+        stored = self._stored or ()
         return FoldResult(
-            self.columns + [CollateDataIntoIntervalsRun.START_COLUMN,
-                            CollateDataIntoIntervalsRun.END_COLUMN],
-            [values + (start, end)
-             for _key, values, start, end in self.intervals],
-            index_columns=self.columns,
+            columns,
+            [values + (start, end) for _key, values, start, end
+             in self.intervals[len(stored):]],
+            index_columns=self.columns, new=self._stored is None,
+            changed=[(rowid, values + (start, now))
+                     for (rowid, end), (_key, values, start, now)
+                     in zip(stored, self.intervals) if now != end],
         )
 
 
@@ -500,12 +548,15 @@ def fold_range(db: Database, qq: str, sids: Sequence[int], fold: Fold,
 
 def write_result(db: Database, table: str, result: FoldResult,
                  persistent: bool) -> None:
-    """Materialize a fold's result as table ``table``; the caller owns
-    the transaction."""
-    if not result.append:
+    """Carry out a fold's write plan on table ``table`` — create it if
+    it is new, then overwrite the changed rows under their own rowids
+    and add the rest, as ONE ascending run; the caller owns the
+    transaction.  Only a new table gets its index built here: a stored
+    one keeps it, the run adding entries for the added rows alone."""
+    if result.new:
         create_result_table(db, table, result.columns, persistent)
     _, writer = db.table_writer(table)
-    for row in result.rows:
-        writer.insert(row)
-    if result.index_columns and not result.append:
+    writer.write_run(chain(
+        result.changed, enumerate(result.rows, writer.next_rowid())))
+    if result.new and result.index_columns:
         create_result_index(db, table, result.index_columns)

@@ -31,6 +31,10 @@ maintains it incrementally as new snapshots are declared:
 * Dependent views (a Qq reading another view's result table) refresh
   first, dependency-ordered, **pinned to the same target snapshot**, so
   a cascade observes one consistent snapshot across all sources.
+* An incremental refresh persists the delta, not the view: the restored
+  fold's result is a write plan — the stored rows its steps changed, by
+  rowid, and the rows they added — carried out in place, with no DROP /
+  CREATE TABLE / CREATE INDEX; an empty plan writes no row.
 * All refresh writes — the result table and the metadata row — land in
   one explicit transaction touching only the aux engine, so a crash
   recovers to fully-old or fully-new ``built_from``, never a torn mix
@@ -118,8 +122,19 @@ class RefreshReport:
     pagelog_reads: int
     cache_hits: int
     db_reads: int
+    #: the fold's write plan was not empty; then how many stored rows it
+    #: overwrote, how many rows it added, and how many the table holds
     table_written: bool
+    rows_changed: int = 0
+    rows_appended: int = 0
+    rows_total: int = 0
     cascaded: List[str] = field(default_factory=list)
+
+    def written_line(self) -> str:
+        if not self.table_written:
+            return "wrote no rows"
+        return (f"wrote {self.rows_changed} changed + "
+                f"{self.rows_appended} appended of {self.rows_total} rows")
 
     def summary_lines(self) -> List[str]:
         lines = [
@@ -134,6 +149,8 @@ class RefreshReport:
             f"reads: pagelog {self.pagelog_reads}, cache "
             f"{self.cache_hits}, db {self.db_reads}",
         ]
+        if self.mode != "noop":
+            lines.append(self.written_line())
         if self.cascaded:
             lines.append("cascaded: " + ", ".join(self.cascaded))
         return lines
@@ -391,8 +408,8 @@ class ViewManager:
             fold_range(self.db, meta.qq, sids, fold, sink, poll)
             report.evaluated_snapshots = len(sids)
         self._check_cancel(cancel)
-        report.table_written = self._persist(
-            meta, target, fold, insert=meta.name.lower() not in views)
+        self._persist(meta, target, fold, report,
+                      insert=meta.name.lower() not in views)
         self._account(report, sink)
         self.last_reports[meta.name.lower()] = report
         return report
@@ -471,26 +488,35 @@ class ViewManager:
     # -- the single write transaction ---------------------------------------
 
     def _persist(self, meta: ViewMeta, target: int, fold: Fold,
-                 insert: bool) -> bool:
-        """Write the fold's result and advance (or, for a new view,
-        insert) the metadata row in ONE explicit transaction; returns
-        whether the table was touched.  Every statement here touches
-        only the aux engine (the result table is TEMP, the metadata
-        table is TEMP), so the commit is a single-WAL atomic step: a
-        crash recovers to fully-old or fully-new, never a torn view.
+                 report: RefreshReport, insert: bool) -> None:
+        """Carry out the fold's write plan and advance (or, for a new
+        view, insert) the metadata row in ONE explicit transaction,
+        recording on ``report`` what was written.  A restored fold's
+        plan names only the rows its steps changed or added, so a delta
+        refresh runs no DROP / CREATE TABLE / CREATE INDEX, and an empty
+        plan leaves the table's pages alone.  Every statement here
+        touches only the aux engine (the result table is TEMP, the
+        metadata table is TEMP), so the commit is a single-WAL atomic
+        step: a crash recovers to fully-old or fully-new, never a torn
+        view.
         """
         result = fold.result()
         state = None if result is None else result.state
         state_sql = "NULL"
         if state is not None:
             state_sql = f"'{_escape(json.dumps(state, sort_keys=True))}'"
-        written = result is not None and fold.dirty
+        written = result is not None and not result.empty
         with self.db.transaction():
             if written:
-                if not result.append:
+                if result.new:  # a rebuild replaces whatever is stored
                     self.db.execute(
                         f"DROP TABLE IF EXISTS {_quote(meta.name)}")
                 write_result(self.db, meta.name, result, persistent=False)
+                report.table_written = True
+                report.rows_changed = len(result.changed)
+                report.rows_appended = len(result.rows)
+                with self.db.reading() as ctx:
+                    report.rows_total = ctx.open_table(meta.name).count()
             if insert:
                 arg_sql = ("NULL" if meta.arg is None
                            else f"'{_escape(meta.arg)}'")
@@ -508,7 +534,6 @@ class ViewManager:
                 )
         meta.built_from = target
         meta.state = state
-        return written
 
     # -- EXPLAIN / listing ---------------------------------------------------
 
@@ -538,7 +563,7 @@ class ViewManager:
             lines.append(
                 f"last refresh: {report.mode}, evaluated "
                 f"{report.evaluated_snapshots} snapshots, pagelog reads "
-                f"{report.pagelog_reads}"
+                f"{report.pagelog_reads}, {report.written_line()}"
             )
         lines.extend(certificate.summary_lines())
         return lines
@@ -591,5 +616,9 @@ class ViewManager:
         return dependents
 
     def _scan_table(self, name: str):
-        result = self.db.execute(f"SELECT * FROM {_quote(name)}")
-        return list(result.columns), [tuple(r) for r in result.rows]
+        """A stored result table as ``Fold.restore`` reads it: columns
+        and ``(rowid, row)`` pairs, the rowids being what the fold's
+        write plan addresses changed rows by."""
+        with self.db.reading() as ctx:
+            table = ctx.open_table(name)
+            return table.info.column_names(), list(table.scan())

@@ -21,7 +21,7 @@ contract").
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.sql.catalog import IndexInfo, TableInfo
@@ -85,6 +85,12 @@ class TableAccess:
 
     def insert_raw(self, rowid: int, row: Row) -> None:
         self.tree.insert(encode_key((rowid,)), encode_record(row))
+
+    def insert_raw_run(self, run: Sequence[Tuple[int, Row]]) -> None:
+        """:meth:`insert_raw` for ``(rowid, row)`` pairs ascending by
+        rowid, each leaf written once (``BTree.insert_run``)."""
+        self.tree.insert_run([(encode_key((rowid,)), encode_record(row))
+                              for rowid, row in run])
 
     def delete_raw(self, rowid: int) -> bool:
         return self.tree.delete(encode_key((rowid,)))
@@ -152,52 +158,97 @@ class TableWriter:
     def __init__(self, table: TableAccess, indexes: List[IndexAccess]) -> None:
         self.table = table
         self.indexes = indexes
-        self._pk_index = next(
-            (ix for ix in indexes if ix.info.unique), None,
-        )
+        info = table.info
+        #: (index, its columns' positions in a row), resolved once per
+        #: writer: ``column_index`` is a case-folding linear search
+        self._indexed = [
+            (index, [info.column_index(c) for c in index.info.columns])
+            for index in indexes
+        ]
         # next_rowid() descends the tree; cache it across inserts (the
         # writer is the only mutator of this table for its lifetime).
         self._next_rowid: Optional[int] = None
 
-    def _index_values(self, index: IndexAccess, row: Row) -> List[SqlValue]:
-        info = self.table.info
-        return [row[info.column_index(c)] for c in index.info.columns]
+    def _index_values(self, row: Row) -> List[List[SqlValue]]:
+        """Every index's column values of ``row``, in ``indexes`` order."""
+        return [[row[p] for p in positions]
+                for _, positions in self._indexed]
 
-    def insert(self, row: Sequence[SqlValue]) -> int:
-        info = self.table.info
-        if len(row) != len(info.columns):
+    def _check_unique(self, index: IndexAccess,
+                      values: Sequence[SqlValue]) -> None:
+        if index.info.unique and index.has_prefix(values):
             raise ExecutionError(
-                f"table {info.name} has {len(info.columns)} columns but "
-                f"{len(row)} values were supplied"
+                f"UNIQUE constraint failed: {self.table.info.name}"
+                f"({', '.join(index.info.columns)})"
             )
-        coerced = tuple(
-            coerce_for_column(v, c.type_name)
-            for v, c in zip(row, info.columns)
+
+    def _admit(self, row: Sequence[SqlValue]) -> Row:
+        """A row for this table, coerced to the columns' affinities."""
+        columns = self.table.info.columns
+        if len(row) != len(columns):
+            raise ExecutionError(
+                f"table {self.table.info.name} has {len(columns)} columns "
+                f"but {len(row)} values were supplied"
+            )
+        return tuple(
+            coerce_for_column(v, c.type_name) for v, c in zip(row, columns)
         )
-        for index in self.indexes:
-            if index.info.unique:
-                values = self._index_values(index, coerced)
-                if index.has_prefix(values):
-                    raise ExecutionError(
-                        f"UNIQUE constraint failed: {info.name}"
-                        f"({', '.join(index.info.columns)})"
-                    )
+
+    def _entries_of_new(self, row: Row):
+        """``(index, values)`` per index for a new row, UNIQUE-checked."""
+        entries = [(index, [row[p] for p in positions])
+                   for index, positions in self._indexed]
+        for index, values in entries:
+            self._check_unique(index, values)
+        return entries
+
+    def next_rowid(self) -> int:
+        """The rowid the next new row takes."""
         if self._next_rowid is None:
             self._next_rowid = self.table.next_rowid()
-        rowid = self._next_rowid
-        self._next_rowid += 1
+        return self._next_rowid
+
+    def insert(self, row: Sequence[SqlValue]) -> int:
+        coerced = self._admit(row)
+        entries = self._entries_of_new(coerced)
+        rowid = self.next_rowid()
+        self._next_rowid = rowid + 1
         self.table.insert_raw(rowid, coerced)
-        for index in self.indexes:
-            index.insert_entry(self._index_values(index, coerced), rowid)
+        for index, values in entries:
+            index.insert_entry(values, rowid)
         return rowid
+
+    def write_run(self,
+                  run: Iterable[Tuple[int, Sequence[SqlValue]]]) -> None:
+        """Write ``(rowid, row)`` pairs, ascending by rowid, as one
+        B-tree run (:meth:`TableAccess.insert_raw_run`).
+
+        A rowid past the table's last is a new row: admitted as
+        :meth:`insert` admits one (column count, coercion, UNIQUE) and
+        entered in every index.  A rowid up to the last overwrites that
+        row where it lies and **must keep its indexed columns' values**:
+        no index entry is read or moved, which is the caller's contract
+        (a view fold changes only columns its index does not cover).
+        """
+        admitted = []
+        for rowid, row in run:
+            coerced = self._admit(row)
+            if rowid >= self.next_rowid():
+                # Entered before the next row is checked, so two new
+                # rows of one run cannot share a UNIQUE key.
+                for index, values in self._entries_of_new(coerced):
+                    index.insert_entry(values, rowid)
+                self._next_rowid = rowid + 1
+            admitted.append((rowid, coerced))
+        self.table.insert_raw_run(admitted)
 
     def delete(self, rowid: int) -> bool:
         row = self.table.get(rowid)
         if row is None:
             return False
         self.table.delete_raw(rowid)
-        for index in self.indexes:
-            index.delete_entry(self._index_values(index, row), rowid)
+        for index, values in zip(self.indexes, self._index_values(row)):
+            index.delete_entry(values, rowid)
         return True
 
     def update(self, rowid: int, new_row: Sequence[SqlValue]) -> None:
@@ -209,22 +260,18 @@ class TableWriter:
             coerce_for_column(v, c.type_name)
             for v, c in zip(new_row, info.columns)
         )
-        for index in self.indexes:
-            old_vals = self._index_values(index, old_row)
-            new_vals = self._index_values(index, coerced)
-            if old_vals != new_vals and index.info.unique and \
-                    index.has_prefix(new_vals):
-                raise ExecutionError(
-                    f"UNIQUE constraint failed: {info.name}"
-                    f"({', '.join(index.info.columns)})"
-                )
+        moved = [
+            (index, old, new) for index, old, new in zip(
+                self.indexes, self._index_values(old_row),
+                self._index_values(coerced))
+            if old != new
+        ]
+        for index, _, new in moved:
+            self._check_unique(index, new)
         self.table.insert_raw(rowid, coerced)
-        for index in self.indexes:
-            old_vals = self._index_values(index, old_row)
-            new_vals = self._index_values(index, coerced)
-            if old_vals != new_vals:
-                index.delete_entry(old_vals, rowid)
-                index.insert_entry(new_vals, rowid)
+        for index, old, new in moved:
+            index.delete_entry(old, rowid)
+            index.insert_entry(new, rowid)
 
 
 class EphemeralPageSource:

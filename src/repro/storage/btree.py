@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import bisect
 import struct
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import BTreeError
 from repro.storage.page import (
@@ -446,6 +446,78 @@ class BTree:
             self.source.mark_dirty(writable)
             return was_new, None
         return was_new, self._split_internal(page, node)
+
+    def insert_run(self, cells: Iterable[Tuple[bytes, bytes]]) -> None:
+        """Insert or replace every ``(key, value)`` of a run whose keys
+        ascend: the loop of :meth:`insert` over the same cells — the
+        same final page images, the same pages allocated in the same
+        order — without its intermediate page writes.
+
+        One descent finds a leaf and the separator above it; every next
+        cell that sorts under that separator and fits is applied to one
+        private copy of the node, and the page is written once.  A cell
+        that does not fit goes through :meth:`insert`, which alone
+        splits (and raises for an oversize cell, with the cells before
+        it written), and the descent restarts from the root.  A key not
+        greater than its predecessor raises :class:`BTreeError`.
+        """
+        run = iter(cells)
+        cell = next(run, None)
+        previous: Optional[bytes] = None
+        while cell is not None:
+            page = self._fetch(self.root_id)
+            max_cell = self._max_cell(page)
+            upper: Optional[bytes] = None  # the separator above the leaf
+            while page.page_type == PAGE_TYPE_BTREE_INTERNAL:
+                node = _InternalNode.of(page)
+                idx = bisect.bisect_right(node.keys, cell[0])
+                if idx < len(node.keys):
+                    upper = node.keys[idx]
+                page = self._fetch(node.children[idx])
+            leaf = _LeafNode.of(page).copy()
+            keys, values = leaf.keys, leaf.values
+            capacity = self._capacity(page)
+            at = 0
+            wrote = False
+            fits = ascends = True
+            while cell is not None:
+                key, value = cell
+                if previous is not None and key <= previous:
+                    ascends = False
+                    break
+                if upper is not None and key >= upper:
+                    break
+                at = bisect.bisect_left(keys, key, at)
+                replaces = at < len(keys) and keys[at] == key
+                if replaces:
+                    grown = len(value) - len(values[at])
+                else:
+                    grown = _LEAF_CELL_OVERHEAD + len(key) + len(value)
+                if leaf.used + grown > capacity \
+                        or len(key) + len(value) > max_cell:
+                    fits = False
+                    break
+                if replaces:
+                    values[at] = value
+                else:
+                    keys.insert(at, key)
+                    values.insert(at, value)
+                leaf.used += grown
+                wrote = True
+                previous = key
+                cell = next(run, None)
+            if wrote:
+                writable = self.source.make_writable(page)
+                leaf.encode_into(writable)
+                self.source.mark_dirty(writable)
+            if not ascends:
+                raise BTreeError(
+                    "insert_run keys must ascend: "
+                    f"{cell[0]!r} after {previous!r}")
+            if not fits:
+                self.insert(*cell)
+                previous = cell[0]
+                cell = next(run, None)
 
     def _split_leaf(self, page: Page,
                     leaf: _LeafNode) -> Tuple[bytes, int]:

@@ -52,11 +52,15 @@ def full_database_dump(db):
     """Byte-level state of every table in both engines.
 
     Maps (engine, table) -> (columns, [(rowid, row), ...]) in physical
-    scan order, plus an index inventory per engine — the equality the
-    differential parallel-vs-serial harness asserts on.
+    scan order, plus per engine every index with its entries —
+    ``(key values..., rowid)`` in index order, so an index maintained in
+    place that lost an entry or kept a stale one differs from a rebuilt
+    one — the equality the differential harnesses assert on.
     """
     from repro.sql.catalog import Catalog
     from repro.sql.executor import TableAccess
+    from repro.storage.btree import BTree
+    from repro.storage.record import decode_key
 
     dump = {}
     for engine, kind in ((db.engine, "main"), (db.aux_engine, "aux")):
@@ -73,7 +77,9 @@ def full_database_dump(db):
                     tuple(info.column_names()), rows,
                 )
             dump[(kind, "__indexes__")] = sorted(
-                (ix.name, ix.table, tuple(ix.columns))
+                (ix.name, ix.table, tuple(ix.columns),
+                 [decode_key(key) for key, _ in
+                  BTree(source, ix.root_id).scan_all()])
                 for ix in catalog.list_indexes()
             )
         finally:

@@ -177,11 +177,24 @@ def _stepped(fold, columns, snapshots, after=0):
     return fold
 
 
-def _table(result, base_rows=()):
+def _rows(result, stored=()):
+    """The rows a result's write plan leaves behind, in rowid order:
+    a new table holds ``result.rows``; otherwise the plan overwrites
+    some of the ``(rowid, row)`` pairs ``stored`` and adds the rest."""
+    table = {} if result.new else dict(stored)
+    assert set(dict(result.changed)) <= set(table)
+    assert [rowid for rowid, _ in result.changed] \
+        == sorted(dict(result.changed))
+    table.update(result.changed)
+    table.update(enumerate(result.rows, max(table, default=0) + 1))
+    return [table[rowid] for rowid in sorted(table)]
+
+
+def _table(result, stored=()):
     """The stored table a result leaves behind, bit-for-bit (repr keeps
     1 / 1.0 / -0.0 apart)."""
-    rows = (list(base_rows) if result.append else []) + list(result.rows)
-    return repr((result.columns, rows, result.index_columns, result.state,
+    return repr((result.columns, _rows(result, stored),
+                 result.index_columns, result.state,
                  sorted(result.helpers)))
 
 
@@ -216,14 +229,23 @@ def test_restore_then_step_equals_one_fold_on_floats(mechanism, arg,
     base = _stepped(spec.fold(arg), columns, left).result()
     state = None if base.state is None \
         else json.loads(json.dumps(base.state))
+    # Rowids with a gap, as a user's DELETE would leave them: the plan
+    # addresses stored rows by the rowid they were read under.
+    stored = [(2 * n + 3, row) for n, row in enumerate(base.rows)]
     restored = spec.fold.restore(
-        arg, lambda: (list(base.columns), list(base.rows)), state,
-        len(left))
-    assert not restored.dirty
+        arg, lambda: (list(base.columns), list(stored)), state, len(left))
+    unstepped = restored.result()
+    assert unstepped is None or unstepped.empty
     _stepped(restored, columns, right, after=len(left))
+    plan = restored.result()
     whole = _stepped(spec.fold(arg), columns, left + right).result()
-    assert _table(restored.result(), base.rows) == _table(whole)
-    assert restored.dirty == any(right)
+    assert not plan.new
+    assert _table(plan, stored) == _table(whole)
+    # The plan is the difference and nothing else: no unchanged row is
+    # rewritten, and it is empty iff the table did not move.
+    assert all(repr(row) != repr(dict(stored)[rowid])
+               for rowid, row in plan.changed)
+    assert plan.empty == (repr(_rows(base)) == repr(_rows(whole)))
 
 
 def test_stored_row_first_snapshot_duplicates_survive():
@@ -254,10 +276,14 @@ def test_interval_gap_reopens():
                           history[1:], after=1))
     assert merged.result().rows == expected
     base = _stepped(spec.fold(), ["k"], history[:2]).result()
+    stored = list(enumerate(base.rows, 1))
     restored = spec.fold.restore(
-        None, lambda: (base.columns, base.rows), None, 2)
+        None, lambda: (base.columns, stored), None, 2)
     restored.step(3, ["k"], history[2])
-    assert restored.result().rows == expected
+    plan = restored.result()
+    assert (plan.new, plan.changed, plan.rows) \
+        == (False, [(2, ("b", 1, 3))], [("a", 3, 3)])
+    assert _rows(plan, stored) == expected
 
 
 def test_core_registry_agrees_with_the_certificate_side():

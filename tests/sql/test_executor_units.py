@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import ExecutionError
+from repro.errors import BTreeError, ExecutionError
 from repro.sql.catalog import Column, IndexInfo, TableInfo
 from repro.sql.executor import (
     EphemeralIndex,
@@ -138,3 +138,46 @@ class TestTableWriterUnits:
         _, _, writer = bound_table
         with pytest.raises(ExecutionError):
             writer.insert((1,))
+
+    # -- the run verb: overwrite in place + append, as one B-tree run ------
+
+    def test_write_run_overwrites_in_place_and_enters_new_rows(
+            self, bound_table):
+        table, index, writer = bound_table
+        for n in range(1, 4):
+            writer.insert((n, "old"))
+        writer.write_run([(2, (2, "new")), (4, ("7", "added")),
+                          (9, (8, "gap"))])
+        assert list(table.scan()) == [
+            (1, (1, "old")), (2, (2, "new")), (3, (3, "old")),
+            (4, (7, "added")),  # coerced to the column's affinity
+            (9, (8, "gap")),
+        ]
+        # Index entries for the new rows only; the overwritten row's
+        # entry was neither read nor moved.
+        assert list(index.scan_all()) == [1, 2, 3, 4, 9]
+        assert list(index.lookup_equal([7])) == [4]
+        assert writer.insert((0, "next")) == 10
+
+    def test_write_run_checks_what_insert_checks(self, bound_table):
+        table, index, _ = bound_table
+        unique = IndexAccess(
+            IndexInfo(name="t_u", table="t", root_id=index.info.root_id,
+                      columns=["a"], unique=True),
+            index.tree.source)
+        writer = TableWriter(table, [unique])
+        writer.insert((1, "x"))
+        with pytest.raises(ExecutionError, match="columns"):
+            writer.write_run([(2, (5,))])
+        with pytest.raises(ExecutionError, match="UNIQUE"):
+            writer.write_run([(2, (1, "taken"))])
+        with pytest.raises(ExecutionError, match="UNIQUE"):
+            writer.write_run([(2, (6, "a")), (3, (6, "twice in one run"))])
+        # An overwrite keeps its key: not a new row, so no UNIQUE check.
+        writer.write_run([(1, (1, "rewritten"))])
+        assert table.get(1) == (1, "rewritten")
+
+    def test_write_run_must_ascend(self, bound_table):
+        _, _, writer = bound_table
+        with pytest.raises(BTreeError, match="ascend"):
+            writer.write_run([(2, (2, "b")), (1, (1, "a"))])

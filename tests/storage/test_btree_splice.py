@@ -20,7 +20,13 @@ bytes*.  These tests hold the splice to that:
     the borrowed node and a scan opened before a write keep the pre-write
     cells, and the published node carries no entry memo;
 (d) through a transaction's page source the spliced bytes are the
-    overlay's: the buffer-pool page does not change before commit.
+    overlay's: the buffer-pool page does not change before commit;
+(e) ``BTree.insert_run`` — one page write per leaf for an ascending run
+    of cells — is the loop of ``insert`` over the same cells: the same
+    page images, the same pages allocated, the same error for an
+    oversize cell with the same cells written before it, on a memory
+    source and inside a transaction, which rolled back leaves the tree
+    as it was; a run that does not ascend raises.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ import struct
 from typing import Dict, List
 
 import pytest
-from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -39,6 +45,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.errors import BTreeError
 from repro.sql.executor import EphemeralPageSource
 from repro.storage.btree import BTree, _LeafNode
 from repro.storage.disk import SimulatedDisk
@@ -398,3 +405,125 @@ def test_buffer_pool_pages_do_not_change_before_commit():
             assert_leaf_is_its_reference_encoding(page)
     finally:
         ctx.close()
+
+
+# ---------------------------------------------------------------------------
+# (e) insert_run is the loop of insert
+# ---------------------------------------------------------------------------
+
+def _cell_value(seed: int, length: int) -> bytes:
+    return bytes([seed % 251 + 1]) * length
+
+
+@st.composite
+def trees_and_runs(draw):
+    """(page size, cells that build a tree, an ascending run over it):
+    the run replaces stored keys with shorter, equal and longer values,
+    inserts between them and appends past the last one — enough, on
+    these pages, to split at every level — and may carry one cell too
+    large for any page."""
+    page_size = draw(st.sampled_from((256, 512, 1024)))
+    largest = (page_size - LEAF_FIXED) // 2 - CELL_OVERHEAD - 6
+    lengths = st.integers(0, min(largest, 150))
+    built = draw(st.lists(st.tuples(st.integers(1000, 1400), lengths),
+                          max_size=160, unique_by=lambda c: c[0]))
+    run = draw(st.lists(st.tuples(st.integers(1000, 1500), lengths),
+                        max_size=90, unique_by=lambda c: c[0]))
+    run.sort()
+    if run and draw(st.booleans()):
+        at = draw(st.integers(0, len(run) - 1))
+        run[at] = (run[at][0], largest + 1)
+    cells = [[(make_key(n), _cell_value(n + k, length)) for n, length in part]
+             for k, part in enumerate((built, run))]
+    return page_size, cells[0], cells[1]
+
+
+def _apply(tree: BTree, run, as_run: bool):
+    """Write ``run`` one way or the other; the error's text, if any."""
+    try:
+        if as_run:
+            tree.insert_run(run)
+        else:
+            for key, value in run:
+                tree.insert(key, value)
+    except BTreeError as exc:
+        return str(exc)
+    return None
+
+
+RUN_SETTINGS = settings(max_examples=120, deadline=None,
+                        suppress_health_check=list(HealthCheck))
+
+
+@RUN_SETTINGS
+@given(case=trees_and_runs())
+def test_insert_run_is_the_loop_of_insert_on_a_memory_source(case):
+    page_size, built, run = case
+    outcomes = []
+    for as_run in (False, True):
+        source = EphemeralPageSource(page_size)
+        tree = BTree.create(source)
+        for key, value in built:
+            tree.insert(key, value)
+        error = _apply(tree, run, as_run)
+        tree.check_invariants()
+        for page in leaf_pages(tree):
+            assert_leaf_is_its_reference_encoding(page)
+        outcomes.append((
+            error, source._next_id,
+            {pid: bytes(page.data) for pid, page in source._pages.items()},
+        ))
+    looped, as_one_run = outcomes
+    assert as_one_run == looped
+    if looped[0] is None:
+        model = dict(built)
+        model.update(run)
+        assert list(tree.scan_all()) == sorted(model.items())
+
+
+@RUN_SETTINGS
+@given(case=trees_and_runs())
+def test_insert_run_is_the_loop_of_insert_inside_a_transaction(case):
+    page_size, built, run = case
+    page_size = max(page_size, 512)  # the engine's own pages need room
+    outcomes = []
+    for as_run in (False, True):
+        engine = StorageEngine(SimulatedDisk(page_size), page_size=page_size)
+        txn = engine.begin()
+        tree = BTree.create(engine.page_source(txn))
+        for key, value in built:
+            tree.insert(key, value)
+        root = tree.root_id
+        engine.commit(txn)
+
+        txn = engine.begin()
+        tree = BTree(engine.page_source(txn), root)
+        error = _apply(tree, run, as_run)
+        tree.check_invariants()
+        outcomes.append((
+            error, sorted(txn.dirty), list(txn.allocated),
+            {pid: bytes(page.data) for pid, page in txn.overlay.items()},
+        ))
+    looped, as_one_run = outcomes
+    assert as_one_run == looped
+
+    # Rolled back, the run leaves nothing: the tree is its pre-state.
+    engine.rollback(txn)
+    with engine.begin_read() as ctx:
+        committed = BTree(engine.read_source(ctx), root)
+        committed.check_invariants()
+        assert list(committed.scan_all()) == sorted(built)
+
+
+@pytest.mark.parametrize("run", (
+    [(b"b", b"1"), (b"a", b"2")],
+    [(b"a", b"1"), (b"a", b"2")],
+), ids=("descending", "repeated"))
+def test_insert_run_refuses_a_run_that_does_not_ascend(run):
+    tree = BTree.create(EphemeralPageSource(PAGE))
+    tree.insert(b"c", b"stored")
+    with pytest.raises(BTreeError, match="must ascend"):
+        tree.insert_run(run)
+    # The cell before the offender is written, as the loop would have.
+    tree.check_invariants()
+    assert list(tree.scan_all()) == [run[0], (b"c", b"stored")]
