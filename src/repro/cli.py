@@ -363,19 +363,17 @@ def serve_main(argv: List[str],
     """``python -m repro.cli serve``: the socket front-end.
 
     Flags: ``--host H`` (default 127.0.0.1), ``--port N`` (default 0 =
-    ephemeral), ``--pool-workers N`` (partition worker pool size),
-    ``--workers N`` (default per-query worker count), ``--selftest``
-    (spin up, run a smoke round-trip over the wire, shut down — used by
-    the test suite and by CI as a liveness check).
+    ephemeral), ``--workers N`` (default per-query worker count),
+    ``--selftest`` (spin up, run a smoke round-trip over the wire, shut
+    down — used by the test suite and by CI as a liveness check).
     """
     from repro.server import RQLServer, WireClient, WireServer
 
     stream = out if out is not None else sys.stdout
     host, port = "127.0.0.1", 0
-    pool_workers, workers = 4, None
+    workers = None
     selftest = False
-    flags = {"--host": str, "--port": int, "--pool-workers": int,
-             "--workers": int}
+    flags = {"--host": str, "--port": int, "--workers": int}
     while argv:
         flag = argv.pop(0)
         if flag == "--selftest":
@@ -402,11 +400,9 @@ def serve_main(argv: List[str],
             host = str(value)
         elif name == "--port":
             port = int(value)
-        elif name == "--pool-workers":
-            pool_workers = int(value)
         else:
             workers = int(value)
-    server = RQLServer(pool_workers=pool_workers, workers=workers)
+    server = RQLServer(workers=workers)
     wire = WireServer(server, host=host, port=port).start()
     bound_host, bound_port = wire.address
     print(f"rql server listening on {bound_host}:{bound_port}",

@@ -36,7 +36,6 @@ consumption (including refusal on stripped/forged certificates) by
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
 from dataclasses import dataclass, field
@@ -128,91 +127,6 @@ class _Partial:
         self.payload: Optional[Fold] = None
 
 
-class PoolTicket:
-    """Completion handle for one task submitted to a :class:`WorkerPool`.
-
-    ``error`` carries anything the task raised (the pool thread itself
-    never dies on a task failure); ``done`` is set exactly once, after
-    the task has fully retired.
-    """
-
-    __slots__ = ("done", "error")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.error: Optional[BaseException] = None
-
-
-class WorkerPool:
-    """A fixed set of reusable worker threads.
-
-    The multi-session server owns one pool shared by every concurrent
-    retrospective query, bounding total worker threads regardless of how
-    many clients are connected.  Embedded sessions keep the historical
-    thread-per-partition behaviour (no pool).
-
-    Tasks never nest (partition bodies do not submit further tasks), so
-    a bounded pool cannot deadlock on its own queue.
-    """
-
-    def __init__(self, size: int, name: str = "rql-pool") -> None:
-        if size < 1:
-            raise MechanismError("worker pool size must be >= 1")
-        self.size = size
-        self._tasks: "queue.SimpleQueue[Optional[Tuple[Callable[[], None], PoolTicket]]]" = (  # noqa: E501
-            queue.SimpleQueue()
-        )
-        self._latch = threading.Lock()
-        self._closed = False
-        self._threads = [
-            threading.Thread(target=self._drain, name=f"{name}-{i + 1}",
-                             daemon=True)
-            for i in range(size)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def submit(self, task: Callable[[], None]) -> PoolTicket:
-        """Queue ``task``; it runs as soon as a pool thread frees up."""
-        ticket = PoolTicket()
-        with self._latch:
-            if self._closed:
-                raise MechanismError("submit on a closed worker pool")
-            self._tasks.put((task, ticket))
-        return ticket
-
-    def _drain(self) -> None:
-        while True:
-            item = self._tasks.get()
-            if item is None:
-                return
-            task, ticket = item
-            try:
-                task()
-            except BaseException as exc:  # replint: taxonomy-exempt -- stored on the ticket; the submitter re-raises it
-                # Keep the pool thread alive: the submitter re-raises
-                # (or records) the error off the ticket.
-                ticket.error = exc
-            finally:
-                ticket.done.set()
-
-    def close(self) -> None:
-        """Idempotent: stop accepting tasks, drain, join every thread."""
-        with self._latch:
-            if self._closed:
-                return
-            self._closed = True
-            for _ in self._threads:
-                self._tasks.put(None)
-        for thread in self._threads:
-            thread.join()
-
-    @property
-    def closed(self) -> bool:
-        with self._latch:
-            return self._closed
-
-
 class _CancelScope:
     """The run's internal error-cancel joined with an external event.
 
@@ -269,17 +183,13 @@ class ParallelExecutor:
 
     def __init__(self, db: Database, workers: int = 2,
                  charges=None, clock: Optional[Callable[[], float]] = None,
-                 pool: Optional[WorkerPool] = None,
-                 cancel: Optional[threading.Event] = None,
-                 ) -> None:
+                 cancel: Optional[threading.Event] = None) -> None:
         if workers < 1:
             raise MechanismError("workers must be >= 1")
         self.db = db
         self.workers = workers
         self._charges = charges
         self._clock = clock if clock is not None else time.perf_counter
-        #: shared worker pool (server mode); None = thread per partition
-        self._pool = pool
         #: external cancel event (client disconnect / server shutdown)
         self._cancel = cancel
         #: telemetry of the most recent run (also on ``RQLResult.parallel``)
@@ -405,11 +315,11 @@ class ParallelExecutor:
         raises the first partition's error (in partition order) after
         every worker has stopped.
 
-        With a shared :class:`WorkerPool` the partitions are submitted as
-        pool tasks (server mode); otherwise each partition gets its own
-        short-lived thread.  An external cancel event (client disconnect)
-        surfaces as :class:`~repro.errors.QueryCancelled` once every
-        worker has retired — never while a worker still runs.
+        Each partition gets its own short-lived thread, joined before
+        this returns, for embedded sessions and server tickets alike.
+        An external cancel event (client disconnect) surfaces as
+        :class:`~repro.errors.QueryCancelled` once every worker has
+        retired — never while a worker still runs.
         """
         self._check_idle()
         if self._cancel is not None and self._cancel.is_set():
@@ -438,29 +348,15 @@ class ParallelExecutor:
                     raise  # KeyboardInterrupt etc.: also let
                     # threading.excepthook report it immediately
 
-        if self._pool is not None:
-            tickets = [
-                self._pool.submit(lambda p=partial: body(p))
-                for partial in partials
-            ]
-            for ticket in tickets:
-                ticket.done.wait()
-            for ticket in tickets:
-                # body() only re-raises non-Exception escapees
-                # (KeyboardInterrupt etc.); surface those here too.
-                error = ticket.error
-                if error is not None:
-                    raise error
-        else:
-            threads = [
-                threading.Thread(target=body, args=(partial,),
-                                 name=f"rql-worker-{partial.index + 1}")
-                for partial in partials
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+        threads = [
+            threading.Thread(target=body, args=(partial,),
+                             name=f"rql-worker-{partial.index + 1}")
+            for partial in partials
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
         error = board.first_error()
         if error is not None:
             raise error

@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from repro.core.folds import MECHANISMS, MONOID, Mechanism, find_mechanism
 from repro.core.mechanisms import RQLResult, _quote
-from repro.core.parallel import ParallelExecutor, WorkerPool, certify
+from repro.core.parallel import ParallelExecutor, certify
 from repro.core.snapids import SnapIds
 from repro.errors import MechanismError
 from repro.retro.metrics import MetricsSink
@@ -56,13 +56,10 @@ class RQLSession:
                  page_size: int = 4096,
                  clock: Optional[Callable[[], str]] = None,
                  workers: Optional[int] = None,
-                 name: Optional[str] = None,
-                 pool: Optional[WorkerPool] = None) -> None:
+                 name: Optional[str] = None) -> None:
         self.db = db or Database(disk=disk, page_size=page_size)
         #: registry handle for server-managed sessions (None when embedded)
         self.name = name
-        #: shared worker pool (server mode); None = thread per partition
-        self.pool = pool
         self.snapids = SnapIds(self.db, clock=clock)
         #: default worker count for the four mechanisms; 1 = serial loop,
         #: >1 = the partition/merge executor (:mod:`repro.core.parallel`).
@@ -210,7 +207,7 @@ class RQLSession:
         self._drop_result_table(table)
         if count > 1:
             return ParallelExecutor(
-                self.db, workers=count, pool=self.pool, cancel=cancel,
+                self.db, workers=count, cancel=cancel,
             ).run(spec.name, qs, qq, table, arg, persistent, certificate)
         run = self._serial_run(spec, qq, table, arg, persistent)
         return run.run(qs, cancel=cancel)

@@ -3,8 +3,7 @@
 Layering (each module only reaches down):
 
 * :mod:`repro.server.store` — :class:`SharedStore`: the shared engine
-  pair, the owner-reentrant :class:`WriteGate`, the server-wide
-  :class:`~repro.core.parallel.WorkerPool`, per-session facades;
+  pair, the owner-reentrant :class:`WriteGate`, per-session facades;
 * :mod:`repro.server.registry` — :class:`SessionRegistry`: open/close/
   lookup with reap-on-teardown leak accounting;
 * :mod:`repro.server.scheduler` — :class:`QueryScheduler`:

@@ -10,8 +10,8 @@ Admission is **certificate-gated** (the rqlint merge-class analysis):
 
 * a mechanism whose certificate matches its expected merge class
   (``concat``, ``monoid``, ``stored-row``, ``interval-stitch``) may run
-  *partitioned* — its snapshot partitions are dispatched through the
-  server-wide :class:`~repro.core.parallel.WorkerPool`;
+  *partitioned* — a short-lived thread per snapshot partition (at most
+  :data:`MAX_QUERY_WORKERS`), all joined before the ticket completes;
 * a ``serial-only`` verdict (stateful builtin in Qq, non-monoid
   aggregate, ...) runs the classic serial loop instead — still
   concurrently with other sessions' queries, just not partitioned
@@ -47,6 +47,10 @@ from repro.errors import (
 
 from repro.server.store import SharedStore
 
+#: Most partition threads one ticket may start: ``workers`` arrives over
+#: the wire, so it is checked (twice the largest count any caller passes).
+MAX_QUERY_WORKERS = 8
+
 
 class QueryTicket:
     """One in-flight (or finished) retrospective query."""
@@ -65,7 +69,7 @@ class QueryTicket:
         #: refresh tickets
         self.result = None
         self.error: Optional[BaseException] = None
-        #: True when the run was partitioned through the worker pool
+        #: True when the run was partitioned across worker threads
         self.partitioned = False
 
     def wait(self, timeout: Optional[float] = None) -> bool:
@@ -102,10 +106,16 @@ class QueryScheduler:
             find_mechanism(mechanism)
         except MechanismError as exc:
             raise ServerError(str(exc)) from exc
+        count = session._effective_workers(workers)
+        if count > MAX_QUERY_WORKERS:
+            raise ServerError(
+                f"workers must be <= {MAX_QUERY_WORKERS} on a server "
+                f"(got {count})"
+            )
 
         def work(ticket: QueryTicket) -> RQLResult:
             return self._execute(session, ticket, qs, qq, table, arg,
-                                 persistent, workers)
+                                 persistent, count)
 
         return self._dispatch(session, mechanism, table, work,
                               drop_partial=True)
@@ -194,10 +204,12 @@ class QueryScheduler:
 
     def _execute(self, session: RQLSession, ticket: QueryTicket, qs: str,
                  qq: str, table: str, arg: object, persistent: bool,
-                 workers: Optional[int]) -> RQLResult:
+                 count: int) -> RQLResult:
         spec = find_mechanism(ticket.mechanism)
-        count = session._effective_workers(workers)
-        certificate = session.certify(spec.name, qs, qq, arg)
+        # The serial loop never reads a certificate: build one only for
+        # a run that asked to be partitioned.
+        certificate = session.certify(spec.name, qs, qq, arg) \
+            if count > 1 else None
         if ticket.cancel.is_set():
             raise QueryCancelled(
                 f"query over {table!r} cancelled before admission"
@@ -205,7 +217,7 @@ class QueryScheduler:
         # Where the embedded session refuses a serial-only certificate
         # at workers > 1, the server falls back to the serial loop —
         # still concurrent with other sessions, just not partitioned.
-        ticket.partitioned = count > 1 \
+        ticket.partitioned = certificate is not None \
             and certificate.merge_class == spec.merge_class
         return session.run_mechanism(
             ticket.mechanism, qs, qq, table, arg, persistent,

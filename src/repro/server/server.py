@@ -30,7 +30,7 @@ from repro.storage.page import DEFAULT_PAGE_SIZE
 
 from repro.server.registry import SessionRegistry
 from repro.server.scheduler import QueryScheduler, QueryTicket
-from repro.server.store import DEFAULT_POOL_WORKERS, SharedStore
+from repro.server.store import SharedStore
 
 
 class RQLServer:
@@ -39,13 +39,11 @@ class RQLServer:
     def __init__(self, disk: Optional[SimulatedDisk] = None,
                  aux_disk: Optional[SimulatedDisk] = None,
                  page_size: int = DEFAULT_PAGE_SIZE,
-                 pool_workers: int = DEFAULT_POOL_WORKERS,
                  gate_timeout: Optional[float] = None,
                  clock: Optional[Callable[[], str]] = None,
                  workers: Optional[int] = None) -> None:
         self.store = SharedStore(disk=disk, aux_disk=aux_disk,
                                  page_size=page_size,
-                                 pool_workers=pool_workers,
                                  gate_timeout=gate_timeout,
                                  clock=clock)
         self.registry = SessionRegistry(self.store)

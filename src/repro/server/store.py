@@ -2,9 +2,8 @@
 
 One :class:`SharedStore` owns what the paper's deployment shares across
 connections: the snapshotable main engine, the aux engine (temp tables +
-SnapIds), a single blocking **write gate** that serializes update
-transactions across sessions, and one bounded :class:`WorkerPool` that
-every concurrent retrospective query draws its partition workers from.
+SnapIds) and a single blocking **write gate** that serializes update
+transactions across sessions.
 
 Sessions are cheap facades: :meth:`SharedStore.open_session` builds a
 :class:`~repro.sql.database.Database` over the *shared* engines with a
@@ -36,15 +35,11 @@ import threading
 from typing import Callable, List, Optional
 
 from repro.core import RQLSession
-from repro.core.parallel import WorkerPool
 from repro.errors import ServerError, SessionStateError
 from repro.sql.database import Database
 from repro.storage.disk import SimulatedDisk
 from repro.storage.engine import StorageEngine
 from repro.storage.page import DEFAULT_PAGE_SIZE
-
-#: default size of the server-wide partition worker pool
-DEFAULT_POOL_WORKERS = 4
 
 
 class WriteGate:
@@ -129,18 +124,16 @@ class GateHandle:
 
 
 class SharedStore:
-    """Engines + write gate + worker pool shared by every session."""
+    """Engines + write gate shared by every session."""
 
     def __init__(self, disk: Optional[SimulatedDisk] = None,
                  aux_disk: Optional[SimulatedDisk] = None,
                  page_size: int = DEFAULT_PAGE_SIZE,
-                 pool_workers: int = DEFAULT_POOL_WORKERS,
                  gate_timeout: Optional[float] = None,
                  clock: Optional[Callable[[], str]] = None) -> None:
         self.engine = StorageEngine(disk, page_size=page_size)
         self.aux_engine = StorageEngine(aux_disk, page_size=page_size)
         self.gate = WriteGate(timeout=gate_timeout)
-        self.pool = WorkerPool(pool_workers)
         self.clock = clock
         self._latch = threading.RLock()
         self._closed = False
@@ -169,7 +162,7 @@ class SharedStore:
                       write_gate=GateHandle(self.gate, owner),
                       owner=owner)
         return RQLSession(db=db, clock=self.clock, workers=workers,
-                          name=name, pool=self.pool)
+                          name=name)
 
     # -- leak introspection -------------------------------------------------
 
@@ -204,12 +197,11 @@ class SharedStore:
         self.aux_engine.checkpoint()
 
     def close(self, checkpoint: bool = True) -> None:
-        """Idempotent: drain the pool, optionally checkpoint engines."""
+        """Idempotent: optionally checkpoint engines."""
         with self._latch:
             if self._closed:
                 return
             self._closed = True
-        self.pool.close()
         if checkpoint:
             self.checkpoint()
 

@@ -37,6 +37,10 @@ from repro.errors import ReproError, ServerError
 from repro.server.server import ClientHandle, RQLServer
 
 
+def _bad_request(message: str) -> Tuple[Dict[str, Any], bool]:
+    return {"ok": False, "error": "BadRequest", "message": message}, False
+
+
 class WireServer:
     """Serves an :class:`RQLServer` over a localhost TCP socket."""
 
@@ -154,8 +158,13 @@ class WireServer:
         try:
             request = json.loads(line)
         except json.JSONDecodeError as exc:
-            return {"ok": False, "error": "BadRequest",
-                    "message": f"not JSON: {exc}"}, False
+            return _bad_request(f"not JSON: {exc}")
+        if not isinstance(request, dict):
+            return _bad_request("a request is one JSON object")
+        workers = request.get("workers")
+        if workers is not None and (isinstance(workers, bool)
+                                    or not isinstance(workers, int)):
+            return _bad_request(f"non-integer workers {workers!r}")
         op = request.get("op")
         try:
             if op == "ping":
@@ -186,14 +195,12 @@ class WireServer:
                         "snapshots": list(result.snapshots)}, False
             if op == "close":
                 return {"ok": True, "session": handle.name}, True
-            return {"ok": False, "error": "BadRequest",
-                    "message": f"unknown op {op!r}"}, False
+            return _bad_request(f"unknown op {op!r}")
         except ReproError as exc:
             return {"ok": False, "error": type(exc).__name__,
                     "message": str(exc)}, False
         except KeyError as exc:
-            return {"ok": False, "error": "BadRequest",
-                    "message": f"missing field {exc}"}, False
+            return _bad_request(f"missing field {exc}")
 
     @staticmethod
     def _decode_arg(arg: Any) -> Any:

