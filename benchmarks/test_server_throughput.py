@@ -4,13 +4,16 @@ N in-process clients drive one shared :class:`repro.server.RQLServer`
 with the differential harness's mixed load: snapshot-declaring update
 transactions plus retrospective mechanism calls over a prebuilt
 history.  Updates serialize through the write gate; queries are
-snapshot-pinned and admitted concurrently by the scheduler (partitioned
-when certified).  Every query's ``Qs`` is the seeded history, so the
-work per query does not grow with the snapshots the clients commit:
-the series measures clients, not history length.
+snapshot-pinned and admitted concurrently by the scheduler: a certified
+query folds its snapshots through the partition/merge executor — one
+partition at ``workers=1`` — and writes its result table once.  Every
+query's ``Qs`` is the seeded history, so the work per query does not
+grow with the snapshots the clients commit: the series measures
+clients, not history length.
 
 The recorded metric is completed operations per wall-clock second at
-clients ∈ {1, 2, 4, 8}.  Absolute numbers are machine-bound; the file
+clients ∈ {1, 2, 4, 8}, with every query at ``workers`` 1 and 2.
+Absolute numbers are machine-bound; the file
 ``benchmarks/results/server_throughput.txt`` exists so later PRs that
 touch the scheduler or the gate have a baseline trajectory to append
 to.  The test's acceptance is correctness-shaped: every client's
@@ -30,25 +33,28 @@ CLIENT_COUNTS = (1, 2, 4, 8)
 HISTORY_SNAPSHOTS = 12
 TXNS_PER_CLIENT = 2
 QUERIES_PER_CLIENT = 3
+QUERY_WORKERS = (1, 2)
 
 QS = (f"SELECT snap_id FROM SnapIds WHERE snap_id <= {HISTORY_SNAPSHOTS} "
       f"ORDER BY snap_id")
 QQ = "SELECT grp, val, current_snapshot() FROM events"
 
 
-def _drive_client(handle, index: int, errors: list) -> None:
+def _drive_client(handle, index: int, workers: int,
+                  errors: list) -> None:
     try:
         for n in range(TXNS_PER_CLIENT):
             with handle.transaction(with_snapshot=True):
                 handle.execute(
                     f"INSERT INTO events VALUES ({index}, {n})")
         for n in range(QUERIES_PER_CLIENT):
-            handle.collate_data(QS, QQ, f"r_{index}_{n}", workers=2)
+            handle.collate_data(QS, QQ, f"r_{index}_{n}",
+                                workers=workers)
     except Exception as exc:  # replint: taxonomy-exempt -- recorded; the test asserts the list is empty
         errors.append((index, exc))
 
 
-def _run_at(clients: int):
+def _run_at(clients: int, workers: int):
     server = RQLServer(gate_timeout=60.0)
     try:
         seed = server.connect("seed")
@@ -62,7 +68,7 @@ def _run_at(clients: int):
         errors: list = []
         threads = [
             threading.Thread(target=_drive_client,
-                             args=(handles[i], i, errors))
+                             args=(handles[i], i, workers, errors))
             for i in range(clients)
         ]
         started = time.perf_counter()
@@ -89,11 +95,14 @@ def run_server_throughput():
     series = {}
     failures = []
     for clients in CLIENT_COUNTS:
-        point, errors, leaks = _run_at(clients)
-        failures.extend(errors)
-        if any(leaks.values()):
-            failures.append((clients, f"leaks: {leaks}"))
-        series[f"clients={clients}"] = [("totals", point)]
+        points = []
+        for workers in QUERY_WORKERS:
+            point, errors, leaks = _run_at(clients, workers)
+            failures.extend(errors)
+            if any(leaks.values()):
+                failures.append((clients, workers, f"leaks: {leaks}"))
+            points.append((f"workers={workers}", point))
+        series[f"clients={clients}"] = points
     result = FigureResult(
         figure="Server throughput",
         title=f"mixed load, {TXNS_PER_CLIENT} txns + "
@@ -107,6 +116,9 @@ def run_server_throughput():
             "across machines",
             "the trajectory restarts at PR 24: Qs is bounded to the "
             "seeded history; before, it grew by 2 snapshots per client",
+            "workers=1 rows: the query runs the fold/merge executor as one "
+            "partition, no longer the table-backed loop (one write per "
+            "snapshot); workers=2 rows continue the earlier 'totals' rows",
         ],
     )
     return result, failures
@@ -119,7 +131,10 @@ def test_server_throughput(benchmark):
     print_figure(result)
     assert failures == [], failures
     for clients in CLIENT_COUNTS:
-        point = result.series[f"clients={clients}"][0][1]
-        assert point["ops_per_second"] > 0.0, point
-        assert point["operations"] == float(
-            clients * (TXNS_PER_CLIENT + QUERIES_PER_CLIENT))
+        points = result.series[f"clients={clients}"]
+        assert [x for x, _ in points] == [
+            f"workers={workers}" for workers in QUERY_WORKERS]
+        for _, point in points:
+            assert point["ops_per_second"] > 0.0, point
+            assert point["operations"] == float(
+                clients * (TXNS_PER_CLIENT + QUERIES_PER_CLIENT))

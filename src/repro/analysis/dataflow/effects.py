@@ -283,8 +283,17 @@ class EffectsIndex:
     def _compute_shared_classes(self) -> None:
         ctx_of = self.graph.contexts
         seeds: Set[str] = set()
+        handed: Set[str] = set()
         for root in self.thread_roots:
-            seeds.update(self._free_var_classes(root))
+            captured = self._free_var_classes(root)
+            seeds.update(captured)
+            node = ctx_of[root.module].enclosing_function(root.node)
+            spawner = None if node is None \
+                else self.graph.function_for_node(root.module, node)
+            summary = None if spawner is None \
+                else self.summaries.get(spawner.qualname)
+            if summary is not None:
+                handed.update(captured.intersection(summary.constructs))
         for qualname in self.worker_region:
             func = self.graph.functions.get(qualname)
             if func is None:
@@ -296,8 +305,13 @@ class EffectsIndex:
             summary = self.summaries.get(qualname)
             if summary is not None:
                 constructed.update(summary.constructs)
+        # What the region constructs is private to the thread that built
+        # it — except what a spawner builds and its thread root captures:
+        # a spawner that itself runs on a thread (a dispatcher starting
+        # partition workers) shares that with the threads it starts.
         self.exempt_classes = (
-            self._class_closure(self.payload_classes) | constructed)
+            self._class_closure(self.payload_classes)
+            | (constructed - handed))
         self.shared_classes = self._class_closure(
             seeds, include_bases=True) - self.exempt_classes
 

@@ -193,14 +193,11 @@ class RQLSession:
 
     def run_mechanism(self, name: str, qs: str, qq: str, table: str,
                       arg=None, persistent: bool = False,
-                      workers: Optional[int] = None, cancel=None,
-                      certificate=None) -> RQLResult:
+                      workers: Optional[int] = None, cancel=None) -> RQLResult:
         """Run one mechanism into a fresh result table T: the serial
         loop at ``workers == 1``, the partition/merge executor above.
 
-        ``certificate`` (a pre-built rqlint verdict) spares the executor
-        its own certification; ``cancel`` is polled at snapshot
-        boundaries on either path.
+        ``cancel`` is polled at snapshot boundaries on either path.
         """
         spec = find_mechanism(name)
         count = self._effective_workers(workers)
@@ -208,7 +205,7 @@ class RQLSession:
         if count > 1:
             return ParallelExecutor(
                 self.db, workers=count, cancel=cancel,
-            ).run(spec.name, qs, qq, table, arg, persistent, certificate)
+            ).run(spec.name, qs, qq, table, arg, persistent)
         run = self._serial_run(spec, qq, table, arg, persistent)
         return run.run(qs, cancel=cancel)
 

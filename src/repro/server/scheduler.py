@@ -6,16 +6,31 @@ any number of tickets across sessions run concurrently without blocking
 writers; result-table writes (and only those) take the shared write
 gate.
 
-Admission is **certificate-gated** (the rqlint merge-class analysis):
+Admission is **certificate-gated** (the rqlint merge-class analysis),
+and every ticket is certified, whatever its worker count:
 
 * a mechanism whose certificate matches its expected merge class
-  (``concat``, ``monoid``, ``stored-row``, ``interval-stitch``) may run
-  *partitioned* — a short-lived thread per snapshot partition (at most
-  :data:`MAX_QUERY_WORKERS`), all joined before the ticket completes;
+  (``concat``, ``monoid``, ``stored-row``, ``interval-stitch``) runs the
+  fold/merge executor with ``min(workers, len(Qs))`` partitions — one
+  at ``workers=1`` — each a short-lived thread (at most
+  :data:`MAX_QUERY_WORKERS`) folding its snapshots in memory through
+  private read contexts, all joined before the merged result is written
+  in **one** gated transaction;
 * a ``serial-only`` verdict (stateful builtin in Qq, non-monoid
-  aggregate, ...) runs the classic serial loop instead — still
-  concurrently with other sessions' queries, just not partitioned
-  within itself.
+  aggregate, ...) runs the table-backed serial loop instead, one write
+  transaction per snapshot — still concurrently with other sessions'
+  queries, just not folded in memory.
+
+So a ticket's runner depends on its certificate, not on its worker
+count: reads pinned to a declared snapshot need no isolation, and only
+installing the result takes the write gate.  (The embedded session
+keeps the serial loop at ``workers=1``: it is the paper's reference
+loop and the differential oracle the server is compared against.)
+
+A ticket refuses to run inside its session's open explicit
+transaction, before it certifies or writes anything, with
+:class:`~repro.errors.MechanismError` at every worker count; the
+transaction stays open.
 
 Every ticket carries a cancel event wired into both paths: the serial
 loop polls it between snapshot iterations, the parallel executor's
@@ -38,6 +53,7 @@ from typing import Dict, List, Optional
 from repro.core import RQLSession
 from repro.core.folds import find_mechanism
 from repro.core.mechanisms import RQLResult
+from repro.core.parallel import ParallelExecutor
 from repro.errors import (
     MechanismError,
     QueryCancelled,
@@ -69,7 +85,9 @@ class QueryTicket:
         #: refresh tickets
         self.result = None
         self.error: Optional[BaseException] = None
-        #: True when the run was partitioned across worker threads
+        #: True when the run went through the fold/merge executor —
+        #: possibly as one partition (``workers=1``); False for the
+        #: serial loop a ``serial-only`` certificate gets
         self.partitioned = False
 
     def wait(self, timeout: Optional[float] = None) -> bool:
@@ -205,25 +223,32 @@ class QueryScheduler:
     def _execute(self, session: RQLSession, ticket: QueryTicket, qs: str,
                  qq: str, table: str, arg: object, persistent: bool,
                  count: int) -> RQLResult:
+        if session.db._in_explicit_txn:
+            # Refused before anything runs: the result table would be
+            # dropped and written inside the client's transaction.
+            raise MechanismError(
+                "a retrospective query cannot run inside an open "
+                "transaction; COMMIT or ROLLBACK first"
+            )
         spec = find_mechanism(ticket.mechanism)
-        # The serial loop never reads a certificate: build one only for
-        # a run that asked to be partitioned.
-        certificate = session.certify(spec.name, qs, qq, arg) \
-            if count > 1 else None
+        certificate = session.certify(spec.name, qs, qq, arg)
         if ticket.cancel.is_set():
             raise QueryCancelled(
                 f"query over {table!r} cancelled before admission"
             )
-        # Where the embedded session refuses a serial-only certificate
-        # at workers > 1, the server falls back to the serial loop —
-        # still concurrent with other sessions, just not partitioned.
-        ticket.partitioned = certificate is not None \
-            and certificate.merge_class == spec.merge_class
-        return session.run_mechanism(
-            ticket.mechanism, qs, qq, table, arg, persistent,
-            workers=count if ticket.partitioned else 1,
-            cancel=ticket.cancel, certificate=certificate,
-        )
+        ticket.partitioned = certificate.merge_class == spec.merge_class
+        if not ticket.partitioned:
+            # Where the embedded session refuses a serial-only
+            # certificate at workers > 1, the server falls back to the
+            # serial loop.
+            return session.run_mechanism(
+                spec.name, qs, qq, table, arg, persistent, workers=1,
+                cancel=ticket.cancel,
+            )
+        session._drop_result_table(table)
+        return ParallelExecutor(
+            session.db, workers=count, cancel=ticket.cancel,
+        ).run(spec.name, qs, qq, table, arg, persistent, certificate)
 
     def _drop_partial(self, session: RQLSession, table: str) -> None:
         """A cancelled run must not leave a half-built result table."""

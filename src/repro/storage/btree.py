@@ -124,11 +124,17 @@ class _LeafNode:
     def of(cls, page: Page) -> "_LeafNode":
         """The page's cached node, decoded on a miss.  **Borrowed**:
         every reader of the page shares it, so callers never mutate it
-        (writers go through :meth:`copy`)."""
-        node = page.decoded_node
-        if type(node) is cls:
-            return node
+        (writers go through :meth:`copy`).
+
+        The node comes from ``raw``, one read of ``page.data``: served
+        only if it was parsed from those very bytes, and a parse is
+        published paired with them (see ``Page.decoded``), so a commit's
+        ``Page.load`` racing this call costs a parse, never a node that
+        disagrees with its bytes."""
+        parsed_from, node = page.decoded
         raw = page.data
+        if parsed_from is raw and type(node) is cls:
+            return node
         (ncells,) = _U16.unpack_from(raw, HEADER_SIZE)
         pos = HEADER_SIZE + _U16.size
         keys: List[bytes] = []
@@ -142,7 +148,8 @@ class _LeafNode:
             pos += klen
             values.append(bytes(raw[pos:pos + vlen]))
             pos += vlen
-        node = page.decoded_node = cls(keys, values, pos)
+        node = cls(keys, values, pos)
+        page.decoded = (raw, node)
         return node
 
     def copy(self) -> "_LeafNode":
@@ -260,11 +267,11 @@ class _InternalNode:
     @classmethod
     def of(cls, page: Page) -> "_InternalNode":
         """The page's cached node, decoded on a miss; **borrowed**, as
-        :meth:`_LeafNode.of`."""
-        node = page.decoded_node
-        if type(node) is cls:
-            return node
+        :meth:`_LeafNode.of`, and paired with its bytes the same way."""
+        parsed_from, node = page.decoded
         raw = page.data
+        if parsed_from is raw and type(node) is cls:
+            return node
         (nkeys,) = _U16.unpack_from(raw, HEADER_SIZE)
         pos = HEADER_SIZE + _U16.size
         span = (nkeys + 1) * _U64.size
@@ -278,7 +285,8 @@ class _InternalNode:
             pos += _U16.size
             keys.append(bytes(raw[pos:pos + klen]))
             pos += klen
-        node = page.decoded_node = cls(keys, children)
+        node = cls(keys, children)
+        page.decoded = (raw, node)
         return node
 
     def copy(self) -> "_InternalNode":

@@ -42,6 +42,9 @@ _VALID_TYPES = frozenset(
     )
 )
 
+#: ``Page.decoded`` of a page whose bytes no node was parsed from
+_UNPARSED = (None, None)
+
 
 class Page:
     """A fixed-size page: id + byte buffer + dirty flag.
@@ -51,7 +54,7 @@ class Page:
     the WAL, and the Retro COW hook all observe the modification.
     """
 
-    __slots__ = ("page_id", "data", "dirty", "decoded_node")
+    __slots__ = ("page_id", "data", "dirty", "decoded")
 
     def __init__(self, page_id: int, data: Optional[bytearray] = None,
                  page_size: int = DEFAULT_PAGE_SIZE) -> None:
@@ -67,14 +70,19 @@ class Page:
         self.page_id = page_id
         self.data = data
         self.dirty = False
-        #: the decoded B+tree node for these bytes, which is what tree
-        #: readers work on: key/value/child lists parsed once and, on a
-        #: leaf, the entries a full scan decoded from them (see
+        #: ``(bytes, node)``: the decoded B+tree node and the very
+        #: ``bytearray`` it was parsed from, published together by one
+        #: assignment (``_UNPARSED`` until a node is).  The node is what
+        #: tree readers work on: key/value/child lists parsed once and, on
+        #: a leaf, the entries a full scan decoded from them (see
         #: repro.storage.btree and DESIGN.md, "The node cache contract").
-        #: Readers borrow it and never mutate it; a writer publishes a
-        #: private copy, which replaces it; :meth:`load` drops it.  It
+        #: It is served only while ``bytes is
+        #: self.data`` — :meth:`load` replaces ``data``, so a node parsed
+        #: from the old bytes is never served with the new ones, whenever
+        #: its parse finishes.  Readers borrow the node and never mutate
+        #: it; a writer publishes a private copy, which replaces it.  It
         #: lives exactly as long as this object stays in a cache.
-        self.decoded_node = None
+        self.decoded = _UNPARSED
 
     # -- header -----------------------------------------------------------
 
@@ -98,6 +106,21 @@ class Page:
         ptype = self.page_type
         _HEADER.pack_into(self.data, 0, ptype, value)
 
+    # -- decoded node ------------------------------------------------------
+
+    @property
+    def decoded_node(self):
+        """The node decoded from the current bytes, or None."""
+        parsed_from, node = self.decoded
+        return node if parsed_from is self.data else None
+
+    @decoded_node.setter
+    def decoded_node(self, node) -> None:
+        """Publish ``node`` as the decoding of the current bytes: for the
+        page's owner (a writer on its private page), which is the only
+        one who can know the bytes will not change underneath it."""
+        self.decoded = _UNPARSED if node is None else (self.data, node)
+
     # -- lifecycle ---------------------------------------------------------
 
     def mark_dirty(self) -> None:
@@ -107,15 +130,31 @@ class Page:
         """Immutable copy of the page contents (a COW pre-state)."""
         return bytes(self.data)
 
+    def private_copy(self) -> "Page":
+        """A copy a writer may mutate, sharing the decoded node (an
+        immutable snapshot) when it was parsed from the copied bytes."""
+        parsed_from, node = self.decoded
+        data = self.data
+        private = Page(self.page_id, bytearray(data), len(data))
+        if parsed_from is data:
+            private.decoded_node = node
+        return private
+
     def load(self, raw: bytes) -> None:
-        """Replace the page contents with ``raw`` (e.g. read from disk)."""
+        """Replace the page contents with ``raw`` (e.g. read from disk).
+
+        The ``bytearray`` is replaced, not overwritten: a parse in flight
+        keeps reading the one whole image it started on, and what it
+        publishes is paired with those bytes, so it is never served with
+        these.
+        """
         if len(raw) != len(self.data):
             raise PageError(
                 f"page {self.page_id}: cannot load {len(raw)} bytes into "
                 f"{len(self.data)}-byte page"
             )
-        self.data[:] = raw
-        self.decoded_node = None
+        self.data = bytearray(raw)
+        self.decoded = _UNPARSED
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

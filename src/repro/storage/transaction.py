@@ -95,9 +95,7 @@ class TransactionPageSource(MutablePageSource):
         existing = self._txn.overlay.get(page.page_id)
         if existing is not None:
             return existing
-        private = Page(page.page_id, bytearray(page.data), self._page_size)
-        # Decoded-node caches are immutable snapshots; share them.
-        private.decoded_node = page.decoded_node
+        private = page.private_copy()
         self._txn.overlay[page.page_id] = private
         return private
 

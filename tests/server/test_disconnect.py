@@ -22,6 +22,15 @@ from repro.server import RQLServer
 
 QS = "SELECT snap_id FROM SnapIds ORDER BY snap_id"
 SNAPSHOTS = 6
+BRAKED = "SELECT braking(val), current_snapshot() FROM events"
+#: certified ``serial-only`` (a stateful builtin): the serial loop
+BRAKED_SERIAL = \
+    "SELECT braking(val), current_snapshot(), rql_workers() FROM events"
+#: (workers, Qq) per runner: a certified Qq runs the fold/merge executor
+#: at every worker count, one partition at ``workers=1``
+RUNNERS = pytest.mark.parametrize(
+    "workers, qq", [(1, BRAKED_SERIAL), (1, BRAKED), (4, BRAKED)],
+    ids=["serial-loop", "one-partition", "partitioned"])
 
 
 @pytest.fixture
@@ -65,20 +74,18 @@ def _kill_while_parked(handle, ticket, brake) -> None:
     assert ticket.done.is_set()
 
 
-@pytest.mark.parametrize("workers", [1, 4],
-                         ids=["serial-loop", "partitioned"])
-def test_kill_mid_query_cancels_and_leaks_nothing(server, workers):
+@RUNNERS
+def test_kill_mid_query_cancels_and_leaks_nothing(server, workers, qq):
     victim = server.connect("victim")
     observer = server.connect("observer")
     _populate(victim)
     brake = _Brake()
     victim.session.db.register_function("braking", brake)
-    ticket = victim.collate_data(
-        QS, "SELECT braking(val), current_snapshot() FROM events",
-        "Doomed", workers=workers, block=False)
+    ticket = victim.collate_data(QS, qq, "Doomed", workers=workers,
+                                 block=False)
     _kill_while_parked(victim, ticket, brake)
     assert isinstance(ticket.error, QueryCancelled)
-    assert ticket.partitioned is (workers > 1)
+    assert ticket.partitioned is (qq == BRAKED)
     with pytest.raises(QueryCancelled):
         ticket.outcome()
     # The half-built result table was dropped: no debris visible to
@@ -96,10 +103,9 @@ def test_kill_mid_query_cancels_and_leaks_nothing(server, workers):
     }
 
 
-@pytest.mark.parametrize("workers", [1, 2],
-                         ids=["serial-loop", "partitioned"])
+@RUNNERS
 def test_cancelled_run_drops_its_own_table_whatever_its_name(server,
-                                                             workers):
+                                                             workers, qq):
     """The result-table name arrives over the wire; the cancel path
     (``_drop_partial``) quotes it like every other user, so a name that
     ends its own quoting drops the half-built table and nothing else."""
@@ -111,9 +117,8 @@ def test_cancelled_run_drops_its_own_table_whatever_its_name(server,
     brake = _Brake()
     victim.session.db.register_function("braking", brake)
     name = 'bystander" --'
-    ticket = victim.collate_data(
-        QS, "SELECT braking(val), current_snapshot() FROM events",
-        name, workers=workers, block=False)
+    ticket = victim.collate_data(QS, qq, name, workers=workers,
+                                 block=False)
     _kill_while_parked(victim, ticket, brake)
     assert isinstance(ticket.error, QueryCancelled)
     with pytest.raises(PlanError, match="no such table"):
@@ -132,9 +137,8 @@ def test_other_sessions_unaffected_by_a_kill(server):
     _populate(victim)
     brake = _Brake()
     victim.session.db.register_function("braking", brake)
-    ticket = victim.collate_data(
-        QS, "SELECT braking(val), current_snapshot() FROM events",
-        "Doomed", workers=2, block=False)
+    ticket = victim.collate_data(QS, BRAKED, "Doomed", workers=2,
+                                 block=False)
     assert brake.entered.wait(10.0)
     # While the victim's query is parked, the bystander both writes
     # (snapshot-pinned reads never block writers) and queries.
@@ -160,9 +164,8 @@ def test_graceful_close_waits_instead_of_cancelling(server):
     _populate(client, snapshots=3)
     brake = _Brake()
     client.session.db.register_function("braking", brake)
-    ticket = client.collate_data(
-        QS, "SELECT braking(val), current_snapshot() FROM events",
-        "Kept", workers=1, block=False)
+    ticket = client.collate_data(QS, BRAKED, "Kept", workers=1,
+                                 block=False)
     assert brake.entered.wait(10.0)
     closer = threading.Thread(target=client.close)
     closer.start()

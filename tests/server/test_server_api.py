@@ -73,12 +73,64 @@ def test_scheduler_runs_certified_queries_partitioned(server):
     assert ticket.partitioned, "concat-certified query should partition"
     assert result.parallel is not None
     assert result.snapshots == [1, 2, 3]
-    # workers=1 takes the serial loop even for a mergeable query.
-    ticket = client.collate_data(
-        QS, "SELECT val, current_snapshot() FROM events", "R2",
-        workers=1, block=False)
-    ticket.outcome()
-    assert not ticket.partitioned
+    # A serial-only verdict (a stateful builtin in Qq) takes the serial
+    # loop at every worker count.
+    for workers in (1, 4):
+        ticket = client.collate_data(
+            QS, "SELECT val, rql_workers() FROM events", "S",
+            workers=workers, block=False)
+        result = ticket.outcome()
+        assert not ticket.partitioned
+        assert result.parallel is None
+        assert result.snapshots == [1, 2, 3]
+    client.close()
+
+
+def test_scheduler_folds_a_certified_workers_1_ticket(server):
+    """The runner follows the certificate, not the worker count: a
+    certified ``workers=1`` ticket is one partition of the fold/merge
+    executor, and its result is the serial loop's."""
+    client = server.connect("alice")
+    _populate(client)
+    qq = "SELECT val, current_snapshot() FROM events"
+    ticket = client.collate_data(QS, qq, "R", workers=1, block=False)
+    result = ticket.outcome()
+    assert ticket.partitioned
+    assert result.parallel.workers == 1
+    assert result.parallel.partitions == [[1, 2, 3]]
+    assert result.snapshots == [1, 2, 3]
+    rows = client.execute("SELECT * FROM R ORDER BY 1, 2").rows
+    embedded = client.session.collate_data(QS, qq, "E", workers=1)
+    assert embedded.parallel is None  # the embedded reference loop
+    assert client.execute("SELECT * FROM E ORDER BY 1, 2").rows == rows
+    client.close()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_ticket_inside_an_open_transaction_is_refused(server, workers,
+                                                        monkeypatch):
+    """Refused with one error class at every worker count, before it
+    certifies or writes; the client's transaction stays open."""
+    client = server.connect("alice")
+    _populate(client)
+    client.execute("CREATE TABLE R (x INTEGER)")
+    client.execute("BEGIN")
+    client.execute("INSERT INTO events VALUES (5, 50)")
+    certified = []
+    monkeypatch.setattr(client.session, "certify",
+                        lambda *args: certified.append(args))
+    with pytest.raises(MechanismError, match="open transaction"):
+        client.collate_data(
+            QS, "SELECT val, current_snapshot() FROM events", "R",
+            workers=workers)
+    assert certified == []
+    assert server.scheduler.active_count() == 0
+    # The transaction is still open and usable, and R was not touched.
+    assert client.execute("SELECT COUNT(*) FROM events").scalar() == 4
+    client.execute("INSERT INTO events VALUES (6, 60)")
+    client.execute("COMMIT")
+    assert client.execute("SELECT COUNT(*) FROM events").scalar() == 5
+    assert client.execute("SELECT COUNT(*) FROM R").scalar() == 0
     client.close()
 
 
