@@ -1,4 +1,4 @@
--- Retrospective query corpus for rqlint (`repro.cli lint --queries`).
+-- Retrospective query corpus for rqlint (`repro.cli lint <this file>`).
 --
 -- Plain SQL with `-- rqlint:` annotations: DDL builds the schema,
 -- each `mechanism=` directive opens a case whose following SQL is the

@@ -5,8 +5,10 @@ cannot express: transactions and read contexts must be finished on every
 path, WAL appends must precede flushes,
 aggregates must be complete monoids, exceptions must fit the taxonomy,
 snapshot ids must not be hard-coded.  This package parses the whole
-source tree with :mod:`ast` and enforces those invariants statically —
-see README "Static analysis" for the rule catalogue and escape hatches.
+source tree with :mod:`ast` and enforces those invariants statically,
+and certifies the RQL mechanism invocations in ``.sql`` lint files
+(:mod:`repro.analysis.query`) through the same driver — see README
+"Static analysis" for the rule catalogue and escape hatches.
 """
 
 from repro.analysis.driver import (

@@ -16,9 +16,11 @@ Forms:
   ``lockorder-exempt``, ``taint-exempt``, ``snapid-exempt``,
   ``taxonomy-exempt``) — readable synonyms for single rules.
 
-A pragma suppresses findings anchored to its own line; checkers that
-exempt whole functions also honour a pragma on the ``def`` line or the
-line directly above it (decorators included).
+The body grammar (:meth:`Pragma.parse`) is shared with ``-- rqlint:``
+comments in ``.sql`` lint files; only the scoping differs.  A pragma
+suppresses findings anchored to its own line; checkers that exempt
+whole functions also honour a pragma on the ``def`` line or the line
+directly above it (decorators included).
 """
 
 from __future__ import annotations
@@ -47,12 +49,10 @@ PRAGMA_ALIASES = {
     "purity-exempt": "RPL023",
     "typestate-exempt": "RPL030",
     "atomicity-exempt": "RPL031",
-    "recovery-exempt": "RPL032",
     "confinement-exempt": "RPL033",
-    # rqlint (query-level) aliases; a tuple value expands to several
-    # rules.  These appear in SQL "--" comments (see
-    # repro.analysis.query.driver) but share the alias table so the two
-    # linters cannot drift apart.
+    # Query-level aliases, for SQL "-- rqlint:" comments (see
+    # repro.analysis.query.sqlfile); a tuple value expands to several
+    # rules.
     "query-exempt": ("RQL100", "RQL101", "RQL102", "RQL103",
                      "RQL104", "RQL105", "RQL106"),
     "mergeclass-exempt": ("RQL101", "RQL102", "RQL105", "RQL106"),
@@ -68,9 +68,40 @@ class Pragma:
     rules: Tuple[str, ...]
     justification: str
 
+    @classmethod
+    def parse(cls, line: int, body: str) -> "Pragma":
+        """The one pragma-body grammar, for ``# replint:`` and
+        ``-- rqlint:`` comments alike: ``ignore[...]`` and/or aliases,
+        then ``-- reason``."""
+        directive, _, justification = body.partition("--")
+        rules: Set[str] = set()
+        ignore = _IGNORE_RE.search(directive)
+        if ignore is not None:
+            rules.update(r.strip().upper()
+                         for r in ignore.group("rules").split(",")
+                         if r.strip())
+        for alias, rule in PRAGMA_ALIASES.items():
+            if alias in directive:
+                rules.update(rule if isinstance(rule, tuple) else (rule,))
+        return cls(line, tuple(sorted(rules)), justification.strip())
+
     @property
     def justified(self) -> bool:
         return bool(self.justification.strip())
+
+    def hygiene(self, file: str) -> Optional[Finding]:
+        """RPL000 when the pragma names no rule or gives no reason."""
+        if not self.rules:
+            message = "unrecognized pragma"
+            hint = ("use 'ignore[RULE] -- reason' or a named alias "
+                    "(wal-exempt, query-exempt, ...)")
+        elif not self.justified:
+            message = "pragma without a justification"
+            hint = "append ' -- <why this is safe>' to the pragma"
+        else:
+            return None
+        return Finding(file=file, line=self.line, rule="RPL000",
+                       severity=ERROR, message=message, hint=hint)
 
 
 def _comment_tokens(source: str) -> Iterator[Tuple[int, str]]:
@@ -89,29 +120,8 @@ def parse_pragmas(source: str) -> Dict[int, Pragma]:
     pragmas: Dict[int, Pragma] = {}
     for lineno, text in _comment_tokens(source):
         match = _PRAGMA_RE.search(text)
-        if match is None:
-            continue
-        body = match.group("body").strip()
-        directive, _, justification = body.partition("--")
-        directive = directive.strip()
-        rules: Set[str] = set()
-        ignore = _IGNORE_RE.search(directive)
-        if ignore is not None:
-            rules.update(
-                r.strip().upper() for r in ignore.group("rules").split(",")
-                if r.strip()
-            )
-        for alias, rule in PRAGMA_ALIASES.items():
-            if alias in directive:
-                if isinstance(rule, tuple):
-                    rules.update(rule)
-                else:
-                    rules.add(rule)
-        pragmas[lineno] = Pragma(
-            line=lineno,
-            rules=tuple(sorted(rules)),
-            justification=justification.strip(),
-        )
+        if match is not None:
+            pragmas[lineno] = Pragma.parse(lineno, match.group("body"))
     return pragmas
 
 
@@ -231,22 +241,3 @@ class ModuleContext:
                     and pragma.justified:
                 return True
         return False
-
-    def unjustified_pragmas(self) -> Iterator[Finding]:
-        """RPL000: every pragma must explain itself."""
-        for pragma in self.pragmas.values():
-            if not pragma.rules:
-                yield Finding(
-                    file=self.relpath, line=pragma.line, rule="RPL000",
-                    severity=ERROR,
-                    message="unrecognized replint pragma",
-                    hint="use 'replint: ignore[RPLnnn] -- reason' or a "
-                         "named alias (wal-exempt, race-exempt, ...)",
-                )
-            elif not pragma.justified:
-                yield Finding(
-                    file=self.relpath, line=pragma.line, rule="RPL000",
-                    severity=ERROR,
-                    message="replint pragma without a justification",
-                    hint="append ' -- <why this is safe>' to the pragma",
-                )

@@ -218,7 +218,6 @@ class RawDurableWrite:
 class ProtocolViolation:
     line: int
     protocol: str       #: spec name ("txn", "retro", ...)
-    rule: str           #: reporting rule ("RPL030" / "RPL032")
     event: str          #: the event fired in a violation state
     state: str          #: the (definite) state the subject was in
     what: str           #: human display of the subject / origin

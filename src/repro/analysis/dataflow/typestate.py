@@ -483,9 +483,8 @@ class TypestateAnalysis(ForwardAnalysis[_TsState]):
                 line, what = self.site_info.get(
                     site, (call.lineno, _display(call)))
                 self.violations.add(ProtocolViolation(
-                    line=call.lineno, protocol=spec.name, rule=spec.rule,
-                    event=event.name, state=sorted(live)[0],
-                    what=what, kind=spec.kind))
+                    line=call.lineno, protocol=spec.name, event=event.name,
+                    state=sorted(live)[0], what=what, kind=spec.kind))
             state.sites[site] = frozenset(
                 event.next_states(s) for s in live) | (statuses & _MARKERS)
             fired = True

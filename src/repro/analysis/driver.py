@@ -1,18 +1,26 @@
-"""replint driver: walk a source tree, run every rule, report.
+"""The lint driver: walk a source tree, run every rule, report once.
 
 Entry points::
 
-    python -m repro.analysis              # lint the installed repro tree
+    python -m repro.analysis [paths...]   # lint the given files/trees
     python -m repro.cli lint [args...]    # same, via the main CLI
     analyze_paths([...]) / analyze_source(...)  # programmatic / tests
 
-Two analysis phases run over every tree: the intraprocedural checkers
-(one module at a time) and the interprocedural program checkers
-(RPL011–RPL033), which see all modules at once through the dataflow
-engine in :mod:`repro.analysis.dataflow`.
+The file suffix picks the linter.  ``.py`` modules go through
+:class:`~repro.analysis.context.ModuleContext` and the replint rules:
+the intraprocedural checkers (one module at a time) and the
+interprocedural program checkers (RPL011–RPL033), which see all modules
+at once through the dataflow engine in :mod:`repro.analysis.dataflow`.
+``.sql`` lint files go through
+:class:`~repro.analysis.query.sqlfile.SqlCorpus` and merge-class
+certification (RQL100–106).  Every run also re-certifies the two golden
+corpora — mechanism verdicts (:mod:`repro.workloads.corpus`) and plans
+(:mod:`repro.workloads.plans`) — and reports only drift from them.
 
-Exit status is 0 when no error-severity findings remain after pragma and
-baseline filtering, 1 otherwise, 2 on usage errors.
+All findings land in one report with one baseline (``replint.baseline``)
+and one renderer per format.  Exit status is 0 when no error-severity
+findings remain after pragma and baseline filtering, 1 otherwise, 2 on
+usage errors.
 """
 
 from __future__ import annotations
@@ -22,7 +30,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from repro.analysis.context import ModuleContext
 from repro.analysis.findings import (
@@ -32,7 +41,14 @@ from repro.analysis.findings import (
     load_baseline,
     save_baseline,
 )
-from repro.analysis.rules import all_checkers, all_program_checkers
+from repro.analysis.query.rules import QUERY_REGISTRY
+from repro.analysis.query.sqlfile import SqlCorpus
+from repro.analysis.rules import (
+    _PROGRAM_REGISTRY,
+    _REGISTRY,
+    all_checkers,
+    all_program_checkers,
+)
 from repro.analysis.sarif import render_sarif
 from repro.errors import AnalysisError
 
@@ -45,12 +61,14 @@ def package_root() -> Path:
 
 
 def iter_source_files(root: Path) -> Iterable[Tuple[Path, str]]:
-    """Yield (path, package-relative posix path) for every .py module."""
+    """Yield (path, root-relative posix path) for every .py and .sql
+    file under ``root`` (or ``root`` itself, given a file)."""
     if root.is_file():
         yield root, root.name
         return
-    for path in sorted(root.rglob("*.py")):
-        yield path, path.relative_to(root).as_posix()
+    for path in sorted(root.rglob("*")):
+        if path.suffix in (".py", ".sql") and path.is_file():
+            yield path, path.relative_to(root).as_posix()
 
 
 def _load_context(source: str, relpath: str,
@@ -90,7 +108,6 @@ def analyze_program(program) -> List[Finding]:
     for ctx in program.contexts.values():
         if scope is not None and ctx.relpath not in scope:
             continue
-        findings.extend(ctx.unjustified_pragmas())
         for checker in all_checkers():
             findings.extend(checker.check(ctx))
     for program_checker in all_program_checkers():
@@ -102,21 +119,28 @@ def analyze_program(program) -> List[Finding]:
 
 def analyze_source(source: str, relpath: str,
                    path: Optional[Path] = None) -> List[Finding]:
-    """Run every rule over one module's source text (test entry point)."""
+    """Lint one file's text; the suffix of ``relpath`` picks the linter."""
+    if relpath.endswith(".sql"):
+        return SqlCorpus(relpath).parse(source).certify()
     ctx, findings = _load_context(source, relpath, path)
     if ctx is None:
         return findings
     return findings + analyze_contexts([ctx])
 
 
-def _collect_contexts(paths: Sequence[Path]
+def _collect_contexts(paths: Sequence[Path], lint_sql: bool = True
                       ) -> Tuple[List[ModuleContext], List[Finding], int]:
+    """Walk ``paths`` once: parse each .py file into a context, lint
+    each .sql file on the spot (unless ``lint_sql`` is off)."""
     contexts: List[ModuleContext] = []
     findings: List[Finding] = []
     seen: Set[str] = set()
     scanned = 0
     for root in paths:
         for path, relpath in iter_source_files(root):
+            is_sql = path.suffix == ".sql"
+            if is_sql and not lint_sql:
+                continue
             scanned += 1
             # Multi-root runs (src + benchmarks + examples) can produce
             # the same root-relative path twice (e.g. ``__init__.py``);
@@ -129,6 +153,9 @@ def _collect_contexts(paths: Sequence[Path]
                 relpath = f"{root.name}/{relpath}"
             seen.add(relpath)
             source = path.read_text(encoding="utf-8")
+            if is_sql:
+                findings.extend(analyze_source(source, relpath))
+                continue
             ctx, errors = _load_context(source, relpath, path)
             findings.extend(errors)
             if ctx is not None:
@@ -168,6 +195,57 @@ def _changed_relpaths(contexts: Sequence[ModuleContext],
     return focus
 
 
+def _golden_verdicts() -> Iterator[Tuple[str, str, str, object, object]]:
+    """(corpus, entry name, drift rule, certified, recorded) for every
+    entry of both golden corpora.
+
+    A verdict entry is its merge class and rule set; a plan entry is its
+    rendering and rule set (RQL110 is the rendering comparison itself,
+    so it is left out of the certified set).
+    """
+    from repro.workloads.corpus import CORPUS, certify_entry, corpus_schema
+    from repro.workloads.plans import PLAN_CORPUS, certify_plan_entry
+
+    schema = corpus_schema()
+    for entry in CORPUS:
+        certificate = certify_entry(entry, schema=schema)
+        yield ("corpus", entry.name, "RQL100",
+               (certificate.merge_class,
+                tuple(sorted({f.rule for f in certificate.findings}))),
+               (entry.expected_class, tuple(sorted(entry.expected_rules))))
+    for entry in PLAN_CORPUS:
+        certificate = certify_plan_entry(entry, schema=schema)
+        yield ("plans", entry.name, "RQL110",
+               (tuple(certificate.rendering),
+                tuple(sorted({f.rule for f in certificate.findings
+                              if f.rule != "RQL110"}))),
+               (tuple(entry.golden), tuple(sorted(entry.expected_rules))))
+
+
+def corpus_drift() -> Tuple[List[Finding], int]:
+    """Re-certify both golden corpora; only *drift* is reported.
+
+    The corpora deliberately hold serial-only, warning and bad-statistics
+    entries — their findings are the golden data, not lint debt — so a
+    run stays clean unless a verdict moves away from the recorded one.
+    Returns the drift findings and the number of entries certified.
+    """
+    findings: List[Finding] = []
+    entries = 0
+    for corpus, name, rule, got, want in _golden_verdicts():
+        entries += 1
+        if got != want:
+            findings.append(Finding(
+                file=f"<{corpus}:{name}>", line=1, rule=rule,
+                severity=ERROR, symbol=name,
+                message=f"golden verdict drift: certified {got!r}, "
+                        f"corpus expects {want!r}",
+                hint=f"update repro/workloads/{corpus}.py only in the "
+                     f"change that moves the verdict",
+            ))
+    return findings, entries
+
+
 def analyze_paths(paths: Sequence[Path],
                   baseline: Optional[Set[str]] = None,
                   cache_dir: Optional[Path] = None,
@@ -181,6 +259,8 @@ def analyze_paths(paths: Sequence[Path],
         focus = _changed_relpaths(contexts, repo_dir=repo_dir)
     findings.extend(analyze_contexts(contexts, cache_dir=cache_dir,
                                      focus=focus))
+    drift, report.corpus_entries = corpus_drift()
+    findings.extend(drift)
     for finding in findings:
         if finding.matches(baseline):
             report.baselined.append(finding)
@@ -196,6 +276,7 @@ def _render_text(report: AnalysisReport, out) -> None:
         print(finding.render(), file=out)
     summary = (
         f"replint: {report.files_scanned} files, "
+        f"{report.corpus_entries} corpus entries, "
         f"{len(report.errors)} errors, "
         f"{len(report.findings) - len(report.errors)} warnings"
     )
@@ -207,71 +288,40 @@ def _render_text(report: AnalysisReport, out) -> None:
 def _render_json(report: AnalysisReport, out) -> None:
     payload = {
         "files_scanned": report.files_scanned,
+        "corpus_entries": report.corpus_entries,
         "findings": [vars(f) for f in report.findings],
         "baselined": [f.hashed_key for f in report.baselined],
     }
     print(json.dumps(payload, indent=2), file=out)
 
 
+def rule_catalogue() -> Dict[str, type]:
+    """Every rule id -> the class carrying its ``name``,
+    ``description``, ``example`` and ``fix``: RPL000, the replint
+    checkers and the RQL rules, for --list-rules, --explain and SARIF."""
+    return dict(sorted({**_REGISTRY, **_PROGRAM_REGISTRY,
+                        **QUERY_REGISTRY}.items()))
+
+
 def _rule_descriptions() -> Dict[str, str]:
-    described = {
-        "RPL000": "pragma-hygiene: replint pragmas must parse and carry "
-                  "a justification",
-    }
-    for checker in all_checkers() + all_program_checkers():
-        described[checker.rule_id] = \
-            f"{checker.name}: {checker.description}"
-    return described
-
-
-def _list_rules(out) -> None:
-    from repro.analysis.query.rules import query_rule_descriptions
-
-    described = dict(_rule_descriptions())
-    described.update(query_rule_descriptions())
-    for rule_id, text in sorted(described.items()):
-        print(f"{rule_id} {text}", file=out)
-
-
-#: RPL000 has no checker class (pragma hygiene is enforced inside
-#: ModuleContext), so its --explain entry lives here.
-_RPL000_EXPLAIN = (
-    "pragma-hygiene",
-    "replint pragmas must parse and carry a justification",
-    "txn = engine.begin()  # replint: ignore[RPL030]\n"
-    "# RPL000: an escape hatch without a reason is itself a violation",
-    "append ' -- <reason>' to every pragma:\n"
-    "txn = engine.begin()"
-    "  # replint: ignore[RPL030] -- committed by the caller",
-)
+    return {rule_id: f"{cls.name}: {cls.description}"
+            for rule_id, cls in rule_catalogue().items()}
 
 
 def _explain(rule_id: str, out) -> int:
     """Describe one rule: what it checks, a failing example, the fix."""
-    from repro.analysis.query.rules import QUERY_REGISTRY
-    from repro.analysis.rules import _PROGRAM_REGISTRY, _REGISTRY
-
-    if rule_id == "RPL000":
-        name, description, example, fix = _RPL000_EXPLAIN
-    else:
-        cls = (_REGISTRY.get(rule_id) or _PROGRAM_REGISTRY.get(rule_id)
-               or QUERY_REGISTRY.get(rule_id))
-        if cls is None:
-            print(f"replint: unknown rule: {rule_id} "
-                  f"(see --list-rules)", file=out)
-            return 2
-        name, description = cls.name, cls.description
-        example, fix = cls.example, cls.fix
-    print(f"{rule_id} — {name}", file=out)
-    print(f"  {description}", file=out)
-    print(file=out)
-    print("example:", file=out)
-    for line in example.splitlines():
-        print(f"    {line}", file=out)
-    print(file=out)
-    print("fix:", file=out)
-    for line in fix.splitlines():
-        print(f"    {line}", file=out)
+    cls = rule_catalogue().get(rule_id)
+    if cls is None:
+        print(f"replint: unknown rule: {rule_id} (see --list-rules)",
+              file=out)
+        return 2
+    print(f"{rule_id} — {cls.name}", file=out)
+    print(f"  {cls.description}", file=out)
+    for heading, text in (("example", cls.example), ("fix", cls.fix)):
+        print(file=out)
+        print(f"{heading}:", file=out)
+        for line in text.splitlines():
+            print(f"    {line}", file=out)
     return 0
 
 
@@ -279,7 +329,7 @@ def _dump_graph(which: str, paths: Sequence[Path], out,
                 cache_dir: Optional[Path] = None) -> int:
     from repro.analysis.dataflow import Program
 
-    contexts, findings, _ = _collect_contexts(paths)
+    contexts, findings, _ = _collect_contexts(paths, lint_sql=False)
     if findings:
         for finding in findings:
             print(finding.render(), file=out)
@@ -295,22 +345,14 @@ def _dump_graph(which: str, paths: Sequence[Path], out,
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     out = out if out is not None else sys.stdout
-    arguments = list(sys.argv[1:] if argv is None else argv)
-    if "--queries" in arguments:
-        # Query-level lint (rqlint) has its own option surface; hand
-        # the remaining arguments over wholesale.
-        from repro.analysis.query.driver import run_query_lint
-
-        arguments.remove("--queries")
-        return run_query_lint(arguments, out=out)
-    argv = arguments
     parser = argparse.ArgumentParser(
         prog="repro.analysis",
-        description="replint: AST + dataflow invariant checks for the "
-                    "repro tree",
+        description="replint: invariant checks for .py modules, "
+                    "merge-class certification for .sql lint files, "
+                    "and the golden-corpus drift gate",
     )
     parser.add_argument("paths", nargs="*", type=Path,
-                        help="files/directories to lint "
+                        help=".py/.sql files and directories to lint "
                              "(default: the repro package)")
     parser.add_argument("--baseline", type=Path, default=None,
                         help=f"baseline file (default: ./{DEFAULT_BASELINE} "
@@ -318,43 +360,34 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     parser.add_argument("--write-baseline", action="store_true",
                         help="accept all current findings into the baseline")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default=None, dest="format",
-                        help="output format (default: text)")
-    parser.add_argument("--json", action="store_true", dest="as_json",
-                        help="machine-readable output "
-                             "(alias for --format json)")
+                        default="text", help="output format")
     parser.add_argument("--graph", choices=("calls", "latches"),
                         default=None,
-                        help="dump the call graph / latch-order graph "
-                             "as DOT and exit")
+                        help="dump the Python call graph / latch-order "
+                             "graph as DOT and exit")
     parser.add_argument("--changed", action="store_true",
-                        help="scope analysis to files in 'git diff HEAD' "
-                             "(plus untracked files) and their call-graph "
-                             "neighbors; falls back to a full run when "
-                             "git is unavailable")
+                        help="scope the Python analysis to files in 'git "
+                             "diff HEAD' (plus untracked files) and their "
+                             "call-graph neighbors; falls back to a full "
+                             "run when git is unavailable")
     parser.add_argument("--cache-dir", type=Path, default=None,
-                        help="directory for parsed-summary cache artifacts "
+                        help="directory for the Python summary cache "
                              "(keyed on a source digest; safe to share "
                              "across runs)")
-    parser.add_argument("--queries", action="store_true",
-                        help="run rqlint (query-level merge-class "
-                             "certification) over .sql corpora instead "
-                             "of the Python rules")
     parser.add_argument("--list-rules", action="store_true",
                         help="describe every rule and exit")
-    parser.add_argument("--explain", metavar="RPL0NN", default=None,
+    parser.add_argument("--explain", metavar="RULE", default=None,
                         help="print one rule's description, a minimal "
                              "failing example, and the fix pattern, "
                              "then exit")
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        _list_rules(out)
+        for rule_id, text in _rule_descriptions().items():
+            print(f"{rule_id} {text}", file=out)
         return 0
     if args.explain is not None:
         return _explain(args.explain.upper(), out)
-
-    output_format = args.format or ("json" if args.as_json else "text")
 
     paths = list(args.paths) or [package_root()]
     missing = [p for p in paths if not p.exists()]
@@ -383,9 +416,9 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
               file=out)
         return 0
 
-    if output_format == "json":
+    if args.format == "json":
         _render_json(report, out)
-    elif output_format == "sarif":
+    elif args.format == "sarif":
         print(render_sarif(report, _rule_descriptions()), file=out, end="")
     else:
         _render_text(report, out)

@@ -73,7 +73,8 @@ class AnalysisReport:
 
     findings: List[Finding] = field(default_factory=list)
     baselined: List[Finding] = field(default_factory=list)
-    files_scanned: int = 0
+    files_scanned: int = 0    #: .py and .sql files linted
+    corpus_entries: int = 0   #: golden-corpus entries re-certified
 
     @property
     def errors(self) -> List[Finding]:

@@ -72,7 +72,6 @@ class ProtocolSpec:
     """One protocol: states, events, origins and reporting policy."""
 
     name: str                           #: short id ("txn", "reader", ...)
-    rule: str                           #: rule that reports violations
     kind: str                           #: human noun for findings
     initial: str
     tracking: str                       #: VALUE / RECEIVER
@@ -109,7 +108,6 @@ class ProtocolSpec:
 #: transaction lifecycle: begun -> committed | rolled_back, nothing after
 TXN = ProtocolSpec(
     name="txn",
-    rule="RPL030",
     kind="transaction",
     initial="active",
     tracking=VALUE,
@@ -139,7 +137,6 @@ TXN = ProtocolSpec(
 #: MVCC reader handles: registered -> deregistered exactly once
 READER = ProtocolSpec(
     name="reader",
-    rule="RPL030",
     kind="reader handle",
     initial="registered",
     tracking=VALUE,
@@ -160,7 +157,6 @@ READER = ProtocolSpec(
 #: read contexts: open -> closed (idempotently); no reads after close
 READ_CONTEXT = ProtocolSpec(
     name="read-context",
-    rule="RPL030",
     kind="read context",
     initial="open",
     tracking=VALUE,
@@ -188,7 +184,6 @@ READ_CONTEXT = ProtocolSpec(
 #: mark_unavailable must re-check availability first
 RETRO = ProtocolSpec(
     name="retro",
-    rule="RPL032",
     kind="retro manager",
     initial="fresh",
     tracking=RECEIVER,
@@ -225,7 +220,6 @@ RETRO = ProtocolSpec(
 #: silently overwrites the pending schedule
 CHAOS = ProtocolSpec(
     name="chaos",
-    rule="RPL030",
     kind="chaos controller",
     initial="idle",
     tracking=RECEIVER,

@@ -17,8 +17,9 @@ Public surface:
   :class:`~repro.analysis.query.mergeclass.MergeCertificate` for one
   mechanism call; consumed load-bearingly by
   :class:`repro.core.parallel.ParallelExecutor`.
-* :func:`repro.analysis.query.driver.run_query_lint` — lint the builtin
-  workload corpus plus ``.sql`` files (the ``lint --queries`` surface).
+* :class:`repro.analysis.query.sqlfile.SqlCorpus` — the ``.sql`` lint
+  file grammar the one lint driver (:mod:`repro.analysis.driver`) sends
+  every ``.sql`` file through.
 """
 
 from repro.analysis.query.mergeclass import (  # noqa: F401
@@ -34,9 +35,5 @@ from repro.analysis.query.mergeclass import (  # noqa: F401
 from repro.analysis.query.planlint import (  # noqa: F401
     PlanCertificate,
     certify_plan,
-    plan_corpus_findings,
 )
-from repro.analysis.query.rules import (  # noqa: F401
-    QUERY_REGISTRY,
-    query_rule_descriptions,
-)
+from repro.analysis.query.rules import QUERY_REGISTRY  # noqa: F401

@@ -32,8 +32,8 @@ instead of a live database — and checks the resulting
   when a silent bad plan would otherwise ship.
 
 Rules fire through the same findings/baseline/SARIF machinery as
-RQL100-106; ``lint --queries`` re-certifies the golden-plan corpus on
-every run (:func:`plan_corpus_findings`).
+RQL100-106; every lint run re-certifies the golden-plan corpus
+(:func:`repro.analysis.driver.corpus_drift`).
 """
 
 from __future__ import annotations
@@ -397,43 +397,3 @@ def _check_cost_sanity(plan: SelectPlan, stats: StatsProvider,
                     f"nothing); an index probe can only add cost",
                     hint="re-run ANALYZE to replace the corrupt "
                          "statistics")
-
-
-# ---------------------------------------------------------------------------
-# Golden-plan corpus gate
-# ---------------------------------------------------------------------------
-
-
-def plan_corpus_findings() -> Tuple[List[Finding], int]:
-    """Re-certify the golden-plan corpus; only *drift* is reported.
-
-    Mirrors the mergeclass corpus gate: entries deliberately carry
-    expected RQL11N rules (those are golden data, not lint debt), so a
-    run stays clean unless the rendering or the rule set diverges from
-    what :mod:`repro.workloads.plans` records.
-    """
-    from repro.workloads.plans import (
-        PLAN_CORPUS,
-        certify_plan_entry,
-        plan_schema,
-    )
-
-    schema = plan_schema()
-    findings: List[Finding] = []
-    for entry in PLAN_CORPUS:
-        certificate = certify_plan_entry(entry, schema=schema)
-        drift = [f for f in certificate.findings if f.rule == "RQL110"]
-        findings.extend(drift)
-        got = tuple(sorted({f.rule for f in certificate.findings
-                            if f.rule != "RQL110"}))
-        want = tuple(sorted(entry.expected_rules))
-        if got != want:
-            findings.append(Finding(
-                file=f"<plans:{entry.name}>", line=1, rule="RQL110",
-                severity=ERROR, symbol=entry.name,
-                message=f"golden rule-set drift: certified {got}, "
-                        f"corpus expects {want}",
-                hint="update repro/workloads/plans.py only with a "
-                     "matching planner change",
-            ))
-    return findings, len(PLAN_CORPUS)

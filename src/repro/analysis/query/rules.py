@@ -4,13 +4,14 @@ rqlint rules are not :class:`~repro.analysis.rules.Checker` subclasses —
 they fire from the certification pass in
 :mod:`repro.analysis.query.mergeclass`, not from a per-module AST walk —
 but they carry the same metadata surface (``rule_id``/``name``/
-``description``/``example``/``fix``) so ``lint --list-rules`` and
-``lint --explain RQL1NN`` render them identically to the RPL rules.
+``description``/``example``/``fix``), so the driver's one rule
+catalogue serves ``--list-rules``, ``--explain RQL1NN`` and SARIF for
+them exactly as for the RPL rules.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Type
+from typing import Dict, Type
 
 QUERY_REGISTRY: Dict[str, Type["QueryRule"]] = {}
 
@@ -39,16 +40,16 @@ class QueryHygiene(QueryRule):
         "mechanism's shape contract: unknown table or column, ambiguous "
         "unqualified column, Qq that is not a single SELECT or contains "
         "AS OF (the rewriter injects the snapshot pin itself), Qs that "
-        "does not produce a single snapshot-id column, or a malformed / "
-        "unjustified rqlint pragma."
+        "does not produce a single snapshot-id column.  (A malformed "
+        "or unjustified pragma is RPL000, in SQL as in Python.)"
     )
     example = (
         "-- rqlint: mechanism=CollateData\n"
         "SELECT userid FROM LoggedOut;   -- no such table: LoggedOut"
     )
     fix = (
-        "Fix the query text (or the DDL preceding it in the corpus "
-        "file); every rqlint pragma needs '-- reason' justification."
+        "Fix the query text (or the DDL preceding it in the lint "
+        "file)."
     )
 
 
@@ -188,14 +189,3 @@ class NonDeterministicQq(QueryRule):
         ".workers, RQL_WORKERS); register UDFs before certification "
         "so rqlint can see them."
     )
-
-
-def query_rule_descriptions() -> Dict[str, str]:
-    """rule id -> short description (SARIF / --list-rules surface)."""
-    return {rule_id: f"{cls.name}: {cls.description}"
-            for rule_id, cls in sorted(QUERY_REGISTRY.items())}
-
-
-def all_query_rules() -> Iterable[Type[QueryRule]]:
-    for _, cls in sorted(QUERY_REGISTRY.items()):
-        yield cls

@@ -132,6 +132,37 @@ class ProgramChecker:
         )
 
 
+@register
+class PragmaHygiene(Checker):
+    """RPL000 has no analysis of its own: it reports the pragmas that
+    :meth:`~repro.analysis.context.Pragma.hygiene` rejects (``.sql``
+    files report theirs from :mod:`repro.analysis.query.sqlfile`), and
+    the driver files a source that does not parse under it."""
+
+    rule_id = "RPL000"
+    name = "pragma-hygiene"
+    description = (
+        "lint pragmas (# replint: in Python, -- rqlint: in SQL) must "
+        "name a rule or alias and carry a justification; a file that "
+        "does not parse is reported here too"
+    )
+    example = (
+        "txn = engine.begin()  # replint: ignore[RPL030]\n"
+        "# RPL000: an escape hatch without a reason is itself a violation"
+    )
+    fix = (
+        "append ' -- <reason>' to every pragma:\n"
+        "txn = engine.begin()"
+        "  # replint: ignore[RPL030] -- committed by the caller"
+    )
+
+    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        for pragma in ctx.pragmas.values():
+            finding = pragma.hygiene(ctx.relpath)
+            if finding is not None:
+                yield finding
+
+
 # Import rule modules for their registration side effect.
 from repro.analysis.rules import (  # noqa: E402,F401
     atomicity,
@@ -143,7 +174,6 @@ from repro.analysis.rules import (  # noqa: E402,F401
     lockorder,
     mergepurity,
     monoids,
-    recovery,
     snapshots,
     taint,
     typestate,

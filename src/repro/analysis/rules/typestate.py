@@ -7,8 +7,10 @@ commit/rollback on *every* path (the exceptional exit of the
 try/finally dual CFG included) and accept no operations afterwards,
 MVCC reader handles registered via ``VersionStore.register_reader``
 must be deregistered exactly once on every path, read contexts must be
-closed on every path and serve no reads after ``close()``, and a chaos
-controller must not be re-armed while a scheduled crash is still
+closed on every path and serve no reads after ``close()``, the Retro
+manager must finish ``recover``/``scrub`` before serving snapshot reads
+and re-check ``snapshot_available`` after ``mark_unavailable``, and a
+chaos controller must not be re-armed while a scheduled crash is still
 pending.  Returning, yielding or storing a value hands the obligation
 to whoever receives it.
 
@@ -38,8 +40,8 @@ class ProtocolTypestateChecker(ProgramChecker):
         "lifecycle protocols must be followed: transactions, MVCC "
         "readers and read contexts completed exactly once on every "
         "path (exception unwinds and call boundaries included), no "
-        "operations on a finished one, no re-arming a pending chaos "
-        "crash"
+        "operations on a finished one, Retro reads only after recovery "
+        "and availability checks, no re-arming a pending chaos crash"
     )
     example = (
         "txn = engine.begin()\n"
@@ -61,8 +63,6 @@ class ProtocolTypestateChecker(ProgramChecker):
             func = program.graph.functions[qualname]
             result = program.results[qualname]
             for violation in result.protocol_violations:
-                if violation.rule != self.rule_id:
-                    continue
                 spec = SPECS_BY_NAME.get(violation.protocol)
                 finding = self.finding_at(
                     program, func, violation.line,

@@ -1,4 +1,4 @@
-"""Minimal SARIF 2.1.0 rendering for replint findings.
+"""Minimal SARIF 2.1.0 rendering for lint findings.
 
 Just enough of the standard for GitHub code scanning to ingest the log
 and surface findings as PR annotations: one run, one driver, one rule
@@ -23,8 +23,7 @@ def _level(finding: Finding) -> str:
     return "error" if finding.severity == ERROR else "warning"
 
 
-def _result(finding: Finding, baselined: bool = False,
-            tool: str = "replint") -> Dict[str, object]:
+def _result(finding: Finding, baselined: bool = False) -> Dict[str, object]:
     message = finding.message
     if finding.hint:
         message += f" ({finding.hint})"
@@ -42,7 +41,7 @@ def _result(finding: Finding, baselined: bool = False,
             },
         }],
         "partialFingerprints": {
-            f"{tool}Key/v2": finding.hashed_key,
+            "replintKey/v2": finding.hashed_key,
         },
     }
     if baselined:
@@ -51,20 +50,18 @@ def _result(finding: Finding, baselined: bool = False,
         # consumers use to keep them out of the failing set.
         result["suppressions"] = [{
             "kind": "external",
-            "justification": f"accepted in {tool}.baseline",
+            "justification": "accepted in replint.baseline",
         }]
     return result
 
 
 def render_sarif(report: AnalysisReport,
-                 rule_descriptions: Dict[str, str],
-                 tool: str = "replint") -> str:
+                 rule_descriptions: Dict[str, str]) -> str:
     """The report as a SARIF 2.1.0 JSON document.
 
-    ``tool`` names the driver (``replint`` for the Python-module rules,
-    ``rqlint`` for the query-level rules) and parameterizes the
-    fingerprint key.  Live findings come first; baselined findings
-    follow as suppressed results.
+    One run, one driver (``replint``) for the Python and SQL rules
+    alike.  Live findings come first; baselined findings follow as
+    suppressed results.
     """
     seen_rules: List[str] = sorted(
         {finding.rule for finding in report.findings}
@@ -82,15 +79,13 @@ def render_sarif(report: AnalysisReport,
         "runs": [{
             "tool": {
                 "driver": {
-                    "name": tool,
-                    "informationUri":
-                        f"https://example.invalid/repro/{tool}",
+                    "name": "replint",
+                    "informationUri": "https://example.invalid/repro/replint",
                     "rules": rules,
                 },
             },
-            "results": [_result(f, tool=tool) for f in report.findings]
-            + [_result(f, baselined=True, tool=tool)
-               for f in report.baselined],
+            "results": [_result(f) for f in report.findings]
+            + [_result(f, baselined=True) for f in report.baselined],
         }],
     }
     return json.dumps(log, indent=2, sort_keys=True) + "\n"

@@ -10,7 +10,8 @@ serves three consumers:
   *runs* every ``runnable`` entry serially and at ``workers=4`` and
   asserts byte-identical results for mergeable verdicts — a false
   "mergeable" verdict fails there, not in review;
-* ``repro.cli lint --queries`` includes the corpus in every run, so a
+* every ``repro.cli lint`` run re-certifies the corpus
+  (:func:`repro.analysis.driver.corpus_drift`), so a
   rule regression shows up in CI output immediately.
 
 Entries deliberately reuse the paper's workloads: TPC-H Q1/Q3/Q6 shapes

@@ -8,8 +8,8 @@ rules planlint must assign it.  The corpus serves three consumers:
 
 * the golden-plan tests (``tests/analysis/test_planlint.py``) certify
   each entry and compare rendering and rule set;
-* ``repro.cli lint --queries`` re-certifies the corpus on every run
-  (:func:`repro.analysis.query.planlint.plan_corpus_findings`), so a
+* every ``repro.cli lint`` run re-certifies the corpus
+  (:func:`repro.analysis.driver.corpus_drift`), so a
   cost-model change that silently flips an access path fails CI as
   RQL110 drift until this file is updated deliberately;
 * the differential gate (``tests/sql/test_plan_equivalence.py``) runs

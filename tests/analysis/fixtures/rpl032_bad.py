@@ -1,4 +1,4 @@
-"""Known-bad RPL032: read through a snapshot just marked unavailable.
+"""Known-bad RPL030 (Retro machine): reading a snapshot marked unavailable.
 
 After ``mark_unavailable`` the manager is definitely degraded; serving
 ``snapshot_source`` without re-checking availability reads through a

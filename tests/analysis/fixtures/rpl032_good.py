@@ -1,4 +1,4 @@
-"""Known-good RPL032 counterpart: availability re-checked.
+"""Known-good RPL030 (Retro machine) counterpart: availability re-checked.
 
 ``snapshot_available`` moves the manager out of the degraded state, so
 the subsequent read is ordered behind an explicit re-check.

@@ -9,15 +9,13 @@ import pytest
 from repro.analysis import main as lint_main
 from repro.analysis.findings import ERROR, WARNING
 from repro.analysis.query import QUERY_REGISTRY, certify_plan
-from repro.analysis.query.driver import run_query_lint
-from repro.analysis.query.planlint import (
-    SCALE_THRESHOLD,
-    plan_corpus_findings,
-)
+from repro.analysis.driver import corpus_drift
+from repro.analysis.query.planlint import SCALE_THRESHOLD
 from repro.sql.planner import plan_select_static
 from repro.sql.parser import parse_sql
 from repro.sql.semantic import StaticSchema
 from repro.sql.stats import ColumnStats, DeclaredStats, TableStats
+from repro.workloads.corpus import CORPUS
 from repro.workloads.plans import (
     PLAN_CORPUS,
     PlanEntry,
@@ -289,8 +287,8 @@ class TestPlanCorpus:
         assert all(e.golden for e in PLAN_CORPUS)
 
     def test_gate_is_clean(self):
-        findings, entries = plan_corpus_findings()
-        assert entries == len(PLAN_CORPUS)
+        findings, entries = corpus_drift()
+        assert entries == len(CORPUS) + len(PLAN_CORPUS)
         assert findings == []
 
     def test_gate_reports_drift(self, monkeypatch):
@@ -305,7 +303,7 @@ class TestPlanCorpus:
             expected_rules=doctored[0].expected_rules,
         )
         monkeypatch.setattr(plans, "PLAN_CORPUS", tuple(doctored))
-        findings, _ = plan_corpus_findings()
+        findings, _ = corpus_drift()
         assert any(f.rule == "RQL110" for f in findings)
         assert all(f.severity == ERROR for f in findings
                    if f.rule == "RQL110")
@@ -320,9 +318,10 @@ class TestPlanCorpus:
             expected_rules=("RQL114",),
         ),)
         monkeypatch.setattr(plans, "PLAN_CORPUS", doctored)
-        findings, entries = plan_corpus_findings()
-        assert entries == 1
-        assert any("rule-set drift" in f.message for f in findings)
+        findings, entries = corpus_drift()
+        assert entries == len(CORPUS) + 1
+        assert [f.file for f in findings] == [f"<plans:{entry.name}>"]
+        assert "verdict drift" in findings[0].message
 
 
 class TestDriverSurface:
@@ -347,18 +346,14 @@ class TestDriverSurface:
 
     def test_lint_queries_includes_plan_corpus(self, tmp_path):
         out = io.StringIO()
-        status = run_query_lint([str(tmp_path)], out=out)
+        status = lint_main([str(tmp_path)], out=out)
         assert status == 0
-        text = out.getvalue()
-        from repro.workloads.corpus import CORPUS
-
         expected = len(CORPUS) + len(PLAN_CORPUS)
-        assert f"{expected} files/cases" in text
+        assert f"{expected} corpus entries" in out.getvalue()
 
     def test_sarif_lists_plan_rules(self, tmp_path):
         out = io.StringIO()
-        status = run_query_lint([str(tmp_path), "--format", "sarif"],
-                                out=out)
+        status = lint_main([str(tmp_path), "--format", "sarif"], out=out)
         assert status == 0
         payload = json.loads(out.getvalue())
         rules = {r["id"]

@@ -48,7 +48,7 @@ def test_cli_exit_zero_on_clean_input(tmp_path):
 
 def test_cli_json_output(tmp_path):
     out = io.StringIO()
-    main([str(FIXTURES / "rpl030_bad.py"), "--json",
+    main([str(FIXTURES / "rpl030_bad.py"), "--format", "json",
           "--baseline", str(tmp_path / "none")], out=out)
     payload = json.loads(out.getvalue())
     assert payload["files_scanned"] == 1
@@ -115,8 +115,7 @@ def test_cli_list_rules():
     listed = out.getvalue()
     for rule in ("RPL000", "RPL002", "RPL003", "RPL004", "RPL005",
                  "RPL011", "RPL012", "RPL020", "RPL021",
-                 "RPL022", "RPL023", "RPL030", "RPL031", "RPL032",
-                 "RPL033"):
+                 "RPL022", "RPL023", "RPL030", "RPL031", "RPL033"):
         assert rule in listed
     # RPL001 and RPL010 are retired into RPL030 (buffer-pool pins are
     # gone, lifecycles are typestate): no rule line may claim either id.

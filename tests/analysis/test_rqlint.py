@@ -7,7 +7,7 @@ import pathlib
 
 import pytest
 
-from repro.analysis import main as lint_main
+from repro.analysis import analyze_source, main as lint_main
 from repro.analysis.query import (
     CONCAT,
     INTERVAL_STITCH,
@@ -17,7 +17,6 @@ from repro.analysis.query import (
     QUERY_REGISTRY,
     certify_mechanism,
 )
-from repro.analysis.query.driver import lint_sql_source, run_query_lint
 from repro.errors import AggregateError
 from repro.sql.semantic import StaticSchema
 
@@ -208,14 +207,14 @@ SELECT COUNT(*) AS online FROM LoggedIn;
 
 class TestSqlCorpus:
     def test_cases_certify_with_file_schema(self):
-        findings = lint_sql_source(CORPUS_SQL, "corpus.sql")
+        findings = analyze_source(CORPUS_SQL, "corpus.sql")
         assert {f.rule for f in findings} == {"RQL103", "RQL104"}
         by_rule = {f.rule: f for f in findings}
         assert by_rule["RQL104"].symbol == "roster"
         assert by_rule["RQL103"].symbol == "peak"
 
     def test_findings_anchor_to_case_lines(self):
-        findings = lint_sql_source(CORPUS_SQL, "corpus.sql")
+        findings = analyze_source(CORPUS_SQL, "corpus.sql")
         lines = CORPUS_SQL.splitlines()
         for finding in findings:
             assert "mechanism=" in lines[finding.line - 2]
@@ -225,7 +224,7 @@ class TestSqlCorpus:
             "SELECT COUNT(*) AS online FROM LoggedIn;",
             "-- rqlint: ignore[RQL103] -- audits walk all history\n"
             "SELECT COUNT(*) AS online FROM LoggedIn;")
-        findings = lint_sql_source(source, "corpus.sql")
+        findings = analyze_source(source, "corpus.sql")
         assert {f.rule for f in findings} == {"RQL104"}
 
     def test_alias_pragmas_expand(self):
@@ -234,7 +233,7 @@ class TestSqlCorpus:
 -- rqlint: mergeclass-exempt -- legacy, runs serially
 SELECT l_userid FROM LoggedIn ORDER BY l_userid;
 """
-        findings = lint_sql_source(source, "corpus.sql")
+        findings = analyze_source(source, "corpus.sql")
         assert findings == []  # RQL101 + RQL105 both covered
 
     def test_query_exempt_covers_everything(self):
@@ -243,7 +242,7 @@ SELECT l_userid FROM LoggedIn ORDER BY l_userid;
 -- rqlint: mechanism=CollateData qs="SELECT snap_id FROM SnapIds"
 SELECT ghost FROM LoggedIn ORDER BY ghost;
 """
-        assert lint_sql_source(source, "corpus.sql") == []
+        assert analyze_source(source, "corpus.sql") == []
 
     def test_unjustified_pragma_is_an_error(self):
         source = DDL + """
@@ -251,30 +250,31 @@ SELECT ghost FROM LoggedIn ORDER BY ghost;
 -- rqlint: ignore[RQL104]
 SELECT l_userid FROM LoggedIn WHERE l_country = 'UK';
 """
-        findings = lint_sql_source(source, "corpus.sql")
-        assert any(f.rule == "RQL100" and "justification" in f.message
+        findings = analyze_source(source, "corpus.sql")
+        # Pragma hygiene is one rule, RPL000, in SQL as in Python.
+        assert any(f.rule == "RPL000" and "justification" in f.message
                    for f in findings)
         # The unjustified pragma must NOT suppress.
         assert any(f.rule == "RQL104" for f in findings)
 
     def test_unrecognized_pragma_is_an_error(self):
         source = "-- rqlint: frobnicate -- because\n"
-        findings = lint_sql_source(source, "corpus.sql")
-        assert [f.rule for f in findings] == ["RQL100"]
+        findings = analyze_source(source, "corpus.sql")
+        assert [f.rule for f in findings] == ["RPL000"]
 
     def test_directive_missing_qs_is_an_error(self):
         source = DDL + """
 -- rqlint: mechanism=CollateData
 SELECT l_userid FROM LoggedIn;
 """
-        findings = lint_sql_source(source, "corpus.sql")
+        findings = analyze_source(source, "corpus.sql")
         assert any("missing qs" in f.message for f in findings)
 
     def test_case_without_qq_is_an_error(self):
         source = DDL + (
             '-- rqlint: mechanism=CollateData '
             'qs="SELECT snap_id FROM SnapIds WHERE snap_id <= 3"\n')
-        findings = lint_sql_source(source, "corpus.sql")
+        findings = analyze_source(source, "corpus.sql")
         assert any("has no Qq text" in f.message for f in findings)
 
     def test_pair_list_arg_parses(self):
@@ -282,7 +282,7 @@ SELECT l_userid FROM LoggedIn;
 -- rqlint: mechanism=AggregateDataInTable arg="online:sum" qs="SELECT snap_id FROM SnapIds WHERE snap_id <= 3"
 SELECT l_country, COUNT(*) AS online FROM LoggedIn GROUP BY l_country;
 """
-        assert lint_sql_source(source, "corpus.sql") == []
+        assert analyze_source(source, "corpus.sql") == []
 
 
 class TestCli:
@@ -290,10 +290,10 @@ class TestCli:
         repo = pathlib.Path(__file__).resolve().parents[2]
         out = io.StringIO()
         code = lint_main(
-            ["--queries", str(repo / "examples"), "--baseline",
-             str(repo / "does-not-exist.baseline")], out=out)
+            [str(repo / "examples" / "retrospective_queries.sql"),
+             "--baseline", str(repo / "does-not-exist.baseline")], out=out)
         assert code == 0, out.getvalue()
-        assert "rqlint:" in out.getvalue()
+        assert "replint: 1 files" in out.getvalue()
         assert "0 errors" in out.getvalue()
 
     def test_exit_one_on_errors(self, tmp_path):
@@ -303,9 +303,8 @@ class TestCli:
             'qs="SELECT snap_id FROM SnapIds WHERE snap_id <= 3"\n'
             "SELECT ghost FROM nowhere;\n")
         out = io.StringIO()
-        code = run_query_lint(
-            [str(bad), "--no-corpus",
-             "--baseline", str(tmp_path / "none")], out=out)
+        code = lint_main(
+            [str(bad), "--baseline", str(tmp_path / "none")], out=out)
         assert code == 1
         assert "RQL100" in out.getvalue()
 
@@ -316,25 +315,27 @@ class TestCli:
             'qs="SELECT snap_id FROM SnapIds"\n'
             "SELECT snap_name FROM SnapIds;\n")
         out = io.StringIO()
-        run_query_lint([str(bad), "--no-corpus", "--json",
-                        "--baseline", str(tmp_path / "none")], out=out)
+        lint_main([str(bad), "--format", "json",
+                   "--baseline", str(tmp_path / "none")], out=out)
         payload = json.loads(out.getvalue())
         assert {f["rule"] for f in payload["findings"]} == {"RQL103"}
 
-    def test_sarif_names_rqlint(self, tmp_path):
+    def test_sarif_one_driver_lists_query_rules(self, tmp_path):
         out = io.StringIO()
-        code = run_query_lint(
-            ["--format", "sarif",
+        code = lint_main(
+            [str(tmp_path), "--format", "sarif",
              "--baseline", str(tmp_path / "none")], out=out)
         assert code == 0
         log = json.loads(out.getvalue())
-        driver = log["runs"][0]["tool"]["driver"]
-        assert driver["name"] == "rqlint"
+        (run,) = log["runs"]
+        driver = run["tool"]["driver"]
+        assert driver["name"] == "replint"
         rule_ids = {r["id"] for r in driver["rules"]}
         assert {"RQL100", "RQL104", "RQL106"} <= rule_ids
 
     def test_replint_sarif_unchanged(self, tmp_path):
-        """The tool parameter must not disturb the replint rendering."""
+        """Folding the query rules in must not disturb the Python
+        findings' rendering."""
         fixture = (pathlib.Path(__file__).parent / "fixtures"
                    / "rpl030_bad.py")
         out = io.StringIO()
@@ -351,21 +352,19 @@ class TestCli:
             '-- rqlint: mechanism=CollateData '
             'qs="SELECT snap_id FROM SnapIds WHERE snap_id <= 3"\n'
             "SELECT ghost FROM nowhere;\n")
-        baseline = tmp_path / "rqlint.baseline"
+        baseline = tmp_path / "replint.baseline"
         out = io.StringIO()
-        assert run_query_lint(
-            [str(bad), "--no-corpus", "--write-baseline",
+        assert lint_main(
+            [str(bad), "--write-baseline",
              "--baseline", str(baseline)], out=out) == 0
         out = io.StringIO()
-        code = run_query_lint(
-            [str(bad), "--no-corpus", "--baseline", str(baseline)],
-            out=out)
+        code = lint_main([str(bad), "--baseline", str(baseline)], out=out)
         assert code == 0
         assert "baselined" in out.getvalue()
 
     def test_missing_path_is_usage_error(self, tmp_path):
         out = io.StringIO()
-        assert run_query_lint(
+        assert lint_main(
             [str(tmp_path / "ghost.sql")], out=out) == 2
 
     def test_explain_rql_rule(self):

@@ -28,7 +28,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.query.driver import _SqlCorpus
+from repro.analysis.query.sqlfile import SqlCorpus
 from repro.bench import harness as bench_harness
 from repro.core import RQLSession
 from repro.core.folds import find_mechanism
@@ -64,7 +64,7 @@ def _example_selects():
     that starts with SELECT (Qs and Qq alike)."""
     found = []
     for path in sorted(EXAMPLES.glob("*.sql")):
-        cases = _SqlCorpus(path.name).parse(path.read_text()).cases
+        cases = SqlCorpus(path.name).parse(path.read_text()).cases
         found.extend((f"{path.name}:{c.name}", c.qq) for c in cases)
     for path in sorted(EXAMPLES.glob("*.py")):
         nodes = list(python_ast.walk(python_ast.parse(path.read_text())))
