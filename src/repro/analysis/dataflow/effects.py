@@ -1,7 +1,6 @@
 """Thread-escape and entry-lock-context analysis (RPL020/RPL021 core).
 
-Built entirely from the call graph plus converged function summaries, so
-it works from cached summaries too:
+Built entirely from the call graph plus converged function summaries:
 
 * **thread roots** — functions passed as ``threading.Thread(target=...)``;
 * **worker region** — everything a root can transitively call.  Resolved

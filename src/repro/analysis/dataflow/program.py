@@ -1,23 +1,23 @@
 """The whole-program view the interprocedural rules are written against.
 
 :class:`Program` bundles the module contexts, the call graph, one CFG
-per function, and the function summaries.  Summaries are computed by
-chaotic iteration: every function is (re-)summarized with the current
-summaries of its callees until nothing changes.  All summary domains
-are finite and grow monotonically, so the loop terminates; in practice
-the repository converges in a handful of passes.
+per function, and the function summaries.  Summaries are solved by a
+worklist over the reverse call graph: every function is queued once,
+callees before callers, and a function whose summary changed re-queues
+its callers.  All summary domains are finite and grow monotonically, so
+the queue drains; a solve that would take more than
+``_MAX_VISITS_PER_FUNCTION`` visits per function on average raises
+:class:`AnalysisError` instead of reporting from unconverged summaries.
 
-Summaries can be persisted to a cache directory keyed on a digest of
-every analyzed source file, which lets CI skip the fixpoint entirely
-when nothing changed (the per-function evidence pass still runs — it
-is a single sweep and needs the ASTs anyway).
+A caller reads callee summaries only through its call sites' targets,
+so when the queue drains each function's last :class:`FunctionResult`
+was computed against its callees' final summaries: that result is the
+evidence (lock edges, taint hits, protocol findings) the rules report.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from pathlib import Path
+from collections import deque
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.analysis.context import ModuleContext
@@ -27,43 +27,31 @@ from repro.analysis.dataflow.effects import EffectsIndex
 from repro.analysis.dataflow.summaries import (
     FunctionResult, FunctionSummary, LockEdge, _LockIndex, summarize,
 )
+from repro.errors import AnalysisError
 
-_MAX_PASSES = 50
-
-#: Bumped whenever the summary schema or any summary-producing pass
-#: changes meaning.  Folded into the cache digest *and* checked against
-#: the payload, so summaries written by an older replint are never
-#: deserialized into the new schema with silently-empty fields.
-ANALYSIS_VERSION = 4
+_MAX_VISITS_PER_FUNCTION = 50
 
 
 class Program:
     """Call graph + CFGs + converged summaries for one set of modules."""
 
-    def __init__(self, contexts: Dict[str, ModuleContext],
-                 cache_dir: Optional[Path] = None,
-                 focus: Optional[Iterable[str]] = None) -> None:
+    def __init__(self, contexts: Dict[str, ModuleContext]) -> None:
         self.contexts = contexts
         self.graph = CallGraph(contexts)
         self._cfgs: Dict[str, CFG] = {}
         self._lock_index = _LockIndex(self.graph)
         self.summaries: Dict[str, FunctionSummary] = {}
         self.results: Dict[str, FunctionResult] = {}
-        self.passes = 0
-        self.cache_hit = False
-        self.focus = set(focus) if focus is not None else None
-        self._focus_scope: Optional[set] = None
+        #: number of ``summarize`` calls the solve made
+        self.visits = 0
         self._effects: Optional[EffectsIndex] = None
-        self._solve(cache_dir)
+        self._solve()
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_contexts(cls, contexts: Iterable[ModuleContext],
-                      cache_dir: Optional[Path] = None,
-                      focus: Optional[Iterable[str]] = None) -> "Program":
-        return cls({ctx.relpath: ctx for ctx in contexts},
-                   cache_dir=cache_dir, focus=focus)
+    def from_contexts(cls, contexts: Iterable[ModuleContext]) -> "Program":
+        return cls({ctx.relpath: ctx for ctx in contexts})
 
     @property
     def effects(self) -> EffectsIndex:
@@ -73,33 +61,6 @@ class Program:
                                          self._lock_index)
         return self._effects
 
-    def focus_scope(self) -> Optional[set]:
-        """Focus modules plus their direct call-graph neighbors.
-
-        ``None`` means no focus was requested — analyze everything.
-        """
-        if self.focus is None:
-            return None
-        if self._focus_scope is None:
-            scope = set(self.focus)
-            # A protocol-spec edit changes what the typestate rules mean
-            # for every implementing class: widen the focus to all
-            # modules defining a protocol class or origin function.
-            if any(module.endswith("analysis/protocols.py")
-                   for module in self.focus):
-                from repro.analysis.protocols import implementing_modules
-
-                scope |= implementing_modules(self.contexts)
-            for func in self.graph.functions.values():
-                for site in self.graph.sites_in(func):
-                    for target in site.targets:
-                        if func.module in scope:
-                            scope.add(target.module)
-                        if target.module in scope:
-                            scope.add(func.module)
-            self._focus_scope = scope
-        return self._focus_scope
-
     def cfg(self, func: FunctionInfo) -> CFG:
         cached = self._cfgs.get(func.qualname)
         if cached is None:
@@ -107,106 +68,74 @@ class Program:
             self._cfgs[func.qualname] = cached
         return cached
 
-    def digest(self) -> str:
-        """Stable digest of every analyzed source file."""
-        hasher = hashlib.sha256()
-        hasher.update(f"v{ANALYSIS_VERSION}".encode())
-        for relpath in sorted(self.contexts):
-            ctx = self.contexts[relpath]
-            hasher.update(relpath.encode())
-            hasher.update(b"\0")
-            hasher.update("\n".join(ctx.lines).encode())
-            hasher.update(b"\0")
-        return hasher.hexdigest()
-
-    def _solve(self, cache_dir: Optional[Path]) -> None:
-        cached = self._load_cache(cache_dir)
-        if cached is not None:
-            self.summaries = cached
-            self.cache_hit = True
-        else:
-            self._fixpoint()
-            self._store_cache(cache_dir)
-        # Final evidence sweep with converged summaries.  Under a focus
-        # (``lint --changed``) only functions in the focused modules and
-        # their call-graph neighbors are re-swept; the converged
-        # summaries for everything else are kept as-is so program-wide
-        # rules still see a complete picture.
-        scope = self.focus_scope()
-        for qualname, func in self.graph.functions.items():
-            if scope is not None and func.module not in scope:
-                continue
-            self.results[qualname] = summarize(
-                func, self.cfg(func), self.graph, self.summaries,
-                lock_index=self._lock_index)
-            self.summaries[qualname] = self.results[qualname].summary
-
-    def _fixpoint(self) -> None:
-        functions = self.graph.functions
-        self.summaries = {
-            qualname: FunctionSummary(qualname=qualname)
-            for qualname in functions
+    def _call_lists(self) -> Tuple[Dict[str, List[str]],
+                                   Dict[str, List[str]]]:
+        """Callees and callers of every function, each list in a fixed
+        order (the visit count must not depend on string hashing)."""
+        callees = {
+            qualname: list(dict.fromkeys(
+                target.qualname
+                for site in self.graph.sites_in(func)
+                for target in site.targets))
+            for qualname, func in self.graph.functions.items()
         }
-        for _ in range(_MAX_PASSES):
-            self.passes += 1
-            changed = False
-            for qualname, func in functions.items():
-                result = summarize(func, self.cfg(func), self.graph,
-                                   self.summaries,
-                                   lock_index=self._lock_index)
-                if result.summary != self.summaries[qualname]:
-                    self.summaries[qualname] = result.summary
-                    changed = True
-            if not changed:
-                break
+        callers: Dict[str, List[str]] = {q: [] for q in callees}
+        for qualname, targets in callees.items():
+            for target in targets:
+                callers[target].append(qualname)
+        return callees, callers
 
-    # -- summary cache -----------------------------------------------------
+    @staticmethod
+    def _callees_first(callees: Dict[str, List[str]]) -> List[str]:
+        """Every function after the callees it reaches, bar cycles: a
+        depth-first post-order of the call graph.  A function visited
+        after its callees have settled usually settles in one visit."""
+        order: List[str] = []
+        seen = set()
+        for root in callees:
+            if root in seen:
+                continue
+            seen.add(root)
+            stack = [(root, iter(callees[root]))]
+            while stack:
+                qualname, pending = stack[-1]
+                for callee in pending:
+                    if callee not in seen:
+                        seen.add(callee)
+                        stack.append((callee, iter(callees[callee])))
+                        break
+                else:
+                    stack.pop()
+                    order.append(qualname)
+        return order
 
-    def _cache_path(self, cache_dir: Path) -> Path:
-        return cache_dir / f"replint-summaries-{self.digest()[:32]}.json"
-
-    def _load_cache(self,
-                    cache_dir: Optional[Path]
-                    ) -> Optional[Dict[str, FunctionSummary]]:
-        if cache_dir is None:
-            return None
-        path = self._cache_path(cache_dir)
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if payload.get("version") != ANALYSIS_VERSION:
-            return None
-        entries = payload.get("summaries")
-        if not isinstance(entries, list):
-            return None
-        summaries: Dict[str, FunctionSummary] = {}
-        try:
-            for entry in entries:
-                summary = FunctionSummary.from_dict(entry)
-                summaries[summary.qualname] = summary
-        except (KeyError, TypeError, ValueError):
-            return None
-        if set(summaries) != set(self.graph.functions):
-            return None
-        return summaries
-
-    def _store_cache(self, cache_dir: Optional[Path]) -> None:
-        if cache_dir is None:
-            return
-        try:
-            cache_dir.mkdir(parents=True, exist_ok=True)
-            payload = {
-                "version": ANALYSIS_VERSION,
-                "summaries": [
-                    self.summaries[qualname].to_dict()
-                    for qualname in sorted(self.summaries)
-                ],
-            }
-            self._cache_path(cache_dir).write_text(
-                json.dumps(payload, indent=0, sort_keys=True))
-        except OSError:
-            return  # caching is best-effort
+    def _solve(self) -> None:
+        functions = self.graph.functions
+        callees, callers = self._call_lists()
+        self.summaries = {qualname: FunctionSummary(qualname=qualname)
+                          for qualname in functions}
+        budget = _MAX_VISITS_PER_FUNCTION * len(functions)
+        queue = deque(self._callees_first(callees))
+        queued = set(queue)
+        while queue:
+            if self.visits >= budget:
+                raise AnalysisError(
+                    f"function summaries did not converge within "
+                    f"{budget} visits ({len(functions)} functions)")
+            qualname = queue.popleft()
+            queued.discard(qualname)
+            func = functions[qualname]
+            result = summarize(func, self.cfg(func), self.graph,
+                               self.summaries, lock_index=self._lock_index)
+            self.visits += 1
+            self.results[qualname] = result
+            if result.summary == self.summaries[qualname]:
+                continue
+            self.summaries[qualname] = result.summary
+            for caller in callers[qualname]:
+                if caller not in queued:
+                    queued.add(caller)
+                    queue.append(caller)
 
     # -- graph views -------------------------------------------------------
 

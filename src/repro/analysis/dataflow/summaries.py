@@ -10,9 +10,10 @@ plugged in, and iterating to a fixpoint over the whole program (see
 :mod:`repro.analysis.dataflow.program`).  All summary domains are
 finite sets that only ever grow, so the fixpoint terminates.
 
-The same analyses, re-run once summaries have converged, also yield the
-per-function *evidence* (lock-order edges, taint flows, protocol leaks
-and violations) the program rules report.
+Each run also yields the per-function *evidence* (lock-order edges,
+taint flows, protocol leaks and violations); the program rules report
+the evidence of each function's last run, which saw its callees' final
+summaries.
 """
 
 from __future__ import annotations
@@ -132,61 +133,6 @@ class FunctionSummary:
     protocol_ops: FrozenSet[Tuple[int, str, str]] = frozenset()
     #: (protocol, state) of the returned value — the exit transformer
     protocol_returns: Optional[Tuple[str, str]] = None
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "qualname": self.qualname,
-            "escape_params": sorted(self.escape_params),
-            "returns_taint": self.returns_taint,
-            "sink_params": sorted(self.sink_params),
-            "acquires_locks": sorted(self.acquires_locks),
-            "attr_writes": [[c, a, l, list(h)]
-                            for c, a, l, h in sorted(self.attr_writes)],
-            "blocking_calls": [[d, l, list(h)]
-                               for d, l, h in sorted(self.blocking_calls)],
-            "call_locks": [[q, list(h)]
-                           for q, h in sorted(self.call_locks)],
-            "constructs": sorted(self.constructs),
-            "durable_sink_params": sorted(self.durable_sink_params),
-            "returns_sealed": self.returns_sealed,
-            "mutates_params": sorted(self.mutates_params),
-            "impure_effects": sorted(self.impure_effects),
-            "protocol_ops": [[i, p, e]
-                             for i, p, e in sorted(self.protocol_ops)],
-            "protocol_returns": list(self.protocol_returns)
-            if self.protocol_returns is not None else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FunctionSummary":
-        return cls(
-            qualname=str(data["qualname"]),
-            escape_params=frozenset(data["escape_params"]),  # type: ignore[arg-type]
-            returns_taint=bool(data["returns_taint"]),
-            sink_params=frozenset(data["sink_params"]),  # type: ignore[arg-type]
-            acquires_locks=frozenset(data["acquires_locks"]),  # type: ignore[arg-type]
-            attr_writes=frozenset(
-                (str(c), str(a), int(l), tuple(h))
-                for c, a, l, h in data["attr_writes"]),  # type: ignore[union-attr]
-            blocking_calls=frozenset(
-                (str(d), int(l), tuple(h))
-                for d, l, h in data["blocking_calls"]),  # type: ignore[union-attr]
-            call_locks=frozenset(
-                (str(q), tuple(h))
-                for q, h in data["call_locks"]),  # type: ignore[union-attr]
-            constructs=frozenset(data["constructs"]),  # type: ignore[arg-type]
-            durable_sink_params=frozenset(data["durable_sink_params"]),  # type: ignore[arg-type]
-            returns_sealed=bool(data["returns_sealed"]),
-            mutates_params=frozenset(data["mutates_params"]),  # type: ignore[arg-type]
-            impure_effects=frozenset(data["impure_effects"]),  # type: ignore[arg-type]
-            protocol_ops=frozenset(
-                (int(i), str(p), str(e))
-                for i, p, e in data["protocol_ops"]),  # type: ignore[union-attr]
-            protocol_returns=(
-                (str(data["protocol_returns"][0]),  # type: ignore[index]
-                 str(data["protocol_returns"][1]))  # type: ignore[index]
-                if data["protocol_returns"] is not None else None),
-        )
 
 
 # -- evidence records -------------------------------------------------------
@@ -322,7 +268,7 @@ def _known_none(test: ast.expr, polarity: bool) -> Optional[str]:
 
 def _stmt_calls(node: CFGNode) -> Tuple[ast.Call, ...]:
     """The calls ``node`` executes, walked once per node and kept on it
-    (every solve of every fixpoint pass asks again)."""
+    (every re-visit of the function in the summary solve asks again)."""
     # Post-order = Python evaluation order: arguments run before the
     # enclosing call, so ``out.append(engine.begin())`` registers the
     # begin site before append decides the value escaped into ``out``.

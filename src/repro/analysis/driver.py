@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
@@ -83,37 +82,22 @@ def _load_context(source: str, relpath: str,
         )]
 
 
-def analyze_contexts(contexts: Sequence[ModuleContext],
-                     cache_dir: Optional[Path] = None,
-                     focus: Optional[Set[str]] = None) -> List[Finding]:
-    """Both analysis phases over an already-parsed set of modules.
-
-    With ``focus`` (a set of module relpaths, from ``lint --changed``)
-    the whole tree is still parsed — the call graph and converged
-    summaries must be complete — but the per-module checkers and the
-    reported program-rule findings are scoped to the focused modules
-    plus their direct call-graph neighbors.
-    """
+def analyze_contexts(contexts: Sequence[ModuleContext]) -> List[Finding]:
+    """Both analysis phases over an already-parsed set of modules."""
     from repro.analysis.dataflow import Program
 
-    return analyze_program(Program.from_contexts(
-        contexts, cache_dir=cache_dir, focus=focus))
+    return analyze_program(Program.from_contexts(contexts))
 
 
 def analyze_program(program) -> List[Finding]:
     """Run every rule over a built :class:`Program` (the test suite
     builds one whole-tree program per session and shares it)."""
-    scope = program.focus_scope()
     findings: List[Finding] = []
     for ctx in program.contexts.values():
-        if scope is not None and ctx.relpath not in scope:
-            continue
         for checker in all_checkers():
             findings.extend(checker.check(ctx))
     for program_checker in all_program_checkers():
-        for finding in program_checker.check_program(program):
-            if scope is None or finding.file in scope:
-                findings.append(finding)
+        findings.extend(program_checker.check_program(program))
     return findings
 
 
@@ -147,7 +131,7 @@ def _collect_contexts(paths: Sequence[Path], lint_sql: bool = True
             # contexts are keyed by relpath downstream, so a collision
             # would silently drop a module from the program.  Qualify
             # with the root's name only when needed — single-root
-            # relpaths (what tests and ``--changed`` match on) keep
+            # relpaths (what tests and scoped rules match on) keep
             # their familiar shape.
             if relpath in seen:
                 relpath = f"{root.name}/{relpath}"
@@ -161,38 +145,6 @@ def _collect_contexts(paths: Sequence[Path], lint_sql: bool = True
             if ctx is not None:
                 contexts.append(ctx)
     return contexts, findings, scanned
-
-
-def _changed_relpaths(contexts: Sequence[ModuleContext],
-                      repo_dir: Optional[Path] = None
-                      ) -> Optional[Set[str]]:
-    """Context relpaths touched per ``git diff HEAD`` + untracked files.
-
-    Returns ``None`` when git is unavailable or errors (callers fall
-    back to a full run — a broken pre-commit hook must not pass by
-    linting nothing).
-    """
-    base = ["git"] if repo_dir is None else ["git", "-C", str(repo_dir)]
-    try:
-        diff = subprocess.run(
-            base + ["diff", "--name-only", "HEAD"],
-            capture_output=True, text=True, check=True)
-        untracked = subprocess.run(
-            base + ["ls-files", "--others", "--exclude-standard"],
-            capture_output=True, text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    changed = [line.strip().replace("\\", "/")
-               for line in (diff.stdout + untracked.stdout).splitlines()
-               if line.strip().endswith(".py")]
-    focus: Set[str] = set()
-    for ctx in contexts:
-        for path in changed:
-            # Git paths are repo-relative, context relpaths are
-            # package-relative — match on the common suffix.
-            if path.endswith("/" + ctx.relpath) or path == ctx.relpath:
-                focus.add(ctx.relpath)
-    return focus
 
 
 def _golden_verdicts() -> Iterator[Tuple[str, str, str, object, object]]:
@@ -247,18 +199,11 @@ def corpus_drift() -> Tuple[List[Finding], int]:
 
 
 def analyze_paths(paths: Sequence[Path],
-                  baseline: Optional[Set[str]] = None,
-                  cache_dir: Optional[Path] = None,
-                  changed_only: bool = False,
-                  repo_dir: Optional[Path] = None) -> AnalysisReport:
+                  baseline: Optional[Set[str]] = None) -> AnalysisReport:
     report = AnalysisReport()
     baseline = baseline or set()
     contexts, findings, report.files_scanned = _collect_contexts(paths)
-    focus: Optional[Set[str]] = None
-    if changed_only:
-        focus = _changed_relpaths(contexts, repo_dir=repo_dir)
-    findings.extend(analyze_contexts(contexts, cache_dir=cache_dir,
-                                     focus=focus))
+    findings.extend(analyze_contexts(contexts))
     drift, report.corpus_entries = corpus_drift()
     findings.extend(drift)
     for finding in findings:
@@ -325,8 +270,7 @@ def _explain(rule_id: str, out) -> int:
     return 0
 
 
-def _dump_graph(which: str, paths: Sequence[Path], out,
-                cache_dir: Optional[Path] = None) -> int:
+def _dump_graph(which: str, paths: Sequence[Path], out) -> int:
     from repro.analysis.dataflow import Program
 
     contexts, findings, _ = _collect_contexts(paths, lint_sql=False)
@@ -334,8 +278,7 @@ def _dump_graph(which: str, paths: Sequence[Path], out,
         for finding in findings:
             print(finding.render(), file=out)
         return 2
-    program = Program({ctx.relpath: ctx for ctx in contexts},
-                      cache_dir=cache_dir)
+    program = Program.from_contexts(contexts)
     if which == "calls":
         print(program.call_graph_dot(), file=out, end="")
     else:
@@ -365,15 +308,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
                         default=None,
                         help="dump the Python call graph / latch-order "
                              "graph as DOT and exit")
-    parser.add_argument("--changed", action="store_true",
-                        help="scope the Python analysis to files in 'git "
-                             "diff HEAD' (plus untracked files) and their "
-                             "call-graph neighbors; falls back to a full "
-                             "run when git is unavailable")
-    parser.add_argument("--cache-dir", type=Path, default=None,
-                        help="directory for the Python summary cache "
-                             "(keyed on a source digest; safe to share "
-                             "across runs)")
     parser.add_argument("--list-rules", action="store_true",
                         help="describe every rule and exit")
     parser.add_argument("--explain", metavar="RULE", default=None,
@@ -397,17 +331,15 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
             print(f"replint: no such path: {path}", file=out)
         return 2
 
-    if args.graph is not None:
-        return _dump_graph(args.graph, paths, out, cache_dir=args.cache_dir)
-
     baseline_path = args.baseline or Path(DEFAULT_BASELINE)
     try:
-        baseline = load_baseline(baseline_path)
+        if args.graph is not None:
+            return _dump_graph(args.graph, paths, out)
+        report = analyze_paths(paths, load_baseline(baseline_path))
     except AnalysisError as exc:
+        # A malformed baseline, or summaries that did not converge.
         print(f"replint: {exc}", file=out)
         return 2
-    report = analyze_paths(paths, baseline, cache_dir=args.cache_dir,
-                           changed_only=args.changed)
 
     if args.write_baseline:
         save_baseline(baseline_path, report.findings + report.baselined)

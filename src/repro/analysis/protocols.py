@@ -32,7 +32,7 @@ survived probe) and guarded cleanups out of the findings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 #: subject selectors for events
 RECV = "recv"       #: the method receiver (``subject.event(...)``)
@@ -251,29 +251,3 @@ ADVANCING_EVENT_NAMES: FrozenSet[str] = frozenset(
     for event in spec.events
     if event.transitions
 )
-
-#: all implementing class names, for scope computations
-PROTOCOL_CLASS_NAMES: FrozenSet[str] = frozenset(
-    name for spec in SPECS for name in spec.classes
-)
-
-
-def implementing_modules(contexts) -> Set[str]:
-    """Module relpaths that define a protocol class or origin.
-
-    Used by ``lint --changed``: an edit to this spec registry must
-    re-lint every module implementing a protocol, not just the registry
-    file's own call-graph neighbors.
-    """
-    import ast
-
-    modules: Set[str] = {module for module, _ in
-                         (origin for spec in SPECS
-                          for origin in spec.origins)}
-    for relpath, ctx in contexts.items():
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ClassDef) \
-                    and node.name in PROTOCOL_CLASS_NAMES:
-                modules.add(relpath)
-                break
-    return {m for m in modules if m in contexts}

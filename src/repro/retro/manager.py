@@ -34,9 +34,9 @@ from repro.retro.metrics import MetricsSink
 from repro.retro.pagelog import Pagelog
 from repro.retro.snapshot_cache import SnapshotPageCache
 from repro.storage import checksums
+from repro.storage.btree import MutablePageSource
 from repro.storage.disk import SimulatedDisk
 from repro.storage.page import Page
-from repro.storage.pager import PageSource
 
 PAGELOG_FILE = "pagelog"
 MAPLOG_FILE = "maplog"
@@ -310,7 +310,7 @@ class RetroManager:
                 self.mark_unavailable(entry.from_snap, entry.to_snap)
 
 
-class SnapshotPageSource(PageSource):
+class SnapshotPageSource(MutablePageSource):
     """Resolves page fetches as of one snapshot.
 
     Fetch order mirrors the paper: SPT lookup -> snapshot page cache ->

@@ -59,13 +59,16 @@ Decoder = Callable[[bytes, bytes], object]
 
 
 class MutablePageSource:
-    """Page access protocol the B+tree needs for writes.
+    """Page access protocol of the B+tree: ``fetch`` for reads, the
+    other verbs for writes.
 
-    The current-state implementation is the transaction page workspace
-    (:mod:`repro.storage.transaction`); snapshot readers implement only
-    ``fetch`` and the tree's read paths never call the rest.  A fetched
-    page needs no release: holding the reference is what keeps it valid
-    (DESIGN.md, "What keeps a fetched page alive").
+    ``fetch`` is the one verb Retro interposes on.  The current-state
+    implementation is the transaction page workspace
+    (:mod:`repro.storage.transaction`); read-only sources (snapshot
+    readers, the MVCC read path) override only ``fetch`` and inherit
+    write verbs that raise, which the tree's read paths never call.  A
+    fetched page needs no release: holding the reference is what keeps
+    it valid (DESIGN.md, "What keeps a fetched page alive").
     """
 
     def fetch(self, page_id: int) -> Page:
@@ -325,8 +328,8 @@ class BTree:
     """A B+tree rooted at a fixed page id.
 
     Read-only operations (:meth:`get`, :meth:`scan_from`, :meth:`scan_all`)
-    work against any :class:`~repro.storage.pager.PageSource`; mutating
-    operations require a :class:`MutablePageSource`.
+    need only :meth:`MutablePageSource.fetch`; mutating operations need a
+    source whose write verbs are implemented.
 
     With a ``decode`` function the tree is a typed view: reads hand out
     ``decode(key, value)`` entries instead of raw values, and a full scan

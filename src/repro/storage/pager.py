@@ -3,8 +3,9 @@
 The pager owns the meta page, the free list, and the buffer pool.
 It is also the *fetch interposition point* the Retro snapshot system relies
 on: every page read from the SQL layer goes through a
-:class:`PageSource`, and snapshot queries simply substitute a snapshot
-reader for the pager (see :mod:`repro.retro.manager`).
+:class:`~repro.storage.btree.MutablePageSource`, and snapshot queries
+simply substitute a snapshot reader for the pager (see
+:mod:`repro.retro.manager`).
 
 Meta page layout (after the shared page header)::
 
@@ -47,13 +48,6 @@ _U64 = struct.Struct("<Q")
 
 META_PAGE_ID = 0
 _CRC_OFFSET = HEADER_SIZE + _U32.size + _U64.size  # after magic + seq
-
-
-class PageSource:
-    """Read-only page access protocol: the one verb Retro interposes on."""
-
-    def fetch(self, page_id: int) -> Page:
-        raise NotImplementedError
 
 
 class Pager:

@@ -112,11 +112,7 @@ class TransactionPageSource(MutablePageSource):
         self._txn.ensure_active()
         page_id = self._allocate_id()
         page = Page(page_id, page_size=self._page_size)
-        # Workers are only spawned with no open write txn (_check_idle),
-        # so no TransactionPageSource is live while they run; the static
-        # worker region reaches here only through PageSource dispatch
-        # over-approximation (ephemeral indexes use memory sources).
-        self._txn.overlay[page_id] = page  # replint: race-exempt -- single-writer protocol, see above
+        self._txn.overlay[page_id] = page
         self._txn.allocated.append(page_id)
         self._txn.dirty.add(page_id)
         page.dirty = True

@@ -1,9 +1,11 @@
 """One whole-tree replint analysis per test session.
 
-Building the call graph and converging the summaries over ``src/repro``
-+ ``benchmarks`` + ``examples`` takes about a minute; the dogfood tests
-(``test_replint_self``) and the real-tree gates (``test_replint_v3``)
-all read this one program instead of re-deriving it three times.
+Building the call graph and solving the summaries over ``src/repro``
++ ``benchmarks`` + ``examples`` takes several seconds (the rules on top
+a few more); the dogfood tests (``test_replint_self``), the real-tree
+gates (``test_replint_v3``) and the whole-tree visit bound
+(``test_summary_solve``) all read this one program instead of
+re-deriving it.
 """
 
 import pathlib

@@ -92,23 +92,6 @@ def test_cli_graph_dumps(tmp_path):
     assert "open_txn" in dot
 
 
-def test_cli_cache_dir_roundtrip(tmp_path):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    bad = str(FIXTURES / "rpl030_bad.py")
-    first = io.StringIO()
-    assert main([bad, "--baseline", str(tmp_path / "none"),
-                 "--cache-dir", str(cache)], out=first) == 1
-    artifacts = list(cache.glob("replint-summaries-*.json"))
-    assert len(artifacts) == 1
-    # Second run loads the summary cache and reports identically.
-    second = io.StringIO()
-    assert main([bad, "--baseline", str(tmp_path / "none"),
-                 "--cache-dir", str(cache)], out=second) == 1
-    assert first.getvalue() == second.getvalue()
-    assert list(cache.glob("replint-summaries-*.json")) == artifacts
-
-
 def test_cli_list_rules():
     out = io.StringIO()
     assert main(["--list-rules"], out=out) == 0

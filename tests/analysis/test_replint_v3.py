@@ -1,6 +1,6 @@
 """replint v3 gates: escape/durability layer over the real tree.
 
-Four contracts beyond the fixture corpus:
+Three contracts beyond the fixture corpus:
 
 * the ``--graph latches`` inventory reflects every latch the codebase
   assigns (not just latches that already participate in an ordering
@@ -11,20 +11,14 @@ Four contracts beyond the fixture corpus:
 * seeded mutants — deleting the ``_ErrorBoard`` latch acquire in
   ``core/parallel.py``, replacing the checksummed block append in
   ``storage/logfile.py`` with a raw append — are each caught by the
-  matching rule;
-* the summary disk cache invalidates on an analysis-version bump and
-  on payloads missing the v3 summary fields, not only on source digest.
+  matching rule.
 """
 
 import json
-import subprocess
-import textwrap
 
 import pytest
 
-from repro.analysis.dataflow.program import ANALYSIS_VERSION, Program
 from repro.analysis.driver import (
-    analyze_paths,
     analyze_source,
     package_root,
     _rule_descriptions,
@@ -203,139 +197,3 @@ def test_sarif_round_trip_covers_rules_regions_and_suppressions(tmp_path):
     (suppression,) = suppressed[0]["suppressions"]
     assert suppression["kind"] == "external"
     assert suppression["justification"]
-
-
-# -- summary-cache versioning -------------------------------------------------
-
-CACHE_MODULE = textwrap.dedent(
-    """
-    def helper(x):
-        return x + 1
-
-    def caller(x):
-        return helper(x)
-    """
-)
-
-
-def _program(cache_dir):
-    from repro.analysis.context import ModuleContext
-
-    ctx = ModuleContext.from_source(CACHE_MODULE, "core/cachemod.py")
-    return Program({"core/cachemod.py": ctx}, cache_dir=cache_dir)
-
-
-def test_cache_round_trip_hits(tmp_path):
-    first = _program(tmp_path)
-    assert not first.cache_hit
-    second = _program(tmp_path)
-    assert second.cache_hit
-    assert second.summaries.keys() == first.summaries.keys()
-
-
-def test_cache_rejects_older_analysis_version(tmp_path):
-    first = _program(tmp_path)
-    path = first._cache_path(tmp_path)
-    payload = json.loads(path.read_text())
-    # A payload written by the previous analysis version at the SAME
-    # digest path must be treated as a miss, not deserialized.
-    payload["version"] = ANALYSIS_VERSION - 1
-    path.write_text(json.dumps(payload))
-    again = _program(tmp_path)
-    assert not again.cache_hit
-
-
-def test_cache_rejects_payload_missing_v3_fields(tmp_path):
-    first = _program(tmp_path)
-    path = first._cache_path(tmp_path)
-    payload = json.loads(path.read_text())
-    for entry in payload["summaries"]:
-        # A PR-2-era summary: right version stamp (say, a hand-rolled
-        # or corrupted artifact), missing the escape/effect fields.
-        entry.pop("attr_writes", None)
-        entry.pop("durable_sink_params", None)
-    path.write_text(json.dumps(payload))
-    again = _program(tmp_path)
-    assert not again.cache_hit
-
-
-def test_digest_folds_the_analysis_version(tmp_path):
-    program = _program(tmp_path)
-    assert f"v{ANALYSIS_VERSION}" != "v1"
-    digest = program.digest()
-    # Recompute by hand with the version constant to pin the contract.
-    import hashlib
-
-    hasher = hashlib.sha256()
-    hasher.update(f"v{ANALYSIS_VERSION}".encode())
-    for relpath in sorted(program.contexts):
-        ctx = program.contexts[relpath]
-        hasher.update(relpath.encode())
-        hasher.update(b"\0")
-        hasher.update("\n".join(ctx.lines).encode())
-        hasher.update(b"\0")
-    assert digest == hasher.hexdigest()
-
-
-# -- lint --changed -----------------------------------------------------------
-
-CHANGED_CLEAN = textwrap.dedent(
-    """
-    def stable(x):
-        return x + 1
-    """
-)
-
-CHANGED_DIRTY = textwrap.dedent(
-    """
-    import threading
-
-
-    class Gate:
-        def __init__(self):
-            self._latch = threading.Lock()
-
-        def stop(self, thread):
-            with self._latch:
-                thread.join()
-    """
-)
-
-
-def _git(tmp_path, *args):
-    subprocess.run(
-        ["git", "-C", str(tmp_path), *args], check=True,
-        capture_output=True,
-        env={"GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
-             "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t",
-             "HOME": str(tmp_path), "PATH": "/usr/bin:/bin:/usr/local/bin"},
-    )
-
-
-def test_changed_mode_scopes_to_the_git_diff(tmp_path):
-    package = tmp_path / "core"
-    package.mkdir()
-    (package / "stable.py").write_text(CHANGED_CLEAN, encoding="utf-8")
-    (package / "gate.py").write_text(CHANGED_CLEAN, encoding="utf-8")
-    _git(tmp_path, "init", "-q")
-    _git(tmp_path, "add", ".")
-    _git(tmp_path, "commit", "-qm", "seed")
-
-    # Nothing changed: --changed analyzes (and reports) nothing.
-    report = analyze_paths([tmp_path], changed_only=True,
-                           repo_dir=tmp_path)
-    assert report.findings == []
-
-    # Dirty one file with an RPL021 case: only it is reported.
-    (package / "gate.py").write_text(CHANGED_DIRTY, encoding="utf-8")
-    report = analyze_paths([tmp_path], changed_only=True,
-                           repo_dir=tmp_path)
-    assert report.findings, "--changed missed a finding in a dirty file"
-    assert {f.file for f in report.findings} == {"core/gate.py"}
-    assert {f.rule for f in report.findings} == {"RPL021"}
-
-    # The same tree without --changed reports the same findings (the
-    # scoped run is a subset filter, not a different analysis).
-    full = analyze_paths([tmp_path])
-    assert {(f.rule, f.file, f.line) for f in report.findings} \
-        <= {(f.rule, f.file, f.line) for f in full.findings}

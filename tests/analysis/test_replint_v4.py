@@ -1,6 +1,6 @@
 """replint v4 gates: the protocol typestate layer (RPL030, RPL031, RPL033).
 
-Five contracts beyond the fixture corpus:
+Four contracts beyond the fixture corpus:
 
 * the typestate engine is *interprocedural* — a ``commit`` buried in a
   helper still transitions the caller's transaction — and *path-aware*
@@ -11,11 +11,8 @@ Five contracts beyond the fixture corpus:
   rollback, opening ``Database.reading``'s read context outside its
   with-statement, reading through the Retro manager before ``recover``,
   double-arming the chaos sweep) are each caught by the matching rule;
-* the summary disk cache invalidates on payloads missing the v4
-  protocol fields, not only on digest/version changes;
-* ``lint --changed`` widens a protocol-spec edit to every module
-  implementing a protocol class, so spec changes re-lint their
-  implementing surfaces;
+* the summaries carry the protocol fields callers replay: the events a
+  function applies to a parameter and the state of the value it returns;
 * multi-root runs keep colliding relpaths apart (``__init__.py`` under
   two roots must not evict one module from the program).
 """
@@ -35,7 +32,7 @@ from repro.analysis.driver import (
     main,
     package_root,
 )
-from repro.analysis.protocols import SPECS, implementing_modules
+from repro.analysis.protocols import SPECS
 
 SRC = package_root()
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -287,9 +284,9 @@ def test_double_armed_crash_schedule_is_caught():
     assert all("schedule_crash" in f.message for f in findings)
 
 
-# -- summary-cache invalidation on the v4 fields ------------------------------
+# -- the protocol fields of a summary ----------------------------------------
 
-CACHE_MODULE = textwrap.dedent(
+PROTOCOL_MODULE = textwrap.dedent(
     """
     def finish(engine, txn):
         engine.commit(txn)
@@ -301,66 +298,25 @@ CACHE_MODULE = textwrap.dedent(
 )
 
 
-def _program(cache_dir):
-    ctx = ModuleContext.from_source(CACHE_MODULE, "core/cachemod.py")
-    return Program({"core/cachemod.py": ctx}, cache_dir=cache_dir)
+PROTOCOL_FIELDS = {
+    "protocol_ops": ("finish", frozenset({(1, "txn", "commit")})),
+    "protocol_returns": ("begin", ("txn", "active")),
+}
 
 
-@pytest.mark.parametrize("dropped", ["protocol_ops", "protocol_returns"])
-def test_cache_rejects_payload_missing_v4_fields(tmp_path, dropped):
-    import json
+@pytest.mark.parametrize("field", sorted(PROTOCOL_FIELDS))
+def test_cache_rejects_payload_missing_v4_fields(field):
+    """No solved summary is missing a v4 protocol field.
 
-    first = _program(tmp_path)
-    assert not first.cache_hit
-    summary = first.summaries["core/cachemod.py::finish"]
-    assert summary.protocol_ops == frozenset({(1, "txn", "commit")})
-    begun = first.summaries["core/cachemod.py::begin"]
-    assert begun.protocol_returns == ("txn", "active")
-
-    path = first._cache_path(tmp_path)
-    payload = json.loads(path.read_text())
-    for entry in payload["summaries"]:
-        entry.pop(dropped, None)
-    path.write_text(json.dumps(payload))
-    again = _program(tmp_path)
-    assert not again.cache_hit
-    assert again.summaries["core/cachemod.py::finish"].protocol_ops \
-        == summary.protocol_ops
-
-
-# -- protocol-spec edits widen --changed --------------------------------------
-
-
-def test_focus_on_protocol_specs_widens_to_implementing_classes():
-    modules = {
-        "analysis/protocols.py": "SPECS = ()\n",
-        "storage/engine.py": textwrap.dedent(
-            """
-            class StorageEngine:
-                def begin(self):
-                    return object()
-            """
-        ),
-        "core/unrelated.py": "def helper(x):\n    return x\n",
-    }
-    contexts = {
-        relpath: ModuleContext.from_source(source, relpath)
-        for relpath, source in modules.items()
-    }
-    program = Program(contexts, focus={"analysis/protocols.py"})
-    scope = program.focus_scope()
-    assert "storage/engine.py" in scope
-    assert "core/unrelated.py" not in scope
-
-
-def test_implementing_modules_cover_every_spec_class_in_the_tree():
-    contexts, findings, _ = _collect_contexts([SRC])
-    assert findings == []
-    modules = implementing_modules(
-        {ctx.relpath: ctx for ctx in contexts})
-    # Every protocol class/origin shipped in the tree is accounted for.
-    assert {"storage/engine.py", "storage/mvcc.py", "retro/manager.py",
-            "storage/chaosdisk.py"} <= modules
+    The name is kept from when summaries could be read back from a disk
+    cache that had to refuse payloads without these fields; summaries are
+    now solved on every run, so the check is that each one carries them.
+    """
+    ctx = ModuleContext.from_source(PROTOCOL_MODULE, "core/protomod.py")
+    program = Program({"core/protomod.py": ctx})
+    function, expected = PROTOCOL_FIELDS[field]
+    summary = program.summaries[f"core/protomod.py::{function}"]
+    assert getattr(summary, field) == expected
 
 
 # -- multi-root relpath collisions -------------------------------------------
