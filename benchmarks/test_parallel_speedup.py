@@ -46,9 +46,9 @@ def run_parallel_speedup():
     env.clear_snapshot_cache()
     session.execute(f'DROP TABLE IF EXISTS "{TABLE}"')
     executor = ParallelExecutor(session.db, workers=WORKERS,
-                                charges=BENCH_CHARGES,
                                 clock=time.thread_time)
-    parallel = executor.aggregate_data_in_variable(qs, QQ_IO, TABLE, "avg")
+    parallel = executor.run("AggregateDataInVariable", qs, QQ_IO, TABLE,
+                            "avg")
     info = parallel.parallel
     makespan = parallel_makespan_seconds(info)
     parallel_rows = session.execute(f'SELECT * FROM "{TABLE}"').rows

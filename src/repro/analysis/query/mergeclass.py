@@ -17,7 +17,7 @@ merge class          merge law
                      (AggregateDataInTable)
 ``interval-stitch``  boundary stitching of adjacent per-partition
                      intervals (CollateDataIntoIntervals)
-``serial-only``      no merge law exists; parallel execution refused
+``serial-only``      no merge law exists; the run is one partition
 ===================  =====================================================
 
 The certificate also carries the query's read-set (tables, columns,
@@ -26,10 +26,13 @@ bounds of the Qs — the inputs ROADMAP's incremental-view and
 cost-planner work need.  Diagnostics RQL100-106 ride along as
 :class:`~repro.analysis.findings.Finding` objects.
 
-``repro.core.parallel.ParallelExecutor`` consumes the certificate: it
-looks its merge implementation up *by merge class* and raises
-``MechanismError`` for ``serial-only`` (or a class that does not match
-the mechanism), so a wrong certificate cannot silently merge wrong.
+``repro.core.parallel.ParallelExecutor`` certifies every run itself and
+reads one rule off the verdict: two or more partitions need a
+certificate whose class is the fold's class; one partition never does.
+A ``serial-only`` verdict (or a class that does not match the
+mechanism) therefore runs as one partition, stepping Qq over the
+snapshots in serial order, so a wrong certificate cannot silently merge
+wrong.
 """
 
 from __future__ import annotations

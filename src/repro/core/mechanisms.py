@@ -117,9 +117,8 @@ class _LoopBody:
         """Drive the loop body over Qs's snapshot ids.
 
         ``cancel`` (an object with ``is_set()``, e.g. threading.Event)
-        is polled between iterations: the server's scheduler sets it
-        when a client disconnects mid-query, and the run stops at the
-        next snapshot boundary with :class:`QueryCancelled`.
+        is polled between iterations: once it is set, the run stops at
+        the next snapshot boundary with :class:`QueryCancelled`.
         """
         validate_qs(qs)
         snapshot_ids = [int(row[0]) for row in self.db.execute(qs).rows]

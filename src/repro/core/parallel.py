@@ -18,19 +18,22 @@ snapshots of adjacent partitions interact — and it preserves the
 hot-iteration page sharing the paper measures, since consecutive
 snapshots share most Pagelog slots.
 
-Every run first obtains an rqlint **merge certificate**
-(:func:`repro.analysis.query.mergeclass.certify_mechanism`, or a
-pre-built one via the ``certificate`` kwarg) and is admitted only when
-the *certified* merge class is the class of the mechanism's fold:
-``concat``, ``monoid``, ``stored-row`` or ``interval-stitch``.  A
-``serial-only`` verdict — a non-monoid aggregate, a non-mergeable
-column function, a stateful builtin in the Qq — has no fold to merge
-and is refused with :class:`~repro.errors.MechanismError` carrying the
-RQL1NN diagnostics, instead of being silently merged wrong.
+**One runner rule**, decided in :meth:`ParallelExecutor.run` and
+nowhere else: two or more partitions need a certificate whose class is
+the fold's class; one partition never does.  Every run certifies itself
+against the live catalog (:func:`certify`, the rqlint merge-class
+analysis) before it reads Qs.  A certified class that is the mechanism's
+(``concat``, ``monoid``, ``stored-row`` or ``interval-stitch``) splits
+Qs into ``min(workers, len(Qs))`` partitions; any other verdict —
+``serial-only`` for a non-monoid aggregate, a non-mergeable column
+function, a stateful builtin in the Qq — runs as one partition, which
+steps Qq over the snapshots in serial order and re-associates nothing.
+The certified class is recorded on :class:`ParallelRunInfo`, so a
+one-partition run shows why it was not split.
 
 Equivalence with the serial mechanisms is proven by the differential
-harness in ``tests/core/test_parallel_equivalence.py``; certificate
-consumption (including refusal on stripped/forged certificates) by
+harness in ``tests/core/test_parallel_equivalence.py``; the runner rule
+over every runnable corpus entry, serial-only ones included, by
 ``tests/core/test_parallel_certificates.py``.
 """
 
@@ -39,7 +42,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.folds import (
     Fold,
@@ -97,23 +100,18 @@ def partition_snapshots(snapshot_ids: Sequence[int],
 
 @dataclass
 class ParallelRunInfo:
-    """Telemetry for one parallel run.
+    """Telemetry for one run of the executor.
 
-    ``worker_eval_seconds`` is captured at join time, before the merge
-    phase mutates any sink, so :meth:`makespan_seconds` models the
-    wall-clock of truly concurrent workers: the slowest partition's
-    evaluation plus the serial merge.
+    ``merge_class`` is the certified class the runner rule read: a run
+    whose class is not its mechanism's is one partition, whatever
+    ``workers`` asked for.
     """
 
     workers: int
+    merge_class: str
     partitions: List[List[int]] = field(default_factory=list)
     worker_sinks: List[MetricsSink] = field(default_factory=list)
-    worker_eval_seconds: List[float] = field(default_factory=list)
     merge_seconds: float = 0.0
-
-    def makespan_seconds(self) -> float:
-        return max(self.worker_eval_seconds, default=0.0) \
-            + self.merge_seconds
 
 
 class _Partial:
@@ -182,61 +180,32 @@ class ParallelExecutor:
     """
 
     def __init__(self, db: Database, workers: int = 2,
-                 charges=None, clock: Optional[Callable[[], float]] = None,
+                 clock: Optional[Callable[[], float]] = None,
                  cancel: Optional[threading.Event] = None) -> None:
         if workers < 1:
             raise MechanismError("workers must be >= 1")
         self.db = db
         self.workers = workers
-        self._charges = charges
         self._clock = clock if clock is not None else time.perf_counter
         #: external cancel event (client disconnect / server shutdown)
         self._cancel = cancel
-        #: telemetry of the most recent run (also on ``RQLResult.parallel``)
-        self.last_run: Optional[ParallelRunInfo] = None
-
-    # -- certification ------------------------------------------------------
-
-    def certify(self, mechanism: str, qs: str, qq: str, arg=None):
-        """rqlint certificate for one invocation (see :func:`certify`)."""
-        return certify(self.db, mechanism, qs, qq, arg)
-
-    def _admit(self, spec: Mechanism, qs: str, qq: str, arg,
-               certificate) -> None:
-        """Admit the run only when the certified merge class is the
-        class of the fold that would merge it.
-
-        The check is keyed off ``certificate.merge_class`` — so a
-        ``serial-only`` verdict (or a forged/mismatched certificate)
-        has no fold to reach and is refused with the certificate's
-        diagnostics instead of silently merged wrong.
-        """
-        cert = certificate if certificate is not None \
-            else self.certify(spec.name, qs, qq, arg)
-        if cert.merge_class != spec.merge_class:
-            reasons = "; ".join(
-                f"{f.rule}: {f.message}" for f in cert.errors
-            ) or (f"certified merge class {cert.merge_class!r}, "
-                  f"{spec.name} merges by {spec.merge_class!r}")
-            raise MechanismError(
-                f"rqlint refuses parallel execution of {spec.name}: "
-                f"{reasons}"
-            )
-
-    # -- mechanism entry points ---------------------------------------------
 
     def run(self, mechanism: str, qs: str, qq: str, table: str,
-            arg=None, persistent: bool = False,
-            certificate=None) -> RQLResult:
-        """Partition Qs, fold each partition on a worker, merge the
-        folds left to right, write T once."""
+            arg=None, persistent: bool = False) -> RQLResult:
+        """Certify the run, partition Qs by the runner rule, fold each
+        partition on a worker, merge the folds left to right, write T
+        once."""
         spec = find_mechanism(mechanism)
         spec.fold(arg)  # reject a bad aggregate argument before threading
         self._check_idle()
-        self._admit(spec, qs, qq, arg, certificate)
-        snapshot_ids = self._snapshot_ids(qs)
-        partitions = partition_snapshots(snapshot_ids, self.workers)
-        partials, info = self._run_partitions(partitions, spec, arg, qq)
+        merge_class = certify(self.db, spec.name, qs, qq, arg).merge_class
+        validate_qs(qs)
+        snapshot_ids = [int(row[0]) for row in self.db.execute(qs).rows]
+        # The runner rule: only a certified merge law may re-associate.
+        partitions = partition_snapshots(
+            snapshot_ids,
+            self.workers if merge_class == spec.merge_class else 1)
+        partials = self._run_partitions(partitions, spec, arg, qq)
         clock = self._clock
         merge_started = clock()
         result = None
@@ -248,7 +217,12 @@ class ParallelExecutor:
         if result is not None:
             with self.db.transaction():
                 write_result(self.db, table, result, persistent)
-        info.merge_seconds = clock() - merge_started
+        info = ParallelRunInfo(
+            workers=self.workers, merge_class=merge_class,
+            partitions=partitions,
+            worker_sinks=[p.sink for p in partials],
+            merge_seconds=clock() - merge_started,
+        )
         sink = self._new_sink(0)
         for worker_sink in info.worker_sinks:
             sink.adopt(worker_sink.iterations)
@@ -260,41 +234,7 @@ class ParallelExecutor:
             parallel=info,
         )
 
-    def collate_data(self, qs: str, qq: str, table: str,
-                     persistent: bool = False,
-                     certificate=None) -> RQLResult:
-        """Parallel CollateData(Qs, Qq, T)."""
-        return self.run("CollateData", qs, qq, table, None, persistent,
-                        certificate)
-
-    def aggregate_data_in_variable(self, qs: str, qq: str, table: str,
-                                   agg_func: str,
-                                   persistent: bool = False,
-                                   certificate=None) -> RQLResult:
-        """Parallel AggregateDataInVariable(Qs, Qq, T, AggFunc)."""
-        return self.run("AggregateDataInVariable", qs, qq, table, agg_func,
-                        persistent, certificate)
-
-    def aggregate_data_in_table(self, qs: str, qq: str, table: str,
-                                col_func_pairs,
-                                persistent: bool = False,
-                                certificate=None) -> RQLResult:
-        """Parallel AggregateDataInTable(Qs, Qq, T, ListOfColFuncPairs)."""
-        return self.run("AggregateDataInTable", qs, qq, table,
-                        col_func_pairs, persistent, certificate)
-
-    def collate_data_into_intervals(self, qs: str, qq: str, table: str,
-                                    persistent: bool = False,
-                                    certificate=None) -> RQLResult:
-        """Parallel CollateDataIntoIntervals(Qs, Qq, T)."""
-        return self.run("CollateDataIntoIntervals", qs, qq, table, None,
-                        persistent, certificate)
-
     # -- worker machinery ---------------------------------------------------
-
-    def _snapshot_ids(self, qs: str) -> List[int]:
-        validate_qs(qs)
-        return [int(row[0]) for row in self.db.execute(qs).rows]
 
     def _check_idle(self) -> None:
         if self.db._in_explicit_txn or self.db._main.txn is not None \
@@ -304,13 +244,12 @@ class ParallelExecutor:
             )
 
     def _new_sink(self, worker: int) -> MetricsSink:
-        sink = MetricsSink(self._charges, clock=self._clock)
+        sink = MetricsSink(clock=self._clock)
         sink.worker = worker
         return sink
 
     def _run_partitions(self, partitions: List[List[int]], spec: Mechanism,
-                        arg, qq: str) -> Tuple[List[_Partial],
-                                               ParallelRunInfo]:
+                        arg, qq: str) -> List[_Partial]:
         """Step a private fold over each partition on worker threads;
         raises the first partition's error (in partition order) after
         every worker has stopped.
@@ -321,7 +260,6 @@ class ParallelExecutor:
         :class:`~repro.errors.QueryCancelled` once every worker has
         retired — never while a worker still runs.
         """
-        self._check_idle()
         if self._cancel is not None and self._cancel.is_set():
             raise QueryCancelled("query cancelled before admission")
         partials = [
@@ -364,13 +302,4 @@ class ParallelExecutor:
             raise QueryCancelled(
                 "query cancelled while partitions were running"
             )
-        info = ParallelRunInfo(
-            workers=self.workers,
-            partitions=partitions,
-            worker_sinks=[p.sink for p in partials],
-            worker_eval_seconds=[
-                p.sink.total_seconds() for p in partials
-            ],
-        )
-        self.last_run = info
-        return partials, info
+        return partials

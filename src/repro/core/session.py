@@ -26,7 +26,7 @@ from typing import Callable, Dict, Iterator, Optional, Tuple
 from repro.core.folds import MECHANISMS, MONOID, Mechanism, find_mechanism
 from repro.core.mechanisms import RQLResult, _quote
 from repro.core.parallel import ParallelExecutor, certify
-from repro.core.snapids import SnapIds
+from repro.core.snapids import SnapIds, check_labels
 from repro.errors import MechanismError
 from repro.retro.metrics import MetricsSink
 from repro.retro.views import RefreshReport, ViewManager
@@ -119,6 +119,7 @@ class RQLSession:
         hold so concurrent sessions cannot interleave between them —
         SnapIds row order always matches snapshot-id order.
         """
+        check_labels(name, timestamp)
         with self.db.write_lock():
             snapshot_id = self.db.declare_snapshot()
             self.snapids.record(snapshot_id, name=name, timestamp=timestamp)
@@ -127,6 +128,7 @@ class RQLSession:
     def commit_with_snapshot(self, name: Optional[str] = None,
                              timestamp: Optional[str] = None) -> int:
         """COMMIT WITH SNAPSHOT for an already-open transaction."""
+        check_labels(name, timestamp)
         with self.db.write_lock():
             snapshot_id = int(
                 self.db.execute("COMMIT WITH SNAPSHOT").scalar()
@@ -149,6 +151,7 @@ class RQLSession:
                 session.execute("UPDATE ...")
             snap = txn.snapshot_id
         """
+        check_labels(name, timestamp)
         handle = TransactionHandle()
         self.db.execute("BEGIN")
         try:
@@ -195,7 +198,8 @@ class RQLSession:
                       arg=None, persistent: bool = False,
                       workers: Optional[int] = None, cancel=None) -> RQLResult:
         """Run one mechanism into a fresh result table T: the serial
-        loop at ``workers == 1``, the partition/merge executor above.
+        loop at ``workers == 1``, the partition/merge executor above
+        (one partition when the certificate has no merge law).
 
         ``cancel`` is polled at snapshot boundaries on either path.
         """
@@ -252,7 +256,8 @@ class RQLSession:
         Resolves Qs/Qq in the session's statement context — temp
         before main, the open transaction's DDL, the UDF registry —
         without executing either; the same verdict the parallel
-        executor consumes.  See :mod:`repro.analysis.query.mergeclass`.
+        executor reads its partition count from.  See
+        :mod:`repro.analysis.query.mergeclass`.
         """
         return certify(self.db, mechanism, qs, qq, arg)
 

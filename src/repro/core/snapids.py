@@ -119,5 +119,17 @@ class SnapIds:
         )
 
 
+def check_labels(name: Optional[str], timestamp: Optional[str]) -> None:
+    """A snapshot's name and timestamp are text or absent.
+
+    Checked before the snapshot is declared, so a bad label can never
+    leave a declared snapshot id without its SnapIds row.
+    """
+    for label, value in (("name", name), ("timestamp", timestamp)):
+        if value is not None and not isinstance(value, str):
+            raise RqlError(f"snapshot {label} must be a string, "
+                           f"not {type(value).__name__}")
+
+
 def _escape(text: str) -> str:
     return text.replace("'", "''")

@@ -7,8 +7,8 @@ Layering (each module only reaches down):
 * :mod:`repro.server.registry` — :class:`SessionRegistry`: open/close/
   lookup with reap-on-teardown leak accounting;
 * :mod:`repro.server.scheduler` — :class:`QueryScheduler`:
-  certificate-gated concurrent retrospective queries with per-ticket
-  cancellation;
+  concurrent retrospective queries through the partition/merge
+  executor, with per-ticket cancellation;
 * :mod:`repro.server.server` — :class:`RQLServer` /
   :class:`ClientHandle`: the in-process multi-client API;
 * :mod:`repro.server.wire` — :class:`WireServer` / :class:`WireClient`:

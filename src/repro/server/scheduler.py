@@ -6,35 +6,26 @@ any number of tickets across sessions run concurrently without blocking
 writers; result-table writes (and only those) take the shared write
 gate.
 
-Admission is **certificate-gated** (the rqlint merge-class analysis),
-and every ticket is certified, whatever its worker count:
-
-* a mechanism whose certificate matches its expected merge class
-  (``concat``, ``monoid``, ``stored-row``, ``interval-stitch``) runs the
-  fold/merge executor with ``min(workers, len(Qs))`` partitions — one
-  at ``workers=1`` — each a short-lived thread (at most
-  :data:`MAX_QUERY_WORKERS`) folding its snapshots in memory through
-  private read contexts, all joined before the merged result is written
-  in **one** gated transaction;
-* a ``serial-only`` verdict (stateful builtin in Qq, non-monoid
-  aggregate, ...) runs the table-backed serial loop instead, one write
-  transaction per snapshot — still concurrently with other sessions'
-  queries, just not folded in memory.
-
-So a ticket's runner depends on its certificate, not on its worker
-count: reads pinned to a declared snapshot need no isolation, and only
-installing the result takes the write gate.  (The embedded session
-keeps the serial loop at ``workers=1``: it is the paper's reference
-loop and the differential oracle the server is compared against.)
+Every ticket runs the fold/merge executor
+(:class:`~repro.core.parallel.ParallelExecutor`), whatever its worker
+count: each partition a short-lived thread (at most
+:data:`MAX_QUERY_WORKERS`) folding its snapshots in memory through
+private read contexts, all joined before the merged result is written
+in **one** gated transaction.  How many partitions a ticket gets is the
+executor's runner rule, not the scheduler's: up to ``workers`` when the
+run's merge law allows re-association, one otherwise.  Reads pinned to a
+declared snapshot need no isolation, and only installing the result
+takes the write gate.  (The embedded session keeps the serial loop at
+``workers=1``: it is the paper's reference loop and the differential
+oracle the server is compared against.)
 
 A ticket refuses to run inside its session's open explicit
-transaction, before it certifies or writes anything, with
+transaction, before it reads or writes anything, with
 :class:`~repro.errors.MechanismError` at every worker count; the
 transaction stays open.
 
-Every ticket carries a cancel event wired into both paths: the serial
-loop polls it between snapshot iterations, the parallel executor's
-partition workers poll it between iterations and the run surfaces
+Every ticket carries a cancel event: the executor's partition workers
+poll it between iterations and the run surfaces
 :class:`~repro.errors.QueryCancelled` after every worker retired.  The
 server sets it when a client disconnects mid-query; the scheduler then
 drops the partial result table so a cancelled query leaves no debris.
@@ -85,10 +76,6 @@ class QueryTicket:
         #: refresh tickets
         self.result = None
         self.error: Optional[BaseException] = None
-        #: True when the run went through the fold/merge executor —
-        #: possibly as one partition (``workers=1``); False for the
-        #: serial loop a ``serial-only`` certificate gets
-        self.partitioned = False
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         return self.done.wait(timeout)
@@ -138,14 +125,6 @@ class QueryScheduler:
         return self._dispatch(session, mechanism, table, work,
                               drop_partial=True)
 
-    def run(self, session: RQLSession, mechanism: str, qs: str, qq: str,
-            table: str, arg: object = None, persistent: bool = False,
-            workers: Optional[int] = None) -> RQLResult:
-        """Synchronous convenience wrapper around :meth:`submit`."""
-        return self.submit(session, mechanism, qs, qq, table, arg=arg,
-                           persistent=persistent,
-                           workers=workers).outcome()
-
     def submit_refresh(self, session: RQLSession, name: str,
                        full: bool = False) -> QueryTicket:
         """Run ``REFRESH MATERIALIZED VIEW name`` asynchronously.
@@ -170,12 +149,6 @@ class QueryScheduler:
 
         return self._dispatch(session, "refresh_view", name, work,
                               drop_partial=False)
-
-    def refresh(self, session: RQLSession, name: str,
-                full: bool = False):
-        """Synchronous convenience wrapper around :meth:`submit_refresh`;
-        returns the :class:`~repro.retro.views.RefreshReport`."""
-        return self.submit_refresh(session, name, full=full).outcome()
 
     # -- execution ----------------------------------------------------------
 
@@ -230,25 +203,10 @@ class QueryScheduler:
                 "a retrospective query cannot run inside an open "
                 "transaction; COMMIT or ROLLBACK first"
             )
-        spec = find_mechanism(ticket.mechanism)
-        certificate = session.certify(spec.name, qs, qq, arg)
-        if ticket.cancel.is_set():
-            raise QueryCancelled(
-                f"query over {table!r} cancelled before admission"
-            )
-        ticket.partitioned = certificate.merge_class == spec.merge_class
-        if not ticket.partitioned:
-            # Where the embedded session refuses a serial-only
-            # certificate at workers > 1, the server falls back to the
-            # serial loop.
-            return session.run_mechanism(
-                spec.name, qs, qq, table, arg, persistent, workers=1,
-                cancel=ticket.cancel,
-            )
         session._drop_result_table(table)
         return ParallelExecutor(
             session.db, workers=count, cancel=ticket.cancel,
-        ).run(spec.name, qs, qq, table, arg, persistent, certificate)
+        ).run(ticket.mechanism, qs, qq, table, arg, persistent)
 
     def _drop_partial(self, session: RQLSession, table: str) -> None:
         """A cancelled run must not leave a half-built result table."""

@@ -15,7 +15,10 @@ single JSON objects per line::
     <- {"ok": true, "table": "Result", "rows": 42, "snapshots": [...]}
 
 Errors come back as ``{"ok": false, "error": "<class>",
-"message": "..."}`` and keep the connection usable.  A vanished peer
+"message": "..."}`` and keep the connection usable; a field of the
+wrong JSON type (a non-string ``sql``, ``mechanism``, ``qs``, ``qq``,
+``table`` or ``name``, a non-bool ``persistent``, a non-integer
+``workers``) is a ``BadRequest``, never coerced.  A vanished peer
 (EOF, reset) is an **abrupt disconnect**: the serving thread kills the
 session through the scheduler's cancel path, so a client that dies
 mid-query leaks nothing.
@@ -35,6 +38,15 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import ReproError, ServerError
 
 from repro.server.server import ClientHandle, RQLServer
+
+
+#: request field -> the JSON type it must carry when present; null only
+#: stands for an absent optional field (``workers`` is checked apart:
+#: an integer that is not a bool)
+_FIELD_TYPES = {
+    "sql": str, "mechanism": str, "qs": str, "qq": str, "table": str,
+    "name": (str, type(None)), "persistent": (bool, type(None)),
+}
 
 
 def _bad_request(message: str) -> Tuple[Dict[str, Any], bool]:
@@ -165,16 +177,19 @@ class WireServer:
         if workers is not None and (isinstance(workers, bool)
                                     or not isinstance(workers, int)):
             return _bad_request(f"non-integer workers {workers!r}")
+        for key, kind in _FIELD_TYPES.items():
+            if key in request and not isinstance(request[key], kind):
+                return _bad_request(f"wrong-typed {key} {request[key]!r}")
         op = request.get("op")
         try:
             if op == "ping":
                 return {"ok": True, "session": handle.name}, False
             if op == "execute":
-                result = handle.execute(str(request["sql"]))
+                result = handle.execute(request["sql"])
                 return {"ok": True, "columns": list(result.columns),
                         "rows": [list(r) for r in result.rows]}, False
             if op == "script":
-                result = handle.executescript(str(request["sql"]))
+                result = handle.executescript(request["sql"])
                 payload: Dict[str, Any] = {"ok": True}
                 if result is not None:
                     payload["columns"] = list(result.columns)
@@ -185,10 +200,9 @@ class WireServer:
                 return {"ok": True, "snapshot_id": sid}, False
             if op == "mechanism":
                 result = handle._mechanism(
-                    str(request["mechanism"]), str(request["qs"]),
-                    str(request["qq"]), str(request["table"]),
-                    self._decode_arg(request.get("arg")),
-                    bool(request.get("persistent", False)),
+                    request["mechanism"], request["qs"], request["qq"],
+                    request["table"], self._decode_arg(request.get("arg")),
+                    request.get("persistent") is True,
                     request.get("workers"), True)
                 return {"ok": True, "table": result.table,
                         "rows": result.result_rows,

@@ -8,8 +8,9 @@ serves three consumers:
   certify each entry against :data:`CORPUS_SCHEMA` and compare;
 * the differential gate (``tests/core/test_parallel_certificates.py``)
   *runs* every ``runnable`` entry serially and at ``workers=4`` and
-  asserts byte-identical results for mergeable verdicts — a false
-  "mergeable" verdict fails there, not in review;
+  asserts byte-identical results (or the same error) for every verdict,
+  serial-only ones running as one partition — a false "mergeable"
+  verdict fails there, not in review;
 * every ``repro.cli lint`` run re-certifies the corpus
   (:func:`repro.analysis.driver.corpus_drift`), so a
   rule regression shows up in CI output immediately.

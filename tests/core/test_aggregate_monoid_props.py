@@ -287,6 +287,7 @@ def test_interval_gap_reopens():
 
 
 def test_core_registry_agrees_with_the_certificate_side():
-    """``_admit`` refuses unless the certified class is the fold's."""
+    """The executor splits Qs only when the certified class is the
+    fold's class, so both sides must name the same class."""
     assert {name: m.merge_class for name, m in MECHANISMS.items()} \
         == MECHANISM_CLASSES

@@ -1,10 +1,17 @@
 """RQL mechanism tests against the paper's LoggedIn example and the
 mechanism-equivalence properties from DESIGN.md."""
 
+import threading
+
 import pytest
 
 from repro.core import RQLSession
-from repro.errors import AggregateError, MechanismError, PlanError
+from repro.errors import (
+    AggregateError,
+    MechanismError,
+    PlanError,
+    QueryCancelled,
+)
 from repro.workloads import LoggedInSimulator
 
 
@@ -329,3 +336,35 @@ class TestResultTableNames:
         with pytest.raises(PlanError, match="no such table"):
             s.execute(select)
         assert s.execute("SELECT x FROM victim").rows == [(1,)]
+
+
+class TestCancel:
+    def test_serial_loop_stops_at_the_next_snapshot(self):
+        """The embedded ``workers=1`` loop polls ``cancel`` between
+        snapshot iterations: set during snapshot 2, the run never starts
+        snapshot 3."""
+        s = RQLSession()
+        s.execute("CREATE TABLE events (val INTEGER)")
+        for n in range(4):
+            s.execute(f"INSERT INTO events VALUES ({n})")
+            s.declare_snapshot()
+        cancel = threading.Event()
+        seen = set()
+
+        def probe(value, snapshot_id):
+            seen.add(int(snapshot_id))
+            if int(snapshot_id) == 2:
+                cancel.set()
+            return value
+
+        s.db.register_function("probe", probe)
+        qq = "SELECT probe(val, current_snapshot()) FROM events"
+        qs = "SELECT snap_id FROM SnapIds ORDER BY snap_id"
+        with pytest.raises(QueryCancelled, match="before snapshot 3"):
+            s.run_mechanism("CollateData", qs, qq, "R", workers=1,
+                            cancel=cancel)
+        assert seen == {1, 2}
+        result = s.run_mechanism("CollateData", qs, qq, "R", workers=1,
+                                 cancel=threading.Event())
+        assert result.parallel is None  # the serial loop, not a fold
+        assert result.snapshots == [1, 2, 3, 4]

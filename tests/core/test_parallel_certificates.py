@@ -1,16 +1,16 @@
-"""Certificate consumption by the parallel executor.
+"""The runner rule: the certificate picks the partition count.
 
-Two halves:
+Two or more partitions need a certificate whose class is the fold's
+class; one partition never does.  Two halves:
 
 * the **differential gate** runs every runnable corpus entry serially
-  and at ``workers=4``.  Mergeable verdicts must produce byte-identical
-  result tables and database state; ``serial-only`` verdicts must be
-  refused at ``workers=4``.  A false "mergeable" verdict fails here,
-  not in review.
-* **certificate plumbing**: the executor consumes the certificate (a
-  stripped/forged one is refused with the rqlint diagnostics), and
-  ``session.certify`` exposes the same verdict against the live
-  catalog.
+  and at ``workers=4``.  Every verdict must produce byte-identical
+  result tables and database state, or raise the same error: mergeable
+  verdicts split into partitions, ``serial-only`` ones run as one
+  partition.  A false "mergeable" verdict fails here, not in review.
+* **certificate plumbing**: the executor certifies every run itself (a
+  forged or mismatched verdict is never split), and ``session.certify``
+  exposes the same verdict against the live catalog.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import dataclasses
 import pytest
 
 from repro.analysis.query.mergeclass import SERIAL_ONLY
-from repro.core import RQLSession
+from repro.core import RQLSession, parallel
 from repro.core.parallel import ParallelExecutor
-from repro.errors import MechanismError, ReproError
+from repro.errors import ReproError
 from repro.workloads.corpus import CORPUS, run_entry
 from repro.workloads.loggedin import setup_paper_example
 from tests.conftest import full_database_dump
@@ -53,49 +53,87 @@ def gate_session(entry, tpch_small):
     return session
 
 
-@pytest.mark.parametrize("entry", MERGEABLE, ids=lambda e: e.name)
-def test_mergeable_entries_are_byte_identical(entry, tpch_small):
+def run_outcome(session: RQLSession, entry, table: str, workers: int):
+    """(result, result table, database dump), or the raised error's
+    (class, message) with the dump."""
+    try:
+        result = run_entry(session, entry, table, workers=workers)
+    except ReproError as exc:
+        return ((type(exc), str(exc)), None,
+                full_database_dump(session.db))
+    return result, result_table(session, table), \
+        full_database_dump(session.db)
+
+
+def assert_workers_4_is_workers_1(entry, tpch_small):
+    """The gate: ``workers=4`` is byte-identical to ``workers=1`` (result
+    table and ``full_database_dump``) or raises the same error; returns
+    the ``workers=4`` result and result table (None when both
+    raised)."""
     session = gate_session(entry, tpch_small)
     table = "CertGate_" + entry.name.replace("-", "_")
     try:
-        serial = run_entry(session, entry, table, workers=1)
+        serial, serial_rows, serial_state = run_outcome(
+            session, entry, table, workers=1)
+        parallel_run, rows, state = run_outcome(
+            session, entry, table, workers=4)
+        if isinstance(serial, tuple):
+            assert parallel_run == serial, \
+                f"{entry.name}: workers=4 raised differently"
+            assert state == serial_state
+            return None, None
         assert serial.parallel is None
-        serial_rows = result_table(session, table)
-        serial_state = full_database_dump(session.db)
-
-        parallel = run_entry(session, entry, table, workers=4)
-        assert parallel.parallel is not None
-        assert parallel.parallel.workers == 4
-        assert parallel.snapshots == serial.snapshots
-        assert result_table(session, table) == serial_rows, \
+        assert parallel_run.parallel is not None
+        assert parallel_run.parallel.workers == 4
+        assert parallel_run.parallel.merge_class == entry.expected_class
+        assert parallel_run.snapshots == serial.snapshots
+        assert rows == serial_rows, \
             f"{entry.name}: result table diverged at workers=4"
-        assert full_database_dump(session.db) == serial_state, \
+        assert state == serial_state, \
             f"{entry.name}: database state diverged at workers=4"
-        if entry.name == "loggedin-empty-range":
-            assert serial.snapshots == []
-            assert serial_rows is None
+        return parallel_run, rows
     finally:
         session.execute(f'DROP TABLE IF EXISTS "{table}"')
 
 
+@pytest.mark.parametrize("entry", MERGEABLE, ids=lambda e: e.name)
+def test_mergeable_entries_are_byte_identical(entry, tpch_small):
+    result, rows = assert_workers_4_is_workers_1(entry, tpch_small)
+    assert result is not None
+    assert len(result.parallel.partitions) \
+        == min(4, len(result.snapshots))
+    if entry.name == "loggedin-empty-range":
+        assert result.snapshots == []
+        assert rows is None
+
+
 @pytest.mark.parametrize("entry", SERIAL, ids=lambda e: e.name)
 def test_serial_only_entries_are_refused_in_parallel(entry, tpch_small):
-    session = gate_session(entry, tpch_small)
-    with pytest.raises(ReproError):
-        run_entry(session, entry, "CertRefused", workers=4)
-    assert result_table(session, "CertRefused") is None
+    """A ``serial-only`` verdict is refused a split, not refused a run:
+    at ``workers=4`` it is one partition, byte-identical to the serial
+    loop, or raises the serial loop's error."""
+    result, _ = assert_workers_4_is_workers_1(entry, tpch_small)
+    if result is not None:
+        assert result.parallel.merge_class == SERIAL_ONLY
+        assert result.parallel.partitions == [result.snapshots]
 
 
 def test_workers_knob_runs_serially_but_not_in_parallel(tpch_small):
-    """The RQL106 entry isolates certificate-driven refusal: the Qq is
-    valid SQL the serial path executes, so only ``_admit`` can reject
-    it."""
+    """The RQL106 entry isolates the runner rule: the Qq is valid SQL
+    the serial path executes, so only the certificate keeps
+    ``workers=4`` from splitting it — and the one-partition run equals
+    the ``workers=1`` run."""
     entry = [e for e in SERIAL if e.name == "loggedin-workers-knob"][0]
     session = gate_session(entry, tpch_small)
-    result = run_entry(session, entry, "KnobHistory", workers=1)
-    assert result.snapshots == [1, 2, 3]
-    with pytest.raises(MechanismError, match="rqlint refuses parallel"):
-        run_entry(session, entry, "KnobHistory", workers=4)
+    serial = run_entry(session, entry, "KnobHistory", workers=1)
+    assert serial.snapshots == [1, 2, 3]
+    serial_rows = result_table(session, "KnobHistory")
+    serial_state = full_database_dump(session.db)
+    result = run_entry(session, entry, "KnobHistory", workers=4)
+    assert result.parallel.merge_class == SERIAL_ONLY
+    assert result.parallel.partitions == [[1, 2, 3]]
+    assert result_table(session, "KnobHistory") == serial_rows
+    assert full_database_dump(session.db) == serial_state
 
 
 def test_non_monoid_aggregates_rejected_at_any_worker_count(tpch_small):
@@ -106,8 +144,9 @@ def test_non_monoid_aggregates_rejected_at_any_worker_count(tpch_small):
         if entry.name == "loggedin-workers-knob":
             continue
         session = gate_session(entry, tpch_small)
-        with pytest.raises(ReproError):
-            run_entry(session, entry, "CertRefused", workers=1)
+        for workers in (1, 4):
+            with pytest.raises(ReproError):
+                run_entry(session, entry, "CertRefused", workers=workers)
 
 
 class TestCertificatePlumbing:
@@ -116,6 +155,20 @@ class TestCertificatePlumbing:
         rql = RQLSession()
         setup_paper_example(rql)
         return rql
+
+    @staticmethod
+    def serial_rows(session, table):
+        session.collate_data(PAPER_QS, PAPER_QQ, table, workers=1)
+        return result_table(session, table)
+
+    @staticmethod
+    def run_with_verdict(session, monkeypatch, verdict, table):
+        """Run CollateData at ``workers=2`` with the executor's own
+        certification answering ``verdict``."""
+        monkeypatch.setattr(parallel, "certify",
+                            lambda *args, **kwargs: verdict)
+        return ParallelExecutor(session.db, workers=2).run(
+            "CollateData", PAPER_QS, PAPER_QQ, table)
 
     def test_session_certify_surface(self, session):
         certificate = session.certify("CollateData", PAPER_QS, PAPER_QQ)
@@ -131,35 +184,41 @@ class TestCertificatePlumbing:
         assert not refused.mergeable
         assert any(f.rule == "RQL106" for f in refused.findings)
 
-    def test_forged_certificate_is_refused(self, session):
-        executor = ParallelExecutor(session.db, workers=2)
-        honest = executor.certify("CollateData", PAPER_QS, PAPER_QQ)
+    def test_forged_certificate_is_refused(self, session, monkeypatch):
+        """A forged ``serial-only`` verdict is refused a split: one
+        partition, the serial loop's result."""
+        expected = self.serial_rows(session, "Serial")
+        honest = session.certify("CollateData", PAPER_QS, PAPER_QQ)
         forged = dataclasses.replace(honest, merge_class=SERIAL_ONLY)
-        with pytest.raises(MechanismError,
-                           match="rqlint refuses parallel"):
-            executor.collate_data(PAPER_QS, PAPER_QQ, "Forged",
-                                  certificate=forged)
+        result = self.run_with_verdict(session, monkeypatch, forged,
+                                       "Forged")
+        assert result.parallel.merge_class == SERIAL_ONLY
+        assert result.parallel.partitions == [[1, 2, 3]]
+        assert result_table(session, "Forged") == expected
 
-    def test_mismatched_certificate_is_refused(self, session):
+    def test_mismatched_certificate_is_refused(self, session, monkeypatch):
         """A certificate for a different mechanism has the wrong merge
-        class; dispatch is keyed off the certificate, so it cannot
-        reach concat."""
-        executor = ParallelExecutor(session.db, workers=2)
-        monoid = executor.certify(
+        class; the partition count is keyed off the certificate, so it
+        cannot reach concat's merge."""
+        expected = self.serial_rows(session, "Serial")
+        monoid = session.certify(
             "AggregateDataInVariable", PAPER_QS,
             "SELECT COUNT(*) AS online FROM LoggedIn", "max")
         assert monoid.merge_class == "monoid"
-        with pytest.raises(MechanismError,
-                           match="rqlint refuses parallel"):
-            executor.collate_data(PAPER_QS, PAPER_QQ, "Mismatched",
-                                  certificate=monoid)
+        result = self.run_with_verdict(session, monkeypatch, monoid,
+                                       "Mismatched")
+        assert result.parallel.merge_class == "monoid"
+        assert result.parallel.partitions == [[1, 2, 3]]
+        assert result_table(session, "Mismatched") == expected
 
     def test_honest_certificate_is_accepted(self, session):
-        executor = ParallelExecutor(session.db, workers=2)
-        honest = executor.certify("CollateData", PAPER_QS, PAPER_QQ)
-        result = executor.collate_data(PAPER_QS, PAPER_QQ, "Honest",
-                                       certificate=honest)
+        expected = self.serial_rows(session, "Serial")
+        result = ParallelExecutor(session.db, workers=2).run(
+            "CollateData", PAPER_QS, PAPER_QQ, "Honest")
         assert result.snapshots == [1, 2, 3]
+        assert result.parallel.merge_class == "concat"
+        assert result.parallel.partitions == [[1, 2], [3]]
+        assert result_table(session, "Honest") == expected
 
 
 class TestCertificationResolvesLikeExecution:

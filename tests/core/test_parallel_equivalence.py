@@ -141,7 +141,7 @@ def test_collate_data_differential(batches):
     _serial_then_parallel(
         session,
         lambda: session.collate_data(QS, qq, "R", workers=1),
-        lambda ex: ex.collate_data(QS, qq, "R"),
+        lambda ex: ex.run("CollateData", QS, qq, "R"),
         "R",
     )
 
@@ -156,7 +156,7 @@ def test_aggregate_in_variable_differential(batches, func):
         session,
         lambda: session.aggregate_data_in_variable(
             QS, qq, "R", func, workers=1),
-        lambda ex: ex.aggregate_data_in_variable(QS, qq, "R", func),
+        lambda ex: ex.run("AggregateDataInVariable", QS, qq, "R", func),
         "R",
     )
 
@@ -175,7 +175,7 @@ def test_aggregate_in_table_differential(batches, funcs):
         session,
         lambda: session.aggregate_data_in_table(
             QS, qq, "R", pairs, workers=1),
-        lambda ex: ex.aggregate_data_in_table(QS, qq, "R", pairs),
+        lambda ex: ex.run("AggregateDataInTable", QS, qq, "R", pairs),
         "R",
     )
 
@@ -189,7 +189,7 @@ def test_collate_into_intervals_differential(batches):
         session,
         lambda: session.collate_data_into_intervals(
             QS, qq, "R", workers=1),
-        lambda ex: ex.collate_data_into_intervals(QS, qq, "R"),
+        lambda ex: ex.run("CollateDataIntoIntervals", QS, qq, "R"),
         "R",
     )
 

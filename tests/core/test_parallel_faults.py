@@ -89,7 +89,7 @@ def test_udf_fault_mid_partition_aborts_cleanly(mechanism, extra, qq,
     session.db.register_function("boom", boom)
     executor = ParallelExecutor(session.db, workers=3)
     with pytest.raises(ReproError, match="injected"):
-        getattr(executor, mechanism)(QS, qq, "R", *extra)
+        executor.run(mechanism, QS, qq, "R", *extra)
 
     assert _reader_counts(session) == (0, 0)
     assert _result_tables(session) == [], \
@@ -120,7 +120,8 @@ def test_page_source_fault_releases_every_snapshot_page(monkeypatch):
     monkeypatch.setattr(RetroManager, "snapshot_source", patched)
     executor = ParallelExecutor(session.db, workers=4)
     with pytest.raises(ReproError, match="injected"):
-        executor.collate_data(QS, "SELECT grp, val FROM events", "R")
+        executor.run("CollateData", QS, "SELECT grp, val FROM events",
+                     "R")
 
     assert any(w.fail_fetch_at and w.fetches >= w.fail_fetch_at
                for w in wrappers), "fault never reached a snapshot source"
@@ -179,7 +180,7 @@ def test_first_error_in_partition_order_wins():
     qq = "SELECT grp, boom(val, current_snapshot()) AS val FROM events"
     executor = ParallelExecutor(session.db, workers=3)
     with pytest.raises(ReproError, match="injected at 2"):
-        executor.collate_data(QS, qq, "R")
+        executor.run("CollateData", QS, qq, "R")
     assert 2 in failed
 
 

@@ -52,6 +52,26 @@ class TestSnapIds:
         with pytest.raises(RqlError):
             session.snapids.qs_last(3)
 
+    @pytest.mark.parametrize("declare", [
+        lambda s: s.declare_snapshot(name=5),
+        lambda s: s.declare_snapshot(timestamp=20180101),
+        lambda s: s.transaction(with_snapshot=True, name=5).__enter__(),
+        lambda s: (s.execute("BEGIN"), s.commit_with_snapshot(name=[5])),
+    ], ids=["declare-name", "declare-timestamp", "transaction",
+            "commit-with-snapshot"])
+    def test_no_snapshot_id_without_its_snapids_row(self, session, declare):
+        """A non-text label is refused before the snapshot is declared,
+        so no snapshot id exists that a Qs over SnapIds would miss."""
+        session.execute("CREATE TABLE t (a INTEGER)")
+        with pytest.raises(RqlError, match="must be a string"):
+            declare(session)
+        if session.db._in_explicit_txn:
+            session.execute("ROLLBACK")
+        assert session.latest_snapshot_id == 0
+        assert session.snapids.all_ids() == []
+        sid = session.declare_snapshot(name="after")
+        assert session.snapids.all_ids() == [sid] == [1]
+
 
 class TestUdfForm:
     """The paper's Section 3 syntax: mechanisms invoked as UDFs over the

@@ -17,20 +17,22 @@ import threading
 
 import pytest
 
+from repro.core import parallel
 from repro.errors import PlanError, QueryCancelled
 from repro.server import RQLServer
 
 QS = "SELECT snap_id FROM SnapIds ORDER BY snap_id"
 SNAPSHOTS = 6
 BRAKED = "SELECT braking(val), current_snapshot() FROM events"
-#: certified ``serial-only`` (a stateful builtin): the serial loop
+#: certified ``serial-only`` (a stateful builtin): one partition
 BRAKED_SERIAL = \
     "SELECT braking(val), current_snapshot(), rql_workers() FROM events"
-#: (workers, Qq) per runner: a certified Qq runs the fold/merge executor
-#: at every worker count, one partition at ``workers=1``
+#: (workers, Qq, partitions): a ``serial-only`` Qq is one partition even
+#: at ``workers=4``; a certified one is one partition at ``workers=1``
 RUNNERS = pytest.mark.parametrize(
-    "workers, qq", [(1, BRAKED_SERIAL), (1, BRAKED), (4, BRAKED)],
-    ids=["serial-loop", "one-partition", "partitioned"])
+    "workers, qq, partitions",
+    [(4, BRAKED_SERIAL, 1), (1, BRAKED, 1), (4, BRAKED, 4)],
+    ids=["serial-only", "one-partition", "partitioned"])
 
 
 @pytest.fixture
@@ -38,6 +40,22 @@ def server():
     srv = RQLServer(gate_timeout=30.0)
     yield srv
     srv.close()
+
+
+@pytest.fixture
+def partition_counts(monkeypatch):
+    """How many partitions each executor run split its Qs into (a
+    cancelled ticket has no ``result.parallel`` to read it from)."""
+    counts = []
+    real = parallel.partition_snapshots
+
+    def spy(snapshot_ids, workers):
+        partitions = real(snapshot_ids, workers)
+        counts.append(len(partitions))
+        return partitions
+
+    monkeypatch.setattr(parallel, "partition_snapshots", spy)
+    return counts
 
 
 def _populate(handle, snapshots: int = SNAPSHOTS) -> None:
@@ -75,7 +93,8 @@ def _kill_while_parked(handle, ticket, brake) -> None:
 
 
 @RUNNERS
-def test_kill_mid_query_cancels_and_leaks_nothing(server, workers, qq):
+def test_kill_mid_query_cancels_and_leaks_nothing(server, partition_counts,
+                                                  workers, qq, partitions):
     victim = server.connect("victim")
     observer = server.connect("observer")
     _populate(victim)
@@ -85,7 +104,7 @@ def test_kill_mid_query_cancels_and_leaks_nothing(server, workers, qq):
                                  block=False)
     _kill_while_parked(victim, ticket, brake)
     assert isinstance(ticket.error, QueryCancelled)
-    assert ticket.partitioned is (qq == BRAKED)
+    assert partition_counts == [partitions]
     with pytest.raises(QueryCancelled):
         ticket.outcome()
     # The half-built result table was dropped: no debris visible to
@@ -104,8 +123,8 @@ def test_kill_mid_query_cancels_and_leaks_nothing(server, workers, qq):
 
 
 @RUNNERS
-def test_cancelled_run_drops_its_own_table_whatever_its_name(server,
-                                                             workers, qq):
+def test_cancelled_run_drops_its_own_table_whatever_its_name(
+        server, workers, qq, partitions):
     """The result-table name arrives over the wire; the cancel path
     (``_drop_partial``) quotes it like every other user, so a name that
     ends its own quoting drops the half-built table and nothing else."""

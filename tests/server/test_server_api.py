@@ -1,7 +1,7 @@
 """RQLServer surface: in-process API, the wire protocol, the serve CLI.
 
 Covers the pieces the differential harness and fault tests don't:
-certificate-gated scheduling verdicts, per-session one-query-at-a-time
+the runner rule as a ticket sees it, per-session one-query-at-a-time
 dispatch, the shared write gate's reentrancy and timeout, the JSON
 wire protocol (including error responses and abrupt peer death), and
 ``python -m repro.cli serve --selftest``.
@@ -15,6 +15,7 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.core import parallel
 from repro.errors import (
     MechanismError,
     ParseError,
@@ -70,32 +71,36 @@ def test_scheduler_runs_certified_queries_partitioned(server):
         QS, "SELECT val, current_snapshot() FROM events", "R",
         workers=4, block=False)
     result = ticket.outcome()
-    assert ticket.partitioned, "concat-certified query should partition"
-    assert result.parallel is not None
+    assert result.parallel.merge_class == "concat"
+    assert result.parallel.partitions == [[1], [2], [3]], \
+        "concat-certified query should partition"
     assert result.snapshots == [1, 2, 3]
-    # A serial-only verdict (a stateful builtin in Qq) takes the serial
-    # loop at every worker count.
+    # A serial-only verdict (a stateful builtin in Qq) is one partition
+    # at every worker count, and its result is the serial loop's.
+    qq = "SELECT val, rql_workers() FROM events"
+    client.session.collate_data(QS, qq, "E", workers=1)
+    expected = client.execute("SELECT * FROM E").rows
     for workers in (1, 4):
-        ticket = client.collate_data(
-            QS, "SELECT val, rql_workers() FROM events", "S",
-            workers=workers, block=False)
+        ticket = client.collate_data(QS, qq, "S", workers=workers,
+                                     block=False)
         result = ticket.outcome()
-        assert not ticket.partitioned
-        assert result.parallel is None
+        assert result.parallel.merge_class == "serial-only"
+        assert result.parallel.partitions == [[1, 2, 3]]
         assert result.snapshots == [1, 2, 3]
+        assert client.execute("SELECT * FROM S").rows == expected
     client.close()
 
 
 def test_scheduler_folds_a_certified_workers_1_ticket(server):
-    """The runner follows the certificate, not the worker count: a
-    certified ``workers=1`` ticket is one partition of the fold/merge
-    executor, and its result is the serial loop's."""
+    """Every ticket runs the fold/merge executor: a certified
+    ``workers=1`` ticket is one partition, and its result is the serial
+    loop's."""
     client = server.connect("alice")
     _populate(client)
     qq = "SELECT val, current_snapshot() FROM events"
     ticket = client.collate_data(QS, qq, "R", workers=1, block=False)
     result = ticket.outcome()
-    assert ticket.partitioned
+    assert result.parallel.merge_class == "concat"
     assert result.parallel.workers == 1
     assert result.parallel.partitions == [[1, 2, 3]]
     assert result.snapshots == [1, 2, 3]
@@ -117,7 +122,7 @@ def test_a_ticket_inside_an_open_transaction_is_refused(server, workers,
     client.execute("BEGIN")
     client.execute("INSERT INTO events VALUES (5, 50)")
     certified = []
-    monkeypatch.setattr(client.session, "certify",
+    monkeypatch.setattr(parallel, "certify",
                         lambda *args: certified.append(args))
     with pytest.raises(MechanismError, match="open transaction"):
         client.collate_data(
@@ -308,11 +313,25 @@ def test_wire_errors_keep_the_connection_usable(server, wire):
     ({"workers": 10 ** 6}, "ServerError"),
     ([1], "BadRequest"),
     ("x", "BadRequest"),
+    ({"table": None}, "BadRequest"),
+    ({"table": 7}, "BadRequest"),
+    ({"persistent": "no"}, "BadRequest"),
+    ({"mechanism": 5}, "BadRequest"),
+    ({"qs": ["SELECT 1"]}, "BadRequest"),
+    ({"qq": {"a": 1}}, "BadRequest"),
+    ({"op": "execute", "sql": 7}, "BadRequest"),
+    ({"op": "script", "sql": None}, "BadRequest"),
+    ({"op": "snapshot", "name": 5}, "BadRequest"),
 ], ids=["workers-str", "workers-list", "workers-float", "workers-bool",
-        "workers-zero", "workers-million", "frame-list", "frame-str"])
+        "workers-zero", "workers-million", "frame-list", "frame-str",
+        "table-null", "table-int", "persistent-str", "mechanism-int",
+        "qs-list", "qq-object", "sql-int", "script-sql-null",
+        "snapshot-name-int"])
 def test_wire_answers_malformed_frames(server, wire, frame, error):
-    """A bad ``workers`` or a non-object frame gets a reply, and the
-    connection survives it — neither a dead session nor a dead thread."""
+    """A bad ``workers``, a wrong-typed field or a non-object frame gets
+    a reply, and the connection survives it — neither a dead session
+    nor a dead thread.  Nothing is coerced: no result table, no
+    snapshot comes of a rejected frame."""
     host, port = wire.address
     with WireClient(host, port, timeout=10.0) as client:
         assert client.execute("CREATE TABLE t (a INTEGER)")["ok"]
@@ -324,6 +343,10 @@ def test_wire_answers_malformed_frames(server, wire, frame, error):
         reply = client.request(frame)
         assert not reply["ok"] and reply["error"] == error
         assert client.request({"op": "ping"})["ok"]
+        for table in ("R", "None", "7"):
+            assert not client.execute(f'SELECT * FROM "{table}"')["ok"]
+        assert client.execute("SELECT snap_id FROM SnapIds")["rows"] \
+            == [[1]]
     assert server.leak_report() == {
         "sessions": 0, "read_contexts": 0, "gate_held": False,
         "active_queries": 0,
