@@ -530,6 +530,7 @@ def fold_range(db: Database, qq: str, sids: Sequence[int], fold: Fold,
                 prepared = prepare_qq(qq)
             columns, cursor = db.open_cursor(
                 prepared.bind(sid), private=True, metrics=sink,
+                memo=prepared.memo,
             )
             try:
                 rows = [tuple(row) for row in cursor]

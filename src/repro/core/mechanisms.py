@@ -175,7 +175,8 @@ class _LoopBody:
         if prepared is None:
             prepared = self._prepared = prepare_qq(self.qq)
         columns, rows = self.db.open_cursor(prepared.bind(snapshot_id),
-                                            metrics=self.sink)
+                                            metrics=self.sink,
+                                            memo=prepared.memo)
         if first:
             udf = self.first_pass(columns, rows, snapshot_id)
         else:

@@ -38,6 +38,7 @@ from repro.errors import MechanismError
 from repro.sql import ast
 from repro.sql.lexer import EOF, IDENT, KEYWORD, OPERATOR, Token, tokenize
 from repro.sql.parser import parse_sql
+from repro.sql.planner import PlanMemo
 
 CURRENT_SNAPSHOT = "current_snapshot"
 
@@ -52,19 +53,23 @@ _Rebuild = Callable[[ast.Literal], object]
 class PreparedQq:
     """Qq, parsed and validated once; :meth:`bind` pins it to a snapshot.
 
-    Immutable once :func:`prepare_qq` returns: partition workers may
-    share one, and every bound statement shares the subtrees that hold
-    no ``current_snapshot()`` call with it (nothing downstream mutates
-    an AST).
+    Its statement is immutable once :func:`prepare_qq` returns:
+    partition workers may share one, and every bound statement shares
+    the subtrees that hold no ``current_snapshot()`` call with it
+    (nothing downstream mutates an AST).  :attr:`memo` is the one thing
+    that changes: the last plan a bound statement got, which the next
+    one reuses while the planner's inputs are unchanged.
     """
 
-    __slots__ = ("statement", "_calls")
+    __slots__ = ("statement", "_calls", "memo")
 
     def __init__(self, statement: ast.Select,
                  calls: List[Tuple[str, _Rebuild]]) -> None:
         #: Qq as written: no ``AS OF``, the calls still in place
         self.statement = statement
         self._calls = calls
+        #: pass to ``Database.open_cursor`` with each bound statement
+        self.memo = PlanMemo()
 
     @property
     def references_current_snapshot(self) -> bool:

@@ -223,9 +223,8 @@ class RetroManager:
             )
         result = self.build_spt(snapshot_id, use_skippy=use_skippy,
                                 metrics=metrics)
-        return SnapshotPageSource(self, snapshot_id, result.spt,
-                                  read_current, page_size,
-                                  entries=result.entries, metrics=metrics)
+        return SnapshotPageSource(self, snapshot_id, result.entries,
+                                  read_current, page_size, metrics=metrics)
 
     def diff_size(self, older: int, newer: int) -> int:
         """Pages not shared between two snapshots (paper's diff(S1,S2))."""
@@ -315,47 +314,53 @@ class SnapshotPageSource(MutablePageSource):
 
     Fetch order mirrors the paper: SPT lookup -> snapshot page cache ->
     Pagelog read (archived pre-state), or the current database for pages
-    the snapshot still shares with it.  Every outcome is metered.
+    the snapshot still shares with it.  Every outcome is metered.  The
+    SPT is the build's own ``entries`` dict: each mapping carries the
+    Pagelog slot to read and the CRC to verify it against.
     """
 
     def __init__(self, manager: RetroManager, snapshot_id: int,
-                 spt: Dict[int, int],
+                 entries: Dict[int, MapEntry],
                  read_current: Callable[[int], bytes],
                  page_size: int,
-                 entries: Optional[Dict[int, MapEntry]] = None,
                  metrics: Optional[MetricsSink] = None) -> None:
         self._manager = manager
         self.snapshot_id = snapshot_id
-        self.spt = spt
+        self.entries = entries
         self._read_current = read_current
         self._page_size = page_size
-        self._entries = entries or {}
         self._sink = metrics
 
     def fetch(self, page_id: int) -> Page:
-        slot = self.spt.get(page_id)
+        entry = self.entries.get(page_id)
         # Read per fetch: a cursor is consumed lazily, inside whatever
         # iteration its consumer has begun on the sink by then.
         sink = self._sink
         metrics = sink.current if sink is not None else None
-        if slot is None:
+        if entry is None:
             # Shared with the current database: a memory-resident read.
             if metrics is not None:
                 metrics.db_reads += 1
             return self._read_current(page_id)
-        if self._manager.share_cache_by_slot:
-            key = slot
+        manager = self._manager
+        if manager.share_cache_by_slot:
+            key = entry.slot
         else:
             key = (self.snapshot_id, page_id)
-        cached = self._manager.cache.get(key)
-        if cached is not None:
-            if metrics is not None:
+        # A miss marks the key in flight: a partition missing the same
+        # slot meanwhile waits for this read and counts a cache hit.
+        page, hit = manager.cache.get_or_load(key, self._load, entry)
+        if metrics is not None:
+            if hit:
                 metrics.cache_hits += 1
-            return cached
-        image = self._manager.pagelog.read(slot)
-        entry = self._entries.get(page_id)
-        if (entry is not None and entry.crc
-                and checksums.verification_enabled()
+            else:
+                metrics.pagelog_reads += 1
+        return page
+
+    def _load(self, entry: MapEntry) -> Page:
+        """Read and verify one archived pre-state."""
+        image = self._manager.pagelog.read(entry.slot)
+        if (entry.crc and checksums.verification_enabled()
                 and checksums.page_crc(image) != entry.crc):
             # Bit rot in the archive.  Mark the whole validity range
             # unavailable so later queries fail fast, and raise rather
@@ -363,8 +368,8 @@ class SnapshotPageSource(MutablePageSource):
             self._manager.mark_unavailable(entry.from_snap, entry.to_snap)
             raise CorruptPageError(
                 f"snapshot {self.snapshot_id}: archived pre-state of "
-                f"page {page_id} (Pagelog slot {slot}) failed its "
-                f"checksum"
+                f"page {entry.page_id} (Pagelog slot {entry.slot}) failed "
+                f"its checksum"
             )
         # Cache the Page object itself: snapshot pages are immutable, and
         # the object carries its decoded node — parsed keys and values
@@ -373,11 +378,7 @@ class SnapshotPageSource(MutablePageSource):
         # this object, so the page sharing the paper measures as saved
         # I/O also saves the CPU of decoding a shared page again; the
         # decoded rows are evicted, and cleared, with the page.
-        page = Page(page_id, bytearray(image), self._page_size)
-        self._manager.cache.put(key, page)
-        if metrics is not None:
-            metrics.pagelog_reads += 1
-        return page
+        return Page(entry.page_id, bytearray(image), self._page_size)
 
     # Mutations are structurally impossible on a snapshot.
 

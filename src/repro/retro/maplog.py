@@ -16,8 +16,14 @@ maintaining skip levels.  We implement a binary-buddy variant:
 * node at level ``l+1`` merges two buddy nodes of level ``l``, keeping
   the *earliest* mapping per page;
 * ``build_spt`` decomposes the epoch range ``[S, E]`` into O(log) aligned
-  complete nodes (ascending), so every page's first qualifying mapping is
-  found while scanning each page id at most once per node.
+  complete nodes (ascending) and merges them, the earliest node winning
+  per page: every page's first mapping captured at an epoch >= S.
+
+The merge needs no per-entry test because of the capture invariant:
+a page's first mapping captured at an epoch >= S has ``from_snap`` =
+(its previous capture's epoch) + 1, and that previous capture is at an
+epoch < S, so ``from_snap <= S`` — the mapping serves S.  ``record``
+and ``recover`` refuse every mapping that could break it.
 
 The mapping stream is also appended durably to a block log so recovery
 can rebuild the in-memory structure (see :meth:`recover`).
@@ -33,7 +39,8 @@ from __future__ import annotations
 import struct
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import CorruptPageError, SnapshotError, UnknownSnapshotError
 from repro.storage.disk import DiskFile
@@ -66,17 +73,23 @@ class MapEntry:
 
 @dataclass
 class SptBuildResult:
-    """SPT plus the scan-cost accounting the benchmarks need.
+    """SPT(S) as its mappings, plus the scan-cost accounting the
+    benchmarks need.
 
-    ``spt`` maps page id -> Pagelog slot (what readers consume);
-    ``entries`` keeps the full mappings so a consecutive snapshot's SPT
-    can be derived incrementally (see :meth:`Maplog.advance_spt`).
+    ``entries`` maps page id -> :class:`MapEntry` (what readers consume:
+    the Pagelog slot and the image CRC); a consecutive snapshot's SPT
+    can be derived from it incrementally (see :meth:`Maplog.advance_spt`).
     """
 
-    spt: Dict[int, int]
+    entries: Dict[int, MapEntry]
     entries_scanned: int
     nodes_visited: int
-    entries: Dict[int, MapEntry] = None  # type: ignore[assignment]
+
+    @property
+    def spt(self) -> Mapping[int, int]:
+        """Read-only page id -> Pagelog slot view of :attr:`entries`."""
+        return MappingProxyType(
+            {page: entry.slot for page, entry in self.entries.items()})
 
 
 class Maplog:
@@ -127,22 +140,30 @@ class Maplog:
         with self._latch:
             if self.current_epoch == 0:
                 raise SnapshotError("no snapshot declared; nothing to map")
-            if entry.to_snap != self.current_epoch:
-                raise SnapshotError(
-                    f"mapping to_snap {entry.to_snap} != epoch "
-                    f"{self.current_epoch}"
-                )
-            if entry.page_id in self._open_batch:
-                raise SnapshotError(
-                    f"page {entry.page_id} captured twice in epoch "
-                    f"{self.current_epoch}"
-                )
+            problem = self._mapping_problem(entry)
+            if problem is not None:
+                raise SnapshotError(problem)
             self._open_batch[entry.page_id] = entry
             self.entries_recorded += 1
             self._writer.append(_ENTRY.pack(
                 _KIND_MAPPING, entry.page_id, entry.from_snap,
                 entry.to_snap, entry.slot, entry.crc,
             ))
+
+    def _mapping_problem(self, entry: MapEntry) -> Optional[str]:
+        """Why ``entry`` cannot be the next mapping of the current epoch
+        (None if it can).  ``record`` and ``recover`` both ask, so a log
+        replays only what recording it would have accepted."""
+        if entry.to_snap != self.current_epoch:
+            return (f"mapping to_snap {entry.to_snap} != epoch "
+                    f"{self.current_epoch}")
+        if not 1 <= entry.from_snap <= entry.to_snap:
+            return (f"mapping from_snap {entry.from_snap} outside "
+                    f"[1, {entry.to_snap}]")
+        if entry.page_id in self._open_batch:
+            return (f"page {entry.page_id} captured twice in epoch "
+                    f"{self.current_epoch}")
+        return None
 
     def flush(self) -> None:
         """Make the durable log catch up (checkpoint)."""
@@ -221,31 +242,27 @@ class Maplog:
             return self._build_spt_linear(snapshot_id)
 
     def _build_spt_skippy(self, snapshot_id: int) -> SptBuildResult:
-        entries: Dict[int, MapEntry] = {}
+        nodes: List[Dict[int, MapEntry]] = []
         scanned = 0
-        visited = 0
         sealed_epochs = len(self._levels[0])
         epoch = snapshot_id  # first epoch whose captures can serve S
         while epoch <= sealed_epochs:
             level = self._largest_aligned_level(epoch, sealed_epochs)
             node = self._levels[level][(epoch - 1) >> level]
-            visited += 1
-            for page_id, entry in node.items():
-                scanned += 1
-                if page_id not in entries \
-                        and entry.from_snap <= snapshot_id:
-                    entries[page_id] = entry
+            nodes.append(node)
+            scanned += len(node)
             epoch += 1 << level
         # The still-open batch also serves S (captures at current epoch).
         if self._open_batch:
-            visited += 1
-            for page_id, entry in self._open_batch.items():
-                scanned += 1
-                if page_id not in entries \
-                        and entry.from_snap <= snapshot_id:
-                    entries[page_id] = entry
-        spt = {page: entry.slot for page, entry in entries.items()}
-        return SptBuildResult(spt, scanned, visited, entries)
+            nodes.append(self._open_batch)
+            scanned += len(self._open_batch)
+        # Merge latest node first so the earliest capture of each page
+        # wins; the capture invariant (module docstring) makes every
+        # winner serve S, so no entry needs testing.
+        entries: Dict[int, MapEntry] = {}
+        for node in reversed(nodes):
+            entries.update(node)
+        return SptBuildResult(entries, scanned, len(nodes))
 
     def _largest_aligned_level(self, epoch: int, last: int) -> int:
         """Largest complete, aligned node starting at ``epoch``."""
@@ -280,8 +297,7 @@ class Maplog:
                 if page_id not in entries \
                         and entry.from_snap <= snapshot_id:
                     entries[page_id] = entry
-        spt = {page: entry.slot for page, entry in entries.items()}
-        return SptBuildResult(spt, scanned, visited, entries)
+        return SptBuildResult(entries, scanned, visited)
 
     # -- incremental SPT (future-work extension; DESIGN.md §7) -------------------
 
@@ -332,8 +348,6 @@ class Maplog:
                 raise UnknownSnapshotError(
                     f"snapshot {to_snapshot} not declared"
                 )
-            if previous.entries is None:
-                raise SnapshotError("previous SPT lacks entry metadata")
             entries: Dict[int, MapEntry] = {}
             scanned = 0
             visited = 0
@@ -350,8 +364,7 @@ class Maplog:
                 if replacement is not None and                     replacement.from_snap <= to_snapshot:
                     entries[page_id] = replacement
                 # else: shared with the current database now.
-            spt = {page: entry.slot for page, entry in entries.items()}
-            return SptBuildResult(spt, scanned, visited, entries)
+            return SptBuildResult(entries, scanned, visited)
 
     # -- inter-snapshot sharing stats (diff sizes, used by tests/benches) ------------
 
@@ -401,7 +414,11 @@ class Maplog:
         bad blocks mid-stream (which the next recovery would have to
         classify as mid-log corruption).  The loss itself is reported via
         :attr:`recovery_status`; deciding whether it was replayable is the
-        RetroManager's job.
+        RetroManager's job.  A mapping :meth:`record` would have refused
+        (wrong epoch, ``from_snap`` outside ``[1, to_snap]``, a page
+        mapped twice in one epoch) raises :class:`CorruptPageError`: the
+        SPT merge relies on every replayed mapping obeying the capture
+        invariant.
         """
         reader = BlockLogReader(log_file)
         raws, status = reader.scan(0)
@@ -442,6 +459,9 @@ class Maplog:
             elif kind == _KIND_MAPPING:
                 entry = MapEntry(page_id=a, from_snap=b, to_snap=c, slot=d,
                                  crc=e)
+                problem = maplog._mapping_problem(entry)
+                if problem is not None:
+                    raise CorruptPageError(f"Maplog record: {problem}")
                 maplog._open_batch[entry.page_id] = entry
                 maplog.entries_recorded += 1
                 cap[entry.page_id] = entry.to_snap

@@ -14,16 +14,22 @@ how much of RQL's hot-iteration speedup comes from COW slot identity.
 Latching: the entry table and its counters are guarded by a leaf-level
 reentrant latch — parallel snapshot workers share one cache, and the
 latch never wraps a call into any other latched component, keeping the
-global latch order (RPL011) acyclic.
+global latch order (RPL011) acyclic.  :meth:`SnapshotPageCache.get_or_load`
+therefore loads outside the latch, and marks the key in flight meanwhile
+so a concurrent miss on it waits for that one load instead of repeating
+it: partitions reading the same Pagelog slot read it once between them.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Hashable, Optional
+from typing import Callable, Hashable, Optional, Set, Tuple, TypeVar
 
 from repro.errors import SnapshotError
+
+T = TypeVar("T")
+A = TypeVar("A")
 
 
 class SnapshotPageCache:
@@ -35,6 +41,9 @@ class SnapshotPageCache:
         self.capacity = capacity_pages
         self._entries: "OrderedDict[Hashable, bytes]" = OrderedDict()
         self._latch = threading.RLock()
+        #: keys being loaded; a load's end is announced on ``_landed``
+        self._in_flight: Set[Hashable] = set()
+        self._landed = threading.Condition(self._latch)
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -49,18 +58,56 @@ class SnapshotPageCache:
             self._entries.move_to_end(key)
             return image
 
+    def get_or_load(self, key: Hashable, load: Callable[[A], T],
+                    arg: A) -> Tuple[T, bool]:
+        """``(value, hit)``: the value cached under ``key``, or
+        ``load(arg)`` cached under it on a miss.
+
+        Single flight: while one reader loads a key, a reader missing
+        the same key waits for that load (on the latch's condition, so
+        the latch is free meanwhile) and then counts a hit.  If the load
+        raises, its reader gets the error and each waiter looks up
+        again and loads itself, so a load that always fails (a checksum
+        mismatch) raises in every thread that asks.
+        """
+        with self._latch:
+            while True:
+                value = self._entries.get(key)
+                if value is not None:
+                    self.hits += 1
+                    self._entries.move_to_end(key)
+                    return value, True
+                if key not in self._in_flight:
+                    break
+                self._landed.wait()
+            self.misses += 1
+            self._in_flight.add(key)
+        value = None
+        try:
+            value = load(arg)
+        finally:
+            with self._latch:
+                self._in_flight.discard(key)
+                if value is not None:
+                    self._store(key, value)
+                self._landed.notify_all()
+        return value, False
+
     def put(self, key: Hashable, image: bytes) -> None:
         with self._latch:
-            if self.capacity == 0:
-                return
-            if key in self._entries:
-                self._entries.move_to_end(key)
-                self._entries[key] = image
-                return
-            while len(self._entries) >= self.capacity:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+            self._store(key, image)
+
+    def _store(self, key: Hashable, image) -> None:
+        if self.capacity == 0:
+            return
+        if key in self._entries:
+            self._entries.move_to_end(key)
             self._entries[key] = image
+            return
+        while len(self._entries) >= self.capacity:
+            self._entries.popitem(last=False)
+            self.evictions += 1
+        self._entries[key] = image
 
     def clear(self) -> None:
         """Empty the cache (used to model 'snapshot not accessed recently')."""

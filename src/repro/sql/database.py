@@ -50,6 +50,7 @@ from repro.sql.parser import parse_one, parse_sql
 from repro.sql.planner import (
     BoundTable,
     ExecutionContext,
+    PlanMemo,
     constant_int,
     explain_select,
     open_select,
@@ -292,7 +293,8 @@ class Database:
         return self.open_cursor(statement)
 
     def open_cursor(self, statement: ast.Select, private: bool = False,
-                    metrics: Optional[MetricsSink] = None):
+                    metrics: Optional[MetricsSink] = None,
+                    memo: Optional[PlanMemo] = None):
         """The one guarded cursor, for a SELECT that is already parsed
         (the snapshot loops bind one prepared Qq per snapshot): returns
         (columns, row_iterator).
@@ -303,11 +305,12 @@ class Database:
 
         ``private`` and ``metrics`` are :meth:`reading`'s: which
         transactions the statement may see, and the sink it is charged
-        to.
+        to.  ``memo`` is the prepared statement's plan memo (the
+        snapshot loops pass ``PreparedQq.memo``; text never has one).
         """
         def cursor():
             with self._select_context(statement, private, metrics) as ctx:
-                columns, rows = open_select(statement, ctx)
+                columns, rows = open_select(statement, ctx, memo)
                 yield columns
                 yield from rows
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanError, ReproError
@@ -286,6 +286,46 @@ def plan_from(descs: List[TableDesc], predicates: List[ast.Expr],
         remaining = _settle_pushdown(steps, remaining, stats_by)
 
     return SelectPlan(steps=steps, residual=remaining)
+
+
+class PlanMemo:
+    """The last plan of one prepared statement, and what it was planned
+    from: one slot, so a snapshot loop re-plans only when an input of
+    the pure planner changed since the previous snapshot.
+
+    :func:`plan_from` is deterministic and free of side effects, so its
+    result may be reused whenever its inputs are equal: the
+    :class:`TableDesc` list by value, the predicates by identity (bound
+    statements share every subtree without a ``current_snapshot()``
+    call, so an unchanged conjunct is the same object) and each table's
+    statistics by value.  Schema, indexes and statistics are still read
+    from each snapshot's own catalog; only the planning is skipped.
+
+    The slot is published by one assignment: threads sharing a memo at
+    worst plan the same inputs twice.
+    """
+
+    __slots__ = ("_last",)
+
+    def __init__(self) -> None:
+        self._last: Optional[Tuple[List[TableDesc], List[ast.Expr],
+                                   List[Optional[TableStats]],
+                                   SelectPlan]] = None
+
+    def plan(self, descs: List[TableDesc], predicates: List[ast.Expr],
+             stats_for: StatsLookup) -> SelectPlan:
+        """:func:`plan_from` of these inputs, reusing the last plan if
+        they equal the last call's."""
+        stats = [stats_for(desc.table) for desc in descs]
+        last = self._last
+        if last is not None and last[0] == descs and last[2] == stats \
+                and len(last[1]) == len(predicates) \
+                and all(map(is_, last[1], predicates)):
+            return last[3]
+        by_table = {desc.table: found for desc, found in zip(descs, stats)}
+        plan = plan_from(descs, predicates, by_table.__getitem__)
+        self._last = (descs, predicates, stats, plan)
+        return plan
 
 
 def _settle_pushdown(steps: List[PlanNode], remaining: List[ast.Expr],
@@ -651,14 +691,17 @@ def run_select(select: ast.Select, ctx: ExecutionContext) -> ResultSet:
     return result
 
 
-def open_select(select: ast.Select,
-                ctx: ExecutionContext) -> Tuple[List[str], Iterator[Row]]:
+def open_select(select: ast.Select, ctx: ExecutionContext,
+                memo: Optional[PlanMemo] = None,
+                ) -> Tuple[List[str], Iterator[Row]]:
     """Plan a SELECT and return (columns, lazy row iterator).
 
     The column list is known before any row is produced; the caller
     keeps ``ctx``'s sources open for as long as it consumes rows.
+    ``memo`` is the statement's :class:`PlanMemo` when it is one of a
+    series bound from one prepared statement.
     """
-    return _SelectPlanner(select, ctx).columns_and_rows()
+    return _SelectPlanner(select, ctx, memo).columns_and_rows()
 
 
 def explain_select(select: ast.Select, ctx: ExecutionContext) -> List[str]:
@@ -768,9 +811,11 @@ class BoundTable:
 
 
 class _SelectPlanner:
-    def __init__(self, select: ast.Select, ctx: ExecutionContext) -> None:
+    def __init__(self, select: ast.Select, ctx: ExecutionContext,
+                 memo: Optional[PlanMemo] = None) -> None:
         self.select = select
         self.ctx = ctx
+        self.memo = memo
         self.index_build_seconds = 0.0
         #: the plan tree (None until FROM is planned; SELECT 1 has none)
         self.plan: Optional[SelectPlan] = None
@@ -830,8 +875,11 @@ class _SelectPlanner:
         Returns (ordered_descs, row_iterator, residual_predicates);
         rows are concatenations of the ordered tables' columns.
         """
-        plan = plan_from([table.desc for table in tables], predicates,
-                         self.ctx.table_stats)
+        descs = [table.desc for table in tables]
+        if self.memo is None:
+            plan = plan_from(descs, predicates, self.ctx.table_stats)
+        else:
+            plan = self.memo.plan(descs, predicates, self.ctx.table_stats)
         self.plan = plan
 
         ordered: List[TableDesc] = []

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SnapshotError, UnknownSnapshotError
-from repro.retro.maplog import MapEntry, Maplog
+from repro.errors import CorruptPageError, SnapshotError, UnknownSnapshotError
+from repro.retro.maplog import _ENTRY, _KIND_DECLARE, _KIND_MAPPING, \
+    MapEntry, Maplog
 from repro.storage.disk import SimulatedDisk
+from repro.storage.logfile import BlockLogWriter
 
 
 def fresh_maplog():
@@ -33,6 +35,13 @@ class TestBasics:
         maplog.declare_snapshot()
         with pytest.raises(SnapshotError):
             maplog.record(MapEntry(1, 1, 5, 0))
+
+    @pytest.mark.parametrize("from_snap", [0, 2])
+    def test_record_from_snap_outside_epoch_range(self, from_snap):
+        maplog, _ = fresh_maplog()
+        maplog.declare_snapshot()
+        with pytest.raises(SnapshotError):
+            maplog.record(MapEntry(1, from_snap, 1, 0))
 
     def test_double_capture_same_epoch_rejected(self):
         maplog, _ = fresh_maplog()
@@ -135,6 +144,47 @@ def random_history(seed, epochs, pages, mods_per_epoch):
     return maplog, expected
 
 
+def per_entry_skippy(maplog, sid):
+    """The per-entry Skippy loop the node merge replaced, kept as the
+    reference for its result and its counters."""
+    sealed = len(maplog._levels[0])
+    nodes, epoch = [], sid
+    while epoch <= sealed:
+        level = maplog._largest_aligned_level(epoch, sealed)
+        nodes.append(maplog._levels[level][(epoch - 1) >> level])
+        epoch += 1 << level
+    if maplog._open_batch:
+        nodes.append(maplog._open_batch)
+    entries, scanned = {}, 0
+    for node in nodes:
+        for page_id, entry in node.items():
+            scanned += 1
+            if page_id not in entries and entry.from_snap <= sid:
+                entries[page_id] = entry
+    return entries, scanned, len(nodes)
+
+
+def assert_builds_agree(maplog):
+    """For every snapshot: the merge build equals the linear build and
+    the per-entry loop, counters included; ``spt`` is the slot view of
+    ``entries``; advancing from the previous snapshot lands on the
+    same entries."""
+    previous = None
+    for sid in range(1, maplog.current_epoch + 1):
+        merged = maplog.build_spt(sid, use_skippy=True)
+        linear = maplog.build_spt(sid, use_skippy=False)
+        entries, scanned, visited = per_entry_skippy(maplog, sid)
+        assert merged.entries == linear.entries == entries
+        assert (merged.entries_scanned, merged.nodes_visited) \
+            == (scanned, visited)
+        assert merged.spt == linear.spt == {
+            page: entry.slot for page, entry in entries.items()}
+        if previous is not None:
+            advanced = maplog.advance_spt(previous, sid - 1, sid)
+            assert advanced.entries == entries
+        previous = merged
+
+
 class TestSkippyEquivalence:
     @pytest.mark.parametrize("seed", range(5))
     def test_skippy_equals_linear(self, seed):
@@ -161,6 +211,17 @@ class TestSkippyEquivalence:
                                           mods_per_epoch=max(1, pages // 3))
         for sid, model in expected.items():
             assert maplog.build_spt(sid, use_skippy=True).spt == model
+        assert_builds_agree(maplog)
+        # The same after a recovery round trip (the open batch is
+        # replayed from the log) and after empty epochs are forced.
+        maplog.flush()
+        recovered, _ = Maplog.recover(maplog._file)
+        for sid, model in expected.items():
+            assert recovered.build_spt(sid).entries \
+                == maplog.build_spt(sid).entries
+        assert_builds_agree(recovered)
+        recovered.force_epoch(recovered.current_epoch + 3)
+        assert_builds_agree(recovered)
 
 
 class TestRecovery:
@@ -190,3 +251,57 @@ class TestRecovery:
             disk.open_file("maplog", append_only=True)
         )
         assert recovered.current_epoch == 1
+
+
+def hand_built_log(*records):
+    """A Maplog file holding exactly ``records`` (kind, a, b, c, d, e)."""
+    disk = SimulatedDisk(512)
+    log = disk.open_file("maplog", append_only=True)
+    writer = BlockLogWriter(log)
+    for record in records:
+        writer.append(_ENTRY.pack(*record))
+    writer.flush()
+    return log
+
+
+def declare(sid):
+    return (_KIND_DECLARE, sid, 0, 0, 0, 0)
+
+
+def mapping(page, from_snap, to_snap, slot):
+    return (_KIND_MAPPING, page, from_snap, to_snap, slot, 0)
+
+
+class TestRecoveryRefusesWhatRecordRefuses:
+    @pytest.mark.parametrize("records", [
+        pytest.param([declare(1), mapping(3, 1, 2, 0)],
+                     id="to_snap-after-epoch"),
+        pytest.param([declare(1), declare(2), mapping(3, 1, 1, 0)],
+                     id="to_snap-before-epoch"),
+        pytest.param([mapping(3, 1, 1, 0)], id="before-first-declare"),
+        pytest.param([declare(1), mapping(3, 0, 1, 0)], id="from_snap-0"),
+        pytest.param([declare(1), declare(2), mapping(3, 3, 2, 0)],
+                     id="from_snap-after-to_snap"),
+        pytest.param([declare(1), mapping(3, 1, 1, 0), mapping(3, 1, 1, 1)],
+                     id="page-twice-in-epoch"),
+    ])
+    def test_malformed_mapping_raises(self, records):
+        with pytest.raises(CorruptPageError):
+            Maplog.recover(hand_built_log(*records))
+
+    def test_well_formed_log_recovers_as_recorded(self):
+        records = [declare(1), mapping(3, 1, 1, 0), mapping(4, 1, 1, 1),
+                   declare(2), mapping(3, 2, 2, 2), declare(3),
+                   mapping(4, 2, 3, 3), mapping(5, 1, 3, 4)]
+        recovered, cap = Maplog.recover(hand_built_log(*records))
+        maplog, _ = fresh_maplog()
+        for kind, a, b, c, d, _crc in records:
+            if kind == _KIND_DECLARE:
+                maplog.declare_snapshot()
+            else:
+                maplog.record(MapEntry(a, b, c, d))
+        assert recovered.current_epoch == 3
+        assert cap == {3: 2, 4: 3, 5: 3}
+        assert list(recovered.iter_entries()) == list(maplog.iter_entries())
+        for sid in (1, 2, 3):
+            assert recovered.build_spt(sid) == maplog.build_spt(sid)

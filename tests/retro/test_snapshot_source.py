@@ -34,7 +34,7 @@ class TestFetchResolution:
         source = engine.snapshot_source(sid, ctx, metrics=sink)
         # Nothing modified since the declaration: the SPT is empty and
         # every fetch falls through to the database.
-        assert source.spt == {}
+        assert source.entries == {}
         BTree(source, root).count()
         metrics = sink.iterations[0]
         assert metrics.pagelog_reads == 0

@@ -99,14 +99,14 @@ def table_leaves(db: Database, as_of=None):
     with db._select_context(_select(as_of)) as ctx:
         access = ctx.open_table("t")
         source = access.tree.source
-        spt = getattr(source, "spt", {})
+        entries = getattr(source, "entries", {})
         out = []
         for page_id in access.tree.page_ids():
             page = source.fetch(page_id)
             if page.page_type == PAGE_TYPE_BTREE_LEAF:
-                slot = spt.get(page_id)
-                identity = ("current", page_id) if slot is None \
-                    else ("slot", slot)
+                entry = entries.get(page_id)
+                identity = ("current", page_id) if entry is None \
+                    else ("slot", entry.slot)
                 cells = int.from_bytes(
                     page.data[HEADER_SIZE:HEADER_SIZE + 2], "little")
                 out.append((identity, page.decoded_node, cells))
