@@ -290,6 +290,12 @@ class AggregateDataInVariableRun(_LoopBody):
         self._metered_pass(snapshot_id, first)
 
     def next_pass(self, columns: List[str], rows, snapshot_id: int) -> float:
+        # The column count is known before any row: a wrong Qq fails
+        # without scanning the snapshot.
+        if len(columns) != 1:
+            raise MechanismError(
+                "AggregateDataInVariable requires a single-column Qq"
+            )
         collected: List[Sequence[SqlValue]] = []
         clock = self.sink.clock
         current = self.sink.current
@@ -299,10 +305,6 @@ class AggregateDataInVariableRun(_LoopBody):
             cb = clock()
             collected.append(row)
             udf += clock() - cb
-        if len(columns) != 1:
-            raise MechanismError(
-                "AggregateDataInVariable requires a single-column Qq"
-            )
         if self._column is None:
             self._column = columns[0]
         if len(collected) > 1:

@@ -26,6 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import PlanError, TypeMismatchError
 from repro.sql import ast
 from repro.sql.types import SqlValue, compare, is_true, to_number
+from repro.storage.btree import LeafFilter
 
 Evaluator = Callable[[Sequence[SqlValue]], SqlValue]
 #: what ``compile_predicate`` returns: truthy exactly when the row passes
@@ -154,6 +155,33 @@ class ExpressionCompiler:
                     return False
             return True
         return every_test
+
+    def compile_leaf_filter(self, conjuncts: Sequence[ast.Expr],
+                            ) -> Tuple[Optional[LeafFilter], List[ast.Expr]]:
+        """Split ``conjuncts`` into their longest prefix that is total
+        and deterministic over SQL values — compiled to a *leaf-batch
+        form*, ``entries -> passing rows`` over a leaf's ``(rowid, row)``
+        entries — and the conjuncts after it, which stay per row.
+
+        The batch form is :meth:`compile_predicate` of the prefix run
+        over a whole leaf in one comprehension.  Being total (it raises
+        for no SQL value) and deterministic (it calls nothing but
+        ``compare``), it may run ahead of the rows a consumer asks for
+        and its result may be kept with the leaf; a conjunct after the
+        first one that is not (a UDF, arithmetic that can raise) is
+        reached per row, for exactly the rows the prefix passed, so LIMIT
+        still stops it early.  No prefix gives ``(None, conjuncts)``.
+        """
+        count = 0
+        while count < len(conjuncts) and _is_batchable(conjuncts[count]):
+            count += 1
+        if not count:
+            return None, list(conjuncts)
+        passes = self.compile_predicate(conjuncts[:count])
+
+        def leaf_filter(entries: list) -> list:
+            return [row for _, row in entries if passes(row)]
+        return leaf_filter, list(conjuncts[count:])
 
     # -- leaves -----------------------------------------------------------
 
@@ -443,6 +471,35 @@ def _yields_truth_value(expr: ast.Expr) -> bool:
 
 def _truth_of(evaluator: Evaluator) -> Predicate:
     return lambda row: is_true(evaluator(row))
+
+
+def _is_batchable(expr: ast.Expr) -> bool:
+    """True for the conjuncts whose evaluator is total and deterministic
+    over SQL values: a column against a literal (either side), ``IS
+    [NOT] NULL`` of a column, ``BETWEEN`` / ``IN`` of a column over
+    literals, and ``AND`` / ``OR`` / ``NOT`` of these.  Each is
+    ``compare`` (or its typed fast path) plus three-valued logic, which
+    raises for no SQL value and calls nothing else."""
+    if isinstance(expr, ast.BinaryOp):
+        if expr.op in ("AND", "OR"):
+            return _is_batchable(expr.left) and _is_batchable(expr.right)
+        if expr.op not in _OUTCOMES:
+            return False
+        sides = (type(expr.left), type(expr.right))
+        return sides in ((ast.ColumnRef, ast.Literal),
+                         (ast.Literal, ast.ColumnRef))
+    if isinstance(expr, ast.UnaryOp):
+        return expr.op == "NOT" and _is_batchable(expr.operand)
+    if isinstance(expr, ast.IsNull):
+        return isinstance(expr.operand, ast.ColumnRef)
+    if isinstance(expr, ast.Between):
+        return isinstance(expr.operand, ast.ColumnRef) \
+            and isinstance(expr.low, ast.Literal) \
+            and isinstance(expr.high, ast.Literal)
+    if isinstance(expr, ast.InList):
+        return isinstance(expr.operand, ast.ColumnRef) \
+            and all(isinstance(item, ast.Literal) for item in expr.items)
+    return False
 
 
 def _is_typed_literal(expr: ast.Expr) -> bool:

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import is_, itemgetter
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -62,6 +63,7 @@ from repro.sql.expressions import (
 from repro.sql.functions import BUILTIN_SCALARS, is_aggregate, make_aggregate
 from repro.sql.stats import StatsProvider, TableStats
 from repro.sql.types import SqlValue, compare
+from repro.storage.btree import LeafFilter
 from repro.storage.record import KEY_EXACT_INT
 
 # ---------------------------------------------------------------------------
@@ -158,6 +160,11 @@ class PlanNode:
     costed: bool = False                        #: statistics were available
     chosen_by: str = "heuristic"                #: 'heuristic' | 'cost'
     path_desc: str = ""                         #: human access-path label
+    #: a scan step's ``compile_leaf_filter(pushed)``, set by its first
+    #: execution: a reused plan reuses the filter, and with it every
+    #: leaf's kept batch; a new plan compiles a new one
+    leaf_filter: Optional[Tuple[Optional[LeafFilter], List[ast.Expr]]] = \
+        field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -300,6 +307,10 @@ class PlanMemo:
     call, so an unchanged conjunct is the same object) and each table's
     statistics by value.  Schema, indexes and statistics are still read
     from each snapshot's own catalog; only the planning is skipped.
+
+    A reused plan brings its scan step's compiled leaf filter along
+    (:attr:`PlanNode.leaf_filter`), so leaves the previous snapshot
+    filtered are not filtered again.
 
     The slot is published by one assignment: threads sharing a memo at
     worst plan the same inputs twice.
@@ -886,14 +897,35 @@ class _SelectPlanner:
         rows: Iterator[Row] = iter(())
         for step in plan.steps:
             bound = tables[step.desc.ordinal]
-            if step.access is not None:
+            pushed, leaf_filter = step.pushed, None
+            if step.access is not None and step.access.kind == "scan" \
+                    and pushed:
+                leaf_filter, pushed = self._leaf_filter(step)
+            if step.access is None:
+                rows = self._exec_join(ordered, bound, step.join, rows)
+            elif leaf_filter is not None:
+                rows = chain.from_iterable(
+                    bound.access.tree.scan_leaves(leaf_filter))
+            else:
                 rows = map(itemgetter(1),
                            self._exec_access(bound, step.access))
-            else:
-                rows = self._exec_join(ordered, bound, step.join, rows)
             ordered.append(step.desc)
-            rows = self._apply_pushed(ordered, rows, step.pushed)
+            if pushed:
+                rows = self._apply_pushed(ordered, rows, pushed)
         return ordered, rows, list(plan.residual)
+
+    def _leaf_filter(self, step: PlanNode,
+                     ) -> Tuple[Optional[LeafFilter], List[ast.Expr]]:
+        """The scan step's leaf filter and the pushed conjuncts left
+        per row, compiled once per plan node (racing threads at worst
+        compile twice; either filter is right).  No function registry:
+        a batchable conjunct calls none, so the filter the plan keeps
+        holds nothing of this statement's context."""
+        compiled = step.leaf_filter
+        if compiled is None:
+            compiled = step.leaf_filter = ExpressionCompiler(
+                step.desc.scope()).compile_leaf_filter(step.pushed)
+        return compiled
 
     def _apply_pushed(self, ordered: List[TableDesc], rows,
                       pushed: List[ast.Expr]):

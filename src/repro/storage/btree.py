@@ -57,6 +57,12 @@ _INT_CHILD_SIZE = _U64.size
 #: function, never a lambda or bound method made per call.
 Decoder = Callable[[bytes, bytes], object]
 
+#: What a scan keeps of one leaf: ``leaf_filter(entries) -> kept``, a pure
+#: function of one decoder's entries.  Leaves memoize the last filter's
+#: result per filter *identity*: a filter that depends on anything but its
+#: argument must never be passed.
+LeafFilter = Callable[[list], list]
+
 
 class MutablePageSource:
     """Page access protocol of the B+tree: ``fetch`` for reads, the
@@ -99,11 +105,13 @@ class MutablePageSource:
 
 class _LeafNode:
     """A decoded leaf: parallel ``keys`` / ``values`` lists plus the
-    entry memo (see "The node cache contract" in DESIGN.md).
+    entry and filter memos (see "The node cache contract" in DESIGN.md).
 
     ``entries`` is None until a full scan of a tree that has a decoder
     fills it with ``(decode, [decode(key, value) for each cell])`` — the
-    whole leaf at once, published by one assignment.
+    whole leaf at once, published by one assignment.  ``kept`` is the
+    same kind of single slot for the last filtered scan:
+    ``(leaf_filter, leaf_filter(entries))``.
 
     ``used`` is how many bytes of the page the node fills, header and
     cell count included; every byte of a leaf page past it is zero.  The
@@ -111,13 +119,14 @@ class _LeafNode:
     the fit check nor finding a cell's offset walks the cells in Python.
     """
 
-    __slots__ = ("keys", "values", "entries", "used")
+    __slots__ = ("keys", "values", "entries", "kept", "used")
 
     def __init__(self, keys: List[bytes], values: List[bytes],
                  used: Optional[int] = None) -> None:
         self.keys = keys
         self.values = values
         self.entries: Optional[Tuple[Decoder, list]] = None
+        self.kept: Optional[Tuple[LeafFilter, list]] = None
         if used is None:
             used = (_LEAF_FIXED + _LEAF_CELL_OVERHEAD * len(keys)
                     + sum(map(len, keys)) + sum(map(len, values)))
@@ -158,7 +167,7 @@ class _LeafNode:
     def copy(self) -> "_LeafNode":
         """A private node a writer may mutate (keeping ``used`` in step)
         and then publish with :meth:`splice_into` or :meth:`encode_into`;
-        the entry memo does not follow it."""
+        neither memo follows it."""
         return _LeafNode(list(self.keys), list(self.values), self.used)
 
     def _memo(self, decode: Optional[Decoder]) -> Optional[list]:
@@ -204,6 +213,18 @@ class _LeafNode:
             entries = list(map(decode, self.keys, self.values))
             self.entries = (decode, entries)
         return entries
+
+    def filtered(self, decode: Decoder, leaf_filter: LeafFilter) -> list:
+        """What ``leaf_filter`` keeps of :meth:`filled`'s entries,
+        computed on first use by that filter and kept for every later
+        reader of this node until another filter takes the slot.  Like
+        :meth:`filled`, idempotent and published by one assignment."""
+        kept = self.kept
+        if kept is not None and kept[0] is leaf_filter:
+            return kept[1]
+        rows = leaf_filter(self.filled(decode))
+        self.kept = (leaf_filter, rows)
+        return rows
 
     def encode_into(self, page: Page) -> None:
         """Write the whole node onto ``page``, whatever it held: for a
@@ -651,18 +672,27 @@ class BTree:
         for leaf, lo in self._leaves_from(start_key):
             yield from leaf.cells(self.decode, lo)
 
-    def scan_leaves(self) -> Iterator[list]:
+    def scan_leaves(self, leaf_filter: Optional[LeafFilter] = None,
+                    ) -> Iterator[list]:
         """Full scan, a leaf at a time: yield each leaf's cells (raw
-        values, or entries) as one list, in key order.  The lists are
-        borrowed from the node cache — do not mutate them.
+        values, or entries) as one list, in key order — or, with a
+        ``leaf_filter`` (which needs a decoder), what it keeps of each
+        leaf's entries.  The lists are borrowed from the node cache — do
+        not mutate them.
 
-        This is the one reader that *fills* the entry memo: a leaf
-        decoded here costs no per-row work in any later scan, probe or
-        snapshot that finds the same page object in a cache.
+        This is the one reader that *fills* the memos: a leaf decoded
+        (or filtered) here costs no per-row work in any later scan,
+        probe or snapshot that finds the same page object in a cache
+        (and filters it with the same filter).
         """
         decode = self.decode
         for leaf, _ in self._leaves_from(b""):
-            yield leaf.values if decode is None else leaf.filled(decode)
+            if leaf_filter is not None:
+                yield leaf.filtered(decode, leaf_filter)
+            elif decode is None:
+                yield leaf.values
+            else:
+                yield leaf.filled(decode)
 
     def _leaves_from(self, start_key: bytes,
                      ) -> Iterator[Tuple[_LeafNode, int]]:

@@ -6,12 +6,15 @@ import threading
 import pytest
 
 from repro.core import RQLSession
+from repro.core.mechanisms import AggregateDataInVariableRun
 from repro.errors import (
     AggregateError,
     MechanismError,
     PlanError,
     QueryCancelled,
 )
+from repro.sql import executor
+from repro.storage.record import decode_record
 from repro.workloads import LoggedInSimulator
 
 
@@ -111,6 +114,32 @@ class TestAggregateDataInVariable:
                 "WHERE l_userid = 'UserB'",
                 "R", "min",
             )
+
+    def test_multi_column_qq_fails_before_any_row_is_decoded(
+            self, monkeypatch):
+        """The column count is checked before the cursor is consumed:
+        no row of the Qq's table is decoded, none is counted."""
+        rql = RQLSession(workers=1)
+        rql.execute("CREATE TABLE t (tag TEXT, n INTEGER)")
+        with rql.transaction(with_snapshot=True):
+            rql.execute("INSERT INTO t VALUES " + ", ".join(
+                f"('row-of-t', {i})" for i in range(50)))
+        decoded = []
+
+        def recording(raw):
+            record = decode_record(raw)
+            decoded.append(record)
+            return record
+
+        monkeypatch.setattr(executor, "decode_record", recording)
+        run = AggregateDataInVariableRun(rql.db, "SELECT tag, n FROM t",
+                                         "R", "min")
+        with pytest.raises(MechanismError, match="single-column"):
+            run.run("SELECT snap_id FROM SnapIds")
+        assert [it.qq_rows for it in run.sink.iterations] == [0]
+        assert decoded  # the Qs rows were read through the same decoder
+        assert not any(record[:1] == ("row-of-t",) for record in decoded)
+        rql.close()
 
     def test_non_monoid_rejected(self, paper_session):
         with pytest.raises(AggregateError):

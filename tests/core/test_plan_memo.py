@@ -150,6 +150,43 @@ def test_memo_replans_exactly_when_an_input_changes(history, monkeypatch):
     ]
 
 
+def test_leaf_filter_is_reused_exactly_with_the_plan(history, monkeypatch):
+    """A scan step's compiled leaf filter rides on the plan node: the
+    same object while the memo reuses the plan, a new one after every
+    re-plan, so a new plan never finds the previous plan's batches on
+    a leaf."""
+    session, sids = history
+    db = session.db
+    spy = _Spy(monkeypatch)
+    prepared = prepare_qq(QQ)
+    seen = []  # every filter so far, held so no identity is recycled
+    previous = None
+    scans = 0
+    for sid in sids:
+        before = len(spy.fresh)
+        rows = _step(db, prepared, sid)
+        replanned = len(spy.fresh) > before
+        assert rows == _text(db, QQ, sid), sid
+        step = spy.memo_plans[-1].steps[0]
+        if step.access.kind != "scan":
+            assert step.leaf_filter is None  # index probes filter per row
+            previous = None
+            continue
+        scans += 1
+        leaf_filter, per_row = step.leaf_filter
+        assert leaf_filter is not None and per_row == []
+        if replanned:
+            assert all(leaf_filter is not old for old in seen), sid
+        else:
+            assert leaf_filter is previous, sid
+        seen.append(leaf_filter)
+        previous = leaf_filter
+    # Both kinds of snapshot occur among the scans: a reused plan and
+    # a re-plan (ANALYZE, DROP INDEX, DROP + CREATE TABLE, CREATE INDEX).
+    assert scans == 8 and len(seen) == 8
+    assert len({id(f) for f in seen}) == 4
+
+
 def test_memo_never_hits_with_current_snapshot_in_where(history,
                                                         monkeypatch):
     session, sids = history

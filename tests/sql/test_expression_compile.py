@@ -2,7 +2,7 @@
 
 What the expression compiler decides once per statement (operator,
 operand classes, which conjuncts already yield a truth value) must never
-change a result.  Four differentials pin that:
+change a result.  Five differentials pin that:
 
 (a) a column-vs-constant comparison against ``compare`` plus a plain
     operator table, over every value class and the ugly corners;
@@ -10,7 +10,10 @@ change a result.  Four differentials pin that:
     including which UDF calls are reached;
 (c) a corpus of scalar expressions against stdlib ``sqlite3``, with the
     intentional divergences listed by name;
-(d) the aggregate loop: zero rows, DISTINCT, HAVING, NULL group keys.
+(d) the aggregate loop: zero rows, DISTINCT, HAVING, NULL group keys;
+(e) the leaf-batch form of every batchable conjunct against
+    ``filter(compile_predicate(...))``, and the prefix rule that keeps
+    UDFs (and LIMIT) per row.
 """
 
 import itertools
@@ -24,7 +27,7 @@ from repro.errors import PlanError, ReproError, TypeMismatchError
 from repro.sql import ast
 from repro.sql.database import Database
 from repro.sql.expressions import ExpressionCompiler, PostAggRef, Scope
-from repro.sql.types import compare, is_true
+from repro.sql.types import compare, is_true, type_class
 
 OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
 
@@ -485,3 +488,170 @@ class TestAggregateLoop:
         # a HAVING that is not a truth-valued node goes through is_true
         assert grouped.execute(counted + "COUNT(*) - 1").rows \
             == [(2, 3), (None, 4)]
+
+
+# ---------------------------------------------------------------------------
+# (e) the leaf-batch form
+# ---------------------------------------------------------------------------
+
+def _is_sql_value(value) -> bool:
+    try:
+        type_class(value)
+    except TypeMismatchError:
+        return False
+    return True
+
+
+#: one row per SQL value of the corpus (what a row may hold), as a leaf
+#: hands them out: (rowid, row)
+LEAF = [(rowid, (value,)) for rowid, value in
+        enumerate(v for v in VALUES if _is_sql_value(v))]
+
+C = _column("c")
+#: literals a batchable comparison may meet: every typed constant, and
+#: the ones that take the generic ``compare`` (NULL, a blob, ``True``)
+LITERALS = [ast.Literal(value) for value in CONSTANTS + [None]]
+
+
+def _comparisons():
+    for op, literal in itertools.product(OPERATORS, LITERALS):
+        yield ast.BinaryOp(op, C, literal)
+        yield ast.BinaryOp(op, literal, C)
+
+
+BATCHABLE = list(_comparisons()) + [
+    ast.IsNull(C, False),
+    ast.IsNull(C, True),
+    ast.Between(C, ast.Literal(0), ast.Literal(5.5), False),
+    ast.Between(C, ast.Literal("a"), ast.Literal("z"), True),
+    ast.Between(C, ast.Literal(None), ast.Literal(2**53), False),
+    ast.Between(C, ast.Literal(-1), ast.Literal(None), True),
+    ast.InList(C, [ast.Literal(1), ast.Literal("O"), ast.Literal(b"O")],
+               False),
+    ast.InList(C, [ast.Literal(NAN), ast.Literal(None)], False),
+    ast.InList(C, [ast.Literal(-0.0), ast.Literal(2**53 + 1)], True),
+    ast.InList(C, [ast.Literal(None)], True),
+    ast.UnaryOp("NOT", ast.BinaryOp("<", C, ast.Literal(1.5))),
+    ast.UnaryOp("NOT", ast.IsNull(C, False)),
+    ast.BinaryOp("OR", ast.BinaryOp("=", C, ast.Literal("O")),
+                 ast.BinaryOp(">", C, ast.Literal(None))),
+    ast.BinaryOp("AND", ast.BinaryOp(">=", ast.Literal(0), C),
+                 ast.UnaryOp("NOT", ast.InList(C, [ast.Literal(None)],
+                                               True))),
+]
+
+
+def _batch_against_rows(conjuncts):
+    """The leaf filter's rows and ``filter(compile_predicate(...))``'s
+    rows of the same leaf, as row identities."""
+    compiler = ExpressionCompiler(Scope([("t", "c")]), {})
+    leaf_filter, rest = compiler.compile_leaf_filter(conjuncts)
+    assert leaf_filter is not None and rest == []
+    per_row = filter(compiler.compile_predicate(conjuncts),
+                     [row for _, row in LEAF])
+    return [id(r) for r in leaf_filter(LEAF)], [id(r) for r in per_row]
+
+
+class TestLeafBatchForm:
+    @pytest.mark.parametrize("conjunct", BATCHABLE,
+                             ids=lambda c: type(c).__name__)
+    def test_every_batchable_conjunct_equals_the_row_filter(self, conjunct):
+        got, want = _batch_against_rows([conjunct])
+        assert got == want
+
+    def test_the_corpus_holds_every_value_class(self):
+        values = [row[0] for _, row in LEAF]
+        assert {type_class(v) for v in values} == {0, 1, 2, 3}
+        for corner in (True, -0.0, 2**53 - 1, 2**53 + 1, b"", None):
+            assert any(v is corner or (type(v) is type(corner)
+                                       and v == corner) for v in values)
+        assert any(v != v for v in values)  # NaN
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(BATCHABLE), min_size=2, max_size=3))
+    def test_and_of_conjuncts_equals_the_row_filter(self, conjuncts):
+        got, want = _batch_against_rows(conjuncts)
+        assert got == want
+
+    @pytest.mark.parametrize("conjunct", [
+        ast.FunctionCall("probe", [C], False, False),
+        ast.BinaryOp("=", ast.BinaryOp("+", C, ast.Literal(1)),
+                     ast.Literal(2)),
+        ast.BinaryOp("=", C, C),
+        ast.Like(C, ast.Literal("O%"), False),
+        ast.Between(C, ast.Literal(0), C, False),
+        ast.InList(C, [ast.Literal(1), C], False),
+        ast.IsNull(ast.BinaryOp("+", C, ast.Literal(1)), False),
+        ast.UnaryOp("-", C),
+        C,
+        ast.Literal(1),
+    ], ids=lambda c: type(c).__name__)
+    def test_what_is_not_batchable_stays_per_row(self, conjunct):
+        compiler = ExpressionCompiler(Scope([("t", "c")]),
+                                      {"probe": lambda v: v})
+        batchable = ast.BinaryOp("=", C, ast.Literal(1))
+        assert compiler.compile_leaf_filter([conjunct, batchable]) \
+            == (None, [conjunct, batchable])
+        leaf_filter, rest = compiler.compile_leaf_filter(
+            [batchable, conjunct, batchable])
+        assert leaf_filter is not None
+        assert rest == [conjunct, batchable]
+
+
+ROWS = 120
+
+
+@pytest.fixture
+def probed():
+    """A table over several leaves and a UDF that logs its calls."""
+    db = Database(page_size=1024)
+    db.execute("CREATE TABLE t (a INTEGER, s TEXT)")
+    db.execute("INSERT INTO t VALUES " + ", ".join(
+        f"({i}, '{'O' if i % 3 else 'F'}')" for i in range(ROWS)))
+    calls = []
+
+    def probe(value):
+        calls.append(value)
+        return 1 if value % 7 == 6 else 0
+
+    db.register_function("probe", probe)
+    yield db, calls
+    db.close()
+
+
+class TestPrefixRule:
+    """Each WHERE against the same WHERE spelled so that no conjunct is
+    batchable (``a + 0``, ``s || ''``): the row filter alone, the
+    pipeline every conjunct took before leaf batches.  Rows and UDF
+    calls must agree, with and without LIMIT."""
+
+    @pytest.mark.parametrize("where, per_row", [
+        # a UDF first: nothing is batched
+        ("probe(a) AND s = 'O'", "probe(a) AND s || '' = 'O'"),
+        # the UDF is reached for exactly the rows s = 'O' passed
+        ("s = 'O' AND probe(a)", "s || '' = 'O' AND probe(a)"),
+        ("a >= 10 AND s = 'O' AND probe(a) AND a < 100",
+         "a + 0 >= 10 AND s || '' = 'O' AND probe(a) AND a + 0 < 100"),
+        ("a IS NOT NULL AND probe(a) = 1",
+         "a + 0 IS NOT NULL AND probe(a) = 1"),
+    ])
+    @pytest.mark.parametrize("limit", [None, 1, 3])
+    def test_udf_calls_equal_the_row_filters(self, probed, where, per_row,
+                                             limit):
+        db, calls = probed
+        tail = "" if limit is None else f" LIMIT {limit}"
+        rows = db.execute(f"SELECT a, s FROM t WHERE {where}{tail}").rows
+        got = list(calls)
+        del calls[:]
+        want = db.execute(f"SELECT a, s FROM t WHERE {per_row}{tail}").rows
+        assert rows == want
+        assert got == calls
+        if limit is not None:
+            assert len(got) < ROWS  # LIMIT stopped the UDF early
+
+    def test_the_udf_sees_exactly_the_rows_the_prefix_passed(self, probed):
+        db, calls = probed
+        assert db.execute("SELECT COUNT(*) FROM t "
+                          "WHERE s = 'O' AND probe(a)").scalar() \
+            == len([a for a in range(ROWS) if a % 3 and a % 7 == 6])
+        assert calls == [a for a in range(ROWS) if a % 3]
