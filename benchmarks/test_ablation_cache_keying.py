@@ -9,7 +9,7 @@ levels — quantifying how much of the speedup the paper's design choice
 is worth.
 """
 
-from repro.bench import BENCH_CHARGES, QQ_IO, get_env, print_figure
+from repro.bench import BENCH_CHARGES, QQ_IO, print_figure, run_rql
 from repro.bench.figures import FigureResult, _env_fig6, OLD_START
 from repro.bench.report import save_figure
 from repro.workloads import UW30
@@ -23,10 +23,8 @@ def run_ablation_cache():
     try:
         for keying in ("by_slot", "by_snapshot_page"):
             retro.share_cache_by_slot = keying == "by_slot"
-            env.clear_snapshot_cache()
-            result = env.session.aggregate_data_in_variable(
-                qs, QQ_IO, "abl_cache", "avg",
-            )
+            result = run_rql(env, "AggregateDataInVariable", qs, QQ_IO,
+                             "abl_cache", "avg")
             iterations = result.metrics.iterations
             hot = iterations[1:]
             series[keying] = [(

@@ -8,7 +8,7 @@ only the mappings that expire — cost proportional to diff(S, S+1)
 instead of a fresh ~n log n Skippy scan per iteration.
 """
 
-from repro.bench import QQ_IO, print_figure
+from repro.bench import QQ_IO, print_figure, run_rql
 from repro.bench.figures import FigureResult, _env_fig6, OLD_START, INTERVAL
 from repro.bench.report import save_figure
 from repro.workloads import UW30
@@ -23,10 +23,8 @@ def run_ablation_incremental_spt():
         for mode in ("full rebuild (paper)", "incremental advance"):
             retro.incremental_spt = mode.startswith("incremental")
             retro._spt_cache = None
-            env.clear_snapshot_cache()
-            result = env.session.aggregate_data_in_variable(
-                qs, QQ_IO, "abl_ispt", "avg",
-            )
+            result = run_rql(env, "AggregateDataInVariable", qs, QQ_IO,
+                             "abl_ispt", "avg")
             iterations = result.metrics.iterations
             hot = iterations[1:]
             series[mode] = [(
@@ -44,9 +42,8 @@ def run_ablation_incremental_spt():
         for mode in series:
             retro.incremental_spt = mode.startswith("incremental")
             retro._spt_cache = None
-            env.session.aggregate_data_in_variable(
-                qs, QQ_IO, "abl_ispt_check", "avg",
-            )
+            env.session.run_reference("AggregateDataInVariable", qs, QQ_IO,
+                                      "abl_ispt_check", "avg")
             results[mode] = env.session.execute(
                 'SELECT * FROM "abl_ispt_check"').scalar()
         assert len(set(results.values())) == 1, results

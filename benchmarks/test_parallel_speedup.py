@@ -36,15 +36,14 @@ def run_parallel_speedup():
     qs = env.qs_interval(OLD_START, SNAPSHOTS)
     session = env.session
 
-    serial = run_rql(env, session.aggregate_data_in_variable,
-                     qs, QQ_IO, TABLE, "avg")
+    serial = run_rql(env, "AggregateDataInVariable", qs, QQ_IO, TABLE,
+                     "avg")
     serial_seconds = sum(
         it.total_seconds(BENCH_CHARGES) for it in serial.metrics.iterations
     )
     serial_rows = session.execute(f'SELECT * FROM "{TABLE}"').rows
 
     env.clear_snapshot_cache()
-    session.execute(f'DROP TABLE IF EXISTS "{TABLE}"')
     executor = ParallelExecutor(session.db, workers=WORKERS,
                                 clock=time.thread_time)
     parallel = executor.run("AggregateDataInVariable", qs, QQ_IO, TABLE,

@@ -203,8 +203,8 @@ class _Certifier:
 
     # -- Qq ----------------------------------------------------------------
 
-    def certify_qq(self) -> Optional[QuerySummary]:
-        select = self.parse_single_select(self.qq, "Qq")
+    def certify_qq(self, select: Optional[ast.Select]
+                   ) -> Optional[QuerySummary]:
         if select is None:
             return None
         if select.as_of is not None:
@@ -298,9 +298,13 @@ class _Certifier:
 
     # -- entry -------------------------------------------------------------
 
-    def run(self, arg) -> MergeCertificate:
+    def run(self, arg,
+            select: Optional[ast.Select] = None) -> MergeCertificate:
+        """``select``: the parsed Qq; None parses the Qq text."""
         bounds = self.certify_qs()
-        summary = self.certify_qq()
+        if select is None:
+            select = self.parse_single_select(self.qq, "Qq")
+        summary = self.certify_qq(select)
         self.certify_argument(arg, summary)
         merge_class = (SERIAL_ONLY if self.serial_only
                        else MECHANISM_CLASSES[self.canonical])
@@ -342,6 +346,15 @@ def certify_mechanism(mechanism: str, qs: str, qq: str, arg=None,
     certifier = _Certifier(mechanism, qs, qq, schema, file, line,
                            symbol or mechanism)
     return certifier.run(arg)
+
+
+def certify_select(mechanism: str, qs: str, select: ast.Select, arg=None,
+                   schema: Optional[SchemaProvider] = None
+                   ) -> MergeCertificate:
+    """Certify one invocation whose Qq is already parsed (the executor's
+    prepared Qq), parsing no Qq text of its own."""
+    return _Certifier(mechanism, qs, "", schema, "<query>", 1,
+                      mechanism).run(arg, select)
 
 
 def classify_select(summary: QuerySummary) -> Tuple[str, str]:

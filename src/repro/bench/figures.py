@@ -33,12 +33,10 @@ from repro.bench.harness import (
     get_env,
     qq_collate,
     ratio_c,
+    run_rql,
     standalone_snapshot_query,
 )
-from repro.core.mechanisms import (
-    AggregateDataInTableRun,
-    CollateDataRun,
-)
+from repro.core.mechanisms import AggregateDataInTableRun
 from repro.retro.metrics import IterationMetrics, MetricsSink
 from repro.workloads import UW15, UW30, UW60, UW7_5, UpdateWorkload
 
@@ -104,7 +102,7 @@ def run_fig6() -> FigureResult:
             for length in lengths:
                 qs = env.qs_interval(OLD_START, length, step=step)
                 ratios = ratio_c(
-                    env, env.session.aggregate_data_in_variable,
+                    env, "AggregateDataInVariable",
                     qs, QQ_IO, "fig6_result", "avg",
                 )
                 points.append((length, ratios))
@@ -174,7 +172,7 @@ def run_fig7() -> FigureResult:
             start = max(1, last - offset)
             qs = env.qs_interval(start, INTERVAL)
             ratios = ratio_c(
-                env, env.session.aggregate_data_in_variable,
+                env, "AggregateDataInVariable",
                 qs, QQ_IO, "fig7_result", "avg",
             )
             points.append((f"Slast-{offset}", ratios))
@@ -306,10 +304,8 @@ def run_fig9() -> FigureResult:
                                    (QQ_IO, False, "Qq_io")):
         env = _fig9_env(with_index)
         qs = env.qs_interval(OLD_START, FIG9_INTERVAL)
-        env.clear_snapshot_cache()
-        result = env.session.aggregate_data_in_variable(
-            qs, qq, "fig9_result", "avg",
-        )
+        result = run_rql(env, "AggregateDataInVariable", qs, qq,
+                         "fig9_result", "avg")
         iterations = result.metrics.iterations
         cold = _augment(iterations[0])
         hot = _mean_breakdown(iterations[1:])
@@ -391,10 +387,8 @@ def run_fig10() -> FigureResult:
     series: Dict[str, List[Tuple[object, Dict[str, float]]]] = {}
     for fraction in FIG10_FRACTIONS:
         date = _date_quantile(env, fraction)
-        env.clear_snapshot_cache()
-        result = env.session.collate_data(
-            qs, qq_collate(date), "fig10_result",
-        )
+        result = run_rql(env, "CollateData", qs, qq_collate(date),
+                         "fig10_result")
         iterations = result.metrics.iterations
         rows_per_snapshot = result.result_rows / max(1, result.iterations)
         label = f"~{int(rows_per_snapshot)} records"
@@ -450,12 +444,9 @@ def run_fig11() -> FigureResult:
             'SELECT o_custkey, MAX(cn), MAX(av) FROM "fig11_coll" '
             "GROUP BY o_custkey"),
     }.items():
-        env.clear_snapshot_cache()
-        agg_result = session.aggregate_data_in_table(
-            qs, QQ_AGG, "fig11_agg", agg_spec,
-        )
-        env.clear_snapshot_cache()
-        coll_result = session.collate_data(qs, QQ_AGG, "fig11_coll")
+        agg_result = run_rql(env, "AggregateDataInTable", qs, QQ_AGG,
+                             "fig11_agg", agg_spec)
+        coll_result = run_rql(env, "CollateData", qs, QQ_AGG, "fig11_coll")
         extra_started = time.perf_counter()
         session.execute(extra_sql)
         extra_seconds = time.perf_counter() - extra_started
@@ -514,10 +505,7 @@ def run_fig12() -> FigureResult:
     # paper's regime (1M records per snapshot over ~22K groups).
     env = _env_fig6(UW30)
     qs = env.qs_interval(OLD_START, FIG11_INTERVAL)
-    env.clear_snapshot_cache()
-    coll = CollateDataRun(env.session.db, QQ_AGG, "fig12_coll")
-    env.session.db.execute('DROP TABLE IF EXISTS "fig12_coll"')
-    coll_result = coll.run(qs)
+    coll_result = run_rql(env, "CollateData", qs, QQ_AGG, "fig12_coll")
     env.clear_snapshot_cache()
     env.session.db.execute('DROP TABLE IF EXISTS "fig12_agg"')
     agg = AggregateDataInTableRun(env.session.db, QQ_AGG, "fig12_agg",
@@ -634,12 +622,9 @@ def run_sec53() -> FigureResult:
     for workload in SEC53_WORKLOADS:
         env = get_env(workload, SEC53_INTERVAL + 4)
         qs = env.qs_interval(1, SEC53_INTERVAL)
-        env.clear_snapshot_cache()
-        coll = env.session.collate_data(qs, QQ_INT, "sec53_coll")
-        env.clear_snapshot_cache()
-        intervals = env.session.collate_data_into_intervals(
-            qs, QQ_INT, "sec53_ivl",
-        )
+        coll = run_rql(env, "CollateData", qs, QQ_INT, "sec53_coll")
+        intervals = run_rql(env, "CollateDataIntoIntervals", qs, QQ_INT,
+                            "sec53_ivl")
         series[workload.name] = [(
             "memory", {
                 "collate_rows": float(coll.result_rows),

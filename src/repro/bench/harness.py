@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core import RQLSession
 from repro.core.mechanisms import RQLResult
@@ -182,28 +182,14 @@ def iteration_breakdown(metrics: IterationMetrics,
     return metrics.breakdown(charges)
 
 
-def run_rql(env: BenchEnv, mechanism: Callable[..., RQLResult],
-            qs: str, qq: str, table: str, *args,
-            clear_cache: bool = True, **kwargs) -> RQLResult:
-    """Run one RQL query under the paper's cache methodology."""
+def run_rql(env: BenchEnv, mechanism: str, qs: str, qq: str, table: str,
+            arg=None, clear_cache: bool = True) -> RQLResult:
+    """Run one RQL query under the paper's cache methodology, through
+    the reference loop: its per-iteration sink is what the figures
+    break down."""
     if clear_cache:
         env.clear_snapshot_cache()
-    return mechanism(qs, qq, table, *args, **kwargs)
-
-
-def run_parallel(env: BenchEnv, mechanism: str, qs: str, qq: str,
-                 table: str, *args, workers: int = 4,
-                 clear_cache: bool = True, **kwargs) -> RQLResult:
-    """Run one session mechanism with the parallel executor.
-
-    ``mechanism`` names an :class:`~repro.core.RQLSession` method
-    (e.g. ``"aggregate_data_in_variable"``); the returned result carries
-    a :class:`~repro.core.parallel.ParallelRunInfo` on ``.parallel``.
-    """
-    if clear_cache:
-        env.clear_snapshot_cache()
-    method = getattr(env.session, mechanism)
-    return method(qs, qq, table, *args, workers=workers, **kwargs)
+    return env.session.run_reference(mechanism, qs, qq, table, arg)
 
 
 def parallel_makespan_seconds(info, charges: IoCharges = BENCH_CHARGES,
@@ -271,15 +257,15 @@ def qs_snapshot_ids(env: BenchEnv, qs: str) -> List[int]:
     return [int(r[0]) for r in env.session.execute(qs).rows]
 
 
-def ratio_c(env: BenchEnv, mechanism: Callable[..., RQLResult],
-            qs: str, qq: str, table: str, *args) -> Dict[str, float]:
+def ratio_c(env: BenchEnv, mechanism: str, qs: str, qq: str, table: str,
+            arg=None) -> Dict[str, float]:
     """Ratio C for one (Qs, Qq) pair: measured RQL cost / all-cold cost.
 
     Returns both the simulated-latency ratio and the deterministic
     Pagelog-read-count ratio.
     """
     snapshot_ids = qs_snapshot_ids(env, qs)
-    result = run_rql(env, mechanism, qs, qq, table, *args)
+    result = run_rql(env, mechanism, qs, qq, table, arg)
     rql = CostSummary.from_sink(result.metrics)
     # Force bench charges for the RQL sink (mechanisms default IoCharges).
     rql_seconds = sum(

@@ -4,8 +4,8 @@ The paper defines the four mechanisms as folds over the snapshot set
 (Sections 2-3); rqlint's merge classes name the algebra.  Each class is
 written once here and run three ways:
 
-* **partitions** — a worker steps a private fold over its contiguous
-  snapshot range (:func:`fold_range`);
+* **partitions** — every mechanism call steps a private fold over each
+  contiguous snapshot range of its run (:func:`fold_range`);
 * **merge** — ``fold.merge(later)`` absorbs the fold of the *next*
   contiguous range, exactly as if its snapshots had been stepped here;
 * **view refresh** — ``Fold.restore`` rebuilds the fold from a stored
@@ -22,9 +22,9 @@ Laws (``tests/core/test_aggregate_monoid_props.py``)::
 The second holds bit-for-bit on floats (same additions, same order);
 the first re-associates and is exact only where addition is.
 
-The table-backed serial loop (:mod:`repro.core.mechanisms`) stays a
-separate implementation on purpose: it is the reference every
-differential harness compares these folds against.
+The table-backed loop (:mod:`repro.core.mechanisms`) stays a separate
+implementation on purpose: it is the reference every differential
+harness compares these folds against (``RQLSession.run_reference``).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from repro.core.mechanisms import (
     create_result_index,
     create_result_table,
 )
-from repro.core.rewrite import prepare_qq
+from repro.core.rewrite import PreparedQq
 from repro.errors import MechanismError
 from repro.retro.metrics import MetricsSink
 from repro.sql.database import Database
@@ -506,19 +506,18 @@ def find_mechanism(name: str) -> Mechanism:
 # The drivers' shared halves: the snapshot loop and the result writer
 # ---------------------------------------------------------------------------
 
-def fold_range(db: Database, qq: str, sids: Sequence[int], fold: Fold,
-               sink: MetricsSink, poll: Callable[[], object]) -> None:
-    """Step ``fold`` over ``sids``: per snapshot, evaluate Qq bound to
-    it through a private read-only cursor (metered like the serial
-    loop, Qq evaluation apart from UDF work) and fold its rows.  Qq is
-    parsed and validated by the first snapshot reached, like the serial
-    loop's.
+def fold_range(db: Database, prepared: PreparedQq, sids: Sequence[int],
+               fold: Fold, sink: MetricsSink,
+               poll: Callable[[], object]) -> None:
+    """Step ``fold`` over ``sids``: per snapshot, evaluate the prepared
+    Qq bound to it through a private read-only cursor (metered like the
+    reference loop, Qq evaluation apart from UDF work) and fold its
+    rows.
 
     ``poll`` runs before every snapshot: a truthy return stops the loop
     quietly, an exception propagates — the caller picks the policy.
     """
     clock = sink.clock
-    prepared = None
     for sid in sids:
         if poll():
             return
@@ -526,8 +525,6 @@ def fold_range(db: Database, qq: str, sids: Sequence[int], fold: Fold,
         try:
             index_before = current.index_creation_seconds
             started = clock()
-            if prepared is None:
-                prepared = prepare_qq(qq)
             columns, cursor = db.open_cursor(
                 prepared.bind(sid), private=True, metrics=sink,
                 memo=prepared.memo,

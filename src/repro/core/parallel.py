@@ -1,16 +1,16 @@
-"""Parallel snapshot-set execution (paper Section 7, "parallelize the
-computation over the snapshot set").
+"""Snapshot-set execution, every mechanism call's one path (paper
+Section 7, "parallelize the computation over the snapshot set").
 
-The serial mechanisms iterate the Qs snapshot ids one by one.  This
-module partitions those ids into **contiguous runs**, steps a private
-:class:`~repro.core.folds.Fold` over each partition on its own worker
-thread (:func:`~repro.core.folds.fold_range`) — each worker owns a
+This module partitions the Qs snapshot ids into **contiguous runs** and
+steps a private :class:`~repro.core.folds.Fold` over each partition
+(:func:`~repro.core.folds.fold_range`): partition 0 on the calling
+thread, every other one on a thread of its own.  Each partition owns a
 private :class:`~repro.retro.metrics.MetricsSink` and opens private
-read-only contexts per iteration, so workers share nothing but the
-(latched) buffer pool, snapshot page cache, and SPT cache — and then, on
-the calling thread, merges the per-partition folds left to right
-(``Fold.merge``) and writes the result table once
-(:func:`~repro.core.folds.write_result`).
+read-only contexts per iteration, so partitions share nothing but the
+one prepared Qq (its plan memo is thread-safe), the (latched) buffer
+pool, snapshot page cache, and SPT cache.  The calling thread then
+merges the per-partition folds left to right (``Fold.merge``) and
+writes the result table once (:func:`~repro.core.folds.write_result`).
 
 Contiguous partitioning is what keeps the merges simple: each worker
 sees an unbroken slice of the iteration order, so only the two boundary
@@ -31,7 +31,7 @@ steps Qq over the snapshots in serial order and re-associates nothing.
 The certified class is recorded on :class:`ParallelRunInfo`, so a
 one-partition run shows why it was not split.
 
-Equivalence with the serial mechanisms is proven by the differential
+Equivalence with the reference mechanisms is proven by the differential
 harness in ``tests/core/test_parallel_equivalence.py``; the runner rule
 over every runnable corpus entry, serial-only ones included, by
 ``tests/core/test_parallel_certificates.py``.
@@ -42,7 +42,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Union
 
 from repro.core.folds import (
     Fold,
@@ -53,26 +53,35 @@ from repro.core.folds import (
 )
 from repro.core.mechanisms import (
     RQLResult,
+    _quote,
     build_result,
     result_index_name,
 )
-from repro.core.rewrite import validate_qs
+from repro.core.rewrite import PreparedQq, prepare_qq, validate_qs
 from repro.errors import MechanismError, QueryCancelled
 from repro.retro.metrics import MetricsSink
 from repro.sql.database import Database
 
 
-def certify(db: Database, mechanism: str, qs: str, qq: str, arg=None):
-    """rqlint certificate for one invocation, against the live catalog.
+def certify(db: Database, mechanism: str, qs: str,
+            qq: Union[str, PreparedQq], arg=None):
+    """rqlint certificate for one invocation (``qq``: text, or the
+    prepared Qq whose parse it shares), against the live catalog.
 
     Imported lazily: certification is an analysis-layer concern and
     ``import repro.core`` must not drag the lint machinery in.
     """
-    from repro.analysis.query.mergeclass import certify_mechanism
+    from repro.analysis.query.mergeclass import (
+        certify_mechanism,
+        certify_select,
+    )
     from repro.sql.semantic import ContextSchema
     with db.reading() as ctx:
-        return certify_mechanism(mechanism, qs, qq, arg=arg,
-                                 schema=ContextSchema(ctx))
+        schema = ContextSchema(ctx)
+        if isinstance(qq, PreparedQq):
+            return certify_select(mechanism, qs, qq.statement, arg=arg,
+                                  schema=schema)
+        return certify_mechanism(mechanism, qs, qq, arg=arg, schema=schema)
 
 
 def partition_snapshots(snapshot_ids: Sequence[int],
@@ -192,20 +201,26 @@ class ParallelExecutor:
 
     def run(self, mechanism: str, qs: str, qq: str, table: str,
             arg=None, persistent: bool = False) -> RQLResult:
-        """Certify the run, partition Qs by the runner rule, fold each
-        partition on a worker, merge the folds left to right, write T
-        once."""
+        """Refuse an open transaction, drop a stale T, certify the run,
+        partition Qs by the runner rule, fold each partition, merge the
+        folds left to right, write T once."""
         spec = find_mechanism(mechanism)
-        spec.fold(arg)  # reject a bad aggregate argument before threading
         self._check_idle()
-        merge_class = certify(self.db, spec.name, qs, qq, arg).merge_class
+        # A malformed call is refused before the stale T is dropped.
+        spec.fold(arg)
         validate_qs(qs)
+        # One parse for the certificate and every partition: they share
+        # its plan memo and the leaf filter the memo's plan holds.
+        prepared = prepare_qq(qq)
+        self.db.execute(f"DROP TABLE IF EXISTS {_quote(table)}")
+        merge_class = certify(self.db, spec.name, qs, prepared,
+                              arg).merge_class
         snapshot_ids = [int(row[0]) for row in self.db.execute(qs).rows]
         # The runner rule: only a certified merge law may re-associate.
         partitions = partition_snapshots(
             snapshot_ids,
             self.workers if merge_class == spec.merge_class else 1)
-        partials = self._run_partitions(partitions, spec, arg, qq)
+        partials = self._run_partitions(partitions, spec, arg, prepared)
         clock = self._clock
         merge_started = clock()
         result = None
@@ -237,10 +252,12 @@ class ParallelExecutor:
     # -- worker machinery ---------------------------------------------------
 
     def _check_idle(self) -> None:
+        """Else T would be dropped and written in the caller's txn."""
         if self.db._in_explicit_txn or self.db._main.txn is not None \
                 or self.db._aux.txn is not None:
             raise MechanismError(
-                "parallel execution requires no open write transaction"
+                "a retrospective query cannot run inside an open "
+                "transaction; COMMIT or ROLLBACK first"
             )
 
     def _new_sink(self, worker: int) -> MetricsSink:
@@ -249,16 +266,17 @@ class ParallelExecutor:
         return sink
 
     def _run_partitions(self, partitions: List[List[int]], spec: Mechanism,
-                        arg, qq: str) -> List[_Partial]:
-        """Step a private fold over each partition on worker threads;
-        raises the first partition's error (in partition order) after
-        every worker has stopped.
+                        arg, prepared: PreparedQq) -> List[_Partial]:
+        """Step a private fold over each partition; raises the first
+        partition's error (in partition order) after every partition has
+        stopped.
 
-        Each partition gets its own short-lived thread, joined before
-        this returns, for embedded sessions and server tickets alike.
-        An external cancel event (client disconnect) surfaces as
-        :class:`~repro.errors.QueryCancelled` once every worker has
-        retired — never while a worker still runs.
+        Partitions 1… get a short-lived thread each; partition 0 runs on
+        the calling thread, which would otherwise only wait, so a
+        one-partition run starts no thread.  An external cancel event
+        (client disconnect) surfaces as
+        :class:`~repro.errors.QueryCancelled` once every partition has
+        retired — never while one still runs.
         """
         if self._cancel is not None and self._cancel.is_set():
             raise QueryCancelled("query cancelled before admission")
@@ -272,11 +290,11 @@ class ParallelExecutor:
 
         def body(partial: _Partial) -> None:
             try:
-                # Workers stop quietly on cancel, so the board keeps
+                # Partitions stop quietly on cancel, so the board keeps
                 # the first *real* error; QueryCancelled is raised
-                # below, once every worker has retired.
+                # below, once every partition has retired.
                 fold = spec.fold(arg, first=partial.index == 0)
-                fold_range(db, qq, partial.snapshot_ids, fold,
+                fold_range(db, prepared, partial.snapshot_ids, fold,
                            partial.sink, cancel.is_set)
                 partial.payload = fold
             except BaseException as exc:
@@ -289,12 +307,16 @@ class ParallelExecutor:
         threads = [
             threading.Thread(target=body, args=(partial,),
                              name=f"rql-worker-{partial.index + 1}")
-            for partial in partials
+            for partial in partials[1:]
         ]
         for thread in threads:
             thread.start()
-        for thread in threads:
-            thread.join()
+        try:
+            if partials:
+                body(partials[0])
+        finally:
+            for thread in threads:
+                thread.join()
         error = board.first_error()
         if error is not None:
             raise error

@@ -61,8 +61,8 @@ class RQLSession:
         #: registry handle for server-managed sessions (None when embedded)
         self.name = name
         self.snapids = SnapIds(self.db, clock=clock)
-        #: default worker count for the four mechanisms; 1 = serial loop,
-        #: >1 = the partition/merge executor (:mod:`repro.core.parallel`).
+        #: default worker count for the four mechanisms' partition/merge
+        #: executor (:mod:`repro.core.parallel`); 1 = one partition.
         #: When the constructor argument is omitted, the RQL_WORKERS
         #: environment variable supplies the default (CI runs the test
         #: suite under RQL_WORKERS=4 to exercise the parallel paths).
@@ -197,21 +197,30 @@ class RQLSession:
     def run_mechanism(self, name: str, qs: str, qq: str, table: str,
                       arg=None, persistent: bool = False,
                       workers: Optional[int] = None, cancel=None) -> RQLResult:
-        """Run one mechanism into a fresh result table T: the serial
-        loop at ``workers == 1``, the partition/merge executor above
-        (one partition when the certificate has no merge law).
+        """Run one mechanism into a fresh result table T through the
+        fold/merge executor, at every worker count (one partition when
+        ``workers == 1`` or the certificate has no merge law).
 
-        ``cancel`` is polled at snapshot boundaries on either path.
+        ``cancel`` is polled at snapshot boundaries.
+        """
+        return ParallelExecutor(
+            self.db, workers=self._effective_workers(workers),
+            cancel=cancel,
+        ).run(name, qs, qq, table, arg, persistent)
+
+    def run_reference(self, name: str, qs: str, qq: str, table: str,
+                      arg=None, persistent: bool = False,
+                      cancel=None) -> RQLResult:
+        """Run one mechanism through the table-backed loop, which writes
+        T once per snapshot: the differential oracle the product path
+        is compared against, and the per-iteration accounting (probes,
+        updates, UDF time) Figures 6-13 report.  No product call takes
+        this path.
         """
         spec = find_mechanism(name)
-        count = self._effective_workers(workers)
         self._drop_result_table(table)
-        if count > 1:
-            return ParallelExecutor(
-                self.db, workers=count, cancel=cancel,
-            ).run(spec.name, qs, qq, table, arg, persistent)
-        run = self._serial_run(spec, qq, table, arg, persistent)
-        return run.run(qs, cancel=cancel)
+        return self._serial_run(spec, qq, table, arg,
+                                persistent).run(qs, cancel=cancel)
 
     def _serial_run(self, spec: Mechanism, qq: str, table: str, arg,
                     persistent: bool = False):

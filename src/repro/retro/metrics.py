@@ -41,7 +41,7 @@ class IterationMetrics:
     spt_entries_scanned: int = 0
     #: rows the rewritten Qq produced for this snapshot
     qq_rows: int = 0
-    #: worker thread that evaluated this iteration (0 = the serial loop)
+    #: partition that evaluated this iteration (0 = the reference loop)
     worker: int = 0
     #: measured wall-clock seconds per phase
     spt_build_seconds: float = 0.0

@@ -392,6 +392,8 @@ class ViewManager:
         else:
             sids = range(meta.built_from + 1, target + 1)
 
+        prepared = prepare_qq(meta.qq)
+
         def poll() -> None:
             self._check_cancel(cancel)  # raises; never stops quietly
 
@@ -400,12 +402,12 @@ class ViewManager:
             # invariant Qq: one evaluation at the target stands in
             # for the whole range.
             once = ConcatFold()
-            fold_range(self.db, meta.qq, sids[-1:], once, sink, poll)
+            fold_range(self.db, prepared, sids[-1:], once, sink, poll)
             for sid in sids:
                 fold.step(sid, once.columns, once.rows)
             report.evaluated_snapshots = 1
         else:
-            fold_range(self.db, meta.qq, sids, fold, sink, poll)
+            fold_range(self.db, prepared, sids, fold, sink, poll)
             report.evaluated_snapshots = len(sids)
         self._check_cancel(cancel)
         self._persist(meta, target, fold, report,

@@ -6,27 +6,26 @@ any number of tickets across sessions run concurrently without blocking
 writers; result-table writes (and only those) take the shared write
 gate.
 
-Every ticket runs the fold/merge executor
-(:class:`~repro.core.parallel.ParallelExecutor`), whatever its worker
-count: each partition a short-lived thread (at most
-:data:`MAX_QUERY_WORKERS`) folding its snapshots in memory through
-private read contexts, all joined before the merged result is written
-in **one** gated transaction.  How many partitions a ticket gets is the
-executor's runner rule, not the scheduler's: up to ``workers`` when the
-run's merge law allows re-association, one otherwise.  Reads pinned to a
-declared snapshot need no isolation, and only installing the result
-takes the write gate.  (The embedded session keeps the serial loop at
-``workers=1``: it is the paper's reference loop and the differential
-oracle the server is compared against.)
+A ticket's work is ``RQLSession.run_mechanism``, the call an embedded
+session makes: the fold/merge executor of :mod:`repro.core.parallel`,
+whatever the worker count.  Partition 0 runs on the ticket's dispatcher thread and every
+other partition (at most :data:`MAX_QUERY_WORKERS` in all) on a
+short-lived thread of its own, each folding its snapshots in memory
+through private read contexts; all are joined before the merged result
+is written in **one** gated transaction.  How many partitions a ticket
+gets is the executor's runner rule, not the scheduler's: up to
+``workers`` when the run's merge law allows re-association, one
+otherwise.  Reads pinned to a declared snapshot need no isolation, and
+only installing the result takes the write gate.
 
 A ticket refuses to run inside its session's open explicit
 transaction, before it reads or writes anything, with
 :class:`~repro.errors.MechanismError` at every worker count; the
-transaction stays open.
+transaction stays open (the executor's refusal, as embedded).
 
-Every ticket carries a cancel event: the executor's partition workers
-poll it between iterations and the run surfaces
-:class:`~repro.errors.QueryCancelled` after every worker retired.  The
+Every ticket carries a cancel event: the executor's partitions poll it
+between iterations and the run surfaces
+:class:`~repro.errors.QueryCancelled` after every partition retired.  The
 server sets it when a client disconnects mid-query; the scheduler then
 drops the partial result table so a cancelled query leaves no debris.
 
@@ -44,7 +43,6 @@ from typing import Dict, List, Optional
 from repro.core import RQLSession
 from repro.core.folds import find_mechanism
 from repro.core.mechanisms import RQLResult
-from repro.core.parallel import ParallelExecutor
 from repro.errors import (
     MechanismError,
     QueryCancelled,
@@ -54,8 +52,8 @@ from repro.errors import (
 
 from repro.server.store import SharedStore
 
-#: Most partition threads one ticket may start: ``workers`` arrives over
-#: the wire, so it is checked (twice the largest count any caller passes).
+#: Most partitions one ticket may run: ``workers`` arrives over the
+#: wire, so it is checked (twice the largest count any caller passes).
 MAX_QUERY_WORKERS = 8
 
 
@@ -119,8 +117,9 @@ class QueryScheduler:
             )
 
         def work(ticket: QueryTicket) -> RQLResult:
-            return self._execute(session, ticket, qs, qq, table, arg,
-                                 persistent, count)
+            return session.run_mechanism(ticket.mechanism, qs, qq, table,
+                                         arg, persistent, count,
+                                         cancel=ticket.cancel)
 
         return self._dispatch(session, mechanism, table, work,
                               drop_partial=True)
@@ -192,21 +191,6 @@ class QueryScheduler:
             with self._latch:
                 self._active.pop(ticket.id, None)
             ticket.done.set()
-
-    def _execute(self, session: RQLSession, ticket: QueryTicket, qs: str,
-                 qq: str, table: str, arg: object, persistent: bool,
-                 count: int) -> RQLResult:
-        if session.db._in_explicit_txn:
-            # Refused before anything runs: the result table would be
-            # dropped and written inside the client's transaction.
-            raise MechanismError(
-                "a retrospective query cannot run inside an open "
-                "transaction; COMMIT or ROLLBACK first"
-            )
-        session._drop_result_table(table)
-        return ParallelExecutor(
-            session.db, workers=count, cancel=ticket.cancel,
-        ).run(ticket.mechanism, qs, qq, table, arg, persistent)
 
     def _drop_partial(self, session: RQLSession, table: str) -> None:
         """A cancelled run must not leave a half-built result table."""

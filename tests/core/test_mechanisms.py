@@ -367,33 +367,108 @@ class TestResultTableNames:
         assert s.execute("SELECT x FROM victim").rows == [(1,)]
 
 
+def _cancel_session():
+    """Four snapshots and a Qq whose ``probe`` UDF records each snapshot
+    it evaluates and sets ``cancel`` during snapshot 2."""
+    s = RQLSession()
+    s.execute("CREATE TABLE events (val INTEGER)")
+    for n in range(4):
+        s.execute(f"INSERT INTO events VALUES ({n})")
+        s.declare_snapshot()
+    cancel = threading.Event()
+    seen = set()
+
+    def probe(value, snapshot_id):
+        seen.add(int(snapshot_id))
+        if int(snapshot_id) == 2:
+            cancel.set()
+        return value
+
+    s.db.register_function("probe", probe)
+    return s, cancel, seen
+
+
 class TestCancel:
+    QQ = "SELECT probe(val, current_snapshot()) FROM events"
+    QS = "SELECT snap_id FROM SnapIds ORDER BY snap_id"
+
     def test_serial_loop_stops_at_the_next_snapshot(self):
-        """The embedded ``workers=1`` loop polls ``cancel`` between
-        snapshot iterations: set during snapshot 2, the run never starts
+        """The reference loop polls ``cancel`` between snapshot
+        iterations: set during snapshot 2, the run never starts
         snapshot 3."""
-        s = RQLSession()
-        s.execute("CREATE TABLE events (val INTEGER)")
-        for n in range(4):
-            s.execute(f"INSERT INTO events VALUES ({n})")
-            s.declare_snapshot()
-        cancel = threading.Event()
-        seen = set()
-
-        def probe(value, snapshot_id):
-            seen.add(int(snapshot_id))
-            if int(snapshot_id) == 2:
-                cancel.set()
-            return value
-
-        s.db.register_function("probe", probe)
-        qq = "SELECT probe(val, current_snapshot()) FROM events"
-        qs = "SELECT snap_id FROM SnapIds ORDER BY snap_id"
+        s, cancel, seen = _cancel_session()
         with pytest.raises(QueryCancelled, match="before snapshot 3"):
-            s.run_mechanism("CollateData", qs, qq, "R", workers=1,
+            s.run_reference("CollateData", self.QS, self.QQ, "R",
                             cancel=cancel)
         assert seen == {1, 2}
-        result = s.run_mechanism("CollateData", qs, qq, "R", workers=1,
+        result = s.run_reference("CollateData", self.QS, self.QQ, "R",
                                  cancel=threading.Event())
-        assert result.parallel is None  # the serial loop, not a fold
+        assert result.parallel is None  # the table-backed loop
         assert result.snapshots == [1, 2, 3, 4]
+
+    def test_one_partition_run_stops_at_the_next_snapshot(self):
+        """The product path at ``workers=1`` polls the same event
+        between snapshots of its one partition: set during snapshot 2,
+        snapshot 3 never starts, and the run raises once it stopped."""
+        s, cancel, seen = _cancel_session()
+        with pytest.raises(QueryCancelled):
+            s.run_mechanism("CollateData", self.QS, self.QQ, "R",
+                            workers=1, cancel=cancel)
+        assert seen == {1, 2}
+        result = s.run_mechanism("CollateData", self.QS, self.QQ, "R",
+                                 workers=1, cancel=threading.Event())
+        assert result.parallel.partitions == [[1, 2, 3, 4]]
+        assert result.snapshots == [1, 2, 3, 4]
+
+
+class TestRefusal:
+    """A mechanism call inside an open transaction is refused before it
+    touches anything: the same error embedded at every worker count and
+    on a server ticket, T's rows unchanged, the transaction still open,
+    and ``COMMIT`` keeps T."""
+
+    QS = "SELECT snap_id FROM SnapIds ORDER BY snap_id"
+    QQ = "SELECT val FROM events"
+    MESSAGE = ("a retrospective query cannot run inside an open "
+               "transaction; COMMIT or ROLLBACK first")
+
+    @staticmethod
+    def populate(handle):
+        handle.execute("CREATE TABLE events (val INTEGER)")
+        for n in range(3):
+            handle.execute(f"INSERT INTO events VALUES ({n})")
+            handle.declare_snapshot()
+        handle.execute("CREATE TABLE R (x INTEGER)")
+        handle.execute("INSERT INTO R VALUES (7), (8)")
+
+    def assert_refused_and_intact(self, handle, workers):
+        handle.execute("BEGIN")
+        handle.execute("INSERT INTO events VALUES (99)")
+        with pytest.raises(MechanismError) as refused:
+            handle.collate_data(self.QS, self.QQ, "R", workers=workers)
+        assert str(refused.value) == self.MESSAGE
+        assert handle.execute("SELECT x FROM R ORDER BY x").rows \
+            == [(7,), (8,)]
+        # Still inside the caller's transaction: its write is visible.
+        assert handle.execute("SELECT COUNT(*) FROM events").scalar() == 4
+        handle.execute("COMMIT")
+        assert handle.execute("SELECT x FROM R ORDER BY x").rows \
+            == [(7,), (8,)]
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_embedded(self, workers):
+        s = RQLSession()
+        self.populate(s)
+        self.assert_refused_and_intact(s, workers)
+        s.close()
+
+    def test_server_ticket(self):
+        from repro.server import RQLServer
+        server = RQLServer(gate_timeout=30.0)
+        try:
+            client = server.connect("alice")
+            self.populate(client)
+            self.assert_refused_and_intact(client, 1)
+            client.close()
+        finally:
+            server.close()

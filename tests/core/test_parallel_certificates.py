@@ -3,11 +3,11 @@
 Two or more partitions need a certificate whose class is the fold's
 class; one partition never does.  Two halves:
 
-* the **differential gate** runs every runnable corpus entry serially
-  and at ``workers=4``.  Every verdict must produce byte-identical
-  result tables and database state, or raise the same error: mergeable
-  verdicts split into partitions, ``serial-only`` ones run as one
-  partition.  A false "mergeable" verdict fails here, not in review.
+* the **differential gate** runs every runnable corpus entry through
+  the reference loop and through the product path at ``workers`` 1 and
+  4.  Every verdict must produce byte-identical result tables and
+  database state, or raise the same error: mergeable verdicts split
+  into partitions, ``serial-only`` ones run as one partition.  A false "mergeable" verdict fails here, not in review.
 * **certificate plumbing**: the executor certifies every run itself (a
   forged or mismatched verdict is never split), and ``session.certify``
   exposes the same verdict against the live catalog.
@@ -16,6 +16,7 @@ class; one partition never does.  Two halves:
 from __future__ import annotations
 
 import dataclasses
+from typing import Optional
 
 import pytest
 
@@ -53,11 +54,17 @@ def gate_session(entry, tpch_small):
     return session
 
 
-def run_outcome(session: RQLSession, entry, table: str, workers: int):
+def run_outcome(session: RQLSession, entry, table: str,
+                workers: Optional[int]):
     """(result, result table, database dump), or the raised error's
-    (class, message) with the dump."""
+    (class, message) with the dump.  ``workers=None`` runs the
+    reference loop."""
     try:
-        result = run_entry(session, entry, table, workers=workers)
+        if workers is None:
+            result = session.run_reference(entry.mechanism, entry.qs,
+                                           entry.qq, table, entry.arg)
+        else:
+            result = run_entry(session, entry, table, workers=workers)
     except ReproError as exc:
         return ((type(exc), str(exc)), None,
                 full_database_dump(session.db))
@@ -65,40 +72,44 @@ def run_outcome(session: RQLSession, entry, table: str, workers: int):
         full_database_dump(session.db)
 
 
-def assert_workers_4_is_workers_1(entry, tpch_small):
-    """The gate: ``workers=4`` is byte-identical to ``workers=1`` (result
-    table and ``full_database_dump``) or raises the same error; returns
-    the ``workers=4`` result and result table (None when both
-    raised)."""
+def assert_product_is_reference(entry, tpch_small):
+    """The gate: the product path at ``workers`` 1 and 4 is
+    byte-identical to the reference loop (result table and
+    ``full_database_dump``) or raises the same error; returns the
+    ``workers=4`` result and result table (None when all raised)."""
     session = gate_session(entry, tpch_small)
     table = "CertGate_" + entry.name.replace("-", "_")
     try:
-        serial, serial_rows, serial_state = run_outcome(
-            session, entry, table, workers=1)
-        parallel_run, rows, state = run_outcome(
-            session, entry, table, workers=4)
-        if isinstance(serial, tuple):
-            assert parallel_run == serial, \
-                f"{entry.name}: workers=4 raised differently"
-            assert state == serial_state
+        reference, reference_rows, reference_state = run_outcome(
+            session, entry, table, workers=None)
+        for workers in (1, 4):
+            product, rows, state = run_outcome(
+                session, entry, table, workers=workers)
+            if isinstance(reference, tuple):
+                assert product == reference, \
+                    f"{entry.name}: workers={workers} raised differently"
+                assert state == reference_state
+                continue
+            assert reference.parallel is None
+            assert product.parallel is not None
+            assert product.parallel.workers == workers
+            assert product.parallel.merge_class == entry.expected_class
+            assert product.snapshots == reference.snapshots
+            assert rows == reference_rows, \
+                f"{entry.name}: result table diverged at workers={workers}"
+            assert state == reference_state, \
+                f"{entry.name}: database state diverged at " \
+                f"workers={workers}"
+        if isinstance(reference, tuple):
             return None, None
-        assert serial.parallel is None
-        assert parallel_run.parallel is not None
-        assert parallel_run.parallel.workers == 4
-        assert parallel_run.parallel.merge_class == entry.expected_class
-        assert parallel_run.snapshots == serial.snapshots
-        assert rows == serial_rows, \
-            f"{entry.name}: result table diverged at workers=4"
-        assert state == serial_state, \
-            f"{entry.name}: database state diverged at workers=4"
-        return parallel_run, rows
+        return product, rows
     finally:
         session.execute(f'DROP TABLE IF EXISTS "{table}"')
 
 
 @pytest.mark.parametrize("entry", MERGEABLE, ids=lambda e: e.name)
 def test_mergeable_entries_are_byte_identical(entry, tpch_small):
-    result, rows = assert_workers_4_is_workers_1(entry, tpch_small)
+    result, rows = assert_product_is_reference(entry, tpch_small)
     assert result is not None
     assert len(result.parallel.partitions) \
         == min(4, len(result.snapshots))
@@ -110,9 +121,9 @@ def test_mergeable_entries_are_byte_identical(entry, tpch_small):
 @pytest.mark.parametrize("entry", SERIAL, ids=lambda e: e.name)
 def test_serial_only_entries_are_refused_in_parallel(entry, tpch_small):
     """A ``serial-only`` verdict is refused a split, not refused a run:
-    at ``workers=4`` it is one partition, byte-identical to the serial
-    loop, or raises the serial loop's error."""
-    result, _ = assert_workers_4_is_workers_1(entry, tpch_small)
+    at ``workers=4`` it is one partition, byte-identical to the
+    reference loop, or raises the reference loop's error."""
+    result, _ = assert_product_is_reference(entry, tpch_small)
     if result is not None:
         assert result.parallel.merge_class == SERIAL_ONLY
         assert result.parallel.partitions == [result.snapshots]
@@ -120,12 +131,13 @@ def test_serial_only_entries_are_refused_in_parallel(entry, tpch_small):
 
 def test_workers_knob_runs_serially_but_not_in_parallel(tpch_small):
     """The RQL106 entry isolates the runner rule: the Qq is valid SQL
-    the serial path executes, so only the certificate keeps
+    the reference loop executes, so only the certificate keeps
     ``workers=4`` from splitting it — and the one-partition run equals
-    the ``workers=1`` run."""
+    the reference run."""
     entry = [e for e in SERIAL if e.name == "loggedin-workers-knob"][0]
     session = gate_session(entry, tpch_small)
-    serial = run_entry(session, entry, "KnobHistory", workers=1)
+    serial = session.run_reference(entry.mechanism, entry.qs, entry.qq,
+                                   "KnobHistory", entry.arg)
     assert serial.snapshots == [1, 2, 3]
     serial_rows = result_table(session, "KnobHistory")
     serial_state = full_database_dump(session.db)
@@ -158,7 +170,7 @@ class TestCertificatePlumbing:
 
     @staticmethod
     def serial_rows(session, table):
-        session.collate_data(PAPER_QS, PAPER_QQ, table, workers=1)
+        session.run_reference("CollateData", PAPER_QS, PAPER_QQ, table)
         return result_table(session, table)
 
     @staticmethod
@@ -186,7 +198,7 @@ class TestCertificatePlumbing:
 
     def test_forged_certificate_is_refused(self, session, monkeypatch):
         """A forged ``serial-only`` verdict is refused a split: one
-        partition, the serial loop's result."""
+        partition, the reference loop's result."""
         expected = self.serial_rows(session, "Serial")
         honest = session.certify("CollateData", PAPER_QS, PAPER_QQ)
         forged = dataclasses.replace(honest, merge_class=SERIAL_ONLY)

@@ -1,17 +1,18 @@
-"""Differential/property harness: the parallel executor is equivalent
-to the serial mechanisms.
+"""Differential/property harness: the executor (the product path) is
+equivalent to the reference mechanisms.
 
 Hypothesis generates snapshot histories (inserts, updates, deletes
-across a handful of snapshots), runs each mechanism serially and then
-through :class:`~repro.core.parallel.ParallelExecutor` at every worker
-count in ``WORKER_COUNTS``, and asserts byte-level equality:
+across a handful of snapshots), runs each mechanism through the
+reference loop (``RQLSession.run_reference``) and then through
+:class:`~repro.core.parallel.ParallelExecutor` at every worker count in
+``WORKER_COUNTS``, and asserts byte-level equality:
 
 * the result table — columns, physical row order, rowids, and values,
   including the hidden ``__avg_sum_i`` / ``__avg_cnt_i`` helper columns;
 * the full post-run database state (every table in both engines, plus
   the index inventory);
 * the metrics invariant: the per-worker ``qq_rows`` totals sum to the
-  serial count, and each iteration is stamped with the worker that ran
+  reference count, and each iteration is stamped with the worker that ran
   its partition.
 
 All generated values are integers: integer-valued float arithmetic is
@@ -95,22 +96,23 @@ def dump_result(session: RQLSession, table: str):
     return tuple(result.columns), [tuple(r) for r in result.rows]
 
 
-def _serial_then_parallel(session: RQLSession, run_serial, run_parallel,
-                          table: str) -> None:
-    """The differential core: serial once, then every worker count."""
-    serial_result = run_serial()
-    serial_dump = dump_result(session, table)
-    serial_state = full_database_dump(session.db)
-    serial_qq_rows = sum(i.qq_rows for i in serial_result.metrics.iterations)
+def _reference_then_executor(session: RQLSession, run_reference,
+                             run_executor, table: str) -> None:
+    """The differential core: the reference once, then every worker
+    count (each run drops the stale result table itself)."""
+    reference_result = run_reference()
+    reference_dump = dump_result(session, table)
+    reference_state = full_database_dump(session.db)
+    reference_qq_rows = sum(
+        i.qq_rows for i in reference_result.metrics.iterations)
 
     for workers in WORKER_COUNTS:
-        session.execute(f'DROP TABLE IF EXISTS "{table}"')
         executor = ParallelExecutor(session.db, workers=workers)
-        result = run_parallel(executor)
+        result = run_executor(executor)
 
-        assert dump_result(session, table) == serial_dump, \
+        assert dump_result(session, table) == reference_dump, \
             f"result table diverged at workers={workers}"
-        assert full_database_dump(session.db) == serial_state, \
+        assert full_database_dump(session.db) == reference_state, \
             f"database state diverged at workers={workers}"
 
         info = result.parallel
@@ -119,7 +121,7 @@ def _serial_then_parallel(session: RQLSession, run_serial, run_parallel,
             sum(i.qq_rows for i in sink.iterations)
             for sink in info.worker_sinks
         ]
-        assert sum(per_worker) == serial_qq_rows
+        assert sum(per_worker) == reference_qq_rows
         # Iterations are stamped with the partition that evaluated them.
         for n, partition in enumerate(info.partitions):
             sink = info.worker_sinks[n]
@@ -138,9 +140,9 @@ def _serial_then_parallel(session: RQLSession, run_serial, run_parallel,
 def test_collate_data_differential(batches):
     session = build_session(batches)
     qq = "SELECT grp, val FROM events"
-    _serial_then_parallel(
+    _reference_then_executor(
         session,
-        lambda: session.collate_data(QS, qq, "R", workers=1),
+        lambda: session.run_reference("CollateData", QS, qq, "R"),
         lambda ex: ex.run("CollateData", QS, qq, "R"),
         "R",
     )
@@ -152,10 +154,10 @@ def test_collate_data_differential(batches):
 def test_aggregate_in_variable_differential(batches, func):
     session = build_session(batches)
     qq = "SELECT COUNT(*) AS c FROM events WHERE grp < 2"
-    _serial_then_parallel(
+    _reference_then_executor(
         session,
-        lambda: session.aggregate_data_in_variable(
-            QS, qq, "R", func, workers=1),
+        lambda: session.run_reference(
+            "AggregateDataInVariable", QS, qq, "R", func),
         lambda ex: ex.run("AggregateDataInVariable", QS, qq, "R", func),
         "R",
     )
@@ -171,10 +173,10 @@ def test_aggregate_in_table_differential(batches, funcs):
     columns = ["val", "aux"][:len(funcs)]
     pairs = list(zip(columns, funcs))
     qq = "SELECT grp, val, aux FROM events"
-    _serial_then_parallel(
+    _reference_then_executor(
         session,
-        lambda: session.aggregate_data_in_table(
-            QS, qq, "R", pairs, workers=1),
+        lambda: session.run_reference(
+            "AggregateDataInTable", QS, qq, "R", pairs),
         lambda ex: ex.run("AggregateDataInTable", QS, qq, "R", pairs),
         "R",
     )
@@ -185,10 +187,10 @@ def test_aggregate_in_table_differential(batches, funcs):
 def test_collate_into_intervals_differential(batches):
     session = build_session(batches)
     qq = "SELECT grp, val FROM events"
-    _serial_then_parallel(
+    _reference_then_executor(
         session,
-        lambda: session.collate_data_into_intervals(
-            QS, qq, "R", workers=1),
+        lambda: session.run_reference(
+            "CollateDataIntoIntervals", QS, qq, "R"),
         lambda ex: ex.run("CollateDataIntoIntervals", QS, qq, "R"),
         "R",
     )
@@ -238,8 +240,9 @@ def test_session_workers_kwarg_routes_to_parallel_executor():
     assert result.parallel is not None
     assert result.parallel.workers == 3
     assert len(result.parallel.partitions) == 3
-    serial = session.collate_data(QS, "SELECT a, b FROM t", "R", workers=1)
-    assert serial.parallel is None
+    one = session.collate_data(QS, "SELECT a, b FROM t", "R", workers=1)
+    assert one.parallel is not None and one.parallel.workers == 1
+    assert one.parallel.partitions == [[1, 2, 3, 4, 5, 6]]
 
 
 def test_session_default_workers_used_when_kwarg_omitted():
@@ -295,9 +298,9 @@ def test_more_workers_than_snapshots_degrades_gracefully():
     result = session.collate_data(QS, "SELECT a, b FROM t", "R",
                                   workers=64)
     assert len(result.parallel.partitions) == 6  # one per snapshot
-    serial = dump_result(session, "R")
-    session.collate_data(QS, "SELECT a, b FROM t", "R", workers=1)
-    assert dump_result(session, "R") == serial
+    product = dump_result(session, "R")
+    session.run_reference("CollateData", QS, "SELECT a, b FROM t", "R")
+    assert dump_result(session, "R") == product
 
 
 def test_empty_snapshot_set_creates_no_result_table():

@@ -95,10 +95,10 @@ def test_udf_fault_mid_partition_aborts_cleanly(mechanism, extra, qq,
     assert _result_tables(session) == [], \
         "aborted run left a partial result table"
     # The session is fully usable afterwards: the same computation
-    # without the fault matches a serial run.
+    # without the fault matches the reference loop.
     getattr(session, mechanism)(QS, good_qq, "R", *extra, workers=3)
     parallel_rows = session.execute('SELECT * FROM "R"').rows
-    getattr(session, mechanism)(QS, good_qq, "R", *extra, workers=1)
+    session.run_reference(mechanism, QS, good_qq, "R", *extra)
     assert session.execute('SELECT * FROM "R"').rows == parallel_rows
 
 
@@ -130,20 +130,20 @@ def test_page_source_fault_releases_every_snapshot_page(monkeypatch):
 
 
 def test_crash_during_parallel_run_recovers_and_matches_serial():
-    """Power loss mid-parallel-run: recover, re-run serially, compare.
+    """Power loss mid-parallel-run: recover, re-run, compare.
 
     The crash fires during the workers=4 merge writes.  The crashed
     session must not leak readers; after recovery the store
-    replays its history exactly and a serial re-run of the same
+    replays its history exactly and a ``workers=1`` re-run of the same
     mechanism produces a database dump identical to a never-crashed
-    serial reference run.
+    reference-loop run.
     """
     from repro.sql.database import Database
     from repro.storage.chaosdisk import ChaosDisk
 
     reference = _history_session()
-    reference.collate_data(QS, "SELECT grp, val FROM events", "R",
-                           workers=1)
+    reference.run_reference("CollateData", QS,
+                            "SELECT grp, val FROM events", "R")
     golden = full_database_dump(reference.db)
 
     disk = ChaosDisk(4096, seed=11)
@@ -166,12 +166,21 @@ def test_crash_during_parallel_run_recovers_and_matches_serial():
 
 
 def test_first_error_in_partition_order_wins():
+    """Partition 2 fails first in time, partition 0 first in partition
+    order: partition 0's error is the one raised."""
     session = _history_session()
     failed = []
+    reached_2 = threading.Event()
 
     def boom(value, snapshot_id):
         sid = int(snapshot_id)
         if sid in (2, 7):  # partition 0 and partition 2 at workers=3
+            if sid == 2:
+                reached_2.set()
+            else:
+                # Fail only once partition 0 is committed to failing
+                # too: its error must win though it is recorded later.
+                assert reached_2.wait(timeout=30.0)
             failed.append(sid)
             raise ReproError(f"injected at {sid}")
         return value

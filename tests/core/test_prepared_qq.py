@@ -14,7 +14,7 @@ reference.  The contract is dataclass equality of the two statements
     partitioned, and a view refresh, against a loop that runs the
     rewritten *text* through ``Database.execute`` per snapshot — over a
     history in which an index appears and a table disappears;
-(e) a 70-snapshot run parses Qq once;
+(e) a 70-snapshot run parses Qq once, on either path at any worker count;
 plus the regression tests of the binder's bug fix: only a *call* of
 ``current_snapshot`` is special, a column or alias of that name is not.
 """
@@ -379,10 +379,13 @@ def test_errors_surface_on_the_first_iteration_and_write_nothing(workers):
     session.execute("CREATE TABLE t (a)")
     qs = "SELECT snap_id FROM SnapIds"
     bad = "SELECT current_snapshot(1), a FROM t"
-    if workers == 1:
-        # An empty Qs evaluates no iteration: nothing is parsed, nothing
-        # raised (the partitioned path certifies Qq before it reads Qs).
-        session.collate_data(qs, "INSERT INTO t SELECT 1", "R", workers=1)
+    # Over an empty Qs the reference loop evaluates no iteration, so it
+    # parses nothing and raises nothing; the product path prepares Qq
+    # once before it reads Qs, so it refuses a malformed Qq regardless.
+    session.run_reference("CollateData", qs, "INSERT INTO t SELECT 1", "R")
+    with pytest.raises(MechanismError):
+        session.collate_data(qs, "INSERT INTO t SELECT 1", "R",
+                             workers=workers)
     session.declare_snapshot()
     session.declare_snapshot()
     for qq, error in ((bad, MechanismError), ("SELECT a FROM", SqlError),
@@ -661,20 +664,22 @@ def test_a_70_snapshot_run_parses_qq_once(parsed):
     for sid in range(1, 71):
         session.execute(f"UPDATE probe_t SET v = {sid} WHERE k = 1")
         assert session.declare_snapshot() == sid
-    del parsed[:]
     qq = "SELECT v, current_snapshot() FROM probe_t WHERE k = 1"
-    result = session.collate_data(
-        "SELECT snap_id FROM SnapIds ORDER BY snap_id", qq, "R", workers=1)
-    assert result.iterations == 70
-    assert session.execute('SELECT * FROM "R"').rows \
-        == [(sid, sid) for sid in range(1, 71)]
-    assert [text for text in parsed if "probe_t" in text] == [qq]
-    # The partitioned loop: once per partition, not once per snapshot.
+    qs = "SELECT snap_id FROM SnapIds ORDER BY snap_id"
+    expected = [(sid, sid) for sid in range(1, 71)]
+    # The product path: certification and every partition share the
+    # one parse, at any worker count.
+    for workers in (1, 2):
+        del parsed[:]
+        result = session.collate_data(qs, qq, "R", workers=workers)
+        assert result.iterations == 70
+        assert session.execute('SELECT * FROM "R"').rows == expected
+        assert [text for text in parsed if "probe_t" in text] == [qq]
+    # The reference loop parses once too, on its first iteration.
     del parsed[:]
-    session.collate_data("SELECT snap_id FROM SnapIds ORDER BY snap_id",
-                         qq, "R", workers=2)
-    in_loops = [text for text in parsed if text == qq]
-    assert 2 <= len(in_loops) <= 4  # the partitions, plus certification
+    session.run_reference("CollateData", qs, qq, "R")
+    assert session.execute('SELECT * FROM "R"').rows == expected
+    assert [text for text in parsed if "probe_t" in text] == [qq]
     assert not any("AS OF" in text for text in parsed)
 
 

@@ -42,16 +42,15 @@ PROP_SETTINGS = settings(
                            HealthCheck.filter_too_much],
 )
 
-#: (id, mechanism, session method, qq, arg)
+#: (id, mechanism, qq, arg)
 CLASSES = [
-    ("concat", "CollateData", "collate_data",
+    ("concat", "CollateData",
      "SELECT grp, val, current_snapshot() FROM events", None),
-    ("monoid", "AggregateDataInVariable", "aggregate_data_in_variable",
+    ("monoid", "AggregateDataInVariable",
      "SELECT SUM(val) FROM events", "sum"),
-    ("stored_row", "AggregateDataInTable", "aggregate_data_in_table",
+    ("stored_row", "AggregateDataInTable",
      "SELECT grp, val FROM events", "(val, avg):(val, min):(val, count)"),
     ("interval_stitch", "CollateDataIntoIntervals",
-     "collate_data_into_intervals",
      "SELECT DISTINCT grp FROM events", None),
 ]
 
@@ -106,12 +105,12 @@ def _table_rows(session, table):
 
 
 @pytest.mark.parametrize(
-    "mechanism,method,qq,arg",
+    "mechanism,qq,arg",
     [c[1:] for c in CLASSES], ids=[c[0] for c in CLASSES])
 @PROP_SETTINGS
 @given(history=_history)
 def test_fold_base_delta_equals_serial_rebuild(history, mechanism,
-                                               method, qq, arg):
+                                               qq, arg):
     epochs, create_at = history
     create_at = min(create_at, len(epochs))
     session = _fresh_session()
@@ -127,13 +126,9 @@ def test_fold_base_delta_equals_serial_rebuild(history, mechanism,
             session.create_materialized_view("v", mechanism, qq, arg=arg)
         session.refresh_view("v")
 
-        # Golden: the serial mechanism over the full snapshot set.
+        # Golden: the reference loop over the full snapshot set.
         qs = "SELECT snap_id FROM SnapIds ORDER BY snap_id"
-        call = getattr(session, method)
-        if arg is None:
-            call(qs, qq, "golden", workers=1)
-        else:
-            call(qs, qq, "golden", arg, workers=1)
+        session.run_reference(mechanism, qs, qq, "golden", arg)
         view_columns, view_rows = _table_rows(session, "v")
         gold_columns, gold_rows = _table_rows(session, "golden")
         assert view_columns == gold_columns
@@ -174,9 +169,9 @@ def test_avg_decomposition_through_hidden_columns(history):
 
 
 @pytest.mark.parametrize(
-    "mechanism,method,qq,arg",
+    "mechanism,qq,arg",
     [c[1:] for c in CLASSES], ids=[c[0] for c in CLASSES])
-def test_empty_diff_refresh_is_a_no_op(mechanism, method, qq, arg):
+def test_empty_diff_refresh_is_a_no_op(mechanism, qq, arg):
     session = _fresh_session()
     try:
         session.execute("INSERT INTO events VALUES (1, 10)")
@@ -197,10 +192,9 @@ def test_empty_diff_refresh_is_a_no_op(mechanism, method, qq, arg):
 
 
 @pytest.mark.parametrize(
-    "mechanism,method,qq,arg",
+    "mechanism,qq,arg",
     [c[1:] for c in CLASSES], ids=[c[0] for c in CLASSES])
-def test_sparse_updates_fold_without_pagelog_reads(mechanism, method,
-                                                   qq, arg):
+def test_sparse_updates_fold_without_pagelog_reads(mechanism, qq, arg):
     """Snapshots that never touch the read tables are folded via the
     delta-skip path: one evaluation at the target, zero Pagelog reads
     (nothing newer than the target is archived)."""
@@ -220,14 +214,10 @@ def test_sparse_updates_fold_without_pagelog_reads(mechanism, method,
         assert report.mode == "delta-skip"
         assert report.evaluated_snapshots == 1  # once, replayed x4
         assert report.pagelog_reads == 0
-        # The fold still accounted all four snapshots: the golden serial
-        # rebuild agrees.
+        # The fold still accounted all four snapshots: the golden
+        # reference rebuild agrees.
         qs = "SELECT snap_id FROM SnapIds ORDER BY snap_id"
-        call = getattr(session, method)
-        if arg is None:
-            call(qs, qq, "golden", workers=1)
-        else:
-            call(qs, qq, "golden", arg, workers=1)
+        session.run_reference(mechanism, qs, qq, "golden", arg)
         assert _table_rows(session, "v")[1] == \
             _table_rows(session, "golden")[1]
     finally:
@@ -259,12 +249,12 @@ def _assert_index_covers_table(session, view="v"):
 
 
 @pytest.mark.parametrize(
-    "mechanism,method,qq,arg",
+    "mechanism,qq,arg",
     [c[1:] for c in CLASSES], ids=[c[0] for c in CLASSES])
 @PROP_SETTINGS
 @given(history=_history)
 def test_refresh_writes_exactly_the_rows_that_moved(history, mechanism,
-                                                    method, qq, arg):
+                                                    qq, arg):
     """``rows_changed`` is the number of rowids whose row differs across
     the refresh and ``rows_appended`` the number of new rowids: no
     unchanged row rewritten, no changed row missed — and the table and
@@ -328,9 +318,9 @@ def _view_storage(session, view="v"):
 
 @pytest.mark.parametrize("mode", ("delta", "delta-skip"))
 @pytest.mark.parametrize(
-    "mechanism,method,qq,arg",
+    "mechanism,qq,arg",
     [c[1:] for c in CLASSES], ids=[c[0] for c in CLASSES])
-def test_delta_refresh_runs_no_ddl(mechanism, method, qq, arg, mode):
+def test_delta_refresh_runs_no_ddl(mechanism, qq, arg, mode):
     """No DROP TABLE / CREATE TABLE / CREATE INDEX on a delta refresh:
     the table's and the index's catalog entries keep their root ids,
     and — since freed-page reuse could hand a rebuilt tree its old root
@@ -405,7 +395,7 @@ def test_refresh_after_a_user_delete_addresses_rows_by_rowid(shape):
     next refresh still writes every surviving row under the rowid it
     was read by (not its position in the scan), adds the group it no
     longer finds as a new row, and keeps the index in step."""
-    _id, mechanism, _method, qq, arg = next(
+    _id, mechanism, qq, arg = next(
         c for c in CLASSES if c[0] == shape)
     if shape == "stored_row":
         arg = "(val, sum)"

@@ -7,12 +7,12 @@ calls — and the harness runs every schedule twice:
 * **concurrently**, through the multi-session server: one thread per
   client, all released on a barrier, updates serialized only by the
   shared write gate, queries admitted by the scheduler (partitioned
-  through the worker pool when the merge certificate allows, the
-  serial loop otherwise);
+  when the merge certificate allows, one partition otherwise);
 * **serially**, on a fresh embedded session: the recorded update
   transactions replayed one by one in commit (snapshot-id) order, then
-  each query re-run with its Qs pinned to the snapshot prefix the
-  concurrent run actually iterated.
+  each query re-run through the reference loop
+  (``RQLSession.run_reference``) with its Qs pinned to the snapshot
+  prefix the concurrent run actually iterated.
 
 Equality is asserted on the **byte-level full dump** of both engines —
 every table's columns, rowids, physical row order and values, plus the
@@ -91,7 +91,7 @@ _QUERY_SHAPES = (
 _query_action = st.tuples(
     st.just("query"),
     st.integers(min_value=0, max_value=len(_QUERY_SHAPES) - 1),
-    st.sampled_from([1, 2, 4]),  # workers: 1 = serial loop in-scheduler
+    st.sampled_from([1, 2, 4]),  # workers: 1 = one partition
 )
 
 _client_schedule = st.lists(st.one_of(_txn_action, _query_action),
@@ -189,8 +189,9 @@ def _guard(drive, i, errors):
 
 
 def run_serial(txns, queries):
-    """Replay on a fresh embedded session, in commit order."""
-    session = RQLSession(clock=FIXED_CLOCK, workers=1)
+    """Replay on a fresh embedded session, in commit order, through
+    the reference loop."""
+    session = RQLSession(clock=FIXED_CLOCK)
     session.execute("CREATE TABLE events (grp, val)")
     for expected_id, ops in sorted(txns, key=lambda t: t[0]):
         with session.transaction(with_snapshot=True) as txn:
@@ -201,11 +202,7 @@ def run_serial(txns, queries):
             queries, key=lambda q: q[0]):
         qs = (f"SELECT snap_id FROM SnapIds WHERE snap_id <= {prefix_k} "
               f"ORDER BY snap_id")
-        method = getattr(session, mechanism)
-        if arg is None:
-            method(qs, qq, table)
-        else:
-            method(qs, qq, table, arg)
+        session.run_reference(mechanism, qs, qq, table, arg)
     dump = full_database_dump(session.db)
     readers = (len(session.db.engine.open_read_contexts())
                + len(session.db.aux_engine.open_read_contexts()))

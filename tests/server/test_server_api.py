@@ -76,9 +76,9 @@ def test_scheduler_runs_certified_queries_partitioned(server):
         "concat-certified query should partition"
     assert result.snapshots == [1, 2, 3]
     # A serial-only verdict (a stateful builtin in Qq) is one partition
-    # at every worker count, and its result is the serial loop's.
+    # at every worker count, and its result is the reference loop's.
     qq = "SELECT val, rql_workers() FROM events"
-    client.session.collate_data(QS, qq, "E", workers=1)
+    client.session.run_reference("CollateData", QS, qq, "E")
     expected = client.execute("SELECT * FROM E").rows
     for workers in (1, 4):
         ticket = client.collate_data(QS, qq, "S", workers=workers,
@@ -93,8 +93,8 @@ def test_scheduler_runs_certified_queries_partitioned(server):
 
 def test_scheduler_folds_a_certified_workers_1_ticket(server):
     """Every ticket runs the fold/merge executor: a certified
-    ``workers=1`` ticket is one partition, and its result is the serial
-    loop's."""
+    ``workers=1`` ticket is one partition, and its result is the
+    reference loop's."""
     client = server.connect("alice")
     _populate(client)
     qq = "SELECT val, current_snapshot() FROM events"
@@ -105,8 +105,8 @@ def test_scheduler_folds_a_certified_workers_1_ticket(server):
     assert result.parallel.partitions == [[1, 2, 3]]
     assert result.snapshots == [1, 2, 3]
     rows = client.execute("SELECT * FROM R ORDER BY 1, 2").rows
-    embedded = client.session.collate_data(QS, qq, "E", workers=1)
-    assert embedded.parallel is None  # the embedded reference loop
+    reference = client.session.run_reference("CollateData", QS, qq, "E")
+    assert reference.parallel is None  # the table-backed loop
     assert client.execute("SELECT * FROM E ORDER BY 1, 2").rows == rows
     client.close()
 

@@ -69,7 +69,6 @@ def run_script() -> Dict[str, str]:
     ticks = iter(range(1, 1000))
     session = RQLSession(
         db=Database(disk=main, aux_disk=aux, page_size=PAGE_SIZE),
-        workers=1,  # whatever RQL_WORKERS says
         clock=lambda: f"2018-03-26 00:{next(ticks):02d}:00",
     )
     try:
@@ -79,15 +78,17 @@ def run_script() -> Dict[str, str]:
         declared = builder.build_history(UW30, SNAPSHOTS)
         assert len(declared) >= 8
         qs = "SELECT snap_id FROM SnapIds"
-        session.aggregate_data_in_table(
-            qs,
+        # The reference loop: its per-snapshot writes are what the
+        # pinned digests recorded.
+        session.run_reference(
+            "AggregateDataInTable", qs,
             "SELECT o_custkey, COUNT(*) AS cn, AVG(o_totalprice) AS av "
             "FROM orders GROUP BY o_custkey",
             "golden_fold", [("cn", "max"), ("av", "max")], persistent=True,
         )
-        session.collate_data_into_intervals(
-            qs, "SELECT o_orderkey, o_orderstatus FROM orders",
-            "golden_spans",
+        session.run_reference(
+            "CollateDataIntoIntervals", qs,
+            "SELECT o_orderkey, o_orderstatus FROM orders", "golden_spans",
         )
         with session.transaction(with_snapshot=True):
             # One replacement that shrinks its cells, one that grows them

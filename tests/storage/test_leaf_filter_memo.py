@@ -13,12 +13,13 @@ filtered when:
 (d) two prepared Qqs alternating over the same leaves each get their own
     rows: the slot thrashes but stays right;
 (e) two partitions racing over shared leaves, switching every few
-    bytecodes, write what the serial loop writes.
+    bytecodes, write what the reference loop writes.
 """
 
 from __future__ import annotations
 
 import sys
+from typing import Optional
 
 import pytest
 
@@ -208,18 +209,23 @@ def _history() -> RQLSession:
     return rql
 
 
-def _run_all(rql: RQLSession, workers: int):
+def _run_all(rql: RQLSession, workers: Optional[int]):
+    """Three mechanisms over every snapshot; ``workers=None`` runs the
+    reference loop."""
     qs = "SELECT snap_id FROM SnapIds"
-    rql.collate_data(
-        qs, "SELECT grp, val, current_snapshot() FROM events "
-            "WHERE grp IN (1, 2, 3) AND pad = 'pad'",
-        "r_collate", workers=workers)
-    rql.aggregate_data_in_variable(
-        qs, "SELECT COUNT(*) FROM events WHERE grp BETWEEN 2 AND 7",
-        "r_var", "sum", workers=workers)
-    rql.aggregate_data_in_table(
-        qs, "SELECT grp, val FROM events WHERE pad = 'new' OR val < 50",
-        "r_table", [("val", "max"), ("val", "sum")], workers=workers)
+    for name, qq, table, arg in (
+            ("CollateData", "SELECT grp, val, current_snapshot() "
+             "FROM events WHERE grp IN (1, 2, 3) AND pad = 'pad'",
+             "r_collate", None),
+            ("AggregateDataInVariable", "SELECT COUNT(*) FROM events "
+             "WHERE grp BETWEEN 2 AND 7", "r_var", "sum"),
+            ("AggregateDataInTable", "SELECT grp, val FROM events "
+             "WHERE pad = 'new' OR val < 50", "r_table",
+             [("val", "max"), ("val", "sum")])):
+        if workers is None:
+            rql.run_reference(name, qs, qq, table, arg)
+        else:
+            rql.run_mechanism(name, qs, qq, table, arg, workers=workers)
     return full_database_dump(rql.db)
 
 
@@ -228,14 +234,14 @@ def test_two_partitions_racing_over_shared_leaves_equal_the_serial_run(
     serial, parallel = _history(), _history()
     interval = sys.getswitchinterval()
     try:
-        want = _run_all(serial, workers=1)
+        want = _run_all(serial, workers=None)
         assert filtered
         sys.setswitchinterval(1e-5)
-        for _ in range(3):
+        # More partitions than cores: every one binds the same prepared
+        # Qq, so all of them share its memo and its leaf filter.
+        for workers in (2, 3, 4):
             parallel.db.engine.retro.cache.clear()
-            for name in ("r_collate", "r_var", "r_table"):
-                parallel.execute(f"DROP TABLE IF EXISTS {name}")
-            assert _run_all(parallel, workers=2) == want
+            assert _run_all(parallel, workers=workers) == want
     finally:
         sys.setswitchinterval(interval)
         serial.close()

@@ -107,7 +107,7 @@ class TestCostAccounting:
 class TestRatioC:
     def test_single_snapshot_is_one(self, tiny_env):
         ratios = ratio_c(
-            tiny_env, tiny_env.session.aggregate_data_in_variable,
+            tiny_env, "AggregateDataInVariable",
             tiny_env.qs_interval(1, 1), QQ_IO, "harness_r", "avg",
         )
         assert ratios["c_pagelog"] == pytest.approx(1.0, abs=0.05)
@@ -115,7 +115,7 @@ class TestRatioC:
 
     def test_sharing_lowers_ratio(self, tiny_env):
         ratios = ratio_c(
-            tiny_env, tiny_env.session.aggregate_data_in_variable,
+            tiny_env, "AggregateDataInVariable",
             tiny_env.qs_interval(1, 5), QQ_IO, "harness_r", "avg",
         )
         assert ratios["c_pagelog"] < 0.9
