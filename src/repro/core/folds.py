@@ -510,38 +510,35 @@ def fold_range(db: Database, prepared: PreparedQq, sids: Sequence[int],
                fold: Fold, sink: MetricsSink,
                poll: Callable[[], object]) -> None:
     """Step ``fold`` over ``sids``: per snapshot, evaluate the prepared
-    Qq bound to it through a private read-only cursor (metered like the
-    reference loop, Qq evaluation apart from UDF work) and fold its
-    rows.
+    Qq bound to it through one run reader (metered like the reference
+    loop, Qq evaluation apart from UDF work) and fold its rows.  The
+    reader is opened once for the whole range, on this thread, and
+    closed on every way out.
 
     ``poll`` runs before every snapshot: a truthy return stops the loop
     quietly, an exception propagates — the caller picks the policy.
     """
     clock = sink.clock
-    for sid in sids:
-        if poll():
-            return
-        current = sink.begin_iteration(sid)
-        try:
-            index_before = current.index_creation_seconds
-            started = clock()
-            columns, cursor = db.open_cursor(
-                prepared.bind(sid), private=True, metrics=sink,
-                memo=prepared.memo,
-            )
+    with db.run_reader(metrics=sink) as reader:
+        for sid in sids:
+            if poll():
+                return
+            current = sink.begin_iteration(sid)
             try:
-                rows = [tuple(row) for row in cursor]
+                index_before = current.index_creation_seconds
+                started = clock()
+                columns, rows = reader.cursor(prepared.bind(sid),
+                                              prepared.memo)
+                rows = [tuple(row) for row in rows]
+                current.qq_rows += len(rows)
+                folding = clock()
+                index_delta = current.index_creation_seconds - index_before
+                current.query_eval_seconds += max(
+                    folding - started - index_delta, 0.0)
+                fold.step(sid, columns, rows)
+                current.udf_seconds += clock() - folding
             finally:
-                cursor.close()
-            current.qq_rows += len(rows)
-            folding = clock()
-            index_delta = current.index_creation_seconds - index_before
-            current.query_eval_seconds += max(
-                folding - started - index_delta, 0.0)
-            fold.step(sid, columns, rows)
-            current.udf_seconds += clock() - folding
-        finally:
-            sink.end_iteration()
+                sink.end_iteration()
 
 
 def write_result(db: Database, table: str, result: FoldResult,

@@ -5,8 +5,9 @@ This module partitions the Qs snapshot ids into **contiguous runs** and
 steps a private :class:`~repro.core.folds.Fold` over each partition
 (:func:`~repro.core.folds.fold_range`): partition 0 on the calling
 thread, every other one on a thread of its own.  Each partition owns a
-private :class:`~repro.retro.metrics.MetricsSink` and opens private
-read-only contexts per iteration, so partitions share nothing but the
+private :class:`~repro.retro.metrics.MetricsSink` and one run reader
+(``Database.run_reader``: its read contexts opened once, on the
+partition's thread), so partitions share nothing but the
 one prepared Qq (its plan memo is thread-safe), the (latched) buffer
 pool, snapshot page cache, and SPT cache.  The calling thread then
 merges the per-partition folds left to right (``Fold.merge``) and
@@ -184,8 +185,8 @@ class ParallelExecutor:
     """Runs one RQL mechanism over contiguous snapshot partitions.
 
     The executor never runs while a write transaction is open: workers
-    read through private read contexts (main + aux), which is only safe
-    when no writer can move the committed roots underneath them.
+    read through run readers, which never look at the session's
+    transactions.
     """
 
     def __init__(self, db: Database, workers: int = 2,

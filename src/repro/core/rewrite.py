@@ -68,7 +68,8 @@ class PreparedQq:
         #: Qq as written: no ``AS OF``, the calls still in place
         self.statement = statement
         self._calls = calls
-        #: pass to ``Database.open_cursor`` with each bound statement
+        #: pass with each bound statement (``RunReader.cursor``,
+        #: ``Database.open_cursor``)
         self.memo = PlanMemo()
 
     @property

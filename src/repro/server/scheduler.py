@@ -11,7 +11,7 @@ session makes: the fold/merge executor of :mod:`repro.core.parallel`,
 whatever the worker count.  Partition 0 runs on the ticket's dispatcher thread and every
 other partition (at most :data:`MAX_QUERY_WORKERS` in all) on a
 short-lived thread of its own, each folding its snapshots in memory
-through private read contexts; all are joined before the merged result
+through a run reader of its own; all are joined before the merged result
 is written in **one** gated transaction.  How many partitions a ticket
 gets is the executor's runner rule, not the scheduler's: up to
 ``workers`` when the run's merge law allows re-association, one

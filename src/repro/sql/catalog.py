@@ -139,6 +139,11 @@ class Catalog:
         """Page ids of the catalog tree itself."""
         return self._tree.page_ids()
 
+    def root_leaf(self) -> Optional[object]:
+        """The decoded node of a catalog that fits on its root page (None
+        once it spans more): what a run reader keys kept lookups by."""
+        return self._tree.root_leaf()
+
     # -- keys -----------------------------------------------------------
 
     @staticmethod

@@ -292,24 +292,24 @@ class Database:
             raise SqlError("execute_cursor requires a SELECT")
         return self.open_cursor(statement)
 
-    def open_cursor(self, statement: ast.Select, private: bool = False,
+    def open_cursor(self, statement: ast.Select,
                     metrics: Optional[MetricsSink] = None,
                     memo: Optional[PlanMemo] = None):
         """The one guarded cursor, for a SELECT that is already parsed
-        (the snapshot loops bind one prepared Qq per snapshot): returns
-        (columns, row_iterator).
+        (the reference loop binds one prepared Qq per snapshot):
+        returns (columns, row_iterator).
 
         The iterator owns the statement's read contexts: they are
         released when it is exhausted, closed or garbage-collected, and
         at once if planning fails.
 
-        ``private`` and ``metrics`` are :meth:`reading`'s: which
-        transactions the statement may see, and the sink it is charged
-        to.  ``memo`` is the prepared statement's plan memo (the
-        snapshot loops pass ``PreparedQq.memo``; text never has one).
+        ``metrics`` is :meth:`reading`'s: the sink the statement is
+        charged to.  ``memo`` is the prepared statement's plan memo
+        (the reference loop passes ``PreparedQq.memo``; text never has
+        one).
         """
         def cursor():
-            with self._select_context(statement, private, metrics) as ctx:
+            with self._select_context(statement, metrics) as ctx:
                 columns, rows = open_select(statement, ctx, memo)
                 yield columns
                 yield from rows
@@ -517,35 +517,41 @@ class Database:
         with self._select_context(statement) as ctx:
             return run_select(statement, ctx)
 
-    def _select_context(self, statement: ast.Select, private: bool = False,
+    def _as_of(self, statement: ast.Select,
+               functions: Optional[Dict[str, Callable[..., SqlValue]]]
+               = None) -> Optional[int]:
+        """The snapshot a SELECT's ``AS OF`` clause pins (None: none)."""
+        if statement.as_of is None:
+            return None
+        as_of = constant_int(statement.as_of, "AS OF",
+                             functions if functions is not None
+                             else self.functions.snapshot())
+        if as_of is None:
+            raise PlanError("AS OF must be a non-NULL constant")
+        return as_of
+
+    def _select_context(self, statement: ast.Select,
                         metrics: Optional[MetricsSink] = None):
         """:meth:`reading` as of the statement's ``AS OF`` clause."""
-        as_of = None
-        if statement.as_of is not None:
-            as_of = constant_int(statement.as_of, "AS OF",
-                                 self.functions.snapshot())
-            if as_of is None:
-                raise PlanError("AS OF must be a non-NULL constant")
-        return self.reading(as_of, private, metrics)
+        return self.reading(self._as_of(statement), metrics)
 
     @contextmanager
-    def reading(self, as_of: Optional[int] = None, private: bool = False,
+    def reading(self, as_of: Optional[int] = None,
                 metrics: Optional[MetricsSink] = None,
                 ) -> Iterator["_Context"]:
-        """The one read opener: what a statement sees and where it is
-        charged, decided here and closed when the ``with`` block exits.
+        """The one read opener of a statement: what it sees and where it
+        is charged, decided here and closed when the ``with`` block
+        exits.
 
         Main reads snapshot ``as_of``, else the session's open
         transaction (a SELECT inside DML or ``BEGIN`` sees its own
         writes), else a fresh read context; aux reads the open
-        transaction or a fresh read context.  ``private`` never looks at
-        the session's transactions, which is what makes it safe from
-        worker threads.  Both read contexts carry this facade's owner.
-        Snapshot reads and planner costs go to ``metrics``, else to the
-        facade's default sink (:meth:`attach_metrics`).
+        transaction or a fresh read context.  Both read contexts carry
+        this facade's owner.  Snapshot reads and planner costs go to
+        ``metrics``, else to the facade's default sink
+        (:meth:`attach_metrics`).
         """
-        main_txn = None if private else self._main.txn
-        aux_txn = None if private else self._aux.txn
+        main_txn, aux_txn = self._main.txn, self._aux.txn
         sink = metrics if metrics is not None else self.metrics
         with self.engine.begin_read(owner=self._owner) as read_ctx, \
                 self.aux_engine.begin_read(owner=self._owner) as aux_ctx:
@@ -561,8 +567,28 @@ class Database:
                 aux_source = self.aux_engine.page_source(aux_txn)
             else:
                 aux_source = self.aux_engine.read_source(aux_ctx)
-            yield _Context(self, main_source, aux_source,
+            yield _Context(self, main_source, _AuxHalf(self, aux_source),
                            metrics=sink, as_of=as_of)
+
+    @contextmanager
+    def run_reader(self, metrics: Optional[MetricsSink] = None,
+                   ) -> Iterator["RunReader"]:
+        """The read opener of a snapshot loop: one :class:`RunReader`
+        per run (a partition's, on its own thread), its two read
+        contexts registered here with this facade's owner and closed
+        when the ``with`` block exits, however it exits.
+
+        It never looks at the session's transactions (the executor
+        refuses to run inside one), which is what makes it safe from
+        worker threads: a run reads the aux engine, and the pages its
+        snapshots share with the current database, as of its start.
+        ``metrics`` is the run's sink, as in :meth:`reading`.
+        """
+        sink = metrics if metrics is not None else self.metrics
+        with self.engine.begin_read(owner=self._owner) as read_ctx, \
+                self.aux_engine.begin_read(owner=self._owner) as aux_ctx:
+            yield RunReader(self, read_ctx,
+                            self.aux_engine.read_source(aux_ctx), sink)
 
     # -- write context ----------------------------------------------------------------
 
@@ -572,7 +598,8 @@ class Database:
         Reads inside DML see the transaction's own writes; the engines'
         statement-local transactions are created lazily.
         """
-        return _Context(self, self._main.source(), self._aux.source())
+        return _Context(self, self._main.source(),
+                        _AuxHalf(self, self._aux.source()))
 
     # -- INSERT / DELETE / UPDATE ------------------------------------------------------
 
@@ -884,29 +911,159 @@ class Database:
 # Execution context implementation
 # ---------------------------------------------------------------------------
 
+class _Resolved:
+    """A catalog's ``get_table`` / ``indexes_for`` answered from
+    ``answers`` — the two dicts a run reader keeps while the catalog
+    they came from is unchanged — and through ``catalog`` on a miss."""
+
+    __slots__ = ("_catalog", "_tables", "_indexes")
+
+    def __init__(self, catalog: Catalog,
+                 answers: Tuple[Dict[str, Optional[TableInfo]],
+                                Dict[str, List[IndexInfo]]]) -> None:
+        self._catalog = catalog
+        self._tables, self._indexes = answers
+
+    def get_table(self, name: str) -> Optional[TableInfo]:
+        key = name.lower()
+        tables = self._tables
+        if key not in tables:
+            tables[key] = self._catalog.get_table(name)
+        return tables[key]
+
+    def indexes_for(self, table: str) -> List[IndexInfo]:
+        key = table.lower()
+        indexes = self._indexes
+        if key not in indexes:
+            indexes[key] = self._catalog.indexes_for(table)
+        return indexes[key]
+
+
+class _AuxHalf:
+    """What a statement reads of the aux engine: its source, the TEMP
+    catalog over it and the ``__rql_stats`` rows, scanned on first use.
+    A statement makes its own; a run reader makes one per run, with
+    every name resolved once, and each snapshot's context shares it."""
+
+    def __init__(self, db: Database, source, resolved: bool = False) -> None:
+        self.source = source
+        self.catalog = Catalog(source, db._catalog_root(db.aux_engine),
+                               temporary=True)
+        #: what lookups go through: the catalog, or its answers
+        self.names = _Resolved(self.catalog, ({}, {})) if resolved \
+            else self.catalog
+        self._stats_rows: Optional[List[Tuple]] = None
+
+    def stats_rows(self) -> List[Tuple]:
+        """Every ``__rql_stats`` row (none if the table does not exist)."""
+        if self._stats_rows is None:
+            from repro.sql.stats import STATS_TABLE
+
+            info = self.catalog.get_table(STATS_TABLE)
+            self._stats_rows = [] if info is None else list(
+                TableAccess(info, self.source).scan_rows())
+        return self._stats_rows
+
+
+class RunReader:
+    """What one snapshot loop reads through (DESIGN.md §3c), opened by
+    :meth:`Database.run_reader`: the run's main read context, its aux
+    half — the TEMP catalog, each name resolved once, and the
+    ``__rql_stats`` rows — the functions registered at its start, and
+    the answers of main-catalog lookups, kept while consecutive
+    snapshots decode the same catalog node.
+
+    Per snapshot it builds only the snapshot's page source (the SPT)
+    and a context over it.  One run, one thread; nothing in it is keyed
+    by snapshot id, and nothing outlives the ``with`` block.
+    """
+
+    def __init__(self, db: Database, read_ctx, aux_source,
+                 metrics: Optional[MetricsSink]) -> None:
+        self._db = db
+        self._read_ctx = read_ctx
+        self._metrics = metrics
+        self._aux = _AuxHalf(db, aux_source, resolved=True)
+        #: the functions registered at the run's start
+        self.functions = db.functions.snapshot()
+        #: the decoded catalog root the answers were resolved from
+        self._node: Optional[object] = None
+        self._answers: Tuple[dict, dict] = ({}, {})
+
+    def context(self, as_of: Optional[int]) -> "_Context":
+        """The context of one statement pinned to ``as_of`` (None: the
+        run's start)."""
+        engine = self._db.engine
+        if as_of is None:
+            source = engine.read_source(self._read_ctx)
+        else:
+            # May raise UnknownSnapshotError / SnapshotUnavailableError.
+            source = engine.snapshot_source(as_of, self._read_ctx,
+                                            metrics=self._metrics)
+        return _Context(self._db, source, self._aux, metrics=self._metrics,
+                        as_of=as_of, run=self)
+
+    def cursor(self, statement: ast.Select,
+               memo: Optional[PlanMemo] = None):
+        """(columns, row iterator) of a SELECT, as of its ``AS OF``,
+        planned through ``memo``."""
+        as_of = self._db._as_of(statement, self.functions)
+        return open_select(statement, self.context(as_of), memo)
+
+    def main_names(self, catalog: Catalog):
+        """Lookups for ``catalog``, one snapshot's main catalog.  Schema
+        is still read from each snapshot's own catalog page: its root
+        is fetched through the snapshot's source, and only when the
+        decoded node is the very object the kept answers came from are
+        they reused — a node is published per byte image and never
+        mutated (§3a), so the same node means the same catalog.  A
+        catalog past one page resolves as a statement's does."""
+        node = catalog.root_leaf()
+        if node is None:
+            return catalog
+        if node is not self._node:
+            self._node, self._answers = node, ({}, {})
+        return _Resolved(catalog, self._answers)
+
+
 class _Context(ExecutionContext):
     """What one statement sees — this database's catalogs over the page
-    sources :meth:`Database.reading` (or the write path) chose — and the
-    sink it is charged to."""
+    sources :meth:`Database.reading`, a run reader or the write path
+    chose — and the sink it is charged to.
 
-    def __init__(self, db: Database, main_source, aux_source,
+    ``run`` is the run reader this context is one snapshot of: it
+    picks, on the first main-catalog lookup, whether that lookup and the
+    rest go through the answers it keeps, and lends the run's functions.
+    Without one every lookup reads the catalog (a write context is held
+    across DDL, so it must keep nothing) and every compile copies the
+    registry."""
+
+    def __init__(self, db: Database, main_source, aux: _AuxHalf,
                  metrics: Optional[MetricsSink] = None,
-                 as_of: Optional[int] = None) -> None:
+                 as_of: Optional[int] = None,
+                 run: Optional[RunReader] = None) -> None:
         self._db = db
         self._main_source = main_source
-        self._aux_source = aux_source
+        self._aux = aux
+        self._aux_source = aux.source
+        self._aux_catalog = aux.catalog
         self._metrics = metrics
         # Snapshot pin of the statement (None = current state); bounds
         # which ANALYZE gatherings the planner may see.
         self._as_of = as_of
-        self._stats_rows: Optional[List[Tuple]] = None
         self._stats_cache: Dict[str, object] = {}
         self._main_catalog = Catalog(
             main_source, db._catalog_root(db.engine),
         )
-        self._aux_catalog = Catalog(
-            aux_source, db._catalog_root(db.aux_engine), temporary=True,
-        )
+        self._run = run
+        self._main_lookups = self._main_catalog if run is None else None
+
+    def _main_names(self):
+        names = self._main_lookups
+        if names is None:
+            names = self._main_lookups = self._run.main_names(
+                self._main_catalog)
+        return names
 
     def catalogs(self) -> Tuple[Catalog, Catalog]:
         """Both catalogs in lookup order: temporary, then main."""
@@ -915,10 +1072,10 @@ class _Context(ExecutionContext):
     def find_table(self, name: str) -> Optional[TableAccess]:
         """The table ``name`` resolves to, or None.  The one read-side
         lookup order: a temporary table shadows a main one."""
-        info = self._aux_catalog.get_table(name)
+        info = self._aux.names.get_table(name)
         if info is not None:
             return TableAccess(info, self._aux_source)
-        info = self._main_catalog.get_table(name)
+        info = self._main_names().get_table(name)
         if info is not None:
             return TableAccess(info, self._main_source)
         return None
@@ -931,11 +1088,11 @@ class _Context(ExecutionContext):
 
     def open_indexes(self, table: TableAccess) -> List[IndexAccess]:
         if table.info.temporary:
-            catalog, source = self._aux_catalog, self._aux_source
+            names, source = self._aux.names, self._aux_source
         else:
-            catalog, source = self._main_catalog, self._main_source
+            names, source = self._main_names(), self._main_source
         return [IndexAccess(ix, source)
-                for ix in catalog.indexes_for(table.info.name)]
+                for ix in names.indexes_for(table.info.name)]
 
     def main_catalog_pages(self) -> List[int]:
         """Page ids of the main catalog tree — the pages DDL on a
@@ -950,14 +1107,17 @@ class _Context(ExecutionContext):
 
     @property
     def functions(self) -> Dict[str, Callable[..., SqlValue]]:
+        if self._run is not None:
+            return self._run.functions
         return self._db.functions.snapshot()
 
     def table_stats(self, name: str):
         """Newest ANALYZE statistics visible at this context's AS OF pin.
 
-        Reads the aux ``__rql_stats`` table directly (one scan, cached
-        per statement).  Returns None — heuristic planning — when no
-        eligible gathering exists, and never consults statistics for
+        Filters the aux ``__rql_stats`` rows (scanned once per statement,
+        or once per run through a run reader) for the pin, once per
+        table and statement.  Returns None — heuristic planning — when
+        no eligible gathering exists, and never consults statistics for
         the statistics table itself.
         """
         from repro.sql.stats import STATS_TABLE, stats_from_rows
@@ -967,14 +1127,7 @@ class _Context(ExecutionContext):
             return self._stats_cache[key]
         stats = None
         if key != STATS_TABLE:
-            if self._stats_rows is None:
-                info = self._aux_catalog.get_table(STATS_TABLE)
-                if info is None:
-                    self._stats_rows = []
-                else:
-                    table = TableAccess(info, self._aux_source)
-                    self._stats_rows = list(table.scan_rows())
-            stats = stats_from_rows(key, self._stats_rows,
+            stats = stats_from_rows(key, self._aux.stats_rows(),
                                     as_of=self._as_of)
         self._stats_cache[key] = stats
         return stats

@@ -406,6 +406,15 @@ class BTree:
     def contains(self, key: bytes) -> bool:
         return self.get(key) is not None
 
+    def root_leaf(self) -> Optional[_LeafNode]:
+        """The root page's decoded node while the whole tree fits on
+        it, None once it has split.  Borrowed: the page's cached node,
+        so the same object for every reader of that page image."""
+        page = self._fetch(self.root_id)
+        if page.page_type == PAGE_TYPE_BTREE_INTERNAL:
+            return None
+        return _LeafNode.of(page)
+
     # -- insert ---------------------------------------------------------------
 
     def insert(self, key: bytes, value: bytes) -> bool:

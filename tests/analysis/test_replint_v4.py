@@ -229,27 +229,51 @@ def test_dropped_bootstrap_rollback_is_caught():
     assert "exception unwind" in finding.message
 
 
+def _bare_read_context(occurrence: int) -> str:
+    """sql/database.py with the main engine's read context of the
+    ``occurrence``-th opener (0: ``reading``, 1: ``run_reader``) taken
+    out of its with-statement."""
+    source = _real_source("sql/database.py")
+    target = (f"        with {_OPENER} as read_ctx, \\\n"
+              "                self.aux_engine.begin_read(owner=self._owner) "
+              "as aux_ctx:\n")
+    assert source.count(target) == 2, "mutation target moved; update the test"
+    at = -1
+    for _ in range(occurrence + 1):
+        at = source.index(target, at + 1)
+    return (source[:at]
+            + f"        read_ctx = {_OPENER}\n"
+            "        with self.aux_engine.begin_read(owner=self._owner) "
+            "as aux_ctx:\n"
+            + source[at + len(target):])
+
+
+_OPENER = "self.engine.begin_read(owner=self._owner)"
+
+
 def test_bare_read_context_in_reading_is_caught():
     # The read-context obligation (must_complete on the read-context
     # spec): taken out of its with-statement, the main engine's context
     # is never closed, so its MVCC reader pins version chains forever.
-    source = _real_source("sql/database.py")
-    opener = "self.engine.begin_read(owner=self._owner)"
-    mutated = source.replace(
-        f"        with {opener} as read_ctx, \\\n"
-        "                self.aux_engine.begin_read(owner=self._owner) "
-        "as aux_ctx:\n",
-        f"        read_ctx = {opener}\n"
-        "        with self.aux_engine.begin_read(owner=self._owner) "
-        "as aux_ctx:\n",
-    )
-    assert mutated != source, "mutation target moved; update the test"
+    mutated = _bare_read_context(0)
     (finding,) = analyze_source(mutated, "sql/database.py")
     assert finding.rule == "RPL030"
     assert finding.symbol == "Database.reading"
-    assert finding.line == _line_of(mutated, f"        read_ctx = {opener}")
+    assert finding.line == _line_of(mutated, f"        read_ctx = {_OPENER}")
     assert "read context from engine.begin_read(...)" in finding.message
     assert "normal return" in finding.message
+
+
+def test_bare_read_context_in_run_reader_is_caught():
+    # The same obligation holds a run's opener: its contexts live for a
+    # whole snapshot range, and building the reader may raise.
+    mutated = _bare_read_context(1)
+    (finding,) = analyze_source(mutated, "sql/database.py")
+    assert finding.rule == "RPL030"
+    assert finding.symbol == "Database.run_reader"
+    assert finding.line == _line_of(mutated, f"        read_ctx = {_OPENER}")
+    assert "read context from engine.begin_read(...)" in finding.message
+    assert "exception unwind" in finding.message
 
 
 def test_retro_read_before_recover_is_caught():

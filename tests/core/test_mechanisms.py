@@ -415,6 +415,10 @@ class TestCancel:
             s.run_mechanism("CollateData", self.QS, self.QQ, "R",
                             workers=1, cancel=cancel)
         assert seen == {1, 2}
+        # The run's reader is closed with it: no read context is left
+        # on either engine.
+        assert s.db.engine.open_read_contexts() == []
+        assert s.db.aux_engine.open_read_contexts() == []
         result = s.run_mechanism("CollateData", self.QS, self.QQ, "R",
                                  workers=1, cancel=threading.Event())
         assert result.parallel.partitions == [[1, 2, 3, 4]]

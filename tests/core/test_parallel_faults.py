@@ -4,7 +4,9 @@ A worker raising mid-partition must abort the whole run: the first
 error (in partition order) propagates, every read context is closed
 (reader counts return to zero on both engines) and the aux database
 holds no partial result table.  Whatever the outcome, no partition
-thread outlives its run — embedded or behind :class:`RQLServer`.
+thread outlives its run — embedded or behind :class:`RQLServer`.  Each
+partition reads through one run reader: two read contexts for the
+partition, not two per snapshot, closed however the run ends.
 """
 
 from __future__ import annotations
@@ -14,11 +16,16 @@ import time
 
 import pytest
 
-from repro.core import RQLSession
+from repro.core import RQLSession, parallel
 from repro.core.parallel import ParallelExecutor
-from repro.errors import QueryCancelled, ReproError
+from repro.errors import (
+    QueryCancelled,
+    ReproError,
+    SnapshotUnavailableError,
+)
 from repro.retro.manager import RetroManager
 from repro.server import RQLServer
+from repro.storage.engine import StorageEngine
 from tests.conftest import full_database_dump
 from tests.storage.test_resource_lifecycle import FailingSource
 
@@ -191,6 +198,100 @@ def test_first_error_in_partition_order_wins():
     with pytest.raises(ReproError, match="injected at 2"):
         executor.run("CollateData", QS, qq, "R")
     assert 2 in failed
+
+
+# -- the run reader ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_a_partition_registers_its_read_contexts_once(monkeypatch,
+                                                      workers):
+    """``begin_read`` runs twice per partition (main and aux), on the
+    partition's thread, however many snapshots the partition steps."""
+    session = _history_session()
+    per_partition = []
+    local = threading.local()
+    real_fold_range = parallel.fold_range
+    real_begin_read = StorageEngine.begin_read
+
+    def counted_fold_range(*args, **kwargs):
+        local.count = count = [0]
+        per_partition.append(count)
+        try:
+            return real_fold_range(*args, **kwargs)
+        finally:
+            del local.count
+
+    def counting_begin_read(self, owner=None):
+        count = getattr(local, "count", None)
+        if count is not None:
+            count[0] += 1
+        return real_begin_read(self, owner=owner)
+
+    monkeypatch.setattr(parallel, "fold_range", counted_fold_range)
+    monkeypatch.setattr(StorageEngine, "begin_read", counting_begin_read)
+    result = session.collate_data(QS, "SELECT grp, val FROM events", "R",
+                                  workers=workers)
+    partitions = result.parallel.partitions
+    assert len(partitions) == workers
+    assert all(len(sids) >= 2 for sids in partitions)
+    assert [count[0] for count in per_partition] == [2] * workers
+    assert _reader_counts(session) == (0, 0)
+
+
+#: how a run ends early at snapshot 6 -> the error it raises
+ENDINGS = {
+    "udf-error": ReproError,
+    "cancel": QueryCancelled,
+    "unavailable": SnapshotUnavailableError,
+}
+
+
+@pytest.mark.parametrize("ending", sorted(ENDINGS))
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("surface", ["embedded", "server"])
+def test_a_run_ended_early_leaves_no_read_context(surface, workers,
+                                                  ending):
+    """Ended by a UDF error, a cancel, or an unavailable snapshot at
+    snapshot 6: every partition's reader is closed, so neither engine
+    holds a read context and the server's leak report is all-zero."""
+    server = RQLServer(gate_timeout=30.0) if surface == "server" else None
+    client = server.connect("alice") if server else None
+    session = _history_session(client.session if client else None)
+    cancel = threading.Event()
+
+    def probe(value, snapshot_id):
+        if int(snapshot_id) == 6:
+            if ending == "udf-error":
+                raise ReproError("injected UDF failure")
+            if ending == "cancel":
+                cancel.set()
+                if server is not None:
+                    server.scheduler.cancel_session("alice", wait=False)
+        return value
+
+    session.db.register_function("probe", probe)
+    if ending == "unavailable":
+        session.db.engine.retro.mark_unavailable(6, 6)
+    qq = "SELECT grp, probe(val, current_snapshot()) AS val FROM events"
+    try:
+        with pytest.raises(ENDINGS[ending]):
+            if client is None:
+                session.run_mechanism("CollateData", QS, qq, "R",
+                                      workers=workers, cancel=cancel)
+            else:
+                client.collate_data(QS, qq, "R", workers=workers)
+        assert _reader_counts(session) == (0, 0)
+        assert _result_tables(session) == []
+        if server is not None:
+            client.close()
+            assert server.leak_report() == {
+                "sessions": 0, "read_contexts": 0, "gate_held": False,
+                "active_queries": 0,
+            }
+    finally:
+        if server is not None:
+            server.close()
 
 
 # -- thread lifetime ----------------------------------------------------------

@@ -1,8 +1,9 @@
 """The plan memo re-plans exactly when an input of the pure planner changes.
 
 A :class:`~repro.core.rewrite.PreparedQq` carries one
-:class:`~repro.sql.planner.PlanMemo`; the snapshot loops hand it to
-``Database.open_cursor`` with every bound statement.  ``plan_from`` is
+:class:`~repro.sql.planner.PlanMemo`; the snapshot loops hand it over
+with every bound statement (``RunReader.cursor`` in a fold,
+``Database.open_cursor`` in the reference loop).  ``plan_from`` is
 pure, so the memo may return the last plan whenever the table
 descriptions (by value), the predicates (by identity) and each table's
 statistics (by value) equal the last call's.  Over one snapshot series
@@ -213,13 +214,14 @@ def test_threads_sharing_one_prepared_qq(history, qq):
     def worker(order):
         try:
             for _ in range(3):
-                for sid in order:
-                    _, rows = db.open_cursor(prepared.bind(sid),
-                                             private=True,
-                                             memo=prepared.memo)
-                    got = [tuple(row) for row in rows]
-                    if got != expected[sid]:
-                        failures.append((sid, got))
+                # One run reader per thread, as each partition opens.
+                with db.run_reader() as reader:
+                    for sid in order:
+                        _, rows = reader.cursor(prepared.bind(sid),
+                                                prepared.memo)
+                        got = [tuple(row) for row in rows]
+                        if got != expected[sid]:
+                            failures.append((sid, got))
         except Exception as exc:  # reported below, on the test thread
             failures.append(exc)
 

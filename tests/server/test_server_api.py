@@ -111,6 +111,60 @@ def test_scheduler_folds_a_certified_workers_1_ticket(server):
     client.close()
 
 
+@pytest.mark.parametrize("workers", [1, 4])
+def test_another_sessions_temp_table_cannot_change_a_running_fold(
+        server, workers):
+    """A run resolves every name once, at its start.  Partway through
+    alice's fold over ``t``, bob creates a TEMP table ``t`` (the aux
+    engine, and so TEMP names, are shared by every session) and fills
+    it.  Alice's snapshots all read her main ``t``: re-resolving ``t``
+    per snapshot gave main rows up to the DDL and bob's row after it, a
+    mix that matches no serial order."""
+    alice, bob = server.connect("alice"), server.connect("bob")
+    alice.execute("CREATE TABLE t (x INTEGER)")
+    for n in range(1, 7):
+        alice.execute(f"INSERT INTO t VALUES ({n})")
+        alice.declare_snapshot()
+    started = {sid: threading.Event() for sid in range(1, 7)}
+    shadowed = threading.Event()
+    latch = threading.Lock()
+
+    def hook(sid):
+        sid = int(sid)
+        started[sid].set()
+        if sid == 3:
+            with latch:
+                if not shadowed.is_set():
+                    # Every partition is reading by now (at workers=4
+                    # they are [1, 2], [3, 4], [5] and [6]).
+                    firsts = (1, 5, 6) if workers == 4 else ()
+                    assert all(started[s].wait(30.0) for s in firsts)
+                    bob.execute("CREATE TEMP TABLE t (x INTEGER)")
+                    bob.execute("INSERT INTO t VALUES (999)")
+                    shadowed.set()
+        return 1
+
+    alice.session.db.register_function("hook", hook)
+    result = alice.collate_data(
+        QS, "SELECT x, current_snapshot() FROM t "
+            "WHERE hook(current_snapshot()) = 1",
+        "R", workers=workers)
+    assert shadowed.is_set()
+    assert len(result.parallel.partitions) == (4 if workers == 4 else 1)
+    rows = sorted(tuple(row) for row in alice.execute("SELECT * FROM R").rows)
+    assert rows == sorted((n, sid) for sid in range(1, 7)
+                          for n in range(1, sid + 1))
+    assert len(rows) == 21
+    # The shadowing table is real: a statement after the run finds it.
+    assert alice.execute("SELECT x FROM t").rows == [(999,)]
+    alice.close()
+    bob.close()
+    assert server.leak_report() == {
+        "sessions": 0, "read_contexts": 0, "gate_held": False,
+        "active_queries": 0,
+    }
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_ticket_inside_an_open_transaction_is_refused(server, workers,
                                                         monkeypatch):

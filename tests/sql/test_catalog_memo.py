@@ -7,13 +7,17 @@ that reads the page.  These tests attack where that could go stale or
 leak:
 
 (a) a Hypothesis state machine over DDL in both catalogs, inserts,
-    snapshots, a ROLLBACK that undoes DDL, and checkpoint + reopen,
-    compares ``get_table`` / ``indexes_for`` / ``list_tables`` and the
-    ``EXPLAIN`` access path — at the current state and as of every
-    declared snapshot — with a model and with a memo-free twin;
-(b) the same script fails under two seeded mutants: a memo that follows
-    a written node, and a ``temporary`` flag taken from the wrong
-    catalog;
+    ``ANALYZE``, snapshots, a ROLLBACK that undoes DDL, and checkpoint +
+    reopen, compares ``get_table`` / ``indexes_for`` / ``list_tables``
+    and the ``EXPLAIN`` access path — at the current state and as of
+    every declared snapshot — with a model and with a memo-free twin;
+    and one run reader stepping every declared snapshot (up, then back
+    down) resolves tables, indexes, statistics and the whole ``EXPLAIN``
+    exactly as a fresh statement as of each snapshot does;
+(b) the same script fails under three seeded mutants: a memo that
+    follows a written node, a ``temporary`` flag taken from the wrong
+    catalog, and a run reader that keeps its main-catalog answers by
+    name only (not by the catalog node they came from);
 (c) entries are shared (same object through different snapshots) and
     immutable (frozen, and nothing in ``src/repro`` assigns to one);
 (d) a page is decoded once: no catalog row is decoded by the second
@@ -38,9 +42,12 @@ from hypothesis.stateful import (
 )
 
 from repro.sql import catalog as catalog_module
+from repro.sql import database as database_module
 from repro.sql.catalog import Catalog, Column, IndexInfo, TableInfo
 from repro.sql.database import Database
 from repro.sql.parser import parse_one
+from repro.sql.planner import explain_select
+from repro.sql.stats import STATS_TABLE
 from repro.storage import btree
 from repro.storage.disk import SimulatedDisk
 from repro.storage.record import decode_record
@@ -91,6 +98,9 @@ class CatalogMachine(RuleBasedStateMachine):
         self.tables = {}
         self.saved = None     # model at BEGIN, while a transaction is open
         self.snapshots = {}   # snapshot id -> model of the main tables
+        #: table name -> the snapshot id each ANALYZE of it was stamped
+        #: with (statistics outlive a DROP: they are keyed by name)
+        self.stamps = {}
         self.next_key = 0
 
     def open(self) -> Database:
@@ -174,6 +184,18 @@ class CatalogMachine(RuleBasedStateMachine):
         self.next_key += count
         self.db.execute(f"INSERT INTO {name} VALUES {rows}")
 
+    @precondition(lambda self: not self.in_txn())
+    @rule(at=st.integers(0, 99))
+    def analyze(self, at):
+        names = self.existing()
+        if not names:
+            return
+        name = names[at % len(names)]
+        self.db.execute(f"ANALYZE {name}")
+        # Stamped with the latest declared snapshot (0 before any).
+        self.stamps.setdefault(name, []).append(
+            max(self.snapshots, default=0))
+
     # -- transaction boundaries and restarts ---------------------------------
 
     @precondition(lambda self: not self.in_txn())
@@ -212,11 +234,17 @@ class CatalogMachine(RuleBasedStateMachine):
 
     # -- the check -----------------------------------------------------------
 
+    def has_stats(self, name, as_of=None) -> bool:
+        """Does a gathering of ``name``'s statistics apply at the pin?"""
+        return any(as_of is None or stamp <= as_of
+                   for stamp in self.stamps.get(name, ()))
+
     def check_state(self, main_tables, as_of=None):
         """``main_tables`` as of the pin, plus the temp tables of *now*
         (the aux engine is not snapshotable)."""
         model = dict(main_tables)
         model.update({n: t for n, t in self.tables.items() if t["temp"]})
+        stats_table = [STATS_TABLE] if self.stamps else []
         db = self.db
         with context(db, as_of) as ctx:
             twins = [
@@ -228,8 +256,9 @@ class CatalogMachine(RuleBasedStateMachine):
                          db._catalog_root(db.aux_engine), temporary=True)),
             ]
             for catalog, temp, twin in twins:
-                names = sorted(n for n, t in model.items()
-                               if t["temp"] == temp)
+                names = sorted([n for n, t in model.items()
+                                if t["temp"] == temp]
+                               + (stats_table if temp else []))
                 listed = catalog.list_tables()
                 assert [t.name for t in listed] == names
                 assert listed == twin.list_tables()
@@ -258,10 +287,47 @@ class CatalogMachine(RuleBasedStateMachine):
                 assert len(ctx.open_indexes(access)) \
                     == len(table["indexes"]) + table["pk"]
         for name, table in model.items():
-            assert index_used(db, name, "v", as_of) \
-                == (f"{name}_v" if table["indexes"] else None)
-            assert index_used(db, name, "k", as_of) \
-                == (f"__pk_{name}" if table["pk"] else None)
+            wanted = [f"{name}_v" if table["indexes"] else None,
+                      f"__pk_{name}" if table["pk"] else None]
+            used = [index_used(db, name, "v", as_of),
+                    index_used(db, name, "k", as_of)]
+            if self.has_stats(name, as_of):
+                # Costed: a scan may beat the index on a table this small.
+                assert all(u in (None, w) for u, w in zip(used, wanted))
+            else:
+                assert used == wanted
+
+    def check_run(self):
+        """One run reader over every declared snapshot, up and back
+        down — so its kept answers meet each DDL, CREATE INDEX, ANALYZE
+        and catalog split in both directions — agrees with a fresh
+        statement as of each snapshot.  A run never runs inside a
+        transaction, so none is open here."""
+        db = self.db
+        order = sorted(self.snapshots)
+        names = MAIN_NAMES + TEMP_NAMES + (STATS_TABLE,)
+        with db.run_reader() as reader:
+            for sid in order + order[::-1]:
+                run = reader.context(sid)
+                with db.reading(as_of=sid) as fresh:
+                    for name in names:
+                        got, want = run.find_table(name), \
+                            fresh.find_table(name)
+                        assert (got is None) == (want is None), (sid, name)
+                        assert run.table_stats(name) \
+                            == fresh.table_stats(name), (sid, name)
+                        if got is None:
+                            continue
+                        assert got.info == want.info, (sid, name)
+                        assert [ix.info for ix in run.open_indexes(got)] \
+                            == [ix.info for ix in fresh.open_indexes(want)]
+                        if name == STATS_TABLE:
+                            continue
+                        explain = parse_one(
+                            f"SELECT AS OF {sid} * FROM {name} "
+                            f"WHERE v = 1 AND k > 0")
+                        assert explain_select(explain, run) \
+                            == explain_select(explain, fresh), (sid, name)
 
     @invariant()
     def every_catalog_read_agrees(self):
@@ -269,6 +335,8 @@ class CatalogMachine(RuleBasedStateMachine):
             {n: t for n, t in self.tables.items() if not t["temp"]})
         for sid, main_tables in self.snapshots.items():
             self.check_state(main_tables, as_of=sid)
+        if not self.in_txn():
+            self.check_run()
 
 
 CatalogMachine.TestCase.settings = settings(
@@ -297,6 +365,8 @@ def scripted_run() -> None:
         check()
         machine.commit_with_snapshot()             # 1: ta + ta_v
         check()
+        machine.analyze(0)                         # ta, stamped 1
+        check()
         machine.begin()
         machine.create_table(0, False)             # tb
         machine.create_index(1)                    # tb_v
@@ -311,19 +381,29 @@ def scripted_run() -> None:
         machine.drop_table(0)                      # ta
         machine.create_temp_table(0, False)        # tmp2
         check()
+        machine.create_table(0, False)             # ta again, no key
+        machine.create_index(0)                    # ta_v again
+        machine.analyze(0)                         # ta, stamped 2
+        machine.commit_with_snapshot()             # 2a: the same name,
+        check()                                    # a new table
         machine.checkpoint_and_reopen()
         check()
+        with context(machine.db, max(machine.snapshots)) as ctx:
+            assert ctx._main_catalog.root_leaf() is not None
         for at in range(5):                        # the catalog leaf splits
             machine.create_table(0, True)
             machine.create_index(at)
             check()
+        machine.analyze(1)
         machine.commit_with_snapshot()             # 3
+        with context(machine.db, max(machine.snapshots)) as ctx:
+            assert ctx._main_catalog.root_leaf() is None
         machine.drop_table(5)                      # tmp1
         machine.begin()
         machine.drop_table(2)
         machine.commit()
         check()
-        assert len(machine.snapshots) == 3
+        assert len(machine.snapshots) == 4
     finally:
         machine.teardown()
 
@@ -352,6 +432,16 @@ def test_a_memo_that_follows_a_written_node_is_caught(monkeypatch):
 def test_a_temporary_flag_from_the_wrong_catalog_is_caught(monkeypatch):
     monkeypatch.setattr(catalog_module, "_temp_entry",
                         catalog_module._main_entry)
+    with pytest.raises(AssertionError):
+        scripted_run()
+
+
+def test_a_run_memo_keyed_by_name_only_is_caught(monkeypatch):
+    def by_name_only(reader, catalog):
+        return database_module._Resolved(catalog, reader._answers)
+
+    monkeypatch.setattr(database_module.RunReader, "main_names",
+                        by_name_only)
     with pytest.raises(AssertionError):
         scripted_run()
 
