@@ -7,14 +7,18 @@ after ``--`` (an escape hatch without a reason is itself a violation,
 reported as RPL000)::
 
     txn = engine.begin()   # replint: ignore[RPL030] -- committed by caller
-    def _evict_one(self):  # replint: wal-exempt -- images already logged
+    except Exception as exc:  # replint: taxonomy-exempt -- re-raised later
 
 Forms:
 
-* ``ignore[RPL030]`` / ``ignore[RPL030,RPL003]`` — suppress those rules;
-* named aliases (``wal-exempt``, ``typestate-exempt``,
-  ``lockorder-exempt``, ``taint-exempt``, ``snapid-exempt``,
-  ``taxonomy-exempt``) — readable synonyms for single rules.
+* ``ignore[RPL030]`` / ``ignore[RPL030,RPL011]`` — suppress those rules;
+* named aliases (``typestate-exempt``, ``lockorder-exempt``,
+  ``race-exempt``, ``taxonomy-exempt``, ...) — readable synonyms for
+  single rules.
+
+A pragma that names no rule, a rule the linter does not have (a deleted
+rule's pragma goes with the rule), or no reason is itself an RPL000
+finding.
 
 The body grammar (:meth:`Pragma.parse`) is shared with ``-- rqlint:``
 comments in ``.sql`` lint files; only the scoping differs.  A pragma
@@ -32,21 +36,14 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Collection, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.findings import ERROR, Finding
 
 PRAGMA_ALIASES = {
-    "wal-exempt": "RPL003",
     "taxonomy-exempt": "RPL002",
-    "monoid-exempt": "RPL004",
-    "snapid-exempt": "RPL005",
     "lockorder-exempt": "RPL011",
-    "taint-exempt": "RPL012",
     "race-exempt": "RPL020",
-    "blocking-exempt": "RPL021",
-    "durable-exempt": "RPL022",
-    "purity-exempt": "RPL023",
     "typestate-exempt": "RPL030",
     "atomicity-exempt": "RPL031",
     "confinement-exempt": "RPL033",
@@ -89,12 +86,19 @@ class Pragma:
     def justified(self) -> bool:
         return bool(self.justification.strip())
 
-    def hygiene(self, file: str) -> Optional[Finding]:
-        """RPL000 when the pragma names no rule or gives no reason."""
+    def hygiene(self, file: str,
+                known: Collection[str]) -> Optional[Finding]:
+        """RPL000 when the pragma names no rule, a rule not in ``known``
+        (the rule catalogue), or gives no reason."""
+        unknown = [rule for rule in self.rules if rule not in known]
         if not self.rules:
             message = "unrecognized pragma"
             hint = ("use 'ignore[RULE] -- reason' or a named alias "
-                    "(wal-exempt, query-exempt, ...)")
+                    "(typestate-exempt, query-exempt, ...)")
+        elif unknown:
+            message = f"pragma names unknown rule {', '.join(unknown)}"
+            hint = ("name a rule from --list-rules; a deleted rule's "
+                    "pragmas are deleted with it")
         elif not self.justified:
             message = "pragma without a justification"
             hint = "append ' -- <why this is safe>' to the pragma"
@@ -188,11 +192,6 @@ class ModuleContext:
             if ancestor in self._qualnames:
                 return self._qualnames[ancestor]
         return ""
-
-    def functions(self) -> Iterator[ast.FunctionDef]:
-        for node in ast.walk(self.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield node
 
     def function_hash(self, node: Optional[ast.AST]) -> str:
         """Short content hash of the function enclosing ``node``.

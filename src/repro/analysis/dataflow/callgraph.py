@@ -20,8 +20,7 @@ container methods on externally-typed receivers) or a
 *conservatively-unresolved* site (a computed callee that might target
 program code — ``d[key]()``, unknown receiver types whose method name
 exists somewhere in the program).  Unresolved sites matter: the rules
-treat them as "unknown effects" (an escape for resource values, a
-propagation barrier for taint).
+treat them as "unknown effects" (an escape for resource values).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Thread-escape and entry-lock-context analysis (RPL020/RPL021 core).
+"""Thread-escape and entry-lock-context analysis (RPL020/RPL031 core).
 
 Built entirely from the call graph plus converged function summaries:
 
@@ -16,8 +16,8 @@ Built entirely from the call graph plus converged function summaries:
   from the thread target's own parameters (the per-worker payload);
 * **entry lock contexts** — for each worker-region function, the latches
   *always* held when workers enter it (a decreasing must-intersection
-  over in-region call sites) and the latches *possibly* held (an
-  increasing may-union), seeded at the thread roots with the empty set.
+  over in-region call sites), seeded at the thread roots with the empty
+  set.
 
 RPL020 then asks, per written attribute of a shared class: is the
 effective held set (site latches + must-entry context) disjoint from
@@ -62,7 +62,6 @@ class EffectsIndex:
         self.shared_classes: Set[str] = set()
         self.exempt_classes: Set[str] = set()
         self.entry_must: Dict[str, FrozenSet[str]] = {}
-        self.entry_may: Dict[str, FrozenSet[str]] = {}
         #: (class qualname, attr) -> worker-region write sites
         self.write_sites: Dict[Tuple[str, str], List[SharedWrite]] = {}
         self._find_roots()
@@ -216,7 +215,6 @@ class EffectsIndex:
             q: frozenset() if q in roots or q not in records else full
             for q in region
         }
-        self.entry_may = {q: frozenset() for q in region}
         changed = True
         while changed:
             changed = False
@@ -224,15 +222,11 @@ class EffectsIndex:
                 if qualname in roots or qualname not in records:
                     continue
                 must = full
-                may: FrozenSet[str] = self.entry_may[qualname]
                 for caller, held in records[qualname]:
-                    entering = frozenset(held) | self.entry_must[caller]
-                    must = must & entering
-                    may = may | frozenset(held) | self.entry_may[caller]
-                if must != self.entry_must[qualname] \
-                        or may != self.entry_may[qualname]:
+                    must = must & (frozenset(held)
+                                   | self.entry_must[caller])
+                if must != self.entry_must[qualname]:
                     self.entry_must[qualname] = must
-                    self.entry_may[qualname] = may
                     changed = True
 
     # -- shared classes ----------------------------------------------------

@@ -10,7 +10,7 @@ closing every may-alias site) settle to their final value instead of
 accumulating stale pessimistic joins.
 
 Termination: every state domain used by replint is a finite powerset
-(statuses per acquisition site, held lock ids, tainted variable names)
+(statuses per acquisition site, held lock ids, alias sets)
 over sites/names drawn from the finite program text, so each node has
 finitely many possible states and the chaotic iteration stabilizes in
 practice as soon as the alias shape settles; a visit budget backstops
@@ -70,7 +70,7 @@ def solve(cfg: CFG, analysis: ForwardAnalysis[S]) -> Dict[int, S]:
     accumulated join would keep the stale pessimistic contribution from
     an earlier visit alive forever (a phantom leak at EXIT).
 
-    Termination: the chaotic iteration stabilizes once the alias/taint
+    Termination: the chaotic iteration stabilizes once the alias
     components (which only depend on assignments, hence grow toward a
     fixed shape) settle, after which every transfer is a deterministic
     function of a stabilized IN.  A generous visit budget backstops the

@@ -12,7 +12,7 @@ the queue drains; a solve that would take more than
 A caller reads callee summaries only through its call sites' targets,
 so when the queue drains each function's last :class:`FunctionResult`
 was computed against its callees' final summaries: that result is the
-evidence (lock edges, taint hits, protocol findings) the rules report.
+evidence (lock edges, protocol findings, stale writes) the rules report.
 """
 
 from __future__ import annotations

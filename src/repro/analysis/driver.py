@@ -40,16 +40,19 @@ from repro.analysis.findings import (
     load_baseline,
     save_baseline,
 )
-from repro.analysis.query.rules import QUERY_REGISTRY
+from repro.analysis.query.planlint import PlanCertificate, certify_plan
 from repro.analysis.query.sqlfile import SqlCorpus
 from repro.analysis.rules import (
-    _PROGRAM_REGISTRY,
-    _REGISTRY,
     all_checkers,
     all_program_checkers,
+    rule_catalogue,
 )
 from repro.analysis.sarif import render_sarif
 from repro.errors import AnalysisError
+from repro.sql.certify import MergeCertificate, certify_mechanism
+from repro.sql.stats import DeclaredStats
+from repro.workloads import corpus as verdict_corpus
+from repro.workloads import plans as plan_corpus
 
 DEFAULT_BASELINE = "replint.baseline"
 
@@ -147,6 +150,32 @@ def _collect_contexts(paths: Sequence[Path], lint_sql: bool = True
     return contexts, findings, scanned
 
 
+def certify_entry(entry: verdict_corpus.CorpusEntry,
+                  schema=None) -> MergeCertificate:
+    """Certify one verdict-corpus entry (against its ``corpus_schema``
+    by default)."""
+    return certify_mechanism(
+        entry.mechanism, entry.qs, entry.qq, arg=entry.arg,
+        schema=schema if schema is not None
+        else verdict_corpus.corpus_schema(),
+        file=f"<corpus:{entry.name}>", symbol=entry.name,
+    )
+
+
+def certify_plan_entry(entry: plan_corpus.PlanEntry,
+                       schema=None) -> PlanCertificate:
+    """Certify one golden-plan entry (against its ``plan_schema`` by
+    default)."""
+    return certify_plan(
+        entry.sql,
+        schema if schema is not None else plan_corpus.plan_schema(),
+        DeclaredStats(entry.stats),
+        file=f"<plans:{entry.name}>", symbol=entry.name,
+        golden=entry.golden or None,
+        latest_snapshot=entry.latest_snapshot,
+    )
+
+
 def _golden_verdicts() -> Iterator[Tuple[str, str, str, object, object]]:
     """(corpus, entry name, drift rule, certified, recorded) for every
     entry of both golden corpora.
@@ -155,17 +184,16 @@ def _golden_verdicts() -> Iterator[Tuple[str, str, str, object, object]]:
     rendering and rule set (RQL110 is the rendering comparison itself,
     so it is left out of the certified set).
     """
-    from repro.workloads.corpus import CORPUS, certify_entry, corpus_schema
-    from repro.workloads.plans import PLAN_CORPUS, certify_plan_entry
-
-    schema = corpus_schema()
-    for entry in CORPUS:
+    schema = verdict_corpus.corpus_schema()
+    # Each corpus is read at call time, so swapping one in its module
+    # (a doctored entry in a test) is what the next run certifies.
+    for entry in verdict_corpus.CORPUS:
         certificate = certify_entry(entry, schema=schema)
         yield ("corpus", entry.name, "RQL100",
                (certificate.merge_class,
                 tuple(sorted({f.rule for f in certificate.findings}))),
                (entry.expected_class, tuple(sorted(entry.expected_rules))))
-    for entry in PLAN_CORPUS:
+    for entry in plan_corpus.PLAN_CORPUS:
         certificate = certify_plan_entry(entry, schema=schema)
         yield ("plans", entry.name, "RQL110",
                (tuple(certificate.rendering),
@@ -238,14 +266,6 @@ def _render_json(report: AnalysisReport, out) -> None:
         "baselined": [f.hashed_key for f in report.baselined],
     }
     print(json.dumps(payload, indent=2), file=out)
-
-
-def rule_catalogue() -> Dict[str, type]:
-    """Every rule id -> the class carrying its ``name``,
-    ``description``, ``example`` and ``fix``: RPL000, the replint
-    checkers and the RQL rules, for --list-rules, --explain and SARIF."""
-    return dict(sorted({**_REGISTRY, **_PROGRAM_REGISTRY,
-                        **QUERY_REGISTRY}.items()))
 
 
 def _rule_descriptions() -> Dict[str, str]:

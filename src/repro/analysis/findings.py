@@ -1,8 +1,10 @@
-"""Findings model for replint.
+"""The lint report and its baseline.
 
 A :class:`Finding` pins one rule violation to a file, line and enclosing
-symbol.  Findings are value objects: checkers yield them, the driver
-filters them (pragmas, baseline) and renders them.
+symbol.  It is defined beside the merge certificate
+(:mod:`repro.sql.certify`), whose RQL diagnostics are findings too, and
+re-exported here.  Findings are value objects: checkers yield them, the
+driver filters them (pragmas, baseline) and renders them.
 
 Baselines
 ---------
@@ -25,46 +27,10 @@ from pathlib import Path
 from typing import Iterable, List, Set
 
 from repro.errors import AnalysisError
+from repro.sql.certify import ERROR, WARNING, Finding
 
-#: severity levels; only ERROR findings fail the run
-ERROR = "error"
-WARNING = "warning"
-
-
-@dataclass(frozen=True, order=True)
-class Finding:
-    """One rule violation at a specific source location."""
-
-    file: str        #: package-relative posix path (baseline-stable)
-    line: int
-    rule: str        #: rule id, e.g. "RPL030"
-    severity: str
-    message: str
-    hint: str = ""   #: how to fix (or legitimately suppress) it
-    symbol: str = "" #: enclosing function/class qualname, "" at module level
-    content_hash: str = ""  #: hash of the enclosing function's source
-
-    @property
-    def baseline_key(self) -> str:
-        """v1 key: line-independent but content-independent too."""
-        return f"{self.rule}:{self.file}:{self.symbol or '<module>'}"
-
-    @property
-    def hashed_key(self) -> str:
-        """v2 key: expires when the enclosing function's body changes."""
-        if self.content_hash:
-            return f"{self.baseline_key}#{self.content_hash}"
-        return self.baseline_key
-
-    def matches(self, baseline: Set[str]) -> bool:
-        return self.hashed_key in baseline or self.baseline_key in baseline
-
-    def render(self) -> str:
-        where = f"{self.file}:{self.line}"
-        text = f"{where}: {self.rule} [{self.severity}] {self.message}"
-        if self.hint:
-            text += f"\n    hint: {self.hint}"
-        return text
+__all__ = ["ERROR", "WARNING", "AnalysisReport", "Finding",
+           "load_baseline", "save_baseline"]
 
 
 @dataclass

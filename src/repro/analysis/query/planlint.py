@@ -1,6 +1,6 @@
 """planlint: static plan certification (RQL110-114).
 
-Where mergeclass certification (:mod:`repro.analysis.query.mergeclass`)
+Where merge-class certification (:mod:`repro.sql.certify`)
 answers *can this retrospective computation merge across partitions*,
 plan certification answers *will the planner execute it the way we
 recorded*.  :func:`certify_plan` plans one SELECT statically — the same

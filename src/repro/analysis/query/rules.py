@@ -1,9 +1,8 @@
 """RQL100-106 rule metadata.
 
 rqlint rules are not :class:`~repro.analysis.rules.Checker` subclasses —
-they fire from the certification pass in
-:mod:`repro.analysis.query.mergeclass`, not from a per-module AST walk —
-but they carry the same metadata surface (``rule_id``/``name``/
+they fire from the merge certificate (:mod:`repro.sql.certify`) and
+from planlint, not from a per-module AST walk — but they carry the same metadata surface (``rule_id``/``name``/
 ``description``/``example``/``fix``), so the driver's one rule
 catalogue serves ``--list-rules``, ``--explain RQL1NN`` and SARIF for
 them exactly as for the RPL rules.

@@ -36,7 +36,8 @@ from typing import Dict, List, Set
 
 from repro.analysis.context import Pragma
 from repro.analysis.findings import ERROR, Finding
-from repro.analysis.query.mergeclass import certify_mechanism
+from repro.analysis.rules import rule_catalogue
+from repro.sql.certify import certify_mechanism
 
 _SQL_PRAGMA_RE = re.compile(r"^\s*--\s*rqlint:\s*(?P<body>.+?)\s*$")
 _KEYVAL_RE = re.compile(r'(?P<key>\w+)=(?:"(?P<quoted>[^"]*)"'
@@ -124,7 +125,7 @@ class SqlCorpus:
 
     def _apply_pragma(self, lineno: int, body: str) -> None:
         pragma = Pragma.parse(lineno, body)
-        hygiene = pragma.hygiene(self.relpath)
+        hygiene = pragma.hygiene(self.relpath, rule_catalogue())
         if hygiene is not None:
             self.findings.append(hygiene)
         elif self.cases:

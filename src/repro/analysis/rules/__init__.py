@@ -9,8 +9,7 @@ Two kinds of checkers:
 
 Adding a rule = write a module here, subclass the right base, decorate
 with :func:`register` / :func:`register_program`.  Checkers decide
-themselves which modules are in scope (e.g. the WAL rule only looks
-under ``storage/``).
+themselves which modules are in scope.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Type
 
 from repro.analysis.context import ModuleContext
 from repro.analysis.findings import ERROR, Finding
+from repro.analysis.query import QUERY_REGISTRY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.dataflow.callgraph import FunctionInfo
@@ -46,6 +46,15 @@ def all_checkers() -> List["Checker"]:
 def all_program_checkers() -> List["ProgramChecker"]:
     return [_PROGRAM_REGISTRY[rule_id]()
             for rule_id in sorted(_PROGRAM_REGISTRY)]
+
+
+def rule_catalogue() -> Dict[str, type]:
+    """Every rule id -> the class carrying its ``name``,
+    ``description``, ``example`` and ``fix``: RPL000, the replint
+    checkers and the RQL rules, for pragma hygiene, --list-rules,
+    --explain and SARIF."""
+    return dict(sorted({**_REGISTRY, **_PROGRAM_REGISTRY,
+                        **QUERY_REGISTRY}.items()))
 
 
 def _suppressed_at(ctx: ModuleContext, rule_id: str, line: int,
@@ -143,8 +152,8 @@ class PragmaHygiene(Checker):
     name = "pragma-hygiene"
     description = (
         "lint pragmas (# replint: in Python, -- rqlint: in SQL) must "
-        "name a rule or alias and carry a justification; a file that "
-        "does not parse is reported here too"
+        "name an existing rule or alias and carry a justification; a "
+        "file that does not parse is reported here too"
     )
     example = (
         "txn = engine.begin()  # replint: ignore[RPL030]\n"
@@ -157,8 +166,9 @@ class PragmaHygiene(Checker):
     )
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+        known = rule_catalogue()
         for pragma in ctx.pragmas.values():
-            finding = pragma.hygiene(ctx.relpath)
+            finding = pragma.hygiene(ctx.relpath, known)
             if finding is not None:
                 yield finding
 
@@ -166,16 +176,9 @@ class PragmaHygiene(Checker):
 # Import rule modules for their registration side effect.
 from repro.analysis.rules import (  # noqa: E402,F401
     atomicity,
-    blocking,
     confinement,
-    durability,
     escape,
     exceptions,
     lockorder,
-    mergepurity,
-    monoids,
-    snapshots,
-    taint,
     typestate,
-    wal,
 )

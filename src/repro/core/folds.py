@@ -474,9 +474,9 @@ class Mechanism:
 
 
 #: canonical name (lowered, underscores dropped) -> mechanism.  The
-#: certificate side keeps its own table
-#: (``analysis.query.mergeclass.MECHANISM_CLASSES`` — the analysis
-#: package must not import ``repro.core``); a test asserts they agree.
+#: certificate side keeps its own table (``sql.certify.MECHANISM_CLASSES``
+#: — the sql layer sits under ``repro.core`` and must not import it at
+#: module level); a test asserts they agree.
 MECHANISMS: Dict[str, Mechanism] = {
     m.name.lower(): m for m in (
         Mechanism("CollateData", False, ConcatFold, CollateDataRun),

@@ -61,22 +61,19 @@ from repro.core.mechanisms import (
 from repro.core.rewrite import PreparedQq, prepare_qq, validate_qs
 from repro.errors import MechanismError, QueryCancelled
 from repro.retro.metrics import MetricsSink
+from repro.sql.certify import (
+    MergeCertificate,
+    certify_mechanism,
+    certify_select,
+)
 from repro.sql.database import Database
+from repro.sql.semantic import ContextSchema
 
 
 def certify(db: Database, mechanism: str, qs: str,
-            qq: Union[str, PreparedQq], arg=None):
-    """rqlint certificate for one invocation (``qq``: text, or the
-    prepared Qq whose parse it shares), against the live catalog.
-
-    Imported lazily: certification is an analysis-layer concern and
-    ``import repro.core`` must not drag the lint machinery in.
-    """
-    from repro.analysis.query.mergeclass import (
-        certify_mechanism,
-        certify_select,
-    )
-    from repro.sql.semantic import ContextSchema
+            qq: Union[str, PreparedQq], arg=None) -> MergeCertificate:
+    """Merge certificate for one invocation (``qq``: text, or the
+    prepared Qq whose parse it shares), against the live catalog."""
     with db.reading() as ctx:
         schema = ContextSchema(ctx)
         if isinstance(qq, PreparedQq):

@@ -266,7 +266,7 @@ class RQLSession:
         before main, the open transaction's DDL, the UDF registry —
         without executing either; the same verdict the parallel
         executor reads its partition count from.  See
-        :mod:`repro.analysis.query.mergeclass`.
+        :mod:`repro.sql.certify`.
         """
         return certify(self.db, mechanism, qs, qq, arg)
 

@@ -62,7 +62,7 @@ class WriteGate:
     def acquire(self, owner: object) -> None:
         with self._cond:
             while self._owner is not None and self._owner is not owner:
-                if not self._cond.wait(timeout=self.timeout):  # replint: blocking-exempt -- Condition.wait atomically releases the latch while blocked
+                if not self._cond.wait(timeout=self.timeout):
                     raise ServerError(
                         f"write gate acquire timed out after "
                         f"{self.timeout}s (held by another session)"

@@ -48,6 +48,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import PlanError, ReproError
 from repro.sql import ast
+from repro.sql.certify import classify_select
 from repro.sql.executor import IndexAccess, ResultSet, Row, TableAccess
 from repro.sql.expressions import (
     ExpressionCompiler,
@@ -61,6 +62,7 @@ from repro.sql.expressions import (
     walk,
 )
 from repro.sql.functions import BUILTIN_SCALARS, is_aggregate, make_aggregate
+from repro.sql.semantic import ContextSchema, resolve_select
 from repro.sql.stats import StatsProvider, TableStats
 from repro.sql.types import SqlValue, compare
 from repro.storage.btree import LeafFilter
@@ -761,8 +763,6 @@ def _semantic_notes(select: ast.Select, ctx: ExecutionContext) -> List[str]:
     query the planner accepts but the resolver cannot summarize is not
     an EXPLAIN failure — the summary is simply omitted.
     """
-    from repro.analysis.query.mergeclass import classify_select
-    from repro.sql.semantic import ContextSchema, resolve_select
     try:
         summary = resolve_select(select, ContextSchema(ctx))
         merge_class, reason = classify_select(summary)

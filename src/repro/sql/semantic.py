@@ -8,7 +8,7 @@ per-snapshot scan and whether an index supports them.  This module
 computes all of that from an :class:`repro.sql.ast.Select` plus a
 :class:`SchemaProvider` without executing anything.
 
-:mod:`repro.analysis.query.mergeclass` layers the mechanism-level
+:mod:`repro.sql.certify` layers the mechanism-level
 merge-class certification (RQL100-106) on top of the
 :class:`QuerySummary` produced here.
 """

@@ -117,7 +117,6 @@ class BufferPool:
             self._evict_one()
         self._pages[page.page_id] = page
 
-    # replint: wal-exempt -- evicted pages only became dirty via install()/put_raw, after commit already WAL-logged their images
     def _evict_one(self) -> None:
         page_id, page = next(iter(self._pages.items()))
         if page.dirty:

@@ -175,7 +175,7 @@ class StorageEngine:
             self._recover()
         else:
             # Bootstrap checkpoint of a fresh database.
-            self.checkpoint()  # replint: wal-exempt -- nothing committed yet, nothing to log
+            self.checkpoint()
 
     # ------------------------------------------------------------------
     # Transactions

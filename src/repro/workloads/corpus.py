@@ -11,9 +11,9 @@ serves three consumers:
   asserts byte-identical results (or the same error) for every verdict,
   serial-only ones running as one partition — a false "mergeable"
   verdict fails there, not in review;
-* every ``repro.cli lint`` run re-certifies the corpus
-  (:func:`repro.analysis.driver.corpus_drift`), so a
-  rule regression shows up in CI output immediately.
+* every ``repro.cli lint`` run re-certifies the corpus (the lint
+  driver's ``corpus_drift``), so a rule regression shows up in CI
+  output immediately.
 
 Entries deliberately reuse the paper's workloads: TPC-H Q1/Q3/Q6 shapes
 (:mod:`repro.workloads.tpch.queries`) and the LoggedIn running example
@@ -246,17 +246,6 @@ def corpus_schema():
     for name in ("current_snapshot", "snapshot_id", "rql_workers"):
         schema.add_function(name)
     return schema
-
-
-def certify_entry(entry: CorpusEntry, schema=None):
-    """Certify one corpus entry (against :func:`corpus_schema` by default)."""
-    from repro.analysis.query.mergeclass import certify_mechanism
-
-    return certify_mechanism(
-        entry.mechanism, entry.qs, entry.qq, arg=entry.arg,
-        schema=schema if schema is not None else corpus_schema(),
-        file=f"<corpus:{entry.name}>", symbol=entry.name,
-    )
 
 
 def run_entry(session, entry: CorpusEntry, table: str,

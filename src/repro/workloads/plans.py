@@ -8,10 +8,10 @@ rules planlint must assign it.  The corpus serves three consumers:
 
 * the golden-plan tests (``tests/analysis/test_planlint.py``) certify
   each entry and compare rendering and rule set;
-* every ``repro.cli lint`` run re-certifies the corpus
-  (:func:`repro.analysis.driver.corpus_drift`), so a
-  cost-model change that silently flips an access path fails CI as
-  RQL110 drift until this file is updated deliberately;
+* every ``repro.cli lint`` run re-certifies the corpus (the lint
+  driver's ``corpus_drift``), so a cost-model change that silently
+  flips an access path fails CI as RQL110 drift until this file is
+  updated deliberately;
 * the differential gate (``tests/sql/test_plan_equivalence.py``) runs
   stats-driven and heuristic plans side by side and demands identical
   result sets.
@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.sql.stats import ColumnStats, DeclaredStats, TableStats
+from repro.sql.stats import ColumnStats, TableStats
 
 
 @dataclass(frozen=True)
@@ -207,16 +207,3 @@ def plan_schema():
 
     return corpus_schema()
 
-
-def certify_plan_entry(entry: PlanEntry, schema=None):
-    """Certify one corpus entry (against :func:`plan_schema` by default)."""
-    from repro.analysis.query.planlint import certify_plan
-
-    return certify_plan(
-        entry.sql,
-        schema if schema is not None else plan_schema(),
-        DeclaredStats(entry.stats),
-        file=f"<plans:{entry.name}>", symbol=entry.name,
-        golden=entry.golden or None,
-        latest_snapshot=entry.latest_snapshot,
-    )

@@ -9,7 +9,7 @@ import pytest
 from repro.analysis import main as lint_main
 from repro.analysis.findings import ERROR, WARNING
 from repro.analysis.query import QUERY_REGISTRY, certify_plan
-from repro.analysis.driver import corpus_drift
+from repro.analysis.driver import certify_plan_entry, corpus_drift
 from repro.analysis.query.planlint import SCALE_THRESHOLD
 from repro.sql.planner import plan_select_static
 from repro.sql.parser import parse_sql
@@ -19,7 +19,6 @@ from repro.workloads.corpus import CORPUS
 from repro.workloads.plans import (
     PLAN_CORPUS,
     PlanEntry,
-    certify_plan_entry,
     plan_schema,
 )
 

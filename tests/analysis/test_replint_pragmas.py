@@ -40,10 +40,11 @@ def test_unknown_pragma_directive_is_flagged():
 
 def test_named_alias_on_def_line_exempts_the_function():
     source = (
-        "def drop_cache(pager):  # replint: wal-exempt -- clean pages\n"
-        "    pager.flush_all()\n"
+        "def peek(versions, ts):  # replint: typestate-exempt -- reaped\n"
+        "    reader = versions.register_reader(ts)\n"
+        "    return reader.begin_ts\n"
     )
-    assert analyze_source(source, "storage/x.py") == []
+    assert analyze_source(source, "sql/x.py") == []
 
 
 def test_lifecycle_alias_exempts_the_function():
@@ -54,7 +55,7 @@ def test_lifecycle_alias_exempts_the_function():
 
 def test_pragma_text_inside_a_docstring_is_inert():
     source = (
-        '"""Docs may mention # replint: wal-exempt without effect."""\n'
+        '"""Docs may mention # replint: typestate-exempt unjustified."""\n'
         "x = 1\n"
     )
     assert analyze_source(source, "sql/x.py") == []
@@ -62,8 +63,41 @@ def test_pragma_text_inside_a_docstring_is_inert():
 
 def test_pragma_only_covers_the_named_rule():
     source = LEAKY.format(
-        pragma="  # replint: ignore[RPL003] -- wrong rule entirely")
+        pragma="  # replint: ignore[RPL011] -- wrong rule entirely")
     assert [f.rule for f in analyze_source(source, "sql/x.py")] == ["RPL030"]
+
+
+#: pragmas of the rules the runtime suites made redundant: each rule went
+#: with its alias, and no shim maps either onto a surviving rule
+DELETED_RULE_PRAGMAS = (
+    "ignore[RPL003]", "ignore[RPL004]", "ignore[RPL005]", "ignore[RPL012]",
+    "ignore[RPL021]", "ignore[RPL022]", "ignore[RPL023]",
+    "wal-exempt", "monoid-exempt", "snapid-exempt", "taint-exempt",
+    "blocking-exempt", "durable-exempt", "purity-exempt",
+)
+
+
+@pytest.mark.parametrize("directive", DELETED_RULE_PRAGMAS)
+def test_a_deleted_rule_or_alias_is_an_rpl000_finding(directive):
+    source = f"x = 1  # replint: {directive} -- kept from an old run\n"
+    findings = analyze_source(source, "storage/x.py")
+    assert [f.rule for f in findings] == ["RPL000"]
+    assert findings[0].line == 1
+    if directive.startswith("ignore["):
+        assert findings[0].message == \
+            f"pragma names unknown rule {directive[7:-1]}"
+    else:
+        assert findings[0].message == "unrecognized pragma"
+
+
+def test_a_deleted_rule_in_a_sql_pragma_is_an_rpl000_finding():
+    source = (
+        "-- rqlint: ignore[RPL021] -- kept from an old run\n"
+        "SELECT 1;\n"
+    )
+    findings = analyze_source(source, "q.sql")
+    assert [(f.rule, f.message) for f in findings] == [
+        ("RPL000", "pragma names unknown rule RPL021")]
 
 
 def test_syntax_error_reports_as_rpl000():

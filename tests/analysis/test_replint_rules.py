@@ -2,12 +2,11 @@
 and stays silent on the known-good one.
 
 The fixtures under ``fixtures/`` are analyzed as source text with an
-explicit package-relative path, so scoped rules (RPL003 in ``storage/``,
-RPL005 in ``core/``/``retro/``) see the layer they police.  The RPL011,
-RPL012 and RPL030 fixtures contain cross-function cases whose evidence spans a
-caller and a callee; the ``*_caller_only`` tests prove that the flagged
-function is innocent-looking on its own — the finding exists only
-because the dataflow engine sees the callee too.
+explicit package-relative path, the layer each one stands in for.  The
+RPL011, RPL020 and RPL030 fixtures contain cross-function cases whose
+evidence spans a caller and a callee; the ``*_caller_only`` tests prove
+that the flagged function is innocent-looking on its own — the finding
+exists only because the dataflow engine sees the callee too.
 """
 
 import pathlib
@@ -21,15 +20,8 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 #: rule -> the package-relative path its fixtures are analyzed under
 SCOPES = {
     "RPL002": "sql/errors_fixture.py",
-    "RPL003": "storage/engine_fixture.py",
-    "RPL004": "core/aggregates_fixture.py",
-    "RPL005": "core/retroquery_fixture.py",
     "RPL011": "storage/latch_fixture.py",
-    "RPL012": "retro/taint_fixture.py",
     "RPL020": "core/parallel_fixture.py",
-    "RPL021": "core/executor_fixture.py",
-    "RPL022": "storage/logfile_fixture.py",
-    "RPL023": "core/merges_fixture.py",
 }
 
 
@@ -56,40 +48,6 @@ def test_swallowed_exception_is_called_out():
     messages = [f.message for f in run_fixture("RPL002", "bad")]
     assert any("swallows" in m for m in messages)
     assert any("ValueError" in m for m in messages)
-
-
-def test_wal_findings_anchor_to_the_flush_calls():
-    findings = run_fixture("RPL003", "bad")
-    assert {f.line for f in findings} == {12, 13}
-    assert all(f.symbol == "Engine.commit" for f in findings)
-
-
-def test_monoid_findings_cover_every_leg():
-    messages = " | ".join(f.message for f in run_fixture("RPL004", "bad"))
-    assert "does not implement merge()" in messages      # stub in SumState
-    assert "does not implement result()" in messages     # missing in MaxState
-    assert "name attribute is 'maximum'" in messages     # key/name mismatch
-    assert "'avg' has no factory" in messages            # unregistered monoid
-    assert "'max' is not handled in binary_op()" in messages
-    assert "'avg' is not handled in identity_element()" in messages
-
-
-def test_snapshot_literals_found_in_both_forms():
-    findings = run_fixture("RPL005", "bad")
-    assert len(findings) == 2
-    assert {f.message for f in findings} == {
-        "raw int literal 3 passed as as_of",
-        "raw int literal 7 passed as snapshot_id",
-    }
-
-
-def test_scoped_rules_stay_quiet_outside_their_layer():
-    # The same bad sources are fine when they live outside the scoped
-    # layers: workloads/ may flush without a WAL and use literal ids.
-    for rule in ("RPL003", "RPL005"):
-        source = (FIXTURES / f"{rule.lower()}_bad.py").read_text(
-            encoding="utf-8")
-        assert analyze_source(source, "workloads/fixture.py") == []
 
 
 # -- RPL030: lifecycle leaks (the fixture pair itself is gated in
@@ -167,32 +125,6 @@ def test_rpl011_cross_function_case_needs_the_callee():
     assert run_fixture("RPL011", "bad")
 
 
-# -- RPL012: snapshot-epoch taint --------------------------------------------
-
-
-def test_taint_findings_name_source_and_sink():
-    findings = run_fixture("RPL012", "bad")
-    by_symbol = {f.symbol: f.message for f in findings}
-    assert "snapshot" in by_symbol["backfill"]
-    assert "put_raw" in by_symbol["clobber"]
-
-
-RPL012_CALLER_ONLY = (
-    "def backfill(engine, pager, snapshot_id, ctx):\n"
-    "    snap = engine.snapshot_source(snapshot_id, ctx)\n"
-    "    page = snap.fetch(7)\n"
-    "    copy_into_current(pager, page)\n"
-)
-
-
-def test_rpl012_cross_function_case_needs_the_callee():
-    # backfill names no mutation sink itself; the flow is only visible
-    # through copy_into_current's sink-parameter summary.
-    assert analyze_source(RPL012_CALLER_ONLY, SCOPES["RPL012"]) == []
-    full = run_fixture("RPL012", "bad")
-    assert any(f.symbol == "backfill" for f in full)
-
-
 # -- RPL020: worker-escape races ----------------------------------------------
 
 
@@ -252,104 +184,3 @@ def test_rpl020_cross_function_case_needs_the_thread_root():
     # closure connects Thread(target=body) to note_failed.
     assert analyze_source(RPL020_WRITER_ONLY, SCOPES["RPL020"]) == []
     assert run_fixture("RPL020", "bad")
-
-
-# -- RPL021: blocking under latch ---------------------------------------------
-
-
-def test_blocking_findings_split_local_and_entry_context():
-    findings = run_fixture("RPL021", "bad")
-    by_symbol = {f.symbol: f for f in findings}
-    # stop() takes the latch in the same frame.
-    assert "held here" in by_symbol["Sweeper.stop"].message
-    # drain() holds nothing itself: the latch arrives with the workers.
-    assert "held by a caller" in by_symbol["Sweeper.drain"].message
-    assert "Sweeper._latch" in by_symbol["Sweeper.drain"].message
-
-
-RPL021_CALLEE_ONLY = (
-    "import threading\n"
-    "\n"
-    "\n"
-    "class Sweeper:\n"
-    "    def __init__(self):\n"
-    "        self._latch = threading.Lock()\n"
-    "        self.cancel = threading.Event()\n"
-    "        self.pending = []\n"
-    "\n"
-    "    def drain(self):\n"
-    "        while not self.cancel.is_set():\n"
-    "            if not self.pending:\n"
-    "                return\n"
-)
-
-
-def test_rpl021_cross_function_case_needs_the_entry_context():
-    # drain holds no latch of its own; only the worker entry context
-    # (body calls it under self._latch) makes the cancel poll a risk.
-    assert analyze_source(RPL021_CALLEE_ONLY, SCOPES["RPL021"]) == []
-    full = run_fixture("RPL021", "bad")
-    assert any(f.symbol == "Sweeper.drain" for f in full)
-
-
-# -- RPL022: durable-surface writes ------------------------------------------
-
-
-def test_durable_findings_name_surface_and_api():
-    findings = run_fixture("RPL022", "bad")
-    by_symbol = {f.symbol: f for f in findings}
-    assert "raw append" in by_symbol["BlockLogWriter.flush_header"].message
-    assert "raw seek" in by_symbol["BlockLogWriter.rewind"].message
-    assert "BlockLogWriter._file" \
-        in by_symbol["BlockLogWriter.flush_header"].message
-    assert all("seal_block" in f.hint for f in findings)
-
-
-RPL022_CALLER_ONLY = (
-    "def write_trailer(writer):\n"
-    "    blob = b\"end-of-log\"\n"
-    "    writer.flush(blob)\n"
-)
-
-
-def test_rpl022_cross_function_case_needs_the_sink_summary():
-    # The caller alone pushes bytes into an unknown flush(); only the
-    # durable-sink-parameter summary of BlockLogWriter.flush makes the
-    # unsealed local a finding — and it lands in the caller.
-    assert analyze_source(RPL022_CALLER_ONLY, SCOPES["RPL022"]) == []
-    full = run_fixture("RPL022", "bad")
-    assert any(f.symbol == "write_trailer" for f in full)
-
-
-# -- RPL023: merge purity -----------------------------------------------------
-
-
-def test_merge_purity_covers_inputs_and_side_effects():
-    findings = run_fixture("RPL023", "bad")
-    by_symbol = {f.symbol: f.message for f in findings}
-    assert "mutates its input 'other'" \
-        in by_symbol["CrossSnapshotAggregate.merge"]
-    assert "side effect" in by_symbol["CountingAggregate.merge"]
-    assert "Session" in by_symbol["CountingAggregate.merge"]
-
-
-RPL023_CALLER_ONLY = (
-    "class CrossSnapshotAggregate:\n"
-    "    def __init__(self):\n"
-    "        self.total = 0\n"
-    "\n"
-    "\n"
-    "class CountingAggregate(CrossSnapshotAggregate):\n"
-    "    def merge(self, other):\n"
-    "        bump(self.session)\n"
-    "        self.total += other.total\n"
-    "        return self\n"
-)
-
-
-def test_rpl023_cross_function_case_needs_the_callee():
-    # merge itself only folds into self; the session mutation is only
-    # visible through bump's translated mutates-params summary.
-    assert analyze_source(RPL023_CALLER_ONLY, SCOPES["RPL023"]) == []
-    full = run_fixture("RPL023", "bad")
-    assert any(f.symbol == "CountingAggregate.merge" for f in full)

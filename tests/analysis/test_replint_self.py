@@ -10,6 +10,10 @@ from repro.cli import main as cli_main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
+#: rule ids the linter no longer has
+RETIRED_RULES = {"RPL001", "RPL003", "RPL004", "RPL005", "RPL010",
+                 "RPL012", "RPL021", "RPL022", "RPL023"}
+
 
 def test_shipped_tree_is_clean_with_empty_baseline(tree_analysis):
     """The acceptance bar: zero non-baselined findings over src/repro."""
@@ -65,8 +69,8 @@ def test_cli_sarif_output(tmp_path):
     (run,) = log["runs"]
     assert run["tool"]["driver"]["name"] == "replint"
     rule_ids = {rule["id"] for rule in run["tool"]["driver"]["rules"]}
-    assert {"RPL011", "RPL012", "RPL030"} <= rule_ids
-    assert "RPL010" not in rule_ids
+    assert {"RPL011", "RPL020", "RPL030"} <= rule_ids
+    assert not rule_ids & RETIRED_RULES
     results = run["results"]
     assert results and all(r["ruleId"] == "RPL030" for r in results)
     for result in results:
@@ -96,14 +100,21 @@ def test_cli_list_rules():
     out = io.StringIO()
     assert main(["--list-rules"], out=out) == 0
     listed = out.getvalue()
-    for rule in ("RPL000", "RPL002", "RPL003", "RPL004", "RPL005",
-                 "RPL011", "RPL012", "RPL020", "RPL021",
-                 "RPL022", "RPL023", "RPL030", "RPL031", "RPL033"):
+    for rule in ("RPL000", "RPL002", "RPL011", "RPL020", "RPL030",
+                 "RPL031", "RPL033"):
         assert rule in listed
     # RPL001 and RPL010 are retired into RPL030 (buffer-pool pins are
-    # gone, lifecycles are typestate): no rule line may claim either id.
-    assert not any(line.startswith(("RPL001 ", "RPL010 "))
+    # gone, lifecycles are typestate); the rest are deleted because the
+    # runtime suites catch their hazards: no rule line claims any.
+    assert not any(line.split()[0] in RETIRED_RULES
                    for line in listed.splitlines())
+
+
+def test_explain_answers_unknown_rule_for_every_retired_id():
+    for rule in sorted(RETIRED_RULES):
+        out = io.StringIO()
+        assert main(["--explain", rule], out=out) == 2
+        assert f"unknown rule: {rule}" in out.getvalue()
 
 
 def test_cli_write_baseline_then_accept(tmp_path):
@@ -144,7 +155,7 @@ def test_cli_malformed_baseline_is_a_clean_error(tmp_path):
 
 def test_repro_cli_lint_subcommand(capsys):
     assert cli_main(["lint", "--list-rules"]) == 0
-    assert "RPL003 wal-ordering" in capsys.readouterr().out
+    assert "RPL011 lock-order" in capsys.readouterr().out
 
 
 def test_repro_cli_lint_explain(capsys):

@@ -8,16 +8,16 @@ import pathlib
 import pytest
 
 from repro.analysis import analyze_source, main as lint_main
-from repro.analysis.query import (
+from repro.analysis.query import QUERY_REGISTRY
+from repro.errors import AggregateError
+from repro.sql.certify import (
     CONCAT,
     INTERVAL_STITCH,
     MONOID,
     SERIAL_ONLY,
     STORED_ROW,
-    QUERY_REGISTRY,
     certify_mechanism,
 )
-from repro.errors import AggregateError
 from repro.sql.semantic import StaticSchema
 
 DDL = """

@@ -4,8 +4,9 @@ mergeable verdicts'."""
 
 import pytest
 
-from repro.analysis.query import SERIAL_ONLY
-from repro.workloads.corpus import CORPUS, certify_entry, corpus_schema
+from repro.analysis.driver import certify_entry
+from repro.sql.certify import SERIAL_ONLY
+from repro.workloads.corpus import CORPUS, corpus_schema
 
 
 @pytest.fixture(scope="module")

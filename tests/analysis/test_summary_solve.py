@@ -50,7 +50,7 @@ MULTI_MODULE = {
                     self.items.append(item)
 
 
-        def store(box, item):
+        def store(box: Box, item):
             box.put(item)
 
 
@@ -122,10 +122,10 @@ def test_multi_module_summaries_cross_the_recursion():
     # ping commits its txn parameter through finish; pong reaches it
     # only through the recursion, so the solve must have re-visited it.
     assert (2, "txn", "commit") in pong.protocol_ops
-    # Box.put mutates the box, through store.
-    assert 0 in pong.mutates_params
+    # Box.put takes the box's latch; store and the recursion carry it.
+    assert "Box._latch" in pong.acquires_locks
     run = program.summaries["core/top.py::run"]
-    assert 0 in run.mutates_params
+    assert "Box._latch" in run.acquires_locks
 
 
 _DUMP = textwrap.dedent(
@@ -182,7 +182,7 @@ def _never_settles(monkeypatch):
     def drifting(*args, **kwargs):
         result = real(*args, **kwargs)
         summary = dataclasses.replace(
-            result.summary, impure_effects=frozenset({str(next(counter))}))
+            result.summary, acquires_locks=frozenset({str(next(counter))}))
         return FunctionResult(summary=summary)
 
     monkeypatch.setattr(program_module, "summarize", drifting)

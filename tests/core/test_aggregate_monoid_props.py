@@ -19,7 +19,6 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.query.mergeclass import MECHANISM_CLASSES
 from repro.core.aggregates import (
     _FACTORIES,
     MONOID_AGGREGATES,
@@ -31,6 +30,7 @@ from repro.core.aggregates import (
 )
 from repro.core.folds import MECHANISMS, find_mechanism
 from repro.core.mechanisms import TableAggregateSchema
+from repro.sql.certify import MECHANISM_CLASSES
 
 values = st.one_of(
     st.none(),

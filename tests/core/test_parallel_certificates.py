@@ -20,10 +20,10 @@ from typing import Optional
 
 import pytest
 
-from repro.analysis.query.mergeclass import SERIAL_ONLY
 from repro.core import RQLSession, parallel
 from repro.core.parallel import ParallelExecutor
 from repro.errors import ReproError
+from repro.sql.certify import SERIAL_ONLY
 from repro.workloads.corpus import CORPUS, run_entry
 from repro.workloads.loggedin import setup_paper_example
 from tests.conftest import full_database_dump
@@ -274,20 +274,18 @@ class TestCertificationResolvesLikeExecution:
     def test_primary_key_index_is_listed_once(self, monkeypatch):
         """The provider the certifier is handed lists a table's indexes
         exactly as EXPLAIN binds them: catalog order, ``__pk_`` once."""
-        from repro.analysis.query import mergeclass
-
         session = RQLSession()
         session.execute("CREATE TABLE p (k INTEGER PRIMARY KEY, v INTEGER)")
         session.execute("CREATE INDEX a_idx ON p (v)")
         session.execute("CREATE INDEX zz_idx ON p (k)")
         seen = {}
-        real = mergeclass.certify_mechanism
+        real = parallel.certify_mechanism
 
         def spy(*args, schema=None, **kwargs):
             seen["indexes"] = schema.table_indexes("p")
             return real(*args, schema=schema, **kwargs)
 
-        monkeypatch.setattr(mergeclass, "certify_mechanism", spy)
+        monkeypatch.setattr(parallel, "certify_mechanism", spy)
         session.certify("CollateData", PAPER_QS, "SELECT v FROM p")
         assert seen["indexes"] == [
             ("__pk_p", ["k"]), ("a_idx", ["v"]), ("zz_idx", ["k"])]

@@ -172,6 +172,10 @@ def test_crash_during_parallel_run_recovers_and_matches_serial():
     assert _reader_counts(recovered) == (0, 0)
 
 
+#: bound on a run that should take well under a second
+RUN_TIMEOUT_S = 20.0
+
+
 def test_first_error_in_partition_order_wins():
     """Partition 2 fails first in time, partition 0 first in partition
     order: partition 0's error is the one raised."""
@@ -195,8 +199,22 @@ def test_first_error_in_partition_order_wins():
     session.db.register_function("boom", boom)
     qq = "SELECT grp, boom(val, current_snapshot()) AS val FROM events"
     executor = ParallelExecutor(session.db, workers=3)
-    with pytest.raises(ReproError, match="injected at 2"):
-        executor.run("CollateData", QS, qq, "R")
+    raised = []
+
+    def run():
+        with pytest.raises(ReproError, match="injected at 2"):
+            executor.run("CollateData", QS, qq, "R")
+        raised.append(True)
+
+    # The run goes on a helper thread so that a partition blocked for
+    # good (say, a join under a latch a worker needs) fails this test
+    # in seconds instead of hanging the suite.
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=RUN_TIMEOUT_S)
+    assert not runner.is_alive(), \
+        f"the run did not finish within {RUN_TIMEOUT_S} s"
+    assert raised == [True]
     assert 2 in failed
 
 

@@ -26,9 +26,9 @@ from hypothesis import strategies as st
 
 from repro.core import RQLSession
 from repro.errors import ReproError
+from repro.sql.certify import SERIAL_ONLY
 from repro.sql.database import Database
 from repro.workloads import SnapshotHistoryBuilder, UW30, setup_paper_example
-from repro.analysis.query.mergeclass import SERIAL_ONLY
 from repro.workloads.corpus import CORPUS, run_entry
 
 RUNNABLE = [e for e in CORPUS
