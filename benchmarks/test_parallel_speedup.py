@@ -2,19 +2,20 @@
 
 AggregateDataInVariable over 64 snapshots (UW30), serial vs
 ``workers=4``.  Cost accounting follows the suite's simulated device
-model: a parallel run's makespan is the slowest worker's summed
+model: a partitioned run's makespan is the slowest partition's summed
 iteration cost plus the serial merge phase
-(:func:`repro.bench.harness.parallel_makespan_seconds`) — measured
-thread wall-clock would be meaningless under the GIL, so worker
-iterations are timed with ``time.thread_time`` (per-thread CPU) through
-the executor's injectable clock, the deterministic-metrics seam the
-test suite uses.
+(:func:`repro.bench.harness.parallel_makespan_seconds`), i.e. what the
+run would cost with one core per partition.  The partitions run one
+after another on one thread; their iterations are timed with
+``time.thread_time`` through the executor's injectable clock, the
+deterministic-metrics seam the test suite uses.
 
-Why parallel wins: each worker pays ~1/workers of the snapshot
-iterations, and the cold Pagelog I/O is shared through the snapshot
-page cache (contiguous partitions preserve the paper's hot-iteration
-page sharing), so the per-worker cold start does not multiply by the
-worker count.
+Why partitioning wins in this model: each partition pays ~1/workers of
+the snapshot iterations, and the cold Pagelog I/O is paid once through
+the snapshot page cache (contiguous partitions preserve the paper's
+hot-iteration page sharing).  Partition 0 runs first, so it pays the
+whole cold start and the later partitions find the pages they share
+with it cached.
 """
 
 import time

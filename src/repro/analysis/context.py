@@ -217,24 +217,21 @@ class ModuleContext:
 
     # -- pragma queries ----------------------------------------------------
 
-    def pragma_lines_for(self, node: ast.AST,
-                         include_function: bool = True) -> List[int]:
+    def pragma_lines_for(self, node: ast.AST) -> List[int]:
         """Lines whose pragmas may cover a finding anchored at ``node``."""
         lines = [getattr(node, "lineno", 0)]
-        if include_function:
-            func = node if isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ) else self.enclosing_function(node)
-            if func is not None:
-                first = min(
-                    [func.lineno] + [d.lineno for d in func.decorator_list]
-                )
-                lines.extend([func.lineno, first - 1])
+        func = node if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef)
+        ) else self.enclosing_function(node)
+        if func is not None:
+            first = min(
+                [func.lineno] + [d.lineno for d in func.decorator_list]
+            )
+            lines.extend([func.lineno, first - 1])
         return lines
 
-    def suppressed(self, rule: str, node: ast.AST,
-                   include_function: bool = True) -> bool:
-        for lineno in self.pragma_lines_for(node, include_function):
+    def suppressed(self, rule: str, node: ast.AST) -> bool:
+        for lineno in self.pragma_lines_for(node):
             pragma = self.pragmas.get(lineno)
             if pragma is not None and rule in pragma.rules \
                     and pragma.justified:

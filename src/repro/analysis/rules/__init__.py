@@ -90,10 +90,9 @@ class Checker:
     # -- emission helper ---------------------------------------------------
 
     def finding(self, ctx: ModuleContext, node: ast.AST, message: str,
-                hint: str = "", severity: str = ERROR,
-                include_function: bool = True) -> Optional[Finding]:
+                hint: str = "", severity: str = ERROR) -> Optional[Finding]:
         """Build a finding unless a pragma suppresses it."""
-        if ctx.suppressed(self.rule_id, node, include_function):
+        if ctx.suppressed(self.rule_id, node):
             return None
         return Finding(
             file=ctx.relpath,

@@ -196,11 +196,11 @@ def parallel_makespan_seconds(info, charges: IoCharges = BENCH_CHARGES,
                               ) -> float:
     """Simulated wall-clock of a parallel run under ``charges``.
 
-    Workers run concurrently, so the evaluation phase costs as much as
-    the slowest partition; the merge phase is serial and is added on
-    top.  (Measured thread wall-clock would be meaningless under the
-    GIL — the simulated cost model is the deterministic equivalent, the
-    same accounting the serial benchmarks use.)
+    Modelled with one core per partition, so the evaluation phase costs
+    as much as the slowest partition; the merge phase is serial and is
+    added on top.  (The partitions actually run one after another on
+    one thread; the simulated cost model is the same accounting the
+    serial benchmarks use.)
     """
     per_worker = [
         sum(it.total_seconds(charges) for it in sink.iterations)

@@ -63,7 +63,7 @@ from repro.core.mechanisms import (
 from repro.core.rewrite import PreparedQq
 from repro.errors import MechanismError
 from repro.retro.metrics import MetricsSink
-from repro.sql.database import Database
+from repro.sql.database import Database, RunReader
 from repro.sql.types import SqlValue
 from repro.storage.record import encode_key
 
@@ -506,39 +506,35 @@ def find_mechanism(name: str) -> Mechanism:
 # The drivers' shared halves: the snapshot loop and the result writer
 # ---------------------------------------------------------------------------
 
-def fold_range(db: Database, prepared: PreparedQq, sids: Sequence[int],
-               fold: Fold, sink: MetricsSink,
-               poll: Callable[[], object]) -> None:
+def fold_range(reader: RunReader, prepared: PreparedQq,
+               sids: Sequence[int], fold: Fold, sink: MetricsSink,
+               poll: Callable[[], None]) -> None:
     """Step ``fold`` over ``sids``: per snapshot, evaluate the prepared
-    Qq bound to it through one run reader (metered like the reference
-    loop, Qq evaluation apart from UDF work) and fold its rows.  The
-    reader is opened once for the whole range, on this thread, and
-    closed on every way out.
+    Qq bound to it through ``reader``, the run's open run reader,
+    charged to ``sink`` (metered like the reference loop, Qq evaluation
+    apart from UDF work), and fold its rows.
 
-    ``poll`` runs before every snapshot: a truthy return stops the loop
-    quietly, an exception propagates — the caller picks the policy.
+    ``poll`` runs before every snapshot; it stops the range by raising.
     """
     clock = sink.clock
-    with db.run_reader(metrics=sink) as reader:
-        for sid in sids:
-            if poll():
-                return
-            current = sink.begin_iteration(sid)
-            try:
-                index_before = current.index_creation_seconds
-                started = clock()
-                columns, rows = reader.cursor(prepared.bind(sid),
-                                              prepared.memo)
-                rows = [tuple(row) for row in rows]
-                current.qq_rows += len(rows)
-                folding = clock()
-                index_delta = current.index_creation_seconds - index_before
-                current.query_eval_seconds += max(
-                    folding - started - index_delta, 0.0)
-                fold.step(sid, columns, rows)
-                current.udf_seconds += clock() - folding
-            finally:
-                sink.end_iteration()
+    for sid in sids:
+        poll()
+        current = sink.begin_iteration(sid)
+        try:
+            index_before = current.index_creation_seconds
+            started = clock()
+            columns, rows = reader.cursor(prepared.bind(sid),
+                                          prepared.memo, sink)
+            rows = [tuple(row) for row in rows]
+            current.qq_rows += len(rows)
+            folding = clock()
+            index_delta = current.index_creation_seconds - index_before
+            current.query_eval_seconds += max(
+                folding - started - index_delta, 0.0)
+            fold.step(sid, columns, rows)
+            current.udf_seconds += clock() - folding
+        finally:
+            sink.end_iteration()
 
 
 def write_result(db: Database, table: str, result: FoldResult,

@@ -3,18 +3,17 @@ Section 7, "parallelize the computation over the snapshot set").
 
 This module partitions the Qs snapshot ids into **contiguous runs** and
 steps a private :class:`~repro.core.folds.Fold` over each partition
-(:func:`~repro.core.folds.fold_range`): partition 0 on the calling
-thread, every other one on a thread of its own.  Each partition owns a
-private :class:`~repro.retro.metrics.MetricsSink` and one run reader
-(``Database.run_reader``: its read contexts opened once, on the
-partition's thread), so partitions share nothing but the
-one prepared Qq (its plan memo is thread-safe), the (latched) buffer
-pool, snapshot page cache, and SPT cache.  The calling thread then
-merges the per-partition folds left to right (``Fold.merge``) and
-writes the result table once (:func:`~repro.core.folds.write_result`).
+(:func:`~repro.core.folds.fold_range`), in partition order, on the
+calling thread.  Every partition reads through the run's one run reader
+(``Database.run_reader``: its read contexts opened once, at the run's
+start, so the whole run reads as of that start) and is charged to a
+private :class:`~repro.retro.metrics.MetricsSink`, from which the
+simulated makespan of a partitioned run is computed.  The per-partition
+folds are then merged left to right (``Fold.merge``) and the result
+table is written once (:func:`~repro.core.folds.write_result`).
 
-Contiguous partitioning is what keeps the merges simple: each worker
-sees an unbroken slice of the iteration order, so only the two boundary
+Contiguous partitioning is what keeps the merges simple: each partition
+is an unbroken slice of the iteration order, so only the two boundary
 snapshots of adjacent partitions interact — and it preserves the
 hot-iteration page sharing the paper measures, since consecutive
 snapshots share most Pagelog slots.
@@ -40,10 +39,9 @@ over every runnable corpus entry, serial-only ones included, by
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.folds import (
     Fold,
@@ -121,74 +119,18 @@ class ParallelRunInfo:
     merge_seconds: float = 0.0
 
 
-class _Partial:
-    """One worker's partition outcome (``payload``: its private fold)."""
-
-    def __init__(self, index: int, snapshot_ids: List[int],
-                 sink: MetricsSink) -> None:
-        self.index = index
-        self.snapshot_ids = snapshot_ids
-        self.sink = sink
-        self.payload: Optional[Fold] = None
-
-
-class _CancelScope:
-    """The run's internal error-cancel joined with an external event.
-
-    Workers poll ``is_set()`` between iterations; an externally supplied
-    event (client disconnect, server shutdown) cancels the run without
-    being confused with a worker error.
-    """
-
-    __slots__ = ("_local", "_external")
-
-    def __init__(self, external: Optional[threading.Event] = None) -> None:
-        self._local = threading.Event()
-        self._external = external
-
-    def set(self) -> None:
-        self._local.set()
-
-    def is_set(self) -> bool:
-        if self._local.is_set():
-            return True
-        return self._external is not None and self._external.is_set()
-
-    @property
-    def cancelled_externally(self) -> bool:
-        return self._external is not None and self._external.is_set()
-
-
-class _ErrorBoard:
-    """First-in-partition-order error, shared across worker threads."""
-
-    def __init__(self, partitions: int) -> None:
-        self._latch = threading.Lock()
-        self._index = partitions
-        self._error: Optional[BaseException] = None
-
-    def record(self, index: int, error: BaseException) -> None:
-        with self._latch:
-            if index < self._index:
-                self._index = index
-                self._error = error
-
-    def first_error(self) -> Optional[BaseException]:
-        with self._latch:
-            return self._error
-
-
 class ParallelExecutor:
     """Runs one RQL mechanism over contiguous snapshot partitions.
 
-    The executor never runs while a write transaction is open: workers
-    read through run readers, which never look at the session's
-    transactions.
+    The executor never runs while a write transaction is open: a run
+    reads through a run reader, which never looks at the session's
+    transactions.  ``cancel`` is an event (client disconnect, server
+    shutdown) whose ``is_set()`` the run polls.
     """
 
     def __init__(self, db: Database, workers: int = 2,
                  clock: Optional[Callable[[], float]] = None,
-                 cancel: Optional[threading.Event] = None) -> None:
+                 cancel=None) -> None:
         if workers < 1:
             raise MechanismError("workers must be >= 1")
         self.db = db
@@ -218,14 +160,15 @@ class ParallelExecutor:
         partitions = partition_snapshots(
             snapshot_ids,
             self.workers if merge_class == spec.merge_class else 1)
-        partials = self._run_partitions(partitions, spec, arg, prepared)
+        folds, sinks = self._run_partitions(partitions, spec, arg,
+                                            prepared)
         clock = self._clock
         merge_started = clock()
         result = None
-        if partials:
-            merged = partials[0].payload
-            for partial in partials[1:]:
-                merged.merge(partial.payload)
+        if folds:
+            merged = folds[0]
+            for fold in folds[1:]:
+                merged.merge(fold)
             result = merged.result()
         if result is not None:
             with self.db.transaction():
@@ -233,7 +176,7 @@ class ParallelExecutor:
         info = ParallelRunInfo(
             workers=self.workers, merge_class=merge_class,
             partitions=partitions,
-            worker_sinks=[p.sink for p in partials],
+            worker_sinks=sinks,
             merge_seconds=clock() - merge_started,
         )
         sink = self._new_sink(0)
@@ -247,7 +190,7 @@ class ParallelExecutor:
             parallel=info,
         )
 
-    # -- worker machinery ---------------------------------------------------
+    # -- partition machinery ------------------------------------------------
 
     def _check_idle(self) -> None:
         """Else T would be dropped and written in the caller's txn."""
@@ -264,62 +207,32 @@ class ParallelExecutor:
         return sink
 
     def _run_partitions(self, partitions: List[List[int]], spec: Mechanism,
-                        arg, prepared: PreparedQq) -> List[_Partial]:
-        """Step a private fold over each partition; raises the first
-        partition's error (in partition order) after every partition has
-        stopped.
+                        arg, prepared: PreparedQq,
+                        ) -> Tuple[List[Fold], List[MetricsSink]]:
+        """Step a private fold over each partition, in partition order,
+        on the calling thread, every partition reading through the one
+        run reader opened here: the run reads as of its start.
 
-        Partitions 1… get a short-lived thread each; partition 0 runs on
-        the calling thread, which would otherwise only wait, so a
-        one-partition run starts no thread.  An external cancel event
-        (client disconnect) surfaces as
-        :class:`~repro.errors.QueryCancelled` once every partition has
-        retired — never while one still runs.
+        The first error propagates, so it is the first in partition
+        order.  The external cancel event (client disconnect) is polled
+        before every snapshot and again after each partition, and
+        surfaces as :class:`~repro.errors.QueryCancelled`.
         """
-        if self._cancel is not None and self._cancel.is_set():
-            raise QueryCancelled("query cancelled before admission")
-        partials = [
-            _Partial(i, sids, self._new_sink(i + 1))
-            for i, sids in enumerate(partitions)
-        ]
-        board = _ErrorBoard(len(partials))
-        cancel = _CancelScope(self._cancel)
-        db = self.db
+        cancel = self._cancel
 
-        def body(partial: _Partial) -> None:
-            try:
-                # Partitions stop quietly on cancel, so the board keeps
-                # the first *real* error; QueryCancelled is raised
-                # below, once every partition has retired.
-                fold = spec.fold(arg, first=partial.index == 0)
-                fold_range(db, prepared, partial.snapshot_ids, fold,
-                           partial.sink, cancel.is_set)
-                partial.payload = fold
-            except BaseException as exc:
-                board.record(partial.index, exc)  # re-raised after join
-                cancel.set()
-                if not isinstance(exc, Exception):
-                    raise  # KeyboardInterrupt etc.: also let
-                    # threading.excepthook report it immediately
+        def poll() -> None:
+            if cancel is not None and cancel.is_set():
+                raise QueryCancelled("query cancelled")
 
-        threads = [
-            threading.Thread(target=body, args=(partial,),
-                             name=f"rql-worker-{partial.index + 1}")
-            for partial in partials[1:]
-        ]
-        for thread in threads:
-            thread.start()
-        try:
-            if partials:
-                body(partials[0])
-        finally:
-            for thread in threads:
-                thread.join()
-        error = board.first_error()
-        if error is not None:
-            raise error
-        if cancel.cancelled_externally:
-            raise QueryCancelled(
-                "query cancelled while partitions were running"
-            )
-        return partials
+        poll()
+        folds: List[Fold] = []
+        sinks: List[MetricsSink] = []
+        with self.db.run_reader() as reader:
+            for index, sids in enumerate(partitions):
+                fold = spec.fold(arg, first=index == 0)
+                sink = self._new_sink(index + 1)
+                fold_range(reader, prepared, sids, fold, sink, poll)
+                poll()
+                folds.append(fold)
+                sinks.append(sink)
+        return folds, sinks

@@ -53,8 +53,8 @@ _Rebuild = Callable[[ast.Literal], object]
 class PreparedQq:
     """Qq, parsed and validated once; :meth:`bind` pins it to a snapshot.
 
-    Its statement is immutable once :func:`prepare_qq` returns:
-    partition workers may share one, and every bound statement shares
+    Its statement is immutable once :func:`prepare_qq` returns: the
+    partitions of a run use one in turn, and every bound statement shares
     the subtrees that hold no ``current_snapshot()`` call with it
     (nothing downstream mutates an AST).  :attr:`memo` is the one thing
     that changes: the last plan a bound statement got, which the next

@@ -46,9 +46,9 @@ MAPLOG_FILE = "maplog"
 DEFAULT_CACHE_PAGES = 65536
 
 #: Distinct snapshot SPTs retained per manager when ``incremental_spt``
-#: is on.  Parallel workers iterate disjoint contiguous partitions, so
-#: each needs its own chain of predecessors to advance from; one stripe
-#: per recent snapshot keeps every partition on the cheap
+#: is on.  Concurrent runs (server sessions) iterate their own snapshot
+#: ranges, so each needs its own chain of predecessors to advance from;
+#: one stripe per recent snapshot keeps every run on the cheap
 #: diff-proportional path.
 SPT_CACHE_SLOTS = 16
 
@@ -178,8 +178,8 @@ class RetroManager:
                 cache.move_to_end(snapshot_id)
                 return hit[0]
             # Advance from the nearest cached predecessor: cost becomes
-            # proportional to diff(predecessor, snapshot), so each worker
-            # partition pays one full build at most.
+            # proportional to diff(predecessor, snapshot), so each run
+            # pays one full build at most.
             best_sid: Optional[int] = None
             best_result: Optional[SptBuildResult] = None
             for sid, (res, ver) in cache.items():
@@ -347,7 +347,7 @@ class SnapshotPageSource(MutablePageSource):
             key = entry.slot
         else:
             key = (self.snapshot_id, page_id)
-        # A miss marks the key in flight: a partition missing the same
+        # A miss marks the key in flight: a session missing the same
         # slot meanwhile waits for this read and counts a cache hit.
         page, hit = manager.cache.get_or_load(key, self._load, entry)
         if metrics is not None:

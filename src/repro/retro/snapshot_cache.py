@@ -12,12 +12,12 @@ ablation bench: it deliberately destroys cross-snapshot sharing, isolating
 how much of RQL's hot-iteration speedup comes from COW slot identity.
 
 Latching: the entry table and its counters are guarded by a leaf-level
-reentrant latch — parallel snapshot workers share one cache, and the
+reentrant latch — the sessions of a server share one cache, and the
 latch never wraps a call into any other latched component, keeping the
 global latch order (RPL011) acyclic.  :meth:`SnapshotPageCache.get_or_load`
 therefore loads outside the latch, and marks the key in flight meanwhile
 so a concurrent miss on it waits for that one load instead of repeating
-it: partitions reading the same Pagelog slot read it once between them.
+it: sessions reading the same Pagelog slot read it once between them.
 """
 
 from __future__ import annotations

@@ -397,18 +397,19 @@ class ViewManager:
         def poll() -> None:
             self._check_cancel(cancel)  # raises; never stops quietly
 
-        if mode == "delta-skip":
-            # Identical table contents at every sid + snapshot-
-            # invariant Qq: one evaluation at the target stands in
-            # for the whole range.
-            once = ConcatFold()
-            fold_range(self.db, prepared, sids[-1:], once, sink, poll)
-            for sid in sids:
-                fold.step(sid, once.columns, once.rows)
-            report.evaluated_snapshots = 1
-        else:
-            fold_range(self.db, prepared, sids, fold, sink, poll)
-            report.evaluated_snapshots = len(sids)
+        with self.db.run_reader() as reader:
+            if mode == "delta-skip":
+                # Identical table contents at every sid + snapshot-
+                # invariant Qq: one evaluation at the target stands in
+                # for the whole range.
+                once = ConcatFold()
+                fold_range(reader, prepared, sids[-1:], once, sink, poll)
+                for sid in sids:
+                    fold.step(sid, once.columns, once.rows)
+                report.evaluated_snapshots = 1
+            else:
+                fold_range(reader, prepared, sids, fold, sink, poll)
+                report.evaluated_snapshots = len(sids)
         self._check_cancel(cancel)
         self._persist(meta, target, fold, report,
                       insert=meta.name.lower() not in views)

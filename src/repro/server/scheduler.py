@@ -8,14 +8,13 @@ gate.
 
 A ticket's work is ``RQLSession.run_mechanism``, the call an embedded
 session makes: the fold/merge executor of :mod:`repro.core.parallel`,
-whatever the worker count.  Partition 0 runs on the ticket's dispatcher thread and every
-other partition (at most :data:`MAX_QUERY_WORKERS` in all) on a
-short-lived thread of its own, each folding its snapshots in memory
-through a run reader of its own; all are joined before the merged result
-is written in **one** gated transaction.  How many partitions a ticket
-gets is the executor's runner rule, not the scheduler's: up to
-``workers`` when the run's merge law allows re-association, one
-otherwise.  Reads pinned to a declared snapshot need no isolation, and
+whatever the worker count.  Its partitions (at most
+:data:`MAX_QUERY_WORKERS`) fold their snapshots in memory, in order, on
+the ticket's dispatcher thread, through the run's one run reader; the
+merged result is written in **one** gated transaction.  How many
+partitions a ticket gets is the executor's runner rule, not the
+scheduler's: up to ``workers`` when the run's merge law allows
+re-association, one otherwise.  Reads pinned to a declared snapshot need no isolation, and
 only installing the result takes the write gate.
 
 A ticket refuses to run inside its session's open explicit
@@ -23,9 +22,8 @@ transaction, before it reads or writes anything, with
 :class:`~repro.errors.MechanismError` at every worker count; the
 transaction stays open (the executor's refusal, as embedded).
 
-Every ticket carries a cancel event: the executor's partitions poll it
-between iterations and the run surfaces
-:class:`~repro.errors.QueryCancelled` after every partition retired.  The
+Every ticket carries a cancel event: the run polls it before every
+snapshot and surfaces :class:`~repro.errors.QueryCancelled`.  The
 server sets it when a client disconnects mid-query; the scheduler then
 drops the partial result table so a cancelled query leaves no debris.
 
@@ -52,8 +50,9 @@ from repro.errors import (
 
 from repro.server.store import SharedStore
 
-#: Most partitions one ticket may run: ``workers`` arrives over the
-#: wire, so it is checked (twice the largest count any caller passes).
+#: Most partitions (and so partition sinks) one ticket may run:
+#: ``workers`` arrives over the wire, so it is checked (twice the
+#: largest count any caller passes).  Partitions start no thread.
 MAX_QUERY_WORKERS = 8
 
 

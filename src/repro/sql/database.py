@@ -571,24 +571,21 @@ class Database:
                            metrics=sink, as_of=as_of)
 
     @contextmanager
-    def run_reader(self, metrics: Optional[MetricsSink] = None,
-                   ) -> Iterator["RunReader"]:
+    def run_reader(self) -> Iterator["RunReader"]:
         """The read opener of a snapshot loop: one :class:`RunReader`
-        per run (a partition's, on its own thread), its two read
-        contexts registered here with this facade's owner and closed
-        when the ``with`` block exits, however it exits.
+        per run, its two read contexts registered here with this
+        facade's owner at the run's start and closed when the ``with``
+        block exits, however it exits.
 
         It never looks at the session's transactions (the executor
-        refuses to run inside one), which is what makes it safe from
-        worker threads: a run reads the aux engine, and the pages its
-        snapshots share with the current database, as of its start.
-        ``metrics`` is the run's sink, as in :meth:`reading`.
+        refuses to run inside one): a run reads the aux engine, and the
+        pages its snapshots share with the current database, as of its
+        start, whatever commits or DDL land while it runs.
         """
-        sink = metrics if metrics is not None else self.metrics
         with self.engine.begin_read(owner=self._owner) as read_ctx, \
                 self.aux_engine.begin_read(owner=self._owner) as aux_ctx:
             yield RunReader(self, read_ctx,
-                            self.aux_engine.read_source(aux_ctx), sink)
+                            self.aux_engine.read_source(aux_ctx))
 
     # -- write context ----------------------------------------------------------------
 
@@ -974,15 +971,14 @@ class RunReader:
     snapshots decode the same catalog node.
 
     Per snapshot it builds only the snapshot's page source (the SPT)
-    and a context over it.  One run, one thread; nothing in it is keyed
-    by snapshot id, and nothing outlives the ``with`` block.
+    and a context over it, charged to the sink the cursor names.  One
+    run, one thread; nothing in it is keyed by snapshot id, and nothing
+    outlives the ``with`` block.
     """
 
-    def __init__(self, db: Database, read_ctx, aux_source,
-                 metrics: Optional[MetricsSink]) -> None:
+    def __init__(self, db: Database, read_ctx, aux_source) -> None:
         self._db = db
         self._read_ctx = read_ctx
-        self._metrics = metrics
         self._aux = _AuxHalf(db, aux_source, resolved=True)
         #: the functions registered at the run's start
         self.functions = db.functions.snapshot()
@@ -990,25 +986,29 @@ class RunReader:
         self._node: Optional[object] = None
         self._answers: Tuple[dict, dict] = ({}, {})
 
-    def context(self, as_of: Optional[int]) -> "_Context":
+    def context(self, as_of: Optional[int],
+                metrics: Optional[MetricsSink] = None) -> "_Context":
         """The context of one statement pinned to ``as_of`` (None: the
-        run's start)."""
-        engine = self._db.engine
+        run's start), charged to ``metrics``, else to the facade's
+        default sink."""
+        db = self._db
+        sink = metrics if metrics is not None else db.metrics
         if as_of is None:
-            source = engine.read_source(self._read_ctx)
+            source = db.engine.read_source(self._read_ctx)
         else:
             # May raise UnknownSnapshotError / SnapshotUnavailableError.
-            source = engine.snapshot_source(as_of, self._read_ctx,
-                                            metrics=self._metrics)
-        return _Context(self._db, source, self._aux, metrics=self._metrics,
-                        as_of=as_of, run=self)
+            source = db.engine.snapshot_source(as_of, self._read_ctx,
+                                               metrics=sink)
+        return _Context(db, source, self._aux, metrics=sink, as_of=as_of,
+                        run=self)
 
     def cursor(self, statement: ast.Select,
-               memo: Optional[PlanMemo] = None):
+               memo: Optional[PlanMemo] = None,
+               metrics: Optional[MetricsSink] = None):
         """(columns, row iterator) of a SELECT, as of its ``AS OF``,
-        planned through ``memo``."""
+        planned through ``memo`` and charged to ``metrics``."""
         as_of = self._db._as_of(statement, self.functions)
-        return open_select(statement, self.context(as_of), memo)
+        return open_select(statement, self.context(as_of, metrics), memo)
 
     def main_names(self, catalog: Catalog):
         """Lookups for ``catalog``, one snapshot's main catalog.  Schema

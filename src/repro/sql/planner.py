@@ -314,8 +314,8 @@ class PlanMemo:
     (:attr:`PlanNode.leaf_filter`), so leaves the previous snapshot
     filtered are not filtered again.
 
-    The slot is published by one assignment: threads sharing a memo at
-    worst plan the same inputs twice.
+    A memo belongs to one run's prepared Qq, whose partitions use it in
+    turn on one thread; the slot is published by one assignment.
     """
 
     __slots__ = ("_last",)

@@ -90,17 +90,17 @@ class BufferPool:
             return page
 
     def put_raw(self, page_id: int, raw: bytes) -> None:
-        """Install committed bytes for ``page_id`` (commit-time install)."""
+        """Install committed bytes for ``page_id`` (commit-time install)
+        as a new :class:`Page`: a published page never changes, so a
+        reader holding the one it fetched keeps its bytes and node."""
+        page = Page(page_id, bytearray(raw), self._file.page_size)
+        page.dirty = True
         with self._latch:
-            page = self._pages.get(page_id)
-            if page is None:
-                page = Page(page_id, bytearray(raw), self._file.page_size)
-                page.dirty = True
-                self._admit(page)
-            else:
-                page.load(raw)
-                page.dirty = True
+            if page_id in self._pages:
+                self._pages[page_id] = page
                 self._pages.move_to_end(page_id)
+            else:
+                self._admit(page)
 
     def resident(self, page_id: int) -> bool:
         with self._latch:

@@ -65,7 +65,7 @@ class ChaosController:
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
         self._rng = random.Random(seed)
-        # One controller may sit under every worker thread's disk: the
+        # One controller may sit under every session thread's disk: the
         # schedule and counters are latched (reentrant: ``on_write``
         # runs ``persist`` while holding it).
         self._latch = threading.RLock()

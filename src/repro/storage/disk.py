@@ -51,9 +51,9 @@ class CostModel:
 class DeviceStats:
     """Operation counters for one device (or a delta between two points).
 
-    One stats block is shared by every file of a disk — and with
-    parallel snapshot workers, by every worker thread — so the counters
-    only move through the latched ``note_*`` methods.
+    One stats block is shared by every file of a disk — and on a
+    server, by every session's thread — so the counters only move
+    through the latched ``note_*`` methods.
     """
 
     random_reads: int = 0

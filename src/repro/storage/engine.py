@@ -364,10 +364,16 @@ class StorageEngine:
         )
 
     def _mvcc_read(self, page_id: int, begin_ts: int) -> Page:
+        # Fetch, then look for a retained image.  A commit retains the
+        # image it replaces before it installs a new page object, so a
+        # commit after begin_ts that installed this page before the
+        # fetch is a hit below; a miss means the fetched object is the
+        # image a reader at begin_ts sees.
+        page = self._fetch_committed(page_id)
         retained = self._versions.read(page_id, begin_ts)
         if retained is not None:
             return Page(page_id, bytearray(retained), self.page_size)
-        return self._fetch_committed(page_id)
+        return page
 
     def _fetch_committed(self, page_id: int) -> Page:
         return self.pager.pool.fetch(page_id)

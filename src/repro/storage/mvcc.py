@@ -13,7 +13,7 @@ This module provides the version retention that makes that possible:
 * chains are pruned as the oldest active reader advances.
 
 Latching: reader registration and version chains are guarded by a
-leaf-level reentrant latch so parallel snapshot workers can register,
+leaf-level reentrant latch so the sessions of a server can register,
 read, and deregister concurrently with each other (and with commits
 retaining versions).  The latch never wraps a call into another latched
 component, keeping the global latch order (RPL011) acyclic.

@@ -77,11 +77,11 @@ class Page:
         #: a leaf, the entries a full scan decoded from them (see
         #: repro.storage.btree and DESIGN.md, "The node cache contract").
         #: It is served only while ``bytes is
-        #: self.data`` — :meth:`load` replaces ``data``, so a node parsed
-        #: from the old bytes is never served with the new ones, whenever
-        #: its parse finishes.  Readers borrow the node and never mutate
-        #: it; a writer publishes a private copy, which replaces it.  It
-        #: lives exactly as long as this object stays in a cache.
+        #: self.data``.  A published page's bytes never change (a commit
+        #: installs a new object, ``BufferPool.put_raw``); readers borrow
+        #: the node and never mutate it; a writer publishes a private
+        #: copy, which replaces it.  It lives exactly as long as this
+        #: object stays in a cache.
         self.decoded = _UNPARSED
 
     # -- header -----------------------------------------------------------
@@ -139,22 +139,6 @@ class Page:
         if parsed_from is data:
             private.decoded_node = node
         return private
-
-    def load(self, raw: bytes) -> None:
-        """Replace the page contents with ``raw`` (e.g. read from disk).
-
-        The ``bytearray`` is replaced, not overwritten: a parse in flight
-        keeps reading the one whole image it started on, and what it
-        publishes is paired with those bytes, so it is never served with
-        these.
-        """
-        if len(raw) != len(self.data):
-            raise PageError(
-                f"page {self.page_id}: cannot load {len(raw)} bytes into "
-                f"{len(self.data)}-byte page"
-            )
-        self.data = bytearray(raw)
-        self.decoded = _UNPARSED
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

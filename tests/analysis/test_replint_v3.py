@@ -6,11 +6,10 @@ Three contracts beyond the fixture corpus:
   assigns (not just latches that already participate in an ordering
   edge) — this is what keeps the RPL011 order graph honest as latches
   are added;
-* the escape analysis really connects the parallel executor's thread
-  root to the code workers run;
-* a seeded mutant — deleting the ``_ErrorBoard`` latch acquire in
-  ``core/parallel.py`` — is caught by RPL020, and the real modules it
-  and ``storage/logfile.py`` stand for lint clean on their own.
+* the escape analysis roots the worker region at the threads the
+  server starts, and nowhere in the executor, which starts none;
+* the real ``core/parallel.py`` and ``storage/logfile.py`` lint clean
+  on their own.
 """
 
 import json
@@ -50,7 +49,6 @@ EXPECTED_LATCHES = {
     "WireServer._latch",
     "WriteAheadLog._latch",
     "WriteGate._cond",
-    "_ErrorBoard._latch",
 }
 
 
@@ -65,28 +63,25 @@ def test_latch_graph_lists_every_assigned_latch(tree_program):
     assert not missing, f"latch graph misses {sorted(missing)}"
 
 
-def test_worker_region_reaches_the_executor_internals(tree_program):
+def test_worker_region_starts_at_the_server_roots(tree_program):
     effects = tree_program.effects
     roots = {r.qualname for r in effects.thread_roots}
-    assert "core/parallel.py::ParallelExecutor._run_partitions.body" \
-        in roots
+    assert {
+        "server/scheduler.py::QueryScheduler._run",
+        "server/wire.py::WireServer._accept_loop",
+        "server/wire.py::WireServer._serve_connection",
+    } <= roots
+    # A run steps its partitions on the thread that called it.
+    assert not any(root.startswith("core/") for root in roots)
     region = effects.worker_region
-    # Closure-typed receivers are in ...
-    assert "core/parallel.py::_ErrorBoard.record" in region
-    # ... and through the worker body, the one snapshot loop and every
-    # fold class's step.
-    assert "core/folds.py::fold_range" in region
-    for fold in ("Fold", "ConcatFold", "MonoidFold", "StoredRowFold",
-                 "IntervalFold"):
-        assert f"core/folds.py::{fold}.step" in region
-    # The error board counts as shared; the per-worker payload handed
-    # to each thread (annotated ``partial: _Partial``) does not.
-    assert "core/parallel.py::_ErrorBoard" in effects.shared_classes
-    assert all(not c.endswith("::_Partial")
-               for c in effects.shared_classes)
+    assert "server/scheduler.py::QueryScheduler.submit.work" in region
+    assert "server/wire.py::WireServer._dispatch" in region
+    assert "core/folds.py::fold_range" not in region
+    assert "server/scheduler.py::QueryScheduler" in effects.shared_classes
+    assert not any(c.startswith("core/") for c in effects.shared_classes)
 
 
-# -- seeded mutants -----------------------------------------------------------
+# -- real modules, solo ----------------------------------------------------------
 
 
 def _real_source(relpath: str) -> str:
@@ -96,26 +91,6 @@ def _real_source(relpath: str) -> str:
 def test_parallel_module_is_clean_solo():
     assert analyze_source(_real_source("core/parallel.py"),
                           "core/parallel.py") == []
-
-
-def test_dropped_error_board_latch_is_caught():
-    source = _real_source("core/parallel.py")
-    mutated = source.replace(
-        "    def record(self, index: int, error: BaseException) -> None:\n"
-        "        with self._latch:\n"
-        "            if index < self._index:\n"
-        "                self._index = index\n"
-        "                self._error = error\n",
-        "    def record(self, index: int, error: BaseException) -> None:\n"
-        "        if index < self._index:\n"
-        "            self._index = index\n"
-        "            self._error = error\n",
-    )
-    assert mutated != source, "mutation target moved; update the test"
-    findings = analyze_source(mutated, "core/parallel.py")
-    assert findings, "dropping the error-board latch went unnoticed"
-    assert {f.rule for f in findings} == {"RPL020"}
-    assert all("_ErrorBoard" in f.message for f in findings)
 
 
 def test_logfile_module_is_clean_solo():

@@ -1,12 +1,13 @@
-"""Fault injection for the parallel executor.
+"""Fault injection for the partitioned executor.
 
-A worker raising mid-partition must abort the whole run: the first
+A partition raising mid-range must abort the whole run: the first
 error (in partition order) propagates, every read context is closed
 (reader counts return to zero on both engines) and the aux database
-holds no partial result table.  Whatever the outcome, no partition
-thread outlives its run — embedded or behind :class:`RQLServer`.  Each
-partition reads through one run reader: two read contexts for the
-partition, not two per snapshot, closed however the run ends.
+holds no partial result table.  Partitions run in order on the calling
+thread (a server ticket's thread behind :class:`RQLServer`), and no
+run starts a thread of its own.  The whole run reads through one run
+reader: two read contexts per run, not two per partition or per
+snapshot, closed however the run ends.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 
 import pytest
 
-from repro.core import RQLSession, parallel
+from repro.core import RQLSession
 from repro.core.parallel import ParallelExecutor
 from repro.errors import (
     QueryCancelled,
@@ -172,88 +173,89 @@ def test_crash_during_parallel_run_recovers_and_matches_serial():
     assert _reader_counts(recovered) == (0, 0)
 
 
-#: bound on a run that should take well under a second
-RUN_TIMEOUT_S = 20.0
+def _evaluations(session: RQLSession, fail_at=(), cancel_at=None,
+                 cancel=None):
+    """Register ``probe(val, sid)``: it records which snapshots were
+    evaluated, raises at the snapshots in ``fail_at`` and sets
+    ``cancel`` at ``cancel_at``; returns the list it records into."""
+    evaluated = []
+
+    def probe(value, snapshot_id):
+        sid = int(snapshot_id)
+        evaluated.append(sid)
+        if sid in fail_at:
+            raise ReproError(f"injected at {sid}")
+        if sid == cancel_at:
+            cancel.set()
+        return value
+
+    session.db.register_function("probe", probe)
+    return evaluated
+
+
+PROBE_QQ = "SELECT grp, probe(val, current_snapshot()) AS val FROM events"
 
 
 def test_first_error_in_partition_order_wins():
-    """Partition 2 fails first in time, partition 0 first in partition
-    order: partition 0's error is the one raised."""
+    """Partitions [1-3], [4-6], [7-8] at workers=3, failing at 2 and 7:
+    partition 0's error is the one raised, and no snapshot of a later
+    partition is evaluated."""
     session = _history_session()
-    failed = []
-    reached_2 = threading.Event()
-
-    def boom(value, snapshot_id):
-        sid = int(snapshot_id)
-        if sid in (2, 7):  # partition 0 and partition 2 at workers=3
-            if sid == 2:
-                reached_2.set()
-            else:
-                # Fail only once partition 0 is committed to failing
-                # too: its error must win though it is recorded later.
-                assert reached_2.wait(timeout=30.0)
-            failed.append(sid)
-            raise ReproError(f"injected at {sid}")
-        return value
-
-    session.db.register_function("boom", boom)
-    qq = "SELECT grp, boom(val, current_snapshot()) AS val FROM events"
+    evaluated = _evaluations(session, fail_at=(2, 7))
     executor = ParallelExecutor(session.db, workers=3)
-    raised = []
+    with pytest.raises(ReproError, match="injected at 2"):
+        executor.run("CollateData", QS, PROBE_QQ, "R")
+    assert set(evaluated) == {1, 2}
+    assert _reader_counts(session) == (0, 0)
+    assert _result_tables(session) == []
 
-    def run():
-        with pytest.raises(ReproError, match="injected at 2"):
-            executor.run("CollateData", QS, qq, "R")
-        raised.append(True)
 
-    # The run goes on a helper thread so that a partition blocked for
-    # good (say, a join under a latch a worker needs) fails this test
-    # in seconds instead of hanging the suite.
-    runner = threading.Thread(target=run, daemon=True)
-    runner.start()
-    runner.join(timeout=RUN_TIMEOUT_S)
-    assert not runner.is_alive(), \
-        f"the run did not finish within {RUN_TIMEOUT_S} s"
-    assert raised == [True]
-    assert 2 in failed
+def test_a_cancel_in_partition_0_stops_the_run():
+    """A cancel set while partition 0 evaluates snapshot 2 raises
+    QueryCancelled before any later snapshot is evaluated."""
+    session = _history_session()
+    cancel = threading.Event()
+    evaluated = _evaluations(session, cancel_at=2, cancel=cancel)
+    executor = ParallelExecutor(session.db, workers=3, cancel=cancel)
+    with pytest.raises(QueryCancelled):
+        executor.run("CollateData", QS, PROBE_QQ, "R")
+    assert set(evaluated) == {1, 2}
+    assert _reader_counts(session) == (0, 0)
+    assert _result_tables(session) == []
 
 
 # -- the run reader ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_a_partition_registers_its_read_contexts_once(monkeypatch,
-                                                      workers):
-    """``begin_read`` runs twice per partition (main and aux), on the
-    partition's thread, however many snapshots the partition steps."""
+@pytest.mark.parametrize("workers", [1, 4, 7])
+def test_a_run_registers_its_read_contexts_once(monkeypatch, workers):
+    """``begin_read`` runs twice while a run's partitions fold (main and
+    aux), however many partitions and snapshots the run steps."""
     session = _history_session()
-    per_partition = []
-    local = threading.local()
-    real_fold_range = parallel.fold_range
+    counting = []
+    registered = []
+    real_run_partitions = ParallelExecutor._run_partitions
     real_begin_read = StorageEngine.begin_read
 
-    def counted_fold_range(*args, **kwargs):
-        local.count = count = [0]
-        per_partition.append(count)
+    def counted_run_partitions(self, *args):
+        counting.append(True)
         try:
-            return real_fold_range(*args, **kwargs)
+            return real_run_partitions(self, *args)
         finally:
-            del local.count
+            counting.pop()
 
     def counting_begin_read(self, owner=None):
-        count = getattr(local, "count", None)
-        if count is not None:
-            count[0] += 1
+        if counting:
+            registered.append(self)
         return real_begin_read(self, owner=owner)
 
-    monkeypatch.setattr(parallel, "fold_range", counted_fold_range)
+    monkeypatch.setattr(ParallelExecutor, "_run_partitions",
+                        counted_run_partitions)
     monkeypatch.setattr(StorageEngine, "begin_read", counting_begin_read)
     result = session.collate_data(QS, "SELECT grp, val FROM events", "R",
                                   workers=workers)
-    partitions = result.parallel.partitions
-    assert len(partitions) == workers
-    assert all(len(sids) >= 2 for sids in partitions)
-    assert [count[0] for count in per_partition] == [2] * workers
+    assert len(result.parallel.partitions) == workers
+    assert registered == [session.db.engine, session.db.aux_engine]
     assert _reader_counts(session) == (0, 0)
 
 
@@ -271,8 +273,8 @@ ENDINGS = {
 def test_a_run_ended_early_leaves_no_read_context(surface, workers,
                                                   ending):
     """Ended by a UDF error, a cancel, or an unavailable snapshot at
-    snapshot 6: every partition's reader is closed, so neither engine
-    holds a read context and the server's leak report is all-zero."""
+    snapshot 6: the run's reader is closed, so neither engine holds a
+    read context and the server's leak report is all-zero."""
     server = RQLServer(gate_timeout=30.0) if surface == "server" else None
     client = server.connect("alice") if server else None
     session = _history_session(client.session if client else None)
@@ -312,27 +314,29 @@ def test_a_run_ended_early_leaves_no_read_context(surface, workers,
             server.close()
 
 
-# -- thread lifetime ----------------------------------------------------------
-
-
-def _live_threads(prefix: str):
-    return sorted(t.name for t in threading.enumerate()
-                  if t.name.startswith(prefix))
+# -- threads ------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("outcome", ["ok", "fault", "cancel"])
 @pytest.mark.parametrize("surface", ["embedded", "server"])
-def test_no_worker_thread_outlives_its_run(surface, outcome):
-    """Successful, failing in partition 2 of 3, or cancelled: at most
-    ``workers`` partition threads run, and all are gone on return."""
+def test_no_worker_thread_outlives_its_run(surface, outcome, monkeypatch):
+    """Successful, failing in partition 2 of 3, or cancelled: every
+    snapshot of the run is evaluated on the calling thread (embedded)
+    or the ticket's thread (server), and the run starts no thread."""
     server = RQLServer(gate_timeout=30.0) if surface == "server" else None
     client = server.connect("alice") if server else None
     session = _history_session(client.session if client else None)
-    seen = set()
+    evaluated_on = set()
+    started = []
     cancel = threading.Event()  # what an embedded run polls
+    real_start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread.name)
+        return real_start(thread)
 
     def probe(value, snapshot_id):
-        seen.update(_live_threads("rql-worker-"))
+        evaluated_on.add(threading.current_thread())
         if int(snapshot_id) == 6:  # last of partition 2 at workers=3
             if outcome == "fault":
                 raise ReproError("injected UDF failure")
@@ -343,13 +347,13 @@ def test_no_worker_thread_outlives_its_run(surface, outcome):
         return value
 
     session.db.register_function("probe", probe)
-    qq = "SELECT grp, probe(val, current_snapshot()) AS val FROM events"
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
 
     def run():
         if client is None:
-            return session.run_mechanism("CollateData", QS, qq, "R",
+            return session.run_mechanism("CollateData", QS, PROBE_QQ, "R",
                                          workers=3, cancel=cancel)
-        return client.collate_data(QS, qq, "R", workers=3)
+        return client.collate_data(QS, PROBE_QQ, "R", workers=3)
 
     try:
         if outcome == "ok":
@@ -360,8 +364,13 @@ def test_no_worker_thread_outlives_its_run(surface, outcome):
         else:
             with pytest.raises(QueryCancelled):
                 run()
-        assert _live_threads("rql-worker-") == []
-        assert seen and seen <= {f"rql-worker-{n}" for n in (1, 2, 3)}
+        if server is None:
+            assert started == []
+            assert evaluated_on == {threading.current_thread()}
+        else:
+            # The one thread a server query owns is its ticket's.
+            assert len(started) == 1
+            assert [t.name for t in evaluated_on] == started
         assert _reader_counts(session) == (0, 0)
     finally:
         if server is not None:
@@ -390,16 +399,8 @@ def test_idle_server_owns_no_query_threads():
         alice, bob = server.connect("alice"), server.connect("bob")
         assert server_threads() == []
         _history_session(alice.session)
-        seen = set()
-
-        def probe(value):
-            seen.update(_live_threads("rql-worker-"))
-            return value
-
-        alice.session.db.register_function("probe", probe)
-        alice.collate_data(QS, "SELECT grp, probe(val) FROM events", "R",
+        alice.collate_data(QS, "SELECT grp, val FROM events", "R",
                            workers=4)
-        assert seen and len(seen) <= 4
         assert bob.execute('SELECT COUNT(*) FROM "R"').scalar() > 0
         assert settled() == []
     finally:

@@ -45,10 +45,14 @@ class TestPage:
             Page(0, bytearray(10), page_size=PAGE)
 
     def test_load_resets_decode_cache(self):
-        page = Page(0, page_size=PAGE)
-        page.decoded_node = object()
-        page.load(bytes(PAGE))
-        assert page.decoded_node is None
+        # Installed bytes come as a new page, with no node: the page a
+        # reader already holds keeps its own.
+        pool, _ = make_pool()
+        page = pool.fetch(1)
+        node = page.decoded_node = object()
+        pool.put_raw(1, bytes(PAGE))
+        assert pool.fetch(1).decoded_node is None
+        assert page.decoded_node is node
 
     def test_snapshot_bytes_is_copy(self):
         page = Page(0, page_size=PAGE)
