@@ -11,11 +11,13 @@ after another on one thread; their iterations are timed with
 deterministic-metrics seam the test suite uses.
 
 Why partitioning wins in this model: each partition pays ~1/workers of
-the snapshot iterations, and the cold Pagelog I/O is paid once through
-the snapshot page cache (contiguous partitions preserve the paper's
-hot-iteration page sharing).  Partition 0 runs first, so it pays the
-whole cold start and the later partitions find the pages they share
-with it cached.
+the snapshot iterations, and within a partition the hot iterations find
+the pages they share with the previous snapshot cached (contiguous
+partitions preserve the paper's hot-iteration page sharing).  One core
+per partition means one cache per partition, so the model charges
+every partition's first iteration cold — its cache hits priced as
+Pagelog reads — whichever partition happened to run first on the one
+shared cache.
 """
 
 import time
@@ -77,7 +79,8 @@ def run_parallel_speedup():
         series=series,
         notes=[
             "makespan = max over workers of summed iteration cost + "
-            "serial merge phase (simulated device model)",
+            "serial merge phase (simulated device model); every "
+            "partition's first iteration is charged cold",
             "identical result tables asserted",
         ],
     ), serial_rows, parallel_rows

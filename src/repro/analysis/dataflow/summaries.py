@@ -38,6 +38,13 @@ CONTAINER_STORE_ATTRS = {"append", "add", "appendleft", "push", "put",
 #: attribute names that look like latches
 LOCKISH_ATTRS = {"_latch", "latch", "_lock", "lock", "_mutex", "mutex"}
 
+#: container methods that mutate their receiver: ``x.attr.pop(k)`` is a
+#: write to ``x.attr`` as much as ``x.attr[k] = v`` is
+MUTATING_METHODS = {
+    "pop", "popitem", "append", "extend", "insert", "remove", "add",
+    "discard", "clear", "update", "setdefault",
+}
+
 
 @dataclass
 class FunctionSummary:
@@ -378,6 +385,9 @@ class LockAnalysis(ForwardAnalysis[FrozenSet[str]]):
             targets = list(stmt.targets)
         elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
             targets = [stmt.target]
+        targets.extend(call.func.value for call in _stmt_calls(node)
+                       if isinstance(call.func, ast.Attribute)
+                       and call.func.attr in MUTATING_METHODS)
         held_t = tuple(sorted(held))
         stack = targets
         while stack:
@@ -385,7 +395,8 @@ class LockAnalysis(ForwardAnalysis[FrozenSet[str]]):
             if isinstance(target, (ast.Tuple, ast.List)):
                 stack.extend(target.elts)
                 continue
-            # x.attr = v  and  x.attr[k] = v  are both writes to x.attr
+            # x.attr = v, x.attr[k] = v and x.attr.pop(k) are all
+            # writes to x.attr
             if isinstance(target, ast.Subscript):
                 target = target.value
             if not isinstance(target, ast.Attribute):

@@ -24,22 +24,22 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Hashable, Optional, Set, Tuple, TypeVar
+from typing import Callable, Hashable, Set, Tuple, TypeVar
 
 from repro.errors import SnapshotError
+from repro.storage.page import Page
 
-T = TypeVar("T")
 A = TypeVar("A")
 
 
 class SnapshotPageCache:
-    """LRU cache of snapshot page images keyed by an arbitrary identity."""
+    """LRU cache of snapshot pages keyed by an arbitrary identity."""
 
     def __init__(self, capacity_pages: int) -> None:
         if capacity_pages < 0:
             raise SnapshotError("cache capacity must be >= 0")
         self.capacity = capacity_pages
-        self._entries: "OrderedDict[Hashable, bytes]" = OrderedDict()
+        self._entries: "OrderedDict[Hashable, Page]" = OrderedDict()
         self._latch = threading.RLock()
         #: keys being loaded; a load's end is announced on ``_landed``
         self._in_flight: Set[Hashable] = set()
@@ -48,18 +48,8 @@ class SnapshotPageCache:
         self.misses = 0
         self.evictions = 0
 
-    def get(self, key: Hashable) -> Optional[bytes]:
-        with self._latch:
-            image = self._entries.get(key)
-            if image is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return image
-
-    def get_or_load(self, key: Hashable, load: Callable[[A], T],
-                    arg: A) -> Tuple[T, bool]:
+    def get_or_load(self, key: Hashable, load: Callable[[A], Page],
+                    arg: A) -> Tuple[Page, bool]:
         """``(value, hit)``: the value cached under ``key``, or
         ``load(arg)`` cached under it on a miss.
 
@@ -93,21 +83,15 @@ class SnapshotPageCache:
                 self._landed.notify_all()
         return value, False
 
-    def put(self, key: Hashable, image: bytes) -> None:
-        with self._latch:
-            self._store(key, image)
-
-    def _store(self, key: Hashable, image) -> None:
+    def _store(self, key: Hashable, page: Page) -> None:
+        # Only a key's one loader stores it, and only after a miss, so
+        # the key is never already present here.
         if self.capacity == 0:
-            return
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            self._entries[key] = image
             return
         while len(self._entries) >= self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
-        self._entries[key] = image
+        self._entries[key] = page
 
     def clear(self) -> None:
         """Empty the cache (used to model 'snapshot not accessed recently')."""

@@ -136,17 +136,11 @@ class _LeafNode:
     def of(cls, page: Page) -> "_LeafNode":
         """The page's cached node, decoded on a miss.  **Borrowed**:
         every reader of the page shares it, so callers never mutate it
-        (writers go through :meth:`copy`).
-
-        The node comes from ``raw``, one read of ``page.data``: served
-        only if it was parsed from those very bytes, and a parse is
-        published paired with them (see ``Page.decoded``), so a commit's
-        ``Page.load`` racing this call costs a parse, never a node that
-        disagrees with its bytes."""
-        parsed_from, node = page.decoded
-        raw = page.data
-        if parsed_from is raw and type(node) is cls:
+        (writers go through :meth:`copy`)."""
+        node = page.node
+        if type(node) is cls:
             return node
+        raw = page.data
         (ncells,) = _U16.unpack_from(raw, HEADER_SIZE)
         pos = HEADER_SIZE + _U16.size
         keys: List[bytes] = []
@@ -161,7 +155,7 @@ class _LeafNode:
             values.append(bytes(raw[pos:pos + vlen]))
             pos += vlen
         node = cls(keys, values, pos)
-        page.decoded = (raw, node)
+        page.node = node
         return node
 
     def copy(self) -> "_LeafNode":
@@ -233,7 +227,7 @@ class _LeafNode:
         byte for byte."""
         # The writer's node becomes the page's cached node: it must not
         # be mutated after this call.
-        page.decoded_node = self
+        page.node = self
         raw = page.data
         raw[HEADER_SIZE:] = bytes(len(raw) - HEADER_SIZE)
         page.page_type = PAGE_TYPE_BTREE_LEAF
@@ -268,7 +262,7 @@ class _LeafNode:
         vacates is zeroed, and the result equals :meth:`encode_into` on a
         blank page with the same header.
         """
-        page.decoded_node = self  # not to be mutated from here on
+        page.node = self  # not to be mutated from here on
         raw = page.data
         end = start + len(cell)
         grown = len(cell) - old_len
@@ -291,11 +285,11 @@ class _InternalNode:
     @classmethod
     def of(cls, page: Page) -> "_InternalNode":
         """The page's cached node, decoded on a miss; **borrowed**, as
-        :meth:`_LeafNode.of`, and paired with its bytes the same way."""
-        parsed_from, node = page.decoded
-        raw = page.data
-        if parsed_from is raw and type(node) is cls:
+        :meth:`_LeafNode.of`."""
+        node = page.node
+        if type(node) is cls:
             return node
+        raw = page.data
         (nkeys,) = _U16.unpack_from(raw, HEADER_SIZE)
         pos = HEADER_SIZE + _U16.size
         span = (nkeys + 1) * _U64.size
@@ -310,14 +304,14 @@ class _InternalNode:
             keys.append(bytes(raw[pos:pos + klen]))
             pos += klen
         node = cls(keys, children)
-        page.decoded = (raw, node)
+        page.node = node
         return node
 
     def copy(self) -> "_InternalNode":
         return _InternalNode(list(self.keys), list(self.children))
 
     def encode_into(self, page: Page) -> None:
-        page.decoded_node = self
+        page.node = self
         raw = page.data
         raw[HEADER_SIZE:] = bytes(len(raw) - HEADER_SIZE)
         page.page_type = PAGE_TYPE_BTREE_INTERNAL
@@ -435,7 +429,7 @@ class BTree:
             root_w = self.source.make_writable(root)
             left = self.source.allocate_page()
             left.data[:] = root_w.data
-            left.decoded_node = root_w.decoded_node
+            left.node = root_w.node
             self.source.mark_dirty(left)
             _InternalNode([sep_key],
                           [left.page_id, right_id]).encode_into(root_w)
@@ -616,7 +610,7 @@ class BTree:
             child = self._fetch(child_id)
             root_w = self.source.make_writable(root)
             root_w.data[:] = child.data
-            root_w.decoded_node = child.decoded_node
+            root_w.node = child.node
             self.source.mark_dirty(root_w)
             self.source.free_page(child_id)
             root = root_w

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from repro.errors import BufferPoolError
 from repro.storage.disk import DiskFile
@@ -89,18 +89,14 @@ class BufferPool:
                 self._admit(page)
             return page
 
-    def put_raw(self, page_id: int, raw: bytes) -> None:
-        """Install committed bytes for ``page_id`` (commit-time install)
-        as a new :class:`Page`: a published page never changes, so a
-        reader holding the one it fetched keeps its bytes and node."""
-        page = Page(page_id, bytearray(raw), self._file.page_size)
+    def install(self, page: Page) -> None:
+        """Publish ``page`` as the committed version of its id (commit
+        and recovery): the pool holds that very object, dirty, and a
+        reader holding the one it replaced keeps its bytes and node."""
         page.dirty = True
         with self._latch:
-            if page_id in self._pages:
-                self._pages[page_id] = page
-                self._pages.move_to_end(page_id)
-            else:
-                self._admit(page)
+            self._pages.pop(page.page_id, None)
+            self._admit(page)
 
     def resident(self, page_id: int) -> bool:
         with self._latch:

@@ -219,7 +219,9 @@ class StorageEngine:
         1. COW-capture pre-states of pages first-modified since the last
            snapshot declaration;
         2. append after-images + commit seal to the WAL (durability);
-        3. retain MVCC versions for active readers, install after-images;
+        3. retain the replaced pages for active readers, install the
+           transaction's own pages (with the nodes it encoded) as the
+           new versions;
         4. declare the snapshot (it reflects this transaction's updates).
         """
         txn.ensure_active()
@@ -232,7 +234,7 @@ class StorageEngine:
             if page_id < txn.first_new_page_id:
                 self.retro.capture_if_needed(
                     page_id,
-                    lambda pid=page_id: self._committed_bytes(pid),
+                    lambda pid=page_id: self._committed_page(pid).data,
                 )
         for page_id in txn.freed:
             # Freed pages may be reallocated and overwritten later; their
@@ -240,13 +242,13 @@ class StorageEngine:
             if page_id < txn.first_new_page_id:
                 self.retro.capture_if_needed(
                     page_id,
-                    lambda pid=page_id: self._committed_bytes(pid),
+                    lambda pid=page_id: self._committed_page(pid).data,
                 )
 
         self.wal.log_commit(
             txn_id=txn.txn_id,
             commit_ts=commit_ts,
-            pages=pages,
+            pages={pid: page.data for pid, page in pages.items()},
             freed=list(txn.freed),
             declared_snapshot=declare_snapshot,
             snapshot_id=snapshot_id,
@@ -259,11 +261,11 @@ class StorageEngine:
         # which would hand it a page newer than its begin_ts.
         with self._commit_latch:
             retain_needed = self._versions.active_reader_count > 0
-            for page_id, image in pages.items():
+            for page_id, page in pages.items():
                 if retain_needed and page_id < txn.first_new_page_id:
-                    old = self._committed_bytes(page_id)
-                    self._versions.retain(page_id, old, commit_ts)
-                self.pager.install(page_id, image)
+                    self._versions.retain(self._committed_page(page_id),
+                                          commit_ts)
+                self.pager.install(page)
             for page_id in txn.freed:
                 self.pager.free(page_id)
 
@@ -364,25 +366,26 @@ class StorageEngine:
         )
 
     def _mvcc_read(self, page_id: int, begin_ts: int) -> Page:
-        # Fetch, then look for a retained image.  A commit retains the
-        # image it replaces before it installs a new page object, so a
-        # commit after begin_ts that installed this page before the
-        # fetch is a hit below; a miss means the fetched object is the
-        # image a reader at begin_ts sees.
+        # Fetch, then look for a retained version.  A commit retains the
+        # page it replaces before it installs its own, so a commit after
+        # begin_ts that installed this page before the fetch is a hit
+        # below; a miss means the fetched object is the version a reader
+        # at begin_ts sees.
         page = self._fetch_committed(page_id)
         retained = self._versions.read(page_id, begin_ts)
-        if retained is not None:
-            return Page(page_id, bytearray(retained), self.page_size)
-        return page
+        return page if retained is None else retained
 
     def _fetch_committed(self, page_id: int) -> Page:
         return self.pager.pool.fetch(page_id)
 
-    def _committed_bytes(self, page_id: int) -> bytes:
-        """Latest committed image of a page (pool first, then disk)."""
+    def _committed_page(self, page_id: int) -> Page:
+        """Latest committed version of a page: the pool's object if
+        resident, else one built from disk (and not admitted)."""
         if self.pager.pool.resident(page_id):
-            return bytes(self.pager.pool.fetch(page_id).data)
-        return self.pager.read_committed_from_disk(page_id)
+            return self.pager.pool.fetch(page_id)
+        return Page(page_id,
+                    bytearray(self.pager.read_committed_from_disk(page_id)),
+                    self.page_size)
 
     # ------------------------------------------------------------------
     # Checkpoint & recovery
@@ -435,18 +438,19 @@ class StorageEngine:
                 if page_id < running_next:
                     self.retro.capture_if_needed(
                         page_id,
-                        lambda pid=page_id: self._committed_bytes(pid),
+                        lambda pid=page_id: self._committed_page(pid).data,
                         epoch=replay_epoch,
                     )
             for page_id in txn.freed:
                 if page_id < running_next:
                     self.retro.capture_if_needed(
                         page_id,
-                        lambda pid=page_id: self._committed_bytes(pid),
+                        lambda pid=page_id: self._committed_page(pid).data,
                         epoch=replay_epoch,
                     )
             for page_id, image in sorted(txn.pages.items()):
-                self.pager.install(page_id, image)
+                self.pager.install(
+                    Page(page_id, bytearray(image), self.page_size))
             for page_id in txn.freed:
                 self.pager.free(page_id)
             running_next = max(running_next, txn.next_page_id)

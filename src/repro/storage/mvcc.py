@@ -6,7 +6,8 @@ This module provides the version retention that makes that possible:
 
 * every transaction gets a ``begin_ts`` (the last commit timestamp);
 * when a commit replaces a page that some active reader may still need,
-  the replaced image is retained in a version chain;
+  the replaced page object is retained in a version chain (a published
+  page never changes, so it is kept as it is, node and all);
 * readers resolve a page to the newest version with
   ``replaced_at > begin_ts`` (i.e. the version that was current when the
   reader began), falling back to the live page;
@@ -25,16 +26,17 @@ import threading
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import TransactionError
+from repro.storage.page import Page
 
 
 class VersionStore:
-    """Retains superseded page images for active readers."""
+    """Retains superseded page versions for active readers."""
 
     def __init__(self) -> None:
-        # page_id -> ascending list of (replaced_at_ts, image). An entry
-        # means: `image` was the committed content for all timestamps in
+        # page_id -> ascending list of (replaced_at_ts, page). An entry
+        # means: `page` was the committed version for all timestamps in
         # [previous_replaced_at, replaced_at).
-        self._chains: Dict[int, List[Tuple[int, bytes]]] = {}
+        self._chains: Dict[int, List[Tuple[int, Page]]] = {}
         self._active_readers: Dict[int, int] = {}  # reader id -> begin_ts
         # reader id -> opaque owner token (a session/database facade);
         # lets a multi-session server attribute and reap leaked readers.
@@ -83,25 +85,25 @@ class VersionStore:
 
     # -- version retention ------------------------------------------------------
 
-    def retain(self, page_id: int, old_image: bytes, replaced_at: int) -> None:
-        """Retain a replaced page image if any active reader may need it."""
+    def retain(self, page: Page, replaced_at: int) -> None:
+        """Retain a replaced page if any active reader may need it."""
         with self._latch:
             oldest = self.oldest_active_ts()
             if oldest is None or oldest >= replaced_at:
                 return
-            chain = self._chains.setdefault(page_id, [])
-            chain.append((replaced_at, old_image))
+            chain = self._chains.setdefault(page.page_id, [])
+            chain.append((replaced_at, page))
             self.retained_versions += 1
 
-    def read(self, page_id: int, begin_ts: int) -> Optional[bytes]:
-        """Image visible at ``begin_ts``, or None if the live page is."""
+    def read(self, page_id: int, begin_ts: int) -> Optional[Page]:
+        """Page visible at ``begin_ts``, or None if the live page is."""
         with self._latch:
             chain = self._chains.get(page_id)
             if not chain:
                 return None
-            for replaced_at, image in chain:
+            for replaced_at, page in chain:
                 if replaced_at > begin_ts:
-                    return image
+                    return page
             return None
 
     # -- pruning ---------------------------------------------------------------
@@ -117,7 +119,7 @@ class VersionStore:
                 return
             empty: Set[int] = set()
             for page_id, chain in self._chains.items():
-                keep = [(ts, img) for ts, img in chain if ts > oldest]
+                keep = [(ts, page) for ts, page in chain if ts > oldest]
                 self.retained_versions -= len(chain) - len(keep)
                 if keep:
                     self._chains[page_id] = keep

@@ -42,19 +42,18 @@ _VALID_TYPES = frozenset(
     )
 )
 
-#: ``Page.decoded`` of a page whose bytes no node was parsed from
-_UNPARSED = (None, None)
-
 
 class Page:
-    """A fixed-size page: id + byte buffer + dirty flag.
+    """A fixed-size page: id + byte buffer + dirty flag + decoded node.
 
-    The buffer pool owns ``Page`` objects; other layers receive references
-    and must call :meth:`mark_dirty` after mutating ``data`` so the pool,
-    the WAL, and the Retro COW hook all observe the modification.
+    One object is one page version.  A writer mutates only the private
+    page its transaction made (:meth:`private_copy`), and a commit
+    publishes that very object; from then on its bytes never change, and
+    the buffer pool, MVCC version chains and the snapshot cache hand it
+    out by reference.
     """
 
-    __slots__ = ("page_id", "data", "dirty", "decoded")
+    __slots__ = ("page_id", "data", "dirty", "node")
 
     def __init__(self, page_id: int, data: Optional[bytearray] = None,
                  page_size: int = DEFAULT_PAGE_SIZE) -> None:
@@ -70,19 +69,15 @@ class Page:
         self.page_id = page_id
         self.data = data
         self.dirty = False
-        #: ``(bytes, node)``: the decoded B+tree node and the very
-        #: ``bytearray`` it was parsed from, published together by one
-        #: assignment (``_UNPARSED`` until a node is).  The node is what
-        #: tree readers work on: key/value/child lists parsed once and, on
-        #: a leaf, the entries a full scan decoded from them (see
+        #: The decoded B+tree node: key/value/child lists parsed once
+        #: and, on a leaf, the entries a full scan decoded from them (see
         #: repro.storage.btree and DESIGN.md, "The node cache contract").
-        #: It is served only while ``bytes is
-        #: self.data``.  A published page's bytes never change (a commit
-        #: installs a new object, ``BufferPool.put_raw``); readers borrow
-        #: the node and never mutate it; a writer publishes a private
-        #: copy, which replaces it.  It lives exactly as long as this
-        #: object stays in a cache.
-        self.decoded = _UNPARSED
+        #: A published page's bytes never change (a commit installs the
+        #: writer's page object, ``BufferPool.install``), so the node
+        #: matches them for as long as this object lives; readers borrow
+        #: it and never mutate it, and a writer publishes a private copy
+        #: onto its private page, which replaces it.
+        self.node = None
 
     # -- header -----------------------------------------------------------
 
@@ -106,21 +101,6 @@ class Page:
         ptype = self.page_type
         _HEADER.pack_into(self.data, 0, ptype, value)
 
-    # -- decoded node ------------------------------------------------------
-
-    @property
-    def decoded_node(self):
-        """The node decoded from the current bytes, or None."""
-        parsed_from, node = self.decoded
-        return node if parsed_from is self.data else None
-
-    @decoded_node.setter
-    def decoded_node(self, node) -> None:
-        """Publish ``node`` as the decoding of the current bytes: for the
-        page's owner (a writer on its private page), which is the only
-        one who can know the bytes will not change underneath it."""
-        self.decoded = _UNPARSED if node is None else (self.data, node)
-
     # -- lifecycle ---------------------------------------------------------
 
     def mark_dirty(self) -> None:
@@ -132,12 +112,9 @@ class Page:
 
     def private_copy(self) -> "Page":
         """A copy a writer may mutate, sharing the decoded node (an
-        immutable snapshot) when it was parsed from the copied bytes."""
-        parsed_from, node = self.decoded
-        data = self.data
-        private = Page(self.page_id, bytearray(data), len(data))
-        if parsed_from is data:
-            private.decoded_node = node
+        immutable snapshot) until the writer publishes its own."""
+        private = Page(self.page_id, bytearray(self.data), len(self.data))
+        private.node = self.node
         return private
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -186,9 +186,9 @@ class Pager:
 
     # -- commit / checkpoint ------------------------------------------------------
 
-    def install(self, page_id: int, raw: bytes) -> None:
-        """Install committed page bytes (commit-time write path)."""
-        self.pool.put_raw(page_id, raw)
+    def install(self, page: Page) -> None:
+        """Publish a committed page version (commit-time write path)."""
+        self.pool.install(page)
 
     def checkpoint(self, extra_flush: Optional[Callable[[], None]] = None) -> None:
         """Flush dirty pages + meta to the database file."""

@@ -56,12 +56,10 @@ class Transaction:
         """True while committing would change no page and free none."""
         return not self.dirty and not self.freed
 
-    def modified_pages(self) -> Dict[int, bytes]:
-        """After-images of every dirty page (commit payload)."""
-        return {
-            pid: bytes(self.overlay[pid].data)
-            for pid in sorted(self.dirty)
-        }
+    def modified_pages(self) -> Dict[int, Page]:
+        """Every dirty page of the overlay, by id (the commit payload:
+        these objects become the published versions)."""
+        return {pid: self.overlay[pid] for pid in sorted(self.dirty)}
 
 
 class TransactionPageSource(MutablePageSource):

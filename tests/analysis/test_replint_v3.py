@@ -9,7 +9,10 @@ Three contracts beyond the fixture corpus:
 * the escape analysis roots the worker region at the threads the
   server starts, and nowhere in the executor, which starts none;
 * the real ``core/parallel.py`` and ``storage/logfile.py`` lint clean
-  on their own.
+  on their own;
+* a worker-shared container mutated through a method call
+  (``self._active.pop(...)``) is a write RPL020 guards like an
+  assignment.
 """
 
 import json
@@ -96,6 +99,20 @@ def test_parallel_module_is_clean_solo():
 def test_logfile_module_is_clean_solo():
     assert analyze_source(_real_source("storage/logfile.py"),
                           "storage/logfile.py") == []
+
+
+def test_dropped_scheduler_latch_around_a_pop_is_caught():
+    source = _real_source("server/scheduler.py")
+    latched = ("            with self._latch:\n"
+               "                self._active.pop(ticket.id, None)\n")
+    assert source.count(latched) == 1
+    mutant = source.replace(latched, latched.replace(
+        "with self._latch:", "if True:"))
+    assert analyze_source(source, "server/scheduler.py") == []
+    findings = analyze_source(mutant, "server/scheduler.py")
+    assert [(f.rule, f.symbol) for f in findings] \
+        == [("RPL020", "QueryScheduler._run")]
+    assert "QueryScheduler._active" in findings[0].message
 
 
 # -- SARIF round-trip ---------------------------------------------------------

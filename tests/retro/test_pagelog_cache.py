@@ -72,48 +72,54 @@ class TestPagelog:
         assert pagelog.prestates_archived == 3
 
 
+def fetch(cache, key, value=None):
+    """``get_or_load`` of ``key``, loading ``value`` on a miss:
+    ``(cached value, hit)``."""
+    return cache.get_or_load(key, lambda v: v, value)
+
+
 class TestSnapshotPageCache:
     def test_hit_miss(self):
         cache = SnapshotPageCache(4)
-        assert cache.get(1) is None
-        cache.put(1, b"a")
-        assert cache.get(1) == b"a"
+        assert fetch(cache, 1, b"a") == (b"a", False)
+        assert fetch(cache, 1, b"z") == (b"a", True)
         assert cache.hits == 1
         assert cache.misses == 1
 
     def test_lru_eviction(self):
         cache = SnapshotPageCache(2)
-        cache.put(1, b"a")
-        cache.put(2, b"b")
-        cache.get(1)  # refresh 1
-        cache.put(3, b"c")  # evicts 2
-        assert cache.get(2) is None
-        assert cache.get(1) == b"a"
-        assert cache.get(3) == b"c"
+        fetch(cache, 1, b"a")
+        fetch(cache, 2, b"b")
+        fetch(cache, 1)  # refresh 1
+        fetch(cache, 3, b"c")  # evicts 2
         assert cache.evictions == 1
+        assert fetch(cache, 1) == (b"a", True)
+        assert fetch(cache, 3) == (b"c", True)
+        assert fetch(cache, 2, b"b2") == (b"b2", False)
 
     def test_zero_capacity_never_stores(self):
         cache = SnapshotPageCache(0)
-        cache.put(1, b"a")
-        assert cache.get(1) is None
+        fetch(cache, 1, b"a")
+        assert fetch(cache, 1, b"b") == (b"b", False)
+        assert len(cache) == 0
 
     def test_clear(self):
         cache = SnapshotPageCache(4)
-        cache.put(1, b"a")
+        fetch(cache, 1, b"a")
         cache.clear()
-        assert cache.get(1) is None
         assert len(cache) == 0
+        assert fetch(cache, 1, b"b") == (b"b", False)
 
     def test_update_existing(self):
+        # A load happens only on a miss, so a cached entry is never
+        # replaced: the next reader of the key gets what is there.
         cache = SnapshotPageCache(2)
-        cache.put(1, b"a")
-        cache.put(1, b"b")
-        assert cache.get(1) == b"b"
+        fetch(cache, 1, b"a")
+        assert fetch(cache, 1, b"b") == (b"a", True)
         assert len(cache) == 1
 
     def test_hit_rate(self):
         cache = SnapshotPageCache(2)
-        cache.put(1, b"a")
-        cache.get(1)
-        cache.get(2)
+        fetch(cache, 1, b"a")
+        fetch(cache, 1)
         assert cache.hit_rate() == 0.5

@@ -584,7 +584,7 @@ def forget_decoded_catalog(db: Database) -> None:
     """Leave the (one-page) main catalog as a page just read from disk."""
     with context(db) as ctx:
         ctx._main_source.fetch(
-            db._catalog_root(db.engine)).decoded_node = None
+            db._catalog_root(db.engine)).node = None
 
 
 def test_statements_between_two_ddls_decode_the_catalog_once(history,
@@ -627,7 +627,7 @@ def test_a_point_lookup_on_a_cold_page_decodes_one_row(history, decodes):
         page = ctx._main_source.fetch(db._catalog_root(db.engine))
         assert ctx._main_catalog.get_table("t").name == "t"
         assert len(decodes) == 1
-        assert page.decoded_node.entries is None     # filled nothing
+        assert page.node.entries is None     # filled nothing
         assert len(ctx._main_catalog.indexes_for("t")) == 2
         assert len(decodes) == 1 + 3                 # the full scan fills
         del decodes[:]

@@ -87,7 +87,7 @@ def assert_leaf_is_its_reference_encoding(page: Page) -> None:
     assert not any(page.data[used:]), "bytes past the used region"
 
     fresh = Page(page.page_id, bytearray(page.data), size)
-    assert fresh.decoded_node is None
+    assert fresh.node is None
     parsed = _LeafNode.of(fresh)
     assert (parsed.keys, parsed.values, parsed.used) \
         == (node.keys, node.values, node.used)
@@ -323,7 +323,7 @@ def test_borrowed_node_and_open_scan_keep_the_pre_write_cells(write):
     reader = BTree(source, tree.root_id, decode=_pair)
     list(reader.scan_leaves())  # a full scan fills the entry memo
     page = source.fetch(tree.root_id)
-    borrowed = page.decoded_node
+    borrowed = page.node
     assert borrowed.entries is not None
     before = (list(borrowed.keys), list(borrowed.values))
     cells_before = list(reader.scan_all())
@@ -338,7 +338,7 @@ def test_borrowed_node_and_open_scan_keep_the_pre_write_cells(write):
         tree.delete(b"k3")
 
     # EphemeralPageSource hands out the page itself, so its bytes moved …
-    published = page.decoded_node
+    published = page.node
     assert published is not borrowed
     assert published.entries is None  # the memo does not follow a write
     assert_leaf_is_its_reference_encoding(page)
@@ -372,7 +372,7 @@ def test_buffer_pool_pages_do_not_change_before_commit():
         cells = list(committed.scan_all())  # every page's node is cached
         shared = [committed.source.fetch(pid) for pid in committed.page_ids()]
         images = [bytes(page.data) for page in shared]
-        nodes = [page.decoded_node for page in shared]
+        nodes = [page.node for page in shared]
         assert None not in nodes
 
         txn = engine.begin()
@@ -387,7 +387,7 @@ def test_buffer_pool_pages_do_not_change_before_commit():
                 assert writer.delete(key) is True
             # Not one byte of a pool page, nor its cached node, moved.
             assert [bytes(page.data) for page in shared] == images
-            assert [page.decoded_node for page in shared] == nodes
+            assert [page.node for page in shared] == nodes
         for page in leaf_pages(writer):
             assert_leaf_is_its_reference_encoding(page)
         assert list(committed.scan_all()) == cells

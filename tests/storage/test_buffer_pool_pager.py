@@ -44,15 +44,17 @@ class TestPage:
         with pytest.raises(PageError):
             Page(0, bytearray(10), page_size=PAGE)
 
-    def test_load_resets_decode_cache(self):
-        # Installed bytes come as a new page, with no node: the page a
-        # reader already holds keeps its own.
+    def test_install_keeps_the_held_page(self):
+        # An installed page replaces the pool's object with its own node:
+        # the page a reader already holds keeps its bytes and its node.
         pool, _ = make_pool()
-        page = pool.fetch(1)
-        node = page.decoded_node = object()
-        pool.put_raw(1, bytes(PAGE))
-        assert pool.fetch(1).decoded_node is None
-        assert page.decoded_node is node
+        held = pool.fetch(1)
+        node = held.node = object()
+        installed = Page(1, page_size=PAGE)
+        published = installed.node = object()
+        pool.install(installed)
+        assert pool.fetch(1) is installed and installed.node is published
+        assert held.node is node and bytes(held.data) == bytes([1]) * PAGE
 
     def test_snapshot_bytes_is_copy(self):
         page = Page(0, page_size=PAGE)
@@ -104,10 +106,12 @@ class TestBufferPool:
         pool.flush_all()
         assert order == ["hook", "write"]
 
-    def test_put_raw_installs(self):
+    def test_install_publishes_the_page(self):
         pool, _ = make_pool()
-        pool.put_raw(5, b"\x07" * PAGE)
-        assert pool.fetch(5).data[0] == 7
+        page = Page(5, bytearray(b"\x07" * PAGE), PAGE)
+        pool.install(page)
+        assert pool.fetch(5) is page and page.dirty
+        assert pool.stats.misses == 0
 
     def test_drop_all_discards_dirty(self):
         pool, db_file = make_pool()

@@ -1,6 +1,6 @@
 """Concurrency stress for the latched BufferPool.
 
-N threads hammer one small pool with mixed fetch/put_raw traffic under
+N threads hammer one small pool with mixed fetch/install traffic under
 constant capacity pressure (evictions on nearly every admit; nobody
 pins, so a fetched page may be evicted while its reader still holds it —
 the test's name predates that).  Invariants checked after the storm:
@@ -22,6 +22,7 @@ import threading
 
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.disk import SimulatedDisk
+from repro.storage.page import Page
 
 PAGE_SIZE = 4096
 THREADS = 6
@@ -61,7 +62,7 @@ def test_mixed_fetch_unpin_evict_storm_keeps_invariants():
                 # pressure forces write-backs of other threads' pages).
                 mine = own[round_ % PAGES_PER_THREAD]
                 payload = _payload(thread, round_)
-                pool.put_raw(mine, payload)
+                pool.install(Page(mine, bytearray(payload), PAGE_SIZE))
                 last_write[thread][mine] = payload
         except BaseException as exc:  # surfaced after join
             errors.append(exc)

@@ -109,7 +109,7 @@ def table_leaves(db: Database, as_of=None):
                     else ("slot", entry.slot)
                 cells = int.from_bytes(
                     page.data[HEADER_SIZE:HEADER_SIZE + 2], "little")
-                out.append((identity, page.decoded_node, cells))
+                out.append((identity, page.node, cells))
         return out
 
 
@@ -498,7 +498,7 @@ def test_racing_fillers_and_probes_all_read_the_same_entries():
     for i in range(400):
         tree.insert(encode_key((i,)), encode_record((i * 3,)))
     for page_id in tree.page_ids():
-        source.fetch(page_id).decoded_node = None     # cold: parse races too
+        source.fetch(page_id).node = None     # cold: parse races too
     want = [(i, i * 3) for i in range(400)]
     failures = []
     start = threading.Barrier(8)
@@ -532,7 +532,7 @@ def test_racing_fillers_and_probes_all_read_the_same_entries():
     assert failures == []
 
     def leaves():
-        return [source.fetch(pid).decoded_node for pid in tree.page_ids()
+        return [source.fetch(pid).node for pid in tree.page_ids()
                 if source.fetch(pid).page_type == PAGE_TYPE_BTREE_LEAF]
 
     assert len(leaves()) > 5

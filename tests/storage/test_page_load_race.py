@@ -1,15 +1,15 @@
 """A fetched page never changes.
 
-A commit installs its after-images through ``BufferPool.put_raw``
-while other threads — server sessions — hold pages they fetched and
-parse them through ``_LeafNode.of`` / ``_InternalNode.of`` with no
-lock.  The invariant this pins: **an installed image is a new page
-object**, so a page object fetched before the install keeps the bytes
-it had and the node parsed from them, and the pool serves the new
-image, with its own node, from then on.  Before, the install loaded
-the new bytes into the very object readers held: a parse in flight
-could read one image's cell header and the other's cells, and a node
-had to be paired with its bytes to avoid serving a stale one.
+A commit installs its pages through ``BufferPool.install`` while other
+threads — server sessions — hold pages they fetched and parse them
+through ``_LeafNode.of`` / ``_InternalNode.of`` with no lock.  The
+invariant this pins: **an installed page is a new page object**, so a
+page object fetched before the install keeps the bytes it had and the
+node parsed from them, and the pool serves the installed page, with
+its own node, from then on.  Before, the install loaded the new bytes
+into the very object readers held: a parse in flight could read one
+image's cell header and the other's cells, and a node had to be paired
+with its bytes to avoid serving a stale one.
 """
 
 from __future__ import annotations
@@ -66,13 +66,15 @@ def test_a_node_is_served_only_with_the_bytes_it_was_parsed_from(kind):
     data = held.data
     node = cls.of(held)
 
-    pool.put_raw(PAGE_ID, images[1])
+    installed = Page(PAGE_ID, bytearray(images[1]), PAGE)
+    second.encode_into(installed)
+    pool.install(installed)
 
     # The fetched object is untouched: its bytes and its node.
     assert held.data is data and bytes(data) == images[0]
     assert cls.of(held) is node and _shape(node) == _shape(first)
-    # The pool serves the installed image, with a node of its own.
+    # The pool serves the installed page, with the node it came with.
     fresh = pool.fetch(PAGE_ID)
-    assert fresh is not held and bytes(fresh.data) == images[1]
-    assert _shape(cls.of(fresh)) == _shape(second)
+    assert fresh is installed and bytes(fresh.data) == images[1]
+    assert cls.of(fresh) is second
     assert cls.of(held) is node

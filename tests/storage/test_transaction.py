@@ -60,13 +60,20 @@ class TestWorkspace:
         assert page.page_id in txn.freed
 
     def test_modified_pages_snapshot(self, workspace):
+        # The commit payload is the dirty overlay pages themselves, in
+        # id order: the commit publishes those objects, so nothing is
+        # copied, and a page made writable but never dirtied stays out.
         engine, txn, source = workspace
-        page = source.allocate_page()
-        page.data[20] = 0x42
-        images = txn.modified_pages()
-        assert images[page.page_id][20] == 0x42
-        page.data[20] = 0  # later mutation does not affect the snapshot
-        assert images[page.page_id][20] == 0x42
+        second = source.allocate_page()
+        first = source.allocate_page()
+        if first.page_id > second.page_id:
+            first, second = second, first
+        first.data[20] = 0x42
+        source.make_writable(engine.pager.pool.fetch(0))  # never dirtied
+        pages = txn.modified_pages()
+        assert list(pages) == [first.page_id, second.page_id]
+        assert pages[first.page_id] is first
+        assert pages[first.page_id].data[20] == 0x42
 
     def test_operations_after_commit_rejected(self, workspace):
         engine, txn, source = workspace

@@ -4,6 +4,8 @@ Uses a deliberately tiny environment so these run inside the normal
 test suite; the real figure runs live in benchmarks/.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.bench.harness import (
@@ -15,6 +17,7 @@ from repro.bench.harness import (
     clear_env_cache,
     current_state_query,
     get_env,
+    parallel_makespan_seconds,
     qq_collate,
     qs_snapshot_ids,
     ratio_c,
@@ -102,6 +105,35 @@ class TestCostAccounting:
         assert summary.simulated_seconds == pytest.approx(
             0.5 + 10 * BENCH_CHARGES.pagelog_read_seconds, rel=1e-6,
         )
+
+
+    def test_makespan_does_not_depend_on_which_partition_ran_first(self):
+        # Two partitions over one shared cache: whichever runs first
+        # reads the 10 shared pages from the Pagelog, the other hits
+        # them.  One core per partition means one cache each, so both
+        # first iterations are priced cold and the order cannot show.
+        def sink(reads, hits, more_hits):
+            out = MetricsSink(BENCH_CHARGES)
+            first = out.begin_iteration(1)
+            first.pagelog_reads, first.cache_hits = reads, hits
+            out.end_iteration()
+            out.begin_iteration(2).cache_hits = more_hits
+            out.end_iteration()
+            return out
+
+        def makespan(*sinks):
+            return parallel_makespan_seconds(SimpleNamespace(
+                worker_sinks=list(sinks), merge_seconds=0.0))
+
+        cold, warm = sink(10, 2, 12), sink(0, 12, 12)
+        cold_first, warm_first = makespan(cold, warm), makespan(warm, cold)
+        assert cold_first == pytest.approx(warm_first)
+        assert cold_first == pytest.approx(
+            12 * BENCH_CHARGES.pagelog_read_seconds
+            + 12 * BENCH_CHARGES.cache_hit_seconds)
+        # A partition that found every page cached still pays its own
+        # cold start.
+        assert makespan(warm) == pytest.approx(cold_first)
 
 
 class TestRatioC:
