@@ -58,12 +58,12 @@ class NonMonoidAggregate(QueryRule):
     name = "non-monoid-aggregate"
     description = (
         "AggregateDataInVariable folds one scalar per snapshot through "
-        "a cross-snapshot aggregate, so the aggregate must be an "
-        "abelian monoid (MIN/MAX/SUM/COUNT; AVG via the hidden "
-        "sum/count decomposition).  GROUP_CONCAT, DISTINCT forms and "
-        "arbitrary UDFs have no merge law: partition merges would "
-        "depend on partition boundaries.  The query is certified "
-        "serial-only and the parallel executor refuses it."
+        "the SQL aggregate of the same name, so the aggregate must be "
+        "one of repro.sql.aggregates' mergeable ones, an abelian monoid "
+        "(MIN/MAX/SUM/COUNT; AVG through its (sum, count) state).  "
+        "GROUP_CONCAT, DISTINCT forms and arbitrary UDFs have no merge "
+        "law: partition merges would depend on partition boundaries.  "
+        "The query is certified serial-only and the engine refuses it."
     )
     example = (
         "session.aggregate_data_in_variable(qs, qq, 'R',\n"
@@ -81,11 +81,11 @@ class NonMergeableColumnFunction(QueryRule):
     name = "non-mergeable-column-function"
     description = (
         "AggregateDataInTable merges stored rows across partitions "
-        "with merge_stored_value/merge_avg_stored, which exist only "
-        "for MIN/MAX/SUM/COUNT/AVG.  Any other column function (or a "
-        "DISTINCT form) makes the stored row non-mergeable: the "
-        "partition seams would be visible in the result.  Certified "
-        "serial-only."
+        "through each column's aggregate merge over its stored state, "
+        "which only the mergeable aggregates have: MIN/MAX/SUM/COUNT/"
+        "AVG.  Any other column function (or a DISTINCT form) makes the "
+        "stored row non-mergeable: the partition seams would be visible "
+        "in the result.  Certified serial-only."
     )
     example = (
         "session.aggregate_data_in_table(qs, qq, 'R',\n"

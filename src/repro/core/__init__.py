@@ -1,14 +1,5 @@
 """RQL: the paper's contribution — mechanisms, rewrite, SnapIds, session."""
 
-from repro.core.aggregates import (
-    CrossSnapshotAggregate,
-    binary_op,
-    identity_element,
-    make_cross_snapshot_aggregate,
-    merge_avg_stored,
-    merge_stored_value,
-    parse_col_func_pairs,
-)
 from repro.core.mechanisms import RQLResult
 from repro.core.parallel import (
     ParallelExecutor,
@@ -30,7 +21,6 @@ from repro.core.session import RQLSession
 from repro.core.snapids import SNAPIDS_TABLE, SnapIds
 
 __all__ = [
-    "CrossSnapshotAggregate",
     "ParallelExecutor",
     "ParallelRunInfo",
     "PreparedQq",
@@ -40,12 +30,6 @@ __all__ = [
     "SortMergeAggregateDataInTableRun",
     "sort_merge_aggregate_data_in_table",
     "SnapIds",
-    "binary_op",
-    "identity_element",
-    "make_cross_snapshot_aggregate",
-    "merge_avg_stored",
-    "merge_stored_value",
-    "parse_col_func_pairs",
     "partition_snapshots",
     "prepare_qq",
     "rewrite_qq",

@@ -44,13 +44,6 @@ from typing import (
     Type,
 )
 
-from repro.core.aggregates import (
-    merge_avg_stored,
-    merge_stored_value,
-    make_cross_snapshot_aggregate,
-    parse_col_func_pairs,
-    restore_cross_snapshot_aggregate,
-)
 from repro.core.mechanisms import (
     AggregateDataInTableRun,
     AggregateDataInVariableRun,
@@ -63,6 +56,11 @@ from repro.core.mechanisms import (
 from repro.core.rewrite import PreparedQq
 from repro.errors import MechanismError
 from repro.retro.metrics import MetricsSink
+from repro.sql.aggregates import (
+    mergeable_aggregate,
+    parse_col_func_pairs,
+    restore_aggregate,
+)
 from repro.sql.database import Database, RunReader
 from repro.sql.types import SqlValue
 from repro.storage.record import encode_key
@@ -204,7 +202,7 @@ class MonoidFold(Fold):
 
     def __init__(self, arg: object = None, first: bool = True) -> None:
         super().__init__()
-        self.state = make_cross_snapshot_aggregate(str(arg))
+        self.state = mergeable_aggregate(str(arg))
         #: the stored ``(rowid, row)`` pairs a restore read (one row)
         self._stored: Optional[List[Tuple[int, Row]]] = None
 
@@ -221,7 +219,7 @@ class MonoidFold(Fold):
                 f"row; snapshot {sid} returned {len(rows)}"
             )
         if rows:
-            self.state.absorb(rows[0][0])
+            self.state.step(rows[0][0])
 
     def merge(self, later: "MonoidFold") -> None:
         if self.columns is None:
@@ -234,7 +232,7 @@ class MonoidFold(Fold):
             return None
         fold = cls(state["func"])
         fold.columns = [state["column"]]
-        fold.state = restore_cross_snapshot_aggregate(state)
+        fold.state = restore_aggregate(state)
         fold._stored = stored()[1][:1]
         return fold
 
@@ -316,23 +314,7 @@ class StoredRowFold(Fold):
                 by_key[key] = len(stored)
                 stored.append(row)
             else:
-                stored[at] = self._merge_rows(stored[at], row)
-
-    def _merge_rows(self, earlier: Row, later: Row) -> Row:
-        out = list(earlier)
-        for position, func, sum_pos, cnt_pos in self.schema.agg_specs:
-            if func == "avg":
-                assert sum_pos is not None and cnt_pos is not None
-                (out[position], out[sum_pos],
-                 out[cnt_pos]) = merge_avg_stored(
-                    earlier[position], earlier[sum_pos], earlier[cnt_pos],
-                    later[position], later[sum_pos], later[cnt_pos],
-                )
-            else:
-                out[position] = merge_stored_value(
-                    func, earlier[position], later[position],
-                )
-        return tuple(out)
+                stored[at] = self.schema.merge(stored[at], row)
 
     @classmethod
     def restore(cls, arg, stored, state, last_sid) -> "StoredRowFold":

@@ -23,19 +23,19 @@ the snapshotable main database instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import MechanismError, QueryCancelled
-from repro.core.aggregates import (
-    CrossSnapshotAggregate,
-    make_cross_snapshot_aggregate,
-    parse_col_func_pairs,
-)
 from repro.core.rewrite import PreparedQq, prepare_qq, validate_qs
 from repro.retro.metrics import MetricsSink
+from repro.sql.aggregates import (
+    Aggregate,
+    mergeable_aggregate,
+    parse_col_func_pairs,
+)
 from repro.sql.database import Database
 from repro.sql.executor import TableWriter
-from repro.sql.types import SqlValue, compare
+from repro.sql.types import SqlValue
 
 
 @dataclass
@@ -281,8 +281,7 @@ class AggregateDataInVariableRun(_LoopBody):
                  persistent: bool = False,
                  sink: Optional[MetricsSink] = None) -> None:
         super().__init__(db, qq, table, persistent, sink=sink)
-        self.state: CrossSnapshotAggregate = \
-            make_cross_snapshot_aggregate(agg_func)
+        self.state: Aggregate = mergeable_aggregate(agg_func)
         self._column: Optional[str] = None
 
     def _iteration(self, snapshot_id: int, first: bool) -> None:
@@ -314,7 +313,7 @@ class AggregateDataInVariableRun(_LoopBody):
             )
         started = clock()
         if collected:
-            self.state.absorb(collected[0][0])
+            self.state.step(collected[0][0])
         return udf + clock() - started
 
     first_pass = next_pass
@@ -333,6 +332,35 @@ class AggregateDataInVariableRun(_LoopBody):
 # Aggregate Data In Table
 # ---------------------------------------------------------------------------
 
+class _Column(NamedTuple):
+    """One aggregated column of a stored group row."""
+
+    position: int          #: the visible column
+    #: scratch accumulators a stored state is loaded into; ``other``
+    #: holds the later row's in :meth:`TableAggregateSchema.merge`
+    acc: Aggregate
+    other: Aggregate
+    #: AVG's hidden helper positions; None when the state is the
+    #: visible value (MIN/MAX/SUM/COUNT)
+    sum_pos: Optional[int]
+    cnt_pos: Optional[int]
+
+
+def _load(acc: Aggregate, stored: Sequence[SqlValue], position: int,
+          sum_pos: Optional[int], cnt_pos: Optional[int]) -> None:
+    if sum_pos is None:
+        acc.value = stored[position]
+    else:
+        acc.sum, acc.count = stored[sum_pos], stored[cnt_pos]
+
+
+def _save(acc: Aggregate, out: List[SqlValue], position: int,
+          sum_pos: Optional[int], cnt_pos: Optional[int]) -> None:
+    if sum_pos is not None:
+        out[sum_pos], out[cnt_pos] = acc.sum, acc.count
+    out[position] = acc.result()
+
+
 class TableAggregateSchema:
     """Schema binding + per-record fold logic for AggregateDataInTable.
 
@@ -341,17 +369,25 @@ class TableAggregateSchema:
     (:class:`repro.core.folds.StoredRowFold`), so all three agree
     byte-for-byte on widened rows and aggregate updates — including the
     hidden ``__avg_sum_i`` / ``__avg_cnt_i`` helper columns.
+
+    A stored row holds each aggregate's state: MIN/MAX/SUM/COUNT's is
+    the visible value; AVG's is the helper pair, and its visible column
+    is the aggregate's result.  Every step and merge is the aggregate's
+    own (:mod:`repro.sql.aggregates`), run on a scratch accumulator per
+    column that the stored state is loaded into.
     """
 
     def __init__(self, pairs: List[Tuple[str, str]]) -> None:
         self.pairs = pairs
         self.group_positions: List[int] = []
-        self.agg_specs: List[Tuple[int, str, Optional[int], Optional[int]]] = []
+        self.agg_specs: List[_Column] = []
         self.columns: List[str] = []
         #: stored positions of this schema's own AVG helper columns —
         #: what "hidden" means; a Qq column merely *named* like a
         #: helper is ordinary output
         self.helper_positions: FrozenSet[int] = frozenset()
+        #: (stored position, value) of every aggregate's identity state
+        self._fresh: List[Tuple[int, SqlValue]] = []
 
     @property
     def bound(self) -> bool:
@@ -377,15 +413,18 @@ class TableAggregateSchema:
             )
         stored = list(columns)
         self.agg_specs = []
+        self._fresh = []
         for position, func in sorted(agg_columns.items()):
+            sum_pos = cnt_pos = None
             if func == "avg":
-                sum_pos = len(stored)
-                stored.append(f"__avg_sum_{position}")
-                cnt_pos = len(stored)
-                stored.append(f"__avg_cnt_{position}")
-                self.agg_specs.append((position, func, sum_pos, cnt_pos))
-            else:
-                self.agg_specs.append((position, func, None, None))
+                sum_pos, cnt_pos = len(stored), len(stored) + 1
+                stored += [f"__avg_sum_{position}", f"__avg_cnt_{position}"]
+            fresh = mergeable_aggregate(func)
+            self.agg_specs.append(_Column(
+                position, fresh, mergeable_aggregate(func), sum_pos, cnt_pos))
+            self._fresh.append((position, fresh.result()))
+            if sum_pos is not None:
+                self._fresh += [(sum_pos, fresh.sum), (cnt_pos, fresh.count)]
         self.columns = stored
         self.helper_positions = frozenset(range(len(columns), len(stored)))
 
@@ -401,62 +440,64 @@ class TableAggregateSchema:
         self.bind(list(stored[:len(stored) - helpers]))
 
     def widen(self, row: Sequence[SqlValue]) -> Tuple[SqlValue, ...]:
-        """Prepare a fresh group row: initialize aggregate columns and
-        append hidden AVG helper values.
+        """A fresh group row: every aggregate's identity state with the
+        record stepped in, AVG's helpers appended.
 
-        COUNT starts at 1 per occurrence (the stored column counts the
-        snapshots a group appears in, not the group's first Qq value);
-        MIN/MAX/SUM start at the observed value; AVG starts at the value
-        with (sum, count) helpers.
+        So COUNT starts at 1 (the stored column counts the snapshots a
+        group appears in, not the group's first Qq value), SUM at the
+        value as a number, and AVG's visible column at its average.
         """
         out = list(row)
-        for position, func, sum_pos, cnt_pos in self.agg_specs:
-            value = row[position]
-            if func == "count":
-                out[position] = 1 if value is not None else 0
-            elif func == "avg":
-                out.append(float(value) if value is not None else 0.0)
-                out.append(1 if value is not None else 0)
+        out += [None] * len(self.helper_positions)
+        for at, value in self._fresh:
+            out[at] = value
+        self._step(out, row)
         return tuple(out)
 
     def apply(self, existing: Sequence[SqlValue],
               row: Sequence[SqlValue]) -> Optional[Tuple[SqlValue, ...]]:
-        """Merge one Qq record into the stored group row.
+        """Step one Qq record into the stored group row.
 
         Returns the new stored row, or None when nothing changed (MAX/
         MIN often don't — the paper's Figure 13 contrast with SUM).
         """
         out = list(existing)
+        return tuple(out) if self._step(out, row) else None
+
+    def _step(self, out: List[SqlValue], row: Sequence[SqlValue]) -> bool:
+        """Step the record's values into the states ``out`` holds; False
+        when no state changed."""
         changed = False
-        for position, func, sum_pos, cnt_pos in self.agg_specs:
-            new_value = row[position]
-            if func == "avg":
-                if new_value is None:
+        for position, acc, _other, sum_pos, cnt_pos in self.agg_specs:
+            value = row[position]
+            if value is None:
+                continue
+            if sum_pos is None:
+                old = acc.value = out[position]
+                acc.step(value)
+                if acc.value is old and acc.idempotent:
                     continue
-                out[sum_pos] = (out[sum_pos] or 0.0) + float(new_value)
-                out[cnt_pos] = (out[cnt_pos] or 0) + 1
-                out[position] = out[sum_pos] / out[cnt_pos]
-                changed = True
-                continue
-            old_value = out[position]
-            if new_value is None:
-                continue
-            if func == "sum":
-                out[position] = (0 if old_value is None else old_value) \
-                    + new_value
-                changed = True
-            elif func == "count":
-                out[position] = (0 if old_value is None else old_value) + 1
-                changed = True
-            elif func == "min":
-                if old_value is None or compare(new_value, old_value) == -1:
-                    out[position] = new_value
-                    changed = True
-            elif func == "max":
-                if old_value is None or compare(new_value, old_value) == 1:
-                    out[position] = new_value
-                    changed = True
-        return tuple(out) if changed else None
+                out[position] = acc.value
+            else:
+                acc.sum, acc.count = out[sum_pos], out[cnt_pos]
+                acc.step(value)
+                _save(acc, out, position, sum_pos, cnt_pos)
+            changed = True
+        return changed
+
+    def merge(self, earlier: Sequence[SqlValue],
+              later: Sequence[SqlValue]) -> Tuple[SqlValue, ...]:
+        """Merge the stored rows of one group from two contiguous
+        snapshot ranges (``earlier`` precedes ``later``): each
+        aggregate's merge over their states, exactly what stepping the
+        later range's records onto ``earlier`` would have stored."""
+        out = list(earlier)
+        for position, acc, other, sum_pos, cnt_pos in self.agg_specs:
+            _load(acc, earlier, position, sum_pos, cnt_pos)
+            _load(other, later, position, sum_pos, cnt_pos)
+            acc.merge(other)
+            _save(acc, out, position, sum_pos, cnt_pos)
+        return tuple(out)
 
 
 class AggregateDataInTableRun(_LoopBody):

@@ -151,23 +151,22 @@ class RetroManager:
 
     # -- snapshot reads ---------------------------------------------------------
 
-    def build_spt(self, snapshot_id: int, use_skippy: bool = True,
+    def build_spt(self, snapshot_id: int,
                   metrics: Optional[MetricsSink] = None) -> SptBuildResult:
         """The snapshot's page table; the build is charged to ``metrics``,
         the sink of the statement it is built for."""
         clock = metrics.clock if metrics is not None else time.perf_counter
         start = clock()
-        result = self._build_spt_cached(snapshot_id, use_skippy)
+        result = self._build_spt_cached(snapshot_id)
         if metrics is not None:
             current = metrics.current
             current.spt_entries_scanned += result.entries_scanned
             current.spt_build_seconds += clock() - start
         return result
 
-    def _build_spt_cached(self, snapshot_id: int,
-                          use_skippy: bool) -> SptBuildResult:
+    def _build_spt_cached(self, snapshot_id: int) -> SptBuildResult:
         if not self.incremental_spt:
-            return self.maplog.build_spt(snapshot_id, use_skippy=use_skippy)
+            return self.maplog.build_spt(snapshot_id)
         version = self.maplog.entries_recorded
         with self._spt_latch:
             cache = self._spt_cache
@@ -191,8 +190,7 @@ class RetroManager:
                     best_result, best_sid, snapshot_id,
                 )
             else:
-                result = self.maplog.build_spt(snapshot_id,
-                                               use_skippy=use_skippy)
+                result = self.maplog.build_spt(snapshot_id)
             cache[snapshot_id] = (result, version)
             cache.move_to_end(snapshot_id)
             while len(cache) > SPT_CACHE_SLOTS:
@@ -201,7 +199,7 @@ class RetroManager:
 
     def snapshot_source(self, snapshot_id: int,
                         read_current: Callable[[int], Page],
-                        page_size: int, use_skippy: bool = True,
+                        page_size: int,
                         metrics: Optional[MetricsSink] = None,
                         ) -> "SnapshotPageSource":
         """Page source serving reads as of ``snapshot_id``.
@@ -221,8 +219,7 @@ class RetroManager:
                 f"snapshot {snapshot_id}'s pre-states were lost to "
                 f"storage corruption"
             )
-        result = self.build_spt(snapshot_id, use_skippy=use_skippy,
-                                metrics=metrics)
+        result = self.build_spt(snapshot_id, metrics=metrics)
         return SnapshotPageSource(self, snapshot_id, result.entries,
                                   read_current, page_size, metrics=metrics)
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro.sql.aggregates import AGGREGATES
+
 # ---------------------------------------------------------------------------
 # Expressions
 # ---------------------------------------------------------------------------
@@ -105,8 +107,7 @@ class FunctionCall(Expr):
     star: bool = False  # COUNT(*)
 
     def is_aggregate_name(self) -> bool:
-        return self.name.upper() in ("COUNT", "SUM", "MIN", "MAX", "AVG",
-                                     "TOTAL", "GROUP_CONCAT")
+        return self.name.lower() in AGGREGATES
 
 
 @dataclass

@@ -10,10 +10,11 @@ actually does; this module decides it statically and issues a
 merge class          merge law
 ===================  =====================================================
 ``concat``           list concatenation in partition order (CollateData)
-``monoid``           abelian-monoid fold, AVG via sum/count decomposition
-                     (AggregateDataInVariable)
-``stored-row``       per-group merge_stored_value / merge_avg_stored over
-                     the hidden ``__avg_sum_i``/``__avg_cnt_i`` columns
+``monoid``           abelian-monoid fold: the aggregate's own ``merge``,
+                     AVG as its (sum, count) state (AggregateDataInVariable)
+``stored-row``       per-group ``TableAggregateSchema.merge``: each
+                     column's aggregate merges its stored state, AVG's the
+                     hidden ``__avg_sum_i``/``__avg_cnt_i`` pair
                      (AggregateDataInTable)
 ``interval-stitch``  boundary stitching of adjacent per-partition
                      intervals (CollateDataIntoIntervals)
@@ -44,6 +45,11 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import AggregateError, ReproError
 from repro.sql import ast
+from repro.sql.aggregates import (
+    MERGEABLE_AGGREGATES,
+    mergeable_aggregate,
+    parse_col_func_pairs,
+)
 from repro.sql.parser import parse_sql
 from repro.sql.semantic import (
     QsRange,
@@ -300,15 +306,9 @@ class _Certifier:
     # -- mechanism arguments -----------------------------------------------
 
     def certify_argument(self, arg, summary: Optional[QuerySummary]) -> None:
-        # Imported here: repro.core sits on top of this layer and
-        # imports it, so a module-level import would be circular.
-        from repro.core.aggregates import (
-            make_cross_snapshot_aggregate,
-            parse_col_func_pairs,
-        )
         if self.canonical == "aggregatedatainvariable":
             try:
-                make_cross_snapshot_aggregate(str(arg))
+                mergeable_aggregate(str(arg))
             except AggregateError as exc:
                 self.refuse(
                     "RQL101",
@@ -410,10 +410,9 @@ def classify_select(summary: QuerySummary) -> Tuple[str, str]:
     if summary.stateful_functions:
         names = ", ".join(sorted(summary.stateful_functions))
         return SERIAL_ONLY, f"stateful function call: {names}"
-    from repro.core.aggregates import SUPPORTED_AGGREGATES
     mergeable = True
     for call in summary.aggregate_calls:
-        if call.distinct or call.name.lower() not in SUPPORTED_AGGREGATES:
+        if call.distinct or call.name.lower() not in MERGEABLE_AGGREGATES:
             mergeable = False
             break
     if summary.aggregate_calls and not mergeable:

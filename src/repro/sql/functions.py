@@ -1,8 +1,8 @@
-"""Built-in scalar and aggregate functions, and the UDF registry.
+"""Built-in scalar functions and the UDF registry.
 
-Scalar functions are plain callables over SQL values.  Aggregate
-functions are accumulator classes driven by the GROUP BY operator.  User
-defined functions (the RQL mechanisms) register through
+Scalar functions are plain callables over SQL values (the aggregates
+are accumulator classes in :mod:`repro.sql.aggregates`).  User defined
+functions (the RQL mechanisms) register through
 :class:`FunctionRegistry` — mirroring SQLite's ``create_function`` API
 the paper's implementation builds on.
 """
@@ -10,7 +10,7 @@ the paper's implementation builds on.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Optional, Type
+from typing import Callable, Dict, Optional
 
 from repro.errors import UdfError
 from repro.sql.types import SqlValue, compare, to_number
@@ -74,26 +74,6 @@ def _ifnull(a: SqlValue, b: SqlValue) -> SqlValue:
     return a if a is not None else b
 
 
-def _min_scalar(*args: SqlValue) -> SqlValue:
-    if any(a is None for a in args):
-        return None
-    best = args[0]
-    for arg in args[1:]:
-        if compare(arg, best) == -1:
-            best = arg
-    return best
-
-
-def _max_scalar(*args: SqlValue) -> SqlValue:
-    if any(a is None for a in args):
-        return None
-    best = args[0]
-    for arg in args[1:]:
-        if compare(arg, best) == 1:
-            best = arg
-    return best
-
-
 def _sqrt(value: SqlValue) -> SqlValue:
     number = to_number(value)
     if number is None or number < 0:
@@ -114,146 +94,6 @@ BUILTIN_SCALARS: Dict[str, Callable[..., SqlValue]] = {
     "round": _round,
     "sqrt": _sqrt,
 }
-
-
-# ---------------------------------------------------------------------------
-# Aggregates
-# ---------------------------------------------------------------------------
-
-class Aggregate:
-    """Accumulator protocol for GROUP BY aggregates."""
-
-    def step(self, value: SqlValue) -> None:
-        raise NotImplementedError
-
-    def result(self) -> SqlValue:
-        raise NotImplementedError
-
-
-class CountAggregate(Aggregate):
-    """COUNT(expr) — counts non-NULL inputs; COUNT(*) feeds a constant."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def step(self, value: SqlValue) -> None:
-        if value is not None:
-            self.count += 1
-
-    def result(self) -> SqlValue:
-        return self.count
-
-
-class SumAggregate(Aggregate):
-    def __init__(self) -> None:
-        self.total: Optional[float] = None
-
-    def step(self, value: SqlValue) -> None:
-        if value is None:
-            return
-        number = to_number(value)
-        self.total = number if self.total is None else self.total + number
-
-    def result(self) -> SqlValue:
-        return self.total
-
-
-class AvgAggregate(Aggregate):
-    def __init__(self) -> None:
-        self.total = 0.0
-        self.count = 0
-
-    def step(self, value: SqlValue) -> None:
-        if value is None:
-            return
-        self.total += float(to_number(value))
-        self.count += 1
-
-    def result(self) -> SqlValue:
-        return self.total / self.count if self.count else None
-
-
-class MinAggregate(Aggregate):
-    def __init__(self) -> None:
-        self.best: SqlValue = None
-
-    def step(self, value: SqlValue) -> None:
-        if value is None:
-            return
-        if self.best is None or compare(value, self.best) == -1:
-            self.best = value
-
-    def result(self) -> SqlValue:
-        return self.best
-
-
-class MaxAggregate(Aggregate):
-    def __init__(self) -> None:
-        self.best: SqlValue = None
-
-    def step(self, value: SqlValue) -> None:
-        if value is None:
-            return
-        if self.best is None or compare(value, self.best) == 1:
-            self.best = value
-
-    def result(self) -> SqlValue:
-        return self.best
-
-
-class GroupConcatAggregate(Aggregate):
-    def __init__(self) -> None:
-        self.parts: List[str] = []
-
-    def step(self, value: SqlValue) -> None:
-        if value is not None:
-            self.parts.append(str(value))
-
-    def result(self) -> SqlValue:
-        return ",".join(self.parts) if self.parts else None
-
-
-class DistinctAggregate(Aggregate):
-    """Wrapper implementing DISTINCT for any inner aggregate."""
-
-    def __init__(self, inner: Aggregate) -> None:
-        self.inner = inner
-        self.seen: set = set()
-
-    def step(self, value: SqlValue) -> None:
-        if value is None:
-            return
-        marker = (type(value).__name__, value)
-        if marker in self.seen:
-            return
-        self.seen.add(marker)
-        self.inner.step(value)
-
-    def result(self) -> SqlValue:
-        return self.inner.result()
-
-
-AGGREGATES: Dict[str, Type[Aggregate]] = {
-    "count": CountAggregate,
-    "sum": SumAggregate,
-    "total": SumAggregate,
-    "avg": AvgAggregate,
-    "min": MinAggregate,
-    "max": MaxAggregate,
-    "group_concat": GroupConcatAggregate,
-}
-
-
-def make_aggregate(name: str, distinct: bool) -> Aggregate:
-    cls = AGGREGATES.get(name.lower())
-    if cls is None:
-        raise UdfError(f"no such aggregate: {name}")
-    agg = cls()
-    return DistinctAggregate(agg) if distinct else agg
-
-
-def is_aggregate(name: str) -> bool:
-    return name.lower() in AGGREGATES
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,8 @@ from repro.sql.expressions import (
     is_constant,
     walk,
 )
-from repro.sql.functions import BUILTIN_SCALARS, is_aggregate, make_aggregate
+from repro.sql.aggregates import make_aggregate
+from repro.sql.functions import BUILTIN_SCALARS
 from repro.sql.semantic import ContextSchema, resolve_select
 from repro.sql.stats import StatsProvider, TableStats
 from repro.sql.types import SqlValue, compare
@@ -1142,10 +1143,6 @@ class _SelectPlanner:
         collect(having)
         for order in select.order_by:
             collect(_resolve_alias_refs(order.expr, items))
-
-        for call in agg_calls:
-            if not is_aggregate(call.name):
-                raise PlanError(f"no such aggregate: {call.name}")
 
         group_evals = [compiler.compile(g) for g in group_exprs]
         agg_arg_evals = []

@@ -26,15 +26,8 @@ from repro.sql.expressions import (
     flatten_from,
     walk,
 )
-from repro.sql.functions import AGGREGATES, BUILTIN_SCALARS
+from repro.sql.functions import BUILTIN_SCALARS
 from repro.sql.parser import parse_sql
-
-#: Aggregates an abelian-monoid fold merges exactly across partitions.
-MONOID_AGGREGATES = ("min", "max", "sum", "count")
-#: Aggregates mergeable only through the hidden stored-row decomposition
-#: (AVG -> ``__avg_sum_i`` / ``__avg_cnt_i``).
-DECOMPOSABLE_AGGREGATES = ("avg",)
-MERGEABLE_AGGREGATES = MONOID_AGGREGATES + DECOMPOSABLE_AGGREGATES
 
 #: Builtins whose value depends on hidden mutable state: calling them
 #: from a Qq makes the retrospection irreproducible and partition-order
@@ -402,7 +395,7 @@ class _Resolver:
 
     def _classify_function(self, call: ast.FunctionCall) -> None:
         name = call.name.lower()
-        if name in AGGREGATES or call.is_aggregate_name():
+        if call.is_aggregate_name():
             self.summary.aggregate_calls.append(call)
             return
         self.summary.scalar_functions.add(name)

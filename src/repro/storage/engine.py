@@ -349,7 +349,7 @@ class StorageEngine:
         return ReadOnlyPageSource(read_page)
 
     def snapshot_source(self, snapshot_id: int, context: ReadContext,
-                        use_skippy: bool = True, metrics=None):
+                        metrics=None):
         """Page source serving reads as of a declared snapshot.
 
         Pages shared with the current database resolve through MVCC at
@@ -361,8 +361,7 @@ class StorageEngine:
             return self._mvcc_read(page_id, context.begin_ts)
 
         return self.retro.snapshot_source(
-            snapshot_id, read_current, self.page_size, use_skippy=use_skippy,
-            metrics=metrics,
+            snapshot_id, read_current, self.page_size, metrics=metrics,
         )
 
     def _mvcc_read(self, page_id: int, begin_ts: int) -> Page:

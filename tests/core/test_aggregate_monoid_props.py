@@ -1,15 +1,17 @@
-"""Monoid / merge properties for every registered aggregate.
+"""Monoid / merge properties for every mergeable aggregate.
 
 The parallel executor's correctness rests on ``merge(fold(A), fold(B))
 == fold(A + B)`` for each aggregate (paper Section 2.3's abelian-monoid
-requirement), plus the stored-row merge helpers mirroring exactly what
-the serial probe pass (``TableAggregateSchema.apply``) would have
-produced. Hypothesis drives every registered factory — including AVG's
-hidden ``(__avg_sum, __avg_cnt)`` helper pair.
+requirement), plus the stored-row merge (``TableAggregateSchema.merge``)
+mirroring exactly what the serial probe pass
+(``TableAggregateSchema.apply``) would have produced. Hypothesis drives
+every mergeable aggregate of ``repro.sql.aggregates`` — including
+AVG's hidden ``(__avg_sum, __avg_cnt)`` helper pair.
 
 Generated numbers are dyadic rationals (ints and halves) well below
-2^53 so float arithmetic is exact and equality can be checked
-bit-for-bit, matching the differential harness's reasoning.
+2^53 so float arithmetic is exact, plus ``-0.0`` and numeric text;
+results are compared by ``repr``, which keeps 1 / 1.0 / -0.0 / '1'
+apart, matching the differential harness's reasoning.
 """
 
 from __future__ import annotations
@@ -19,72 +21,78 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.aggregates import (
-    _FACTORIES,
-    MONOID_AGGREGATES,
-    binary_op,
-    identity_element,
-    make_cross_snapshot_aggregate,
-    merge_avg_stored,
-    merge_stored_value,
-)
 from repro.core.folds import MECHANISMS, find_mechanism
 from repro.core.mechanisms import TableAggregateSchema
+from repro.sql.aggregates import MERGEABLE_AGGREGATES, mergeable_aggregate
 from repro.sql.certify import MECHANISM_CLASSES
 
+#: what SUM and AVG read as a number: ints, halves and their text
+numeric_text = st.one_of(
+    st.integers(min_value=-100, max_value=100).map(str),
+    st.integers(min_value=-200, max_value=200).map(lambda x: str(x / 2)),
+)
 values = st.one_of(
     st.none(),
+    st.just(-0.0),
+    numeric_text,
     st.integers(min_value=-100, max_value=100),
     st.integers(min_value=-200, max_value=200).map(lambda x: x / 2),
 )
 value_lists = st.lists(values, max_size=12)
 
 SETTINGS = settings(max_examples=200, deadline=None)
+MONOIDS = ("min", "max", "sum", "count")
 
 
 def _eq(a, b):
-    if a is None or b is None:
-        return a is None and b is None
-    return a == b and type(a) is type(b)
+    return repr(a) == repr(b)
 
 
 def _fold(name, items):
-    state = make_cross_snapshot_aggregate(name)
+    state = mergeable_aggregate(name)
     for item in items:
-        state.absorb(item)
+        state.step(item)
     return state
 
 
-@pytest.mark.parametrize("name", sorted(_FACTORIES))
+def _merged(name, *parts):
+    """The accumulator of ``parts[0]`` with the others merged in."""
+    first, *rest = (_fold(name, part) for part in parts)
+    for later in rest:
+        first.merge(later)
+    return first
+
+
+@pytest.mark.parametrize("name", sorted(MERGEABLE_AGGREGATES))
 @SETTINGS
 @given(left=value_lists, right=value_lists)
 def test_merge_of_partial_folds_equals_single_fold(name, left, right):
     merged = _fold(name, left)
-    merged.merge(_fold(name, right))
+    later = _fold(name, right)
+    before = repr(later.dump())
+    merged.merge(later)
     whole = _fold(name, left + right)
-    assert _eq(merged.result(), whole.result())
+    assert _eq(merged.dump(), whole.dump())
+    assert repr(later.dump()) == before, "merge mutated `later`"
 
 
-@pytest.mark.parametrize("name", MONOID_AGGREGATES)
+@pytest.mark.parametrize("name", MONOIDS)
 @SETTINGS
-@given(a=values, b=values, c=values)
+@given(a=value_lists, b=value_lists, c=value_lists)
 def test_binary_op_is_associative(name, a, b, c):
-    if name == "count":
-        a, b, c = (x is not None and 1 or 0 for x in (a, b, c))
-    op = binary_op(name)
-    assert _eq(op(op(a, b), c), op(a, op(b, c)))
+    """The monoid's binary op is the aggregate's ``merge``."""
+    right = _fold(name, a)
+    right.merge(_merged(name, b, c))
+    assert _eq(_merged(name, a, b, c).dump(), right.dump())
 
 
-@pytest.mark.parametrize("name", MONOID_AGGREGATES)
+@pytest.mark.parametrize("name", MONOIDS)
 @SETTINGS
-@given(a=values)
+@given(a=value_lists)
 def test_identity_element_is_neutral(name, a):
-    if name == "count":
-        a = 1 if a is not None else 0
-    op = binary_op(name)
-    e = identity_element(name)
-    assert _eq(op(e, a), a)
-    assert _eq(op(a, e), a)
+    """The monoid's identity is a fresh accumulator."""
+    assert _eq(_merged(name, [], a).dump(), _fold(name, a).dump())
+    assert _eq(_merged(name, a, []).dump(), _fold(name, a).dump())
 
 
 def _schema(func):
@@ -103,38 +111,40 @@ def _serial_stored(schema, items):
     return stored
 
 
-@pytest.mark.parametrize("func", MONOID_AGGREGATES)
+@pytest.mark.parametrize("func", MONOIDS)
 @SETTINGS
 @given(left=st.lists(values, min_size=1, max_size=10),
        right=st.lists(values, min_size=1, max_size=10))
 def test_merge_stored_value_matches_serial_probe_fold(func, left, right):
+    """Merging two partitions' stored rows is the serial probe fold."""
     schema = _schema(func)
-    position = schema.agg_specs[0][0]
-    earlier = _serial_stored(schema, left)[position]
-    later = _serial_stored(schema, right)[position]
-    serial = _serial_stored(schema, left + right)[position]
-    assert _eq(merge_stored_value(func, earlier, later), serial)
+    earlier = _serial_stored(schema, left)
+    later = _serial_stored(schema, right)
+    serial = _serial_stored(schema, left + right)
+    assert _eq(schema.merge(earlier, later), serial)
 
 
 @SETTINGS
 @given(left=st.lists(values, min_size=1, max_size=10),
        right=st.lists(values, min_size=1, max_size=10))
 def test_merge_avg_stored_matches_serial_probe_fold(left, right):
+    """AVG's stored row: the visible average and its helper pair."""
     schema = _schema("avg")
-    position, _, sum_pos, cnt_pos = schema.agg_specs[0]
-    a = _serial_stored(schema, left)
-    b = _serial_stored(schema, right)
-    serial = _serial_stored(schema, left + right)
-    merged = merge_avg_stored(a[position], a[sum_pos], a[cnt_pos],
-                              b[position], b[sum_pos], b[cnt_pos])
-    assert _eq(merged[0], serial[position])
-    assert _eq(merged[1], serial[sum_pos])
-    assert _eq(merged[2], serial[cnt_pos])
+    assert len(schema.columns) == 4
+    merged = schema.merge(_serial_stored(schema, left),
+                          _serial_stored(schema, right))
+    assert _eq(merged, _serial_stored(schema, left + right))
 
 
 def test_merge_stored_value_rejects_avg():
-    with pytest.raises(Exception, match="stored-value merge"):
-        merge_stored_value("avg", 1, 2)
+    """AVG is never merged as a plain stored value: the visible column
+    is re-derived from the merged (sum, count) helpers, even where a
+    stored row's visible value disagrees with them."""
+    schema = _schema("avg")
+    merged = schema.merge(("k", 4, 4.0, 1), ("k", None, 0.0, 0))
+    assert _eq(merged, ("k", 4.0, 4.0, 1))
+    merged = schema.merge(("k", 99, 4.0, 1), ("k", 0, 2.0, 1))
+    assert _eq(merged, ("k", 3.0, 6.0, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -142,10 +152,12 @@ def test_merge_stored_value_rejects_avg():
 # per-snapshot row lists in, FoldResult out.
 # ---------------------------------------------------------------------------
 
-AGG_FUNCS = sorted(_FACTORIES)
+AGG_FUNCS = sorted(MERGEABLE_AGGREGATES)
 FOLD_SETTINGS = settings(max_examples=60, deadline=None)
 floats = st.one_of(
     st.none(),
+    st.just(-0.0),
+    numeric_text,
     st.integers(min_value=-100, max_value=100),
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
 )

@@ -115,10 +115,9 @@ def test_page_source_fault_releases_every_snapshot_page(monkeypatch):
     original = RetroManager.snapshot_source
     wrappers = []
 
-    def patched(self, snapshot_id, read_current, page_size,
-                use_skippy=True, metrics=None):
+    def patched(self, snapshot_id, read_current, page_size, metrics=None):
         source = original(self, snapshot_id, read_current, page_size,
-                          use_skippy=use_skippy, metrics=metrics)
+                          metrics=metrics)
         wrapper = FailingSource(source)
         if snapshot_id == 5:
             wrapper.fail_fetch_at = 2  # mid-iteration

@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aggregates import (
-    binary_op,
-    identity_element,
-    make_cross_snapshot_aggregate,
-    parse_col_func_pairs,
-)
 from repro.core.rewrite import rewrite_qq, validate_qs, wrap_qs
 from repro.errors import AggregateError, MechanismError
+from repro.sql.aggregates import (
+    mergeable_aggregate,
+    parse_col_func_pairs,
+)
 
 
 class TestRewriteQq:
@@ -92,11 +90,11 @@ class TestWrapQs:
 class TestMonoidAggregates:
     def test_supported_and_rejected(self):
         for name in ("min", "MAX", "Sum", "count", "avg"):
-            make_cross_snapshot_aggregate(name)
+            mergeable_aggregate(name)
         with pytest.raises(AggregateError):
-            make_cross_snapshot_aggregate("count distinct")
+            mergeable_aggregate("count distinct")
         with pytest.raises(AggregateError):
-            make_cross_snapshot_aggregate("median")
+            mergeable_aggregate("median")
 
     def test_fold_results(self):
         cases = [
@@ -107,36 +105,56 @@ class TestMonoidAggregates:
             ("avg", [3, 1, 2], 2.0),
         ]
         for name, values, expected in cases:
-            agg = make_cross_snapshot_aggregate(name)
+            agg = mergeable_aggregate(name)
             for value in values:
-                agg.absorb(value)
+                agg.step(value)
             assert agg.result() == expected, name
 
     def test_empty_results(self):
-        assert make_cross_snapshot_aggregate("min").result() is None
-        assert make_cross_snapshot_aggregate("sum").result() is None
-        assert make_cross_snapshot_aggregate("count").result() == 0
-        assert make_cross_snapshot_aggregate("avg").result() is None
+        assert mergeable_aggregate("min").result() is None
+        assert mergeable_aggregate("sum").result() is None
+        assert mergeable_aggregate("count").result() == 0
+        assert mergeable_aggregate("avg").result() is None
 
     def test_avg_has_no_plain_monoid(self):
-        with pytest.raises(AggregateError):
-            binary_op("avg")
-        with pytest.raises(AggregateError):
-            identity_element("avg")
+        """AVG folds as its (sum, count) pair: the average of two
+        partial averages is not the average of the whole."""
+        left, right, whole = (mergeable_aggregate("avg") for _ in range(3))
+        for value in (1, 2, 3):
+            left.step(value)
+            whole.step(value)
+        right.step(7)
+        whole.step(7)
+        assert (left.result() + right.result()) / 2 != whole.result()
+        assert left.dump() == {"func": "avg", "sum": 6.0, "count": 3}
+        left.merge(right)
+        assert left.result() == whole.result() == 3.25
 
     numbers = st.one_of(st.none(),
                         st.integers(min_value=-(10**6), max_value=10**6))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.sampled_from(["min", "max", "sum"]), numbers, numbers, numbers)
+    @given(st.sampled_from(["min", "max", "sum", "count", "avg"]),
+           numbers, numbers, numbers)
     def test_monoid_laws(self, name, a, b, c):
         """Associativity, commutativity, identity — the formal
-        requirement of paper Section 2.3."""
-        op = binary_op(name)
-        identity = identity_element(name)
-        assert op(op(a, b), c) == op(a, op(b, c))
-        assert op(a, b) == op(b, a)
-        assert op(a, identity) == (a if a is not None else identity)
+        requirement of paper Section 2.3 — of ``merge`` over the
+        accumulators of one value each; a fresh accumulator is e."""
+        def of(*items):
+            agg = mergeable_aggregate(name)
+            for item in items:
+                agg.step(item)
+            return agg
+
+        def op(x, y):
+            x.merge(y)
+            return x
+
+        assert op(op(of(a), of(b)), of(c)).result() \
+            == op(of(a), op(of(b), of(c))).result()
+        assert op(of(a), of(b)).result() == op(of(b), of(a)).result()
+        assert op(of(a), of()).result() == of(a).result()
+        assert op(of(), of(a)).result() == of(a).result()
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(min_value=-(10**6), max_value=10**6),
@@ -147,21 +165,17 @@ class TestMonoidAggregates:
         sequential fold (the monoid property the mechanisms rely on)."""
         split_at = min(split_at, len(values))
         for name in ("min", "max", "sum", "count", "avg"):
-            left = make_cross_snapshot_aggregate(name)
-            right = make_cross_snapshot_aggregate(name)
-            whole = make_cross_snapshot_aggregate(name)
+            left = mergeable_aggregate(name)
+            right = mergeable_aggregate(name)
+            whole = mergeable_aggregate(name)
             for value in values[:split_at]:
-                left.absorb(value)
-                whole.absorb(value)
+                left.step(value)
+                whole.step(value)
             for value in values[split_at:]:
-                right.absorb(value)
-                whole.absorb(value)
-            if name in ("count", "avg"):
-                left.merge(right)
-                merged = left.result()
-            else:
-                left.merge(right)
-                merged = left.result()
+                right.step(value)
+                whole.step(value)
+            left.merge(right)
+            merged = left.result()
             assert merged == pytest.approx(whole.result())
 
 

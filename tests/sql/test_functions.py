@@ -3,18 +3,18 @@
 import pytest
 
 from repro.errors import UdfError
-from repro.sql.functions import (
-    AvgAggregate,
-    CountAggregate,
-    DistinctAggregate,
-    FunctionRegistry,
-    GroupConcatAggregate,
-    MaxAggregate,
-    MinAggregate,
-    SumAggregate,
-    is_aggregate,
+from repro.sql.aggregates import (
+    Avg,
+    Count,
+    Distinct,
+    GroupConcat,
+    Max,
+    Min,
+    Sum,
     make_aggregate,
 )
+from repro.sql.ast import FunctionCall
+from repro.sql.functions import FunctionRegistry
 
 
 def feed(agg, values):
@@ -25,33 +25,33 @@ def feed(agg, values):
 
 class TestAggregateAccumulators:
     def test_count_skips_nulls(self):
-        assert feed(CountAggregate(), [1, None, "x", None]) == 2
+        assert feed(Count(), [1, None, "x", None]) == 2
 
     def test_sum_and_empty(self):
-        assert feed(SumAggregate(), [1, 2.5, None]) == 3.5
-        assert SumAggregate().result() is None
+        assert feed(Sum(), [1, 2.5, None]) == 3.5
+        assert Sum().result() is None
 
     def test_avg(self):
-        assert feed(AvgAggregate(), [2, 4, None]) == 3.0
-        assert AvgAggregate().result() is None
+        assert feed(Avg(), [2, 4, None]) == 3.0
+        assert Avg().result() is None
 
     def test_min_max_mixed(self):
-        assert feed(MinAggregate(), [3, 1, 2]) == 1
-        assert feed(MaxAggregate(), ["a", "c", "b"]) == "c"
-        assert feed(MinAggregate(), [None, None]) is None
+        assert feed(Min(), [3, 1, 2]) == 1
+        assert feed(Max(), ["a", "c", "b"]) == "c"
+        assert feed(Min(), [None, None]) is None
 
     def test_group_concat(self):
-        assert feed(GroupConcatAggregate(), ["a", None, "b"]) == "a,b"
-        assert GroupConcatAggregate().result() is None
+        assert feed(GroupConcat(), ["a", None, "b"]) == "a,b"
+        assert GroupConcat().result() is None
 
     def test_distinct_wrapper(self):
         # Exact repeats collapse; values of different storage classes
         # (int 2 vs float 2.0) are kept distinct; NULLs are skipped.
-        agg = DistinctAggregate(CountAggregate())
+        agg = Distinct(Count())
         assert feed(agg, [1, 1, 2, 2.0, None, "x"]) == 4
 
     def test_distinct_sum(self):
-        agg = DistinctAggregate(SumAggregate())
+        agg = Distinct(Sum())
         assert feed(agg, [5, 5, 5, 3]) == 8
 
     def test_make_aggregate(self):
@@ -61,8 +61,11 @@ class TestAggregateAccumulators:
             make_aggregate("median", False)
 
     def test_is_aggregate(self):
-        assert is_aggregate("AVG")
-        assert not is_aggregate("abs")
+        # The parser's one test of "is this call an aggregate" reads the
+        # aggregate registry.
+        assert FunctionCall("AVG", []).is_aggregate_name()
+        assert FunctionCall("total", []).is_aggregate_name()
+        assert not FunctionCall("abs", []).is_aggregate_name()
 
 
 class TestRegistry:
