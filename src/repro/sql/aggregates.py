@@ -14,9 +14,10 @@ SQL", so the paper folds it as a (sum, count) pair divided at the end.
 These five are *mergeable*: ``merge(later)`` is the monoid's ``op``
 (it folds in the accumulator of a later run of values), a fresh
 accumulator is ``e``, and ``dump`` / :func:`restore_aggregate` carry
-the state through JSON.  GROUP_CONCAT and the DISTINCT forms are SQL
-only: a mechanism refuses them, ``COUNT DISTINCT`` / ``SUM DISTINCT``
-with a pointer to Collate Data, exactly as the paper prescribes.
+the state through JSON.  GROUP_CONCAT, TOTAL and the DISTINCT forms
+are SQL only: a mechanism refuses them, ``COUNT DISTINCT`` /
+``SUM DISTINCT`` with a pointer to Collate Data, exactly as the paper
+prescribes.
 """
 
 from __future__ import annotations
@@ -111,6 +112,22 @@ class Sum(_Single):
         self.value = number if self.value is None else self.value + number
 
 
+class Total(Aggregate):
+    """SQLite's TOTAL: SUM that is always a float, 0.0 over no rows."""
+
+    name = "total"
+
+    def __init__(self) -> None:
+        self.value = 0.0
+
+    def step(self, value: SqlValue) -> None:
+        if value is not None:
+            self.value += to_number(value)
+
+    def result(self) -> SqlValue:
+        return self.value
+
+
 class Count(_Single):
     """COUNT(expr) counts non-NULL inputs; COUNT(*) feeds a constant."""
 
@@ -186,11 +203,10 @@ class Distinct(Aggregate):
         return self.inner.result()
 
 
-_CLASSES: Tuple[Type[Aggregate], ...] = (Min, Max, Sum, Count, Avg,
+_CLASSES: Tuple[Type[Aggregate], ...] = (Min, Max, Sum, Total, Count, Avg,
                                          GroupConcat)
-#: every SQL aggregate name (lower case), TOTAL as SUM's alias
-AGGREGATES: Dict[str, Type[Aggregate]] = dict(
-    {cls.name: cls for cls in _CLASSES}, total=Sum)
+#: every SQL aggregate name (lower case)
+AGGREGATES: Dict[str, Type[Aggregate]] = {cls.name: cls for cls in _CLASSES}
 #: the names a mechanism folds across snapshots
 MERGEABLE_AGGREGATES = tuple(cls.name for cls in _CLASSES if cls.mergeable)
 

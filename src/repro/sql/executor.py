@@ -15,7 +15,8 @@ Each access class opens its tree with one module-level decoder
 decoded entries and full scans leave them on the cached leaf nodes: a
 leaf that some earlier scan, statement, session or snapshot iteration
 decoded costs no per-row work here (DESIGN.md, "The node cache
-contract").
+contract").  A SELECT scan passes a width and gets rows cut to the
+columns its statement reads.
 """
 
 from __future__ import annotations
@@ -38,9 +39,14 @@ from repro.storage.record import (
 Row = Tuple[SqlValue, ...]
 
 
-def _table_entry(key: bytes, value: bytes) -> Tuple[int, Row]:
-    """Table-tree decoder: cell -> (rowid, row)."""
-    return decode_rowid_key(key), decode_record(value)
+def _table_entry(key: bytes, value: bytes,
+                 width: Optional[int] = None) -> Tuple[int, Row]:
+    """Table-tree decoder: cell -> (rowid, row), the row cut to its
+    first ``width`` columns when a scan asks for fewer than all (a
+    whole row keeps the one-argument call)."""
+    if width is None:
+        return decode_rowid_key(key), decode_record(value)
+    return decode_rowid_key(key), decode_record(value, width)
 
 
 def _index_entry(key: bytes, value: bytes) -> int:
@@ -58,10 +64,12 @@ class TableAccess:
 
     # -- reads -----------------------------------------------------------
 
-    def scan(self) -> Iterator[Tuple[int, Row]]:
+    def scan(self, width: Optional[int] = None,
+             ) -> Iterator[Tuple[int, Row]]:
         """(rowid, row) in rowid order, handed out of each leaf's entry
-        list without a Python frame per row."""
-        return chain.from_iterable(self.tree.scan_leaves())
+        list without a Python frame per row.  With a ``width`` a row may
+        hold only its first ``width`` columns (``BTree.scan_leaves``)."""
+        return chain.from_iterable(self.tree.scan_leaves(width=width))
 
     def scan_rows(self) -> Iterator[Row]:
         for entries in self.tree.scan_leaves():

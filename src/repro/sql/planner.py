@@ -168,6 +168,9 @@ class PlanNode:
     #: leaf's kept batch; a new plan compiles a new one
     leaf_filter: Optional[Tuple[Optional[LeafFilter], List[ast.Expr]]] = \
         field(default=None, repr=False, compare=False)
+    #: a single-table scan's :func:`read_width`, set like
+    #: :attr:`leaf_filter` by its first execution
+    width: Optional[int] = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -898,18 +901,20 @@ class _SelectPlanner:
         rows: Iterator[Row] = iter(())
         for step in plan.steps:
             bound = tables[step.desc.ordinal]
-            pushed, leaf_filter = step.pushed, None
-            if step.access is not None and step.access.kind == "scan" \
-                    and pushed:
-                leaf_filter, pushed = self._leaf_filter(step)
+            pushed, leaf_filter, width = step.pushed, None, None
+            if step.access is not None and step.access.kind == "scan":
+                if pushed:
+                    leaf_filter, pushed = self._leaf_filter(step)
+                if len(plan.steps) == 1:
+                    width = self._scan_width(step)
             if step.access is None:
                 rows = self._exec_join(ordered, bound, step.join, rows)
             elif leaf_filter is not None:
                 rows = chain.from_iterable(
-                    bound.access.tree.scan_leaves(leaf_filter))
+                    bound.access.tree.scan_leaves(leaf_filter, width))
             else:
                 rows = map(itemgetter(1),
-                           self._exec_access(bound, step.access))
+                           self._exec_access(bound, step.access, width))
             ordered.append(step.desc)
             if pushed:
                 rows = self._apply_pushed(ordered, rows, pushed)
@@ -928,6 +933,15 @@ class _SelectPlanner:
                 step.desc.scope()).compile_leaf_filter(step.pushed)
         return compiled
 
+    def _scan_width(self, step: PlanNode) -> Optional[int]:
+        """How many leading columns the single-table scan ``step``
+        decodes of each record, computed once per plan node like its
+        leaf filter; None for the whole record."""
+        width = step.width
+        if width is None:
+            width = step.width = read_width(self.select, step.desc.columns)
+        return width if width < len(step.desc.columns) else None
+
     def _apply_pushed(self, ordered: List[TableDesc], rows,
                       pushed: List[ast.Expr]):
         """Filter with the predicates the plan pushed down to this
@@ -938,12 +952,14 @@ class _SelectPlanner:
         return filter(compiler.compile_predicate(pushed), rows)
 
     @staticmethod
-    def _exec_access(table: BoundTable,
-                     spec: AccessSpec) -> Iterator[Tuple[int, Row]]:
+    def _exec_access(table: BoundTable, spec: AccessSpec,
+                     width: Optional[int] = None,
+                     ) -> Iterator[Tuple[int, Row]]:
         """(rowid, row) pairs of a planned access path: the one row
-        locator.  SELECT drops the rowid, DML keeps it."""
+        locator.  SELECT drops the rowid, DML keeps it; a scan's rows
+        hold their first ``width`` columns when one is given."""
         if spec.kind == "scan":
-            return table.access.scan()
+            return table.access.scan(width)
         index = table.index_named(spec.index)
         # Index keys are doubles.  A bound beyond +-KEY_EXACT_INT shares
         # its key with neighbouring values, so the probe (a range one
@@ -1328,6 +1344,36 @@ def scan_for_modify(table: TableAccess, indexes: List[IndexAccess],
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
+
+def read_width(select: ast.Select, columns: Sequence[str]) -> int:
+    """One past the highest position in ``columns`` (one table's, in
+    record order) that a column reference of ``select`` names: the
+    record prefix a scan of that table for ``select`` must decode.
+
+    Every clause counts — items, WHERE, GROUP BY, HAVING, ORDER BY.  A
+    name no column has is a select-list alias, read through its item.
+    A star reads every column.  Nothing is resolved here, so a name is
+    counted whatever qualifies it; the statement's own compile rejects
+    a wrong qualifier.  A reference this misses would fail loudly,
+    indexing past the end of a cut row, never read as NULL.
+    """
+    if any(item.is_star for item in select.items):
+        return len(columns)
+    positions = {column.lower(): pos for pos, column in enumerate(columns)}
+    clauses = [item.expr for item in select.items]
+    clauses += [select.where, *select.group_by, select.having]
+    clauses += [order.expr for order in select.order_by]
+    width = 0
+    for clause in clauses:
+        if clause is None:
+            continue
+        for node in walk(clause):
+            if isinstance(node, ast.ColumnRef):
+                pos = positions.get(node.name.lower())
+                if pos is not None and pos >= width:
+                    width = pos + 1
+    return width
+
 
 def _predicate_uses_only(expr: ast.Expr, scope: Scope) -> bool:
     for node in walk(expr):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import struct
+from itertools import repeat
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import BTreeError
@@ -53,9 +54,12 @@ _INT_KEY_OVERHEAD = _U16.size
 _INT_CHILD_SIZE = _U64.size
 
 #: What a tree's owner makes of one cell: ``decode(key, value) -> entry``.
-#: Leaves memoize entries per decoder *identity*, so pass one module-level
-#: function, never a lambda or bound method made per call.
-Decoder = Callable[[bytes, bytes], object]
+#: A scan at a *width* (:meth:`BTree.scan_leaves`) calls
+#: ``decode(key, value, width)`` instead, for an entry built from the
+#: record's first ``width`` values.  Leaves memoize entries per decoder
+#: *identity*, so pass one module-level function, never a lambda or
+#: bound method made per call.
+Decoder = Callable[..., object]
 
 #: What a scan keeps of one leaf: ``leaf_filter(entries) -> kept``, a pure
 #: function of one decoder's entries.  Leaves memoize the last filter's
@@ -108,10 +112,14 @@ class _LeafNode:
     entry and filter memos (see "The node cache contract" in DESIGN.md).
 
     ``entries`` is None until a full scan of a tree that has a decoder
-    fills it with ``(decode, [decode(key, value) for each cell])`` — the
-    whole leaf at once, published by one assignment.  ``kept`` is the
-    same kind of single slot for the last filtered scan:
-    ``(leaf_filter, leaf_filter(entries))``.
+    fills it with ``(decode, width, entries)`` — the whole leaf at once,
+    published by one assignment.  ``width`` is None for whole records
+    (``decode(key, value)`` per cell) and else the record prefix each
+    entry holds (``decode(key, value, width)``).  A scan borrows any
+    memo at least as wide as its own width; a probe (:meth:`cell`,
+    :meth:`cells`) borrows only a whole-record memo, so it never sees a
+    cut entry.  ``kept`` is the same kind of single slot for the last
+    filtered scan: ``(leaf_filter, leaf_filter(entries))``.
 
     ``used`` is how many bytes of the page the node fills, header and
     cell count included; every byte of a leaf page past it is zero.  The
@@ -125,7 +133,7 @@ class _LeafNode:
                  used: Optional[int] = None) -> None:
         self.keys = keys
         self.values = values
-        self.entries: Optional[Tuple[Decoder, list]] = None
+        self.entries: Optional[Tuple[Decoder, Optional[int], list]] = None
         self.kept: Optional[Tuple[LeafFilter, list]] = None
         if used is None:
             used = (_LEAF_FIXED + _LEAF_CELL_OVERHEAD * len(keys)
@@ -164,59 +172,61 @@ class _LeafNode:
         neither memo follows it."""
         return _LeafNode(list(self.keys), list(self.values), self.used)
 
-    def _memo(self, decode: Optional[Decoder]) -> Optional[list]:
-        """The entries ``decode`` filled this leaf with, if it did."""
-        memo = self.entries
-        if memo is not None and memo[0] is decode:
-            return memo[1]
-        return None
-
     def cell(self, idx: int, decode: Optional[Decoder]):
         """Cell ``idx`` as the tree's readers see it: the raw value, or
-        its entry — borrowed from the memo when a full scan filled it,
-        else decoded for this call and not stored."""
+        its whole-record entry — borrowed from the memo when a full scan
+        filled it at no width, else decoded for this call and not
+        stored."""
         if decode is None:
             return self.values[idx]
-        entries = self._memo(decode)
-        if entries is not None:
-            return entries[idx]
+        memo = self.entries
+        if memo is not None and memo[0] is decode and memo[1] is None:
+            return memo[2][idx]
         return decode(self.keys[idx], self.values[idx])
 
     def cells(self, decode: Optional[Decoder], lo: int = 0,
               hi: Optional[int] = None):
         """Iterator of ``(key, cell)`` over positions ``[lo, hi)`` (cells
-        as in :meth:`cell`; without a filled memo an entry is decoded
-        only when the iterator reaches it)."""
-        keys, cells = self.keys, self._memo(decode)
-        if cells is None:
-            cells = self.values
-        else:
-            decode = None
+        as in :meth:`cell`; without a whole-record memo an entry is
+        decoded only when the iterator reaches it)."""
+        keys, cells, memo = self.keys, self.values, self.entries
+        if memo is not None and memo[0] is decode and memo[1] is None:
+            cells, decode = memo[2], None
         if lo or (hi is not None and hi < len(keys)):
             keys, cells = keys[lo:hi], cells[lo:hi]
         if decode is not None:
             cells = map(decode, keys, cells)
         return zip(keys, cells)
 
-    def filled(self, decode: Decoder) -> list:
-        """Every cell's entry, decoding the whole leaf on first use by
-        ``decode`` and keeping the list for every later reader of this
-        node.  Idempotent, so racing fillers only repeat work."""
-        entries = self._memo(decode)
-        if entries is None:
+    def filled(self, decode: Decoder, width: Optional[int] = None) -> list:
+        """Every cell's entry at ``width`` or wider, decoding the whole
+        leaf on first use by ``decode`` at that width and keeping the
+        list for every later reader of this node.  Idempotent, so racing
+        fillers only repeat work."""
+        memo = self.entries
+        if memo is not None and memo[0] is decode and (
+                memo[1] is None or width is not None and memo[1] >= width):
+            return memo[2]
+        if width is None:
             entries = list(map(decode, self.keys, self.values))
-            self.entries = (decode, entries)
+        else:
+            entries = list(map(decode, self.keys, self.values,
+                               repeat(width)))
+        self.entries = (decode, width, entries)
         return entries
 
-    def filtered(self, decode: Decoder, leaf_filter: LeafFilter) -> list:
+    def filtered(self, decode: Decoder, leaf_filter: LeafFilter,
+                 width: Optional[int] = None) -> list:
         """What ``leaf_filter`` keeps of :meth:`filled`'s entries,
         computed on first use by that filter and kept for every later
         reader of this node until another filter takes the slot.  Like
-        :meth:`filled`, idempotent and published by one assignment."""
+        :meth:`filled`, idempotent and published by one assignment.  A
+        filter belongs to one plan node, which always reads at one
+        width, so the slot need not record it."""
         kept = self.kept
         if kept is not None and kept[0] is leaf_filter:
             return kept[1]
-        rows = leaf_filter(self.filled(decode))
+        rows = leaf_filter(self.filled(decode, width))
         self.kept = (leaf_filter, rows)
         return rows
 
@@ -676,12 +686,16 @@ class BTree:
             yield from leaf.cells(self.decode, lo)
 
     def scan_leaves(self, leaf_filter: Optional[LeafFilter] = None,
-                    ) -> Iterator[list]:
+                    width: Optional[int] = None) -> Iterator[list]:
         """Full scan, a leaf at a time: yield each leaf's cells (raw
         values, or entries) as one list, in key order — or, with a
         ``leaf_filter`` (which needs a decoder), what it keeps of each
         leaf's entries.  The lists are borrowed from the node cache — do
         not mutate them.
+
+        With a ``width`` (which needs a decoder) an entry may hold only
+        its record's first ``width`` values: it is decoded that far, or
+        borrowed from a memo filled at that width or wider.
 
         This is the one reader that *fills* the memos: a leaf decoded
         (or filtered) here costs no per-row work in any later scan,
@@ -691,11 +705,11 @@ class BTree:
         decode = self.decode
         for leaf, _ in self._leaves_from(b""):
             if leaf_filter is not None:
-                yield leaf.filtered(decode, leaf_filter)
+                yield leaf.filtered(decode, leaf_filter, width)
             elif decode is None:
                 yield leaf.values
             else:
-                yield leaf.filled(decode)
+                yield leaf.filled(decode, width)
 
     def _leaves_from(self, start_key: bytes,
                      ) -> Iterator[Tuple[_LeafNode, int]]:

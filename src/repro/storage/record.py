@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import RecordCodecError
 
@@ -83,10 +83,20 @@ def encode_record(values: Sequence[SqlValue]) -> bytes:
     return bytes(out)
 
 
-def decode_record(raw: bytes) -> Tuple[SqlValue, ...]:
-    """Decode bytes produced by :func:`encode_record`."""
+def decode_record(raw: bytes,
+                  width: Optional[int] = None) -> Tuple[SqlValue, ...]:
+    """Decode bytes produced by :func:`encode_record`: every value, or
+    with a ``width`` only the first ``width`` of them.
+
+    A cut decode stops parsing at its last value, so it neither reads
+    nor checks the bytes behind it (page checksums are what catch a
+    damaged page); ``decode_record(raw, w) == decode_record(raw)[:w]``
+    for every sound record and ``w >= 0``.
+    """
     try:
         (count,) = _U32.unpack_from(raw, 0)
+        if width is not None and width < count:
+            count = width
         pos = _U32.size
         values: List[SqlValue] = []
         for _ in range(count):

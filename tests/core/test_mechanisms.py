@@ -126,8 +126,8 @@ class TestAggregateDataInVariable:
                 f"('row-of-t', {i})" for i in range(50)))
         decoded = []
 
-        def recording(raw):
-            record = decode_record(raw)
+        def recording(raw, *width):
+            record = decode_record(raw, *width)
             decoded.append(record)
             return record
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import RQLSession
-from repro.errors import TypeMismatchError
+from repro.errors import AggregateError, TypeMismatchError
 
 QS = "SELECT snap_id FROM SnapIds ORDER BY snap_id"
 STRATEGIES = ["workers=1", "workers=2", "workers=3", "reference"]
@@ -98,3 +98,24 @@ def test_avg_of_a_group_seen_once_is_a_float(strategy):
     variable = _run(session, strategy, "AggregateDataInVariable",
                     "SELECT v FROM t WHERE g = 'a'", "avg")
     assert variable == repr([(4.0,)])
+
+
+def test_total_is_always_a_float_and_zero_over_no_rows():
+    """SQL TOTAL is SQLite's: a float, 0.0 over no rows (or only NULLs),
+    where SUM keeps integers and is NULL over no rows.  It is SQL only:
+    a mechanism folds ``sum`` and refuses ``total`` by name."""
+    session = RQLSession()
+    session.execute("CREATE TABLE t (g TEXT, v INTEGER)")
+    both = "SELECT TOTAL(v), SUM(v) FROM t"
+    assert repr(session.execute(both).rows) == repr([(0.0, None)])
+    session.execute("INSERT INTO t VALUES ('a', 2), ('b', NULL), ('a', 3)")
+    assert repr(session.execute(both).rows) == repr([(5.0, 5)])
+    assert repr(session.execute(
+        "SELECT g, TOTAL(v), SUM(v) FROM t GROUP BY g").rows) \
+        == repr([("a", 5.0, 5), ("b", 0.0, None)])
+    session.declare_snapshot()
+    with pytest.raises(AggregateError) as refused:
+        session.aggregate_data_in_variable(
+            QS, "SELECT SUM(v) FROM t", "R", "total")
+    assert str(refused.value) == ("unknown aggregate 'total'; supported: "
+                                  "min, max, sum, count, avg")

@@ -283,6 +283,8 @@ AGREEING = [
     # LIKE
     "'abc' LIKE 'a%'", "'abc' LIKE 'A_C'", "'abc' NOT LIKE 'b%'",
     "NULL LIKE 'a'", "'a' LIKE NULL", "5 LIKE '5'",
+    # TOTAL is always a float (SUM keeps integers), 0.0 over no value
+    "TOTAL(1)", "TOTAL(NULL)",
 ] + [
     f"{x} {between} {lo} AND {hi}"
     for x, lo, hi in itertools.product(BETWEEN_POINTS, repeat=3)
@@ -295,9 +297,6 @@ AGREEING = [
 DIVERGENCES = {
     # no scalar MAX(a, b) / MIN(a, b): the names are aggregates only
     "MAX(1, 2)": (PlanError, 2),
-    # TOTAL is an alias of SUM: integer sums stay integers (and an empty
-    # input gives NULL, not 0.0)
-    "TOTAL(1)": (1, 1.0),
     # float %: the engine keeps the fractional remainder (fmod); SQLite
     # casts both operands to INTEGER first
     "5.5 % 2": (1.5, 1.0),

@@ -5,6 +5,12 @@ Generates random rows plus random WHERE predicates / aggregations and
 checks the SQL engine against a straightforward in-memory evaluation.
 This exercises the full stack (parser → planner → B+tree scans →
 expression evaluation) under randomized inputs.
+
+A scan decodes each record only up to the last column its statement
+reads, so many statements here read a proper prefix of ``(a, b, s)``:
+``COUNT(*)``, ``a`` alone, ``a, b`` with ``s`` unread, aliases in
+ORDER BY and HAVING, and several widths in turn over one table, where
+a narrower scan borrows what a wider one decoded.
 """
 
 from hypothesis import given, settings
@@ -25,13 +31,24 @@ rows_strategy = st.lists(
 comparison = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
 
 
+#: SELECT lists as (sql_text, row -> output tuple), narrowest first
+PROJECTIONS = (
+    ("a", lambda r: (r["a"],)),
+    ("a, b", lambda r: (r["a"], r["b"])),
+    ("b, a", lambda r: (r["b"], r["a"])),
+    ("a, b, s", lambda r: (r["a"], r["b"], r["s"])),
+)
+
+
 @st.composite
-def predicates(draw):
-    """A random predicate as (sql_text, python_eval)."""
-    kind = draw(st.sampled_from(
-        ["cmp_a", "cmp_b", "s_eq", "a_null", "between", "in_b", "and",
-         "or"]
-    ))
+def predicates(draw, reads_s=True):
+    """A random predicate as (sql_text, python_eval); without
+    ``reads_s`` it never names column ``s``."""
+    kinds = ["cmp_a", "cmp_b", "s_eq", "a_null", "between", "in_b", "and",
+             "or"]
+    if not reads_s:
+        kinds.remove("s_eq")
+    kind = draw(st.sampled_from(kinds))
     if kind == "cmp_a":
         op = draw(comparison)
         value = draw(st.integers(min_value=-20, max_value=20))
@@ -59,8 +76,8 @@ def predicates(draw):
             max_size=3)))
         sql = f"b IN ({', '.join(map(str, members))})"
         return sql, lambda r: r["b"] is not None and r["b"] in members
-    left_sql, left_py = draw(predicates())
-    right_sql, right_py = draw(predicates())
+    left_sql, left_py = draw(predicates(reads_s))
+    right_sql, right_py = draw(predicates(reads_s))
     if kind == "and":
         return (f"({left_sql}) AND ({right_sql})",
                 lambda r: left_py(r) and right_py(r))
@@ -110,8 +127,8 @@ def _cmp(column, op, value):
     return lambda r: r[column] is not None and fn(r[column], value)
 
 
-def load(rows):
-    db = Database()
+def load(rows, page_size=None):
+    db = Database() if page_size is None else Database(page_size=page_size)
     db.execute("CREATE TABLE t (a INTEGER, b INTEGER, s TEXT)")
     if rows:
         literals = ", ".join(
@@ -140,20 +157,48 @@ def test_filtered_count_matches_model(rows, predicate):
     assert got == expected, sql_pred
 
 
-@settings(max_examples=40, deadline=None)
-@given(rows_strategy, predicates())
-def test_filtered_rows_match_model(rows, predicate):
+@settings(max_examples=60, deadline=None)
+@given(rows_strategy, predicates(), st.sampled_from(PROJECTIONS))
+def test_filtered_rows_match_model(rows, predicate, projection):
     sql_pred, py_pred = predicate
+    sql_items, py_items = projection
     db = load(rows)
     got = sorted(db.execute(
-        f"SELECT a, b, s FROM t WHERE {sql_pred}").rows,
+        f"SELECT {sql_items} FROM t WHERE {sql_pred}").rows,
         key=repr)
     model = [dict(zip(COLUMNS, row)) for row in rows]
     expected = sorted(
-        (tuple(r[c] for c in COLUMNS) for r in model if py_pred(r)),
+        (py_items(r) for r in model if py_pred(r)),
         key=repr,
     )
-    assert got == expected, sql_pred
+    assert got == expected, (sql_items, sql_pred)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(values_a, values_b, values_s), min_size=0,
+                max_size=120),
+       predicates(reads_s=False),
+       st.permutations(range(len(PROJECTIONS) + 1)))
+def test_reads_of_several_widths_over_one_table_match_model(
+        rows, predicate, order):
+    """COUNT(*), ``a``, ``a, b`` (``s`` unread) and every column, over
+    the same leaves in a drawn order, filtered and unfiltered: each
+    width must see the model's rows whichever wider or narrower scan
+    decoded the leaves before it."""
+    sql_pred, py_pred = predicate
+    db = load(rows, page_size=1024)
+    model = [dict(zip(COLUMNS, row)) for row in rows]
+    for index in order:
+        for where, keep in ((f" WHERE {sql_pred}", py_pred),
+                            ("", lambda r: True)):
+            if index == len(PROJECTIONS):
+                got = db.execute(f"SELECT COUNT(*) FROM t{where}").scalar()
+                assert got == sum(1 for r in model if keep(r)), where
+                continue
+            sql_items, py_items = PROJECTIONS[index]
+            got = db.execute(f"SELECT {sql_items} FROM t{where}").rows
+            assert got == [py_items(r) for r in model if keep(r)], \
+                (sql_items, where)
 
 
 @settings(max_examples=150, deadline=None)
@@ -233,3 +278,33 @@ def test_order_by_matches_model(rows):
     nulls = [None] * sum(1 for row in rows if row[0] is None)
     rest = sorted(row[0] for row in rows if row[0] is not None)
     assert got == nulls + rest
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows_strategy, st.integers(min_value=0, max_value=2))
+def test_order_by_alias_and_having_alias_match_model(rows, threshold):
+    """An alias names no column: ORDER BY and HAVING read the item's
+    expression, and the scan decodes only the columns it names."""
+    db = load(rows)
+    got = [row[0] for row in db.execute(
+        "SELECT a AS x FROM t ORDER BY x").rows]
+    nulls = [None] * sum(1 for row in rows if row[0] is None)
+    assert got == nulls + sorted(row[0] for row in rows
+                                 if row[0] is not None)
+    got = db.execute("SELECT b AS k, a + 1 AS y FROM t "
+                     "WHERE a IS NOT NULL ORDER BY y, k").rows
+    expected = sorted(((row[1], row[0] + 1) for row in rows
+                       if row[0] is not None),
+                      key=lambda pair: (pair[1], pair[0] is not None,
+                                        pair[0] or 0))
+    assert got == expected
+    got = dict(db.execute(
+        "SELECT b, COUNT(*) AS n FROM t GROUP BY b "
+        f"HAVING n > {threshold}").rows)
+    counts = {}
+    for row in rows:
+        counts[row[1]] = counts.get(row[1], 0) + 1
+    assert got == {b: n for b, n in counts.items() if n > threshold}
+    got = db.execute("SELECT COUNT(*) AS n FROM t GROUP BY b "
+                     f"HAVING n > {threshold}").rows
+    assert got == [(n,) for n in counts.values() if n > threshold]

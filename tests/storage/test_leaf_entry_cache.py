@@ -540,7 +540,7 @@ def test_racing_fillers_and_probes_all_read_the_same_entries():
     for leaf in leaves():        # page_ids() is DFS: leaves in key order
         end = pos + len(leaf.keys)
         if leaf.entries is not None:
-            assert leaf.entries == (_as_pair, want[pos:end])
+            assert leaf.entries == (_as_pair, None, want[pos:end])
         pos = end
     assert pos == len(want)
     view = BTree(source, tree.root_id, _as_pair)
