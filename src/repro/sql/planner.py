@@ -44,7 +44,8 @@ import time
 from dataclasses import dataclass, field
 from itertools import chain
 from operator import is_, itemgetter
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.errors import PlanError, ReproError
 from repro.sql import ast
@@ -647,7 +648,9 @@ def _descs_from_schema(select: ast.Select, schema,
                      for name, cols in schema.table_indexes(ref.name)],
             ordinal=len(descs),
         ))
-    return descs, conjuncts(select.where) + on_conjuncts
+    where = _resolve_alias_refs(select.where, select.items,
+                                _column_names(descs), "WHERE")
+    return descs, conjuncts(where) + on_conjuncts
 
 
 # ---------------------------------------------------------------------------
@@ -834,6 +837,10 @@ class _SelectPlanner:
         self.index_build_seconds = 0.0
         #: the plan tree (None until FROM is planned; SELECT 1 has none)
         self.plan: Optional[SelectPlan] = None
+        #: the FROM tables' column names, lower-cased: a name among them
+        #: means the column, never a select-list alias (left empty when
+        #: no item has an alias, as nothing then needs it)
+        self.columns: frozenset = frozenset()
 
     # -- public -----------------------------------------------------------
 
@@ -847,7 +854,11 @@ class _SelectPlanner:
                 ref.binding, access, self.ctx.open_indexes(access),
                 ordinal=len(tables),
             ))
-        predicates = conjuncts(select.where) + on_conjuncts
+        if any(item.alias for item in select.items):
+            self.columns = _column_names(table.desc for table in tables)
+        where = _resolve_alias_refs(select.where, select.items,
+                                    self.columns, "WHERE")
+        predicates = conjuncts(where) + on_conjuncts
 
         if tables:
             ordered, source_rows, remaining = self._plan_access(
@@ -1129,14 +1140,17 @@ class _SelectPlanner:
             for item in items:
                 if item.alias and item.alias.lower() == expr.name.lower():
                     return item.expr  # type: ignore[return-value]
-        return expr
+        return _resolve_alias_refs(expr, items, self.columns)
 
     # -- aggregate pipeline -----------------------------------------------------------
 
     def _run_aggregate(self, items: List[ast.SelectItem], source_rows,
                        scope: Scope, compiler: ExpressionCompiler):
         select = self.select
-        group_exprs = list(select.group_by)
+        group_exprs = [
+            _resolve_alias_refs(g, items, self.columns, "GROUP BY")
+            for g in select.group_by
+        ]
         # Collect aggregate calls from every post-aggregation expression.
         agg_calls: List[ast.FunctionCall] = []
 
@@ -1158,7 +1172,7 @@ class _SelectPlanner:
             collect(item.expr)
         collect(having)
         for order in select.order_by:
-            collect(_resolve_alias_refs(order.expr, items))
+            collect(self._resolve_order_expr(order.expr, items))
 
         group_evals = [compiler.compile(g) for g in group_exprs]
         agg_arg_evals = []
@@ -1478,22 +1492,41 @@ class _Reversed:
         return isinstance(other, _Reversed) and self.value == other.value
 
 
-def _resolve_alias_refs(expr: ast.Expr,
-                        items: List[ast.SelectItem]) -> ast.Expr:
-    """Replace bare column refs matching select aliases with their expr
-    (SQLite allows aliases in HAVING and ORDER BY)."""
+def _column_names(descs: Iterable[TableDesc]) -> frozenset:
+    return frozenset(column.lower() for desc in descs
+                     for column in desc.columns)
+
+
+def _resolve_alias_refs(expr: Optional[ast.Expr],
+                        items: List[ast.SelectItem],
+                        columns: frozenset = frozenset(),
+                        clause: Optional[str] = None) -> Optional[ast.Expr]:
+    """Replace bare column refs matching select aliases with their expr,
+    as SQLite resolves names: a name in ``columns`` (the FROM tables')
+    keeps meaning the column, in every clause but HAVING, which passes
+    none.  A ``clause`` that runs before aggregation (WHERE, GROUP BY)
+    raises :class:`PlanError` for an alias of an aggregate.  An
+    expression with no alias to replace comes back as the same object,
+    so the plan memo, which compares predicates by identity, still
+    hits."""
     aliases = {
         item.alias.lower(): item.expr
         for item in items
         if item.alias and item.expr is not None
+        and item.alias.lower() not in columns
     }
-    if not aliases:
+    if expr is None or not aliases or not any(
+            isinstance(node, ast.ColumnRef) and node.table is None
+            and node.name.lower() in aliases for node in walk(expr)):
         return expr
 
     def mapper(node: ast.Expr) -> ast.Expr:
         if isinstance(node, ast.ColumnRef) and node.table is None:
             replacement = aliases.get(node.name.lower())
             if replacement is not None:
+                if clause is not None and contains_aggregate(replacement):
+                    raise PlanError(f"misuse of aliased aggregate "
+                                    f"{node.name} in {clause}")
                 return replacement
         return node
 

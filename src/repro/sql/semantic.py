@@ -564,7 +564,7 @@ class _Resolver:
         join_conjuncts = self.bind_from()
         self.classify_outputs()
         if self.select.where is not None:
-            self.scan_expr(self.select.where)
+            self.scan_expr(self.select.where, allow_aliases=True)
         for item in self.select.items:
             if item.expr is not None:
                 self.scan_expr(item.expr)

@@ -107,6 +107,14 @@ class MutablePageSource:
 # Node codecs
 # ---------------------------------------------------------------------------
 
+def _past_page(page: Page, count: int, what: str) -> BTreeError:
+    """The error for a node whose cells run past its page: current-state
+    pages carry no checksum, so the parse is what catches the damage."""
+    return BTreeError(
+        f"page {page.page_id}: {count} {what} run past the "
+        f"{len(page.data)}-byte page")
+
+
 class _LeafNode:
     """A decoded leaf: parallel ``keys`` / ``values`` lists plus the
     entry and filter memos (see "The node cache contract" in DESIGN.md).
@@ -149,19 +157,41 @@ class _LeafNode:
         if type(node) is cls:
             return node
         raw = page.data
+        end = len(raw)
         (ncells,) = _U16.unpack_from(raw, HEADER_SIZE)
-        pos = HEADER_SIZE + _U16.size
-        keys: List[bytes] = []
-        values: List[bytes] = []
+        pos = _LEAF_FIXED
         unpack_cell = _CELL_HDR.unpack_from
         hdr = _CELL_HDR.size
-        for _ in range(ncells):
-            klen, vlen = unpack_cell(raw, pos)
-            pos += hdr
-            keys.append(bytes(raw[pos:pos + klen]))
-            pos += klen
-            values.append(bytes(raw[pos:pos + vlen]))
-            pos += vlen
+        if ncells:
+            # One shape: the first cell's header repeats ncells times, so
+            # one C call reads every cell.  The header where the last cell
+            # would start is checked first, so a node of mixed shapes
+            # rarely pays for an unpack it then discards.
+            shape = unpack_cell(raw, pos)
+            step = hdr + shape[0] + shape[1]
+            used = pos + ncells * step
+            if used <= end and unpack_cell(raw, used - step) == shape:
+                flat = struct.unpack_from(
+                    "<" + ("HI%ds%ds" % shape) * ncells, raw, pos)
+                if (flat[0::4].count(shape[0]) == ncells
+                        and flat[1::4].count(shape[1]) == ncells):
+                    node = cls(list(flat[2::4]), list(flat[3::4]), used)
+                    page.node = node
+                    return node
+        keys: List[bytes] = []
+        values: List[bytes] = []
+        try:
+            for _ in range(ncells):
+                klen, vlen = unpack_cell(raw, pos)
+                pos += hdr
+                keys.append(bytes(raw[pos:pos + klen]))
+                pos += klen
+                values.append(bytes(raw[pos:pos + vlen]))
+                pos += vlen
+        except struct.error:  # a cell header past the page
+            pos = end + 1
+        if pos > end:
+            raise _past_page(page, ncells, "cells")
         node = cls(keys, values, pos)
         page.node = node
         return node
@@ -300,19 +330,37 @@ class _InternalNode:
         if type(node) is cls:
             return node
         raw = page.data
+        end = len(raw)
         (nkeys,) = _U16.unpack_from(raw, HEADER_SIZE)
-        pos = HEADER_SIZE + _U16.size
-        span = (nkeys + 1) * _U64.size
-        children: List[int] = [
-            u[0] for u in _U64.iter_unpack(bytes(raw[pos:pos + span]))
-        ]
-        pos += span
-        keys: List[bytes] = []
-        for _ in range(nkeys):
+        pos = _INT_FIXED + (nkeys + 1) * _INT_CHILD_SIZE
+        if pos > end:
+            raise _past_page(page, nkeys, "keys")
+        children: List[int] = list(
+            struct.unpack_from("<%dQ" % (nkeys + 1), raw, _INT_FIXED))
+        if nkeys and pos + _INT_KEY_OVERHEAD <= end:
+            # One shape, as in _LeafNode.of: every key as long as the first.
             (klen,) = _U16.unpack_from(raw, pos)
-            pos += _U16.size
-            keys.append(bytes(raw[pos:pos + klen]))
-            pos += klen
+            step = _INT_KEY_OVERHEAD + klen
+            used = pos + nkeys * step
+            if (used <= end
+                    and _U16.unpack_from(raw, used - step)[0] == klen):
+                flat = struct.unpack_from("<" + ("H%ds" % klen) * nkeys,
+                                          raw, pos)
+                if flat[0::2].count(klen) == nkeys:
+                    node = cls(list(flat[1::2]), children)
+                    page.node = node
+                    return node
+        keys: List[bytes] = []
+        try:
+            for _ in range(nkeys):
+                (klen,) = _U16.unpack_from(raw, pos)
+                pos += _INT_KEY_OVERHEAD
+                keys.append(bytes(raw[pos:pos + klen]))
+                pos += klen
+        except struct.error:  # a key length past the page
+            pos = end + 1
+        if pos > end:
+            raise _past_page(page, nkeys, "keys")
         node = cls(keys, children)
         page.node = node
         return node

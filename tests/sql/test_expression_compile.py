@@ -9,7 +9,8 @@ change a result.  Five differentials pin that:
 (b) ``compile_predicate`` against ``all(is_true(f(row)) for f in ...)``,
     including which UDF calls are reached;
 (c) a corpus of scalar expressions against stdlib ``sqlite3``, with the
-    intentional divergences listed by name;
+    intentional divergences listed by name, and select-list aliases in
+    WHERE, GROUP BY, HAVING and ORDER BY beside SQLite's;
 (d) the aggregate loop: zero rows, DISTINCT, HAVING, NULL group keys;
 (e) the leaf-batch form of every batchable conjunct against
     ``filter(compile_predicate(...))``, and the prefix rule that keeps
@@ -336,6 +337,52 @@ class TestAgainstSqlite:
         assert abs(remainder) < abs(b)
         assert remainder == 0 or (remainder < 0) == (a < 0)
         assert (quotient, remainder, rebuilt) == lite.execute(query).fetchone()
+
+
+#: select-list aliases side by side with SQLite over one table, in every
+#: clause that may name one.  A FROM column keeps meaning the column, so
+#: ``b AS a ... WHERE a > 1`` reads column ``a``.
+ALIASED = [
+    "SELECT a AS x, COUNT(*) FROM t GROUP BY x",
+    "SELECT a AS x FROM t ORDER BY x + 0 DESC",
+    "SELECT b AS x FROM t WHERE x > 2",
+    "SELECT b AS a FROM t WHERE a > 1",
+    "SELECT a AS b FROM t ORDER BY b + 0 DESC, a",
+    "SELECT a + b AS s FROM t WHERE s > 4 ORDER BY s",
+    "SELECT a AS x, b AS y FROM t WHERE x = 1 AND y < 5",
+    "SELECT a AS x, COUNT(*) AS n FROM t GROUP BY x ORDER BY n * -1, x",
+    "SELECT a AS x, SUM(b) AS y FROM t GROUP BY x HAVING y > 2 "
+    "ORDER BY y + 0",
+]
+
+
+@pytest.fixture(scope="module")
+def aliased():
+    db, lite = Database(), sqlite3.connect(":memory:")
+    for run in (db.execute, lite.execute):
+        run("CREATE TABLE t (a INTEGER, b INTEGER)")
+        run("INSERT INTO t VALUES (1, 5), (1, 3), (2, 1)")
+    yield db, lite
+    lite.close()
+
+
+class TestAliasesAgainstSqlite:
+    @pytest.mark.parametrize("query", ALIASED)
+    def test_alias_resolves_as_sqlite_does(self, aliased, query):
+        db, lite = aliased
+        assert db.execute(query).rows == lite.execute(query).fetchall()
+
+    @pytest.mark.parametrize("query", [
+        "SELECT COUNT(*) AS n FROM t WHERE n > 1",
+        "SELECT a, COUNT(*) AS n FROM t GROUP BY n",
+    ])
+    def test_aggregate_alias_before_aggregation_is_refused(self, aliased,
+                                                           query):
+        db, lite = aliased
+        with pytest.raises(sqlite3.OperationalError):
+            lite.execute(query)
+        with pytest.raises(PlanError, match="aliased aggregate n"):
+            db.execute(query)
 
 
 # ---------------------------------------------------------------------------
