@@ -492,7 +492,7 @@ def fold_range(reader: RunReader, prepared: PreparedQq,
                sids: Sequence[int], fold: Fold, sink: MetricsSink,
                poll: Callable[[], None]) -> None:
     """Step ``fold`` over ``sids``: per snapshot, evaluate the prepared
-    Qq bound to it through ``reader``, the run's open run reader,
+    Qq at it through ``reader``, the run's open run reader,
     charged to ``sink`` (metered like the reference loop, Qq evaluation
     apart from UDF work), and fold its rows.
 
@@ -505,7 +505,7 @@ def fold_range(reader: RunReader, prepared: PreparedQq,
         try:
             index_before = current.index_creation_seconds
             started = clock()
-            columns, rows = reader.cursor(prepared.bind(sid),
+            columns, rows = reader.cursor(prepared.statement, sid,
                                           prepared.memo, sink)
             rows = [tuple(row) for row in rows]
             current.qq_rows += len(rows)

@@ -4,10 +4,10 @@ over the snapshot set (paper Section 3).
 Every mechanism iterates the snapshot ids returned by Qs, and per
 iteration:
 
-1. binds Qq — ``AS OF sid`` injection + ``current_snapshot()``
-   inlining, on the statement prepared once per run
-   (:mod:`repro.core.rewrite`);
-2. runs the bound Qq through the engine's row-callback interface
+1. opens a cursor of Qq, the statement prepared once per run
+   (:mod:`repro.core.rewrite`), at ``sid``: the snapshot it reads and
+   the value its ``current_snapshot()`` calls return;
+2. runs Qq through the engine's row-callback interface
    (the ``sqlite3_exec`` analogue), processing each returned record in a
    mechanism-specific way;
 3. meters its costs into a :class:`~repro.retro.metrics.MetricsSink`,
@@ -165,7 +165,7 @@ class _LoopBody:
     # -- helpers -----------------------------------------------------------------
 
     def _metered_pass(self, snapshot_id: int, first: bool) -> None:
-        """Run Qq bound to the snapshot through the subclass pass,
+        """Run Qq at the snapshot through the subclass pass,
         splitting the iteration into Qq evaluation vs RQL UDF work."""
         clock = self.sink.clock
         current = self.sink.current
@@ -174,7 +174,8 @@ class _LoopBody:
         prepared = self._prepared
         if prepared is None:
             prepared = self._prepared = prepare_qq(self.qq)
-        columns, rows = self.db.open_cursor(prepared.bind(snapshot_id),
+        columns, rows = self.db.open_cursor(prepared.statement,
+                                            snapshot_id,
                                             metrics=self.sink,
                                             memo=prepared.memo)
         if first:

@@ -5,23 +5,25 @@ For the iteration on snapshot ``Si``, the programmer's Qq::
     SELECT DISTINCT current_snapshot() FROM LoggedIn
     WHERE l_userid = 'UserB';
 
-is bound to::
+runs as::
 
     SELECT AS OF Si DISTINCT Si FROM LoggedIn
     WHERE l_userid = 'UserB';
 
-i.e. (1) ``AS OF Si`` is injected after the first top-level SELECT, and
-(2) every ``current_snapshot()`` call becomes the literal ``Si``.
+i.e. (1) it reads snapshot ``Si``, and (2) every ``current_snapshot()``
+call is ``Si``.
 
-Two implementations, one contract.  :func:`prepare_qq` is what the
-snapshot loops run: Qq is lexed, parsed and validated **once** per RQL
-query, and :meth:`PreparedQq.bind` makes the per-snapshot statement on
-the AST.  :func:`rewrite_qq` is the paper's textual form (token-based,
-not regex, so string literals containing ``select`` or
-``current_snapshot`` are never touched) and the reference the binder is
-tested against::
-
-    prepare_qq(qq).bind(sid) == parse_one(rewrite_qq(qq, sid))
+One statement, the snapshot a parameter.  :func:`prepare_qq` lexes,
+parses and validates Qq **once** per RQL query; every snapshot of the
+run executes that one statement through a cursor opened at ``Si``
+(``RunReader.cursor``, ``Database.open_cursor``), which is both the
+snapshot the cursor reads and the pin a ``current_snapshot()`` call
+compiles to.  Nothing is rebuilt per snapshot.  :func:`rewrite_qq` is
+the paper's textual form (token-based, not regex, so string literals
+containing ``select`` or ``current_snapshot`` are never touched): no
+snapshot loop calls it, and it is the oracle the cursors are tested
+against — per snapshot, the prepared statement at ``Si`` returns what
+``rewrite_qq(qq, Si)`` does.
 
 ``wrap_qs`` builds the Section 3 implementation form: the Qs query with
 its select list wrapped in the mechanism UDF, e.g.
@@ -30,64 +32,47 @@ its select list wrapped in the mechanism UDF, e.g.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import fields, is_dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.errors import MechanismError
 from repro.sql import ast
+from repro.sql.expressions import CURRENT_SNAPSHOT, is_current_snapshot
 from repro.sql.lexer import EOF, IDENT, KEYWORD, OPERATOR, Token, tokenize
 from repro.sql.parser import parse_sql
 from repro.sql.planner import PlanMemo
-
-CURRENT_SNAPSHOT = "current_snapshot"
 
 _NOT_A_SELECT = "Qq must be a SELECT statement"
 _HAS_AS_OF = "Qq must not contain AS OF; RQL binds snapshots"
 _CALL_HAS_ARGUMENTS = "current_snapshot must be called with no arguments"
 
-#: rebuilds one node (or list of nodes) around the snapshot literal
-_Rebuild = Callable[[ast.Literal], object]
-
 
 class PreparedQq:
-    """Qq, parsed and validated once; :meth:`bind` pins it to a snapshot.
+    """Qq, parsed and validated once: the one statement every snapshot
+    of a run executes, with the snapshot a parameter of its cursor.
 
-    Its statement is immutable once :func:`prepare_qq` returns: the
-    partitions of a run use one in turn, and every bound statement shares
-    the subtrees that hold no ``current_snapshot()`` call with it
-    (nothing downstream mutates an AST).  :attr:`memo` is the one thing
-    that changes: the last plan a bound statement got, which the next
-    one reuses while the planner's inputs are unchanged.
+    Its statement is immutable once :func:`prepare_qq` returns (nothing
+    downstream mutates an AST), so the partitions of a run, and two
+    cursors open at different snapshots, share it.  :attr:`memo` is the
+    one thing that changes: the statement-only analysis and the last
+    plan, which the next cursor reuses while the planner's inputs are
+    unchanged.
     """
 
-    __slots__ = ("statement", "_calls", "memo")
+    __slots__ = ("statement", "references_current_snapshot", "memo")
 
     def __init__(self, statement: ast.Select,
-                 calls: List[Tuple[str, _Rebuild]]) -> None:
-        #: Qq as written: no ``AS OF``, the calls still in place
+                 references_current_snapshot: bool) -> None:
+        #: Qq as written: no ``AS OF``, the calls in place
         self.statement = statement
-        self._calls = calls
-        #: pass with each bound statement (``RunReader.cursor``,
+        #: True if Qq calls ``current_snapshot()`` — i.e. its result may
+        #: differ per snapshot even over unchanged tables.  Incremental
+        #: view refresh uses this to tell when identical table contents
+        #: imply identical Qq output across a snapshot range.
+        self.references_current_snapshot = references_current_snapshot
+        #: pass with every cursor (``RunReader.cursor``,
         #: ``Database.open_cursor``)
         self.memo = PlanMemo()
-
-    @property
-    def references_current_snapshot(self) -> bool:
-        """True if Qq calls ``current_snapshot()`` — i.e. its bound form
-        differs per snapshot even over unchanged tables.  Incremental
-        view refresh uses this to tell when identical table contents
-        imply identical Qq output across a snapshot range.
-        """
-        return bool(self._calls)
-
-    def bind(self, snapshot_id: int) -> ast.Select:
-        """The statement of the iteration on ``snapshot_id``: a new
-        Select with ``AS OF`` set and each call replaced by the id."""
-        literal = ast.Literal(int(snapshot_id))
-        bound = _clone(self.statement, self._calls, literal)
-        bound.as_of = literal
-        return bound
 
 
 def prepare_qq(qq: str) -> PreparedQq:
@@ -100,58 +85,31 @@ def prepare_qq(qq: str) -> PreparedQq:
     statement = statements[0]
     if statement.as_of is not None:
         raise MechanismError(_HAS_AS_OF)
-    return PreparedQq(statement, _calls_below(statement))
+    return PreparedQq(statement, _calls_current_snapshot(statement))
 
 
-def _calls_below(node) -> List[Tuple[object, _Rebuild]]:
-    """``(field name or list position, rebuild)`` for every child of
-    ``node`` that holds a ``current_snapshot()`` call."""
-    if isinstance(node, (list, tuple)):
-        children = enumerate(node)
-    elif is_dataclass(node):
-        children = ((f.name, getattr(node, f.name)) for f in fields(node))
-    else:
-        return []
-    found = []
-    for at, child in children:
-        rebuild = _rebuild_for(child)
-        if rebuild is not None:
-            found.append((at, rebuild))
-    return found
-
-
-def _rebuild_for(node) -> Optional[_Rebuild]:
-    """How to make ``node``'s bound counterpart, or None when there is
-    no call in it and every bound statement shares it as it is."""
-    if isinstance(node, ast.FunctionCall) \
-            and node.name.lower() == CURRENT_SNAPSHOT:
+def _calls_current_snapshot(node) -> bool:
+    """True if ``node`` (any part of a statement) holds a
+    ``current_snapshot()`` call; refuses a call with arguments anywhere
+    in it."""
+    if is_current_snapshot(node):
         if node.args or node.distinct or node.star:
             raise MechanismError(_CALL_HAS_ARGUMENTS)
-        return lambda literal: literal
-    calls = _calls_below(node)
-    if not calls:
-        return None
-    return lambda literal: _clone(node, calls, literal)
-
-
-def _clone(node, calls, literal: ast.Literal):
-    """A shallow copy of ``node`` whose ``calls`` children are rebuilt;
-    ``node`` itself is left as the parser made it."""
+        return True
     if isinstance(node, (list, tuple)):
-        out = list(node)
-        for at, rebuild in calls:
-            out[at] = rebuild(literal)
-        return type(node)(out)
-    out = copy.copy(node)  # keeps the source position
-    for name, rebuild in calls:
-        setattr(out, name, rebuild(literal))
-    return out
+        children = node
+    elif is_dataclass(node):
+        children = [getattr(node, f.name) for f in fields(node)]
+    else:
+        return False
+    # Every child is visited, so no malformed call goes unreported.
+    return any([_calls_current_snapshot(child) for child in children])
 
 
 def rewrite_qq(qq: str, snapshot_id: int) -> str:
     """Bind Qq to one snapshot as text: inject AS OF, inline
-    current_snapshot().  The reference form of :meth:`PreparedQq.bind`
-    (no snapshot loop calls it)."""
+    current_snapshot().  The oracle of a prepared Qq's cursor at that
+    snapshot (no snapshot loop calls it)."""
     sql = qq.strip().rstrip(";")
     tokens = tokenize(sql)
     edits: List[Tuple[int, int, str]] = []  # (start, end, replacement)

@@ -62,7 +62,7 @@ from repro.core.folds import (
     write_result,
 )
 from repro.core.mechanisms import _quote
-from repro.core.rewrite import prepare_qq
+from repro.core.rewrite import PreparedQq, prepare_qq
 from repro.errors import (
     MechanismError,
     QueryCancelled,
@@ -356,8 +356,9 @@ class ViewManager:
                      target: int, full: bool, reason: Optional[str],
                      cancel, certificate) -> RefreshReport:
         sink = MetricsSink()
+        prepared = prepare_qq(meta.qq)
         mode, why, diff_count, affected = self._plan(
-            meta, views, target, full, certificate, sink)
+            meta, views, target, full, certificate, sink, prepared)
         if reason is not None:
             why = reason
         report = RefreshReport(
@@ -392,8 +393,6 @@ class ViewManager:
         else:
             sids = range(meta.built_from + 1, target + 1)
 
-        prepared = prepare_qq(meta.qq)
-
         def poll() -> None:
             self._check_cancel(cancel)  # raises; never stops quietly
 
@@ -421,9 +420,10 @@ class ViewManager:
 
     def _plan(self, meta: ViewMeta, views: Dict[str, ViewMeta],
               target: int, full: bool, certificate,
-              sink: MetricsSink):
+              sink: MetricsSink, prepared: PreparedQq):
         """(mode, reason, diff_page_count, affected_pages) for a refresh
-        of ``meta`` to ``target`` — shared by refresh and EXPLAIN."""
+        of ``meta`` to ``target``, whose Qq is ``prepared`` — shared by
+        refresh and EXPLAIN."""
         if target < meta.built_from:
             raise ViewError(
                 f"view {meta.name!r} was built from snapshot "
@@ -457,8 +457,7 @@ class ViewManager:
             read_pages = self._read_page_set(
                 meta.built_from, certificate.read_tables, sink)
             affected = diff & read_pages
-        if not affected \
-                and not prepare_qq(meta.qq).references_current_snapshot:
+        if not affected and not prepared.references_current_snapshot:
             return ("delta-skip",
                     "no affected pages and snapshot-invariant Qq: "
                     "evaluate once at the target and replay",
@@ -552,7 +551,8 @@ class ViewManager:
         target = self._retro.latest_snapshot_id
         sink = MetricsSink()
         mode, why, diff_count, affected = self._plan(
-            meta, views, target, full, certificate, sink)
+            meta, views, target, full, certificate, sink,
+            prepare_qq(meta.qq))
         lines = [
             f"view {meta.name}: {meta.mechanism} "
             f"[merge class {meta.merge_class}]",

@@ -293,11 +293,16 @@ class Database:
         return self.open_cursor(statement)
 
     def open_cursor(self, statement: ast.Select,
+                    snapshot_id: Optional[int] = None,
                     metrics: Optional[MetricsSink] = None,
                     memo: Optional[PlanMemo] = None):
-        """The one guarded cursor, for a SELECT that is already parsed
-        (the reference loop binds one prepared Qq per snapshot):
+        """The one guarded cursor, for a SELECT that is already parsed:
         returns (columns, row_iterator).
+
+        ``snapshot_id`` pins the cursor to a snapshot, the parameter
+        ``current_snapshot()`` reads: the reference loop runs its one
+        prepared Qq at each snapshot so.  Without it the statement reads
+        as of its own ``AS OF`` clause, if it has one.
 
         The iterator owns the statement's read contexts: they are
         released when it is exhausted, closed or garbage-collected, and
@@ -308,8 +313,15 @@ class Database:
         (the reference loop passes ``PreparedQq.memo``; text never has
         one).
         """
+        if snapshot_id is None:
+            as_of = self._as_of(statement)
+        else:
+            _check_no_as_of(statement)
+            as_of = snapshot_id
+
         def cursor():
-            with self._select_context(statement, metrics) as ctx:
+            with self.reading(as_of, metrics) as ctx:
+                ctx.current_snapshot = snapshot_id
                 columns, rows = open_select(statement, ctx, memo)
                 yield columns
                 yield from rows
@@ -517,23 +529,19 @@ class Database:
         with self._select_context(statement) as ctx:
             return run_select(statement, ctx)
 
-    def _as_of(self, statement: ast.Select,
-               functions: Optional[Dict[str, Callable[..., SqlValue]]]
-               = None) -> Optional[int]:
+    def _as_of(self, statement: ast.Select) -> Optional[int]:
         """The snapshot a SELECT's ``AS OF`` clause pins (None: none)."""
         if statement.as_of is None:
             return None
         as_of = constant_int(statement.as_of, "AS OF",
-                             functions if functions is not None
-                             else self.functions.snapshot())
+                             self.functions.snapshot())
         if as_of is None:
             raise PlanError("AS OF must be a non-NULL constant")
         return as_of
 
-    def _select_context(self, statement: ast.Select,
-                        metrics: Optional[MetricsSink] = None):
+    def _select_context(self, statement: ast.Select):
         """:meth:`reading` as of the statement's ``AS OF`` clause."""
-        return self.reading(self._as_of(statement), metrics)
+        return self.reading(self._as_of(statement))
 
     @contextmanager
     def reading(self, as_of: Optional[int] = None,
@@ -999,16 +1007,22 @@ class RunReader:
             # May raise UnknownSnapshotError / SnapshotUnavailableError.
             source = db.engine.snapshot_source(as_of, self._read_ctx,
                                                metrics=sink)
-        return _Context(db, source, self._aux, metrics=sink, as_of=as_of,
-                        run=self)
+        context = _Context(db, source, self._aux, metrics=sink,
+                           as_of=as_of, run=self)
+        context.current_snapshot = as_of
+        return context
 
     def cursor(self, statement: ast.Select,
+               snapshot_id: Optional[int] = None,
                memo: Optional[PlanMemo] = None,
                metrics: Optional[MetricsSink] = None):
-        """(columns, row iterator) of a SELECT, as of its ``AS OF``,
-        planned through ``memo`` and charged to ``metrics``."""
-        as_of = self._db._as_of(statement, self.functions)
-        return open_select(statement, self.context(as_of, metrics), memo)
+        """(columns, row iterator) of a SELECT at snapshot
+        ``snapshot_id`` (None: the run's start), the pin its
+        ``current_snapshot()`` calls read, planned through ``memo`` and
+        charged to ``metrics``."""
+        _check_no_as_of(statement)
+        return open_select(statement, self.context(snapshot_id, metrics),
+                           memo)
 
     def main_names(self, catalog: Catalog):
         """Lookups for ``catalog``, one snapshot's main catalog.  Schema
@@ -1144,6 +1158,14 @@ class _Context(ExecutionContext):
     def note_query_eval(self, seconds: float) -> None:
         if self._metrics is not None:
             self._metrics.current.query_eval_seconds += seconds
+
+
+def _check_no_as_of(statement: ast.Select) -> None:
+    """A cursor opened at a snapshot runs a statement with no ``AS OF``
+    of its own: one pin, the cursor's."""
+    if statement.as_of is not None:
+        raise PlanError("a statement run at a snapshot must not contain "
+                        "AS OF")
 
 
 def _status(rowcount: int = 0) -> ResultSet:

@@ -43,6 +43,10 @@ _OUTCOMES = {
 #: the same comparison with its operands swapped (``5 < a`` is ``a > 5``)
 _SWAPPED = {"=": "=", "!=": "!=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
+#: the function a snapshot run binds: a call reads the pin of the
+#: cursor that runs the statement (RQL's Qq, paper Section 3)
+CURRENT_SNAPSHOT = "current_snapshot"
+
 
 @dataclass
 class PostAggRef(ast.Expr):
@@ -114,12 +118,18 @@ def like_to_regex(pattern: str) -> "re.Pattern[str]":
 
 
 class ExpressionCompiler:
-    """Compiles AST expressions against a scope + function registry."""
+    """Compiles AST expressions against a scope + function registry.
+
+    ``pin`` is the snapshot id a ``current_snapshot()`` call reads: the
+    parameter of a run's cursor.  Without one the call is an unknown
+    function, as in any statement outside a run."""
 
     def __init__(self, scope: Scope,
-                 functions: Optional[Dict[str, Callable[..., SqlValue]]] = None) -> None:
+                 functions: Optional[Dict[str, Callable[..., SqlValue]]] = None,
+                 pin: Optional[int] = None) -> None:
         self.scope = scope
         self.functions = functions or {}
+        self.pin = pin
 
     def compile(self, expr: ast.Expr) -> Evaluator:
         method = getattr(self, "_compile_" + type(expr).__name__.lower(),
@@ -416,6 +426,12 @@ class ExpressionCompiler:
 
     def _compile_functioncall(self, expr: ast.FunctionCall) -> Evaluator:
         name = expr.name.lower()
+        if name == CURRENT_SNAPSHOT and self.pin is not None:
+            if expr.args or expr.star:
+                raise PlanError(
+                    f"{CURRENT_SNAPSHOT} must be called with no arguments")
+            pin = self.pin
+            return lambda row: pin
         fn = self.functions.get(name)
         if fn is None:
             if expr.is_aggregate_name():
@@ -571,6 +587,18 @@ def walk(expr: ast.Expr):
             yield from walk(result)
         if expr.else_result:
             yield from walk(expr.else_result)
+
+
+def is_current_snapshot(node: ast.Expr) -> bool:
+    """True for a ``current_snapshot()`` call (a column or alias of that
+    name is an ordinary identifier)."""
+    return isinstance(node, ast.FunctionCall) \
+        and node.name.lower() == CURRENT_SNAPSHOT
+
+
+def reads_pin(expr: Optional[ast.Expr]) -> bool:
+    """True if ``expr`` holds a ``current_snapshot()`` call."""
+    return expr is not None and any(map(is_current_snapshot, walk(expr)))
 
 
 def contains_aggregate(expr: ast.Expr) -> bool:

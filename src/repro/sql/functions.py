@@ -10,6 +10,8 @@ the paper's implementation builds on.
 from __future__ import annotations
 
 import math
+import struct
+from decimal import ROUND_DOWN, Context, Decimal
 from typing import Callable, Dict, Optional
 
 from repro.errors import UdfError
@@ -19,6 +21,12 @@ from repro.sql.types import SqlValue, compare, to_number
 # ---------------------------------------------------------------------------
 # Scalar built-ins
 # ---------------------------------------------------------------------------
+
+#: 2**52: a double this large has no fractional part to round
+_NO_FRACTION = 4503599627370496.0
+#: enough digits to hold any double, and any sum ``_round`` makes, exactly
+_EXACT = Context(prec=800)
+
 
 def _abs(value: SqlValue) -> SqlValue:
     number = to_number(value)
@@ -64,10 +72,32 @@ def _nullif(a: SqlValue, b: SqlValue) -> SqlValue:
 
 
 def _round(value: SqlValue, digits: SqlValue = 0) -> SqlValue:
-    number = to_number(value)
-    if number is None:
+    """SQLite's ``round(X, Y)``: half away from zero; negative digits
+    act as 0, more than 30 as 30; a NULL X or Y gives NULL; the result
+    is always a float."""
+    number, places = to_number(value), to_number(digits)
+    if number is None or places is None:
         return None
-    return round(float(number), int(digits or 0))
+    places = min(max(int(places), 0), 30)
+    number = float(number)
+    if not -_NO_FRACTION <= number <= _NO_FRACTION:
+        return number  # NaN, an infinity, or nothing after the point
+    if not places:
+        return float(int(number + (-0.5 if number < 0 else 0.5)))
+    # SQLite prints the digits ("%.*f") and reads them back.  Its printf
+    # adds half a unit of the last place and, when those places are
+    # within a double's precision, 3e-16 of the value (so 2.675, stored
+    # as 2.67499999..., rounds to 2.68), then cuts the digits.
+    magnitude = Decimal(abs(number))
+    rounder = Decimal(5).scaleb(-places - 1)
+    exponent = ((struct.unpack("<Q", struct.pack("<d", number))[0] >> 52)
+                & 0x7FF) - 1023
+    if places + int(exponent / 3) < 15:
+        rounder = _EXACT.add(rounder,
+                             _EXACT.multiply(magnitude, Decimal("3e-16")))
+    digits_kept = _EXACT.add(magnitude, rounder).quantize(
+        Decimal(1).scaleb(-places), rounding=ROUND_DOWN, context=_EXACT)
+    return math.copysign(float(digits_kept), number)
 
 
 def _ifnull(a: SqlValue, b: SqlValue) -> SqlValue:

@@ -60,6 +60,8 @@ from repro.sql.expressions import (
     contains_aggregate,
     flatten_from,
     is_constant,
+    is_current_snapshot,
+    reads_pin,
     walk,
 )
 from repro.sql.aggregates import make_aggregate
@@ -131,6 +133,9 @@ class AccessSpec:
     hi: object = None
     lo_inc: bool = True
     hi_inc: bool = True
+    #: a key the index cannot tell from its neighbours, so the probe
+    #: yields a superset and ``pred`` is re-applied to the rows it fetches
+    inexact: bool = False
 
 
 @dataclass
@@ -180,6 +185,12 @@ class SelectPlan:
 
     steps: List[PlanNode]
     residual: List[ast.Expr] = field(default_factory=list)
+    #: ``(functions, pin, _Pipeline)``: the select list, residual and
+    #: pipeline stages compiled against this plan's row layout, set by
+    #: its first execution like :attr:`PlanNode.leaf_filter`; a cursor
+    #: whose function table or pin differs compiles its own
+    pipeline: Optional[tuple] = field(default=None, repr=False,
+                                      compare=False)
 
     def access_notes(self) -> List[str]:
         return [step.note for step in self.steps]
@@ -303,47 +314,129 @@ def plan_from(descs: List[TableDesc], predicates: List[ast.Expr],
 
 
 class PlanMemo:
-    """The last plan of one prepared statement, and what it was planned
-    from: one slot, so a snapshot loop re-plans only when an input of
-    the pure planner changed since the previous snapshot.
+    """What the cursors of one prepared statement share, each cursor
+    opened at its own snapshot: the statement-only analysis
+    (:class:`_Shape`, worked out by the first cursor) and the last plan
+    with what it was planned from — one slot, so a snapshot loop
+    re-plans only when an input of the pure planner changed since the
+    previous snapshot.
 
     :func:`plan_from` is deterministic and free of side effects, so its
     result may be reused whenever its inputs are equal: the
-    :class:`TableDesc` list by value, the predicates by identity (bound
-    statements share every subtree without a ``current_snapshot()``
-    call, so an unchanged conjunct is the same object) and each table's
-    statistics by value.  Schema, indexes and statistics are still read
-    from each snapshot's own catalog; only the planning is skipped.
+    :class:`TableDesc` list by value, the predicates by identity and
+    each table's statistics by value.  Every cursor executes the one
+    statement, and :meth:`_Shape.predicates` hands each the same
+    conjunct objects while the FROM tables' columns stay the same, so an
+    unchanged WHERE is the same list.  A conjunct that calls
+    ``current_snapshot()`` is planned with the cursor's pin folded in;
+    the pin is then part of the key, and such a plan is never another
+    snapshot's.  Schema, indexes and statistics are still read from
+    each snapshot's own catalog; only the planning is skipped.
 
-    A reused plan brings its scan step's compiled leaf filter along
-    (:attr:`PlanNode.leaf_filter`), so leaves the previous snapshot
-    filtered are not filtered again.
+    A reused plan brings its scan step's compiled leaf filter and its
+    compiled pipeline along (:attr:`PlanNode.leaf_filter`,
+    :attr:`SelectPlan.pipeline`), so leaves the previous snapshot
+    filtered are not filtered again and nothing is compiled twice.
 
     A memo belongs to one run's prepared Qq, whose partitions use it in
-    turn on one thread; the slot is published by one assignment.
+    turn on one thread; each slot is published by one assignment.
     """
 
-    __slots__ = ("_last",)
+    __slots__ = ("_shape", "_last")
 
     def __init__(self) -> None:
+        self._shape: Optional[_Shape] = None
         self._last: Optional[Tuple[List[TableDesc], List[ast.Expr],
                                    List[Optional[TableStats]],
-                                   SelectPlan]] = None
+                                   Optional[int], SelectPlan]] = None
+
+    def shape(self, select: ast.Select) -> "_Shape":
+        """The statement-only analysis of ``select``, made once."""
+        shape = self._shape
+        if shape is None or shape.select is not select:
+            shape = self._shape = _Shape(select)
+        return shape
 
     def plan(self, descs: List[TableDesc], predicates: List[ast.Expr],
-             stats_for: StatsLookup) -> SelectPlan:
+             stats_for: StatsLookup, pin: Optional[int] = None,
+             ) -> SelectPlan:
         """:func:`plan_from` of these inputs, reusing the last plan if
-        they equal the last call's."""
+        they equal the last call's.  ``pin`` is the snapshot id folded
+        into ``predicates`` (None when none reads it)."""
         stats = [stats_for(desc.table) for desc in descs]
         last = self._last
         if last is not None and last[0] == descs and last[2] == stats \
-                and len(last[1]) == len(predicates) \
+                and last[3] == pin and len(last[1]) == len(predicates) \
                 and all(map(is_, last[1], predicates)):
-            return last[3]
+            return last[4]
         by_table = {desc.table: found for desc, found in zip(descs, stats)}
         plan = plan_from(descs, predicates, by_table.__getitem__)
-        self._last = (descs, predicates, stats, plan)
+        self._last = (descs, predicates, stats, pin, plan)
         return plan
+
+
+class _Shape:
+    """What executing a SELECT takes from the statement alone: its FROM
+    tables and ON conjuncts, whether it aggregates, and where it calls
+    ``current_snapshot()``.  Made once per :class:`PlanMemo`.
+
+    ``run``: the statement may run at a snapshot of a run.  Any other
+    statement has no pin to read, and the calls are left to fail as
+    unknown functions where they are compiled, so they are not looked
+    for."""
+
+    __slots__ = ("select", "refs", "on_conjuncts", "aliased", "aggregated",
+                 "run", "pinned", "pinned_items", "_predicates")
+
+    def __init__(self, select: ast.Select, run: bool = True) -> None:
+        self.select = select
+        self.run = run
+        self.refs, self.on_conjuncts = flatten_from(select.source)
+        self.aliased = any(item.alias for item in select.items)
+        exprs = [item.expr for item in select.items]
+        self.aggregated = bool(select.group_by) or any(
+            expr is not None and contains_aggregate(expr)
+            for expr in exprs + [select.having])
+        items_read_pin = run and any(map(reads_pin, exprs))
+        #: a clause the pipeline compiles (GROUP BY, HAVING, ORDER BY,
+        #: LIMIT, OFFSET, or a select list they may name) calls
+        #: ``current_snapshot()``, so a compiled pipeline holds one pin
+        self.pinned = run and any(map(reads_pin, select.group_by + [
+            select.having, select.limit, select.offset,
+            *(order.expr for order in select.order_by)])) or (
+                items_read_pin and (self.aggregated or bool(select.order_by)))
+        #: only items of a plain select list call it: the pipeline is
+        #: every pin's, and each cursor compiles just those items
+        self.pinned_items = items_read_pin and not self.pinned
+        self._predicates: Optional[Tuple[frozenset, List[ast.Expr],
+                                         List[bool]]] = None
+
+    def predicates(self, descs: List[TableDesc],
+                   ) -> Tuple[List[ast.Expr], List[bool]]:
+        """The WHERE conjuncts, select-list aliases resolved against the
+        FROM tables' columns, then the ON conjuncts; and for each
+        whether it calls ``current_snapshot()``.  The same list while
+        those columns stay the same, so the plan memo's identity test
+        holds across snapshots."""
+        columns = _column_names(descs) if self.aliased else frozenset()
+        last = self._predicates
+        if last is not None and last[0] == columns:
+            return last[1], last[2]
+        select = self.select
+        where = _resolve_alias_refs(select.where, select.items, columns,
+                                    "WHERE")
+        predicates = conjuncts(where) + self.on_conjuncts
+        pinned = [self.run and reads_pin(pred) for pred in predicates]
+        self._predicates = (columns, predicates, pinned)
+        return predicates, pinned
+
+
+def _fold_pin(pred: ast.Expr, pin: int) -> ast.Expr:
+    """``pred`` with each ``current_snapshot()`` call the literal
+    ``pin``: what the planner folds, probes and batches."""
+    literal = ast.Literal(pin)
+    return _rewrite(pred, lambda node: literal
+                    if is_current_snapshot(node) else node)
 
 
 def _settle_pushdown(steps: List[PlanNode], remaining: List[ast.Expr],
@@ -565,10 +658,16 @@ def _index_access(pred: ast.Expr, desc: TableDesc,
     if keys is None or None in keys:
         return None
     column = shape.column.name.lower()
+    # Index keys are doubles.  A bound beyond +-KEY_EXACT_INT shares its
+    # key with neighbouring values, so the probe (a range one widened to
+    # inclusive bounds) yields a superset and the conjunct the index
+    # consumed is re-applied to the fetched rows.
+    inexact = any(map(_inexact_key, keys))
     if shape.shape == "=":
         return AccessSpec(kind="eq", index=index, column=column, pred=pred,
-                          value=keys[0])
-    spec = AccessSpec(kind="range", index=index, column=column, pred=pred)
+                          value=keys[0], inexact=inexact)
+    spec = AccessSpec(kind="range", index=index, column=column, pred=pred,
+                      inexact=inexact)
     if shape.shape == "between":
         spec.lo, spec.hi = [keys[0]], [keys[1]]
     elif shape.shape in ("<", "<="):
@@ -660,6 +759,11 @@ def _descs_from_schema(select: ast.Select, schema,
 class ExecutionContext:
     """What the planner needs from the database layer, per statement."""
 
+    #: the snapshot id ``current_snapshot()`` reads: the pin of a cursor
+    #: opened at a snapshot of a run; None for any other statement, in
+    #: which the function does not exist
+    current_snapshot: Optional[int] = None
+
     def open_table(self, name: str) -> TableAccess:
         raise NotImplementedError
 
@@ -718,8 +822,8 @@ def open_select(select: ast.Select, ctx: ExecutionContext,
 
     The column list is known before any row is produced; the caller
     keeps ``ctx``'s sources open for as long as it consumes rows.
-    ``memo`` is the statement's :class:`PlanMemo` when it is one of a
-    series bound from one prepared statement.
+    ``memo`` is the statement's :class:`PlanMemo` when the statement is
+    a prepared one that cursors run at snapshot after snapshot.
     """
     return _SelectPlanner(select, ctx, memo).columns_and_rows()
 
@@ -828,6 +932,22 @@ class BoundTable:
         raise PlanError(f"planned index vanished: {name}")
 
 
+class _Pipeline:
+    """Everything of a SELECT compiled against one plan's row layout:
+    its output columns, the residual row test (None: no residual) and
+    ``produce(rows, pin)``, which turns one cursor's source rows into
+    its result rows."""
+
+    __slots__ = ("columns", "residual", "produce")
+
+    def __init__(self, columns: List[str], residual: Optional[Callable],
+                 produce: Callable[[Iterator[Row], Optional[int]],
+                                   Iterator[Row]]) -> None:
+        self.columns = columns
+        self.residual = residual
+        self.produce = produce
+
+
 class _SelectPlanner:
     def __init__(self, select: ast.Select, ctx: ExecutionContext,
                  memo: Optional[PlanMemo] = None) -> None:
@@ -835,7 +955,7 @@ class _SelectPlanner:
         self.ctx = ctx
         self.memo = memo
         self.index_build_seconds = 0.0
-        #: the plan tree (None until FROM is planned; SELECT 1 has none)
+        #: the plan tree (SELECT 1 has one with no steps)
         self.plan: Optional[SelectPlan] = None
         #: the FROM tables' column names, lower-cased: a name among them
         #: means the column, never a select-list alias (left empty when
@@ -845,69 +965,48 @@ class _SelectPlanner:
     # -- public -----------------------------------------------------------
 
     def columns_and_rows(self) -> Tuple[List[str], Iterator[Row]]:
-        select = self.select
-        refs, on_conjuncts = flatten_from(select.source)
+        ctx, memo = self.ctx, self.memo
+        pin = ctx.current_snapshot
+        shape = _Shape(self.select, run=pin is not None) if memo is None \
+            else memo.shape(self.select)
         tables = []
-        for ref in refs:
-            access = self.ctx.open_table(ref.name)
+        for ref in shape.refs:
+            access = ctx.open_table(ref.name)
             tables.append(BoundTable.bind(
-                ref.binding, access, self.ctx.open_indexes(access),
+                ref.binding, access, ctx.open_indexes(access),
                 ordinal=len(tables),
             ))
-        if any(item.alias for item in select.items):
-            self.columns = _column_names(table.desc for table in tables)
-        where = _resolve_alias_refs(select.where, select.items,
-                                    self.columns, "WHERE")
-        predicates = conjuncts(where) + on_conjuncts
-
-        if tables:
-            ordered, source_rows, remaining = self._plan_access(
-                tables, predicates,
-            )
-            scope = scope_of(ordered)
+        descs = [table.desc for table in tables]
+        predicates, pinned = shape.predicates(descs)
+        folded = None
+        if pin is not None and True in pinned:
+            # The planner sees the pin as the constant it is for this
+            # cursor: an index key, a batchable leaf filter.
+            predicates = [_fold_pin(pred, pin) if reads else pred
+                          for pred, reads in zip(predicates, pinned)]
+            folded = pin
+        if memo is None:
+            plan = plan_from(descs, predicates, ctx.table_stats)
         else:
-            source_rows = iter([()])
-            remaining = predicates
-            scope = Scope([])
-
-        compiler = ExpressionCompiler(scope, self.ctx.functions)
-
-        if remaining:
-            source_rows = filter(compiler.compile_predicate(remaining),
-                                 source_rows)
-
-        items = self._expand_stars(select.items, scope)
-        aggregated = bool(select.group_by) or any(
-            item.expr is not None and contains_aggregate(item.expr)
-            for item in items
-        ) or (select.having is not None
-              and contains_aggregate(select.having))
-
-        if aggregated:
-            columns, rows = self._run_aggregate(items, source_rows,
-                                                scope, compiler)
-        else:
-            columns, rows = self._run_plain(items, source_rows, compiler)
-
-        rows = self._apply_limit(rows)
-        return columns, rows
+            plan = memo.plan(descs, predicates, ctx.table_stats, folded)
+        self.plan = plan
+        ordered, rows = self._execute(plan, tables)
+        pipeline = self._pipeline(plan, ordered, shape, pin)
+        if pipeline.residual is not None:
+            rows = filter(pipeline.residual, rows)
+        return pipeline.columns, pipeline.produce(rows, pin)
 
     # -- plan execution -----------------------------------------------------------
 
-    def _plan_access(self, tables: List[BoundTable],
-                     predicates: List[ast.Expr]):
-        """Plan the FROM clause, then execute the plan steps.
+    def _execute(self, plan: SelectPlan, tables: List[BoundTable]):
+        """Execute the plan steps over ``tables`` (in FROM order).
 
-        Returns (ordered_descs, row_iterator, residual_predicates);
-        rows are concatenations of the ordered tables' columns.
+        Returns (ordered_descs, row_iterator); rows are concatenations
+        of the ordered tables' columns.  A plan of no steps (no FROM)
+        reads one empty row.
         """
-        descs = [table.desc for table in tables]
-        if self.memo is None:
-            plan = plan_from(descs, predicates, self.ctx.table_stats)
-        else:
-            plan = self.memo.plan(descs, predicates, self.ctx.table_stats)
-        self.plan = plan
-
+        if not plan.steps:
+            return [], iter([()])
         ordered: List[TableDesc] = []
         rows: Iterator[Row] = iter(())
         for step in plan.steps:
@@ -929,7 +1028,48 @@ class _SelectPlanner:
             ordered.append(step.desc)
             if pushed:
                 rows = self._apply_pushed(ordered, rows, pushed)
-        return ordered, rows, list(plan.residual)
+        return ordered, rows
+
+    def _pipeline(self, plan: SelectPlan, ordered: List[TableDesc],
+                  shape: _Shape, pin: Optional[int]) -> _Pipeline:
+        """The plan's compiled pipeline, compiled by its first cursor
+        and reused by the next while the function table, and the pin if
+        a compiled clause reads it, stay the same."""
+        functions = self.ctx.functions
+        key = pin if shape.pinned else None
+        kept = plan.pipeline
+        if kept is not None and kept[1] == key \
+                and (kept[0] is functions or kept[0] == functions):
+            return kept[2]
+        pipeline = self._compile(plan, ordered, shape, functions, pin)
+        plan.pipeline = (functions, key, pipeline)
+        return pipeline
+
+    def _compile(self, plan: SelectPlan, ordered: List[TableDesc],
+                 shape: _Shape, functions, pin: Optional[int]) -> _Pipeline:
+        """Compile the residual, the select list and every stage after
+        it against the plan's row layout.  What it returns holds nothing
+        of this cursor: no context, no source."""
+        scope = scope_of(ordered)
+        compiler = ExpressionCompiler(scope, functions, pin)
+        residual = compiler.compile_predicate(plan.residual) \
+            if plan.residual else None
+        items = self._expand_stars(self.select.items, scope)
+        if shape.aliased:
+            self.columns = _column_names(ordered)
+        if shape.aggregated:
+            columns, produce = self._run_aggregate(items, compiler)
+        else:
+            columns, produce = self._run_plain(items, compiler,
+                                               shape.pinned_items)
+        limited = self._limiter(pin)
+        if limited is not None:
+            inner = produce
+
+            def produce(rows: Iterator[Row], pin: Optional[int],
+                        ) -> Iterator[Row]:
+                return limited(inner(rows, pin))
+        return _Pipeline(columns, residual, produce)
 
     def _leaf_filter(self, step: PlanNode,
                      ) -> Tuple[Optional[LeafFilter], List[ast.Expr]]:
@@ -972,12 +1112,7 @@ class _SelectPlanner:
         if spec.kind == "scan":
             return table.access.scan(width)
         index = table.index_named(spec.index)
-        # Index keys are doubles.  A bound beyond +-KEY_EXACT_INT shares
-        # its key with neighbouring values, so the probe (a range one
-        # widened to inclusive bounds) yields a superset and the conjunct
-        # the index consumed is re-applied to the fetched rows.
-        inexact = any(_inexact_key(bound) for bound in
-                      (spec.value, *(spec.lo or ()), *(spec.hi or ())))
+        inexact = spec.inexact
         if spec.kind == "eq":
             rowids = index.lookup_equal([spec.value])
         else:
@@ -1078,15 +1213,32 @@ class _SelectPlanner:
 
     # -- plain (non-aggregate) pipeline ------------------------------------------------
 
-    def _run_plain(self, items: List[ast.SelectItem], source_rows,
-                   compiler: ExpressionCompiler):
+    def _run_plain(self, items: List[ast.SelectItem],
+                   compiler: ExpressionCompiler, pinned_items: bool):
+        """``pinned_items``: the items that call ``current_snapshot()``
+        are compiled by each cursor at its own pin, the rest once."""
         select = self.select
-        evaluators = [compiler.compile(item.expr) for item in items]
+        evaluators = [None if pinned_items and reads_pin(item.expr)
+                      else compiler.compile(item.expr) for item in items]
+        at_pin = [(i, item.expr) for i, item in enumerate(items)
+                  if evaluators[i] is None]
         columns = [_column_name(item, i) for i, item in enumerate(items)]
 
         order_evals = self._order_evaluators(items, compiler)
 
-        def produce() -> Iterator[Row]:
+        def produce(source_rows: Iterator[Row],
+                    pin: Optional[int]) -> Iterator[Row]:
+            if not at_pin:
+                return rows_of(source_rows, evaluators)
+            own = list(evaluators)
+            pinned = ExpressionCompiler(compiler.scope, compiler.functions,
+                                        pin)
+            for i, expr in at_pin:
+                own[i] = pinned.compile(expr)
+            return rows_of(source_rows, own)
+
+        def rows_of(source_rows: Iterator[Row],
+                    evaluators: List[Callable]) -> Iterator[Row]:
             if order_evals is None:
                 if select.distinct:
                     seen = set()
@@ -1111,7 +1263,7 @@ class _SelectPlanner:
                 keys = tuple(e(src) for e, _ in order_evals)
                 keyed.append((keys, row))
             yield from _sorted_rows(keyed, order_evals)
-        return columns, produce()
+        return columns, produce
 
     def _order_evaluators(self, items: List[ast.SelectItem],
                           compiler: ExpressionCompiler):
@@ -1125,14 +1277,22 @@ class _SelectPlanner:
             return None
         out = []
         for order in select.order_by:
-            expr = self._resolve_order_expr(order.expr, items)
+            expr = self._resolve_order_expr(order.expr, items, compiler.pin)
             out.append((compiler.compile(expr), order.descending))
         return out
 
     def _resolve_order_expr(self, expr: ast.Expr,
-                            items: List[ast.SelectItem]) -> ast.Expr:
+                            items: List[ast.SelectItem],
+                            pin: Optional[int] = None) -> ast.Expr:
+        """A bare integer is a 1-based item position; so is a bare
+        ``current_snapshot()`` call, which names the pin as the literal
+        the paper's textual rewrite writes in its place would."""
+        position = None
         if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
             position = expr.value
+        elif pin is not None and is_current_snapshot(expr):
+            position = pin
+        if position is not None:
             if not 1 <= position <= len(items):
                 raise PlanError(f"ORDER BY position {position} out of range")
             return items[position - 1].expr  # type: ignore[return-value]
@@ -1144,8 +1304,8 @@ class _SelectPlanner:
 
     # -- aggregate pipeline -----------------------------------------------------------
 
-    def _run_aggregate(self, items: List[ast.SelectItem], source_rows,
-                       scope: Scope, compiler: ExpressionCompiler):
+    def _run_aggregate(self, items: List[ast.SelectItem],
+                       compiler: ExpressionCompiler):
         select = self.select
         group_exprs = [
             _resolve_alias_refs(g, items, self.columns, "GROUP BY")
@@ -1172,7 +1332,8 @@ class _SelectPlanner:
             collect(item.expr)
         collect(having)
         for order in select.order_by:
-            collect(self._resolve_order_expr(order.expr, items))
+            collect(self._resolve_order_expr(order.expr, items,
+                                             compiler.pin))
 
         group_evals = [compiler.compile(g) for g in group_exprs]
         agg_arg_evals = []
@@ -1209,7 +1370,8 @@ class _SelectPlanner:
             for item in items
         ]
         post_scope = Scope([("", f"#{i}") for i in range(len(mapping))])
-        post_compiler = ExpressionCompiler(post_scope, self.ctx.functions)
+        post_compiler = ExpressionCompiler(post_scope, compiler.functions,
+                                           compiler.pin)
         self._check_grouped(post_items, group_exprs)
 
         evaluators = [post_compiler.compile(item.expr)
@@ -1226,7 +1388,8 @@ class _SelectPlanner:
         if select.order_by:
             order_evals = []
             for order in select.order_by:
-                expr = self._resolve_order_expr(order.expr, post_items)
+                expr = self._resolve_order_expr(order.expr, post_items,
+                                                compiler.pin)
                 expr = _rewrite(expr, to_post_agg)
                 order_evals.append(
                     (post_compiler.compile(expr), order.descending)
@@ -1249,7 +1412,9 @@ class _SelectPlanner:
             def key_of(src: Row) -> tuple:
                 return tuple([g(src) for g in group_evals])
 
-        def produce() -> Iterator[Row]:
+        def produce(source_rows: Iterator[Row],
+                    pin: Optional[int]) -> Iterator[Row]:
+            # ``pin`` is compiled in already where a clause reads it.
             groups: Dict[tuple, tuple] = {}  #: key -> new_group()
             if not group_evals:
                 # One group, with or without rows (COUNT = 0, SUM = NULL
@@ -1288,7 +1453,7 @@ class _SelectPlanner:
                     yield row
             else:
                 yield from _sorted_rows(out, order_evals)
-        return columns, produce()
+        return columns, produce
 
     def _check_grouped(self, post_items: List[ast.SelectItem],
                        group_exprs: List[ast.Expr]) -> None:
@@ -1302,20 +1467,24 @@ class _SelectPlanner:
 
     # -- limit --------------------------------------------------------------------
 
-    def _apply_limit(self, rows: Iterator[Row]) -> Iterator[Row]:
+    def _limiter(self, pin: Optional[int],
+                 ) -> Optional[Callable[[Iterator[Row]], Iterator[Row]]]:
+        """LIMIT and OFFSET, folded now, as a row filter (None: neither
+        clause)."""
         select = self.select
         if select.limit is None and select.offset is None:
-            return rows
+            return None
         try:
-            limit = constant_int(select.limit, "LIMIT", BUILTIN_SCALARS)
+            limit = constant_int(select.limit, "LIMIT", BUILTIN_SCALARS,
+                                 pin)
             offset = constant_int(select.offset, "OFFSET",
-                                  BUILTIN_SCALARS) or 0
+                                  BUILTIN_SCALARS, pin) or 0
         except PlanError as exc:
             raise PlanError(
                 f"{exc} (LIMIT and OFFSET fold at plan time, where only "
                 f"built-in functions are available)") from exc
 
-        def limited() -> Iterator[Row]:
+        def limited(rows: Iterator[Row]) -> Iterator[Row]:
             skipped = 0
             produced = 0
             for row in rows:
@@ -1326,7 +1495,7 @@ class _SelectPlanner:
                     return
                 produced += 1
                 yield row
-        return limited()
+        return limited
 
 
 # ---------------------------------------------------------------------------
@@ -1399,8 +1568,8 @@ def _predicate_uses_only(expr: ast.Expr, scope: Scope) -> bool:
 
 def _constant_value(expr: ast.Expr,
                     functions: Dict[str, Callable[..., SqlValue]],
-                    ) -> SqlValue:
-    return ExpressionCompiler(Scope([]), functions).compile(expr)(())
+                    pin: Optional[int] = None) -> SqlValue:
+    return ExpressionCompiler(Scope([]), functions, pin).compile(expr)(())
 
 
 def _fold(constants: List[ast.Expr]) -> Optional[List[SqlValue]]:
@@ -1420,14 +1589,15 @@ def _fold(constants: List[ast.Expr]) -> Optional[List[SqlValue]]:
 
 def constant_int(expr: Optional[ast.Expr], label: str,
                  functions: Dict[str, Callable[..., SqlValue]],
-                 ) -> Optional[int]:
+                 pin: Optional[int] = None) -> Optional[int]:
     """Value of a constant integer clause (LIMIT, OFFSET, AS OF); None
-    for an absent or NULL one."""
+    for an absent or NULL one.  ``pin`` is what ``current_snapshot()``
+    reads, when the statement runs at a snapshot of a run."""
     if expr is None:
         return None
     if not is_constant(expr):
         raise PlanError(f"{label} must be a constant")
-    value = _constant_value(expr, functions)
+    value = _constant_value(expr, functions, pin)
     return None if value is None else int(value)
 
 
@@ -1579,7 +1749,9 @@ def _column_name(item: ast.SelectItem, position: int) -> str:
         return expr.name
     if isinstance(expr, PostAggRef) and expr.display:
         return expr.display
-    if isinstance(expr, ast.FunctionCall):
+    # A current_snapshot() call is named like the literal the paper's
+    # textual rewrite puts in its place.
+    if isinstance(expr, ast.FunctionCall) and not is_current_snapshot(expr):
         return f"{expr.name.upper()}(*)" if expr.star \
             else f"{expr.name.upper()}()"
     return f"column{position + 1}"

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.errors import ReproError
 from repro.sql import ast
 from repro.sql.expressions import (
+    CURRENT_SNAPSHOT,
     classify_conjunct,
     conjuncts,
     flatten_from,
@@ -33,9 +34,9 @@ from repro.sql.parser import parse_sql
 #: from a Qq makes the retrospection irreproducible and partition-order
 #: dependent.
 STATEFUL_FUNCTIONS = frozenset({"rql_workers"})
-#: RQL names the mechanism rewriter resolves to a constant per snapshot
-#: before execution; deterministic by construction.
-REWRITTEN_FUNCTIONS = frozenset({"current_snapshot"})
+#: RQL names a run binds to its cursor's snapshot: one constant per
+#: snapshot, deterministic by construction.
+REWRITTEN_FUNCTIONS = frozenset({CURRENT_SNAPSHOT})
 #: Scalars that always map equal inputs to equal outputs.
 DETERMINISTIC_BUILTINS = frozenset(BUILTIN_SCALARS) | {"snapshot_id"}
 

@@ -2,7 +2,7 @@
 
 A :class:`~repro.core.rewrite.PreparedQq` carries one
 :class:`~repro.sql.planner.PlanMemo`; the snapshot loops hand it over
-with every bound statement (``RunReader.cursor`` in a fold,
+with every cursor of the one statement (``RunReader.cursor`` in a fold,
 ``Database.open_cursor`` in the reference loop).  ``plan_from`` is
 pure, so the memo may return the last plan whenever the table
 descriptions (by value), the predicates (by identity) and each table's
@@ -91,8 +91,8 @@ class _Spy:
             self.fresh.append((inputs, plan))
             return plan
 
-        def memo_plan(memo, descs, predicates, stats_for):
-            plan = real_memo_plan(memo, descs, predicates, stats_for)
+        def memo_plan(memo, descs, predicates, stats_for, pin=None):
+            plan = real_memo_plan(memo, descs, predicates, stats_for, pin)
             self.memo_plans.append(plan)
             return plan
 
@@ -105,8 +105,8 @@ def _notes(plan):
 
 
 def _step(db, prepared, sid):
-    """One loop iteration: the bound statement through the memo."""
-    _, rows = db.open_cursor(prepared.bind(sid), memo=prepared.memo)
+    """One loop iteration: the statement at ``sid`` through the memo."""
+    _, rows = db.open_cursor(prepared.statement, sid, memo=prepared.memo)
     return [tuple(row) for row in rows]
 
 
@@ -197,7 +197,7 @@ def test_memo_never_hits_with_current_snapshot_in_where(history,
     for sid in sids:
         before = len(spy.fresh)
         rows = _step(db, prepared, sid)
-        assert len(spy.fresh) == before + 1  # the WHERE is rebuilt
+        assert len(spy.fresh) == before + 1  # the pin is in the WHERE
         assert rows == _text(db, QQ_CURRENT, sid)
 
 
@@ -217,7 +217,7 @@ def test_threads_sharing_one_prepared_qq(history, qq):
                 # One run reader per thread, as each partition opens.
                 with db.run_reader() as reader:
                     for sid in order:
-                        _, rows = reader.cursor(prepared.bind(sid),
+                        _, rows = reader.cursor(prepared.statement, sid,
                                                 prepared.memo)
                         got = [tuple(row) for row in rows]
                         if got != expected[sid]:
@@ -237,7 +237,7 @@ def test_threads_sharing_one_prepared_qq(history, qq):
 
 def test_both_snapshot_loops_plan_through_the_memo(history, monkeypatch):
     """The serial table-backed body and the partition fold both hand
-    the memo to every bound statement, and their results stay right."""
+    the memo to every cursor, and their results stay right."""
     session, sids = history
     spy = _Spy(monkeypatch)
     qs = "SELECT snap_id FROM SnapIds WHERE snap_id <= 7"

@@ -1,15 +1,18 @@
-"""The AST binder against the text path.
+"""The prepared Qq, run at a snapshot, against the text path.
 
-``prepare_qq(qq).bind(sid)`` is what every snapshot loop runs;
-``parse_one(rewrite_qq(qq, sid))`` is the paper's textual rewrite and the
-reference.  The contract is dataclass equality of the two statements
-(DESIGN.md §3c), and everything else follows from it:
+Every snapshot loop runs ``prepare_qq(qq).statement`` through a cursor
+opened at ``sid`` — the snapshot it reads and the value its
+``current_snapshot()`` calls return; ``parse_one(rewrite_qq(qq, sid))``
+is the paper's textual rewrite and the reference (DESIGN.md §3c):
 
-(a) equality over every Qq the repository ships and over Hypothesis-built
-    SELECTs with calls in every clause;
+(a) the text path's statement is the prepared one with ``AS OF sid`` and
+    each call the literal ``sid`` — over every Qq the repository ships
+    and one call per clause — and on a small database the cursor
+    returns what the text does, there and over Hypothesis-built SELECTs
+    with calls in every clause;
 (b) the error table — the same class (and, for the three binding
     errors, message) on both paths;
-(c) ``bind`` never mutates the prepared tree and shares what it can;
+(c) cursors never mutate the prepared tree;
 (d) result-level differential: the four mechanisms, serial and
     partitioned, and a view refresh, against a loop that runs the
     rewritten *text* through ``Database.execute`` per snapshot — over a
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 import ast as python_ast
 import copy
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import pytest
@@ -36,6 +40,7 @@ from repro.core.rewrite import prepare_qq, rewrite_qq
 from repro.errors import LexerError, MechanismError, ParseError, SqlError
 from repro.retro.metrics import MetricsSink
 from repro.sql import ast, parser
+from repro.sql.expressions import is_current_snapshot
 from repro.sql.parser import parse_one
 from repro.workloads.corpus import CORPUS
 from repro.workloads.tpch import queries as tpch_queries
@@ -48,14 +53,69 @@ def text_path(qq: str, sid: int) -> ast.Select:
     return parse_one(rewrite_qq(qq, sid))
 
 
+def written_in(node, sid: int):
+    """``node`` with each ``current_snapshot()`` call the literal
+    ``sid``: the meaning of the cursor's parameter, on the AST."""
+    if is_current_snapshot(node):
+        return ast.Literal(sid)
+    if isinstance(node, (list, tuple)):
+        return type(node)(written_in(child, sid) for child in node)
+    if is_dataclass(node):
+        return replace(node, **{f.name: written_in(getattr(node, f.name), sid)
+                                for f in fields(node)})
+    return node
+
+
 def assert_binds_like_the_text(qq: str) -> None:
     prepared = prepare_qq(qq)
     for sid in SNAPSHOT_IDS:
-        assert prepared.bind(sid) == text_path(qq, sid), qq
+        pinned = written_in(prepared.statement, sid)
+        pinned.as_of = ast.Literal(sid)
+        assert pinned == text_path(qq, sid), qq
+
+
+def both_paths(db, qq: str, sid: int):
+    """(columns, rows) or (error class, message) of the prepared Qq at
+    ``sid`` and of the rewritten text, each fully consumed."""
+    def outcome(run):
+        try:
+            columns, rows = run()
+            return list(columns), [tuple(row) for row in rows]
+        except Exception as error:  # noqa: BLE001 -- compared, not hidden
+            return type(error), str(error)
+
+    def cursor():
+        with db.run_reader() as reader:
+            columns, rows = reader.cursor(prepare_qq(qq).statement, sid)
+            return columns, list(rows)
+
+    return outcome(cursor), outcome(lambda: db.execute_cursor(
+        rewrite_qq(qq, sid)))
+
+
+@pytest.fixture(scope="module")
+def small():
+    """``t``, ``u`` and ``w`` at two snapshots, for every statement the
+    clause table and the generated SELECTs name."""
+    session = RQLSession()
+    session.execute("CREATE TABLE t (a INTEGER, b INTEGER, "
+                    "current_snapshot INTEGER)")
+    session.execute("CREATE TABLE u (a INTEGER, b INTEGER)")
+    session.execute("CREATE TABLE w (c INTEGER)")
+    session.execute("INSERT INTO t VALUES (1, 2, 3), (2, 2, NULL), "
+                    "(3, 1, 1), (NULL, 4, 2)")
+    session.execute("INSERT INTO u VALUES (1, 1), (2, 5)")
+    session.execute("INSERT INTO w VALUES (0), (2)")
+    first = session.declare_snapshot()
+    session.execute("INSERT INTO t VALUES (2, 7, 2)")
+    session.execute("UPDATE u SET b = 2 WHERE a = 2")
+    second = session.declare_snapshot()
+    yield session.db, (first, second)
+    session.close()
 
 
 # ---------------------------------------------------------------------------
-# (a) AST equality
+# (a) the text path is the statement with its parameter written in
 # ---------------------------------------------------------------------------
 
 def _example_selects():
@@ -166,14 +226,22 @@ def test_each_clause_binds_like_the_text(qq):
     assert_binds_like_the_text(qq)
 
 
+@pytest.mark.parametrize("qq", ONE_CLAUSE_EACH)
+def test_each_clause_runs_like_the_text(small, qq):
+    db, sids = small
+    for sid in sids:
+        ours, text = both_paths(db, qq, sid)
+        assert ours == text, (qq, sid)
+
+
 def test_the_select_list_literal_is_named_like_the_injected_one():
-    """Column naming follows from AST equality: a call in the select
-    list is the literal the text path injects, hence ``column2``."""
+    """A call in the select list is named like the literal the text path
+    injects, hence ``column2``."""
     db = RQLSession().db
     db.execute("CREATE TABLE t (a)")
     sid = db.declare_snapshot()
     qq = "SELECT a, current_snapshot(), current_snapshot() AS s FROM t"
-    columns, rows = db.open_cursor(prepare_qq(qq).bind(sid))
+    columns, rows = db.open_cursor(prepare_qq(qq).statement, sid)
     rows.close()
     assert columns == db.execute(rewrite_qq(qq, sid)).columns \
         == ["a", "column2", "s"]
@@ -269,10 +337,16 @@ def selects(draw):
 
 
 @settings(max_examples=300, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(qq=selects(), sid=st.sampled_from(SNAPSHOT_IDS))
-def test_generated_selects_bind_like_the_text(qq, sid):
-    assert prepare_qq(qq).bind(sid) == text_path(qq, sid)
+          suppress_health_check=[HealthCheck.too_slow,
+                                 HealthCheck.function_scoped_fixture])
+@given(qq=selects(), second=st.booleans())
+def test_generated_selects_bind_like_the_text(small, qq, second):
+    """The prepared statement at a snapshot returns the rows (or raises
+    the error) of the text bound to it."""
+    db, sids = small
+    sid = sids[second]
+    ours, text = both_paths(db, qq, sid)
+    assert ours == text, (qq, sid)
 
 
 @settings(max_examples=100, deadline=None,
@@ -280,9 +354,9 @@ def test_generated_selects_bind_like_the_text(qq, sid):
 @given(qq=selects())
 def test_references_current_snapshot_means_the_binding_varies(qq):
     prepared = prepare_qq(qq)
-    varies = {k: v for k, v in vars(prepared.bind(1)).items()
+    varies = {k: v for k, v in vars(text_path(qq, 1)).items()
               if k != "as_of"} \
-        != {k: v for k, v in vars(prepared.bind(2)).items()
+        != {k: v for k, v in vars(text_path(qq, 2)).items()
             if k != "as_of"}
     assert prepared.references_current_snapshot == varies
 
@@ -400,62 +474,8 @@ def test_errors_surface_on_the_first_iteration_and_write_nothing(workers):
 
 
 # ---------------------------------------------------------------------------
-# (c) bind never mutates, and shares what it does not rebuild
+# (c) cursors never mutate the prepared tree
 # ---------------------------------------------------------------------------
-
-SHARING_QQ = ("SELECT a, current_snapshot() AS sid, b + 1 FROM t JOIN u "
-              "ON t.a = u.a WHERE b > 2 AND c IN (1, current_snapshot()) "
-              "GROUP BY a ORDER BY a LIMIT 5")
-
-
-def test_bind_leaves_the_prepared_tree_as_parsed():
-    prepared = prepare_qq(SHARING_QQ)
-    as_prepared = copy.deepcopy(prepared.statement)
-    bound = [prepared.bind(sid) for sid in range(1, 101)]
-    assert prepared.statement == as_prepared == parse_one(SHARING_QQ)
-    assert prepared.statement.as_of is None
-    assert len({id(b) for b in bound}) == 100
-    assert [b.as_of.value for b in bound] == list(range(1, 101))
-    assert bound[0] != bound[1]
-
-
-def test_bind_builds_new_nodes_only_on_the_path_to_a_call():
-    prepared = prepare_qq(SHARING_QQ)
-    statement = prepared.statement
-    one, two = prepared.bind(1), prepared.bind(2)
-    for bound in (one, two):
-        # no call below: shared with the prepared tree
-        assert bound.source is statement.source
-        assert bound.group_by is statement.group_by
-        assert bound.order_by is statement.order_by
-        assert bound.limit is statement.limit
-        assert bound.items[0] is statement.items[0]
-        assert bound.items[2] is statement.items[2]
-        assert bound.where.left is statement.where.left
-        assert bound.where.right.operand is statement.where.right.operand
-        # on the path to a call: rebuilt, with its source position
-        assert bound.items is not statement.items
-        assert bound.items[1] is not statement.items[1]
-        assert bound.items[1].alias == "sid"
-        assert (bound.items[1].line, bound.items[1].col) \
-            == (statement.items[1].line, statement.items[1].col) != (0, 0)
-        assert bound.where is not statement.where
-        assert bound.where.right.items is not statement.where.right.items
-    # two bound trees share no rebuilt node
-    assert one.items is not two.items
-    assert one.where.right is not two.where.right
-    assert one.as_of is not two.as_of
-
-
-def test_a_qq_without_calls_shares_everything_but_the_select():
-    prepared = prepare_qq("SELECT a FROM t WHERE a > 1")
-    assert not prepared.references_current_snapshot
-    bound = prepared.bind(9)
-    assert bound is not prepared.statement
-    assert bound.as_of == ast.Literal(9)
-    assert bound.items is prepared.statement.items
-    assert bound.where is prepared.statement.where
-
 
 def test_planning_and_running_bound_trees_leaves_the_prepared_one_alone():
     session = RQLSession()
@@ -466,15 +486,19 @@ def test_planning_and_running_bound_trees_leaves_the_prepared_one_alone():
           "WHERE a >= 2 AND b < 100 + current_snapshot() GROUP BY a "
           "HAVING COUNT(*) > 0 ORDER BY a DESC LIMIT 10")
     prepared = prepare_qq(qq)
+    as_prepared = copy.deepcopy(prepared.statement)
     for _ in range(2):
         for sid in sids:
-            bound = prepared.bind(sid)
-            as_bound = copy.deepcopy(bound)
-            columns, rows = session.db.open_cursor(bound)
-            assert list(rows) == [(3, sid, 7), (2, sid, 6)]
-            assert columns == ["a", "sid", "total"]
-            assert bound == as_bound
+            for opened in (
+                    lambda: session.db.open_cursor(
+                        prepared.statement, sid, memo=prepared.memo),
+                    lambda: session.db.open_cursor(prepared.statement, sid)):
+                columns, rows = opened()
+                assert list(rows) == [(3, sid, 7), (2, sid, 6)]
+                assert columns == ["a", "sid", "total"]
+                assert prepared.statement == as_prepared
     assert prepared.statement == parse_one(qq)
+    assert prepared.statement.as_of is None
 
 
 # ---------------------------------------------------------------------------

@@ -74,7 +74,7 @@ def db():
 
 def run(db, prepared, sid):
     """One snapshot-loop iteration of ``prepared``: through its memo."""
-    _, rows = db.open_cursor(prepared.bind(sid), memo=prepared.memo)
+    _, rows = db.open_cursor(prepared.statement, sid, memo=prepared.memo)
     return [tuple(row) for row in rows]
 
 
