@@ -4,9 +4,10 @@ index-scan as selectivity tightens, on a cold old snapshot.
 Figure-9 companion: Figure 9 shows what access paths *cost* inside a
 snapshot iteration; this bench shows the statistics catalog actually
 *choosing* between them.  A snapshot query pinned at the ANALYZE stamp
-plans with real statistics, so a narrow `o_orderkey <=` bound probes
-`__pk_orders` (few Pagelog pages) while a wide bound seq-scans the
-whole table (every orders page through the Pagelog).
+plans with real statistics, so a narrow `o_orderkey <=` bound seeks
+the orders tree by its rowid alias (few Pagelog pages) while a wide
+bound seq-scans the whole table (every orders page through the
+Pagelog).
 """
 
 from repro.bench import print_figure
@@ -89,7 +90,7 @@ def plan_crossover_checks(result: FigureResult) -> None:
               for f in FRACTIONS]
     # Tight selectivity takes the index; the full range seq-scans.
     assert points[0]["access"].startswith(
-        "SEARCH orders USING INDEX __pk_orders"), points[0]
+        "SEARCH orders USING INTEGER PRIMARY KEY"), points[0]
     assert points[-1]["access"] == "SCAN orders", points[-1]
     # Every point carries a real costed line (no heuristic fallback:
     # the statistics are visible AS OF the pinned snapshot).

@@ -75,7 +75,7 @@ class GoldenPlanDrift(QueryRule):
     )
     example = (
         "# repro/workloads/plans.py pins\n"
-        "#   SEARCH orders USING INDEX __pk_orders (=)\n"
+        "#   SEARCH orders USING INTEGER PRIMARY KEY (rowid=?)\n"
         "# but after a cost-constant change the planner renders\n"
         "#   SCAN orders"
     )
@@ -170,7 +170,8 @@ class CostModelSanity(QueryRule):
     example = (
         "-- __rql_stats rows claim 10 rows across 10000 pages, so the\n"
         "-- planner picks an index probe for a filter-nothing predicate\n"
-        "SEARCH orders USING INDEX __pk_orders (range)  -- sel 1.0"
+        "SEARCH orders USING INTEGER PRIMARY KEY (rowid>? AND rowid<?)"
+        "  -- sel 1.0"
     )
     fix = (
         "Re-run ANALYZE to replace the corrupt statistics; if they "

@@ -69,8 +69,11 @@ def workload_ops() -> List[Tuple[str, List[str]]]:
     that split B-tree pages (page_size is small).
     """
     return [
+        # The key is the rowid, so no index is written unless one is
+        # declared: this one puts index pages on every write path.
         ("sql", ["CREATE TABLE accounts (id INTEGER PRIMARY KEY, "
-                 "balance INTEGER)"]),
+                 "balance INTEGER)",
+                 "CREATE INDEX accounts_balance ON accounts (balance)"]),
         ("sql", ["INSERT INTO accounts VALUES " + ", ".join(
             f"({i}, {i * 100})" for i in range(1, 9))]),
         ("snap", ["UPDATE accounts SET balance = balance + 10 "

@@ -47,6 +47,7 @@ from typing import IO, List, Optional
 
 from repro.core import RQLSession
 from repro.errors import ReproError
+from repro.sql.catalog import primary_key_storage
 from repro.sql.executor import ResultSet
 from repro.sql.types import value_repr
 
@@ -181,8 +182,12 @@ class Shell:
             )
             pk = (f", PRIMARY KEY ({', '.join(table.primary_key)})"
                   if table.primary_key else "")
+            alias, index = primary_key_storage(
+                table.name, table.columns, table.primary_key)
+            key = (f" rowid: {alias}" if alias is not None
+                   else f" key index: {index}" if index is not None else "")
             self.write(f"CREATE TABLE {table.name} ({columns}{pk});"
-                       f"  -- [{kind}]")
+                       f"  -- [{kind}]{key}")
 
     def cmd_indexes(self, args: List[str]) -> None:
         wanted = args[0].lower() if args else None

@@ -56,7 +56,12 @@ from repro.core.mechanisms import (
     build_result,
     result_index_name,
 )
-from repro.core.rewrite import PreparedQq, prepare_qq, validate_qs
+from repro.core.rewrite import (
+    PreparedQq,
+    check_result_names,
+    prepare_qq,
+    validate_qs,
+)
 from repro.errors import MechanismError, QueryCancelled
 from repro.retro.metrics import MetricsSink
 from repro.sql.certify import (
@@ -152,6 +157,7 @@ class ParallelExecutor:
         # One parse for the certificate and every partition: they share
         # its plan memo and the leaf filter the memo's plan holds.
         prepared = prepare_qq(qq)
+        check_result_names(prepared)
         self.db.execute(f"DROP TABLE IF EXISTS {_quote(table)}")
         merge_class = certify(self.db, spec.name, qs, prepared,
                               arg).merge_class

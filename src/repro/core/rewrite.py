@@ -37,10 +37,11 @@ from typing import List, Tuple
 
 from repro.errors import MechanismError
 from repro.sql import ast
+from repro.sql.catalog import check_column_names
 from repro.sql.expressions import CURRENT_SNAPSHOT, is_current_snapshot
 from repro.sql.lexer import EOF, IDENT, KEYWORD, OPERATOR, Token, tokenize
 from repro.sql.parser import parse_sql
-from repro.sql.planner import PlanMemo
+from repro.sql.planner import PlanMemo, output_name
 
 _NOT_A_SELECT = "Qq must be a SELECT statement"
 _HAS_AS_OF = "Qq must not contain AS OF; RQL binds snapshots"
@@ -86,6 +87,18 @@ def prepare_qq(qq: str) -> PreparedQq:
     if statement.as_of is not None:
         raise MechanismError(_HAS_AS_OF)
     return PreparedQq(statement, _calls_current_snapshot(statement))
+
+
+def check_result_names(prepared: PreparedQq) -> None:
+    """Refuse a Qq whose select list names a column twice, before a run
+    iterates: its result table could not hold both (``CREATE TABLE``
+    refuses a repeated name).  A star's names are known only at a
+    snapshot, so such a Qq is left to the table's creation, which
+    writes nothing when it fails."""
+    items = prepared.statement.items
+    if not any(item.is_star for item in items):
+        check_column_names(output_name(item, position)
+                           for position, item in enumerate(items))
 
 
 def _calls_current_snapshot(node) -> bool:

@@ -19,7 +19,9 @@ Catalog rows (record-codec encoded):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from functools import cached_property
+from typing import (Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.errors import CatalogError
 from repro.storage.btree import BTree
@@ -30,10 +32,47 @@ _SEP = "\x1f"
 _TABLE_KEYS = encode_key(("T",))
 
 
-@dataclass(frozen=True)
-class Column:
+class Column(NamedTuple):
+    """One column: its name and declared type (a ``(name, type)`` pair,
+    as :class:`repro.sql.semantic.StaticSchema` holds columns)."""
+
     name: str
     type_name: str
+
+
+def check_column_names(names: Iterable[str]) -> None:
+    """Refuse a table whose columns repeat a name, compared without
+    case, as SQLite does."""
+    seen = set()
+    for name in names:
+        if name.lower() in seen:
+            raise CatalogError(f"duplicate column name: {name}")
+        seen.add(name.lower())
+
+
+def primary_key_storage(table: str, columns: Iterable[Tuple[str, str]],
+                        primary_key: Sequence[str],
+                        ) -> Tuple[Optional[str], Optional[str]]:
+    """How a table stores its primary key: ``(rowid alias, index name)``.
+
+    The one place the rule lives.  A key of one column declared exactly
+    ``INTEGER`` is the rowid, as in SQLite ("ROWIDs and the INTEGER
+    PRIMARY KEY"): the table tree is keyed by that column's value, and
+    the answer is ``(column, None)``.  Any other key — composite, or on
+    a column of another declared type — is a unique index beside the
+    table: ``(None, "__pk_<table>")``.  No key: ``(None, None)``.
+    ``columns`` are ``(name, declared type)`` pairs.
+    """
+    if not primary_key:
+        return None, None
+    if len(primary_key) == 1:
+        (key,) = primary_key
+        for name, type_name in columns:
+            if name.lower() == key.lower():
+                if type_name.upper() == "INTEGER":
+                    return name, None
+                break
+    return None, f"__pk_{table.lower()}"
 
 
 @dataclass(frozen=True)
@@ -62,6 +101,15 @@ class TableInfo:
     def has_column(self, name: str) -> bool:
         lowered = name.lower()
         return any(c.name.lower() == lowered for c in self.columns)
+
+    @cached_property
+    def rowid_alias(self) -> Optional[int]:
+        """Position of the column that is the rowid (its value keys the
+        table tree), or None (:func:`primary_key_storage`).  Worked out
+        once per entry, which every reader of its catalog page shares."""
+        alias, _ = primary_key_storage(self.name, self.columns,
+                                       self.primary_key)
+        return None if alias is None else self.column_index(alias)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,14 @@ from repro.errors import (
 )
 from repro.retro.metrics import MetricsSink
 from repro.sql import ast
-from repro.sql.catalog import Catalog, Column, IndexInfo, TableInfo
+from repro.sql.catalog import (
+    Catalog,
+    Column,
+    IndexInfo,
+    TableInfo,
+    check_column_names,
+    primary_key_storage,
+)
 from repro.sql.executor import (
     IndexAccess,
     ResultSet,
@@ -726,6 +733,7 @@ class Database:
                              catalog: Catalog, name: str,
                              columns: List[Column], primary_key: List[str],
                              temporary: bool) -> TableInfo:
+        check_column_names(c.name for c in columns)
         source = session.source()
         tree = BTree.create(source)
         info = TableInfo(
@@ -733,11 +741,11 @@ class Database:
             primary_key=list(primary_key), temporary=temporary,
         )
         catalog.create_table(info)
-        if primary_key:
+        _, pk_index = primary_key_storage(name, columns, primary_key)
+        if pk_index is not None:
             index_tree = BTree.create(source)
             catalog.create_index(IndexInfo(
-                name=f"__pk_{name.lower()}",
-                table=name, root_id=index_tree.root_id,
+                name=pk_index, table=name, root_id=index_tree.root_id,
                 columns=list(primary_key), unique=True,
                 temporary=temporary,
             ))

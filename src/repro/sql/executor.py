@@ -9,6 +9,9 @@ access code, only the page fetches resolve differently).
 Row storage: table B+tree keyed by ``encode_key((rowid,))`` with the row
 record as payload; index B+trees keyed by
 ``encode_key((*column_values, rowid))`` with the rowid record as payload.
+A table whose key is one ``INTEGER`` column (``TableInfo.rowid_alias``)
+uses that column's value as the rowid, as SQLite does: its rows are
+found by key in the table tree itself, and no index holds the key.
 
 Each access class opens its tree with one module-level decoder
 (:func:`_table_entry`, :func:`_index_entry`), so the tree hands out
@@ -22,14 +25,16 @@ columns its statement reads.
 from __future__ import annotations
 
 from itertools import chain
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError
 from repro.sql.catalog import IndexInfo, TableInfo
-from repro.sql.types import SqlValue, coerce_for_column
+from repro.sql.types import SqlValue, coerce_for_column, exact_integer
 from repro.storage.btree import BTree
 from repro.storage.record import (
     KEY_AFTER_NULLS,
+    KEY_EXACT_INT,
     decode_record,
     decode_rowid_key,
     encode_key,
@@ -79,6 +84,23 @@ class TableAccess:
     def get(self, rowid: int) -> Optional[Row]:
         entry = self.tree.get(encode_key((rowid,)))
         return entry[1] if entry is not None else None
+
+    def seek(self, key: SqlValue) -> Iterator[Tuple[int, Row]]:
+        """The (rowid, row) whose rowid ``key`` equals, compared as an
+        index compares keys: the seek of an ``INTEGER PRIMARY KEY``."""
+        entry = self.tree.get(encode_key((key,)))
+        return iter(()) if entry is None else iter((entry,))
+
+    def seek_range(self, lo: Optional[SqlValue], hi: Optional[SqlValue],
+                   lo_inclusive: bool = True, hi_inclusive: bool = True,
+                   ) -> Iterator[Tuple[int, Row]]:
+        """(rowid, row) with lo <=/< rowid <=/< hi, as
+        :meth:`IndexAccess.lookup_range` bounds an index's first column."""
+        lo_key = encode_key((lo,)) if lo is not None else KEY_AFTER_NULLS
+        hi_key = encode_key((hi,)) if hi is not None else None
+        return map(itemgetter(1), self.tree.scan_range(
+            lo_key, hi_key, hi_inclusive=hi_inclusive,
+            lo_inclusive=lo_inclusive))
 
     def count(self) -> int:
         return self.tree.count()
@@ -173,6 +195,8 @@ class TableWriter:
             (index, [info.column_index(c) for c in index.info.columns])
             for index in indexes
         ]
+        #: position of the column whose value is the rowid, or None
+        self._alias = info.rowid_alias
         # next_rowid() descends the tree; cache it across inserts (the
         # writer is the only mutator of this table for its lifetime).
         self._next_rowid: Optional[int] = None
@@ -182,13 +206,14 @@ class TableWriter:
         return [[row[p] for p in positions]
                 for _, positions in self._indexed]
 
+    def _unique_failed(self, columns: Sequence[str]) -> str:
+        return (f"UNIQUE constraint failed: "
+                f"{self.table.info.name}({', '.join(columns)})")
+
     def _check_unique(self, index: IndexAccess,
                       values: Sequence[SqlValue]) -> None:
         if index.info.unique and index.has_prefix(values):
-            raise ExecutionError(
-                f"UNIQUE constraint failed: {self.table.info.name}"
-                f"({', '.join(index.info.columns)})"
-            )
+            raise ExecutionError(self._unique_failed(index.info.columns))
 
     def _admit(self, row: Sequence[SqlValue]) -> Row:
         """A row for this table, coerced to the columns' affinities."""
@@ -210,17 +235,46 @@ class TableWriter:
             self._check_unique(index, values)
         return entries
 
+    def _free_key(self, value: SqlValue) -> int:
+        """``value`` as the rowid of a row of an aliased table, refused
+        unless it is an integer the table's key codec stores exactly
+        (DESIGN.md §3a) that no row holds yet."""
+        rowid = exact_integer(value)
+        if rowid is None:
+            raise ExecutionError("datatype mismatch")
+        if not -KEY_EXACT_INT <= rowid <= KEY_EXACT_INT:
+            raise ExecutionError(
+                f"INTEGER PRIMARY KEY {rowid} is out of range: keys are "
+                f"stored as doubles, exact within +-{KEY_EXACT_INT}")
+        if self.table.tree.contains(encode_key((rowid,))):
+            info = self.table.info
+            raise ExecutionError(
+                self._unique_failed([info.columns[self._alias].name]))
+        return rowid
+
     def next_rowid(self) -> int:
         """The rowid the next new row takes."""
         if self._next_rowid is None:
             self._next_rowid = self.table.next_rowid()
         return self._next_rowid
 
+    def _note_rowid(self, rowid: int) -> None:
+        """``rowid`` is taken: the next new row's is past it."""
+        if self._next_rowid is not None and rowid >= self._next_rowid:
+            self._next_rowid = rowid + 1
+
     def insert(self, row: Sequence[SqlValue]) -> int:
         coerced = self._admit(row)
+        alias = self._alias
+        if alias is None:
+            rowid = self.next_rowid()
+        else:
+            # A NULL key takes the next rowid, as in SQLite.
+            key = coerced[alias]
+            rowid = self._free_key(self.next_rowid() if key is None else key)
+            coerced = coerced[:alias] + (rowid,) + coerced[alias + 1:]
         entries = self._entries_of_new(coerced)
-        rowid = self.next_rowid()
-        self._next_rowid = rowid + 1
+        self._note_rowid(rowid)
         self.table.insert_raw(rowid, coerced)
         for index, values in entries:
             index.insert_entry(values, rowid)
@@ -260,6 +314,9 @@ class TableWriter:
         return True
 
     def update(self, rowid: int, new_row: Sequence[SqlValue]) -> None:
+        """Overwrite row ``rowid`` with ``new_row``.  On a table keyed
+        by its rowid, a new key value moves the row: it is deleted and
+        reinserted under the new key, after the checks an insert runs."""
         info = self.table.info
         old_row = self.table.get(rowid)
         if old_row is None:
@@ -268,18 +325,26 @@ class TableWriter:
             coerce_for_column(v, c.type_name)
             for v, c in zip(new_row, info.columns)
         )
+        alias, new_rowid = self._alias, rowid
+        if alias is not None and coerced[alias] != rowid:
+            new_rowid = self._free_key(coerced[alias])
+            coerced = coerced[:alias] + (new_rowid,) + coerced[alias + 1:]
         moved = [
             (index, old, new) for index, old, new in zip(
                 self.indexes, self._index_values(old_row),
                 self._index_values(coerced))
-            if old != new
+            if old != new or new_rowid != rowid
         ]
-        for index, _, new in moved:
-            self._check_unique(index, new)
-        self.table.insert_raw(rowid, coerced)
+        for index, old, new in moved:
+            if old != new:
+                self._check_unique(index, new)
+        if new_rowid != rowid:
+            self.table.delete_raw(rowid)
+            self._note_rowid(new_rowid)
+        self.table.insert_raw(new_rowid, coerced)
         for index, old, new in moved:
             index.delete_entry(old, rowid)
-            index.insert_entry(new, rowid)
+            index.insert_entry(new, new_rowid)
 
 
 class EphemeralPageSource:

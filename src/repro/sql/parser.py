@@ -28,7 +28,8 @@ from repro.sql.lexer import (
 )
 
 _COMPARISONS = ("=", "==", "!=", "<>", "<", "<=", ">", ">=")
-_TYPE_KEYWORDS = ("INTEGER", "REAL", "TEXT", "BLOB", "DATE", "NUMERIC")
+_TYPE_KEYWORDS = ("INTEGER", "INT", "REAL", "TEXT", "BLOB", "DATE",
+                  "NUMERIC")
 
 
 def parse_sql(sql: str) -> List[ast.Statement]:

@@ -47,7 +47,7 @@ from operator import is_, itemgetter
 from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
-from repro.errors import PlanError, ReproError
+from repro.errors import PlanError, ReproError, TypeMismatchError
 from repro.sql import ast
 from repro.sql.certify import classify_select
 from repro.sql.executor import IndexAccess, ResultSet, Row, TableAccess
@@ -66,9 +66,9 @@ from repro.sql.expressions import (
 )
 from repro.sql.aggregates import make_aggregate
 from repro.sql.functions import BUILTIN_SCALARS
-from repro.sql.semantic import ContextSchema, resolve_select
+from repro.sql.semantic import ROWID_PATH, ContextSchema, resolve_select
 from repro.sql.stats import StatsProvider, TableStats
-from repro.sql.types import SqlValue, compare
+from repro.sql.types import SqlValue, compare, exact_integer
 from repro.storage.btree import LeafFilter
 from repro.storage.record import KEY_EXACT_INT
 
@@ -110,6 +110,8 @@ class TableDesc:
     columns: List[str]
     indexes: List[Tuple[str, Tuple[str, ...]]]  #: (index name, columns)
     ordinal: int = 0                           #: position in the FROM list
+    #: the column whose value is the rowid (``TableInfo.rowid_alias``)
+    rowid_alias: Optional[str] = None
     _scope: Optional[Scope] = field(default=None, repr=False, compare=False)
 
     def scope(self) -> Scope:
@@ -125,7 +127,9 @@ class AccessSpec:
     """How the outer table is read: scan, index equality or index range."""
 
     kind: str                        #: 'scan' | 'eq' | 'range'
-    index: Optional[str] = None      #: index name for 'eq'/'range'
+    #: index name for 'eq'/'range'; None there seeks the table tree by
+    #: its rowid alias
+    index: Optional[str] = None
     column: Optional[str] = None     #: indexed column (lowered)
     pred: Optional[ast.Expr] = None  #: conjunct consumed by the index
     value: object = None             #: equality key
@@ -142,7 +146,8 @@ class AccessSpec:
 class JoinSpec:
     """How one more table joins onto the prefix rows."""
 
-    kind: str                                  #: 'native' | 'auto' | 'cross'
+    #: 'rowid' | 'native' | 'auto' | 'cross'
+    kind: str
     index: Optional[str] = None                #: native index name
     pred: Optional[ast.Expr] = None            #: equi-join conjunct consumed
     inner_col: Optional[ast.ColumnRef] = None  #: join column on this table
@@ -288,20 +293,22 @@ def plan_from(descs: List[TableDesc], predicates: List[ast.Expr],
             join = _find_equi_join_desc(prefix_scope, desc, remaining)
             if join is not None:
                 candidates.append(
-                    (desc, join, _desc_leading_index(desc, join[1].name)))
+                    (desc, join, _keyed_path(desc, join[1].name)))
         if not candidates:
-            chosen, chosen_join, native = pending[0], None, None
+            chosen, chosen_join, path = pending[0], None, (None, None)
         elif fully_costed:
-            chosen, chosen_join, native = min(
+            chosen, chosen_join, path = min(
                 candidates, key=lambda c: _join_probe_cost(
-                    stats_by[c[0].ordinal], c[1][1].name, c[2] is not None))
+                    stats_by[c[0].ordinal], c[1][1].name,
+                    c[2][0] is not None))
         else:
-            # First equi-joinable table, native index preferred.
-            chosen, chosen_join, native = next(
-                (c for c in candidates if c[2] is not None), candidates[0])
+            # First equi-joinable table, native path preferred.
+            chosen, chosen_join, path = next(
+                (c for c in candidates if c[2][0] is not None),
+                candidates[0])
         pending.remove(chosen)
         node = _plan_join_node(
-            chosen, chosen_join, native,
+            chosen, chosen_join, path,
             stats_by[chosen.ordinal], fully_costed,
         )
         if chosen_join is not None:
@@ -489,7 +496,15 @@ def _plan_single_access(desc: TableDesc, predicates: List[ast.Expr],
 
 def _access_node(desc: TableDesc, spec: AccessSpec,
                  stats: Optional[TableStats]) -> PlanNode:
-    if spec.kind == "eq":
+    if spec.kind != "scan" and spec.index is None:
+        # SQLite's EXPLAIN QUERY PLAN wording for a rowid seek.
+        bounds = "rowid=?" if spec.kind == "eq" else " AND ".join(
+            bound for bound, given in (("rowid>?", spec.lo),
+                                       ("rowid<?", spec.hi)) if given)
+        note = f"SEARCH {desc.binding} USING {ROWID_PATH} ({bounds})"
+        path = (f"{ROWID_PATH.lower()} "
+                f"({'=' if spec.kind == 'eq' else 'range'})")
+    elif spec.kind == "eq":
         note = (f"SEARCH {desc.binding} USING INDEX "
                 f"{spec.index} (=)")
         path = f"index {spec.index} (=)"
@@ -536,16 +551,24 @@ def _access_cost(spec: AccessSpec,
             + matched * (ROW_FETCH_COST + CPU_ROW_COST)), sel
 
 
-def _plan_join_node(desc: TableDesc, join, native: Optional[str],
+def _plan_join_node(desc: TableDesc, join,
+                    keyed: Tuple[Optional[str], Optional[str]],
                     stats: Optional[TableStats],
                     fully_costed: bool) -> PlanNode:
+    """``keyed`` is :func:`_keyed_path` of the inner join column."""
+    kind, native = keyed
     if join is None:
         note = f"CROSS JOIN {desc.binding}"
         spec = JoinSpec(kind="cross")
         path = "cross join"
     else:
         pred, inner_col, outer_expr = join
-        if native is not None:
+        if kind == "rowid":
+            note = f"SEARCH {desc.binding} USING {ROWID_PATH} (rowid=?)"
+            spec = JoinSpec(kind="rowid", pred=pred,
+                            inner_col=inner_col, outer_expr=outer_expr)
+            path = f"{ROWID_PATH.lower()} join"
+        elif kind == "native":
             note = (f"SEARCH {desc.binding} USING INDEX "
                     f"{native} ({inner_col.name}=?)")
             spec = JoinSpec(kind="native", index=native, pred=pred,
@@ -575,14 +598,17 @@ def _plan_join_node(desc: TableDesc, join, native: Optional[str],
         node.est_rows = sel * stats.row_count
         node.est_pages = max(1, min(pages, round(_clamp01(sel) * pages)))
         node.cost = _join_probe_cost(stats, spec.inner_col.name,
-                                     spec.kind == "native")
+                                     spec.kind != "auto")
     return node
 
 
 def _join_probe_cost(stats: Optional[TableStats], inner_col: str,
                      native: bool) -> float:
     """Per-probe cost of an inner join access, plus the one-off build
-    cost of the automatic covering index when no native index fits."""
+    cost of the automatic covering index when no native path fits.  A
+    rowid seek is costed as an index probe: it reads the same pages a
+    probe of the ``__pk_`` index it replaces read before the row fetch,
+    and keeping the two equal keeps every join order as it was."""
     if stats is None:
         return 0.0
     matched = _clamp01(stats.eq_selectivity(inner_col)) * stats.row_count
@@ -629,12 +655,18 @@ def scope_of(descs: Sequence[TableDesc]) -> Scope:
                   for desc in descs for column in desc.columns])
 
 
-def _desc_leading_index(desc: TableDesc, column: str) -> Optional[str]:
+def _keyed_path(desc: TableDesc, column: str,
+                ) -> Tuple[Optional[str], Optional[str]]:
+    """How ``desc`` is searched by ``column``: ``("rowid", None)`` when
+    the column is its rowid alias, ``("native", index)`` when an index
+    leads with it, else ``(None, None)``."""
     lowered = column.lower()
+    if desc.rowid_alias is not None and desc.rowid_alias.lower() == lowered:
+        return "rowid", None
     for name, cols in desc.indexes:
         if cols and cols[0].lower() == lowered:
-            return name
-    return None
+            return "native", name
+    return None, None
 
 
 def _index_access(pred: ast.Expr, desc: TableDesc,
@@ -651,17 +683,17 @@ def _index_access(pred: ast.Expr, desc: TableDesc,
     if shape is None or shape.shape == "in" \
             or scope.try_resolve(shape.column) is None:
         return None
-    index = _desc_leading_index(desc, shape.column.name)
-    if index is None:
+    kind, index = _keyed_path(desc, shape.column.name)
+    if kind is None:
         return None
     keys = _fold(shape.constants)
     if keys is None or None in keys:
         return None
     column = shape.column.name.lower()
-    # Index keys are doubles.  A bound beyond +-KEY_EXACT_INT shares its
-    # key with neighbouring values, so the probe (a range one widened to
-    # inclusive bounds) yields a superset and the conjunct the index
-    # consumed is re-applied to the fetched rows.
+    # Index keys, and a rowid alias's table keys, are doubles.  A bound
+    # beyond +-KEY_EXACT_INT shares its key with neighbouring values, so
+    # the probe (a range one widened to inclusive bounds) yields a
+    # superset and the conjunct it consumed is re-applied to the rows.
     inexact = any(map(_inexact_key, keys))
     if shape.shape == "=":
         return AccessSpec(kind="eq", index=index, column=column, pred=pred,
@@ -746,6 +778,7 @@ def _descs_from_schema(select: ast.Select, schema,
             indexes=[(name, tuple(cols))
                      for name, cols in schema.table_indexes(ref.name)],
             ordinal=len(descs),
+            rowid_alias=schema.rowid_alias(ref.name),
         ))
     where = _resolve_alias_refs(select.where, select.items,
                                 _column_names(descs), "WHERE")
@@ -915,13 +948,16 @@ class BoundTable:
     @classmethod
     def bind(cls, binding: str, access: TableAccess,
              indexes: List[IndexAccess], ordinal: int = 0) -> "BoundTable":
+        info = access.info
+        alias = info.rowid_alias
         desc = TableDesc(
             binding=binding,
-            table=access.info.name,
-            columns=access.info.column_names(),
+            table=info.name,
+            columns=info.column_names(),
             indexes=[(ix.info.name, tuple(ix.info.columns))
                      for ix in indexes],
             ordinal=ordinal,
+            rowid_alias=None if alias is None else info.columns[alias].name,
         )
         return cls(desc, access, indexes)
 
@@ -1111,16 +1147,23 @@ class _SelectPlanner:
         hold their first ``width`` columns when one is given."""
         if spec.kind == "scan":
             return table.access.scan(width)
-        index = table.index_named(spec.index)
         inexact = spec.inexact
-        if spec.kind == "eq":
-            rowids = index.lookup_equal([spec.value])
+        lo_inc, hi_inc = spec.lo_inc or inexact, spec.hi_inc or inexact
+        if spec.index is None:
+            # The key is the rowid: one descent of the table tree.
+            if spec.kind == "eq":
+                rows = table.access.seek(spec.value)
+            else:
+                rows = table.access.seek_range(
+                    spec.lo[0] if spec.lo else None,
+                    spec.hi[0] if spec.hi else None, lo_inc, hi_inc)
         else:
-            rowids = index.lookup_range(
-                spec.lo, spec.hi,
-                lo_inclusive=spec.lo_inc or inexact,
-                hi_inclusive=spec.hi_inc or inexact)
-        rows = _fetch_rows(table.access, rowids)
+            index = table.index_named(spec.index)
+            if spec.kind == "eq":
+                rowids = index.lookup_equal([spec.value])
+            else:
+                rowids = index.lookup_range(spec.lo, spec.hi, lo_inc, hi_inc)
+            rows = _fetch_rows(table.access, rowids)
         if not inexact:
             return rows
         # Foldable with the built-ins, or the index would not have it.
@@ -1144,9 +1187,16 @@ class _SelectPlanner:
             scope_of(prefix), self.ctx.functions,
         ).compile(spec.outer_expr)
 
-        if spec.kind == "native":
-            native = table.index_named(spec.index)
-            inner_pos = table.access.info.column_index(spec.inner_col.name)
+        if spec.kind in ("native", "rowid"):
+            access = table.access
+            inner_pos = access.info.column_index(spec.inner_col.name)
+            if spec.kind == "rowid":
+                matches = access.seek
+            else:
+                native = table.index_named(spec.index)
+
+                def matches(key):
+                    return _fetch_rows(access, native.lookup_equal([key]))
 
             def indexed():
                 for left in prefix_rows:
@@ -1155,10 +1205,8 @@ class _SelectPlanner:
                         continue
                     # As in _exec_access: an inexact key probes a superset.
                     recheck = _inexact_key(key)
-                    for rowid in native.lookup_equal([key]):
-                        row = table.access.get(rowid)
-                        if row is not None and not (
-                                recheck and compare(row[inner_pos], key)):
+                    for _, row in matches(key):
+                        if not (recheck and compare(row[inner_pos], key)):
                             yield left + row
             return indexed()
 
@@ -1218,11 +1266,13 @@ class _SelectPlanner:
         """``pinned_items``: the items that call ``current_snapshot()``
         are compiled by each cursor at its own pin, the rest once."""
         select = self.select
-        evaluators = [None if pinned_items and reads_pin(item.expr)
-                      else compiler.compile(item.expr) for item in items]
+        # Every item is compiled here, in order, so a bad one is reported
+        # as the text form reports it; each cursor recompiles the items
+        # that read the pin at its own.
+        evaluators = [compiler.compile(item.expr) for item in items]
         at_pin = [(i, item.expr) for i, item in enumerate(items)
-                  if evaluators[i] is None]
-        columns = [_column_name(item, i) for i, item in enumerate(items)]
+                  if pinned_items and reads_pin(item.expr)]
+        columns = [output_name(item, i) for i, item in enumerate(items)]
 
         order_evals = self._order_evaluators(items, compiler)
 
@@ -1376,7 +1426,7 @@ class _SelectPlanner:
 
         evaluators = [post_compiler.compile(item.expr)
                       for item in post_items]
-        columns = [_column_name(item, i)
+        columns = [output_name(item, i)
                    for i, item in enumerate(post_items)]
 
         having_passes = None
@@ -1592,13 +1642,20 @@ def constant_int(expr: Optional[ast.Expr], label: str,
                  pin: Optional[int] = None) -> Optional[int]:
     """Value of a constant integer clause (LIMIT, OFFSET, AS OF); None
     for an absent or NULL one.  ``pin`` is what ``current_snapshot()``
-    reads, when the statement runs at a snapshot of a run."""
+    reads, when the statement runs at a snapshot of a run.  A value
+    that is no integer (``'abc'``, ``2.5``) is SQLite's ``datatype
+    mismatch``."""
     if expr is None:
         return None
     if not is_constant(expr):
         raise PlanError(f"{label} must be a constant")
     value = _constant_value(expr, functions, pin)
-    return None if value is None else int(value)
+    if value is None:
+        return None
+    number = exact_integer(value)
+    if number is None:
+        raise TypeMismatchError("datatype mismatch")
+    return number
 
 
 def _inexact_key(bound: SqlValue) -> bool:
@@ -1741,7 +1798,8 @@ def _rewrite(expr: ast.Expr, mapper) -> ast.Expr:
     return expr
 
 
-def _column_name(item: ast.SelectItem, position: int) -> str:
+def output_name(item: ast.SelectItem, position: int) -> str:
+    """The result column name of select item ``item`` at ``position``."""
     if item.alias:
         return item.alias
     expr = item.expr

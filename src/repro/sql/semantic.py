@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import ReproError
 from repro.sql import ast
+from repro.sql.catalog import primary_key_storage
 from repro.sql.expressions import (
     CURRENT_SNAPSHOT,
     classify_conjunct,
@@ -37,6 +38,9 @@ STATEFUL_FUNCTIONS = frozenset({"rql_workers"})
 #: RQL names a run binds to its cursor's snapshot: one constant per
 #: snapshot, deterministic by construction.
 REWRITTEN_FUNCTIONS = frozenset({CURRENT_SNAPSHOT})
+#: how EXPLAIN and a predicate's ``indexed_by`` name a seek of the table
+#: tree by its rowid alias (SQLite's EXPLAIN QUERY PLAN wording)
+ROWID_PATH = "INTEGER PRIMARY KEY"
 #: Scalars that always map equal inputs to equal outputs.
 DETERMINISTIC_BUILTINS = frozenset(BUILTIN_SCALARS) | {"snapshot_id"}
 
@@ -61,8 +65,14 @@ class SchemaProvider:
         raise NotImplementedError
 
     def table_indexes(self, name: str) -> List[Tuple[str, List[str]]]:
-        """``[(index name, [columns...]), ...]`` including the PK."""
+        """``[(index name, [columns...]), ...]`` including a PK stored
+        as an index."""
         return []
+
+    def rowid_alias(self, name: str) -> Optional[str]:
+        """The column whose value is the table's rowid, or None
+        (:func:`repro.sql.catalog.primary_key_storage`)."""
+        return None
 
     def known_functions(self) -> Set[str]:
         """Lower-cased names of registered scalar functions."""
@@ -75,6 +85,7 @@ class StaticSchema(SchemaProvider):
     def __init__(self) -> None:
         self._tables: Dict[str, List[Tuple[str, str]]] = {}
         self._indexes: Dict[str, List[Tuple[str, List[str]]]] = {}
+        self._aliases: Dict[str, str] = {}
         self._functions: Set[str] = set()
 
     @classmethod
@@ -100,8 +111,11 @@ class StaticSchema(SchemaProvider):
                   columns: Sequence[Tuple[str, str]],
                   primary_key: Sequence[str] = ()) -> None:
         self._tables[name.lower()] = list(columns)
-        if primary_key:
-            self.add_index(f"__pk_{name.lower()}", name, list(primary_key))
+        alias, index = primary_key_storage(name, columns, primary_key)
+        if alias is not None:
+            self._aliases[name.lower()] = alias
+        if index is not None:
+            self.add_index(index, name, list(primary_key))
 
     def add_index(self, name: str, table: str,
                   columns: Sequence[str]) -> None:
@@ -116,6 +130,9 @@ class StaticSchema(SchemaProvider):
 
     def table_indexes(self, name: str) -> List[Tuple[str, List[str]]]:
         return list(self._indexes.get(name.lower(), []))
+
+    def rowid_alias(self, name: str) -> Optional[str]:
+        return self._aliases.get(name.lower())
 
     def known_functions(self) -> Set[str]:
         return set(self._functions)
@@ -143,6 +160,14 @@ class ContextSchema(SchemaProvider):
         except ReproError:
             return []
         return [(ix.info.name, list(ix.info.columns)) for ix in indexes]
+
+    def rowid_alias(self, name: str) -> Optional[str]:
+        try:
+            info = self._ctx.open_table(name).info
+        except ReproError:
+            return None
+        alias = info.rowid_alias
+        return None if alias is None else info.columns[alias].name
 
     def known_functions(self) -> Set[str]:
         return {name.lower() for name in self._ctx.functions}
@@ -178,7 +203,9 @@ class Predicate:
     text: str
     tables: Tuple[str, ...]  # binding names the conjunct touches
     pushable: bool
-    indexed_by: Optional[str] = None  # supporting index, if any
+    #: supporting index, if any; ``INTEGER PRIMARY KEY`` for a seek of
+    #: the table by its rowid alias
+    indexed_by: Optional[str] = None
     index_candidate: Optional[Tuple[str, str]] = None  # (table, column)
     line: int = 0
     col: int = 0
@@ -553,6 +580,10 @@ class _Resolver:
             return  # not an index-shaped predicate; scan is inherent
         column = shape.column.name
         base, _ = self.bindings[binding]
+        alias = self.schema.rowid_alias(base)
+        if alias is not None and alias.lower() == column.lower():
+            predicate.indexed_by = ROWID_PATH
+            return
         for index_name, columns in self.schema.table_indexes(base):
             if columns and columns[0].lower() == column.lower():
                 predicate.indexed_by = index_name

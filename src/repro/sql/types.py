@@ -24,7 +24,7 @@ from repro.errors import TypeMismatchError
 SqlValue = Any  # None | int | float | str | bytes
 
 #: Declared column type names accepted by the parser.
-COLUMN_TYPES = ("INTEGER", "REAL", "TEXT", "BLOB", "DATE", "NUMERIC")
+COLUMN_TYPES = ("INTEGER", "INT", "REAL", "TEXT", "BLOB", "DATE", "NUMERIC")
 
 
 def type_class(value: SqlValue) -> int:
@@ -110,7 +110,7 @@ def coerce_for_column(value: SqlValue, declared: str) -> SqlValue:
     if value is None:
         return None
     declared = declared.upper()
-    if declared == "INTEGER":
+    if declared in ("INTEGER", "INT"):
         if isinstance(value, bool):
             return int(value)
         if isinstance(value, int):
@@ -141,6 +141,26 @@ def coerce_for_column(value: SqlValue, declared: str) -> SqlValue:
             return str(value)
         return value
     return value
+
+
+def exact_integer(value: SqlValue) -> Optional[int]:
+    """``value`` as the integer it stands for, or None when it is not
+    one: an int, a float with no fraction, or text spelling either (as
+    SQLite reads a LIMIT or an INTEGER PRIMARY KEY).  NULL is None."""
+    if isinstance(value, str):
+        text = value.strip()
+        try:
+            return int(text)
+        except ValueError:
+            try:
+                value = float(text)
+            except ValueError:
+                return None
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return None
 
 
 def value_repr(value: SqlValue) -> str:

@@ -119,15 +119,15 @@ PLAN_CORPUS: Tuple[PlanEntry, ...] = (
         expected_rules=("RQL111",),
     ),
     PlanEntry(
-        # Point lookup on the PK: the cost model picks the index probe
-        # (2.01) over 60 sequential pages.
+        # Point lookup on the PK, which is the rowid: the cost model
+        # picks the seek (2.01) over 60 sequential pages.
         name="tpch-orders-pk-probe",
         sql="SELECT o_totalprice FROM orders WHERE o_orderkey = 7",
         stats=(_ORDERS,),
         golden=(
-            "SEARCH orders USING INDEX __pk_orders (=)",
+            "SEARCH orders USING INTEGER PRIMARY KEY (rowid=?)",
             "COST: orders est. rows 1 est. pages 1 "
-            "cost 2.01 via index __pk_orders (=)",
+            "cost 2.01 via integer primary key (=)",
         ),
     ),
     PlanEntry(
@@ -138,9 +138,10 @@ PLAN_CORPUS: Tuple[PlanEntry, ...] = (
             "WHERE o_orderkey BETWEEN 10 AND 12",
         stats=(_ORDERS,),
         golden=(
-            "SEARCH orders USING INDEX __pk_orders (range)",
+            "SEARCH orders USING INTEGER PRIMARY KEY "
+            "(rowid>? AND rowid<?)",
             "COST: orders est. rows 2.00133 est. pages 1 "
-            "cost 3.02135 via index __pk_orders (range)",
+            "cost 3.02135 via integer primary key (range)",
         ),
     ),
     PlanEntry(
@@ -177,24 +178,25 @@ PLAN_CORPUS: Tuple[PlanEntry, ...] = (
         stats=(_ORDERS,),
         latest_snapshot=5,
         golden=(
-            "SEARCH orders USING INDEX __pk_orders (=)",
+            "SEARCH orders USING INTEGER PRIMARY KEY (rowid=?)",
             "COST: orders est. rows 1 est. pages 1 "
-            "cost 2.01 via index __pk_orders (=)",
+            "cost 2.01 via integer primary key (=)",
         ),
         expected_rules=("RQL112",),
     ),
     PlanEntry(
         # Corrupt statistics: 10 rows / 10000 pages make the seq scan
-        # cost 10000, so an index probe wins a filter-nothing range ->
+        # cost 10000, so a rowid seek wins a filter-nothing range ->
         # RQL114's zero-selectivity arm.
         name="tpch-orders-corrupt-stats",
         sql="SELECT o_custkey FROM orders "
             "WHERE o_orderkey BETWEEN 0 AND 10",
         stats=(_ORDERS_CORRUPT,),
         golden=(
-            "SEARCH orders USING INDEX __pk_orders (range)",
+            "SEARCH orders USING INTEGER PRIMARY KEY "
+            "(rowid>? AND rowid<?)",
             "COST: orders est. rows 10 est. pages 10000 "
-            "cost 11.1 via index __pk_orders (range)",
+            "cost 11.1 via integer primary key (range)",
         ),
         expected_rules=("RQL114",),
     ),

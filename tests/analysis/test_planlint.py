@@ -60,7 +60,7 @@ class TestCertifyPlanSurface:
         cert = certify_plan("SELECT n FROM t WHERE k = 7", schema,
                             DeclaredStats([t_stats()]))
         assert cert.plan is not None
-        assert cert.rendering[0] == "SEARCH t USING INDEX __pk_t (=)"
+        assert cert.rendering[0] == "SEARCH t USING INTEGER PRIMARY KEY (rowid=?)"
         assert cert.findings == []
         assert cert.rules == ()
 
@@ -86,9 +86,9 @@ class TestCertifyPlanSurface:
 
 class TestGoldenDrift:
     GOLDEN = (
-        "SEARCH t USING INDEX __pk_t (=)",
+        "SEARCH t USING INTEGER PRIMARY KEY (rowid=?)",
         "COST: t est. rows 1 est. pages 1 cost 2.01 "
-        "via index __pk_t (=)",
+        "via integer primary key (=)",
     )
 
     def test_matching_golden_is_clean(self, schema):

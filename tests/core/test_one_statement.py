@@ -29,7 +29,7 @@ from repro.core.folds import find_mechanism
 from repro.core.rewrite import prepare_qq, rewrite_qq
 from repro.errors import PlanError
 from repro.sql import planner
-from repro.sql.executor import IndexAccess
+from repro.sql.executor import IndexAccess, TableAccess
 from repro.sql.parser import parse_one
 
 QS = "SELECT snap_id FROM SnapIds ORDER BY snap_id"
@@ -166,15 +166,17 @@ def test_folds_with_a_pinned_clause_match_the_text(history, workers):
 # -- a pin in WHERE is planned per snapshot -----------------------------------
 
 def _probes(monkeypatch):
-    """Count the index probes made from here on."""
+    """Count the index probes and rowid seeks made from here on."""
     counts = {"probes": 0}
-    for name in ("lookup_equal", "lookup_range"):
-        real = getattr(IndexAccess, name)
+    for owner, name in ((IndexAccess, "lookup_equal"),
+                        (IndexAccess, "lookup_range"),
+                        (TableAccess, "seek"), (TableAccess, "seek_range")):
+        real = getattr(owner, name)
 
         def counting(self, *args, _real=real, **kwargs):
             counts["probes"] += 1
             return _real(self, *args, **kwargs)
-        monkeypatch.setattr(IndexAccess, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     return counts
 
 
@@ -219,7 +221,8 @@ def test_a_pinned_where_gets_each_snapshots_own_access_path(
             assert access.value == sid + 100
         elif access.kind == "range":
             assert access.lo == [sid - 2]
-    assert any("USING INDEX" in " ".join(p.access_notes()) for p in plans)
+    assert any(note.startswith("SEARCH t USING")
+               for p in plans for note in p.access_notes())
 
 
 # -- one statement, many cursors ----------------------------------------------

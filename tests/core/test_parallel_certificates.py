@@ -273,9 +273,11 @@ class TestCertificationResolvesLikeExecution:
 
     def test_primary_key_index_is_listed_once(self, monkeypatch):
         """The provider the certifier is handed lists a table's indexes
-        exactly as EXPLAIN binds them: catalog order, ``__pk_`` once."""
+        exactly as EXPLAIN binds them: catalog order, ``__pk_`` once.
+        (An ``INTEGER`` key is the rowid and has no index, so the key
+        here is ``TEXT``.)"""
         session = RQLSession()
-        session.execute("CREATE TABLE p (k INTEGER PRIMARY KEY, v INTEGER)")
+        session.execute("CREATE TABLE p (k TEXT PRIMARY KEY, v INTEGER)")
         session.execute("CREATE INDEX a_idx ON p (v)")
         session.execute("CREATE INDEX zz_idx ON p (k)")
         seen = {}

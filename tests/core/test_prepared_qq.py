@@ -76,12 +76,14 @@ def assert_binds_like_the_text(qq: str) -> None:
 
 def both_paths(db, qq: str, sid: int):
     """(columns, rows) or (error class, message) of the prepared Qq at
-    ``sid`` and of the rewritten text, each fully consumed."""
+    ``sid`` and of the rewritten text, each fully consumed.  Only an
+    :class:`SqlError` is an outcome: any other exception fails the
+    test."""
     def outcome(run):
         try:
             columns, rows = run()
             return list(columns), [tuple(row) for row in rows]
-        except Exception as error:  # noqa: BLE001 -- compared, not hidden
+        except SqlError as error:
             return type(error), str(error)
 
     def cursor():
@@ -471,6 +473,27 @@ def test_errors_surface_on_the_first_iteration_and_write_nothing(workers):
     # A malformed Qs is reported before Qq is looked at.
     with pytest.raises(MechanismError, match="Qs must be a SELECT"):
         session.collate_data("DELETE FROM SnapIds", bad, "R", workers=workers)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_qq_naming_a_column_twice_is_refused_and_writes_nothing(workers):
+    """Its result table could not hold both columns: the product path
+    refuses it before the first iteration, and the reference loop's
+    first iteration fails to create T, so neither leaves a T."""
+    session = RQLSession()
+    session.execute("CREATE TABLE t (k INTEGER, g TEXT)")
+    session.execute("INSERT INTO t VALUES (1, 'x')")
+    session.declare_snapshot()
+    qs = "SELECT snap_id FROM SnapIds"
+    for qq in ("SELECT k AS v, g AS v FROM t", "SELECT k, g AS K FROM t"):
+        with pytest.raises(SqlError, match="duplicate column name"):
+            session.collate_data(qs, qq, "R", workers=workers)
+        with pytest.raises(SqlError, match="no such table"):
+            session.execute('SELECT * FROM "R"')
+        with pytest.raises(SqlError, match="duplicate column name"):
+            session.run_reference("CollateData", qs, qq, "R")
+        with pytest.raises(SqlError, match="no such table"):
+            session.execute('SELECT * FROM "R"')
 
 
 # ---------------------------------------------------------------------------

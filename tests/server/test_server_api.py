@@ -329,8 +329,8 @@ def test_wire_roundtrip(server, wire):
         assert snap["ok"] and snap["snapshot_id"] == 1
         mech = client.request({
             "op": "mechanism", "mechanism": "aggregate_data_in_table",
-            "qs": QS, "qq": "SELECT a, a FROM t", "table": "R",
-            "arg": [["a", "count"]], "workers": 2,
+            "qs": QS, "qq": "SELECT a, a AS n FROM t", "table": "R",
+            "arg": [["n", "count"]], "workers": 2,
         })
         assert mech["ok"] and mech["snapshots"] == [1]
     assert server.leak_report()["sessions"] == 0

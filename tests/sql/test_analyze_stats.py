@@ -86,10 +86,10 @@ class TestAnalyzeStatement:
 
 class TestPlannerUsesStats:
     def test_tiny_table_prefers_seq_scan(self, analyzed):
-        # Heuristics always take the eq index; the cost model knows a
+        # Heuristics always take the eq seek; the cost model knows a
         # one-page table is cheaper to scan (SQLite behaves the same).
         before = explain(analyzed, "SELECT * FROM t WHERE k = 2")
-        assert any("USING INDEX __pk_t (=)" in n for n in before)
+        assert any("USING INTEGER PRIMARY KEY (rowid=?)" in n for n in before)
         analyzed.execute("ANALYZE t")
         after = explain(analyzed, "SELECT * FROM t WHERE k = 2")
         assert "SCAN t" in after
@@ -102,8 +102,8 @@ class TestPlannerUsesStats:
             for i in range(500)) + "COMMIT;")
         db.execute("ANALYZE big")
         notes = explain(db, "SELECT v FROM big WHERE k = 250")
-        assert any("USING INDEX __pk_big (=)" in n for n in notes)
-        assert any("via index __pk_big (=)" in n for n in notes)
+        assert any("USING INTEGER PRIMARY KEY (rowid=?)" in n for n in notes)
+        assert any("via integer primary key (=)" in n for n in notes)
 
     def test_cost_line_reports_estimates(self, analyzed):
         analyzed.execute("ANALYZE t")

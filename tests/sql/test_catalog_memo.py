@@ -68,15 +68,26 @@ def context(db: Database, as_of=None):
     return db._select_context(parse_one(f"SELECT{_pin(as_of)} 1"))
 
 
+#: what :func:`index_used` names a seek of the table by its rowid alias
+ROWID = "INTEGER PRIMARY KEY"
+#: the DDL of a key of each kind the machine makes: none, the rowid
+#: alias, or a key kept in a ``__pk_`` index
+KEYS = {"": "k INTEGER, v INTEGER",
+        "rowid": "k INTEGER PRIMARY KEY, v INTEGER",
+        "index": "k INTEGER, v INTEGER, PRIMARY KEY (k, v)"}
+
+
 def index_used(db: Database, table: str, column: str, as_of=None):
-    """Name of the index EXPLAIN searches for ``column = 1`` (None for a
-    scan)."""
+    """Name of the index EXPLAIN searches for ``column = 1``, ``ROWID``
+    for a seek by the rowid alias (None for a scan)."""
     notes = [row[0] for row in db.execute(
         f"EXPLAIN SELECT{_pin(as_of)} * FROM {table} "
         f"WHERE {column} = 1").rows]
     for note in notes:
         if note.startswith(f"SEARCH {table} USING INDEX "):
             return note.split()[4]
+        if note.startswith(f"SEARCH {table} USING {ROWID} "):
+            return ROWID
     assert f"SCAN {table}" in notes
     return None
 
@@ -94,7 +105,8 @@ class CatalogMachine(RuleBasedStateMachine):
         self.disk = SimulatedDisk(PAGE_SIZE)
         self.aux_disk = SimulatedDisk(PAGE_SIZE)
         self.db = self.open()
-        #: name -> {"pk": bool, "indexes": set of names, "temp": bool}
+        #: name -> {"pk": a KEYS kind, "indexes": set of names,
+        #: "temp": bool}
         self.tables = {}
         self.saved = None     # model at BEGIN, while a transaction is open
         self.snapshots = {}   # snapshot id -> model of the main tables
@@ -124,25 +136,22 @@ class CatalogMachine(RuleBasedStateMachine):
 
     # -- DDL ---------------------------------------------------------------
 
-    @rule(at=st.integers(0, 99), pk=st.booleans())
+    @rule(at=st.integers(0, 99), pk=st.sampled_from(sorted(KEYS)))
     def create_table(self, at, pk):
         free = [n for n in MAIN_NAMES if n not in self.tables]
         if not free:
             return
         name = free[at % len(free)]
-        key = " PRIMARY KEY" if pk else ""
-        self.db.execute(f"CREATE TABLE {name} (k INTEGER{key}, v INTEGER)")
+        self.db.execute(f"CREATE TABLE {name} ({KEYS[pk]})")
         self.tables[name] = {"pk": pk, "indexes": set(), "temp": False}
 
-    @rule(at=st.integers(0, 99), pk=st.booleans())
+    @rule(at=st.integers(0, 99), pk=st.sampled_from(sorted(KEYS)))
     def create_temp_table(self, at, pk):
         free = [n for n in TEMP_NAMES if n not in self.tables]
         if not free:
             return
         name = free[at % len(free)]
-        key = " PRIMARY KEY" if pk else ""
-        self.db.execute(
-            f"CREATE TEMP TABLE {name} (k INTEGER{key}, v INTEGER)")
+        self.db.execute(f"CREATE TEMP TABLE {name} ({KEYS[pk]})")
         self.tables[name] = {"pk": pk, "indexes": set(), "temp": True}
 
     @rule(at=st.integers(0, 99))
@@ -274,7 +283,7 @@ class CatalogMachine(RuleBasedStateMachine):
                     assert (info.name, info.temporary) == (name, temp)
                     assert info.column_names() == ["k", "v"]
                     wanted = set(model[name]["indexes"])
-                    if model[name]["pk"]:
+                    if model[name]["pk"] == "index":
                         wanted.add(f"__pk_{name}")
                     assert {ix.name for ix in found} == wanted
                     assert all(ix.temporary == temp and ix.table == name
@@ -285,10 +294,11 @@ class CatalogMachine(RuleBasedStateMachine):
                 access = ctx.open_table(name)
                 assert access.info.temporary == table["temp"]
                 assert len(ctx.open_indexes(access)) \
-                    == len(table["indexes"]) + table["pk"]
+                    == len(table["indexes"]) + (table["pk"] == "index")
         for name, table in model.items():
             wanted = [f"{name}_v" if table["indexes"] else None,
-                      f"__pk_{name}" if table["pk"] else None]
+                      {"": None, "rowid": ROWID,
+                       "index": f"__pk_{name}"}[table["pk"]]]
             used = [index_used(db, name, "v", as_of),
                     index_used(db, name, "k", as_of)]
             if self.has_stats(name, as_of):
@@ -357,8 +367,8 @@ def scripted_run() -> None:
     check = machine.every_catalog_read_agrees
     try:
         check()
-        machine.create_table(0, True)              # ta, with a primary key
-        machine.create_temp_table(0, True)         # tmp1, with a primary key
+        machine.create_table(0, "index")           # ta, with a __pk_ index
+        machine.create_temp_table(0, "rowid")      # tmp1, keyed by rowid
         check()
         machine.insert(0, 3)
         machine.create_index(0)                    # ta_v
@@ -368,7 +378,7 @@ def scripted_run() -> None:
         machine.analyze(0)                         # ta, stamped 1
         check()
         machine.begin()
-        machine.create_table(0, False)             # tb
+        machine.create_table(0, "")                # tb
         machine.create_index(1)                    # tb_v
         machine.drop_index(0)                      # ta_v, inside the txn
         check()
@@ -379,9 +389,9 @@ def scripted_run() -> None:
         check()
         machine.commit_with_snapshot()             # 2: ta without ta_v
         machine.drop_table(0)                      # ta
-        machine.create_temp_table(0, False)        # tmp2
+        machine.create_temp_table(0, "")           # tmp2
         check()
-        machine.create_table(0, False)             # ta again, no key
+        machine.create_table(0, "")                # ta again, no key
         machine.create_index(0)                    # ta_v again
         machine.analyze(0)                         # ta, stamped 2
         machine.commit_with_snapshot()             # 2a: the same name,
@@ -391,7 +401,7 @@ def scripted_run() -> None:
         with context(machine.db, max(machine.snapshots)) as ctx:
             assert ctx._main_catalog.root_leaf() is not None
         for at in range(5):                        # the catalog leaf splits
-            machine.create_table(0, True)
+            machine.create_table(0, "index")
             machine.create_index(at)
             check()
         machine.analyze(1)
@@ -452,10 +462,11 @@ def test_a_run_memo_keyed_by_name_only_is_caught(monkeypatch):
 
 @pytest.fixture
 def history():
-    """``t`` with two indexes; snapshots 1 and 2 differ in rows only, a
-    DDL after them moves the catalog page they share to the Pagelog."""
+    """``t`` with two indexes (its key is composite, so it is kept in
+    ``__pk_t``); snapshots 1 and 2 differ in rows only, a DDL after them
+    moves the catalog page they share to the Pagelog."""
     db = Database()
-    db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY, v INTEGER)")
+    db.execute("CREATE TABLE t (k INTEGER, v INTEGER, PRIMARY KEY (k, v))")
     db.execute("CREATE INDEX t_v ON t (v)")
     db.execute("CREATE TEMP TABLE scratch (x)")
     db.execute("INSERT INTO t VALUES (1, 1), (2, 2)")

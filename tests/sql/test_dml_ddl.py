@@ -1,5 +1,7 @@
 """INSERT / UPDATE / DELETE / DDL / transaction statement tests."""
 
+import sqlite3
+
 import pytest
 
 from repro.errors import (
@@ -217,6 +219,33 @@ class TestDdl:
         )
         assert result.rowcount == 1
         assert db.execute("SELECT * FROM dst").rows == [(2, "y")]
+
+    @pytest.mark.parametrize("ddl", [
+        "CREATE TABLE d (a, a)",
+        "CREATE TABLE d (a INTEGER, b TEXT, A REAL)",
+        "CREATE TEMP TABLE d (x, X)",
+    ])
+    def test_a_repeated_column_name_is_refused(self, db, ddl):
+        lite = sqlite3.connect(":memory:")
+        with pytest.raises(sqlite3.OperationalError) as theirs:
+            lite.execute(ddl)
+        lite.close()
+        with pytest.raises(CatalogError) as ours:
+            db.execute(ddl)
+        assert str(ours.value) == str(theirs.value)
+        assert str(ours.value).startswith("duplicate column name: ")
+        with pytest.raises(Exception, match="no such table"):
+            db.execute("SELECT * FROM d")
+
+    def test_create_table_as_refuses_a_repeated_name(self, db):
+        # sqlite3 renames the second column to "v:1" (DESIGN.md §3b,
+        # declared divergences); here the table is not created.
+        db.execute("CREATE TABLE src (a INTEGER, b TEXT)")
+        db.execute("INSERT INTO src VALUES (1, 'x')")
+        with pytest.raises(CatalogError, match="duplicate column name: V"):
+            db.execute("CREATE TABLE dst AS SELECT a AS v, b AS V FROM src")
+        with pytest.raises(Exception, match="no such table"):
+            db.execute("SELECT * FROM dst")
 
     def test_temp_table_shadows_main(self, db):
         db.execute("CREATE TABLE t (a INTEGER)")

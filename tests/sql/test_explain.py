@@ -31,11 +31,11 @@ class TestExplain:
 
     def test_pk_equality_search(self, planned):
         notes = plan(planned, "SELECT * FROM t WHERE k = 1")
-        assert any("USING INDEX __pk_t (=)" in n for n in notes)
+        assert any("USING INTEGER PRIMARY KEY (rowid=?)" in n for n in notes)
 
     def test_pk_range_search(self, planned):
         notes = plan(planned, "SELECT * FROM t WHERE k > 1")
-        assert any("(range)" in n for n in notes)
+        assert any("(rowid>?)" in n for n in notes)
 
     def test_secondary_index_preferred(self, planned):
         planned.execute("CREATE INDEX t_grp ON t (grp)")
@@ -47,7 +47,7 @@ class TestExplain:
                      "SELECT * FROM u, t WHERE u.k = t.k")
         joined = " | ".join(notes)
         assert "SCAN u" in joined
-        assert "USING INDEX __pk_t" in joined
+        assert "SEARCH t USING INTEGER PRIMARY KEY (rowid=?)" in joined
 
     def test_join_without_index_uses_auto_index(self, planned):
         notes = plan(planned,

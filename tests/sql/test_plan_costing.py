@@ -34,12 +34,13 @@ class TestCrossover:
 
     def test_point_lookup_uses_index(self, scaled):
         notes = explain(scaled, "SELECT pad FROM big WHERE k = 250")
-        assert "SEARCH big USING INDEX __pk_big (=)" in notes
+        assert "SEARCH big USING INTEGER PRIMARY KEY (rowid=?)" in notes
 
     def test_narrow_range_uses_index(self, scaled):
         notes = explain(
             scaled, "SELECT pad FROM big WHERE k BETWEEN 10 AND 12")
-        assert "SEARCH big USING INDEX __pk_big (range)" in notes
+        assert ("SEARCH big USING INTEGER PRIMARY KEY "
+                "(rowid>? AND rowid<?)") in notes
 
     def test_wide_range_uses_seq_scan(self, scaled):
         notes = explain(
@@ -76,7 +77,7 @@ class TestJoinOrdering:
         notes = access(
             scaled, "SELECT label FROM big, small WHERE big.k = small.k")
         assert notes[0] == "SCAN small"
-        assert "USING INDEX __pk_big" in notes[1]
+        assert notes[1] == "SEARCH big USING INTEGER PRIMARY KEY (rowid=?)"
 
     def test_filtered_cardinality_drives_outer_choice(self, scaled):
         # An equality filter on big (1/500) makes it smaller than
@@ -123,12 +124,12 @@ class TestHeuristicEquivalence:
         expected = {
             "SELECT * FROM t": ["SCAN t"],
             "SELECT * FROM t WHERE k = 1":
-                ["SEARCH t USING INDEX __pk_t (=)"],
+                ["SEARCH t USING INTEGER PRIMARY KEY (rowid=?)"],
             "SELECT * FROM t WHERE k > 1":
-                ["SEARCH t USING INDEX __pk_t (range)"],
+                ["SEARCH t USING INTEGER PRIMARY KEY (rowid>?)"],
             "SELECT * FROM t WHERE grp = 'a' AND n > 5": ["SCAN t"],
             "SELECT * FROM u, t WHERE u.k = t.k":
-                ["SCAN u", "SEARCH t USING INDEX __pk_t (k=?)"],
+                ["SCAN u", "SEARCH t USING INTEGER PRIMARY KEY (rowid=?)"],
             "SELECT * FROM t, u WHERE t.grp = 'a' AND t.n = u.k":
                 ["SCAN t",
                  "SEARCH u USING AUTOMATIC COVERING INDEX (k=?)"],
@@ -162,7 +163,7 @@ class TestStaticPlanningPurity:
         select = parse_sql("SELECT n FROM t WHERE k = 7")[0]
         first = render_plan(select, schema, stats)
         assert first == render_plan(select, schema, stats)
-        assert first[0] == "SEARCH t USING INDEX __pk_t (=)"
+        assert first[0] == "SEARCH t USING INTEGER PRIMARY KEY (rowid=?)"
 
     def test_static_matches_live_explain(self, db):
         # The same pure planner serves EXPLAIN and the static path.

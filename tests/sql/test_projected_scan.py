@@ -234,7 +234,7 @@ def test_a_probe_after_a_narrow_fill_reads_the_whole_row(db, decodes):
                for width, entries in memos)
     assert set(decodes) == {1}
     with db._select_context(parse_one("SELECT 1")) as ctx:
-        assert ctx.open_table("t").get(31) == (30, 0, "pad30")
+        assert ctx.open_table("t").get(30) == (30, 0, "pad30")
     assert db.execute("SELECT * FROM t WHERE k = 12").rows \
         == [(12, 2, "pad12")]
     assert db.execute("SELECT pad FROM t WHERE k BETWEEN 3 AND 5").rows \

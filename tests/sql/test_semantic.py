@@ -192,7 +192,7 @@ class TestPushability:
     def test_pk_counts_as_index(self, schema):
         summary = resolve_select(
             select("SELECT * FROM t WHERE k = 3"), schema)
-        assert summary.predicates[0].indexed_by == "__pk_t"
+        assert summary.predicates[0].indexed_by == "INTEGER PRIMARY KEY"
 
     def test_join_conjunct_not_pushable(self, schema):
         summary = resolve_select(
@@ -331,4 +331,5 @@ class TestStaticSchema:
             ("k", "INTEGER"), ("grp", "TEXT"), ("n", "INTEGER")]
         assert schema.table_columns("ghost") is None
         names = [name for name, _cols in schema.table_indexes("t")]
-        assert set(names) == {"__pk_t", "t_grp"}
+        assert set(names) == {"t_grp"}
+        assert schema.rowid_alias("t") == "k"

@@ -24,6 +24,15 @@ on the engine it only read, and the meta page's commit timestamp counted
 them).  The ``database``, ``pagelog`` and ``maplog`` digests of both
 engines did not move with it, which is the point: the same pages, in the
 same order, with the same bytes — only fewer commit records around them.
+
+Re-pinned a second time, on purpose: every digest but the empty aux
+Pagelog and Maplog moved when a single-column ``INTEGER PRIMARY KEY``
+became the rowid, as in SQLite.  The ``__pk_`` trees of ``orders``,
+``customer``, ``part``, ``supplier``, ``nation``, ``region`` and the
+aux ``SnapIds`` table are gone (no pages, no catalog entries, no WAL
+blocks or copy-on-write captures for them), and those tables' rows are
+keyed by their key values instead of by insertion order.  ``lineitem``
+keeps ``__pk_lineitem``: its key is composite.
 """
 
 from __future__ import annotations
@@ -41,16 +50,16 @@ SCALE_FACTOR = 0.0004  # 600 orders: leaves split, 12 orders turn over a snapsho
 SNAPSHOTS = 9
 
 GOLDEN: Dict[str, str] = {
-    "main/database": "17c01d1d9fca4ff8a113a5d3004e777ec815017668153ba371d5d02ea0da4e56",
-    "main/maplog": "5c1a252485d9b32e955c3f66f5e80f73deed070fb7a2bb350430bf9c7aab3385",
-    "main/meta": "4fec073d901119132543b7c5bc43a3eb656836b3d11a0942ad57f41ba3f28745",
-    "main/pagelog": "8b53eca4f1da4b2b497acf05f5c19b72939e9dea68e36cb313a4d00f3d8a208c",
-    "main/wal": "44a17a353708f98849e8147ede21e9294f3f57f2b198e911a8fac6e73c853240",
-    "aux/database": "229ab3a4b11565fd5e1920bbf60d0f701db8ef4d84e1613b38ba48893119b2df",
+    "main/database": "accc5a8d99e4a0a6686ce21d240b91dda306c98a36d9dc0ddf01ad4edc98c302",
+    "main/maplog": "787811b632fe7cd3097ae11e5a6beaad1941d0f5363f54547bacbb114ac829b2",
+    "main/meta": "40ca9f0d52696dc58c83521e687e4c136d9df25b7f30f3f48fb0e674b464c40d",
+    "main/pagelog": "7d8678ce82759216bcadcb20c3dc936e58018fde76d07360442e1c64c96c0a6a",
+    "main/wal": "69c0e776d5a2180b8593d42c524dd5f083ec11c6e2b0005755fa196d02d33a56",
+    "aux/database": "dd737ebbfd5e12824d6c47769b6859bd2579eecb3a789831068b4698a0f58c08",
     "aux/maplog": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "aux/meta": "77d2cd0493a159a282d5ca8baaa53b81f43c35c90c74bba706b52aea9018e07a",
+    "aux/meta": "74a99e70e300a5e82f0995aa16307845aaa9432bd8bc0f2ab87dd984ac469a66",
     "aux/pagelog": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "aux/wal": "1c1c3fa6b60c218b0180e927f82130deede9dcc770b353efa1ba1d3c31c6cc4b",
+    "aux/wal": "48d6da7a28e006cfd0974af8e9f4e82a8525397e8ce65ae23abded51aa32440b",
 }
 
 

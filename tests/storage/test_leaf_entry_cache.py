@@ -391,14 +391,14 @@ class TestDecodeCounts:
         assert all(node is None or node.entries is None
                    for _, node, _ in table_leaves(filled_db))
         with filled_db._select_context(_select(None)) as ctx:
-            row = ctx.open_table("t").get(31)     # rowid 31 holds k = 30
+            row = ctx.open_table("t").get(30)     # k is the rowid
         assert row == (30, 0, "padpadpad")
         assert len(decodes) == 1
         del decodes[:]
-        # Through SQL: one index cell and one row.
+        # Through SQL: one row, found by its key in the table tree.
         assert filled_db.execute(
             "SELECT v FROM t WHERE k = 12").rows == [(0,)]
-        assert len(decodes) == 2
+        assert len(decodes) == 1
         assert all(node is None or node.entries is None
                    for _, node, _ in table_leaves(filled_db))
 
@@ -406,7 +406,7 @@ class TestDecodeCounts:
         scan(filled_db)
         del decodes[:]
         with filled_db._select_context(_select(None)) as ctx:
-            assert ctx.open_table("t").get(31) == (30, 0, "padpadpad")
+            assert ctx.open_table("t").get(30) == (30, 0, "padpadpad")
         assert decodes == []
 
     def test_scan_after_the_snapshot_cache_is_cleared_decodes_everything(
