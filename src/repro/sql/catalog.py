@@ -19,7 +19,7 @@ Catalog rows (record-codec encoded):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import (Iterable, List, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
@@ -33,8 +33,8 @@ _TABLE_KEYS = encode_key(("T",))
 
 
 class Column(NamedTuple):
-    """One column: its name and declared type (a ``(name, type)`` pair,
-    as :class:`repro.sql.semantic.StaticSchema` holds columns)."""
+    """One column: its name and declared type (a ``(name, type)``
+    pair)."""
 
     name: str
     type_name: str
@@ -194,11 +194,15 @@ class Catalog:
 
     # -- keys -----------------------------------------------------------
 
+    # Every statement looks its tables up by name: the few names a
+    # database has are encoded once.
     @staticmethod
+    @lru_cache(maxsize=1024)
     def _table_key(name: str) -> bytes:
         return encode_key(("T", name.lower()))
 
     @staticmethod
+    @lru_cache(maxsize=1024)
     def _index_key(name: str) -> bytes:
         return encode_key(("I", name.lower()))
 
@@ -260,5 +264,6 @@ class Catalog:
 
     def indexes_for(self, table: str) -> List[IndexInfo]:
         lowered = table.lower()
-        return [ix for ix in self.list_indexes()
-                if ix.table.lower() == lowered]
+        return [entry for leaf in self._tree.scan_leaves() for entry in leaf
+                if type(entry) is IndexInfo
+                and entry.table.lower() == lowered]

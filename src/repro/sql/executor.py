@@ -212,7 +212,10 @@ class TableWriter:
 
     def _check_unique(self, index: IndexAccess,
                       values: Sequence[SqlValue]) -> None:
-        if index.info.unique and index.has_prefix(values):
+        """A key holding a NULL equals no other key, so a UNIQUE index
+        admits it any number of times, as in SQLite."""
+        if index.info.unique and None not in values \
+                and index.has_prefix(values):
             raise ExecutionError(self._unique_failed(index.info.columns))
 
     def _admit(self, row: Sequence[SqlValue]) -> Row:

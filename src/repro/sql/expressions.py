@@ -555,38 +555,37 @@ def _column_vs_constant(position: int, op: str,
 # AST utilities shared with the planner
 # ---------------------------------------------------------------------------
 
+def _case_children(expr: ast.CaseExpr) -> List[ast.Expr]:
+    children = [expr.operand] if expr.operand else []
+    for condition, result in expr.branches:
+        children += (condition, result)
+    if expr.else_result:
+        children.append(expr.else_result)
+    return children
+
+
+#: each compound node kind's children, in walk order
+_CHILDREN = {
+    ast.UnaryOp: lambda e: (e.operand,),
+    ast.BinaryOp: lambda e: (e.left, e.right),
+    ast.IsNull: lambda e: (e.operand,),
+    ast.InList: lambda e: (e.operand, *e.items),
+    ast.Between: lambda e: (e.operand, e.low, e.high),
+    ast.Like: lambda e: (e.operand, e.pattern),
+    ast.FunctionCall: lambda e: e.args,
+    ast.CaseExpr: _case_children,
+}
+
+
 def walk(expr: ast.Expr):
     """Yield every node of an expression tree (pre-order)."""
-    yield expr
-    if isinstance(expr, ast.UnaryOp):
-        yield from walk(expr.operand)
-    elif isinstance(expr, ast.BinaryOp):
-        yield from walk(expr.left)
-        yield from walk(expr.right)
-    elif isinstance(expr, ast.IsNull):
-        yield from walk(expr.operand)
-    elif isinstance(expr, ast.InList):
-        yield from walk(expr.operand)
-        for item in expr.items:
-            yield from walk(item)
-    elif isinstance(expr, ast.Between):
-        yield from walk(expr.operand)
-        yield from walk(expr.low)
-        yield from walk(expr.high)
-    elif isinstance(expr, ast.Like):
-        yield from walk(expr.operand)
-        yield from walk(expr.pattern)
-    elif isinstance(expr, ast.FunctionCall):
-        for arg in expr.args:
-            yield from walk(arg)
-    elif isinstance(expr, ast.CaseExpr):
-        if expr.operand:
-            yield from walk(expr.operand)
-        for condition, result in expr.branches:
-            yield from walk(condition)
-            yield from walk(result)
-        if expr.else_result:
-            yield from walk(expr.else_result)
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = _CHILDREN.get(type(node))
+        if children is not None:
+            stack.extend(reversed(children(node)))
 
 
 def is_current_snapshot(node: ast.Expr) -> bool:

@@ -64,6 +64,8 @@ class Parser:
     # -- token helpers ------------------------------------------------------
 
     def _peek(self, ahead: int = 0) -> Token:
+        if not ahead:
+            return self.tokens[self.pos]  # never past the EOF token
         index = min(self.pos + ahead, len(self.tokens) - 1)
         return self.tokens[index]
 
@@ -74,7 +76,9 @@ class Parser:
         return tok
 
     def _accept(self, kind: str, value: Optional[str] = None) -> Optional[Token]:
-        if self._peek().matches(kind, value):
+        # Token.matches, inlined: this is the parser's most frequent call.
+        tok = self.tokens[self.pos]
+        if tok.kind == kind and (value is None or tok.value == value):
             return self._next()
         return None
 

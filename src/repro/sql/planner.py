@@ -49,7 +49,6 @@ from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
 
 from repro.errors import PlanError, ReproError, TypeMismatchError
 from repro.sql import ast
-from repro.sql.certify import classify_select
 from repro.sql.executor import IndexAccess, ResultSet, Row, TableAccess
 from repro.sql.expressions import (
     ExpressionCompiler,
@@ -65,8 +64,8 @@ from repro.sql.expressions import (
     walk,
 )
 from repro.sql.aggregates import make_aggregate
+from repro.sql.catalog import IndexInfo, TableInfo
 from repro.sql.functions import BUILTIN_SCALARS
-from repro.sql.semantic import ROWID_PATH, ContextSchema, resolve_select
 from repro.sql.stats import StatsProvider, TableStats
 from repro.sql.types import SqlValue, compare, exact_integer
 from repro.storage.btree import LeafFilter
@@ -84,6 +83,10 @@ INDEX_PROBE_COST = 1.0
 ROW_FETCH_COST = 1.0
 #: evaluating predicates against one row
 CPU_ROW_COST = 0.01
+
+#: how EXPLAIN and a predicate's ``indexed_by`` name a seek of the table
+#: tree by its rowid alias (SQLite's EXPLAIN QUERY PLAN wording)
+ROWID_PATH = "INTEGER PRIMARY KEY"
 
 
 def _clamp01(value: float) -> float:
@@ -112,7 +115,27 @@ class TableDesc:
     ordinal: int = 0                           #: position in the FROM list
     #: the column whose value is the rowid (``TableInfo.rowid_alias``)
     rowid_alias: Optional[str] = None
+    #: the catalog entry these facts were read from (its declared column
+    #: types are what semantic analysis types outputs with)
+    info: Optional[TableInfo] = field(default=None, repr=False,
+                                      compare=False)
     _scope: Optional[Scope] = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def of(cls, binding: str, info: TableInfo, indexes: Iterable[IndexInfo],
+           ordinal: int = 0) -> "TableDesc":
+        """The one builder: ``info`` and its ``indexes`` bound as
+        ``binding`` at FROM position ``ordinal``."""
+        alias = info.rowid_alias
+        return cls(
+            binding=binding,
+            table=info.name,
+            columns=info.column_names(),
+            indexes=[(index.name, tuple(index.columns)) for index in indexes],
+            ordinal=ordinal,
+            rowid_alias=None if alias is None else info.columns[alias].name,
+            info=info,
+        )
 
     def scope(self) -> Scope:
         """This table's own row layout (built once: planning asks for
@@ -251,8 +274,9 @@ def plan_from(descs: List[TableDesc], predicates: List[ast.Expr],
     # plan visits first (pushdown resolves against prefix scopes), so a
     # cost-driven reorder could change what the query *means*.  Reject
     # against the full scope before any ordering decision.
+    # (One table's columns have distinct names.)
     full_scope = scope_of(descs)
-    for pred in predicates:
+    for pred in predicates if len(descs) > 1 else ():
         for node in walk(pred):
             if isinstance(node, ast.ColumnRef) \
                     and full_scope.is_ambiguous(node):
@@ -273,7 +297,9 @@ def plan_from(descs: List[TableDesc], predicates: List[ast.Expr],
     # estimated filtered cardinality (filter the selective side first);
     # otherwise the first table constrained by a single-table
     # predicate, else the first listed.
-    if fully_costed and len(descs) > 1:
+    if len(descs) == 1:
+        outer = descs[0]
+    elif fully_costed:
         outer = min(pending, key=lambda d: _filtered_row_estimate(
             stats_by[d.ordinal], single_preds(d)))
     else:
@@ -743,8 +769,9 @@ def plan_select_static(select: ast.Select, schema,
     a :class:`StatsProvider` (:class:`repro.sql.stats.DeclaredStats` for
     planlint and the golden-plan corpus).
     """
-    descs, predicates = _descs_from_schema(select, schema)
-    return plan_from(descs, predicates, stats.table_stats)
+    shape = _Shape(select, run=False)
+    descs = _descs_from_schema(shape, schema)
+    return plan_from(descs, shape.predicates(descs)[0], stats.table_stats)
 
 
 def render_plan(select: ast.Select, schema,
@@ -758,31 +785,21 @@ def render_plan(select: ast.Select, schema,
     lines = plan.access_notes()
     if select.as_of is not None:
         lines.insert(0, "AS OF snapshot (Retro SPT + snapshot cache)")
-    lines.extend(_stage_notes(select))
+    lines.extend(_stage_notes(_Shape(select, run=False)))
     lines.extend(plan.cost_notes())
     return lines
 
 
-def _descs_from_schema(select: ast.Select, schema,
-                       ) -> Tuple[List[TableDesc], List[ast.Expr]]:
-    refs, on_conjuncts = flatten_from(select.source)
+def _descs_from_schema(shape: "_Shape", schema) -> List[TableDesc]:
+    """The FROM tables of ``shape``'s statement as ``schema`` describes
+    them, each looked up once."""
     descs: List[TableDesc] = []
-    for ref in refs:
-        columns = schema.table_columns(ref.name)
-        if columns is None:
+    for ref in shape.refs:
+        found = schema.table(ref.name)
+        if found is None:
             raise PlanError(f"no such table: {ref.name}")
-        descs.append(TableDesc(
-            binding=ref.binding,
-            table=ref.name,
-            columns=[name for name, _type in columns],
-            indexes=[(name, tuple(cols))
-                     for name, cols in schema.table_indexes(ref.name)],
-            ordinal=len(descs),
-            rowid_alias=schema.rowid_alias(ref.name),
-        ))
-    where = _resolve_alias_refs(select.where, select.items,
-                                _column_names(descs), "WHERE")
-    return descs, conjuncts(where) + on_conjuncts
+        descs.append(TableDesc.of(ref.binding, *found, ordinal=len(descs)))
+    return descs
 
 
 # ---------------------------------------------------------------------------
@@ -868,28 +885,27 @@ def explain_select(select: ast.Select, ctx: ExecutionContext) -> List[str]:
     Mirrors SQLite's EXPLAIN QUERY PLAN at a coarse grain: one line per
     table access (scan / index search / automatic covering index),
     pipeline stages (aggregate, distinct, sort, limit), then one COST
-    line per plan step and the rqlint semantic summary.
+    line per plan step and the rqlint semantic summary of the plan.
     """
     planner = _SelectPlanner(select, ctx)
     # Building the pipeline plans and compiles; the generators are never
     # consumed, so nothing executes (auto-index builds happen lazily).
     planner.columns_and_rows()
-    notes = planner.plan.access_notes() if planner.plan is not None else []
+    plan = planner.plan
+    notes = plan.access_notes()
     if select.as_of is not None:
         notes.insert(0, "AS OF snapshot (Retro SPT + snapshot cache)")
-    notes.extend(_stage_notes(select))
-    if planner.plan is not None:
-        notes.extend(planner.plan.cost_notes())
-    notes.extend(_semantic_notes(select, ctx))
+    notes.extend(_stage_notes(planner.shape))
+    notes.extend(plan.cost_notes())
+    notes.extend(_semantic_notes(planner, ctx))
     return notes
 
 
-def _stage_notes(select: ast.Select) -> List[str]:
+def _stage_notes(shape: "_Shape") -> List[str]:
     """Pipeline-stage lines shared by EXPLAIN and the static rendering."""
+    select = shape.select
     notes: List[str] = []
-    if select.group_by or any(
-            item.expr is not None and contains_aggregate(item.expr)
-            for item in select.items if not item.is_star):
+    if shape.aggregated:
         notes.append("AGGREGATE (hash group-by)")
     if select.distinct:
         notes.append("DISTINCT (hash)")
@@ -900,15 +916,19 @@ def _stage_notes(select: ast.Select) -> List[str]:
     return notes
 
 
-def _semantic_notes(select: ast.Select, ctx: ExecutionContext) -> List[str]:
-    """rqlint semantic summary lines appended to EXPLAIN output.
+def _semantic_notes(planner: "_SelectPlanner",
+                    ctx: ExecutionContext) -> List[str]:
+    """rqlint semantic summary lines appended to EXPLAIN output: the
+    summary of the plan EXPLAIN just built (nothing executes).  A query
+    the planner accepts but the summary cannot describe is not an
+    EXPLAIN failure — the summary is simply omitted."""
+    # Semantic analysis and certification layer on the planner.
+    from repro.sql.certify import classify_select
+    from repro.sql.semantic import summarize
 
-    Resolution is static (catalog metadata only, nothing executes).  A
-    query the planner accepts but the resolver cannot summarize is not
-    an EXPLAIN failure — the summary is simply omitted.
-    """
     try:
-        summary = resolve_select(select, ContextSchema(ctx))
+        summary = summarize(planner.shape, planner.descs, planner.plan,
+                            lambda: {name.lower() for name in ctx.functions})
         merge_class, reason = classify_select(summary)
     except ReproError:
         return []
@@ -948,17 +968,8 @@ class BoundTable:
     @classmethod
     def bind(cls, binding: str, access: TableAccess,
              indexes: List[IndexAccess], ordinal: int = 0) -> "BoundTable":
-        info = access.info
-        alias = info.rowid_alias
-        desc = TableDesc(
-            binding=binding,
-            table=info.name,
-            columns=info.column_names(),
-            indexes=[(ix.info.name, tuple(ix.info.columns))
-                     for ix in indexes],
-            ordinal=ordinal,
-            rowid_alias=None if alias is None else info.columns[alias].name,
-        )
+        desc = TableDesc.of(binding, access.info,
+                            (index.info for index in indexes), ordinal)
         return cls(desc, access, indexes)
 
     def index_named(self, name: str) -> IndexAccess:
@@ -991,7 +1002,10 @@ class _SelectPlanner:
         self.ctx = ctx
         self.memo = memo
         self.index_build_seconds = 0.0
-        #: the plan tree (SELECT 1 has one with no steps)
+        #: the statement-only analysis, the FROM tables (in FROM order)
+        #: and the plan tree (SELECT 1 has one with no steps)
+        self.shape: Optional[_Shape] = None
+        self.descs: List[TableDesc] = []
         self.plan: Optional[SelectPlan] = None
         #: the FROM tables' column names, lower-cased: a name among them
         #: means the column, never a select-list alias (left empty when
@@ -1013,6 +1027,7 @@ class _SelectPlanner:
                 ordinal=len(tables),
             ))
         descs = [table.desc for table in tables]
+        self.shape, self.descs = shape, descs
         predicates, pinned = shape.predicates(descs)
         folded = None
         if pin is not None and True in pinned:
@@ -1090,7 +1105,9 @@ class _SelectPlanner:
         compiler = ExpressionCompiler(scope, functions, pin)
         residual = compiler.compile_predicate(plan.residual) \
             if plan.residual else None
-        items = self._expand_stars(self.select.items, scope)
+        # A star names the columns in FROM order, whatever the join
+        # order (the row layout) is.
+        items = expand_stars(self.select.items, scope_of(self.descs))
         if shape.aliased:
             self.columns = _column_names(ordered)
         if shape.aggregated:
@@ -1234,31 +1251,6 @@ class _SelectPlanner:
                     yield left + row
         return auto_indexed()
 
-    # -- star expansion ------------------------------------------------------------
-
-    def _expand_stars(self, items: List[ast.SelectItem],
-                      scope: Scope) -> List[ast.SelectItem]:
-        out: List[ast.SelectItem] = []
-        for item in items:
-            if not item.is_star:
-                out.append(item)
-                continue
-            if item.star_table is not None:
-                positions = scope.positions_for_binding(item.star_table)
-                if not positions:
-                    raise PlanError(f"no such table: {item.star_table}")
-            else:
-                positions = list(range(len(scope)))
-            for pos in positions:
-                binding, column = scope.bindings[pos]
-                out.append(ast.SelectItem(
-                    expr=ast.ColumnRef(table=binding, name=column),
-                    alias=column,
-                ))
-        if not out:
-            raise PlanError("SELECT list is empty after star expansion")
-        return out
-
     # -- plain (non-aggregate) pipeline ------------------------------------------------
 
     def _run_plain(self, items: List[ast.SelectItem],
@@ -1327,64 +1319,18 @@ class _SelectPlanner:
             return None
         out = []
         for order in select.order_by:
-            expr = self._resolve_order_expr(order.expr, items, compiler.pin)
+            expr = _resolve_order_expr(order.expr, items, self.columns,
+                                       compiler.pin)
             out.append((compiler.compile(expr), order.descending))
         return out
-
-    def _resolve_order_expr(self, expr: ast.Expr,
-                            items: List[ast.SelectItem],
-                            pin: Optional[int] = None) -> ast.Expr:
-        """A bare integer is a 1-based item position; so is a bare
-        ``current_snapshot()`` call, which names the pin as the literal
-        the paper's textual rewrite writes in its place would."""
-        position = None
-        if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-            position = expr.value
-        elif pin is not None and is_current_snapshot(expr):
-            position = pin
-        if position is not None:
-            if not 1 <= position <= len(items):
-                raise PlanError(f"ORDER BY position {position} out of range")
-            return items[position - 1].expr  # type: ignore[return-value]
-        if isinstance(expr, ast.ColumnRef) and expr.table is None:
-            for item in items:
-                if item.alias and item.alias.lower() == expr.name.lower():
-                    return item.expr  # type: ignore[return-value]
-        return _resolve_alias_refs(expr, items, self.columns)
 
     # -- aggregate pipeline -----------------------------------------------------------
 
     def _run_aggregate(self, items: List[ast.SelectItem],
                        compiler: ExpressionCompiler):
         select = self.select
-        group_exprs = [
-            _resolve_alias_refs(g, items, self.columns, "GROUP BY")
-            for g in select.group_by
-        ]
-        # Collect aggregate calls from every post-aggregation expression.
-        agg_calls: List[ast.FunctionCall] = []
-
-        def collect(expr: Optional[ast.Expr]) -> None:
-            if expr is None:
-                return
-            for node in walk(expr):
-                if isinstance(node, ast.FunctionCall) \
-                        and node.is_aggregate_name() \
-                        and node not in agg_calls:
-                    agg_calls.append(node)
-
-        having = select.having
-        if having is not None:
-            # HAVING may reference select-list aliases (SQLite allows it).
-            having = _resolve_alias_refs(having, items)
-
-        for item in items:
-            collect(item.expr)
-        collect(having)
-        for order in select.order_by:
-            collect(self._resolve_order_expr(order.expr, items,
-                                             compiler.pin))
-
+        group_exprs, having, agg_calls, to_post_agg, post_items = \
+            _aggregation(select, items, self.columns, compiler.pin)
         group_evals = [compiler.compile(g) for g in group_exprs]
         agg_arg_evals = []
         for call in agg_calls:
@@ -1397,29 +1343,8 @@ class _SelectPlanner:
                     f"aggregate {call.name}() takes exactly one argument"
                 )
 
-        # Substitution mapping into the aggregated row:
-        # positions [0, len(group)) are group keys, then aggregates.
-        mapping: List[Tuple[ast.Expr, PostAggRef]] = []
-        for i, g in enumerate(group_exprs):
-            display = g.name if isinstance(g, ast.ColumnRef) else ""
-            mapping.append((g, PostAggRef(i, display)))
-        for j, call in enumerate(agg_calls):
-            display = f"{call.name.upper()}(*)" if call.star \
-                else f"{call.name.upper()}()"
-            mapping.append((call, PostAggRef(len(group_exprs) + j, display)))
-
-        def to_post_agg(node: ast.Expr) -> ast.Expr:
-            for original, replacement in mapping:
-                if node == original:
-                    return replacement
-            return node
-
-        post_items = [
-            ast.SelectItem(expr=_rewrite(item.expr, to_post_agg),
-                           alias=item.alias)
-            for item in items
-        ]
-        post_scope = Scope([("", f"#{i}") for i in range(len(mapping))])
+        post_scope = Scope([("", f"#{i}") for i in
+                            range(len(group_exprs) + len(agg_calls))])
         post_compiler = ExpressionCompiler(post_scope, compiler.functions,
                                            compiler.pin)
         self._check_grouped(post_items, group_exprs)
@@ -1438,8 +1363,8 @@ class _SelectPlanner:
         if select.order_by:
             order_evals = []
             for order in select.order_by:
-                expr = self._resolve_order_expr(order.expr, post_items,
-                                                compiler.pin)
+                expr = _resolve_order_expr(order.expr, post_items,
+                                           self.columns, compiler.pin)
                 expr = _rewrite(expr, to_post_agg)
                 order_evals.append(
                     (post_compiler.compile(expr), order.descending)
@@ -1619,6 +1544,8 @@ def _predicate_uses_only(expr: ast.Expr, scope: Scope) -> bool:
 def _constant_value(expr: ast.Expr,
                     functions: Dict[str, Callable[..., SqlValue]],
                     pin: Optional[int] = None) -> SqlValue:
+    if isinstance(expr, ast.Literal):
+        return expr.value
     return ExpressionCompiler(Scope([]), functions, pin).compile(expr)(())
 
 
@@ -1717,6 +1644,102 @@ class _Reversed:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _Reversed) and self.value == other.value
+
+
+def expand_stars(items: List[ast.SelectItem],
+                 scope: Scope) -> List[ast.SelectItem]:
+    """The select list with each ``*`` / ``t.*`` replaced by one item
+    per column of ``scope`` it names, each aliased by its column."""
+    out: List[ast.SelectItem] = []
+    for item in items:
+        if not item.is_star:
+            out.append(item)
+            continue
+        if item.star_table is not None:
+            positions = scope.positions_for_binding(item.star_table)
+            if not positions:
+                raise PlanError(f"no such table: {item.star_table}")
+        else:
+            positions = list(range(len(scope)))
+        for pos in positions:
+            binding, column = scope.bindings[pos]
+            out.append(ast.SelectItem(
+                expr=ast.ColumnRef(table=binding, name=column),
+                alias=column,
+            ))
+    if not out:
+        raise PlanError("SELECT list is empty after star expansion")
+    return out
+
+
+def _resolve_order_expr(expr: ast.Expr, items: List[ast.SelectItem],
+                        columns: frozenset,
+                        pin: Optional[int] = None) -> ast.Expr:
+    """What an ORDER BY term sorts by.  A bare integer is a 1-based item
+    position; so is a bare ``current_snapshot()`` call, which names the
+    pin as the literal the paper's textual rewrite writes in its place
+    would.  A bare name is an item's alias before it is a column; inside
+    a larger term, a name in ``columns`` means the column."""
+    position = None
+    if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
+        position = expr.value
+    elif pin is not None and is_current_snapshot(expr):
+        position = pin
+    if position is not None:
+        if not 1 <= position <= len(items):
+            raise PlanError(f"ORDER BY position {position} out of range")
+        return items[position - 1].expr  # type: ignore[return-value]
+    if isinstance(expr, ast.ColumnRef) and expr.table is None:
+        for item in items:
+            if item.alias and item.alias.lower() == expr.name.lower():
+                return item.expr  # type: ignore[return-value]
+    return _resolve_alias_refs(expr, items, columns)
+
+
+def _aggregation(select: ast.Select, items: List[ast.SelectItem],
+                 columns: frozenset, pin: Optional[int]):
+    """What an aggregated SELECT is made of before anything compiles:
+    ``(group_exprs, having, calls, to_post_agg, post_items)`` — GROUP BY
+    and HAVING with their aliases resolved, the aggregate calls of every
+    post-aggregation clause, the rewrite of a node into the aggregated
+    row (group keys at ``[0, len(group_exprs))``, then the calls) and
+    the select list so rewritten, which names the result columns."""
+    group_exprs = [_resolve_alias_refs(g, items, columns, "GROUP BY")
+                   for g in select.group_by]
+    having = select.having
+    if having is not None:
+        # HAVING may reference select-list aliases (SQLite allows it).
+        having = _resolve_alias_refs(having, items)
+    calls: List[ast.FunctionCall] = []
+    clauses = [item.expr for item in items] + [having] + [
+        _resolve_order_expr(order.expr, items, columns, pin)
+        for order in select.order_by]
+    for clause in clauses:
+        if clause is None:
+            continue
+        for node in walk(clause):
+            if isinstance(node, ast.FunctionCall) \
+                    and node.is_aggregate_name() and node not in calls:
+                calls.append(node)
+
+    mapping: List[Tuple[ast.Expr, PostAggRef]] = []
+    for i, g in enumerate(group_exprs):
+        display = g.name if isinstance(g, ast.ColumnRef) else ""
+        mapping.append((g, PostAggRef(i, display)))
+    for j, call in enumerate(calls):
+        display = f"{call.name.upper()}(*)" if call.star \
+            else f"{call.name.upper()}()"
+        mapping.append((call, PostAggRef(len(group_exprs) + j, display)))
+
+    def to_post_agg(node: ast.Expr) -> ast.Expr:
+        for original, replacement in mapping:
+            if node == original:
+                return replacement
+        return node
+
+    post_items = [ast.SelectItem(expr=_rewrite(item.expr, to_post_agg),
+                                 alias=item.alias) for item in items]
+    return group_exprs, having, calls, to_post_agg, post_items
 
 
 def _column_names(descs: Iterable[TableDesc]) -> frozenset:

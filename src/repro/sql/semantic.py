@@ -1,12 +1,16 @@
 """Semantic analysis over parsed SELECTs (the front half of rqlint).
 
-The planner resolves names lazily, one expression at a time, while it
-executes.  rqlint needs the same information *statically*: which tables
-and columns a query reads, what type each output has, which select items
-are aggregates, which WHERE conjuncts are pushable into a single table's
-per-snapshot scan and whether an index supports them.  This module
-computes all of that from an :class:`repro.sql.ast.Select` plus a
-:class:`SchemaProvider` without executing anything.
+rqlint needs, statically, what a query reads, what type each output
+has, which select items are aggregates, which WHERE conjuncts are
+pushable into a single table's per-snapshot scan and whether an index
+serves them.  None of it is worked out here a second time: the FROM
+tables are the planner's :class:`~repro.sql.planner.TableDesc` objects,
+names bind through its :class:`~repro.sql.expressions.Scope` with the
+executor's alias, star and output-naming rules, and the index verdicts
+are read off a :func:`~repro.sql.planner.plan_from` plan.  What this
+module adds is what the planner does not compute: function
+classification, output types, :func:`render_expr`, the DDL-backed
+:class:`StaticSchema` and the Qs range analysis.
 
 :mod:`repro.sql.certify` layers the mechanism-level
 merge-class certification (RQL100-106) on top of the
@@ -16,20 +20,36 @@ merge-class certification (RQL100-106) on top of the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import ReproError
+from repro.errors import PlanError, ReproError
 from repro.sql import ast
-from repro.sql.catalog import primary_key_storage
+from repro.sql.catalog import Column, IndexInfo, TableInfo, primary_key_storage
 from repro.sql.expressions import (
     CURRENT_SNAPSHOT,
+    Scope,
     classify_conjunct,
     conjuncts,
-    flatten_from,
+    contains_aggregate,
     walk,
 )
 from repro.sql.functions import BUILTIN_SCALARS
 from repro.sql.parser import parse_sql
+from repro.sql.planner import (
+    ROWID_PATH,
+    SelectPlan,
+    TableDesc,
+    _aggregation,
+    _column_names,
+    _descs_from_schema,
+    _keyed_path,
+    _resolve_order_expr,
+    _Shape,
+    expand_stars,
+    output_name,
+    plan_from,
+    scope_of,
+)
 
 #: Builtins whose value depends on hidden mutable state: calling them
 #: from a Qq makes the retrospection irreproducible and partition-order
@@ -38,9 +58,6 @@ STATEFUL_FUNCTIONS = frozenset({"rql_workers"})
 #: RQL names a run binds to its cursor's snapshot: one constant per
 #: snapshot, deterministic by construction.
 REWRITTEN_FUNCTIONS = frozenset({CURRENT_SNAPSHOT})
-#: how EXPLAIN and a predicate's ``indexed_by`` name a seek of the table
-#: tree by its rowid alias (SQLite's EXPLAIN QUERY PLAN wording)
-ROWID_PATH = "INTEGER PRIMARY KEY"
 #: Scalars that always map equal inputs to equal outputs.
 DETERMINISTIC_BUILTINS = frozenset(BUILTIN_SCALARS) | {"snapshot_id"}
 
@@ -60,19 +77,12 @@ class SchemaProvider:
     certificate).
     """
 
-    def table_columns(self, name: str) -> Optional[List[Tuple[str, str]]]:
-        """``[(column, declared type), ...]`` or None if unknown."""
+    def table(self, name: str,
+              ) -> Optional[Tuple[TableInfo, List[IndexInfo]]]:
+        """The catalog entry of table ``name`` and those of its indexes
+        (a primary key stored as an index included), or None if there
+        is no such table."""
         raise NotImplementedError
-
-    def table_indexes(self, name: str) -> List[Tuple[str, List[str]]]:
-        """``[(index name, [columns...]), ...]`` including a PK stored
-        as an index."""
-        return []
-
-    def rowid_alias(self, name: str) -> Optional[str]:
-        """The column whose value is the table's rowid, or None
-        (:func:`repro.sql.catalog.primary_key_storage`)."""
-        return None
 
     def known_functions(self) -> Set[str]:
         """Lower-cased names of registered scalar functions."""
@@ -83,9 +93,8 @@ class StaticSchema(SchemaProvider):
     """Dictionary-backed schema, typically built from DDL text."""
 
     def __init__(self) -> None:
-        self._tables: Dict[str, List[Tuple[str, str]]] = {}
-        self._indexes: Dict[str, List[Tuple[str, List[str]]]] = {}
-        self._aliases: Dict[str, str] = {}
+        self._tables: Dict[str, TableInfo] = {}
+        self._indexes: Dict[str, List[IndexInfo]] = {}
         self._functions: Set[str] = set()
 
     @classmethod
@@ -110,29 +119,29 @@ class StaticSchema(SchemaProvider):
     def add_table(self, name: str,
                   columns: Sequence[Tuple[str, str]],
                   primary_key: Sequence[str] = ()) -> None:
-        self._tables[name.lower()] = list(columns)
-        alias, index = primary_key_storage(name, columns, primary_key)
-        if alias is not None:
-            self._aliases[name.lower()] = alias
+        self._tables[name.lower()] = TableInfo(
+            name=name, root_id=0,
+            columns=[Column(*column) for column in columns],
+            primary_key=list(primary_key))
+        _alias, index = primary_key_storage(name, columns, primary_key)
         if index is not None:
             self.add_index(index, name, list(primary_key))
 
     def add_index(self, name: str, table: str,
                   columns: Sequence[str]) -> None:
         self._indexes.setdefault(table.lower(), []).append(
-            (name, list(columns)))
+            IndexInfo(name=name, table=table, root_id=0,
+                      columns=list(columns)))
 
     def add_function(self, name: str) -> None:
         self._functions.add(name.lower())
 
-    def table_columns(self, name: str) -> Optional[List[Tuple[str, str]]]:
-        return self._tables.get(name.lower())
-
-    def table_indexes(self, name: str) -> List[Tuple[str, List[str]]]:
-        return list(self._indexes.get(name.lower(), []))
-
-    def rowid_alias(self, name: str) -> Optional[str]:
-        return self._aliases.get(name.lower())
+    def table(self, name: str,
+              ) -> Optional[Tuple[TableInfo, List[IndexInfo]]]:
+        info = self._tables.get(name.lower())
+        if info is None:
+            return None
+        return info, list(self._indexes.get(name.lower(), []))
 
     def known_functions(self) -> Set[str]:
         return set(self._functions)
@@ -146,28 +155,14 @@ class ContextSchema(SchemaProvider):
     def __init__(self, ctx) -> None:
         self._ctx = ctx
 
-    def table_columns(self, name: str) -> Optional[List[Tuple[str, str]]]:
-        try:
-            access = self._ctx.open_table(name)
-        except ReproError:
-            return None
-        return [(c.name, c.type_name) for c in access.info.columns]
-
-    def table_indexes(self, name: str) -> List[Tuple[str, List[str]]]:
+    def table(self, name: str,
+              ) -> Optional[Tuple[TableInfo, List[IndexInfo]]]:
         try:
             access = self._ctx.open_table(name)
             indexes = self._ctx.open_indexes(access)
         except ReproError:
-            return []
-        return [(ix.info.name, list(ix.info.columns)) for ix in indexes]
-
-    def rowid_alias(self, name: str) -> Optional[str]:
-        try:
-            info = self._ctx.open_table(name).info
-        except ReproError:
             return None
-        alias = info.rowid_alias
-        return None if alias is None else info.columns[alias].name
+        return access.info, [index.info for index in indexes]
 
     def known_functions(self) -> Set[str]:
         return {name.lower() for name in self._ctx.functions}
@@ -203,10 +198,13 @@ class Predicate:
     text: str
     tables: Tuple[str, ...]  # binding names the conjunct touches
     pushable: bool
-    #: supporting index, if any; ``INTEGER PRIMARY KEY`` for a seek of
-    #: the table by its rowid alias
+    #: the index whose access consumed the conjunct in the plan, if
+    #: any; ``INTEGER PRIMARY KEY`` for a seek of the table by its rowid
+    #: alias
     indexed_by: Optional[str] = None
-    index_candidate: Optional[Tuple[str, str]] = None  # (table, column)
+    #: ``(table, column)`` of an index-shaped single-table conjunct no
+    #: index (nor the rowid) of that table leads with
+    index_candidate: Optional[Tuple[str, str]] = None
     line: int = 0
     col: int = 0
 
@@ -309,317 +307,223 @@ def render_expr(expr: Optional[ast.Expr]) -> str:
 # ---------------------------------------------------------------------------
 
 
-class _Resolver:
-    """Single-use name resolution state for one SELECT."""
-
-    def __init__(self, select: ast.Select, schema: SchemaProvider) -> None:
-        self.select = select
-        self.schema = schema
-        self.summary = QuerySummary()
-        # binding (lower) -> (base table name, [(col, type)] or None)
-        self.bindings: Dict[str, Tuple[str, Optional[List[Tuple[str, str]]]]] = {}
-        self.binding_order: List[str] = []
-        self.aliases: Set[str] = set()
-
-    def issue(self, message: str, node=None) -> None:
-        line = getattr(node, "line", 0) if node is not None else 0
-        col = getattr(node, "col", 0) if node is not None else 0
-        self.summary.issues.append(SemanticIssue(message, line, col))
-
-    # -- FROM -------------------------------------------------------------
-
-    def bind_from(self) -> List[ast.Expr]:
-        refs, join_conjuncts = flatten_from(self.select.source)
-        for ref in refs:
-            binding = ref.binding.lower()
-            if binding in self.bindings:
-                self.issue(f"duplicate table binding: {ref.binding}", ref)
-                continue
-            columns = self.schema.table_columns(ref.name)
-            if columns is None:
-                self.issue(f"no such table: {ref.name}", ref)
-            else:
-                if ref.name not in self.summary.tables:
-                    self.summary.tables.append(ref.name)
-            self.bindings[binding] = (ref.name, columns)
-            self.binding_order.append(binding)
-        return join_conjuncts
-
-    # -- column references -------------------------------------------------
-
-    def resolve_ref(self, ref: ast.ColumnRef,
-                    allow_aliases: bool = False) -> Optional[str]:
-        """Resolve to the binding that owns the column (or None)."""
-        name = ref.name.lower()
-        if ref.table is not None:
-            binding = ref.table.lower()
-            if binding not in self.bindings:
-                self.issue(f"no such table: {ref.table}", ref)
-                return None
-            base, columns = self.bindings[binding]
-            if columns is None:
-                return None  # unknown table already reported
-            if not any(col.lower() == name for col, _ in columns):
-                self.issue(f"no such column: {ref.display()}", ref)
-                return None
-            self._note_read(binding, ref.name)
-            return binding
-        owners = []
-        for binding in self.binding_order:
-            _, columns = self.bindings[binding]
-            if columns is None:
-                continue
-            if any(col.lower() == name for col, _ in columns):
-                owners.append(binding)
-        if len(owners) > 1:
-            self.issue(f"ambiguous column name: {ref.name}", ref)
-            return None
-        if not owners:
-            if allow_aliases and name in self.aliases:
-                return None  # refers to a select-list alias, not a read
-            if any(columns is None for _, columns in self.bindings.values()):
-                return None  # can't decide against an unknown table
-            self.issue(f"no such column: {ref.name}", ref)
-            return None
-        self._note_read(owners[0], ref.name)
-        return owners[0]
-
-    def _note_read(self, binding: str, column: str) -> None:
-        base, columns = self.bindings[binding]
-        declared = column
-        if columns is not None:
-            for col, _ in columns:
-                if col.lower() == column.lower():
-                    declared = col
-                    break
-        reads = self.summary.read_columns.setdefault(base, [])
-        if declared not in reads:
-            reads.append(declared)
-
-    def column_type(self, ref: ast.ColumnRef) -> str:
-        name = ref.name.lower()
-        candidates = ([ref.table.lower()] if ref.table is not None
-                      else self.binding_order)
-        for binding in candidates:
-            if binding not in self.bindings:
-                continue
-            _, columns = self.bindings[binding]
-            if columns is None:
-                continue
-            for col, type_name in columns:
-                if col.lower() == name:
-                    return type_name
-        return ""
-
-    # -- expression classification ----------------------------------------
-
-    def scan_expr(self, expr: ast.Expr, allow_aliases: bool = False) -> None:
-        """Resolve references and classify function calls in a subtree."""
-        for node in walk(expr):
-            if isinstance(node, ast.ColumnRef):
-                self.resolve_ref(node, allow_aliases=allow_aliases)
-            elif isinstance(node, ast.FunctionCall):
-                self._classify_function(node)
-
-    def _classify_function(self, call: ast.FunctionCall) -> None:
-        name = call.name.lower()
-        if call.is_aggregate_name():
-            self.summary.aggregate_calls.append(call)
-            return
-        self.summary.scalar_functions.add(name)
-        if name in STATEFUL_FUNCTIONS:
-            self.summary.stateful_functions.add(name)
-        elif name not in (DETERMINISTIC_BUILTINS | REWRITTEN_FUNCTIONS
-                          | self.schema.known_functions()):
-            self.summary.unknown_functions.add(name)
-
-    # -- type inference ----------------------------------------------------
-
-    def infer_type(self, expr: ast.Expr) -> str:
-        if isinstance(expr, ast.Literal):
-            if isinstance(expr.value, bool) or isinstance(expr.value, int):
-                return "INTEGER"
-            if isinstance(expr.value, float):
-                return "REAL"
-            if isinstance(expr.value, str):
-                return "TEXT"
-            if isinstance(expr.value, bytes):
-                return "BLOB"
-            return ""
-        if isinstance(expr, ast.ColumnRef):
-            return self.column_type(expr)
-        if isinstance(expr, ast.UnaryOp):
-            if expr.op == "NOT":
-                return "INTEGER"
-            return self.infer_type(expr.operand)
-        if isinstance(expr, ast.BinaryOp):
-            if expr.op in ("AND", "OR", "=", "!=", "<", "<=", ">", ">="):
-                return "INTEGER"  # three-valued logic result
-            if expr.op == "||":
-                return "TEXT"
-            left = self.infer_type(expr.left)
-            right = self.infer_type(expr.right)
-            if "REAL" in (left, right) or expr.op == "/":
-                return "REAL"
-            if left == right == "INTEGER":
-                return "INTEGER"
-            return "NUMERIC"
-        if isinstance(expr, (ast.IsNull, ast.InList, ast.Between, ast.Like)):
-            return "INTEGER"
-        if isinstance(expr, ast.FunctionCall):
-            name = expr.name.lower()
-            if name in ("count",):
-                return "INTEGER"
-            if name in ("sum", "total", "avg"):
-                return "REAL"
-            if name in ("min", "max") and expr.args:
-                return self.infer_type(expr.args[0])
-            if name in ("group_concat", "lower", "upper", "substr",
-                        "substring"):
-                return "TEXT"
-            if name in ("abs", "round", "sqrt"):
-                return "REAL"
-            if name == "length":
-                return "INTEGER"
-            return ""
-        if isinstance(expr, ast.CaseExpr):
-            for _, result in expr.branches:
-                inferred = self.infer_type(result)
-                if inferred:
-                    return inferred
-            if expr.else_result is not None:
-                return self.infer_type(expr.else_result)
-        return ""
-
-    # -- outputs -----------------------------------------------------------
-
-    def classify_outputs(self) -> None:
-        from repro.sql.expressions import contains_aggregate
-        for item in self.select.items:
-            if item.is_star:
-                self._expand_star(item)
-                continue
-            expr = item.expr
-            if expr is None:
-                continue
-            if item.alias:
-                self.aliases.add(item.alias.lower())
-            name = item.alias or render_expr(expr)
-            if contains_aggregate(expr):
-                kind = "aggregate"
-            elif isinstance(expr, ast.ColumnRef):
-                kind = "column"
-            elif isinstance(expr, ast.Literal):
-                kind = "constant"
-            else:
-                kind = "scalar"
-            self.summary.outputs.append(
-                OutputColumn(name=name, type_name=self.infer_type(expr),
-                             kind=kind))
-
-    def _expand_star(self, item: ast.SelectItem) -> None:
-        targets = ([item.star_table.lower()] if item.star_table
-                   else self.binding_order)
-        if item.star_table and item.star_table.lower() not in self.bindings:
-            self.issue(f"no such table: {item.star_table}", item)
-            return
-        if not targets:
-            self.issue("SELECT * with no FROM clause", item)
-            return
-        for binding in targets:
-            _, columns = self.bindings.get(binding, (None, None))
-            if columns is None:
-                continue  # unknown table already reported
-            for col, type_name in columns:
-                self._note_read(binding, col)
-                self.summary.outputs.append(
-                    OutputColumn(name=col, type_name=type_name,
-                                 kind="column"))
-
-    # -- predicates --------------------------------------------------------
-
-    def classify_predicates(self, join_conjuncts: List[ast.Expr]) -> None:
-        for part in join_conjuncts + conjuncts(self.select.where):
-            touched: List[str] = []
-            for node in walk(part):
-                if isinstance(node, ast.ColumnRef):
-                    owner = self._owner_of(node)
-                    if owner is not None and owner not in touched:
-                        touched.append(owner)
-            pushable = len(touched) <= 1
-            predicate = Predicate(
-                text=render_expr(part),
-                tables=tuple(self.bindings[b][0] for b in touched),
-                pushable=pushable,
-                line=getattr(part, "line", 0),
-                col=getattr(part, "col", 0),
-            )
-            if pushable and touched:
-                self._check_index_support(predicate, part, touched[0])
-            self.summary.predicates.append(predicate)
-
-    def _owner_of(self, ref: ast.ColumnRef) -> Optional[str]:
-        """Like resolve_ref but silent (refs were already reported)."""
-        name = ref.name.lower()
-        if ref.table is not None:
-            binding = ref.table.lower()
-            return binding if binding in self.bindings else None
-        owners = []
-        for binding in self.binding_order:
-            _, columns = self.bindings[binding]
-            if columns is None:
-                continue
-            if any(col.lower() == name for col, _ in columns):
-                owners.append(binding)
-        return owners[0] if len(owners) == 1 else None
-
-    def _check_index_support(self, predicate: Predicate, part: ast.Expr,
-                             binding: str) -> None:
-        shape = classify_conjunct(part)
-        if shape is None:
-            return  # not an index-shaped predicate; scan is inherent
-        column = shape.column.name
-        base, _ = self.bindings[binding]
-        alias = self.schema.rowid_alias(base)
-        if alias is not None and alias.lower() == column.lower():
-            predicate.indexed_by = ROWID_PATH
-            return
-        for index_name, columns in self.schema.table_indexes(base):
-            if columns and columns[0].lower() == column.lower():
-                predicate.indexed_by = index_name
-                return
-        predicate.index_candidate = (base, column)
-
-    # -- entry -------------------------------------------------------------
-
-    def run(self) -> QuerySummary:
-        join_conjuncts = self.bind_from()
-        self.classify_outputs()
-        if self.select.where is not None:
-            self.scan_expr(self.select.where, allow_aliases=True)
-        for item in self.select.items:
-            if item.expr is not None:
-                self.scan_expr(item.expr)
-        for expr in self.select.group_by:
-            self.scan_expr(expr, allow_aliases=True)
-        if self.select.having is not None:
-            self.scan_expr(self.select.having, allow_aliases=True)
-        for order in self.select.order_by:
-            self.scan_expr(order.expr, allow_aliases=True)
-        for part in join_conjuncts:
-            self.scan_expr(part)
-        self.classify_predicates(join_conjuncts)
-        self.summary.has_group_by = bool(self.select.group_by)
-        self.summary.has_order_by = bool(self.select.order_by)
-        self.summary.has_limit = self.select.limit is not None
-        self.summary.distinct = self.select.distinct
-        return self.summary
-
-
 def resolve_select(select: ast.Select,
                    schema: SchemaProvider) -> QuerySummary:
-    """Statically resolve one SELECT against a schema."""
-    return _Resolver(select, schema).run()
+    """Statically resolve one SELECT against a schema: its FROM tables
+    looked up once, planned once without statistics (the plan DML and an
+    un-ANALYZEd database run), then summarized (:func:`summarize`)."""
+    shape = _Shape(select, run=False)
+    known = schema.known_functions
+    try:
+        descs = _descs_from_schema(shape, schema)
+        plan = plan_from(descs, shape.predicates(descs)[0], _no_statistics)
+    except PlanError as exc:
+        summary = _outline(select)
+        clauses = [item.expr for item in select.items] + [
+            select.where, *select.group_by, select.having,
+            *(order.expr for order in select.order_by),
+            *shape.on_conjuncts]
+        for clause in clauses:
+            if clause is not None:
+                _bind(clause, None, [], summary, known)
+        summary.issues.append(_issue(str(exc), select))
+        return summary
+    return summarize(shape, descs, plan, known)
+
+
+def summarize(shape: _Shape, descs: List[TableDesc], plan: SelectPlan,
+              known_functions: Callable[[], Set[str]]) -> QuerySummary:
+    """The summary of ``shape``'s statement over its FROM tables
+    ``descs`` (FROM order) as ``plan`` executes it.
+
+    Names bind through the tables' :class:`Scope`, after the executor's
+    star expansion and alias rules; outputs are named by
+    :func:`~repro.sql.planner.output_name`, over the aggregated row when
+    the statement aggregates; ``known_functions`` answers the names of
+    the registered functions, asked only for a call no builtin explains.
+    A conjunct is ``indexed_by`` the index,
+    or the rowid, whose access consumed it in ``plan``, and an
+    ``index_candidate`` when it is index-shaped, touches one table and
+    no path of that table's leads with its column."""
+    select = shape.select
+    summary = _outline(select)
+    scope = scope_of(descs)
+    owners = [desc for desc in descs for _column in desc.columns]
+    for desc in descs:
+        if desc.table not in summary.tables:
+            summary.tables.append(desc.table)
+    predicates = shape.predicates(descs)[0]
+    try:
+        items = expand_stars(select.items, scope)
+        columns = _column_names(descs) if shape.aliased else frozenset()
+        if shape.aggregated:
+            group_exprs, having, _calls, _to_post_agg, named = \
+                _aggregation(select, items, columns, None)
+        else:
+            group_exprs, having, named = [], None, items
+        orders = [_resolve_order_expr(order.expr, items, columns)
+                  for order in select.order_by]
+    except PlanError as exc:
+        summary.issues.append(_issue(str(exc), select))
+        return summary
+
+    for expr in [item.expr for item in items] + group_exprs + [having] \
+            + orders:
+        if expr is not None:
+            _bind(expr, scope, owners, summary, known_functions)
+    types = [column.type_name for desc in descs
+             for column in desc.info.columns]
+    for position, (item, result) in enumerate(zip(items, named)):
+        expr = item.expr
+        if shape.aggregated and contains_aggregate(expr):
+            kind = "aggregate"
+        elif isinstance(expr, ast.ColumnRef):
+            kind = "column"
+        elif isinstance(expr, ast.Literal):
+            kind = "constant"
+        else:
+            kind = "scalar"
+        summary.outputs.append(OutputColumn(
+            name=output_name(result, position),
+            type_name=_infer_type(expr, scope, types), kind=kind))
+
+    access = plan.steps[0].access if plan.steps else None
+    for part in predicates:
+        touched = _bind(part, scope, owners, summary, known_functions)
+        predicate = Predicate(
+            text=render_expr(part),
+            tables=tuple(desc.table for desc in touched),
+            pushable=len(touched) <= 1,
+            line=getattr(part, "line", 0),
+            col=getattr(part, "col", 0),
+        )
+        if access is not None and part is access.pred:
+            predicate.indexed_by = access.index or ROWID_PATH
+        elif len(touched) == 1:
+            conjunct = classify_conjunct(part)
+            if conjunct is not None and _keyed_path(
+                    touched[0], conjunct.column.name)[0] is None:
+                predicate.index_candidate = (touched[0].table,
+                                             conjunct.column.name)
+        summary.predicates.append(predicate)
+    return summary
+
+
+def _bind(expr: ast.Expr, scope: Optional[Scope], owners: List[TableDesc],
+          summary: QuerySummary, known_functions: Callable[[], Set[str]],
+          ) -> List[TableDesc]:
+    """Walk ``expr`` once: classify its function calls and, given a
+    ``scope``, bind its column references (a read, or an issue);
+    returns the tables it reads, each once, in order."""
+    touched: List[TableDesc] = []
+    for node in walk(expr):
+        if isinstance(node, ast.ColumnRef):
+            if scope is None:
+                continue
+            try:
+                pos = scope.resolve(node)
+            except PlanError as exc:
+                summary.issues.append(_issue(str(exc), node))
+                continue
+            owner = owners[pos]
+            reads = summary.read_columns.setdefault(owner.table, [])
+            column = scope.bindings[pos][1]
+            if column not in reads:
+                reads.append(column)
+            if owner not in touched:
+                touched.append(owner)
+        elif isinstance(node, ast.FunctionCall):
+            name = node.name.lower()
+            if node.is_aggregate_name():
+                summary.aggregate_calls.append(node)
+                continue
+            summary.scalar_functions.add(name)
+            if name in STATEFUL_FUNCTIONS:
+                summary.stateful_functions.add(name)
+            elif name not in DETERMINISTIC_BUILTINS \
+                    and name not in REWRITTEN_FUNCTIONS \
+                    and name not in known_functions():
+                summary.unknown_functions.add(name)
+    return touched
+
+
+def _no_statistics(_table: str) -> None:
+    return None
+
+
+def _issue(message: str, node) -> SemanticIssue:
+    return SemanticIssue(message, getattr(node, "line", 0),
+                         getattr(node, "col", 0))
+
+
+def _outline(select: ast.Select) -> QuerySummary:
+    """A summary holding what the statement's text alone says."""
+    return QuerySummary(
+        has_group_by=bool(select.group_by),
+        has_order_by=bool(select.order_by),
+        has_limit=select.limit is not None,
+        distinct=select.distinct,
+    )
+
+
+def _infer_type(expr: ast.Expr, scope: Scope, types: List[str]) -> str:
+    """The declared or inferred type of ``expr``'s value ("" unknown);
+    ``types`` are the declared types of ``scope``'s columns."""
+    if isinstance(expr, ast.Literal):
+        if isinstance(expr.value, bool) or isinstance(expr.value, int):
+            return "INTEGER"
+        if isinstance(expr.value, float):
+            return "REAL"
+        if isinstance(expr.value, str):
+            return "TEXT"
+        if isinstance(expr.value, bytes):
+            return "BLOB"
+        return ""
+    if isinstance(expr, ast.ColumnRef):
+        pos = scope.try_resolve(expr)
+        return "" if pos is None else types[pos]
+    if isinstance(expr, ast.UnaryOp):
+        if expr.op == "NOT":
+            return "INTEGER"
+        return _infer_type(expr.operand, scope, types)
+    if isinstance(expr, ast.BinaryOp):
+        if expr.op in ("AND", "OR", "=", "!=", "<", "<=", ">", ">="):
+            return "INTEGER"  # three-valued logic result
+        if expr.op == "||":
+            return "TEXT"
+        left = _infer_type(expr.left, scope, types)
+        right = _infer_type(expr.right, scope, types)
+        if "REAL" in (left, right) or expr.op == "/":
+            return "REAL"
+        if left == right == "INTEGER":
+            return "INTEGER"
+        return "NUMERIC"
+    if isinstance(expr, (ast.IsNull, ast.InList, ast.Between, ast.Like)):
+        return "INTEGER"
+    if isinstance(expr, ast.FunctionCall):
+        name = expr.name.lower()
+        if name in ("count",):
+            return "INTEGER"
+        if name in ("sum", "total", "avg"):
+            return "REAL"
+        if name in ("min", "max") and expr.args:
+            return _infer_type(expr.args[0], scope, types)
+        if name in ("group_concat", "lower", "upper", "substr",
+                    "substring"):
+            return "TEXT"
+        if name in ("abs", "round", "sqrt"):
+            return "REAL"
+        if name == "length":
+            return "INTEGER"
+        return ""
+    if isinstance(expr, ast.CaseExpr):
+        for _, result in expr.branches:
+            inferred = _infer_type(result, scope, types)
+            if inferred:
+                return inferred
+        if expr.else_result is not None:
+            return _infer_type(expr.else_result, scope, types)
+    return ""
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ chronological — the same convention TPC-H text data uses here.
 
 from __future__ import annotations
 
+import re
 from typing import Any, Iterable, Optional, Tuple
 
 from repro.errors import TypeMismatchError
@@ -106,36 +107,17 @@ def to_number(value: SqlValue) -> Optional[float]:
 
 
 def coerce_for_column(value: SqlValue, declared: str) -> SqlValue:
-    """Apply column-affinity coercion on INSERT/UPDATE (SQLite style)."""
+    """Apply column-affinity coercion on INSERT/UPDATE (SQLite style):
+    INTEGER and NUMERIC columns store a value as :func:`numeric_value`
+    reads it, REAL columns store any number so read as a float."""
     if value is None:
         return None
     declared = declared.upper()
-    if declared in ("INTEGER", "INT"):
-        if isinstance(value, bool):
-            return int(value)
-        if isinstance(value, int):
-            return value
-        if isinstance(value, float) and value.is_integer():
-            return int(value)
-        if isinstance(value, str):
-            try:
-                return int(value)
-            except ValueError:
-                return value
-        return value
-    if declared in ("REAL", "NUMERIC"):
-        if isinstance(value, bool):
-            return float(value)
-        if isinstance(value, int):
-            return float(value) if declared == "REAL" else value
-        if isinstance(value, float):
-            return value
-        if isinstance(value, str):
-            try:
-                return float(value)
-            except ValueError:
-                return value
-        return value
+    if declared in ("INTEGER", "INT", "NUMERIC"):
+        return numeric_value(value)
+    if declared == "REAL":
+        value = numeric_value(value)
+        return float(value) if isinstance(value, int) else value
     if declared in ("TEXT", "DATE"):
         if isinstance(value, (int, float)):
             return str(value)
@@ -143,24 +125,46 @@ def coerce_for_column(value: SqlValue, declared: str) -> SqlValue:
     return value
 
 
+#: Well-formed numeric text, as SQLite reads it (``sqlite3AtoF``):
+#: blanks, a sign, ASCII digits with an optional fraction (or a
+#: fraction alone), an optional exponent, blanks.
+_NUMERIC_TEXT = re.compile(
+    r"[ \t\n\v\f\r]*([+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)"
+    r"(?:[eE][+-]?[0-9]+)?)[ \t\n\v\f\r]*\Z")
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
+def numeric_value(value: SqlValue) -> SqlValue:
+    """``value`` under SQLite's numeric affinity, the one reader of
+    numeric text.  Well-formed numeric text is a number, anything else
+    (``'1_000'``, ``'inf'``, ``'0x10'``) stays text; an integer literal
+    inside the 64-bit range is that INTEGER; any other number is the
+    INTEGER it equals when it has no fraction and lies strictly inside
+    that range (``'7.0'``, ``'1e2'``, ``3.0``), else REAL."""
+    if isinstance(value, str):
+        match = _NUMERIC_TEXT.match(value)
+        if match is None:
+            return value
+        literal = match.group(1)
+        if not any(mark in literal for mark in ".eE"):
+            number = int(literal)
+            if _INT64_MIN <= number <= _INT64_MAX:
+                return number
+        value = float(literal)
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer() \
+            and _INT64_MIN < value < _INT64_MAX:
+        return int(value)
+    return value
+
+
 def exact_integer(value: SqlValue) -> Optional[int]:
     """``value`` as the integer it stands for, or None when it is not
-    one: an int, a float with no fraction, or text spelling either (as
-    SQLite reads a LIMIT or an INTEGER PRIMARY KEY).  NULL is None."""
-    if isinstance(value, str):
-        text = value.strip()
-        try:
-            return int(text)
-        except ValueError:
-            try:
-                value = float(text)
-            except ValueError:
-                return None
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return None
+    one: what :func:`numeric_value` reads as an INTEGER, as SQLite
+    reads a LIMIT or an INTEGER PRIMARY KEY.  NULL is None."""
+    value = numeric_value(value)
+    return value if isinstance(value, int) else None
 
 
 def value_repr(value: SqlValue) -> str:

@@ -224,3 +224,29 @@ def test_neighbours_at_the_edge_of_the_exact_range_stay_apart():
     assert db.execute(
         f"SELECT v FROM t WHERE k = {KEY_EXACT_INT - 1}").rows == [(1,)]
     db.close()
+
+
+@pytest.mark.parametrize("statements, query", [
+    (("CREATE TABLE t (k INT PRIMARY KEY, v INTEGER)",
+      "INSERT INTO t VALUES (NULL, 1)",
+      "INSERT INTO t VALUES (NULL, 2)"),
+     "SELECT k, v FROM t ORDER BY v"),
+    (("CREATE TABLE t (a INTEGER, b INTEGER, v INTEGER, PRIMARY KEY (a, b))",
+      "INSERT INTO t VALUES (1, NULL, 1)",
+      "INSERT INTO t VALUES (1, NULL, 2)"),
+     "SELECT a, b, v FROM t ORDER BY v"),
+    (("CREATE TABLE t (k INTEGER, v INTEGER)",
+      "CREATE UNIQUE INDEX t_k ON t (k)",
+      "INSERT INTO t VALUES (NULL, 1)",
+      "INSERT INTO t VALUES (NULL, 2)",
+      "INSERT INTO t VALUES (3, 3)",
+      "UPDATE t SET k = NULL WHERE v = 3"),
+     "SELECT k, v FROM t ORDER BY v"),
+])
+def test_a_unique_key_admits_many_nulls(statements, query):
+    """A key holding a NULL equals no other key, so a UNIQUE index (a
+    declared one, or the one beside a key that is not the rowid) takes
+    it any number of times, on INSERT and on UPDATE."""
+    ours, theirs = _run(statements, query)
+    assert ours == theirs
+    assert isinstance(ours, list)  # both engines stored every row
